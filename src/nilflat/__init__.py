@@ -22,16 +22,15 @@ from .errors import (BasisNotAdapted, BoundViolated, BudgetNotMet,
                      NotNilpotent, NotPositiveDefinite, NotSkew, SchemaError,
                      ValidationReport)
 from .algebra import (NilAlgebra, algebra_center, basis_vec, check_adapted,
-                      check_class, check_jacobi, lower_central_series,
-                      validate_algebra, vec)
+                      check_class, check_integer_constants, check_jacobi,
+                      lower_central_series, validate_algebra, vec)
 from .bch import BchTable, bch_inverse, bch_product, bch_table
 from .coords import (MalcevWord, first_to_second, lattice_closed,
                      second_to_first, word_multiply)
 from .tower import (BundleTower, CentralCocycle, CohomologyVerdict,
-                    NilLattice, PeelChoice, TowerStep, check_closed,
-                    check_integral, check_skew, cocycles_cohomologous,
-                    extend_by_cocycle, extension_cocycle_value, group_center,
-                    peel_step, peel_tower, pick_primitive_central)
+                    NilLattice, TowerStep, check_closed, check_integral,
+                    check_skew, cocycles_cohomologous, extend_by_cocycle,
+                    extension_cocycle_value, peel_step, peel_tower)
 from .metric import (LeftInvariantMetric, connection_coeffs,
                      curvature_tensor, sectional_curvature, structure_array)
 from .submersion import (CanonicalVariation, OneillTensors, SubmersionSplit,
@@ -55,13 +54,12 @@ __all__ = [
     "BoundViolated", "BudgetNotMet", "ValidationReport",
     # exact layer
     "NilAlgebra", "vec", "basis_vec", "check_jacobi", "check_adapted",
-    "check_class", "lower_central_series", "algebra_center",
-    "validate_algebra", "BchTable", "bch_table", "bch_product", "bch_inverse",
+    "check_class", "check_integer_constants", "lower_central_series",
+    "algebra_center", "validate_algebra", "BchTable", "bch_table", "bch_product", "bch_inverse",
     "MalcevWord", "first_to_second", "second_to_first", "word_multiply",
-    "lattice_closed", "NilLattice", "PeelChoice", "CentralCocycle",
-    "TowerStep", "BundleTower", "check_skew", "check_closed",
-    "check_integral", "group_center", "pick_primitive_central", "peel_step",
-    "peel_tower", "extend_by_cocycle", "CohomologyVerdict",
+    "lattice_closed", "NilLattice", "CentralCocycle", "TowerStep",
+    "BundleTower", "check_skew", "check_closed", "check_integral",
+    "peel_step", "peel_tower", "extend_by_cocycle", "CohomologyVerdict",
     "cocycles_cohomologous", "extension_cocycle_value",
     # numerical layer
     "LeftInvariantMetric", "structure_array", "connection_coeffs",

@@ -181,6 +181,22 @@ def check_adapted(algebra: NilAlgebra) -> ValidationReport:
     return ValidationReport(ok=True, check="adapted")
 
 
+def check_integer_constants(algebra: NilAlgebra) -> ValidationReport:
+    """Integer structure constants: the gate for the basis Z-span to be a
+    lattice model (see `tower.NilLattice`)."""
+    n = algebra.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k, coeff in enumerate(algebra.structure[i][j]):
+                if coeff.denominator != 1:
+                    return ValidationReport(
+                        ok=False, check="integer_constants",
+                        message=(f"structure constant {coeff} of "
+                                 f"[e{i + 1},e{j + 1}] is not an integer"),
+                        witness=(i + 1, j + 1, k + 1), defect=coeff)
+    return ValidationReport(ok=True, check="integer_constants")
+
+
 def lower_central_series(algebra: NilAlgebra) -> Tuple[List[List[VecQ]], int]:
     """Chain g = g_1 ⊇ [g, g_1] ⊇ [g, g_2] ⊇ ... ⊇ 0 and the nilpotency class.
 

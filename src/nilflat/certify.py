@@ -10,8 +10,9 @@ Levels whose extension cocycle vanishes are metric products — they add no
 curvature and keep t = 1.  Each curved level gets an equal share of eps and a
 multiplicative refinement loop on t driven by the measured sup|K| (the excess
 over the level's base scales linearly in t, so the loop converges in a couple
-of rounds); if the loop cannot meet its budget within the round cap, the
-certification fails with BudgetNotMet.
+of rounds); if the loop cannot meet its budget within the round cap, or the
+assembled metric becomes singular in float64, the certification fails with
+BudgetNotMet.
 """
 
 from __future__ import annotations
@@ -76,10 +77,20 @@ def assemble_metric(seed_block: np.ndarray, base_matrix: np.ndarray,
 
 
 def _measure_sup(structure: np.ndarray, matrix: np.ndarray,
-                 gen: np.random.Generator, n_samples: int) -> float:
+                 gen: np.random.Generator, n_samples: int, where: str) -> float:
+    """Sampled sup|K| of the assembled metric; BudgetNotMet if it is singular.
+
+    Collapse parameters can fall so far (1e-24 and below on dense seeds)
+    that the assembled metric is singular in float64; no smaller t can then
+    be measured, so the budget is reported as not met, naming `where`.
+    """
     n = matrix.shape[0]
-    r4 = curvature_from_structure(structure, matrix)
-    sup, _ = sup_abs_sectional(r4, matrix, n, gen, n_samples)
+    try:
+        r4 = curvature_from_structure(structure, matrix)
+        sup, _ = sup_abs_sectional(r4, matrix, n, gen, n_samples)
+    except np.linalg.LinAlgError as exc:
+        raise BudgetNotMet(
+            f"{where}: assembled metric is singular in float64 ({exc})") from exc
     return sup
 
 
@@ -133,7 +144,10 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
         for round_index in range(max_rounds):
             candidate = assemble_metric(seed_block, assembled, t)
             gen = spawn_generator(seed, _STREAM_LEVEL, k, round_index)
-            sup_k = _measure_sup(structure, candidate, gen, n_samples)
+            sup_k = _measure_sup(
+                structure, candidate, gen, n_samples,
+                f"level dim {k} at t = {t!r} (smallest t below: "
+                f"{min(ts_bottom_up, default=t)!r})")
             if sup_k <= target:
                 accepted = (t, candidate, sup_k, round_index + 1)
                 break
@@ -152,7 +166,9 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
 
     final_gen = spawn_generator(seed, _STREAM_FINAL)
     top_structure = structure_array(steps[0].total.algebra)
-    sup_final = _measure_sup(top_structure, assembled, final_gen, n_samples)
+    sup_final = _measure_sup(top_structure, assembled, final_gen, n_samples,
+                             f"final metric of dim {n} (smallest t: "
+                             f"{min(ts_bottom_up)!r})")
     if sup_final > eps:
         raise BudgetNotMet(
             f"final sampled sup|K| = {sup_final!r} exceeds eps = {eps!r}")

@@ -24,16 +24,17 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from . import __version__, fileio
-from .algebra import NilAlgebra, check_adapted, check_class, check_jacobi
+from .algebra import (check_adapted, check_class, check_integer_constants,
+                      check_jacobi)
 from .bch import bch_table
 from .coords import lattice_closed
 from .certify import certify_almost_flat, certificate_summary
 from .errors import (BoundViolated, BudgetNotMet, DimensionMismatch,
-                     NilflatError, SchemaError, ValidationReport)
+                     NilflatError, SchemaError)
 from .metric import LeftInvariantMetric
 from .scan import lemma_scan, report_csv, report_summary
 from .submersion import build_split
-from .tower import NilLattice, extend_by_cocycle, peel_tower
+from .tower import extend_by_cocycle, peel_tower
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -161,24 +162,10 @@ def _load_metric_arg(path: Optional[str], dim: int) -> LeftInvariantMetric:
 # commands
 # ---------------------------------------------------------------------------
 
-def _integer_constants_report(algebra: NilAlgebra) -> ValidationReport:
-    """Integer structure constants = the lattice-model gate of NilLattice."""
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            for k, coeff in enumerate(algebra.structure[i][j]):
-                if coeff.denominator != 1:
-                    return ValidationReport(
-                        ok=False, check="integer_constants",
-                        message=(f"structure constant {coeff} of "
-                                 f"[e{i + 1},e{j + 1}] is not an integer"),
-                        witness=(i + 1, j + 1, k + 1), defect=coeff)
-    return ValidationReport(ok=True, check="integer_constants")
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     algebra = fileio.load_algebra(args.path)
     gate = [check_jacobi(algebra), check_class(algebra),
-            check_adapted(algebra), _integer_constants_report(algebra)]
+            check_adapted(algebra), check_integer_constants(algebra)]
     for report in gate:
         if report:
             print(f"{report.check}: ok")

@@ -24,8 +24,8 @@ import numpy as np
 
 from .algebra import NilAlgebra
 from .errors import SchemaError
-from .tower import (BundleTower, CentralCocycle, NilLattice, PeelChoice,
-                    TowerStep, extend_by_cocycle)
+from .tower import (BundleTower, CentralCocycle, NilLattice, TowerStep,
+                    extend_by_cocycle)
 
 __all__ = [
     "canonical_json",
@@ -230,13 +230,13 @@ def tower_to_obj(tower: BundleTower) -> Dict[str, Any]:
 def tower_from_obj(obj: Any, where: str = "tower") -> BundleTower:
     """Rebuild a tower bottom-up from the point via central extensions.
 
-    The file stores only (base_dim, cocycle) per step; totals, bases and
-    peel choices are reconstructed by extending, so every loaded tower is
-    re-validated (skew/closed/integral) step by step.
+    The file stores only (base_dim, cocycle) per step; totals and bases are
+    reconstructed by extending, so every loaded tower is re-validated
+    (skew/closed/integral) step by step.
     """
     top = _expect_dict(obj, where)
     raw_steps = _expect_list(_get(top, "steps", where), f"{where}.steps")
-    parsed: List[Tuple[int, CentralCocycle]] = []
+    parsed: List[CentralCocycle] = []
     for pos, item in enumerate(raw_steps):
         loc = f"{where}.steps[{pos}]"
         entry = _expect_dict(item, loc)
@@ -249,15 +249,13 @@ def tower_from_obj(obj: Any, where: str = "tower") -> BundleTower:
         cocycle = cocycle_from_obj(
             {"dim": base_dim, "entries": _get(entry, "cocycle", loc)},
             where=f"{loc}.cocycle")
-        parsed.append((base_dim, cocycle))
+        parsed.append(cocycle)
 
     current = NilLattice(algebra=NilAlgebra(dim=0, declared_class=0, structure=()))
     built: List[TowerStep] = []
-    for base_dim, cocycle in reversed(parsed):
+    for cocycle in reversed(parsed):
         total = extend_by_cocycle(current, cocycle)
-        z = tuple(0 if i < base_dim else 1 for i in range(base_dim + 1))
-        built.append(TowerStep(total=total, base=current,
-                               choice=PeelChoice(z=z), cocycle=cocycle))
+        built.append(TowerStep(total=total, base=current, cocycle=cocycle))
         current = total
     return BundleTower(steps=tuple(reversed(built)))
 

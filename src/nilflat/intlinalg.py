@@ -9,7 +9,6 @@ Hermite and Smith normal forms with unimodular transforms tracked explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
@@ -85,30 +84,6 @@ def rational_row_basis(rows: Sequence[Sequence[Fraction]], n_cols: int) -> List[
         if r == n_rows:
             break
     return m[:r]
-
-
-def clear_denominators(vec: Sequence[Fraction]) -> List[int]:
-    """Scale a rational vector to a primitive integer vector, sign-normalised.
-
-    The first nonzero coordinate of the result is positive; the zero vector
-    maps to itself.
-    """
-    lcm = 1
-    for v in vec:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g == 0:
-        return ints
-    ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return ints
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -229,48 +204,6 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix,
             continue
         t += 1
     return u, d, v
-
-
-def saturate_lattice(rows: Sequence[Sequence[int]], n_cols: int) -> IntMatrix:
-    """Basis (HNF rows) of the pure lattice Z^n ∩ span_Q(rows).
-
-    With A = U^{-1} D V^{-1} the rational row span equals the span of the
-    first r rows of U^{-1}... we avoid the inverse by working with columns:
-    transpose, take SNF, and read the saturated basis off the left transform.
-    """
-    if not rows:
-        return []
-    a = [[rows[i][j] for i in range(len(rows))] for j in range(n_cols)]  # transpose, n x r
-    u, d, _v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0)
-    # columns of U^{-1} = rows of ... easier: U a V = D means a = U^{-1} D V^{-1};
-    # col span of a over Q = span of first `rank` columns of U^{-1}. Solve for
-    # U^{-1} columns by inverting the unimodular U exactly.
-    u_inv = invert_unimodular(u)
-    basis = [[u_inv[i][k] for i in range(n_cols)] for k in range(rank)]
-    return hermite_normal_form(basis)
-
-
-def invert_unimodular(u: Sequence[Sequence[int]]) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix via rational elimination."""
-    n = len(u)
-    m = [[Fraction(u[i][j]) for j in range(n)] + [Fraction(1 if j == i else 0) for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if m[i][c] != 0)
-        m[c], m[piv] = m[piv], m[c]
-        pv = m[c][c]
-        m[c] = [v / pv for v in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    out = [[m[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for v in row:
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return [[int(v) for v in row] for row in out]
 
 
 def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]

@@ -39,9 +39,10 @@ from .metric import (
 from .submersion import (
     OneillTensors,
     SubmersionSplit,
-    base_geometry,
+    _base_from_frame,
+    _oneill_from_frame,
+    frame_metric,
     frame_structure,
-    oneill_tensors,
 )
 
 # Stream ids for Philox keying; every consumer of randomness gets its own.
@@ -225,8 +226,9 @@ class SubmersionContext:
         self.split = split
         self.c_hat = frame_structure(algebra, split)
         self.c_ambient = structure_array(algebra)
-        self.tensors: OneillTensors = oneill_tensors(algebra, metric, split)
-        _, _, self.r_base = base_geometry(algebra, split)
+        self.tensors: OneillTensors = _oneill_from_frame(
+            self.c_hat, frame_metric(metric.matrix, split), split, 1.0)
+        _, _, self.r_base = _base_from_frame(self.c_hat, split.horizontal_dim)
         self._frame_r: dict = {}
         self._ambient: dict = {}
 

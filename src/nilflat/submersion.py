@@ -182,8 +182,14 @@ def oneill_tensors(algebra: NilAlgebra, metric_matrix: Union[np.ndarray, LeftInv
     if metric_matrix.shape != (n, n):
         raise DimensionMismatch(
             f"metric shape {metric_matrix.shape} does not match algebra dim {n}")
-    c_hat = frame_structure(algebra, split)
-    g_hat = frame_metric(metric_matrix, split)
+    return _oneill_from_frame(frame_structure(algebra, split),
+                              frame_metric(metric_matrix, split), split, t)
+
+
+def _oneill_from_frame(c_hat: np.ndarray, g_hat: np.ndarray,
+                       split: SubmersionSplit, t: float) -> OneillTensors:
+    """`oneill_tensors` from precomputed frame structure constants and Gram."""
+    n = c_hat.shape[0]
     gamma = connection_from_structure(c_hat, g_hat)
     ph, pv = _projectors(n)
 
@@ -221,8 +227,11 @@ def base_geometry(algebra: NilAlgebra, split: SubmersionSplit):
     so the base metric is the identity and the base bracket is the horizontal
     block of the frame structure constants.
     """
-    m = split.horizontal_dim
-    c_hat = frame_structure(algebra, split)
+    return _base_from_frame(frame_structure(algebra, split), split.horizontal_dim)
+
+
+def _base_from_frame(c_hat: np.ndarray, m: int):
+    """`base_geometry` from precomputed frame structure constants."""
     c_base = c_hat[:m, :m, :m].copy()
     g_base = np.eye(m)
     r_base = curvature_from_structure(c_base, g_base)

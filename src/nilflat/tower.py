@@ -1,12 +1,12 @@
 """Circle-bundle towers: peel a nilmanifold one central circle at a time,
 rebuild total spaces from extension cocycles, and compare Euler classes.
 
-Peeling: the adapted basis puts a primitive central vector at position n
-(always e_n — see `pick_primitive_central`), the base is the quotient by
-span(e_n) with the induced basis, and the extension class is the left-
-invariant 2-form ω(x, y) = e_n-component of [x, y]. Extending by a skew,
-closed, integral 2-form inverts the step on the nose, so tower round-trips
-are exact structure-constant equalities.
+Peeling: in an adapted nilpotent basis e_n is central and primitive, the
+base is the quotient by span(e_n) with the induced basis (its structure
+constants are the sub-table on e_1..e_{n-1}), and the extension class is
+the left-invariant 2-form ω(x, y) = e_n-component of [x, y]. Extending by
+a skew, closed, integral 2-form inverts the step on the nose, so tower
+round-trips are exact structure-constant equalities.
 
 Euler-class comparison is integral cocycle cohomology: ω1 and ω2 agree up to
 coboundary iff δλ = ω1 − ω2 has an integer solution λ, where
@@ -24,8 +24,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from .algebra import (
     NilAlgebra,
     VecQ,
-    algebra_center,
     basis_vec,
+    check_integer_constants,
     lower_central_series,
     validate_algebra,
     vec_zero,
@@ -37,12 +37,7 @@ from .errors import (
     NotSkew,
     ValidationReport,
 )
-from .intlinalg import (
-    clear_denominators,
-    reduce_mod_lattice,
-    saturate_lattice,
-    solve_integer,
-)
+from .intlinalg import reduce_mod_lattice, solve_integer
 
 
 @dataclass(frozen=True)
@@ -58,31 +53,27 @@ class NilLattice:
     lattice is understood as the group generated by the basis one-parameter
     subgroups' integer points; no operation here multiplies deep group words,
     so all outputs stay exact.
+
+    The bases of `peel_step` and the totals of `extend_by_cocycle` skip this
+    validation (`_derived_lattice`): they are valid by construction. A
+    quotient of a valid adapted algebra by its central e_n is the sub-table
+    on e_1..e_{n-1}, again Jacobi, nilpotent, adapted and integral; an
+    extension by a skew, closed, integral cocycle of a valid base is the
+    same, and `extend_by_cocycle` checks exactly those three properties.
     """
 
     algebra: NilAlgebra
 
     def __post_init__(self):
         validate_algebra(self.algebra)
-        n = self.algebra.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for coeff in self.algebra.structure[i][j]:
-                    if coeff.denominator != 1:
-                        raise NotIntegral(
-                            f"structure constant {coeff} of [e{i + 1},e{j + 1}] is not an "
-                            "integer; the basis Z-span is not a lattice model")
+        report = check_integer_constants(self.algebra)
+        if not report:
+            raise NotIntegral(
+                f"{report.message}; the basis Z-span is not a lattice model")
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-
-@dataclass(frozen=True)
-class PeelChoice:
-    """The chosen primitive central lattice vector z (R = span(z))."""
-
-    z: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -204,11 +195,10 @@ def check_integral(cocycle: CentralCocycle) -> ValidationReport:
 
 @dataclass(frozen=True)
 class TowerStep:
-    """One circle-bundle step: total space, base, central direction, class."""
+    """One circle-bundle step: total space, base and class; the fiber is e_n."""
 
     total: NilLattice
     base: NilLattice
-    choice: PeelChoice
     cocycle: CentralCocycle
 
 
@@ -219,56 +209,42 @@ class BundleTower:
     steps: Tuple[TowerStep, ...]
 
 
-def group_center(lattice: NilLattice) -> List[Tuple[int, ...]]:
-    """HNF basis of (center of the algebra) ∩ (integer lattice), primitive rows."""
-    n = lattice.dim
-    center = algebra_center(lattice.algebra)
-    if not center:
-        return []
-    int_rows = [clear_denominators(v) for v in center]
-    return [tuple(row) for row in saturate_lattice(int_rows, n)]
+def _derived_lattice(dim: int, structure: Sequence[Sequence[VecQ]]) -> NilLattice:
+    """Lattice on a table that `peel_step` or `extend_by_cocycle` derived.
 
-
-def pick_primitive_central(lattice: NilLattice) -> PeelChoice:
-    """Deterministic central choice: last Hermite-basis vector of the center.
-
-    For a validated adapted nilpotent algebra e_n is always central and the
-    Hermite basis of the saturated center therefore always ends in exactly
-    e_n, so the choice is e_n; `peel_step` asserts this.
+    Only those two may call it, and only on a table valid by construction
+    (see `NilLattice`); the class comes from one lower central series and
+    `validate_algebra` is skipped.
     """
-    if lattice.dim < 1:
-        raise DimensionMismatch("the point has no central circle to peel")
-    basis = group_center(lattice)
-    return PeelChoice(z=basis[-1])
-
-
-def _algebra_with_computed_class(dim: int, structure: List[List[VecQ]]) -> NilAlgebra:
     if dim == 0:
-        return NilAlgebra(dim=0, declared_class=0, structure=())
-    trial = NilAlgebra(dim=dim, declared_class=1,
-                       structure=tuple(tuple(row) for row in structure))
-    _, cls = lower_central_series(trial)
-    return NilAlgebra(dim=dim, declared_class=cls, structure=trial.structure)
+        algebra = NilAlgebra(dim=0, declared_class=0, structure=())
+    else:
+        algebra = NilAlgebra(dim=dim, declared_class=1,
+                             structure=tuple(tuple(row) for row in structure))
+        _, cls = lower_central_series(algebra)
+        algebra = NilAlgebra(dim=dim, declared_class=cls, structure=algebra.structure)
+    lattice = object.__new__(NilLattice)
+    object.__setattr__(lattice, "algebra", algebra)
+    return lattice
 
 
 def peel_step(lattice: NilLattice) -> TowerStep:
-    """Quotient by the canonical central circle; emit base + Euler cocycle."""
+    """Quotient by the central circle of e_n; emit base + Euler cocycle."""
     n = lattice.dim
-    choice = pick_primitive_central(lattice)
-    assert choice.z == tuple(0 if i < n - 1 else 1 for i in range(n)), \
-        "adapted nilpotent bases always peel at e_n"
+    if n < 1:
+        raise DimensionMismatch("the point has no central circle to peel")
     m = n - 1
-    base_structure = [[lattice.algebra.structure[i][j][:m] for j in range(m)]
-                      for i in range(m)]
-    base = NilLattice(algebra=_algebra_with_computed_class(m, base_structure))
+    structure = lattice.algebra.structure
+    base = _derived_lattice(m, [[structure[i][j][:m] for j in range(m)]
+                                for i in range(m)])
     entries = {}
     for i in range(m):
         for j in range(i + 1, m):
-            top = lattice.algebra.structure[i][j][m]
+            top = structure[i][j][m]
             if top != 0:
                 entries[(i + 1, j + 1)] = top
     cocycle = CentralCocycle.from_entries(m, entries)
-    return TowerStep(total=lattice, base=base, choice=choice, cocycle=cocycle)
+    return TowerStep(total=lattice, base=base, cocycle=cocycle)
 
 
 def peel_tower(lattice: NilLattice) -> BundleTower:
@@ -298,7 +274,7 @@ def extend_by_cocycle(base: NilLattice, cocycle: CentralCocycle) -> NilLattice:
     for i in range(n):
         for j in range(i + 1, n):
             structure[i][j] = base.algebra.structure[i][j] + (cocycle.omega[i][j],)
-    return NilLattice(algebra=_algebra_with_computed_class(dim, structure))
+    return _derived_lattice(dim, structure)
 
 
 @dataclass(frozen=True)

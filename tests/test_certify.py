@@ -148,6 +148,21 @@ def test_budget_not_met():
                             identity_seed(3), 0.01, max_rounds=0)
 
 
+def dense_seed(n):
+    """I + ½·BBᵀ/n with B standard normal (seed 0): a well-conditioned seed
+    whose collapse drives the lower levels' t below 1e-19."""
+    b = np.random.default_rng(0).standard_normal((n, n))
+    return LeftInvariantMetric(matrix=np.eye(n) + 0.5 * b @ b.T / n)
+
+
+# [DERIVED] when the assembled metric goes singular in float64 the budget is
+# reported as not met, naming the level and the t reached, instead of a
+# LinAlgError escaping.
+def test_singular_metric_budget_not_met():
+    with pytest.raises(BudgetNotMet, match=r"level dim \d+ at t = .*singular"):
+        certify_almost_flat(tower_of(catalog.filiform(10)), dense_seed(10), 1e-3)
+
+
 # [TRIVIAL] argument validation.
 def test_certify_argument_errors():
     tower = tower_of(catalog.heisenberg3())

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nilflat
@@ -317,6 +318,21 @@ def test_certify_h3(capsys):
 def test_certify_flag_errors(flags, capsys):
     code, _, err = run_cli(["certify", str(DATA / "z3.json")] + flags, capsys)
     assert code == 1 and err.startswith("nilflat: error:")
+
+
+# [DERIVED] a dense seed metric that drives the assembled metric singular in
+# float64 exits 3 (BudgetNotMet) with one error line, not 1 with a traceback.
+def test_certify_singular_metric_exit_three(tmp_path, capsys):
+    lattice = tmp_path / "filiform10.json"
+    lattice.write_text(fileio.dump_algebra(catalog.filiform(10)))
+    b = np.random.default_rng(0).standard_normal((10, 10))
+    metric = tmp_path / "dense.json"
+    metric.write_text(fileio.dump_metric(np.eye(10) + 0.5 * b @ b.T / 10))
+    code, out, err = run_cli(["certify", str(lattice), "--metric", str(metric),
+                              "--eps", "1e-3"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "singular" in err and "Traceback" not in err
 
 
 def test_certify_missing_metric(tmp_path, capsys):

@@ -9,12 +9,9 @@ from fractions import Fraction
 import pytest
 
 from nilflat.intlinalg import (
-    clear_denominators,
     hermite_normal_form,
-    invert_unimodular,
     rational_nullspace,
     reduce_mod_lattice,
-    saturate_lattice,
     smith_normal_form,
     solve_integer,
 )
@@ -107,13 +104,6 @@ def test_rational_nullspace_rank():
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
-# [TRIVIAL] primitive integer scaling with sign normalisation.
-def test_clear_denominators():
-    assert clear_denominators([Fraction(-1, 2), Fraction(1, 3)]) == [3, -2]
-    assert clear_denominators([Fraction(0), Fraction(0)]) == [0, 0]
-    assert clear_denominators([Fraction(4), Fraction(6)]) == [2, 3]
-
-
 # [DERIVED] integer solve: round-trip A x = b, divisibility obstruction on
 # 2x = 1, inconsistency on 0x = 1, kernel spans the solution set.
 def test_solve_integer_roundtrip():
@@ -136,26 +126,6 @@ def test_solve_integer_inconsistent():
     x, obstruction, _ = solve_integer([[1, 1], [1, 1]], [0, 1])
     assert x is None
     assert obstruction is not None
-
-
-# [DERIVED] saturation: index-2 sublattice saturates to Z^2; a primitive
-# vector is already saturated; a non-primitive one divides down.
-def test_saturate_lattice():
-    assert saturate_lattice([[2, 0], [0, 2]], 2) == [[1, 0], [0, 1]]
-    assert saturate_lattice([[1, 2, 3]], 3) == [[1, 2, 3]]
-    assert saturate_lattice([[2, 4, 6]], 3) == [[1, 2, 3]]
-    # rank-2 saturation in Z^3: span{(2,0,0),(0,2,2)} over Q meets Z^3 in
-    # span{(1,0,0),(0,1,1)}
-    assert saturate_lattice([[2, 0, 0], [0, 2, 2]], 3) == [[1, 0, 0], [0, 1, 1]]
-
-
-# [TRIVIAL] unimodular inverse round-trips.
-def test_invert_unimodular():
-    u = [[1, 2], [1, 3]]
-    ui = invert_unimodular(u)
-    assert _matmul(u, ui) == [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        invert_unimodular([[2, 0], [0, 1]])
 
 
 # [TRIVIAL] reduction modulo a lattice with unit pivots zeroes coordinates.

@@ -7,10 +7,12 @@ Identity defects are checked at 1e-9 (they come out near 1e-15), the plane
 normalizations at 1e-12.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-from nilflat import catalog
+from nilflat import catalog, submersion
 from nilflat.errors import BoundViolated, DimensionMismatch
 from nilflat.metric import LeftInvariantMetric, sectional_from_tensor
 from nilflat.scan import (DecayReport, PlaneSample, SubmersionContext,
@@ -83,6 +85,27 @@ def test_decomposition_abelian_exact():
         sample = sample_plane(gen, 3, t)
         assert decomposition_check(z3, metric, split, t, sample,
                                    context=ctx) == 0.0
+
+
+# [TRIVIAL] one context computes the split-frame structure constants once and
+# derives the O'Neill tensors and the base curvature from them.
+def test_context_computes_frame_structure_once(monkeypatch):
+    real = submersion.frame_structure
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    namespaces = [module for name, module in list(sys.modules.items())
+                  if name.split(".")[0] == "nilflat"
+                  and getattr(module, "frame_structure", None) is real]
+    assert submersion in namespaces
+    for module in namespaces:
+        monkeypatch.setattr(module, "frame_structure", counting)
+    metric, split = geometry(N4, np.diag([1.0, 2.0, 0.5, 1.5]))
+    SubmersionContext(N4, metric, split)
+    assert len(calls) == 1
 
 
 # [DERIVED] vertical-plane law: for Y = 0 the sectional curvature is exactly

@@ -6,10 +6,11 @@ of structure constants.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nilflat import catalog
+from nilflat import catalog, fileio
 from nilflat.algebra import vec
 from nilflat.errors import (
     DimensionMismatch,
@@ -25,10 +26,8 @@ from nilflat.tower import (
     cocycles_cohomologous,
     extend_by_cocycle,
     extension_cocycle_value,
-    group_center,
     peel_step,
     peel_tower,
-    pick_primitive_central,
 )
 
 
@@ -54,22 +53,10 @@ def test_nil_lattice_validation():
         lat(catalog.so3_like())
 
 
-# [DERIVED] center lattices as primitive Hermite bases.
-def test_group_center():
-    assert group_center(H3) == [(0, 0, 1)]
-    assert group_center(Z2) == [(1, 0), (0, 1)]
-    assert group_center(N4) == [(0, 0, 0, 1)]
-    assert group_center(H3Z) == [(0, 0, 1, 0), (0, 0, 0, 1)]
-    assert group_center(H5) == [(0, 0, 0, 0, 1)]
-
-
-# [DERIVED] deterministic central choice: last Hermite vector.
-def test_pick_primitive_central():
-    assert pick_primitive_central(H3).z == (0, 0, 1)
-    assert pick_primitive_central(Z2).z == (0, 1)
-    assert pick_primitive_central(N4).z == (0, 0, 0, 1)
+# [TRIVIAL] the point has no central circle to peel.
+def test_peel_step_point():
     with pytest.raises(DimensionMismatch):
-        pick_primitive_central(lat(catalog.point()))
+        peel_step(lat(catalog.point()))
 
 
 # [DERIVED] peel_step outputs: base structure + Euler cocycle entries.
@@ -128,6 +115,29 @@ def test_peel_tower_n4_euler_data():
     tower = peel_tower(N4)
     entries = [s.cocycle.upper_entries() for s in tower.steps]
     assert entries == [[(1, 3, Fraction(1))], [(1, 2, Fraction(1))], [], []]
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+# every valid algebra under data/ (tests/test_peel_oracle.py pins the list)
+TRUSTED_CASES = ([(f"data-{name}", fileio.load_lattice(DATA / f"{name}.json"))
+                  for name in ("h3", "h3_times_z", "h5", "n4", "z2", "z3")]
+                 + [(f"filiform{n}", lat(catalog.filiform(n))) for n in range(3, 11)]
+                 + [("heisenberg5", H5), ("h3_times_z", H3Z)])
+
+
+# [DERIVED] peel bases and extension totals skip validation because they are
+# valid by construction; pin that the public constructor, which runs
+# validate_algebra and the integer gate, accepts each of them and gives an
+# equal lattice (same declared class). An extension that equals the total it
+# was peeled from is equal to an already validated lattice.
+@pytest.mark.parametrize("lattice", [case for _, case in TRUSTED_CASES],
+                         ids=[name for name, _ in TRUSTED_CASES])
+def test_trusted_path_matches_full_validation(lattice):
+    product = extend_by_cocycle(lattice, CentralCocycle.from_entries(lattice.dim, {}))
+    assert product == NilLattice(product.algebra)
+    for step in peel_tower(lattice).steps:
+        assert step.base == NilLattice(step.base.algebra)
+        assert extend_by_cocycle(step.base, step.cocycle) == step.total
 
 
 # [DERIVED] extension examples: (Z², ω=1) is the integer Heisenberg,
