@@ -33,14 +33,14 @@ from .tower import (BundleTower, CentralCocycle, CohomologyVerdict,
                     extension_cocycle_value, peel_step, peel_tower)
 from .metric import (LeftInvariantMetric, connection_coeffs,
                      curvature_tensor, sectional_curvature, structure_array)
-from .submersion import (CanonicalVariation, OneillTensors, SubmersionSplit,
-                         base_geometry, build_split, canonical_variation,
-                         frame_metric, frame_structure, oneill_tensors)
+from .submersion import (OneillTensors, SubmersionSplit, base_geometry,
+                         build_split, canonical_variation, frame_metric,
+                         frame_structure, oneill_tensors)
 from .scan import (DecayReport, PlaneSample, decomposition_check,
                    diameter_bound, lemma_scan, report_csv, report_summary,
                    sample_plane, sup_abs_sectional)
-from .certify import (CertificateReport, assemble_metric,
-                      certificate_summary, certify_almost_flat)
+from .certify import (CertificateReport, certificate_summary,
+                      certify_almost_flat)
 from . import catalog, fileio
 
 __version__ = "0.1.0"
@@ -64,12 +64,12 @@ __all__ = [
     # numerical layer
     "LeftInvariantMetric", "structure_array", "connection_coeffs",
     "curvature_tensor", "sectional_curvature", "SubmersionSplit",
-    "build_split", "CanonicalVariation", "canonical_variation",
+    "build_split", "canonical_variation",
     "frame_structure", "frame_metric", "OneillTensors", "oneill_tensors",
     "base_geometry", "PlaneSample", "sample_plane", "decomposition_check",
     "DecayReport", "lemma_scan", "diameter_bound", "report_csv",
     "report_summary", "sup_abs_sectional", "CertificateReport",
-    "assemble_metric", "certify_almost_flat", "certificate_summary",
+    "certify_almost_flat", "certificate_summary",
     # submodules
     "catalog", "fileio",
 ]

@@ -1,17 +1,23 @@
 """Almost-flatness certification: schedule fiber collapse over a whole tower.
 
 Walking a circle-bundle tower bottom-up, each level adds one central direction
-to the nilpotent algebra.  The certifier assembles a left-invariant metric
-level by level: the new direction is split off seed-orthogonally, the base
-keeps the metric already assembled below, and the fiber is scaled by a level
-parameter t chosen so the measured curvature stays within an eps budget.
+e_k to the nilpotent algebra.  The certifier extends a split frame level by
+level: S_k = W_k · blockdiag(F_{k−1}, s_k^{-1/2}), where W_k lifts the base
+seed-orthogonally to e_k, F_{k−1} is the orthonormal frame of the metric
+assembled below and s_k the seed length² of e_k.  In S_k the level metric with
+fiber parameter t is diag(1, …, 1, t), so the level's structure constants are
+transformed once and a refinement round only changes t (see
+`submersion.split_curvature`; the first leg of the sampled planes ranges over
+all k coordinates).  The accepted F_k = S_k · diag(1, …, 1, t^{-1/2}); the
+reported metric F_n^{-T} F_n^{-1} is formed once, at the end, and no Gram
+matrix is formed or inverted while measuring.
 
 Levels whose extension cocycle vanishes are metric products — they add no
 curvature and keep t = 1.  Each curved level gets an equal share of eps and a
 multiplicative refinement loop on t driven by the measured sup|K| (the excess
 over the level's base scales linearly in t, so the loop converges in a couple
 of rounds); if the loop cannot meet its budget within the round cap, or the
-assembled metric becomes singular in float64, the certification fails with
+curvature cannot be measured in float64, the certification fails with
 BudgetNotMet.
 """
 
@@ -19,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetNotMet, DimensionMismatch
-from .metric import LeftInvariantMetric, curvature_from_structure, structure_array
+from .metric import LeftInvariantMetric, structure_array
 from .scan import diameter_bound, spawn_generator, sup_abs_sectional
+from .submersion import _structure_in_frame, split_curvature
 from .tower import BundleTower
 
 _STREAM_LEVEL = 6
@@ -51,46 +57,37 @@ class CertificateReport:
     metric_matrix: np.ndarray
 
 
-def assemble_metric(seed_block: np.ndarray, base_matrix: np.ndarray,
-                    t: float) -> np.ndarray:
-    """Extend an assembled base metric by one fiber direction.
+def _split_frame(seed_block: np.ndarray, base_frame: np.ndarray,
+                 base_frame_inv: np.ndarray) -> tuple:
+    """(S_k, S_k⁻¹) for S_k = W_k · blockdiag(F_{k−1}, s_k^{-1/2}).
 
-    The last coordinate direction z is split off orthogonally with respect to
-    the seed metric; the horizontal lifts carry the base metric and the fiber
-    carries t times its seed length².  Returns the Gram matrix in the original
-    coordinates (W^{-T} blockdiag(base, t·s) W^{-1} for the lift basis W).
+    W_k = I − e_k·lᵀ with l = seed row of e_k / s_k differs from I only in its
+    last row, and W_k⁻¹ = I + e_k·lᵀ, so only the last rows change.
     """
     k = seed_block.shape[0]
-    if base_matrix.shape != (k - 1, k - 1):
-        raise DimensionMismatch(
-            f"base metric shape {base_matrix.shape} does not extend to dim {k}")
     s = float(seed_block[k - 1, k - 1])
-    if k == 1:
-        return np.array([[t * s]])
-    w = np.eye(k)
-    w[k - 1, :k - 1] = -seed_block[k - 1, :k - 1] / s
-    b = np.zeros((k, k))
-    b[:k - 1, :k - 1] = base_matrix
-    b[k - 1, k - 1] = t * s
-    w_inv = np.linalg.inv(w)
-    return w_inv.T @ b @ w_inv
+    lift = seed_block[k - 1, :k - 1] / s
+    frame, frame_inv = np.zeros((k, k)), np.zeros((k, k))
+    frame[:k - 1, :k - 1] = base_frame
+    frame[k - 1, :k - 1] = -lift @ base_frame
+    frame[k - 1, k - 1] = 1.0 / math.sqrt(s)
+    frame_inv[:k - 1, :k - 1] = base_frame_inv
+    frame_inv[k - 1] = math.sqrt(s) * np.append(lift, 1.0)
+    return frame, frame_inv
 
 
-def _measure_sup(structure: np.ndarray, matrix: np.ndarray,
-                 gen: np.random.Generator, n_samples: int, where: str) -> float:
-    """Sampled sup|K| of the assembled metric; BudgetNotMet if it is singular.
+def _measure_sup(c_hat: np.ndarray, t: float, gen: np.random.Generator,
+                 n_samples: int, where: str) -> float:
+    """Sampled sup|K| of diag(1, …, 1, t) in the split frame of c_hat.
 
-    Collapse parameters can fall so far (1e-24 and below on dense seeds)
-    that the assembled metric is singular in float64; no smaller t can then
-    be measured, so the budget is reported as not met, naming `where`.
+    BudgetNotMet, naming `where`, if float64 linear algebra fails on it.
     """
-    n = matrix.shape[0]
     try:
-        r4 = curvature_from_structure(structure, matrix)
-        sup, _ = sup_abs_sectional(r4, matrix, n, gen, n_samples)
+        r4 = split_curvature(c_hat, t)
+        sup, _ = sup_abs_sectional(r4, t, c_hat.shape[0], gen, n_samples)
     except np.linalg.LinAlgError as exc:
         raise BudgetNotMet(
-            f"{where}: assembled metric is singular in float64 ({exc})") from exc
+            f"{where}: curvature could not be measured in float64 ({exc})") from exc
     return sup
 
 
@@ -122,51 +119,45 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
                    if step.cocycle.upper_entries()]
     budget = eps / len(curved_dims) if curved_dims else None
 
-    assembled = np.zeros((0, 0))
+    frame = frame_inv = np.zeros((0, 0))
     sup_prev = 0.0
     ts_bottom_up = []
     rounds_bottom_up = []
     for k in range(1, n + 1):
         step = steps[n - k]
-        seed_block = seed_matrix[:k, :k]
-        curved = bool(step.cocycle.upper_entries())
-        if not curved:
-            # zero cocycle: the new direction is a metric product factor
-            assembled = assemble_metric(seed_block, assembled, 1.0)
-            ts_bottom_up.append(1.0)
-            rounds_bottom_up.append(0)
-            continue
-
-        structure = structure_array(step.total.algebra)
-        target = sup_prev + budget
-        t = 1.0
-        accepted = None
-        for round_index in range(max_rounds):
-            candidate = assemble_metric(seed_block, assembled, t)
-            gen = spawn_generator(seed, _STREAM_LEVEL, k, round_index)
-            sup_k = _measure_sup(
-                structure, candidate, gen, n_samples,
-                f"level dim {k} at t = {t!r} (smallest t below: "
-                f"{min(ts_bottom_up, default=t)!r})")
-            if sup_k <= target:
-                accepted = (t, candidate, sup_k, round_index + 1)
-                break
-            excess = sup_k - sup_prev
-            t_next = t * _REFINE_MARGIN * budget / excess
-            if not (0.0 < t_next < t):
-                t_next = 0.5 * t
-            t = t_next
-        if accepted is None:
-            raise BudgetNotMet(
-                f"level dim {k}: could not meet curvature budget {budget!r} "
-                f"within {max_rounds} refinement rounds (eps = {eps!r})")
-        t, assembled, sup_prev, used = accepted
+        frame, frame_inv = _split_frame(seed_matrix[:k, :k], frame, frame_inv)
+        c_hat = _structure_in_frame(structure_array(step.total.algebra),
+                                    frame, frame_inv)
+        t, used = 1.0, 0  # zero cocycle: a metric product factor keeps t = 1
+        if step.cocycle.upper_entries():
+            target = sup_prev + budget
+            for round_index in range(max_rounds):
+                gen = spawn_generator(seed, _STREAM_LEVEL, k, round_index)
+                sup_k = _measure_sup(
+                    c_hat, t, gen, n_samples,
+                    f"level dim {k} at t = {t!r} (smallest t below: "
+                    f"{min(ts_bottom_up, default=t)!r})")
+                if sup_k <= target:
+                    used = round_index + 1
+                    break
+                excess = sup_k - sup_prev
+                t_next = t * _REFINE_MARGIN * budget / excess
+                if not (0.0 < t_next < t):
+                    t_next = 0.5 * t
+                t = t_next
+            else:
+                raise BudgetNotMet(
+                    f"level dim {k}: could not meet curvature budget {budget!r} "
+                    f"within {max_rounds} refinement rounds (eps = {eps!r})")
+            sup_prev = sup_k
+        # F_k = S_k · diag(1, …, 1, t^{-1/2}), orthonormal for the level metric
+        frame[:, k - 1] /= math.sqrt(t)
+        frame_inv[k - 1, :] *= math.sqrt(t)
         ts_bottom_up.append(t)
         rounds_bottom_up.append(used)
 
     final_gen = spawn_generator(seed, _STREAM_FINAL)
-    top_structure = structure_array(steps[0].total.algebra)
-    sup_final = _measure_sup(top_structure, assembled, final_gen, n_samples,
+    sup_final = _measure_sup(c_hat, t, final_gen, n_samples,
                              f"final metric of dim {n} (smallest t: "
                              f"{min(ts_bottom_up)!r})")
     if sup_final > eps:
@@ -177,7 +168,7 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
                         for k in range(1, n + 1)]
     diam = diameter_bound(fibers_bottom_up, ts_bottom_up)
 
-    matrix = np.array(assembled)
+    matrix = frame_inv.T @ frame_inv
     matrix.flags.writeable = False
     return CertificateReport(
         eps=float(eps), seed=int(seed), sample_count=int(n_samples),

@@ -29,7 +29,7 @@ from .errors import DegeneratePlane, DimensionMismatch, NotPositiveDefinite
 TOL_IDENTITY = 1e-12   # connection/curvature identities
 TOL_ORACLE = 1e-9      # agreement with independent oracles
 TOL_INVARIANCE = 1e-10 # basis-invariance checks
-TOL_GRAM = 1e-14       # degenerate-plane rejection threshold
+TOL_GRAM = 1e-14       # degenerate-plane rejection threshold (relative)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -119,12 +119,14 @@ def curvature_tensor(algebra: NilAlgebra, metric: LeftInvariantMetric) -> np.nda
 
 def sectional_from_tensor(r4: np.ndarray, g: np.ndarray,
                           v: np.ndarray, w: np.ndarray) -> float:
-    """K of span(v, w) given a precomputed curvature tensor."""
+    """K of span(v, w) given a precomputed curvature tensor; the plane is
+    degenerate when its Gram determinant is at most TOL_GRAM·|v|²|w|²."""
     v = np.asarray(v, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     gv, gw = g @ v, g @ w
-    gram = (v @ gv) * (w @ gw) - (v @ gw) ** 2
-    if gram < TOL_GRAM:
+    vv, ww = v @ gv, w @ gw
+    gram = vv * ww - (v @ gw) ** 2
+    if gram <= TOL_GRAM * vv * ww:
         raise DegeneratePlane(f"plane Gram determinant {gram:.3e} below tolerance")
     num = np.einsum("ijkl,i,j,k,l->", r4, v, w, v, w, optimize=False)
     return float(num / gram)

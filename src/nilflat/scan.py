@@ -6,12 +6,21 @@ explicit bound.  Every 2-plane of the total space contains a horizontal unit
 vector (the vertical distribution is a line), so planes are parametrized as
 span(X, C) with X horizontal and C orthogonal to X, both g^t-unit.
 
+Frame convention: every tensor here is in a split frame (vertical direction
+last), where g^t is diag(1, …, 1, t); see `submersion.split_curvature`.
+Each leg is drawn there as a standard normal row (zeroed outside the leg's
+support; the second leg loses its component along the first), normalised in
+diag(1, …, 1, t), then rescaled by √(1, …, 1, t) into orthonormal
+coordinates, where the tensor is measured.
+
 Sup estimates are sampled and then *polished*: starting from the best sampled
-planes, alternate exact maximization over each leg of the plane (a symmetric
-eigenproblem on the admissible subspace).  |K| never decreases along the
-alternation, so the polished value dominates the raw sample max and resolves
-the sup to machine precision — which the decay-exponent fit needs, since the
-excess sup|K^t| − sup|Ǩ| can sit many orders of magnitude below sup|Ǩ|.
+planes, alternate exact maximization over each leg of the plane, each step the
+top eigenvector of the leg's quadratic form compressed by the rank-one
+projector onto the other leg's orthocomplement.  |K| never decreases along
+the alternation, so the polished value dominates the raw sample max and
+resolves the sup to machine precision — which the decay-exponent fit needs,
+since the excess sup|K^t| − sup|Ǩ| can sit many orders of magnitude below
+sup|Ǩ|.
 
 Determinism: all randomness flows through counter-based Philox generators
 keyed by (seed, stream, index), draws happen in single batched calls, and all
@@ -41,8 +50,10 @@ from .submersion import (
     SubmersionSplit,
     _base_from_frame,
     _oneill_from_frame,
-    frame_metric,
+    canonical_variation,
     frame_structure,
+    split_curvature,
+    split_diagonal,
 )
 
 # Stream ids for Philox keying; every consumer of randomness gets its own.
@@ -55,6 +66,8 @@ _STREAM_SAMPLE = 5
 _POLISH_COUNT = 16
 _POLISH_MAX_ITER = 50
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 def spawn_generator(seed: int, *path: int) -> np.random.Generator:
     """Deterministic Philox generator keyed by (seed, *path)."""
@@ -62,20 +75,23 @@ def spawn_generator(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
-def _row_norms2(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.einsum("ai,ij,aj->a", v, g, v, optimize=False)
-
-
-def _draw_unit(gen: np.random.Generator, n: int, support: int, g: np.ndarray,
-               count: int) -> np.ndarray:
-    """count g-unit rows supported on the first `support` coordinates."""
+def _draw_unit(gen: np.random.Generator, d: np.ndarray, support: int,
+               count: int, orth_to: Optional[np.ndarray] = None) -> np.ndarray:
+    """count rows supported on the first `support` coordinates, unit in the
+    diagonal metric diag(d) and, if given, orthogonal to the matching row of
+    orth_to (whose rows are diag(d)-unit)."""
+    n = d.shape[0]
     out = np.empty((count, n))
     remaining = np.arange(count)
     while remaining.size:
         draw = gen.standard_normal((remaining.size, n))
         if support < n:
             draw[:, support:] = 0.0
-        norms = _row_norms2(draw, g)
+        if orth_to is not None:
+            x = orth_to[remaining]
+            proj = np.einsum("ai,ai->a", draw, x * d, optimize=False)
+            draw = draw - proj[:, None] * x
+        norms = np.einsum("ai,i,ai->a", draw, d, draw, optimize=False)
         good = norms > TOL_GRAM
         rows = remaining[good]
         out[rows] = draw[good] / np.sqrt(norms[good])[:, None]
@@ -83,106 +99,78 @@ def _draw_unit(gen: np.random.Generator, n: int, support: int, g: np.ndarray,
     return out
 
 
-def _draw_orthogonal_unit(gen: np.random.Generator, x: np.ndarray,
-                          g: np.ndarray, count: int) -> np.ndarray:
-    """Row-wise g-unit draws g-orthogonal to the corresponding row of x."""
-    n = x.shape[1]
-    gx = x @ g
-    out = np.empty((count, n))
-    remaining = np.arange(count)
-    while remaining.size:
-        draw = gen.standard_normal((remaining.size, n))
-        proj = np.einsum("ai,ai->a", draw, gx[remaining], optimize=False)
-        draw = draw - proj[:, None] * x[remaining]
-        norms = _row_norms2(draw, g)
-        good = norms > TOL_GRAM
-        rows = remaining[good]
-        out[rows] = draw[good] / np.sqrt(norms[good])[:, None]
-        remaining = remaining[~good]
-    return out
+def _orthonormal(r4: np.ndarray, t: float) -> np.ndarray:
+    """Split-frame tensor of diag(1, …, 1, t) in orthonormal coordinates."""
+    s = np.sqrt(split_diagonal(r4.shape[0], t))
+    return r4 / np.einsum("i,j,k,l->ijkl", s, s, s, s, optimize=False)
 
 
 def _abs_sectional_batch(r4: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """|K| per row for g-orthonormal pairs (x, c) (Gram determinant 1)."""
+    """|K| per row for orthonormal pairs (x, c) (Gram determinant 1)."""
     q = np.einsum("ijkl,aj,al->aik", r4, c, c, optimize=False)
     return np.abs(np.einsum("aik,ai,ak->a", q, x, x, optimize=False))
 
 
-def _subspace_basis(g: np.ndarray, support: int, orth_to: Sequence[np.ndarray]) -> np.ndarray:
-    """g-orthonormal basis of the first-`support` coordinate subspace
-    intersected with the g-orthocomplement of the given vectors."""
-    n = g.shape[0]
-    constraints = []
-    block = g[:support, :support]
-    for w in orth_to:
-        coef = np.linalg.solve(block, (g @ w)[:support])
-        p = np.zeros(n)
-        p[:support] = coef
-        norm2 = float(p @ g @ p)
-        if norm2 > 1e-20:
-            constraints.append(p / np.sqrt(norm2))
-    cols = []
-    for i in range(support):
-        v = np.zeros(n)
-        v[i] = 1.0
-        for w in constraints:
-            v = v - (v @ g @ w) * w
-        for b in cols:
-            v = v - (v @ g @ b) * b
-        norm2 = float(v @ g @ v)
-        if norm2 > 1e-10:
-            cols.append(v / np.sqrt(norm2))
-    if not cols:
-        return np.zeros((n, 0))
-    return np.stack(cols, axis=1)
+def _top_eigenpair(q: np.ndarray, v: Optional[np.ndarray]) -> tuple:
+    """Eigenpair of largest |eigenvalue| of the symmetric form q compressed
+    by the projector I − v vᵀ onto the orthocomplement of the unit vector v
+    (q itself when v is None)."""
+    q = 0.5 * (q + q.T)
+    if v is not None:
+        qv = np.einsum("ij,j->i", q, v, optimize=False)
+        q = (q - np.outer(v, qv) - np.outer(qv, v)
+             + float(v @ qv) * np.outer(v, v))
+    vals, vecs = np.linalg.eigh(q)
+    i = int(np.argmax(np.abs(vals)))
+    return abs(float(vals[i])), vecs[:, i]
 
 
-def _polish_pair(r4: np.ndarray, g: np.ndarray, support: int, x: np.ndarray,
-                 c: np.ndarray, max_iter: int = _POLISH_MAX_ITER) -> float:
-    """Alternating exact maximization of |K(span(x, c))|; returns the max found."""
-    n = g.shape[0]
+def _polish_pair(r4: np.ndarray, support: int, x: np.ndarray, c: np.ndarray,
+                 max_iter: int = _POLISH_MAX_ITER) -> float:
+    """Alternating exact maximization of |K(span(x, c))| in orthonormal
+    coordinates, x kept in the first `support` coordinates; returns the max
+    found."""
+    n = r4.shape[0]
     best = float(_abs_sectional_batch(r4, x[None], c[None])[0])
     for _ in range(max_iter):
-        bx = _subspace_basis(g, support, [c])
-        if bx.shape[1]:
-            qc = np.einsum("ijkl,j,l->ik", r4, c, c, optimize=False)
-            m = bx.T @ qc @ bx
-            m = 0.5 * (m + m.T)
-            vals, vecs = np.linalg.eigh(m)
-            i = int(np.argmax(np.abs(vals)))
-            x = bx @ vecs[:, i]
-        bc = _subspace_basis(g, n, [x])
-        if not bc.shape[1]:
-            break
+        qc = np.einsum("ijkl,j,l->ik", r4, c, c, optimize=False)
+        ch = c[:support]
+        h2 = float(ch @ ch)
+        _, xh = _top_eigenpair(qc[:support, :support],
+                               ch / math.sqrt(h2) if h2 > 1e-20 else None)
+        x = np.zeros(n)
+        x[:support] = xh
         qx = np.einsum("ijkl,i,k->jl", r4, x, x, optimize=False)
-        m = bc.T @ qx @ bc
-        m = 0.5 * (m + m.T)
-        vals, vecs = np.linalg.eigh(m)
-        j = int(np.argmax(np.abs(vals)))
-        c = bc @ vecs[:, j]
-        val = abs(float(vals[j]))
-        if abs(val - best) <= 1e-14 * max(1.0, abs(val)) and val >= best:
-            return val
+        val, c = _top_eigenpair(qx, x)
+        # converged once a sweep moves |K| by no more than rounding (either
+        # way: at the maximum, recomputed values scatter by a few ulp)
+        converged = abs(val - best) <= 1e-14 * max(1.0, abs(val))
         best = max(best, val)
+        if converged:
+            break
     return best
 
 
-def sup_abs_sectional(r4: np.ndarray, g: np.ndarray, horizontal_dim: int,
+def sup_abs_sectional(r4: np.ndarray, t: float, horizontal_dim: int,
                       gen: np.random.Generator, n_samples: int,
                       polish: int = _POLISH_COUNT) -> tuple:
-    """Sampled-and-polished sup |K| over planes with one leg in the first
-    `horizontal_dim` coordinates.  Returns (sup, argmax raw sample index)."""
-    n = g.shape[0]
+    """Sampled-and-polished sup |K| of the split-frame tensor r4 of
+    diag(1, …, 1, t), over planes with one leg in the first `horizontal_dim`
+    coordinates.  Returns (sup, argmax raw sample index)."""
+    n = r4.shape[0]
     if n < 2 or horizontal_dim < 1:
         return 0.0, -1
-    x = _draw_unit(gen, n, horizontal_dim, g, n_samples)
-    c = _draw_orthogonal_unit(gen, x, g, n_samples)
+    d = split_diagonal(n, t)
+    x = _draw_unit(gen, d, horizontal_dim, n_samples)
+    c = _draw_unit(gen, d, n, n_samples, orth_to=x)
+    r4 = _orthonormal(r4, t)
+    x, c = x * np.sqrt(d), c * np.sqrt(d)
     k = _abs_sectional_batch(r4, x, c)
     order = np.argsort(k, kind="stable")
     best_index = int(order[-1])
     best = float(k[best_index])
     for a in order[-min(polish, n_samples):][::-1]:
-        val = _polish_pair(r4, g, horizontal_dim, x[a].copy(), c[a].copy())
+        val = _polish_pair(r4, horizontal_dim, x[a].copy(), c[a].copy())
         best = max(best, val)
     return best, best_index
 
@@ -205,10 +193,9 @@ class PlaneSample:
 
 def sample_plane(gen: np.random.Generator, n: int, t: float) -> PlaneSample:
     """One plane sample for an n-dim split frame (vertical direction last)."""
-    g_t = np.eye(n)
-    g_t[n - 1, n - 1] = t
-    x = _draw_unit(gen, n, n - 1, g_t, 1)[0]
-    c = _draw_orthogonal_unit(gen, x[None], g_t, 1)[0]
+    d = split_diagonal(n, t)
+    x = _draw_unit(gen, d, n - 1, 1)[0]
+    c = _draw_unit(gen, d, n, 1, orth_to=x[None])[0]
     y = c.copy()
     y[n - 1] = 0.0
     u = np.zeros(n)
@@ -227,7 +214,7 @@ class SubmersionContext:
         self.c_hat = frame_structure(algebra, split)
         self.c_ambient = structure_array(algebra)
         self.tensors: OneillTensors = _oneill_from_frame(
-            self.c_hat, frame_metric(metric.matrix, split), split, 1.0)
+            self.c_hat, np.eye(split.dim), split, 1.0)
         _, _, self.r_base = _base_from_frame(self.c_hat, split.horizontal_dim)
         self._frame_r: dict = {}
         self._ambient: dict = {}
@@ -236,26 +223,17 @@ class SubmersionContext:
     def dim(self) -> int:
         return self.split.dim
 
-    def frame_metric_at(self, t: float) -> np.ndarray:
-        g = np.eye(self.dim)
-        g[self.dim - 1, self.dim - 1] = t
-        return g
-
     def frame_curvature(self, t: float) -> np.ndarray:
         t = float(t)
         if t not in self._frame_r:
-            self._frame_r[t] = curvature_from_structure(
-                self.c_hat, self.frame_metric_at(t))
+            self._frame_r[t] = split_curvature(self.c_hat, t)
         return self._frame_r[t]
 
     def ambient_at(self, t: float) -> tuple:
         """(G^t matrix, curvature of G^t) in ambient coordinates."""
         t = float(t)
         if t not in self._ambient:
-            g = self.metric.matrix
-            z = self.split.z
-            gz = g @ z
-            gt = g + (t - 1.0) * np.outer(gz, gz) / float(z @ gz)
+            gt = canonical_variation(self.metric, self.split.z, t).matrix
             self._ambient[t] = (gt, curvature_from_structure(self.c_ambient, gt))
         return self._ambient[t]
 
@@ -320,10 +298,7 @@ class DecayReport:
     diam_bound: tuple
     sample_count: int
     seed: int
-
-    @property
-    def bounds(self) -> tuple:
-        return tuple(self.base_sup_K + self.C * math.sqrt(t) for t in self.t_grid)
+    bounds: tuple  # sup|Ǩ| + C√t + δ_t per t (see lemma_scan)
 
 
 def _tensor_sup(values: np.ndarray) -> float:
@@ -333,17 +308,17 @@ def _tensor_sup(values: np.ndarray) -> float:
 def _oneill_norms(tensors: OneillTensors, m: int, n: int, seed: int,
                   n_samples: int) -> tuple:
     """Sampled sup norms of A and DA over unit arguments, ×2 safety factor."""
-    eye = np.eye(n)
+    ones = np.ones(n)
     gen_a = spawn_generator(seed, _STREAM_NORM_A)
-    xs = _draw_unit(gen_a, n, m, eye, n_samples)
-    es = _draw_unit(gen_a, n, n, eye, n_samples)
+    xs = _draw_unit(gen_a, ones, m, n_samples)
+    es = _draw_unit(gen_a, ones, n, n_samples)
     a_vals = np.einsum("fep,af,ae->ap", tensors.a, xs, es, optimize=False)
     a_norm = 2.0 * _tensor_sup(a_vals)
 
     gen_da = spawn_generator(seed, _STREAM_NORM_DA)
-    e1 = _draw_unit(gen_da, n, n, eye, n_samples)
-    e2 = _draw_unit(gen_da, n, n, eye, n_samples)
-    e3 = _draw_unit(gen_da, n, n, eye, n_samples)
+    e1 = _draw_unit(gen_da, ones, n, n_samples)
+    e2 = _draw_unit(gen_da, ones, n, n_samples)
+    e3 = _draw_unit(gen_da, ones, n, n_samples)
     da_vals = np.einsum("efhp,ae,af,ah->ap", tensors.da, e1, e2, e3, optimize=False)
     da_norm = 2.0 * _tensor_sup(da_vals)
     return a_norm, da_norm
@@ -353,7 +328,18 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
                split: SubmersionSplit, t_grid: Sequence[float], n_samples: int,
                seed: int) -> DecayReport:
     """Scan sup|K^t| over a descending t grid and assert it stays below
-    sup|Ǩ| + C√t with C := 3‖A‖² + 2‖DA‖ + ‖A‖² (valid for t ≤ 1)."""
+    sup|Ǩ| + C√t + δ_t with C := 3‖A‖² + 2‖DA‖ + ‖A‖² (valid for t ≤ 1).
+
+    δ_t is a rounding allowance, so a bound met exactly (C = 0 on a metric
+    product) does not fail by a few ulp.  Each sampled or polished |K| is
+    Σ R̂_ijkl x_i c_j x_k c_l in orthonormal coordinates with unit x, c (or an
+    eigenvalue of that form compressed to n×n).  Its terms sum in absolute
+    value to at most max|R̂|·‖x‖₁²‖c‖₁² ≤ n²·max|R̂| and each passes through at
+    most 2n² roundings, so its error is about n⁴·ε·max|R̂| (ε = 2⁻⁵²); the
+    normalisation of x, c and the eigensolver add lower-order terms, covered
+    by a factor 2.  Both sides of the comparison are such values, hence
+    δ_t = 2n⁴·ε·(max|R̂_t| + max|Ř|), which is part of the reported bound.
+    """
     ts = [float(t) for t in t_grid]
     if not ts or any(t <= 0.0 for t in ts):
         raise ValueError("t grid must be nonempty and positive")
@@ -367,47 +353,51 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     m = split.horizontal_dim
 
     base_gen = spawn_generator(seed, _STREAM_BASE)
-    base_sup, _ = sup_abs_sectional(ctx.r_base, np.eye(m), m, base_gen, n_samples)
+    base_sup, _ = sup_abs_sectional(ctx.r_base, 1.0, m, base_gen, n_samples)
+    base_max = float(np.max(np.abs(ctx.r_base), initial=0.0))
 
     a_norm, da_norm = _oneill_norms(ctx.tensors, m, n, seed, n_samples)
     c_const = 3.0 * a_norm ** 2 + 2.0 * da_norm + a_norm ** 2
 
     fiber_len = math.sqrt(float(split.z @ metric.matrix @ split.z))
 
-    sups = []
-    diams = []
+    sups, roundings, bounds, diams = [], [], [], []
     for idx, t in enumerate(ts):
         gen = spawn_generator(seed, _STREAM_GRID, idx)
         r_t = ctx.frame_curvature(t)
-        sup_t, raw_index = sup_abs_sectional(r_t, ctx.frame_metric_at(t), m,
-                                             gen, n_samples)
-        bound = base_sup + c_const * math.sqrt(t)
+        sup_t, raw_index = sup_abs_sectional(r_t, t, m, gen, n_samples)
+        r_max = float(np.max(np.abs(_orthonormal(r_t, t))))
+        rounding = 2.0 * n ** 4 * _EPS * (r_max + base_max)
+        bound = base_sup + c_const * math.sqrt(t) + rounding
         if sup_t > bound:
             raise BoundViolated(
                 f"sampled sup|K^t| = {sup_t!r} exceeds bound {bound!r} at "
                 f"t = {t!r} (witness near sample {raw_index})",
                 t=t, sample_index=raw_index, value=sup_t, bound=bound)
         sups.append(sup_t)
+        roundings.append(rounding)
+        bounds.append(bound)
         diams.append(0.5 * fiber_len * math.sqrt(t))
 
-    exponent = _fit_exponent(ts, sups, base_sup)
+    exponent = _fit_exponent(ts, sups, base_sup, roundings)
     return DecayReport(t_grid=tuple(ts), sup_abs_K=tuple(sups),
                        base_sup_K=base_sup, C=c_const, exponent_fit=exponent,
                        diam_bound=tuple(diams), sample_count=int(n_samples),
-                       seed=int(seed))
+                       seed=int(seed), bounds=tuple(bounds))
 
 
-def _fit_exponent(ts: Sequence[float], sups: Sequence[float],
-                  base_sup: float) -> Optional[float]:
+def _fit_exponent(ts: Sequence[float], sups: Sequence[float], base_sup: float,
+                  roundings: Sequence[float]) -> Optional[float]:
     """Least-squares slope of log(sup|K^t| − sup|Ǩ|) against log t.
 
     The excess over the base sup is what decays (the sup itself saturates at
-    sup|Ǩ| on curved bases); points with nonpositive excess are excluded.
+    sup|Ǩ| on curved bases); points whose excess is within the rounding
+    allowance δ_t, and so indistinguishable from zero, are excluded.
     """
     xs, ys = [], []
-    for t, s in zip(ts, sups):
+    for t, s, rounding in zip(ts, sups, roundings):
         excess = s - base_sup
-        if excess > 0.0:
+        if excess > rounding:
             xs.append(math.log(t))
             ys.append(math.log(excess))
     if len(xs) < 2:

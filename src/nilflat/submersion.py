@@ -10,10 +10,16 @@ submersion onto the quotient algebra.  This module builds:
   * the O'Neill invariants A, T and the covariant derivative DA of A,
     expressed in the split frame.
 
+Frame convention: a split frame has the horizontal vectors first and the
+vertical direction last, and in it G^t is diag(1, …, 1, t).  Every numerical
+curvature measurement works in one: `split_curvature` serves `scan.lemma_scan`
+(the frame of `build_split`) and `certify` (the frames it extends level by
+level).  `canonical_variation`, G^t in the original coordinates, is their
+independent oracle.
+
 Because z is central and the metric is left-invariant, the fibers are totally
 geodesic (T ≡ 0); the checks here verify that numerically rather than assume
-it.  All tensors live in split-frame coordinates, where the base metric is the
-identity and G^t is diag(1, …, 1, t).
+it.
 """
 
 from __future__ import annotations
@@ -68,7 +74,9 @@ def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSp
 
     The horizontal frame comes from G-Gram-Schmidt applied to the standard
     basis vectors with their vertical components projected out; the basis
-    vector most parallel to z is dropped.  The procedure is deterministic.
+    vector most parallel to z is dropped.  Both length tests are relative to
+    G's scale, so a valid metric of any scale is accepted.  The procedure is
+    deterministic.
     """
     g = metric.matrix
     n = metric.dim
@@ -76,7 +84,7 @@ def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSp
     if z.shape != (n,):
         raise DimensionMismatch(f"z has shape {z.shape}, expected ({n},)")
     znorm2 = float(z @ g @ z)
-    if znorm2 <= TOL_GRAM:
+    if znorm2 <= TOL_GRAM * float(z @ z) * float(np.max(np.diag(g))):
         raise NotPositiveDefinite("central direction has vanishing length")
     u = z / np.sqrt(znorm2)
 
@@ -88,7 +96,7 @@ def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSp
         for h in columns:
             v = v - (v @ g @ h) * h
         norm2 = float(v @ g @ v)
-        if norm2 > 1e-10:
+        if norm2 > 1e-10 * g[i, i]:
             columns.append(v / np.sqrt(norm2))
     if len(columns) != n - 1:
         raise DimensionMismatch(
@@ -97,39 +105,38 @@ def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSp
     return SubmersionSplit(z=np.array(z), frame=frame, metric=metric)
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalVariation:
-    """Metric G^t: vertical direction rescaled by t, horizontal part fixed."""
-
-    base: LeftInvariantMetric
-    split: SubmersionSplit
-    t: float
-    metric: LeftInvariantMetric
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.metric.matrix
-
-
 def canonical_variation(metric: LeftInvariantMetric, z: Sequence[float],
-                        t: float) -> CanonicalVariation:
-    """G^t = G + (t−1)·(Gz)(Gz)ᵀ/⟨z,z⟩; requires t > 0."""
+                        t: float) -> LeftInvariantMetric:
+    """G^t = G + (t−1)·(Gz)(Gz)ᵀ/⟨z,z⟩ in the original coordinates; t > 0."""
     if t <= 0.0:
         raise ValueError(f"canonical variation requires t > 0, got {t}")
-    split = build_split(metric, z)
-    g = metric.matrix
-    zv = split.z
-    gz = g @ zv
-    gt = g + (t - 1.0) * np.outer(gz, gz) / float(zv @ gz)
-    return CanonicalVariation(base=metric, split=split, t=t,
-                              metric=LeftInvariantMetric(matrix=gt))
+    gu = metric.matrix @ build_split(metric, z).frame[:, -1]  # u = z/|z|
+    return LeftInvariantMetric(matrix=metric.matrix + (t - 1.0) * np.outer(gu, gu))
+
+
+def split_diagonal(n: int, t: float) -> np.ndarray:
+    """Diagonal (1, …, 1, t) of G^t in an n-dimensional split frame."""
+    d = np.ones(n)
+    d[n - 1] = t
+    return d
+
+
+def split_curvature(c_hat: np.ndarray, t: float) -> np.ndarray:
+    """Curvature tensor of G^t = diag(1, …, 1, t) from split-frame structure
+    constants (vertical direction last)."""
+    return curvature_from_structure(
+        c_hat, np.diag(split_diagonal(c_hat.shape[0], float(t))))
 
 
 def frame_structure(algebra: NilAlgebra, split: SubmersionSplit) -> np.ndarray:
     """Structure constants of the bracket in split-frame coordinates."""
-    c = structure_array(algebra)
     f = split.frame
-    f_inv = np.linalg.inv(f)
+    return _structure_in_frame(structure_array(algebra), f, np.linalg.inv(f))
+
+
+def _structure_in_frame(c: np.ndarray, f: np.ndarray,
+                        f_inv: np.ndarray) -> np.ndarray:
+    """Structure constants C in the frame whose vectors are the columns of f."""
     # [F_a, F_b] = Σ C[i,j,k] F_ia F_jb e_k; e_k has frame coordinates
     # F⁻¹[:, k], so the component index contracts F⁻¹[c, k].
     return np.einsum("ia,jb,ijk,ck->abc", f, f, c, f_inv, optimize=False)

@@ -140,7 +140,7 @@ def test_criterion_4_curvature_oracle():
 
     z = np.array([0.0, 0.0, 1.0])
     for t in (1.0, 0.1, 0.01):
-        varied = canonical_variation(metric, z, t).metric
+        varied = canonical_variation(metric, z, t)
         for v, w, value in planes:
             assert sectional_curvature(h3, varied, v, w) == \
                 pytest.approx(value * t, abs=TOL_ORACLE)
@@ -164,7 +164,7 @@ def test_criterion_5_decomposition_identities():
         gen = spawn_generator(0, 55, n)
         for t in (1.0, 0.1, 0.01, 1e-4):
             varied = oneill_tensors(
-                algebra, canonical_variation(metric, z, t).metric, split, t=t)
+                algebra, canonical_variation(metric, z, t), split, t=t)
             assert np.max(np.abs(varied.a[:m, :m, :]
                                  - base.a[:m, :m, :])) <= TOL_TENSOR
             assert np.max(np.abs(varied.a[:m, m, :]

@@ -221,6 +221,20 @@ def test_metric_validation_errors():
     assert not metric.matrix.flags.writeable
 
 
+# [DERIVED] the degenerate-plane test is scale-invariant: an orthogonal plane
+# with one very short leg is a plane (h3 with G = diag(1, 1, t) has
+# K(e1, e3) = t/4), whatever the leg lengths; parallel legs are rejected.
+def test_degenerate_plane_scale_invariant():
+    metric = LeftInvariantMetric(matrix=np.diag([1.0, 1.0, 1e-16]))
+    for scale in (1.0, 1e8):
+        k = sectional_curvature(H3, metric, [1, 0, 0], [0, 0, scale])
+        assert k == pytest.approx(0.25e-16, rel=1e-9)
+    with pytest.raises(DegeneratePlane):
+        sectional_curvature(H3, metric, [1, 0, 0], [2, 0, 0])
+    with pytest.raises(DegeneratePlane):
+        sectional_curvature(H3, metric, [0, 0, 0], [0, 0, 1])
+
+
 # [DERIVED] canonical variation: scales only the vertical direction.
 def test_canonical_variation_diagonal():
     metric = LeftInvariantMetric.identity(3)
@@ -263,6 +277,6 @@ def test_canonical_variation_bad_t():
 @pytest.mark.parametrize("t", [1.0, 0.1, 0.01])
 def test_h3_variation_curvature(t):
     metric = LeftInvariantMetric.identity(3)
-    g_t = canonical_variation(metric, [0, 0, 1], t).metric
+    g_t = canonical_variation(metric, [0, 0, 1], t)
     assert sectional_curvature(H3, g_t, [1, 0, 0], [0, 1, 0]) == pytest.approx(-0.75 * t, abs=1e-9)
     assert sectional_curvature(H3, g_t, [1, 0, 0], [0, 0, 1]) == pytest.approx(0.25 * t, abs=1e-9)

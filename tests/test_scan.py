@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from nilflat import catalog, submersion
+from nilflat import catalog, scan, submersion
 from nilflat.errors import BoundViolated, DimensionMismatch
 from nilflat.metric import LeftInvariantMetric, sectional_from_tensor
 from nilflat.scan import (DecayReport, PlaneSample, SubmersionContext,
@@ -133,7 +133,7 @@ def test_sup_abs_sectional_h3():
     metric, split = geometry(H3)
     ctx = SubmersionContext(H3, metric, split)
     r1 = ctx.frame_curvature(1.0)
-    sup, index = sup_abs_sectional(r1, np.eye(3), 2, spawn_generator(0, 9), 500)
+    sup, index = sup_abs_sectional(r1, 1.0, 2, spawn_generator(0, 9), 500)
     assert sup == pytest.approx(0.75, abs=1e-12)
     assert 0 <= index < 500
 
@@ -199,6 +199,29 @@ def test_bound_violated_outside_domain():
     assert err.t == 100.0
     assert err.value > err.bound
     assert err.sample_index >= 0
+
+
+# [DERIVED] the rounding allowance δ_t in the bound is far below any real
+# shortfall: with C forced to 0, h3 (flat base, sup|K^t| = 3t/4) still
+# violates its bound, by far more than δ_t.
+def test_bound_short_by_more_than_rounding_raises(monkeypatch):
+    metric, split = geometry(H3)
+    monkeypatch.setattr(scan, "_oneill_norms", lambda *args: (0.0, 0.0))
+    with pytest.raises(BoundViolated) as info:
+        lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
+    err = info.value
+    assert 0.0 < err.bound <= 1e-12
+    assert err.value == pytest.approx(0.75e-3, rel=1e-9)
+
+
+# [DERIVED] the reported bound is sup|Ǩ| + C√t plus an allowance δ_t that is
+# positive and tiny next to it.
+def test_reported_bound_includes_rounding():
+    metric, split = geometry(N4)
+    report = lemma_scan(N4, metric, split, [1.0, 1e-4], n_samples=300, seed=0)
+    for t, bound in zip(report.t_grid, report.bounds):
+        plain = report.base_sup_K + report.C * np.sqrt(t)
+        assert plain < bound <= plain * (1.0 + 1e-12)
 
 
 # [DERIVED] diameter formula: half fiber length at t = 1; three unit fibers

@@ -142,7 +142,7 @@ def test_variation_relations(name, algebra, matrix, t):
     metric, split = split_for(algebra, matrix)
     n = algebra.dim
     m = n - 1
-    g_t = canonical_variation(metric, last_basis(n), t).metric
+    g_t = canonical_variation(metric, last_basis(n), t)
     base = oneill_tensors(algebra, metric, split)
     varied = oneill_tensors(algebra, g_t, split, t=t)
     assert np.max(np.abs(varied.a[:m, :m, :] - base.a[:m, :m, :])) <= TOL
