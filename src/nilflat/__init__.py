@@ -30,7 +30,7 @@ from .coords import (MalcevWord, first_to_second, lattice_closed,
 from .tower import (BundleTower, CentralCocycle, CohomologyVerdict,
                     NilLattice, TowerStep, check_closed, check_integral,
                     check_skew, cocycles_cohomologous, extend_by_cocycle,
-                    extension_cocycle_value, peel_step, peel_tower)
+                    peel_step, peel_tower)
 from .metric import (LeftInvariantMetric, connection_coeffs,
                      curvature_tensor, sectional_curvature, structure_array)
 from .submersion import (OneillTensors, SubmersionSplit, base_geometry,
@@ -60,7 +60,7 @@ __all__ = [
     "lattice_closed", "NilLattice", "CentralCocycle", "TowerStep",
     "BundleTower", "check_skew", "check_closed", "check_integral",
     "peel_step", "peel_tower", "extend_by_cocycle", "CohomologyVerdict",
-    "cocycles_cohomologous", "extension_cocycle_value",
+    "cocycles_cohomologous",
     # numerical layer
     "LeftInvariantMetric", "structure_array", "connection_coeffs",
     "curvature_tensor", "sectional_curvature", "SubmersionSplit",

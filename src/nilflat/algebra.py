@@ -1,7 +1,9 @@
 """Rational nilpotent Lie algebras given by structure constants.
 
-A `NilAlgebra` stores the brackets [e_i, e_j] for i < j on a fixed basis
-e_1, ..., e_n; antisymmetry supplies the rest. All arithmetic is exact
+A `NilAlgebra` stores only the nonzero brackets [e_i, e_j] for i < j on a
+fixed basis e_1, ..., e_n, as the sparse table {(i, j): {k: c}} that the
+algebra files and `catalog` use (0-based inside, 1-based in files and in
+`from_brackets`); antisymmetry supplies the rest. All arithmetic is exact
 (`fractions.Fraction`), so identities are tested as equalities.
 
 Construction validates only shape (dimensions, index ranges). Mathematical
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import (
     BasisNotAdapted,
@@ -64,32 +66,45 @@ def is_zero(x: VecQ) -> bool:
 class NilAlgebra:
     """Nilpotent Lie algebra over Q with a distinguished (ordered) basis.
 
-    `structure[i][j]` holds [e_{i+1}, e_{j+1}] as a VecQ for 0 <= i < j < dim;
-    entries with i >= j are zero placeholders and never read directly.
-    `declared_class` is the claimed nilpotency class (0 only for dim 0).
+    `brackets` is the sparse table {(i, j): {k: c}} of 0-based indices with
+    i < j, holding [e_{i+1}, e_{j+1}] = Σ_k c·e_{k+1}. Construction keeps it
+    canonical: coefficients are `Fraction`s, zero terms and empty brackets
+    are dropped, and pairs and components are in sorted order, so equal
+    algebras compare equal. `declared_class` is the claimed nilpotency class
+    (0 only for dim 0).
     """
 
     dim: int
     declared_class: int
-    structure: Tuple[Tuple[VecQ, ...], ...]
+    brackets: Mapping[Tuple[int, int], Mapping[int, Fraction]]
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise DimensionMismatch(f"dim must be nonnegative, got {self.dim}")
-        if self.dim == 0:
+        n = self.dim
+        table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        for (i, j), terms in sorted(self.brackets.items()):
+            if not (0 <= i < j < n):
+                raise DimensionMismatch(
+                    f"bracket index ({i + 1},{j + 1}) out of range for dim {n}; "
+                    "need 1 <= i < j <= n")
+            entry = {}
+            for k, coeff in sorted(terms.items()):
+                if not (0 <= k < n):
+                    raise DimensionMismatch(
+                        f"component index {k + 1} out of range for dim {n}")
+                coeff = Fraction(coeff)
+                if coeff:
+                    entry[k] = coeff
+            if entry:
+                table[(i, j)] = entry
+        object.__setattr__(self, "brackets", table)
+        if n < 0:
+            raise DimensionMismatch(f"dim must be nonnegative, got {n}")
+        if n == 0:
             if self.declared_class != 0:
                 raise DimensionMismatch("the point algebra has class 0")
         elif self.declared_class < 1:
             raise DimensionMismatch(
-                f"declared_class must be positive for dim {self.dim}")
-        if len(self.structure) != self.dim:
-            raise DimensionMismatch("structure table has wrong row count")
-        for row in self.structure:
-            if len(row) != self.dim:
-                raise DimensionMismatch("structure table has wrong column count")
-            for entry in row:
-                if len(entry) != self.dim:
-                    raise DimensionMismatch("structure entry has wrong length")
+                f"declared_class must be positive for dim {n}")
 
     @staticmethod
     def from_brackets(dim: int,
@@ -97,27 +112,17 @@ class NilAlgebra:
                       brackets: Mapping[Tuple[int, int], Mapping[int, RationalLike]],
                       ) -> "NilAlgebra":
         """Build from 1-based sparse data: {(i, j): {k: coefficient}} for i < j."""
-        table: List[List[VecQ]] = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), terms in brackets.items():
-            if not (1 <= i < j <= dim):
-                raise DimensionMismatch(
-                    f"bracket index ({i},{j}) out of range for dim {dim}; need 1 <= i < j <= n")
-            entry = [Fraction(0)] * dim
-            for k, coeff in terms.items():
-                if not (1 <= k <= dim):
-                    raise DimensionMismatch(f"component index {k} out of range for dim {dim}")
-                entry[k - 1] += Fraction(coeff)
-            table[i - 1][j - 1] = tuple(entry)
-        return NilAlgebra(dim=dim, declared_class=declared_class,
-                          structure=tuple(tuple(row) for row in table))
+        table = {(i - 1, j - 1): {k - 1: coeff for k, coeff in terms.items()}
+                 for (i, j), terms in brackets.items()}
+        return NilAlgebra(dim=dim, declared_class=declared_class, brackets=table)
 
     def basis_bracket(self, i: int, j: int) -> VecQ:
         """[e_{i+1}, e_{j+1}] for 0-based i, j, via stored data and antisymmetry."""
-        if i == j:
-            return vec_zero(self.dim)
-        if i < j:
-            return self.structure[i][j]
-        return vec_scale(-1, self.structure[j][i])
+        out = [Fraction(0)] * self.dim
+        sign = 1 if i < j else -1
+        for k, coeff in self.brackets.get((min(i, j), max(i, j)), {}).items():
+            out[k] = sign * coeff
+        return tuple(out)
 
     def bracket(self, x: VecQ, y: VecQ) -> VecQ:
         """Bilinear extension [x, y]."""
@@ -126,17 +131,14 @@ class NilAlgebra:
             raise DimensionMismatch(
                 f"bracket arguments must have length {n}, got {len(x)} and {len(y)}")
         out = [Fraction(0)] * n
-        for i in range(n):
-            if x[i] == 0 and y[i] == 0:
+        for (i, j), entry in self.brackets.items():
+            # skip before any Fraction arithmetic: most pairs miss the support
+            if not ((x[i] and y[j]) or (x[j] and y[i])):
                 continue
-            for j in range(i + 1, n):
-                c = x[i] * y[j] - x[j] * y[i]
-                if c == 0:
-                    continue
-                entry = self.structure[i][j]
-                for k in range(n):
-                    if entry[k]:
-                        out[k] += c * entry[k]
+            c = x[i] * y[j] - x[j] * y[i]
+            if c:
+                for k, coeff in entry.items():
+                    out[k] += c * coeff
         return tuple(out)
 
 
@@ -168,32 +170,28 @@ def check_adapted(algebra: NilAlgebra) -> ValidationReport:
     Equivalent on pairs: [e_i, e_j] lies in span(e_j,...,e_n) for all i < j.
     """
     n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = algebra.structure[i][j]
-            for m in range(j):
-                if entry[m] != 0:
-                    return ValidationReport(
-                        ok=False, check="adapted",
-                        message=(f"[e{i + 1},e{j + 1}] has a nonzero e{m + 1} component, "
-                                 f"so span(e{j + 1},...,e{n}) is not an ideal"),
-                        witness=(i + 1, j + 1), defect=entry)
+    for (i, j), entry in algebra.brackets.items():
+        m = next(iter(entry))
+        if m < j:
+            return ValidationReport(
+                ok=False, check="adapted",
+                message=(f"[e{i + 1},e{j + 1}] has a nonzero e{m + 1} component, "
+                         f"so span(e{j + 1},...,e{n}) is not an ideal"),
+                witness=(i + 1, j + 1), defect=algebra.basis_bracket(i, j))
     return ValidationReport(ok=True, check="adapted")
 
 
 def check_integer_constants(algebra: NilAlgebra) -> ValidationReport:
     """Integer structure constants: the gate for the basis Z-span to be a
     lattice model (see `tower.NilLattice`)."""
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k, coeff in enumerate(algebra.structure[i][j]):
-                if coeff.denominator != 1:
-                    return ValidationReport(
-                        ok=False, check="integer_constants",
-                        message=(f"structure constant {coeff} of "
-                                 f"[e{i + 1},e{j + 1}] is not an integer"),
-                        witness=(i + 1, j + 1, k + 1), defect=coeff)
+    for (i, j), entry in algebra.brackets.items():
+        for k, coeff in entry.items():
+            if coeff.denominator != 1:
+                return ValidationReport(
+                    ok=False, check="integer_constants",
+                    message=(f"structure constant {coeff} of "
+                             f"[e{i + 1},e{j + 1}] is not an integer"),
+                    witness=(i + 1, j + 1, k + 1), defect=coeff)
     return ValidationReport(ok=True, check="integer_constants")
 
 

@@ -17,6 +17,7 @@ version and the full run configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -215,6 +216,9 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def _check_scan_flags(args: argparse.Namespace) -> None:
+    for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if not math.isfinite(value):
+            raise _UsageError(f"{flag} must be finite, got {value}")
     if not (args.t_min > 0.0):
         raise _UsageError(f"--t-min must be positive, got {args.t_min}")
     if args.t_max < args.t_min:

@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Tuple, Union
 
 import numpy as np
 
+from . import catalog
 from .algebra import NilAlgebra
 from .errors import SchemaError
 from .tower import (BundleTower, CentralCocycle, NilLattice, TowerStep,
@@ -117,14 +118,10 @@ def _fraction_from(obj: Dict[str, Any], where: str) -> Fraction:
 
 def algebra_to_obj(algebra: NilAlgebra) -> Dict[str, Any]:
     """Sparse upper-triangular dictionary form of the structure constants."""
-    brackets = []
-    for i in range(algebra.dim):
-        for j in range(i + 1, algebra.dim):
-            entry = algebra.structure[i][j]
-            terms = [{"k": k + 1, "num": c.numerator, "den": c.denominator}
-                     for k, c in enumerate(entry) if c != 0]
-            if terms:
-                brackets.append({"i": i + 1, "j": j + 1, "terms": terms})
+    brackets = [{"i": i + 1, "j": j + 1,
+                 "terms": [{"k": k + 1, "num": c.numerator, "den": c.denominator}
+                           for k, c in entry.items()]}
+                for (i, j), entry in algebra.brackets.items()]
     return {"dim": algebra.dim, "class": algebra.declared_class,
             "brackets": brackets}
 
@@ -251,7 +248,7 @@ def tower_from_obj(obj: Any, where: str = "tower") -> BundleTower:
             where=f"{loc}.cocycle")
         parsed.append(cocycle)
 
-    current = NilLattice(algebra=NilAlgebra(dim=0, declared_class=0, structure=()))
+    current = NilLattice(algebra=catalog.point())
     built: List[TowerStep] = []
     for cocycle in reversed(parsed):
         total = extend_by_cocycle(current, cocycle)

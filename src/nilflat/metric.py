@@ -48,6 +48,10 @@ class LeftInvariantMetric:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"metric must be square, got shape {m.shape}")
+        bad = np.argwhere(~np.isfinite(m))
+        if bad.size:
+            entries = ", ".join(f"G[{i + 1},{j + 1}] = {m[i, j]}" for i, j in bad)
+            raise NotPositiveDefinite(f"metric matrix has non-finite entries: {entries}")
         if m.size and not np.allclose(m, m.T, atol=TOL_IDENTITY, rtol=0.0):
             raise NotPositiveDefinite("metric matrix is not symmetric")
         sym = 0.5 * (m + m.T)
@@ -71,13 +75,10 @@ def structure_array(algebra: NilAlgebra) -> np.ndarray:
     """Full antisymmetric structure tensor C[i,j,k] as float64."""
     n = algebra.dim
     c = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = algebra.structure[i][j]
-            for k in range(n):
-                v = float(entry[k])
-                c[i, j, k] = v
-                c[j, i, k] = -v
+    for (i, j), entry in algebra.brackets.items():
+        for k, coeff in entry.items():
+            c[i, j, k] = float(coeff)
+            c[j, i, k] = -float(coeff)
     return c
 
 

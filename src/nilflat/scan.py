@@ -341,8 +341,8 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     δ_t = 2n⁴·ε·(max|R̂_t| + max|Ř|), which is part of the reported bound.
     """
     ts = [float(t) for t in t_grid]
-    if not ts or any(t <= 0.0 for t in ts):
-        raise ValueError("t grid must be nonempty and positive")
+    if not ts or not all(math.isfinite(t) and t > 0.0 for t in ts):
+        raise ValueError("t grid must be nonempty, finite and positive")
     if any(b > a for a, b in zip(ts, ts[1:])):
         raise ValueError("t grid must be descending")
     if n_samples < 1:

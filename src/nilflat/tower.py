@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from .algebra import (
     NilAlgebra,
@@ -28,7 +28,6 @@ from .algebra import (
     check_integer_constants,
     lower_central_series,
     validate_algebra,
-    vec_zero,
 )
 from .errors import (
     DimensionMismatch,
@@ -209,20 +208,16 @@ class BundleTower:
     steps: Tuple[TowerStep, ...]
 
 
-def _derived_lattice(dim: int, structure: Sequence[Sequence[VecQ]]) -> NilLattice:
+def _derived_lattice(dim: int, brackets: Mapping) -> NilLattice:
     """Lattice on a table that `peel_step` or `extend_by_cocycle` derived.
 
     Only those two may call it, and only on a table valid by construction
     (see `NilLattice`); the class comes from one lower central series and
     `validate_algebra` is skipped.
     """
-    if dim == 0:
-        algebra = NilAlgebra(dim=0, declared_class=0, structure=())
-    else:
-        algebra = NilAlgebra(dim=dim, declared_class=1,
-                             structure=tuple(tuple(row) for row in structure))
-        _, cls = lower_central_series(algebra)
-        algebra = NilAlgebra(dim=dim, declared_class=cls, structure=algebra.structure)
+    probe = NilAlgebra(dim=dim, declared_class=min(dim, 1), brackets=brackets)
+    _, cls = lower_central_series(probe)
+    algebra = NilAlgebra(dim=dim, declared_class=cls, brackets=probe.brackets)
     lattice = object.__new__(NilLattice)
     object.__setattr__(lattice, "algebra", algebra)
     return lattice
@@ -234,17 +229,15 @@ def peel_step(lattice: NilLattice) -> TowerStep:
     if n < 1:
         raise DimensionMismatch("the point has no central circle to peel")
     m = n - 1
-    structure = lattice.algebra.structure
-    base = _derived_lattice(m, [[structure[i][j][:m] for j in range(m)]
-                                for i in range(m)])
-    entries = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            top = structure[i][j][m]
-            if top != 0:
-                entries[(i + 1, j + 1)] = top
+    base, entries = {}, {}
+    for (i, j), entry in lattice.algebra.brackets.items():
+        if j == m:
+            continue
+        base[(i, j)] = {k: c for k, c in entry.items() if k != m}
+        if m in entry:
+            entries[(i + 1, j + 1)] = entry[m]
     cocycle = CentralCocycle.from_entries(m, entries)
-    return TowerStep(total=lattice, base=base, cocycle=cocycle)
+    return TowerStep(total=lattice, base=_derived_lattice(m, base), cocycle=cocycle)
 
 
 def peel_tower(lattice: NilLattice) -> BundleTower:
@@ -269,12 +262,10 @@ def extend_by_cocycle(base: NilLattice, cocycle: CentralCocycle) -> NilLattice:
         raise DimensionMismatch(
             f"cocycle dim {cocycle.dim} does not match base dim {n}")
     _require_valid_cocycle(base, cocycle)
-    dim = n + 1
-    structure = [[vec_zero(dim) for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            structure[i][j] = base.algebra.structure[i][j] + (cocycle.omega[i][j],)
-    return _derived_lattice(dim, structure)
+    brackets = {pair: dict(entry) for pair, entry in base.algebra.brackets.items()}
+    for i, j, value in cocycle.upper_entries():
+        brackets.setdefault((i - 1, j - 1), {})[n] = value
+    return _derived_lattice(n + 1, brackets)
 
 
 @dataclass(frozen=True)
@@ -300,8 +291,7 @@ def _coboundary_system(base: NilLattice) -> Tuple[List[List[int]], List[Tuple[in
     rows, pairs = [], []
     for i in range(n):
         for j in range(i + 1, n):
-            entry = base.algebra.structure[i][j]
-            rows.append([-int(entry[k]) for k in range(n)])
+            rows.append([-int(c) for c in base.algebra.basis_bracket(i, j)])
             pairs.append((i + 1, j + 1))
     return rows, pairs
 
@@ -351,30 +341,3 @@ def cocycles_cohomologous(base: NilLattice, w1: CentralCocycle, w2: CentralCocyc
         cohomologous=False,
         obstruction=f"+: {first.obstruction}; -: {second.obstruction}")
 
-
-def extension_cocycle_value(base: NilLattice, cocycle: CentralCocycle,
-                            g: Sequence[int], h: Sequence[int]) -> Fraction:
-    """Group-level section-defect 2-cocycle, exposed for documentation.
-
-    g and h are integer second-kind words on the base. Using the section
-    s(a_1..a_n) = exp(a_1 e_1)···exp(a_n e_n)·exp(0·z) into the extension,
-    returns the central exponent of s(g)s(h)s(g·h)^{-1}. Its antisymmetrised
-    part recovers the left-invariant class ω on generators.
-    """
-    from .bch import bch_inverse, bch_product
-    from .coords import MalcevWord, first_to_second, second_to_first
-
-    total = extend_by_cocycle(base, cocycle)
-    algebra = total.algebra
-    n = base.dim
-
-    def lift(word: Sequence[int]) -> VecQ:
-        exps = tuple(Fraction(int(a)) for a in word) + (Fraction(0),)
-        return second_to_first(algebra, MalcevWord(exps))
-
-    prod = bch_product(algebra, lift(g), lift(h))
-    word = first_to_second(algebra, prod)
-    gh_base = word.exponents[:n]
-    defect = bch_product(algebra, prod, bch_inverse(lift(gh_base)))
-    assert all(v == 0 for v in defect[:n])
-    return defect[n]

@@ -167,6 +167,21 @@ def test_extend_dim_mismatch(capsys):
     assert code == 2 and "does not match" in err
 
 
+# [TRIVIAL] a metric file whose entries parse as NaN or overflow to inf is
+# invalid mathematics, reported as such before symmetry or sampling.
+@pytest.mark.parametrize("entry", ["NaN", "1e400"])
+@pytest.mark.parametrize("command", [["curvature", "--samples", "16", "--t-points", "1"],
+                                     ["certify", "--eps", "0.01"]],
+                         ids=["curvature", "certify"])
+def test_nonfinite_metric_exit_two(command, entry, tmp_path, capsys):
+    path = tmp_path / "metric.json"
+    path.write_text('{"dim": 3, "entries": [%s, 0, 0, 0, 1, 0, 0, 0, 1]}' % entry,
+                    encoding="utf-8")
+    code, _, err = run_cli([command[0], str(DATA / "h3.json"), "--metric", str(path)]
+                           + command[1:], capsys)
+    assert code == 2 and "non-finite" in err
+
+
 # [DERIVED] full file-level round-trip: peel to a tower file, then rebuild
 # the lattice from the point by chaining extend over the stored cocycles.
 @pytest.mark.parametrize("name", ["z3.json", "h3.json", "n4.json", "h5.json"])
@@ -258,7 +273,11 @@ def test_curvature_metric_dim_mismatch(capsys):
     ["--t-min", "2", "--t-max", "1"],
     ["--t-points", "0"],
     ["--samples", "0"],
-], ids=["tmin-zero", "tmax-lt-tmin", "no-points", "no-samples"])
+    ["--t-max", "inf"],
+    ["--t-max", "nan"],
+    ["--t-min", "nan"],
+], ids=["tmin-zero", "tmax-lt-tmin", "no-points", "no-samples",
+        "tmax-inf", "tmax-nan", "tmin-nan"])
 def test_curvature_flag_errors(flags, capsys):
     code, _, err = run_cli(
         ["curvature", str(DATA / "h3.json")] + flags, capsys)

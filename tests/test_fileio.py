@@ -72,7 +72,7 @@ def test_algebra_duplicate_accumulation():
                                    {"k": 3, "num": 1, "den": 1}]},
     ]}
     algebra = fileio.algebra_from_obj(obj)
-    assert algebra.structure[0][1][2] == Fraction(2)
+    assert algebra.brackets == {(0, 1): {2: Fraction(2)}}
 
 
 # [TRIVIAL] schema diagnostics carry a JSON-path location.

@@ -189,6 +189,16 @@ def test_lemma_scan_grid_errors():
         lemma_scan(H3, metric, split, [1.0], 0, 0)
 
 
+# [TRIVIAL] a non-finite grid value is refused before any sampling (a NaN t
+# would otherwise never pass the unit-norm rejection loop).
+@pytest.mark.parametrize("grid", [[float("nan")], [1.0, float("nan")],
+                                  [float("inf"), 1.0]], ids=["nan", "nan-last", "inf"])
+def test_lemma_scan_nonfinite_grid(grid):
+    metric, split = geometry(H3)
+    with pytest.raises(ValueError, match="finite"):
+        lemma_scan(H3, metric, split, grid, 10, 0)
+
+
 # [DERIVED] outside the C-constant's validity domain (t <= 1) the asserted
 # bound can fail; the violation is reported with the witnessing data.
 def test_bound_violated_outside_domain():

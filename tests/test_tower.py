@@ -25,7 +25,6 @@ from nilflat.tower import (
     NilLattice,
     cocycles_cohomologous,
     extend_by_cocycle,
-    extension_cocycle_value,
     peel_step,
     peel_tower,
 )
@@ -234,15 +233,6 @@ def test_up_to_sign_branch():
         if not strict.cohomologous:
             assert signed.sign == -1
             assert signed.witness == (0,) * base.dim
-
-
-# [DERIVED] the documentation-level group cocycle: section defect over Z²
-# vanishes on the ordered pair and is −1 on the reversed pair, so its
-# antisymmetrisation is the Euler form.
-def test_extension_cocycle_value():
-    w = CentralCocycle.from_entries(2, {(1, 2): 1})
-    assert extension_cocycle_value(Z2, w, (1, 0), (0, 1)) == 0
-    assert extension_cocycle_value(Z2, w, (0, 1), (1, 0)) == -1
 
 
 def test_cocycle_value_bilinear():
