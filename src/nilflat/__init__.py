@@ -19,18 +19,18 @@ epsilon with an explicit diameter bound.
 from .errors import (BasisNotAdapted, BoundViolated, BudgetNotMet,
                      ClassExceeded, DegeneratePlane, DimensionMismatch,
                      JacobiViolated, NilflatError, NotClosed, NotIntegral,
-                     NotNilpotent, NotPositiveDefinite, NotSkew, SchemaError,
+                     NotNilpotent, NotPositiveDefinite, SchemaError,
                      ValidationReport)
 from .algebra import (NilAlgebra, algebra_center, basis_vec, check_adapted,
                       check_class, check_integer_constants, check_jacobi,
                       lower_central_series, validate_algebra, vec)
-from .bch import BchTable, bch_inverse, bch_product, bch_table
+from .bch import BchTable, bch_product, bch_table
 from .coords import (MalcevWord, first_to_second, lattice_closed,
                      second_to_first, word_multiply)
 from .tower import (BundleTower, CentralCocycle, CohomologyVerdict,
                     NilLattice, TowerStep, check_closed, check_integral,
-                    check_skew, cocycles_cohomologous, extend_by_cocycle,
-                    peel_step, peel_tower)
+                    cocycles_cohomologous, extend_by_cocycle, peel_step,
+                    peel_tower)
 from .metric import (LeftInvariantMetric, connection_coeffs,
                      curvature_tensor, sectional_curvature, structure_array)
 from .submersion import (OneillTensors, SubmersionSplit, base_geometry,
@@ -49,16 +49,16 @@ __all__ = [
     "__version__",
     # errors
     "NilflatError", "SchemaError", "DimensionMismatch", "NotNilpotent",
-    "JacobiViolated", "ClassExceeded", "BasisNotAdapted", "NotSkew",
-    "NotClosed", "NotIntegral", "NotPositiveDefinite", "DegeneratePlane",
+    "JacobiViolated", "ClassExceeded", "BasisNotAdapted", "NotClosed",
+    "NotIntegral", "NotPositiveDefinite", "DegeneratePlane",
     "BoundViolated", "BudgetNotMet", "ValidationReport",
     # exact layer
     "NilAlgebra", "vec", "basis_vec", "check_jacobi", "check_adapted",
     "check_class", "check_integer_constants", "lower_central_series",
-    "algebra_center", "validate_algebra", "BchTable", "bch_table", "bch_product", "bch_inverse",
+    "algebra_center", "validate_algebra", "BchTable", "bch_table", "bch_product",
     "MalcevWord", "first_to_second", "second_to_first", "word_multiply",
     "lattice_closed", "NilLattice", "CentralCocycle", "TowerStep",
-    "BundleTower", "check_skew", "check_closed", "check_integral",
+    "BundleTower", "check_closed", "check_integral",
     "peel_step", "peel_tower", "extend_by_cocycle", "CohomologyVerdict",
     "cocycles_cohomologous",
     # numerical layer

@@ -44,10 +44,6 @@ def vec_add(x: VecQ, y: VecQ) -> VecQ:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vec_sub(x: VecQ, y: VecQ) -> VecQ:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def vec_scale(c: RationalLike, x: VecQ) -> VecQ:
     c = Fraction(c)
     return tuple(c * a for a in x)
@@ -142,25 +138,37 @@ class NilAlgebra:
         return tuple(out)
 
 
+def _add_ad(out: Dict[int, Fraction], algebra: NilAlgebra, i: int,
+            terms: Mapping[int, Fraction], scale: int = 1) -> None:
+    """out += scale·[e_{i+1}, Σ_m terms[m]·e_{m+1}], read off the table."""
+    for m, c in terms.items():
+        entry = algebra.brackets.get((i, m) if i < m else (m, i))
+        if entry:
+            c = scale * c if i < m else -scale * c
+            for k, coeff in entry.items():
+                out[k] = out.get(k, 0) + c * coeff
+
+
 def check_jacobi(algebra: NilAlgebra) -> ValidationReport:
     """Jacobi identity on all basis triples; first violation reported.
 
     Convention: J(x,y,z) = [x,[y,z]] + [y,[z,x]] + [z,[x,y]].
     """
     n = algebra.dim
+    table = algebra.brackets
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                ei, ej, ek = basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)
-                defect = vec_add(
-                    vec_add(algebra.bracket(ei, algebra.bracket(ej, ek)),
-                            algebra.bracket(ej, algebra.bracket(ek, ei))),
-                    algebra.bracket(ek, algebra.bracket(ei, ej)))
-                if not is_zero(defect):
+                out: Dict[int, Fraction] = {}
+                _add_ad(out, algebra, i, table.get((j, k), {}))
+                _add_ad(out, algebra, j, table.get((i, k), {}), scale=-1)
+                _add_ad(out, algebra, k, table.get((i, j), {}))
+                if any(out.values()):
                     return ValidationReport(
                         ok=False, check="jacobi",
                         message=(f"Jacobi fails on (e{i + 1},e{j + 1},e{k + 1})"),
-                        witness=(i + 1, j + 1, k + 1), defect=defect)
+                        witness=(i + 1, j + 1, k + 1),
+                        defect=tuple(Fraction(out.get(m, 0)) for m in range(n)))
     return ValidationReport(ok=True, check="jacobi")
 
 
@@ -205,18 +213,20 @@ def lower_central_series(algebra: NilAlgebra) -> Tuple[List[List[VecQ]], int]:
     n = algebra.dim
     if n == 0:
         return [[]], 0
-    chain: List[List[VecQ]] = [[basis_vec(n, i) for i in range(n)]]
+    chain: List[List[VecQ]] = [
+        [tuple(Fraction(int(k == i)) for k in range(n)) for i in range(n)]]
     while True:
         current = chain[-1]
         if not current:
             break
+        sparse = [{m: c for m, c in enumerate(v) if c} for v in current]
         products = []
         for i in range(n):
-            ei = basis_vec(n, i)
-            for v in current:
-                w = algebra.bracket(ei, v)
-                if not is_zero(w):
-                    products.append(list(w))
+            for terms in sparse:
+                w: Dict[int, Fraction] = {}
+                _add_ad(w, algebra, i, terms)
+                if any(w.values()):
+                    products.append([w.get(k, 0) for k in range(n)])
         nxt = [tuple(row) for row in rational_row_basis(products, n)]
         if len(nxt) >= len(current):
             raise NotNilpotent(
@@ -251,8 +261,6 @@ def algebra_center(algebra: NilAlgebra) -> List[VecQ]:
             row = [cols[i][m] for i in range(n)]
             if any(v != 0 for v in row):
                 rows.append(row)
-    if not rows:
-        return [basis_vec(n, i) for i in range(n)]
     return [tuple(v) for v in rational_nullspace(rows, n)]
 
 

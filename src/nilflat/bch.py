@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, List, Tuple
 
-from .algebra import NilAlgebra, VecQ, vec_add, vec_scale, vec_zero
+from .algebra import NilAlgebra, VecQ, vec_zero
 from .errors import ClassExceeded, DimensionMismatch
 
 DEFAULT_CLASS_BOUND = 6
@@ -105,8 +105,3 @@ def bch_product(algebra: NilAlgebra, x: VecQ, y: VecQ,
             if value[k]:
                 out[k] += coeff * value[k]
     return tuple(out)
-
-
-def bch_inverse(x: VecQ) -> VecQ:
-    """Group inverse in exponential coordinates: exp(x)^{-1} = exp(-x)."""
-    return vec_scale(-1, x)

@@ -33,7 +33,7 @@ from .certify import certify_almost_flat, certificate_summary
 from .errors import (BoundViolated, BudgetNotMet, DimensionMismatch,
                      NilflatError, SchemaError)
 from .metric import LeftInvariantMetric
-from .scan import lemma_scan, report_csv, report_summary
+from .scan import T_MIN, lemma_scan, report_csv, report_summary
 from .submersion import build_split
 from .tower import extend_by_cocycle, peel_tower
 
@@ -221,6 +221,10 @@ def _check_scan_flags(args: argparse.Namespace) -> None:
             raise _UsageError(f"{flag} must be finite, got {value}")
     if not (args.t_min > 0.0):
         raise _UsageError(f"--t-min must be positive, got {args.t_min}")
+    if args.t_min < T_MIN:
+        raise _UsageError(
+            f"--t-min must be >= {T_MIN:.3g} (below it t² underflows "
+            f"float64 and the curvature rescaling fails), got {args.t_min}")
     if args.t_max < args.t_min:
         raise _UsageError(
             f"--t-max ({args.t_max}) must be >= --t-min ({args.t_min})")

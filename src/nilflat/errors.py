@@ -43,10 +43,6 @@ class BasisNotAdapted(NilflatError):
     """Some tail span(e_k, ..., e_n) fails to be an ideal."""
 
 
-class NotSkew(NilflatError):
-    """Two-form matrix is not skew-symmetric."""
-
-
 class NotClosed(NilflatError):
     """Two-form fails the cocycle (closedness) condition.
 

@@ -216,12 +216,9 @@ def dump_cocycle(cocycle: CentralCocycle) -> str:
 
 def tower_to_obj(tower: BundleTower) -> Dict[str, Any]:
     """Top-down list of steps, each its base dimension plus Euler cocycle."""
-    steps = []
-    for step in tower.steps:
-        cocycle = [{"i": i, "j": j, "num": v.numerator, "den": v.denominator}
-                   for i, j, v in step.cocycle.upper_entries()]
-        steps.append({"base_dim": step.base.dim, "cocycle": cocycle})
-    return {"steps": steps}
+    return {"steps": [{"base_dim": step.base.dim,
+                       "cocycle": cocycle_to_obj(step.cocycle)["entries"]}
+                      for step in tower.steps]}
 
 
 def tower_from_obj(obj: Any, where: str = "tower") -> BundleTower:
@@ -229,7 +226,7 @@ def tower_from_obj(obj: Any, where: str = "tower") -> BundleTower:
 
     The file stores only (base_dim, cocycle) per step; totals and bases are
     reconstructed by extending, so every loaded tower is re-validated
-    (skew/closed/integral) step by step.
+    (closed/integral; skew by construction) step by step.
     """
     top = _expect_dict(obj, where)
     raw_steps = _expect_list(_get(top, "steps", where), f"{where}.steps")

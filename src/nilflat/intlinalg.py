@@ -20,42 +20,21 @@ def _identity(n: int) -> IntMatrix:
 
 
 def rational_nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> List[List[Fraction]]:
-    """Basis of {x : A x = 0} over Q, echelon-normalised for determinism.
+    """Basis of {x : A x = 0} over Q, read off the reduced row echelon form.
 
-    Each basis vector has a 1 in its free column and echelon entries elsewhere.
+    Each basis vector has a 1 in its free column, −row[free] in the pivot
+    column of each echelon row and 0 elsewhere.
     """
-    m = [[Fraction(v) for v in row] for row in rows]
-    n_rows = len(m)
-    pivots: List[Tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == n_rows:
-            break
-    pivot_cols = {c for _, c in pivots}
+    echelon = rational_row_basis(rows, n_cols)
+    pivots = [next(c for c, v in enumerate(row) if v) for row in echelon]
     basis = []
     for free in range(n_cols):
-        if free in pivot_cols:
+        if free in pivots:
             continue
         vec = [Fraction(0)] * n_cols
         vec[free] = Fraction(1)
-        for row, col in pivots:
-            vec[col] = -m[row][free]
+        for row, col in zip(echelon, pivots):
+            vec[col] = -row[free]
         basis.append(vec)
     return basis
 

@@ -67,6 +67,9 @@ _POLISH_COUNT = 16
 _POLISH_MAX_ITER = 50
 
 _EPS = float(np.finfo(np.float64).eps)
+# Smallest t a scan accepts: below it t² is not a normal float64, and the
+# division by t² in `_orthonormal` underflows to 0/0.
+T_MIN = math.sqrt(float(np.finfo(np.float64).tiny))
 
 
 def spawn_generator(seed: int, *path: int) -> np.random.Generator:
@@ -343,6 +346,9 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     ts = [float(t) for t in t_grid]
     if not ts or not all(math.isfinite(t) and t > 0.0 for t in ts):
         raise ValueError("t grid must be nonempty, finite and positive")
+    if min(ts) < T_MIN:
+        raise ValueError(f"t grid value {min(ts)} is below {T_MIN:.3g}, where t² "
+                         "underflows float64 in the orthonormal rescaling")
     if any(b > a for a, b in zip(ts, ts[1:])):
         raise ValueError("t grid must be descending")
     if n_samples < 1:

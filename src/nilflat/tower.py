@@ -4,9 +4,10 @@ rebuild total spaces from extension cocycles, and compare Euler classes.
 Peeling: in an adapted nilpotent basis e_n is central and primitive, the
 base is the quotient by span(e_n) with the induced basis (its structure
 constants are the sub-table on e_1..e_{n-1}), and the extension class is
-the left-invariant 2-form ω(x, y) = e_n-component of [x, y]. Extending by
-a skew, closed, integral 2-form inverts the step on the nose, so tower
-round-trips are exact structure-constant equalities.
+the left-invariant 2-form ω(x, y) = e_n-component of [x, y], stored like the
+brackets as a sparse table over pairs i < j (skew by construction).
+Extending by a closed, integral 2-form inverts the step on the nose, so
+tower round-trips are exact structure-constant equalities.
 
 Euler-class comparison is integral cocycle cohomology: ω1 and ω2 agree up to
 coboundary iff δλ = ω1 − ω2 has an integer solution λ, where
@@ -19,12 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .algebra import (
     NilAlgebra,
-    VecQ,
-    basis_vec,
     check_integer_constants,
     lower_central_series,
     validate_algebra,
@@ -33,7 +32,6 @@ from .errors import (
     DimensionMismatch,
     NotClosed,
     NotIntegral,
-    NotSkew,
     ValidationReport,
 )
 from .intlinalg import reduce_mod_lattice, solve_integer
@@ -57,8 +55,9 @@ class NilLattice:
     validation (`_derived_lattice`): they are valid by construction. A
     quotient of a valid adapted algebra by its central e_n is the sub-table
     on e_1..e_{n-1}, again Jacobi, nilpotent, adapted and integral; an
-    extension by a skew, closed, integral cocycle of a valid base is the
-    same, and `extend_by_cocycle` checks exactly those three properties.
+    extension of a valid base by a closed, integral cocycle is the same
+    (skewness holds by construction), and `extend_by_cocycle` checks
+    exactly those two properties.
     """
 
     algebra: NilAlgebra
@@ -77,64 +76,46 @@ class NilLattice:
 
 @dataclass(frozen=True)
 class CentralCocycle:
-    """Skew 2-form over the base basis; the extension/Euler class of a step."""
+    """2-form over the base basis; the extension/Euler class of a step.
 
-    omega: Tuple[Tuple[Fraction, ...], ...]
+    `entries` is the sparse table {(i, j): ω(e_{i+1}, e_{j+1})} of 0-based
+    indices with i < j; skewness supplies the rest, so the form is skew by
+    construction. Construction keeps it canonical, as `NilAlgebra.brackets`:
+    values are `Fraction`s, zeros are dropped and pairs are sorted.
+    """
 
-    @property
-    def dim(self) -> int:
-        return len(self.omega)
+    dim: int
+    entries: Mapping[Tuple[int, int], Fraction]
+
+    def __post_init__(self):
+        n = self.dim
+        table: Dict[Tuple[int, int], Fraction] = {}
+        for (i, j), value in sorted(self.entries.items()):
+            if not (0 <= i < j < n):
+                raise DimensionMismatch(
+                    f"cocycle index ({i + 1},{j + 1}) out of range for dim {n}")
+            value = Fraction(value)
+            if value:
+                table[(i, j)] = value
+        object.__setattr__(self, "entries", table)
 
     @staticmethod
     def from_entries(dim: int,
                      entries: Mapping[Tuple[int, int], object] = (),
                      ) -> "CentralCocycle":
-        """Build from 1-based upper-triangular entries {(i, j): ω(e_i, e_j)}."""
-        m = [[Fraction(0)] * dim for _ in range(dim)]
+        """Build from 1-based entries {(i, j): ω(e_i, e_j)}; a key (j, i)
+        adds −ω to the pair (i, j)."""
+        table: Dict[Tuple[int, int], Fraction] = {}
         for (i, j), value in dict(entries).items():
-            if not (1 <= i <= dim and 1 <= j <= dim and i != j):
-                raise DimensionMismatch(
-                    f"cocycle index ({i},{j}) out of range for dim {dim}")
-            v = Fraction(value)
-            m[i - 1][j - 1] += v
-            m[j - 1][i - 1] -= v
-        return CentralCocycle(omega=tuple(tuple(row) for row in m))
-
-    def value(self, x: VecQ, y: VecQ) -> Fraction:
-        """Bilinear evaluation ω(x, y)."""
-        n = self.dim
-        if len(x) != n or len(y) != n:
-            raise DimensionMismatch(f"cocycle arguments must have length {n}")
-        total = Fraction(0)
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            row = self.omega[i]
-            for j in range(n):
-                if y[j] != 0 and row[j] != 0:
-                    total += x[i] * row[j] * y[j]
-        return total
+            value = Fraction(value)
+            if i > j:
+                i, j, value = j, i, -value
+            table[(i - 1, j - 1)] = table.get((i - 1, j - 1), 0) + value
+        return CentralCocycle(dim=dim, entries=table)
 
     def upper_entries(self) -> List[Tuple[int, int, Fraction]]:
         """Nonzero entries (i, j, ω(e_i,e_j)) with 1-based i < j, sorted."""
-        out = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.omega[i][j] != 0:
-                    out.append((i + 1, j + 1, self.omega[i][j]))
-        return out
-
-
-def check_skew(cocycle: CentralCocycle) -> ValidationReport:
-    n = cocycle.dim
-    for i in range(n):
-        for j in range(n):
-            if cocycle.omega[i][j] != -cocycle.omega[j][i]:
-                return ValidationReport(
-                    ok=False, check="skew",
-                    message=f"omega(e{i + 1},e{j + 1}) != -omega(e{j + 1},e{i + 1})",
-                    witness=(i + 1, j + 1))
-    return ValidationReport(ok=True, check="skew")
+        return [(i + 1, j + 1, v) for (i, j), v in self.entries.items()]
 
 
 def check_closed(algebra: NilAlgebra, cocycle: CentralCocycle) -> ValidationReport:
@@ -144,51 +125,49 @@ def check_closed(algebra: NilAlgebra, cocycle: CentralCocycle) -> ValidationRepo
     alternating, so a violating triple is found as an unordered set; the
     reported orientation is the lexicographically first permutation whose
     leading term ω([x,y],z) is nonzero, which pins the defect on a single
-    visible structure constant.
+    visible structure constant. Each term ω([e_a,e_b],e_c) is
+    Σ_k [e_a,e_b]_k·ω(e_k,e_c), read off the two tables.
     """
     n = algebra.dim
     if cocycle.dim != n:
         raise DimensionMismatch(
             f"cocycle dim {cocycle.dim} does not match algebra dim {n}")
+    table, form = algebra.brackets, cocycle.entries
 
-    def cyc(p: Tuple[int, int, int]) -> Fraction:
-        x, y, z = (basis_vec(n, q) for q in p)
-        return (cocycle.value(algebra.bracket(x, y), z)
-                + cocycle.value(algebra.bracket(y, z), x)
-                + cocycle.value(algebra.bracket(z, x), y))
+    def leading(a: int, b: int, c: int) -> Fraction:
+        sign = 1 if a < b else -1
+        return sign * sum(
+            coeff * (form.get((k, c), 0) if k < c else -form.get((c, k), 0))
+            for k, coeff in table.get((min(a, b), max(a, b)), {}).items())
 
-    def leading(p: Tuple[int, int, int]) -> Fraction:
-        x, y, z = (basis_vec(n, q) for q in p)
-        return cocycle.value(algebra.bracket(x, y), z)
+    def cyc(a: int, b: int, c: int) -> Fraction:
+        return leading(a, b, c) + leading(b, c, a) + leading(c, a, b)
 
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
-                s = cyc((a, b, c))
-                if s == 0:
+                if cyc(a, b, c) == 0:
                     continue
                 for p in permutations((a, b, c)):
-                    if leading(p) != 0:
+                    if leading(*p) != 0:
                         return ValidationReport(
                             ok=False, check="closed",
                             message=("cocycle condition fails on "
                                      f"(e{p[0] + 1},e{p[1] + 1},e{p[2] + 1})"),
                             witness=(p[0] + 1, p[1] + 1, p[2] + 1),
-                            defect=cyc(p))
+                            defect=cyc(*p))
                 # unreachable: a nonzero alternating sum has a nonzero term
     return ValidationReport(ok=True, check="closed")
 
 
 def check_integral(cocycle: CentralCocycle) -> ValidationReport:
     """All entries must be integers for the extension lattice to stay a model."""
-    for i in range(cocycle.dim):
-        for j in range(i + 1, cocycle.dim):
-            if cocycle.omega[i][j].denominator != 1:
-                return ValidationReport(
-                    ok=False, check="integral",
-                    message=(f"omega(e{i + 1},e{j + 1}) = {cocycle.omega[i][j]} "
-                             "is not an integer"),
-                    witness=(i + 1, j + 1), defect=cocycle.omega[i][j])
+    for (i, j), value in cocycle.entries.items():
+        if value.denominator != 1:
+            return ValidationReport(
+                ok=False, check="integral",
+                message=f"omega(e{i + 1},e{j + 1}) = {value} is not an integer",
+                witness=(i + 1, j + 1), defect=value)
     return ValidationReport(ok=True, check="integral")
 
 
@@ -235,8 +214,8 @@ def peel_step(lattice: NilLattice) -> TowerStep:
             continue
         base[(i, j)] = {k: c for k, c in entry.items() if k != m}
         if m in entry:
-            entries[(i + 1, j + 1)] = entry[m]
-    cocycle = CentralCocycle.from_entries(m, entries)
+            entries[(i, j)] = entry[m]
+    cocycle = CentralCocycle(dim=m, entries=entries)
     return TowerStep(total=lattice, base=_derived_lattice(m, base), cocycle=cocycle)
 
 
@@ -254,8 +233,8 @@ def peel_tower(lattice: NilLattice) -> BundleTower:
 def extend_by_cocycle(base: NilLattice, cocycle: CentralCocycle) -> NilLattice:
     """Central extension: new central e_{n+1}, brackets gain ω(e_i,e_j)·e_{n+1}.
 
-    Validates the cocycle (skew, closed, integral) before building; the
-    result peels back to (base, cocycle) on the nose.
+    Validates the cocycle (closed, integral; skew by construction) before
+    building; the result peels back to (base, cocycle) on the nose.
     """
     n = base.dim
     if cocycle.dim != n:
@@ -263,8 +242,8 @@ def extend_by_cocycle(base: NilLattice, cocycle: CentralCocycle) -> NilLattice:
             f"cocycle dim {cocycle.dim} does not match base dim {n}")
     _require_valid_cocycle(base, cocycle)
     brackets = {pair: dict(entry) for pair, entry in base.algebra.brackets.items()}
-    for i, j, value in cocycle.upper_entries():
-        brackets.setdefault((i - 1, j - 1), {})[n] = value
+    for pair, value in cocycle.entries.items():
+        brackets.setdefault(pair, {})[n] = value
     return _derived_lattice(n + 1, brackets)
 
 
@@ -286,20 +265,17 @@ class CohomologyVerdict:
 
 
 def _coboundary_system(base: NilLattice) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
-    """Rows of the integer system λ ↦ (−λ([e_i,e_j]))_{i<j}, plus pair index."""
+    """Rows of the integer system λ ↦ (−λ([e_i,e_j]))_{i<j}, plus 0-based pairs."""
     n = base.dim
     rows, pairs = [], []
     for i in range(n):
         for j in range(i + 1, n):
             rows.append([-int(c) for c in base.algebra.basis_bracket(i, j)])
-            pairs.append((i + 1, j + 1))
+            pairs.append((i, j))
     return rows, pairs
 
 
 def _require_valid_cocycle(base: NilLattice, w: CentralCocycle) -> None:
-    report = check_skew(w)
-    if not report:
-        raise NotSkew(report.message)
     report = check_closed(base.algebra, w)
     if not report:
         raise NotClosed(report.message, witness=report.witness, defect=report.defect)
@@ -320,8 +296,8 @@ def cocycles_cohomologous(base: NilLattice, w1: CentralCocycle, w2: CentralCocyc
 
     def attempt(target_sign: int) -> CohomologyVerdict:
         # target_sign=+1 solves δλ = w1 − w2; target_sign=−1 solves δλ = w1 + w2
-        b = [int(w1.omega[i - 1][j - 1] - target_sign * w2.omega[i - 1][j - 1])
-             for (i, j) in pairs]
+        b = [int(w1.entries.get(pair, 0) - target_sign * w2.entries.get(pair, 0))
+             for pair in pairs]
         x, obstruction, kernel = solve_integer(rows, b)
         if x is None:
             return CohomologyVerdict(cohomologous=False, obstruction=obstruction)

@@ -276,8 +276,9 @@ def test_curvature_metric_dim_mismatch(capsys):
     ["--t-max", "inf"],
     ["--t-max", "nan"],
     ["--t-min", "nan"],
+    ["--t-min", "1e-200", "--t-max", "1e-200"],
 ], ids=["tmin-zero", "tmax-lt-tmin", "no-points", "no-samples",
-        "tmax-inf", "tmax-nan", "tmin-nan"])
+        "tmax-inf", "tmax-nan", "tmin-nan", "tmin-tiny"])
 def test_curvature_flag_errors(flags, capsys):
     code, _, err = run_cli(
         ["curvature", str(DATA / "h3.json")] + flags, capsys)

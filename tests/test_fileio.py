@@ -137,7 +137,7 @@ def test_cocycle_round_trip():
     doubled = fileio.cocycle_from_obj(
         {"dim": 2, "entries": [{"i": 1, "j": 2, "num": 1, "den": 3},
                                {"i": 1, "j": 2, "num": 2, "den": 3}]})
-    assert doubled.omega[0][1] == Fraction(1)
+    assert doubled.entries == {(0, 1): Fraction(1)}
 
 
 # [TRIVIAL] cocycle schema errors.

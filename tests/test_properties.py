@@ -7,6 +7,13 @@ The cocycles are ω = a·ω_top + δλ: ω_top is the base's own peel cocycle re
 as a form on the base (the pullback of a closed form is closed), δλ(x, y) =
 −λ([x, y]) is a coboundary, a and λ are small random integers.
 
+Oracle key, exact checks: [DERIVED] `check_jacobi`, `check_closed` and
+`lower_central_series` read the sparse tables; the references here expand
+dense basis vectors through a bilinear bracket and a bilinear ω written
+from the same tables, and must give the same report or chain on random
+tables of dim <= 7, adapted or not, Jacobi or not, nilpotent or not, with
+closed and non-closed cocycles.
+
 Oracle key, numerical layer: [DERIVED] the curvature every measurement uses, that of
 diag(1, …, 1, t) in the split frame of `build_split`, against the ambient
 curvature of `canonical_variation` in the original coordinates.  The two
@@ -17,6 +24,9 @@ G^t; agreement to 1e-9 relative, with an absolute floor of 1e-12 times the
 largest orthonormal curvature component for planes whose |K| nearly cancels.
 """
 
+from fractions import Fraction
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,11 +34,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nilflat import catalog
-from nilflat.algebra import NilAlgebra
+from nilflat.algebra import (NilAlgebra, check_jacobi,
+                             lower_central_series)
+from nilflat.errors import DimensionMismatch, NotNilpotent, ValidationReport
+from nilflat.intlinalg import rational_row_basis
 from nilflat.metric import (LeftInvariantMetric, sectional_curvature,
                             sectional_from_tensor)
 from nilflat.scan import _orthonormal
-from nilflat.tower import CentralCocycle, NilLattice, extend_by_cocycle, peel_step
+from nilflat.tower import (CentralCocycle, NilLattice, check_closed,
+                           extend_by_cocycle, peel_step)
 from nilflat.submersion import (build_split, canonical_variation,
                                 frame_structure, split_curvature,
                                 split_diagonal)
@@ -99,3 +113,134 @@ def test_extend_then_peel_round_trips(name, a, data):
     for pair, value in omega.items():
         expected.setdefault(pair, {})[n + 1] = value
     assert total.algebra == NilAlgebra.from_brackets(n + 1, cls, expected)
+
+
+def basis_vec(n, k):
+    return tuple(Fraction(int(i == k)) for i in range(n))
+
+
+def dense_bracket(algebra, x, y):
+    out = [Fraction(0)] * algebra.dim
+    for (i, j), entry in algebra.brackets.items():
+        c = x[i] * y[j] - x[j] * y[i]
+        for k, coeff in entry.items():
+            out[k] += c * coeff
+    return tuple(out)
+
+
+def dense_form(cocycle, x, y):
+    return sum((w * (x[i] * y[j] - x[j] * y[i])
+                for (i, j), w in cocycle.entries.items()), Fraction(0))
+
+
+def reference_jacobi(algebra):
+    n, br = algebra.dim, dense_bracket
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                x, y, z = basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)
+                terms = (br(algebra, x, br(algebra, y, z)),
+                         br(algebra, y, br(algebra, z, x)),
+                         br(algebra, z, br(algebra, x, y)))
+                defect = tuple(sum(col, Fraction(0)) for col in zip(*terms))
+                if any(defect):
+                    return ValidationReport(
+                        ok=False, check="jacobi",
+                        message=f"Jacobi fails on (e{i + 1},e{j + 1},e{k + 1})",
+                        witness=(i + 1, j + 1, k + 1), defect=defect)
+    return ValidationReport(ok=True, check="jacobi")
+
+
+def reference_series(algebra):
+    n = algebra.dim
+    if n == 0:
+        return [[]], 0
+    chain = [[basis_vec(n, i) for i in range(n)]]
+    while chain[-1]:
+        current = chain[-1]
+        products = [dense_bracket(algebra, basis_vec(n, i), v)
+                    for i in range(n) for v in current]
+        nxt = [tuple(row) for row in rational_row_basis(products, n)]
+        if len(nxt) >= len(current):
+            raise NotNilpotent(
+                f"lower central series stabilizes at dimension {len(current)}")
+        chain.append(nxt)
+    return chain, len(chain) - 1
+
+
+def reference_closed(algebra, cocycle):
+    n = algebra.dim
+
+    def leading(p):
+        x, y, z = (basis_vec(n, q) for q in p)
+        return dense_form(cocycle, dense_bracket(algebra, x, y), z)
+
+    def cyc(p):
+        return leading(p) + leading(p[1:] + p[:1]) + leading(p[2:] + p[:2])
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                if cyc((a, b, c)) == 0:
+                    continue
+                p = next(p for p in permutations((a, b, c)) if leading(p) != 0)
+                return ValidationReport(
+                    ok=False, check="closed",
+                    message=("cocycle condition fails on "
+                             f"(e{p[0] + 1},e{p[1] + 1},e{p[2] + 1})"),
+                    witness=tuple(q + 1 for q in p), defect=cyc(p))
+    return ValidationReport(ok=True, check="closed")
+
+
+def outcome(series, algebra):
+    try:
+        return series(algebra)
+    except NotNilpotent as exc:
+        return str(exc)
+
+
+COEFF = st.sampled_from([-2, -1, 1, 2, Fraction(1, 2)])
+
+
+@st.composite
+def tables(draw):
+    """(algebra, cocycle) of dim <= 7; with `adapted`, [e_i, e_j] only has
+    components above j, so nilpotent and often Jacobi, else anything."""
+    n = draw(st.integers(0, 7), label="dim")
+    adapted = draw(st.booleans(), label="adapted")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = {}
+    for pair in draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True)
+                     if pairs else st.just([]), label="pairs"):
+        low = pair[1] + 1 if adapted else 0
+        if low < n:
+            brackets[pair] = draw(st.dictionaries(
+                st.integers(low, n - 1), COEFF, min_size=1, max_size=2))
+    form = draw(st.dictionaries(st.sampled_from(pairs), COEFF, max_size=3)
+                if pairs else st.just({}), label="omega")
+    algebra = NilAlgebra(dim=n, declared_class=min(n, 1), brackets=brackets)
+    return algebra, CentralCocycle(dim=n, entries=form)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=tables())
+def test_table_checks_match_dense_references(case):
+    algebra, cocycle = case
+    assert check_jacobi(algebra) == reference_jacobi(algebra)
+    assert check_closed(algebra, cocycle) == reference_closed(algebra, cocycle)
+    assert (outcome(lower_central_series, algebra)
+            == outcome(reference_series, algebra))
+
+
+# [TRIVIAL] the cocycle table is canonical: a (j, i) key is −ω on (i, j),
+# opposite keys accumulate, zeros are dropped, bad pairs are refused.
+def test_cocycle_table_canonical():
+    assert (CentralCocycle.from_entries(3, {(2, 1): 1})
+            == CentralCocycle.from_entries(3, {(1, 2): -1}))
+    assert CentralCocycle.from_entries(3, {(1, 2): 1, (2, 1): 1}).entries == {}
+    zero = CentralCocycle.from_entries(3, {(1, 2): 0, (2, 3): Fraction(3, 3)})
+    assert zero.entries == {(1, 2): Fraction(1)}
+    assert zero.upper_entries() == [(2, 3, Fraction(1))]
+    for bad in ({(2, 2): 1}, {(1, 4): 1}, {(0, 1): 1}):
+        with pytest.raises(DimensionMismatch):
+            CentralCocycle.from_entries(3, bad)

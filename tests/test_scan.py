@@ -7,6 +7,7 @@ Identity defects are checked at 1e-9 (they come out near 1e-15), the plane
 normalizations at 1e-12.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from nilflat import catalog, scan, submersion
 from nilflat.errors import BoundViolated, DimensionMismatch
 from nilflat.metric import LeftInvariantMetric, sectional_from_tensor
-from nilflat.scan import (DecayReport, PlaneSample, SubmersionContext,
+from nilflat.scan import (T_MIN, DecayReport, PlaneSample, SubmersionContext,
                           decomposition_check, diameter_bound, lemma_scan,
                           report_csv, report_summary, sample_plane,
                           spawn_generator, sup_abs_sectional)
@@ -197,6 +198,17 @@ def test_lemma_scan_nonfinite_grid(grid):
     metric, split = geometry(H3)
     with pytest.raises(ValueError, match="finite"):
         lemma_scan(H3, metric, split, grid, 10, 0)
+
+
+# [DERIVED] a t whose square underflows float64 is refused before any
+# sampling (the orthonormal rescaling would divide 0 by 0); the smallest
+# accepted t still gives a finite scan.
+def test_lemma_scan_tiny_t():
+    metric, split = geometry(H3)
+    with pytest.raises(ValueError, match="underflows"):
+        lemma_scan(H3, metric, split, [1.0, 1e-200], 10, 0)
+    report = lemma_scan(H3, metric, split, [T_MIN], 10, 0)
+    assert math.isfinite(report.sup_abs_K[0])
 
 
 # [DERIVED] outside the C-constant's validity domain (t <= 1) the asserted
