@@ -246,7 +246,12 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     z = np.zeros(n)
     z[n - 1] = 1.0
     split = build_split(metric, z)
-    t_grid = np.geomspace(args.t_max, args.t_min, args.t_points)
+    # geomspace can put interior points an ulp outside [t_min, t_max] (equal
+    # ends give 0.3, 0.29999999999999993, …, 0.3); clipping and a running
+    # minimum make the grid non-increasing and leave a descending one as is
+    t_grid = np.minimum.accumulate(
+        np.clip(np.geomspace(args.t_max, args.t_min, args.t_points),
+                args.t_min, args.t_max))
 
     report = lemma_scan(algebra, metric, split, t_grid,
                         n_samples=args.samples, seed=args.seed)

@@ -13,6 +13,13 @@ support; the second leg loses its component along the first), normalised in
 diag(1, …, 1, t), then rescaled by √(1, …, 1, t) into orthonormal
 coordinates, where the tensor is measured.
 
+Sampling kernel: once per call the orthonormal tensor R̂ is read as the
+curvature operator ℛ on Λ², indexed by pairs p = (i, j), q = (k, l) with
+i < j, k < l, ℛ_pq = R̂_ijkl (Milnor 1976).  A sample (x, c) is scored as
+|K| = |bᵀℛb| with the bivector b = x ∧ c, b_p = x_i c_j − x_j c_i: about
+n⁴/4 terms per plane, where the 4-tensor form R̂(x, c, x, c) has n⁴, and
+temporaries of O(samples · n(n−1)/2).
+
 Sup estimates are sampled and then *polished*: starting from the best sampled
 planes, alternate exact maximization over each leg of the plane, each step the
 top eigenvector of the leg's quadratic form compressed by the rank-one
@@ -20,12 +27,16 @@ projector onto the other leg's orthocomplement.  |K| never decreases along
 the alternation, so the polished value dominates the raw sample max and
 resolves the sup to machine precision — which the decay-exponent fit needs,
 since the excess sup|K^t| − sup|Ǩ| can sit many orders of magnitude below
-sup|Ǩ|.
+sup|Ǩ|.  All candidates are polished as one batch: each half-sweep is one
+stacked contraction of R̂ and one stacked eigh, the projector is built per
+row (none for a purely vertical second leg), and a candidate leaves the batch
+when its own sweep moves its |K| by no more than rounding.
 
 Determinism: all randomness flows through counter-based Philox generators
-keyed by (seed, stream, index), draws happen in single batched calls, and all
-contractions are einsum(optimize=False), so outputs are byte-identical
-regardless of thread count.
+keyed by (seed, stream, index), draws happen in single batched calls, every
+contraction is einsum(optimize=False) (no BLAS matmul) and every
+eigensolve a stacked LAPACK eigh, whose rows do not depend on the batch, so
+outputs are byte-identical regardless of thread count.
 """
 
 from __future__ import annotations
@@ -108,49 +119,68 @@ def _orthonormal(r4: np.ndarray, t: float) -> np.ndarray:
     return r4 / np.einsum("i,j,k,l->ijkl", s, s, s, s, optimize=False)
 
 
-def _abs_sectional_batch(r4: np.ndarray, x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """|K| per row for orthonormal pairs (x, c) (Gram determinant 1)."""
-    q = np.einsum("ijkl,aj,al->aik", r4, c, c, optimize=False)
-    return np.abs(np.einsum("aik,ai,ak->a", q, x, x, optimize=False))
+def _curvature_operator(r4: np.ndarray) -> tuple:
+    """(ℛ, (i, j)): the curvature operator of the orthonormal tensor r4 on Λ²,
+    ℛ_pq = R̂_ijkl for the pairs p = (i, j), q = (k, l) with i < j, k < l."""
+    i, j = np.triu_indices(r4.shape[0], 1)
+    return r4[i[:, None], j[:, None], i, j], (i, j)
 
 
-def _top_eigenpair(q: np.ndarray, v: Optional[np.ndarray]) -> tuple:
-    """Eigenpair of largest |eigenvalue| of the symmetric form q compressed
-    by the projector I − v vᵀ onto the orthocomplement of the unit vector v
-    (q itself when v is None)."""
-    q = 0.5 * (q + q.T)
-    if v is not None:
-        qv = np.einsum("ij,j->i", q, v, optimize=False)
-        q = (q - np.outer(v, qv) - np.outer(qv, v)
-             + float(v @ qv) * np.outer(v, v))
+def _abs_sectional_lambda2(op: np.ndarray, pairs: tuple, x: np.ndarray,
+                           c: np.ndarray) -> np.ndarray:
+    """|K| = |bᵀℛb| per row for orthonormal pairs (x, c), b = x ∧ c with
+    b_p = x_i c_j − x_j c_i."""
+    i, j = pairs
+    b = x[:, i] * c[:, j] - x[:, j] * c[:, i]
+    rb = np.einsum("pq,aq->ap", op, b, optimize=False)
+    return np.abs(np.einsum("ap,ap->a", rb, b, optimize=False))
+
+
+def _top_eigenpairs(q: np.ndarray, v: np.ndarray) -> tuple:
+    """Per row a, the eigenpair of largest |eigenvalue| of the symmetric form
+    q[a] compressed by the projector I − v[a] v[a]ᵀ onto the orthocomplement
+    of v[a], a unit vector or zero (then q[a] itself)."""
+    q = 0.5 * (q + np.swapaxes(q, 1, 2))
+    qv = np.einsum("aij,aj->ai", q, v, optimize=False)
+    vqv = np.einsum("ai,ai->a", v, qv, optimize=False)
+    q = (q - v[:, :, None] * qv[:, None, :] - qv[:, :, None] * v[:, None, :]
+         + vqv[:, None, None] * (v[:, :, None] * v[:, None, :]))
     vals, vecs = np.linalg.eigh(q)
-    i = int(np.argmax(np.abs(vals)))
-    return abs(float(vals[i])), vecs[:, i]
+    rows = np.arange(q.shape[0])
+    top = np.argmax(np.abs(vals), axis=1)
+    return np.abs(vals[rows, top]), vecs[rows, :, top]
 
 
-def _polish_pair(r4: np.ndarray, support: int, x: np.ndarray, c: np.ndarray,
-                 max_iter: int = _POLISH_MAX_ITER) -> float:
-    """Alternating exact maximization of |K(span(x, c))| in orthonormal
-    coordinates, x kept in the first `support` coordinates; returns the max
-    found."""
+def _polish(r4: np.ndarray, support: int, c: np.ndarray,
+            start: np.ndarray) -> np.ndarray:
+    """Alternating exact maximization of |K(span(x_a, c_a))| for every row a
+    at once, in orthonormal coordinates with x_a kept in the first `support`
+    coordinates; starts from the second legs c_a of planes whose |K| is
+    `start` and returns the max found per row.
+
+    A row leaves the batch once a sweep moves its |K| by no more than
+    rounding (either way: at the maximum, recomputed values scatter by a few
+    ulp), or after _POLISH_MAX_ITER sweeps."""
     n = r4.shape[0]
-    best = float(_abs_sectional_batch(r4, x[None], c[None])[0])
-    for _ in range(max_iter):
-        qc = np.einsum("ijkl,j,l->ik", r4, c, c, optimize=False)
-        ch = c[:support]
-        h2 = float(ch @ ch)
-        _, xh = _top_eigenpair(qc[:support, :support],
-                               ch / math.sqrt(h2) if h2 > 1e-20 else None)
-        x = np.zeros(n)
-        x[:support] = xh
-        qx = np.einsum("ijkl,i,k->jl", r4, x, x, optimize=False)
-        val, c = _top_eigenpair(qx, x)
-        # converged once a sweep moves |K| by no more than rounding (either
-        # way: at the maximum, recomputed values scatter by a few ulp)
-        converged = abs(val - best) <= 1e-14 * max(1.0, abs(val))
-        best = max(best, val)
-        if converged:
+    best = start.copy()
+    active = np.arange(best.shape[0])
+    for _ in range(_POLISH_MAX_ITER):
+        if not active.size:
             break
+        qc = np.einsum("ijkl,aj,al->aik", r4[:support, :, :support], c, c,
+                       optimize=False)
+        ch = c[:, :support]
+        h2 = np.einsum("ai,ai->a", ch, ch, optimize=False)
+        v = np.zeros_like(ch)
+        has = h2 > 1e-20  # a vertical c leaves x unconstrained
+        v[has] = ch[has] / np.sqrt(h2[has])[:, None]
+        x = np.zeros((active.size, n))
+        x[:, :support] = _top_eigenpairs(qc, v)[1]
+        qx = np.einsum("ijkl,ai,ak->ajl", r4, x, x, optimize=False)
+        val, c = _top_eigenpairs(qx, x)
+        done = np.abs(val - best[active]) <= 1e-14 * np.maximum(1.0, np.abs(val))
+        best[active] = np.maximum(best[active], val)
+        active, c = active[~done], c[~done]
     return best
 
 
@@ -159,7 +189,8 @@ def sup_abs_sectional(r4: np.ndarray, t: float, horizontal_dim: int,
                       polish: int = _POLISH_COUNT) -> tuple:
     """Sampled-and-polished sup |K| of the split-frame tensor r4 of
     diag(1, …, 1, t), over planes with one leg in the first `horizontal_dim`
-    coordinates.  Returns (sup, argmax raw sample index)."""
+    coordinates; the best `polish` samples (all if fewer, none if
+    polish ≤ 0) are polished.  Returns (sup, argmax raw sample index)."""
     n = r4.shape[0]
     if n < 2 or horizontal_dim < 1:
         return 0.0, -1
@@ -168,14 +199,13 @@ def sup_abs_sectional(r4: np.ndarray, t: float, horizontal_dim: int,
     c = _draw_unit(gen, d, n, n_samples, orth_to=x)
     r4 = _orthonormal(r4, t)
     x, c = x * np.sqrt(d), c * np.sqrt(d)
-    k = _abs_sectional_batch(r4, x, c)
+    op, pairs = _curvature_operator(r4)
+    k = _abs_sectional_lambda2(op, pairs, x, c)
     order = np.argsort(k, kind="stable")
     best_index = int(order[-1])
-    best = float(k[best_index])
-    for a in order[-min(polish, n_samples):][::-1]:
-        val = _polish_pair(r4, horizontal_dim, x[a].copy(), c[a].copy())
-        best = max(best, val)
-    return best, best_index
+    top = order[n_samples - min(polish, n_samples):]
+    polished = _polish(r4, horizontal_dim, c[top], k[top])
+    return float(np.max(polished, initial=k[best_index])), best_index
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,11 +366,12 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     δ_t is a rounding allowance, so a bound met exactly (C = 0 on a metric
     product) does not fail by a few ulp.  Each sampled or polished |K| is
     Σ R̂_ijkl x_i c_j x_k c_l in orthonormal coordinates with unit x, c (or an
-    eigenvalue of that form compressed to n×n).  Its terms sum in absolute
-    value to at most max|R̂|·‖x‖₁²‖c‖₁² ≤ n²·max|R̂| and each passes through at
-    most 2n² roundings, so its error is about n⁴·ε·max|R̂| (ε = 2⁻⁵²); the
-    normalisation of x, c and the eigensolver add lower-order terms, covered
-    by a factor 2.  Both sides of the comparison are such values, hence
+    eigenvalue of that form compressed to n×n), sampled as bᵀℛb on Λ² with
+    b = x ∧ c.  Its terms sum in absolute value to at most
+    max|R̂|·‖x‖₁²‖c‖₁² ≤ n²·max|R̂| (for bᵀℛb since Σ_p |b_p| ≤ ‖x‖₁‖c‖₁)
+    and each passes through at most 2n² roundings, so its error is about
+    n⁴·ε·max|R̂| (ε = 2⁻⁵²); the normalisation of x, c and the eigensolver
+    add lower-order terms, covered by a factor 2.  Both sides of the comparison are such values, hence
     δ_t = 2n⁴·ε·(max|R̂_t| + max|Ř|), which is part of the reported bound.
     """
     ts = [float(t) for t in t_grid]
@@ -398,7 +429,8 @@ def _fit_exponent(ts: Sequence[float], sups: Sequence[float], base_sup: float,
 
     The excess over the base sup is what decays (the sup itself saturates at
     sup|Ǩ| on curved bases); points whose excess is within the rounding
-    allowance δ_t, and so indistinguishable from zero, are excluded.
+    allowance δ_t, and so indistinguishable from zero, are excluded; a slope
+    needs two distinct t among the rest.
     """
     xs, ys = [], []
     for t, s, rounding in zip(ts, sups, roundings):
@@ -406,7 +438,7 @@ def _fit_exponent(ts: Sequence[float], sups: Sequence[float], base_sup: float,
         if excess > rounding:
             xs.append(math.log(t))
             ys.append(math.log(excess))
-    if len(xs) < 2:
+    if len(set(xs)) < 2:
         return None
     slope = np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0]
     return float(slope)

@@ -285,6 +285,22 @@ def test_curvature_flag_errors(flags, capsys):
     assert code == 1 and err.startswith("nilflat: error:")
 
 
+# [DERIVED] equal --t-min and --t-max scan a constant grid (np.geomspace
+# alone puts interior points an ulp below the ends, which is not a
+# descending grid); one distinct t fits no exponent.
+@pytest.mark.parametrize("t", ["0.3", "1e-5", "1.5e-154"])
+def test_curvature_equal_t_ends(t, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    code, _, err = run_cli(
+        ["curvature", str(DATA / "h3.json"), "--t-min", t, "--t-max", t,
+         "--samples", "64", "--out", str(out)], capsys)
+    assert code == 0 and err == ""
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [repr(float(t))] * 7
+    summary = json.loads((tmp_path / "run.summary.json").read_text(encoding="utf-8"))
+    assert summary["report"]["exponent_fit"] is None
+
+
 def test_curvature_needs_dim_two(tmp_path, capsys):
     path = tmp_path / "z1.json"
     fileio.write_text(path, fileio.dump_algebra(catalog.abelian(1)))
@@ -428,6 +444,23 @@ def test_curvature_determinism_across_cwd(tmp_path, monkeypatch, capsys):
                        + (workdir / "run.summary.json").read_bytes())
     capsys.readouterr()
     assert results[0] == results[1]
+
+
+# [DERIVED] certify prints the same bytes at BLAS/OpenMP thread counts 1 and
+# 8: its sampling and batched polish contract with einsum(optimize=False)
+# and stacked eigh only.
+def test_certify_thread_determinism(tmp_path, child_env):
+    argv = [sys.executable, "-m", "nilflat", "certify", str(DATA / "h5.json"),
+            "--eps", "0.001"]
+    outputs = []
+    for threads in ("1", "8"):
+        env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                        MKL_NUM_THREADS=threads)
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert b'"sup_abs_K"' in outputs[0]
 
 
 # [TRIVIAL] the module entry point is wired up.

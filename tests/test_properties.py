@@ -22,6 +22,12 @@ into the frame, the other the metric.  Random SPD seeds on h3, n4 and
 filiform(5), t in [1e-6, 1], random planes that are not nearly degenerate in
 G^t; agreement to 1e-9 relative, with an absolute floor of 1e-12 times the
 largest orthonormal curvature component for planes whose |K| nearly cancels.
+
+Oracle key, sampling kernel: [DERIVED] |K| of an orthonormal pair scored as
+bᵀℛb on Λ² (b = x ∧ c) against the direct 4-tensor contraction
+R̂(x, c, x, c), to 1e-12 of the largest component, on the same random seeds;
+the sampled-and-polished sup lies between the largest coordinate-plane |K|
+and the spectral radius ρ(ℛ), up to the rounding allowance 2n⁴ε.
 """
 
 from fractions import Fraction
@@ -40,7 +46,8 @@ from nilflat.errors import DimensionMismatch, NotNilpotent, ValidationReport
 from nilflat.intlinalg import rational_row_basis
 from nilflat.metric import (LeftInvariantMetric, sectional_curvature,
                             sectional_from_tensor)
-from nilflat.scan import _orthonormal
+from nilflat.scan import (_abs_sectional_lambda2, _curvature_operator,
+                          _orthonormal, spawn_generator, sup_abs_sectional)
 from nilflat.tower import (CentralCocycle, NilLattice, check_closed,
                            extend_by_cocycle, peel_step)
 from nilflat.submersion import (build_split, canonical_variation,
@@ -79,6 +86,42 @@ def test_split_frame_curvature_matches_canonical_variation(name, t, data):
 
     scale = float(np.max(np.abs(_orthonormal(r_split, t))))
     assert k_split == pytest.approx(k_ambient, rel=1e-9, abs=1e-12 * scale)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(ALGEBRAS)),
+       t=st.floats(1e-6, 1.0),
+       data=st.data())
+def test_lambda2_kernel_matches_four_tensor(name, t, data):
+    algebra = ALGEBRAS[name]
+    n = algebra.dim
+    b = data.draw(arrays(np.float64, (n, n), elements=UNIT), label="B")
+    metric = LeftInvariantMetric(matrix=np.eye(n) + b @ b.T)
+    a, c = data.draw(arrays(np.float64, (2, n), elements=UNIT), label="plane")
+    assume((a @ a) * (c @ c) - (a @ c) ** 2 > 1e-3 * (a @ a) * (c @ c))
+    x = a / np.sqrt(a @ a)
+    c = c - (c @ x) * x
+    c = c / np.sqrt(c @ c)
+
+    z = np.zeros(n)
+    z[n - 1] = 1.0
+    r_split = split_curvature(frame_structure(algebra, build_split(metric, z)), t)
+    r_hat = _orthonormal(r_split, t)
+    scale = float(np.max(np.abs(r_hat)))
+    op, pairs = _curvature_operator(r_hat)
+    k_lambda2 = _abs_sectional_lambda2(op, pairs, x[None], c[None])[0]
+    k_direct = abs(float(np.einsum("ijkl,i,j,k,l->", r_hat, x, c, x, c,
+                                   optimize=False)))
+    assert abs(k_lambda2 - k_direct) <= 1e-12 * scale
+
+    # sampled sup ≥ every coordinate plane's |K| (the diagonal of ℛ) and
+    # ≤ ρ(ℛ), the top of the Rayleigh quotient on unit bivectors, up to the
+    # rounding allowance of `scan.lemma_scan`
+    delta = 2.0 * n ** 4 * np.finfo(np.float64).eps
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (op + op.T)))))
+    sup, _ = sup_abs_sectional(r_split, t, n, spawn_generator(0, n), 64)
+    assert float(np.max(np.abs(np.diag(op)))) - delta * scale <= sup
+    assert sup <= rho * (1.0 + delta)
 
 
 # 1-based tables: (dim, class, {(i, j): {k: c}})

@@ -2,7 +2,9 @@
 
 Oracle key: [DERIVED] Heisenberg closed forms (sup|K^t| = 3t/4 for G = I,
 vertical planes K^t = t/4), the independently computed two-sided identity
-checks, and hand-evaluated diameter formulas; [TRIVIAL] abelian cases.
+checks, and hand-evaluated diameter formulas; [DERIVED] the batched polish
+and sup against a reference kept here, the single-pair alternation with the
+4-tensor form of |K|, to 1e-12 relative; [TRIVIAL] abelian cases.
 Identity defects are checked at 1e-9 (they come out near 1e-15), the plane
 normalizations at 1e-12.
 """
@@ -20,7 +22,7 @@ from nilflat.scan import (T_MIN, DecayReport, PlaneSample, SubmersionContext,
                           decomposition_check, diameter_bound, lemma_scan,
                           report_csv, report_summary, sample_plane,
                           spawn_generator, sup_abs_sectional)
-from nilflat.submersion import build_split
+from nilflat.submersion import build_split, split_diagonal
 
 H3 = catalog.heisenberg3()
 N4 = catalog.n4()
@@ -289,3 +291,111 @@ def test_scan_determinism():
     assert a.C == b.C
     assert a.exponent_fit == b.exponent_fit
     assert report_csv(a) == report_csv(b)
+
+
+# Reference for the batched polish: the single-pair alternation it replaced,
+# one plane at a time, with the 4-tensor form of |K|.
+def reference_top_eigenpair(q, v):
+    q = 0.5 * (q + q.T)
+    if v is not None:
+        qv = np.einsum("ij,j->i", q, v, optimize=False)
+        q = (q - np.outer(v, qv) - np.outer(qv, v)
+             + float(v @ qv) * np.outer(v, v))
+    vals, vecs = np.linalg.eigh(q)
+    i = int(np.argmax(np.abs(vals)))
+    return abs(float(vals[i])), vecs[:, i]
+
+
+def reference_abs_sectional(r4, x, c):
+    return abs(float(np.einsum("ijkl,i,j,k,l->", r4, x, c, x, c,
+                               optimize=False)))
+
+
+def reference_polish_pair(r4, support, x, c, max_iter=50):
+    """(max |K| found, sweeps run, last x, last c) of the alternation from
+    span(x, c)."""
+    n = r4.shape[0]
+    best = reference_abs_sectional(r4, x, c)
+    for sweep in range(1, max_iter + 1):
+        qc = np.einsum("ijkl,j,l->ik", r4, c, c, optimize=False)
+        ch = c[:support]
+        h2 = float(ch @ ch)
+        _, xh = reference_top_eigenpair(qc[:support, :support],
+                                        ch / math.sqrt(h2) if h2 > 1e-20 else None)
+        x = np.zeros(n)
+        x[:support] = xh
+        qx = np.einsum("ijkl,i,k->jl", r4, x, x, optimize=False)
+        val, c = reference_top_eigenpair(qx, x)
+        converged = abs(val - best) <= 1e-14 * max(1.0, abs(val))
+        best = max(best, val)
+        if converged:
+            break
+    return best, sweep, x, c
+
+
+def reference_sup(r4, t, support, gen, n_samples, polish):
+    """Sampled-and-polished sup: the same draws, every plane scored by the
+    4-tensor form, the best `polish` of them polished one at a time."""
+    n = r4.shape[0]
+    d = split_diagonal(n, t)
+    x = scan._draw_unit(gen, d, support, n_samples)
+    c = scan._draw_unit(gen, d, n, n_samples, orth_to=x)
+    r4 = scan._orthonormal(r4, t)
+    x, c = x * np.sqrt(d), c * np.sqrt(d)
+    k = [reference_abs_sectional(r4, xa, ca) for xa, ca in zip(x, c)]
+    best = max(k)
+    for a in np.argsort(k, kind="stable")[::-1][:polish]:
+        best = max(best, reference_polish_pair(r4, support, x[a], c[a])[0])
+    return best
+
+
+def random_split_tensor(algebra, seed, t):
+    """Orthonormal split-frame curvature of a random SPD seed metric."""
+    n = algebra.dim
+    b = np.random.default_rng(seed).standard_normal((n, n))
+    metric, split = geometry(algebra, np.eye(n) + 0.5 * b @ b.T / n)
+    r4 = submersion.split_curvature(submersion.frame_structure(algebra, split), t)
+    return r4, scan._orthonormal(r4, t)
+
+
+def random_orthonormal_pairs(gen, n, support, count):
+    ones = np.ones(n)
+    x = scan._draw_unit(gen, ones, support, count)
+    return x, scan._draw_unit(gen, ones, n, count, orth_to=x)
+
+
+# [DERIVED] the batched polish gives each plane the value of the single-pair
+# alternation, to 1e-12 relative: a purely vertical c (no projector), planes
+# that converge at different sweeps, and horizontal support n − 1 and n.
+@pytest.mark.parametrize("algebra", [N4, catalog.filiform(5), catalog.heisenberg5()],
+                         ids=["n4", "filiform5", "heisenberg5"])
+@pytest.mark.parametrize("t", [1.0, 1e-3])
+@pytest.mark.parametrize("support_drop", [0, 1], ids=["all", "horizontal"])
+def test_batched_polish_matches_single_pair(algebra, t, support_drop):
+    n = algebra.dim
+    support = n - support_drop
+    _, r_hat = random_split_tensor(algebra, 11 + n, t)
+    x, c = random_orthonormal_pairs(spawn_generator(2, n, support), n, support, 12)
+    x[0], c[0] = np.eye(n)[0], np.eye(n)[n - 1]  # with support n − 1: no projector
+    x[1], c[1] = reference_polish_pair(r_hat, support, x[2], c[2])[2:]  # at a maximum
+    start = np.array([reference_abs_sectional(r_hat, xa, ca) for xa, ca in zip(x, c)])
+    expected, sweeps, _, _ = zip(*(reference_polish_pair(r_hat, support, xa, ca)
+                                   for xa, ca in zip(x, c)))
+    got = scan._polish(r_hat, support, c, start)
+    assert len(set(sweeps)) > 1
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+# [DERIVED] sup_abs_sectional against the reference: fewer samples than
+# polish candidates, no polish, and the default.
+@pytest.mark.parametrize("n_samples,polish", [(5, 16), (40, 0), (200, 16)],
+                         ids=["few-samples", "no-polish", "default"])
+def test_sup_abs_sectional_matches_reference(n_samples, polish):
+    algebra = catalog.filiform(5)
+    for t in (1.0, 1e-4):
+        r4, _ = random_split_tensor(algebra, 3, t)
+        got, index = sup_abs_sectional(r4, t, 4, spawn_generator(1, 3), n_samples,
+                                       polish=polish)
+        expected = reference_sup(r4, t, 4, spawn_generator(1, 3), n_samples, polish)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert 0 <= index < n_samples
