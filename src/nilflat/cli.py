@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, fileio
 from .algebra import (check_adapted, check_class, check_integer_constants,
                       check_jacobi)
-from .bch import bch_table
+from .bch import DEFAULT_CLASS_BOUND, bch_table
 from .coords import lattice_closed
 from .certify import certify_almost_flat, certificate_summary
 from .errors import (BoundViolated, BudgetNotMet, DimensionMismatch,
@@ -41,8 +41,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_MATH = 2
 EXIT_BOUND = 3
-
-_BCH_CLASS_LIMIT = 6
 
 
 class _UsageError(Exception):
@@ -179,8 +177,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # points. It is exact at class <= 2 but honestly fails at class >= 3
     # (collection meets BCH denominators), where the lattice is the group
     # generated by the basis one-parameter integer points; it never gates.
-    if algebra.declared_class > _BCH_CLASS_LIMIT:
-        print(f"lattice_closed: skipped (class > {_BCH_CLASS_LIMIT} exceeds "
+    if algebra.declared_class > DEFAULT_CLASS_BOUND:
+        print(f"lattice_closed: skipped (class > {DEFAULT_CLASS_BOUND} exceeds "
               "the BCH truncation bound)")
     else:
         table = bch_table(max(1, algebra.declared_class))

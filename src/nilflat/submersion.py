@@ -158,23 +158,13 @@ class OneillTensors:
     covariant derivative of A as a (1,2)-tensor for the same metric.
     """
 
-    split: SubmersionSplit
-    t: float
     a: np.ndarray
     t_tensor: np.ndarray
     da: np.ndarray
 
 
-def _projectors(n: int):
-    ph = np.eye(n)
-    ph[n - 1, n - 1] = 0.0
-    pv = np.zeros((n, n))
-    pv[n - 1, n - 1] = 1.0
-    return ph, pv
-
-
 def oneill_tensors(algebra: NilAlgebra, metric_matrix: Union[np.ndarray, LeftInvariantMetric],
-                   split: SubmersionSplit, t: float = 1.0) -> OneillTensors:
+                   split: SubmersionSplit) -> OneillTensors:
     """A, T and DA of the submersion for the given ambient metric.
 
     ``metric_matrix`` is the ambient Gram matrix (e.g. G or G^t); tensors are
@@ -190,33 +180,24 @@ def oneill_tensors(algebra: NilAlgebra, metric_matrix: Union[np.ndarray, LeftInv
         raise DimensionMismatch(
             f"metric shape {metric_matrix.shape} does not match algebra dim {n}")
     return _oneill_from_frame(frame_structure(algebra, split),
-                              frame_metric(metric_matrix, split), split, t)
+                              frame_metric(metric_matrix, split))
 
 
-def _oneill_from_frame(c_hat: np.ndarray, g_hat: np.ndarray,
-                       split: SubmersionSplit, t: float) -> OneillTensors:
+def _oneill_from_frame(c_hat: np.ndarray, g_hat: np.ndarray) -> OneillTensors:
     """`oneill_tensors` from precomputed frame structure constants and Gram."""
     n = c_hat.shape[0]
+    m = n - 1
     gamma = connection_from_structure(c_hat, g_hat)
-    ph, pv = _projectors(n)
 
+    # With the vertical direction last, H keeps components :m and V keeps m;
+    # the first slot picks A (horizontal) or T (vertical), and the second
+    # slot decides which projection of ∇ lands there.
     a = np.zeros((n, n, n))
+    a[:m, :m, m] = gamma[:m, :m, m]
+    a[:m, m, :m] = gamma[:m, m, :m]
     t_tensor = np.zeros((n, n, n))
-    for first in range(n):
-        for second in range(n):
-            nab = gamma[first, second, :]
-            h_part = nab @ ph
-            v_part = nab @ pv
-            if first < n - 1:  # horizontal first slot → A
-                if second < n - 1:
-                    a[first, second, :] = v_part
-                else:
-                    a[first, second, :] = h_part
-            else:              # vertical first slot → T
-                if second < n - 1:
-                    t_tensor[first, second, :] = v_part
-                else:
-                    t_tensor[first, second, :] = h_part
+    t_tensor[m, :m, m] = gamma[m, :m, m]
+    t_tensor[m, m, :m] = gamma[m, m, :m]
 
     # (D_E A)_X Y = ∇_E (A_X Y) − A_{∇_E X} Y − A_X (∇_E Y), with the frame
     # fields left-invariant so ∇_E applied to a constant-component field is
@@ -224,7 +205,7 @@ def _oneill_from_frame(c_hat: np.ndarray, g_hat: np.ndarray,
     da = (np.einsum("xym,epm->exyp", a, gamma, optimize=False)
           - np.einsum("exm,myp->exyp", gamma, a, optimize=False)
           - np.einsum("eym,xmp->exyp", gamma, a, optimize=False))
-    return OneillTensors(split=split, t=t, a=a, t_tensor=t_tensor, da=da)
+    return OneillTensors(a=a, t_tensor=t_tensor, da=da)
 
 
 def base_geometry(algebra: NilAlgebra, split: SubmersionSplit):

@@ -164,7 +164,7 @@ def test_criterion_5_decomposition_identities():
         gen = spawn_generator(0, 55, n)
         for t in (1.0, 0.1, 0.01, 1e-4):
             varied = oneill_tensors(
-                algebra, canonical_variation(metric, z, t), split, t=t)
+                algebra, canonical_variation(metric, z, t), split)
             assert np.max(np.abs(varied.a[:m, :m, :]
                                  - base.a[:m, :m, :])) <= TOL_TENSOR
             assert np.max(np.abs(varied.a[:m, m, :]

@@ -6,11 +6,13 @@ form exp(a e1)exp(b e2)exp(c e3) = exp(a e1 + b e2 + (c + ab/2) e3).
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nilflat import catalog
-from nilflat.algebra import NilAlgebra, basis_vec, vec, vec_scale, vec_zero
+from nilflat import catalog, fileio
+from nilflat.algebra import (NilAlgebra, basis_vec, check_adapted, vec,
+                             vec_scale, vec_zero)
 from nilflat.bch import bch_product
 from nilflat.coords import (
     MalcevWord,
@@ -19,11 +21,12 @@ from nilflat.coords import (
     second_to_first,
     word_multiply,
 )
-from nilflat.errors import BasisNotAdapted
+from nilflat.errors import BasisNotAdapted, ValidationReport
 from conftest import random_vec
 
 H3 = catalog.heisenberg3()
 N4 = catalog.n4()
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 # [DERIVED] h3 frozen conversions.
@@ -94,6 +97,84 @@ def test_lattice_closed_filiform_denominators():
     report = lattice_closed(N4)
     assert not report.ok
     assert report.witness == (2, 1)
+
+
+def lattice_closed_full(algebra):
+    """Reference: every generator inverse and every signed product
+    g_i^{±1} g_j^{±1} with i != j, in that order, with the same report."""
+    n = algebra.dim
+    report = check_adapted(algebra)
+    if not report:
+        return report
+    gens = [basis_vec(n, i) for i in range(n)]
+
+    def offending(word):
+        return next((idx for idx, a in enumerate(word.exponents)
+                     if a.denominator != 1), None)
+
+    for i, g in enumerate(gens):
+        word = first_to_second(algebra, vec_scale(-1, g))
+        bad = offending(word)
+        if bad is not None:
+            return ValidationReport(
+                ok=False, check="lattice_closed",
+                message=(f"e{i + 1}^-1 has non-integral exponent "
+                         f"{word.exponents[bad]} at position {bad + 1}"),
+                witness=(i + 1,), defect=word.exponents)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                word = first_to_second(algebra, bch_product(
+                    algebra, vec_scale(si, gens[i]), vec_scale(sj, gens[j])))
+                bad = offending(word)
+                if bad is not None:
+                    pow_i = "" if si == 1 else "^-1"
+                    pow_j = "" if sj == 1 else "^-1"
+                    return ValidationReport(
+                        ok=False, check="lattice_closed",
+                        message=(f"e{i + 1}{pow_i}·e{j + 1}{pow_j} has non-integral "
+                                 f"exponent {word.exponents[bad]} at position {bad + 1}"),
+                        witness=(i + 1, j + 1), defect=word.exponents)
+    return ValidationReport(ok=True, check="lattice_closed")
+
+
+def free2(r):
+    """Free 2-step nilpotent algebra on r generators: [e_i, e_j] is the next
+    new basis vector."""
+    pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    return NilAlgebra.from_brackets(
+        r + len(pairs), 2, {p: {r + 1 + pos: 1} for pos, p in enumerate(pairs)})
+
+
+def scaled(algebra, factor):
+    return NilAlgebra(dim=algebra.dim, declared_class=algebra.declared_class,
+                      brackets={p: {k: factor * c for k, c in terms.items()}
+                                for p, terms in algebra.brackets.items()})
+
+
+def closure_inputs():
+    data = [(stem, fileio.load_algebra(DATA / f"{stem}.json"))
+            for stem in ("h3", "h3_scaled", "h3_times_z", "h5", "n4", "z2", "z3")]
+    families = ([(f"filiform{n}", catalog.filiform(n)) for n in range(3, 8)]
+                + [(f"free{r}", free2(r)) for r in (3, 4)])
+    variants = [(f"{name}*{factor}", scaled(algebra, factor))
+                for name, algebra in families
+                for factor in (Fraction(1, 2), Fraction(3))]
+    return data + families + variants
+
+
+CLOSURE_INPUTS = closure_inputs()
+
+
+# [DERIVED] the descending-only certificate gives the same report (verdict,
+# message, witness and defect) as the full check of every inverse and every
+# signed pair: the skipped products are already in second-kind form.
+@pytest.mark.parametrize("name,algebra", CLOSURE_INPUTS,
+                         ids=[name for name, _ in CLOSURE_INPUTS])
+def test_lattice_closed_matches_full_check(name, algebra):
+    assert lattice_closed(algebra) == lattice_closed_full(algebra)
 
 
 # [DERIVED] fuzz: products of random generator words stay integral for

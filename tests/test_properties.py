@@ -28,6 +28,10 @@ bᵀℛb on Λ² (b = x ∧ c) against the direct 4-tensor contraction
 R̂(x, c, x, c), to 1e-12 of the largest component, on the same random seeds;
 the sampled-and-polished sup lies between the largest coordinate-plane |K|
 and the spectral radius ρ(ℛ), up to the rounding allowance 2n⁴ε.
+
+Oracle key, lemma constant: [DERIVED] C = 4‖A‖_F² + 2‖DA‖_F of
+`scan.lemma_scan` is at least 4|A(x, e)|² + 2|DA(e, f, h)| at random unit
+arguments (Cauchy–Schwarz), on the same random seeds.
 """
 
 from fractions import Fraction
@@ -46,8 +50,9 @@ from nilflat.errors import DimensionMismatch, NotNilpotent, ValidationReport
 from nilflat.intlinalg import rational_row_basis
 from nilflat.metric import (LeftInvariantMetric, sectional_curvature,
                             sectional_from_tensor)
-from nilflat.scan import (_abs_sectional_lambda2, _curvature_operator,
-                          _orthonormal, spawn_generator, sup_abs_sectional)
+from nilflat.scan import (SubmersionContext, _abs_sectional_lambda2,
+                          _curvature_operator, _oneill_constant, _orthonormal,
+                          spawn_generator, sup_abs_sectional)
 from nilflat.tower import (CentralCocycle, NilLattice, check_closed,
                            extend_by_cocycle, peel_step)
 from nilflat.submersion import (build_split, canonical_variation,
@@ -122,6 +127,27 @@ def test_lambda2_kernel_matches_four_tensor(name, t, data):
     sup, _ = sup_abs_sectional(r_split, t, n, spawn_generator(0, n), 64)
     assert float(np.max(np.abs(np.diag(op)))) - delta * scale <= sup
     assert sup <= rho * (1.0 + delta)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(ALGEBRAS)), data=st.data())
+def test_lemma_constant_dominates_unit_arguments(name, data):
+    algebra = ALGEBRAS[name]
+    n = algebra.dim
+    b = data.draw(arrays(np.float64, (n, n), elements=UNIT), label="B")
+    metric = LeftInvariantMetric(matrix=np.eye(n) + b @ b.T)
+    args = data.draw(arrays(np.float64, (5, n), elements=UNIT), label="args")
+    norms = np.sqrt(np.einsum("ai,ai->a", args, args))
+    assume(np.all(norms > 1e-3))
+    x, e, f, g, h = args / norms[:, None]
+
+    z = np.zeros(n)
+    z[n - 1] = 1.0
+    tensors = SubmersionContext(algebra, metric, build_split(metric, z)).tensors
+    a_xe = np.einsum("fep,f,e->p", tensors.a, x, e, optimize=False)
+    da_efh = np.einsum("efhp,e,f,h->p", tensors.da, f, g, h, optimize=False)
+    lower = 4.0 * float(a_xe @ a_xe) + 2.0 * float(np.sqrt(da_efh @ da_efh))
+    assert lower <= _oneill_constant(tensors) * (1.0 + 1e-12)
 
 
 # 1-based tables: (dim, class, {(i, j): {k: c}})

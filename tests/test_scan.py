@@ -2,7 +2,9 @@
 
 Oracle key: [DERIVED] Heisenberg closed forms (sup|K^t| = 3t/4 for G = I,
 vertical planes K^t = t/4), the independently computed two-sided identity
-checks, and hand-evaluated diameter formulas; [DERIVED] the batched polish
+checks, and hand-evaluated diameter formulas; [DERIVED] the constant C in
+closed form on h3 and against explicit unit arguments on filiform(14);
+[DERIVED] the batched polish
 and sup against a reference kept here, the single-pair alternation with the
 4-tensor form of |K|, to 1e-12 relative; [TRIVIAL] abelian cases.
 Identity defects are checked at 1e-9 (they come out near 1e-15), the plane
@@ -230,12 +232,44 @@ def test_bound_violated_outside_domain():
 # violates its bound, by far more than δ_t.
 def test_bound_short_by_more_than_rounding_raises(monkeypatch):
     metric, split = geometry(H3)
-    monkeypatch.setattr(scan, "_oneill_norms", lambda *args: (0.0, 0.0))
+    monkeypatch.setattr(scan, "_oneill_constant", lambda *args: 0.0)
     with pytest.raises(BoundViolated) as info:
         lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
     err = info.value
     assert 0.0 < err.bound <= 1e-12
     assert err.value == pytest.approx(0.75e-3, rel=1e-9)
+
+
+# [DERIVED] C = 4‖A‖_F² + 2‖DA‖_F is computed, not sampled.  On h3 with
+# G = I, A has the four components ±½ (A_{e1}e2 = ½e3, A_{e1}e3 = −½e2 and
+# their alternates), so ‖A‖_F² = 1; DA has six components ±½ and eight ±¼,
+# so ‖DA‖_F² = 6/4 + 8/16 = 2.  Hence C = 4 + 2√2 for every seed and sample
+# count.
+def test_h3_constant_closed_form():
+    metric, split = geometry(H3)
+    values = {lemma_scan(H3, metric, split, [1.0], n_samples=samples,
+                         seed=seed).C
+              for seed in (0, 1, 7) for samples in (16, 256)}
+    assert len(values) == 1
+    assert values.pop() == pytest.approx(4.0 + 2.0 * math.sqrt(2.0),
+                                         rel=0, abs=1e-12)
+
+
+# [DERIVED] C is at least the lemma's constant at explicit unit arguments:
+# on filiform(14) with G = I, |A(e1, e13)| = ½ (A_{e1}e13 = ½e14), and
+# DA((e12 + e14)/√2, e13, e14) has norm about 0.73, so
+# C ≥ 4·¼ + 2·|DA(…)| ≈ 2.458.  A C estimated from 64 (or 4096) sampled
+# unit arguments misses this witness.
+def test_constant_dominates_filiform14_witness():
+    algebra = catalog.filiform(14)
+    metric, split = geometry(algebra)
+    report = lemma_scan(algebra, metric, split, [1.0], n_samples=64, seed=0)
+    e = np.eye(algebra.dim)
+    tensors = SubmersionContext(algebra, metric, split).tensors
+    assert np.array_equal(tensors.a[0, 12], 0.5 * e[13])
+    da = np.einsum("efhp,e,f,h->p", tensors.da, (e[11] + e[13]) / math.sqrt(2.0),
+                   e[12], e[13], optimize=False)
+    assert report.C >= 4.0 * 0.5 ** 2 + 2.0 * float(np.linalg.norm(da))
 
 
 # [DERIVED] the reported bound is sup|Ǩ| + C√t plus an allowance δ_t that is

@@ -144,7 +144,7 @@ def test_variation_relations(name, algebra, matrix, t):
     m = n - 1
     g_t = canonical_variation(metric, last_basis(n), t)
     base = oneill_tensors(algebra, metric, split)
-    varied = oneill_tensors(algebra, g_t, split, t=t)
+    varied = oneill_tensors(algebra, g_t, split)
     assert np.max(np.abs(varied.a[:m, :m, :] - base.a[:m, :m, :])) <= TOL
     assert np.max(np.abs(varied.a[:m, m, :] - t * base.a[:m, m, :])) <= TOL
     assert np.max(np.abs(varied.t_tensor)) <= TOL
