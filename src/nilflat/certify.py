@@ -7,18 +7,23 @@ seed-orthogonally to e_k, F_{k−1} is the orthonormal frame of the metric
 assembled below and s_k the seed length² of e_k.  In S_k the level metric with
 fiber parameter t is diag(1, …, 1, t), so the level's structure constants are
 transformed once and a refinement round only changes t (see
-`submersion.split_curvature`; the first leg of the sampled planes ranges over
-all k coordinates).  The accepted F_k = S_k · diag(1, …, 1, t^{-1/2}); the
+`submersion.split_curvature`).  The accepted F_k = S_k · diag(1, …, 1, t^{-1/2}); the
 reported metric F_n^{-T} F_n^{-1} is formed once, at the end, and no Gram
 matrix is formed or inverted while measuring.
 
 Levels whose extension cocycle vanishes are metric products — they add no
 curvature and keep t = 1.  Each curved level gets an equal share of eps and a
-multiplicative refinement loop on t driven by the measured sup|K| (the excess
-over the level's base scales linearly in t, so the loop converges in a couple
-of rounds); if the loop cannot meet its budget within the round cap, or the
-curvature cannot be measured in float64, the certification fails with
-BudgetNotMet.
+multiplicative refinement loop on t gated by the bound ρ + δ on sup|K|: ρ is
+the spectral radius of the curvature operator ℛ on Λ², which bounds |K| of
+every plane (K(σ) is the Rayleigh quotient of ℛ at the unit decomposable
+bivector σ; Milnor 1976), and δ its rounding allowance.  A level is accepted
+once ρ + δ is at most ρ of the level below plus the budget; the excess of ρ
+over the level below scales linearly in t, so the loop converges in a couple
+of rounds.  Every round costs one symmetric eigensolve, and no plane is
+sampled.  The final metric's ρ + δ must be at most eps; its sampled and
+polished sup|K| is reported beside the bound.  If a loop cannot meet its
+budget within the round cap, the final bound exceeds eps, or the curvature
+cannot be measured in float64, the certification fails with BudgetNotMet.
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ import numpy as np
 
 from .errors import BudgetNotMet, DimensionMismatch
 from .metric import LeftInvariantMetric, structure_array
-from .scan import diameter_bound, spawn_generator, sup_abs_sectional
+from .scan import (_EPS, _curvature_operator, _orthonormal, diameter_bound,
+                   spawn_generator, sup_abs_sectional)
 from .submersion import _structure_in_frame, split_curvature
 from .tower import BundleTower
 
-_STREAM_LEVEL = 6
 _STREAM_FINAL = 7
 
 _REFINE_MARGIN = 0.95
@@ -42,7 +47,12 @@ _REFINE_MARGIN = 0.95
 
 @dataclass(frozen=True, eq=False)
 class CertificateReport:
-    """Schedule and measurements; per-level tuples are top-down (tower order)."""
+    """Schedule and measurements; per-level tuples are top-down (tower order).
+
+    level_bounds[i] is ρ + δ of level i at its accepted t (see
+    `_measure_bound`); sup_abs_K_bound is that of the final metric, and
+    sup_abs_K its sampled and polished sup|K|.
+    """
 
     eps: float
     seed: int
@@ -53,6 +63,8 @@ class CertificateReport:
     rounds: tuple
     fiber_lengths: tuple
     sup_abs_K: float
+    sup_abs_K_bound: float
+    level_bounds: tuple
     diam_bound: float
     metric_matrix: np.ndarray
 
@@ -76,6 +88,27 @@ def _split_frame(seed_block: np.ndarray, base_frame: np.ndarray,
     return frame, frame_inv
 
 
+def _measure_bound(c_hat: np.ndarray, t: float, where: str) -> tuple:
+    """(ρ, δ): the spectral radius ρ of the curvature operator ℛ on Λ² of
+    diag(1, …, 1, t) in the split frame of c_hat, and its rounding allowance
+    δ = 2k⁴·ε·max|R̂| (derived in `scan.lemma_scan`), so that ρ + δ bounds
+    |K| of every plane.
+
+    BudgetNotMet, naming `where`, if float64 linear algebra fails on it.
+    """
+    try:
+        r_hat = _orthonormal(split_curvature(c_hat, t), t)
+        op, _ = _curvature_operator(r_hat)
+        eigenvalues = np.linalg.eigvalsh(0.5 * (op + op.T))
+    except np.linalg.LinAlgError as exc:
+        raise BudgetNotMet(
+            f"{where}: curvature could not be measured in float64 ({exc})") from exc
+    k = c_hat.shape[0]
+    rho = float(np.max(np.abs(eigenvalues), initial=0.0))
+    delta = 2.0 * k ** 4 * _EPS * float(np.max(np.abs(r_hat), initial=0.0))
+    return rho, delta
+
+
 def _measure_sup(c_hat: np.ndarray, t: float, gen: np.random.Generator,
                  n_samples: int, where: str) -> float:
     """Sampled sup|K| of diag(1, …, 1, t) in the split frame of c_hat.
@@ -95,7 +128,8 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
                         eps: float, *, seed: int = 0, n_samples: int = 4096,
                         max_rounds: int = 20) -> CertificateReport:
     """Choose per-level collapse parameters so the fully assembled metric has
-    sampled sup|K| ≤ eps, and bound the diameter of the result."""
+    sup|K| ≤ ρ + δ ≤ eps, report its sampled sup|K| beside that bound, and
+    bound the diameter of the result."""
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     if n_samples < 1:
@@ -107,8 +141,8 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
         return CertificateReport(
             eps=float(eps), seed=int(seed), sample_count=int(n_samples),
             ts=(), level_dims=(), curved_levels=(), rounds=(),
-            fiber_lengths=(), sup_abs_K=0.0, diam_bound=0.0,
-            metric_matrix=empty)
+            fiber_lengths=(), sup_abs_K=0.0, sup_abs_K_bound=0.0,
+            level_bounds=(), diam_bound=0.0, metric_matrix=empty)
     n = steps[0].total.algebra.dim
     if seed_metric.dim != n:
         raise DimensionMismatch(
@@ -120,9 +154,10 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
     budget = eps / len(curved_dims) if curved_dims else None
 
     frame = frame_inv = np.zeros((0, 0))
-    sup_prev = 0.0
+    rho_prev = 0.0
     ts_bottom_up = []
     rounds_bottom_up = []
+    bounds_bottom_up = []
     for k in range(1, n + 1):
         step = steps[n - k]
         frame, frame_inv = _split_frame(seed_matrix[:k, :k], frame, frame_inv)
@@ -130,17 +165,15 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
                                     frame, frame_inv)
         t, used = 1.0, 0  # zero cocycle: a metric product factor keeps t = 1
         if step.cocycle.upper_entries():
-            target = sup_prev + budget
+            target = rho_prev + budget
             for round_index in range(max_rounds):
-                gen = spawn_generator(seed, _STREAM_LEVEL, k, round_index)
-                sup_k = _measure_sup(
-                    c_hat, t, gen, n_samples,
-                    f"level dim {k} at t = {t!r} (smallest t below: "
+                rho, delta = _measure_bound(
+                    c_hat, t, f"level dim {k} at t = {t!r} (smallest t below: "
                     f"{min(ts_bottom_up, default=t)!r})")
-                if sup_k <= target:
+                if rho + delta <= target:
                     used = round_index + 1
                     break
-                excess = sup_k - sup_prev
+                excess = rho - rho_prev
                 t_next = t * _REFINE_MARGIN * budget / excess
                 if not (0.0 < t_next < t):
                     t_next = 0.5 * t
@@ -149,20 +182,24 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
                 raise BudgetNotMet(
                     f"level dim {k}: could not meet curvature budget {budget!r} "
                     f"within {max_rounds} refinement rounds (eps = {eps!r})")
-            sup_prev = sup_k
+        else:
+            rho, delta = _measure_bound(c_hat, t, f"flat level dim {k}")
+        rho_prev = rho
         # F_k = S_k · diag(1, …, 1, t^{-1/2}), orthonormal for the level metric
         frame[:, k - 1] /= math.sqrt(t)
         frame_inv[k - 1, :] *= math.sqrt(t)
         ts_bottom_up.append(t)
         rounds_bottom_up.append(used)
+        bounds_bottom_up.append(rho + delta)
 
+    bound = bounds_bottom_up[-1]
+    if not (bound <= eps):
+        raise BudgetNotMet(
+            f"final bound ρ + δ = {bound!r} on sup|K| exceeds eps = {eps!r}")
     final_gen = spawn_generator(seed, _STREAM_FINAL)
     sup_final = _measure_sup(c_hat, t, final_gen, n_samples,
                              f"final metric of dim {n} (smallest t: "
                              f"{min(ts_bottom_up)!r})")
-    if sup_final > eps:
-        raise BudgetNotMet(
-            f"final sampled sup|K| = {sup_final!r} exceeds eps = {eps!r}")
 
     fibers_bottom_up = [math.sqrt(float(seed_matrix[k - 1, k - 1]))
                         for k in range(1, n + 1)]
@@ -178,6 +215,8 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
         rounds=tuple(reversed(rounds_bottom_up)),
         fiber_lengths=tuple(reversed(fibers_bottom_up)),
         sup_abs_K=sup_final,
+        sup_abs_K_bound=bound,
+        level_bounds=tuple(reversed(bounds_bottom_up)),
         diam_bound=diam,
         metric_matrix=matrix)
 
@@ -194,5 +233,7 @@ def certificate_summary(report: CertificateReport) -> dict:
         "rounds": list(report.rounds),
         "fiber_lengths": list(report.fiber_lengths),
         "sup_abs_K": report.sup_abs_K,
+        "sup_abs_K_bound": report.sup_abs_K_bound,
+        "level_bounds": list(report.level_bounds),
         "diam_bound": report.diam_bound,
     }

@@ -114,14 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "certify",
-        help="schedule per-level fiber collapse until sampled sup|K| <= eps")
+        help="schedule per-level fiber collapse until a bound on sup|K| "
+             "is <= eps")
     p.add_argument("path", help="algebra/lattice JSON file")
     p.add_argument("--metric",
                    help="seed metric JSON file (default: identity)")
     p.add_argument("--eps", type=float, required=True,
-                   help="target bound on sampled sup|K|")
+                   help="target for the bound on sup|K|")
     p.add_argument("--samples", type=int, default=4096,
-                   help="plane samples per curvature measurement "
+                   help="plane samples for the reported sampled sup|K| "
                         "(default: 4096)")
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed (default: 0)")
@@ -297,8 +298,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     text = fileio.canonical_json(
         _envelope("certify", config, certificate_summary(report)))
     _emit(text, args.out,
-          f"certified {args.path}: sup|K| = {report.sup_abs_K:.6g} <= "
-          f"{args.eps:g}, diam <= {report.diam_bound:.6g} -> {args.out}")
+          f"certified {args.path}: sup|K| = {report.sup_abs_K:.6g}, bound "
+          f"{report.sup_abs_K_bound:.6g} <= {args.eps:g}, "
+          f"diam <= {report.diam_bound:.6g} -> {args.out}")
     return EXIT_OK
 
 

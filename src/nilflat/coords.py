@@ -55,7 +55,8 @@ def first_to_second(algebra: NilAlgebra, v: VecQ,
     for k in range(n):
         a_k = w[k]
         exponents.append(a_k)
-        w = bch_product(algebra, vec_scale(-a_k, basis_vec(n, k)), w, table)
+        if a_k:  # exp(0·e_k) is the identity
+            w = bch_product(algebra, vec_scale(-a_k, basis_vec(n, k)), w, table)
     assert is_zero(w), "triangular peel left a nonzero remainder"
     return MalcevWord(exponents=tuple(exponents))
 

@@ -394,7 +394,7 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
         r_max = float(np.max(np.abs(_orthonormal(r_t, t))))
         rounding = 2.0 * n ** 4 * _EPS * (r_max + base_max)
         bound = base_sup + c_const * math.sqrt(t) + rounding
-        if sup_t > bound:
+        if not (sup_t <= bound):
             raise BoundViolated(
                 f"sampled sup|K^t| = {sup_t!r} exceeds bound {bound!r} at "
                 f"t = {t!r} (witness near sample {raw_index})",

@@ -1,7 +1,8 @@
 """Tower-level almost-flatness certification.
 
 Oracle key: [DERIVED] Heisenberg closed form sup|K^t| = 3t/4 pins the h3
-schedule near 4·eps/3; the returned metric matrix is checked against its
+schedule near 4·eps/3, and on h5 the gating spectral radius ρ(ℛ) = 5t/4 pins
+it near 4·eps/5; the returned metric matrix is checked against its
 defining congruence (each level's lift basis diagonalizes it to
 blockdiag(base, t·s)); the certified sup is bracketed by the coordinate-plane
 max and the spectral radius of the curvature operator, both computed here
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from nilflat import catalog
+from nilflat import certify as certify_module
 from nilflat.certify import (CertificateReport, certificate_summary,
                              certify_almost_flat)
 from nilflat.errors import BudgetNotMet, DimensionMismatch
@@ -137,14 +139,56 @@ def test_certify_n4():
     assert np.isfinite(report.diam_bound)
 
 
-# [DERIVED] h5: single curved level at the top.
+# [DERIVED] h5 with G = I, a single curved level at the top: ℛ has the
+# eigenvalue −5t/4 at the bivector
+# e1∧e2 + e3∧e4 (diagonal −3t/4, coupling −t/2), while every plane has
+# |K| ≤ 3t/4.  The gate uses ρ = 5t/4, so one refinement from t = 1 gives
+# t = 0.95·eps/(5/4), within 10 % of 4·eps/5, and the sampled sup stays at
+# 3t/4, below the bound.
 def test_certify_h5():
     eps = 1e-2
     report = certify_almost_flat(tower_of(catalog.heisenberg5()),
                                  identity_seed(5), eps)
     assert report.curved_levels == (5,)
-    assert report.sup_abs_K <= eps
     assert report.ts[1:] == (1.0,) * 4
+    target = 4.0 * eps / 5.0
+    assert abs(report.ts[0] - target) <= 0.1 * target
+    assert report.sup_abs_K <= report.sup_abs_K_bound <= eps
+    assert report.sup_abs_K_bound == pytest.approx(1.25 * report.ts[0], rel=1e-12)
+    assert report.sup_abs_K == pytest.approx(0.75 * report.ts[0], rel=1e-9)
+    assert report.level_bounds == (report.sup_abs_K_bound, 0.0, 0.0, 0.0, 0.0)
+
+
+# [DERIVED] the gate is a bound: each curved level's accepted ρ + δ is at
+# most the level below's plus its share of eps, and the sampled sup of the
+# final metric lies below its ρ + δ, which lies below eps.
+@pytest.mark.parametrize("algebra,n,eps", [(catalog.heisenberg3(), 3, 1e-2),
+                                           (catalog.n4(), 4, 1e-3),
+                                           (catalog.heisenberg5(), 5, 1e-3),
+                                           (catalog.filiform(6), 6, 1e-2)],
+                         ids=["h3", "n4", "h5", "filiform6"])
+def test_level_bounds_meet_budgets(algebra, n, eps):
+    m = np.random.default_rng(3).uniform(-1, 1, size=(n, n))
+    seed = LeftInvariantMetric(matrix=m @ m.T + n * np.eye(n))
+    report = certify_almost_flat(tower_of(algebra), seed, eps, n_samples=512)
+    budget = eps / len(report.curved_levels)
+    bounds = report.level_bounds
+    assert len(bounds) == n and bounds[0] == report.sup_abs_K_bound
+    for i, dim in enumerate(report.level_dims[:-1]):
+        if dim in report.curved_levels:
+            assert bounds[i] <= bounds[i + 1] + budget
+    assert report.sup_abs_K <= report.sup_abs_K_bound <= eps
+
+
+# [DERIVED] a NaN measurement fails the final gate: every level of an
+# abelian tower is flat, so only the final comparison sees the value.
+def test_nan_measurement_fails_final_gate(monkeypatch):
+    monkeypatch.setattr(certify_module, "_measure_bound",
+                        lambda *args: (float("nan"), 0.0))
+    monkeypatch.setattr(certify_module, "_measure_sup",
+                        lambda *args: float("nan"))
+    with pytest.raises(BudgetNotMet):
+        certify_almost_flat(tower_of(catalog.abelian(3)), identity_seed(3), 1e-2)
 
 
 # [TRIVIAL] refinement cap: zero rounds cannot accept any curved level.
@@ -183,7 +227,8 @@ def _coordinate_max_and_rho(algebra, metric):
 # [DERIVED] regression: the certified sup|K| is a sup of the returned metric.
 # It is at least |K| of every coordinate plane and at most ρ(ℛ), which bounds
 # |K| of every plane (K(σ) is the Rayleigh quotient of ℛ at a unit
-# decomposable bivector σ).
+# decomposable bivector σ); the reported bound ρ + δ is that ρ, formed here
+# from the returned metric in ambient coordinates.
 @pytest.mark.parametrize("n,eps", [(8, 1e-3), (10, 1e-2)])
 def test_certified_sup_is_bracketed(n, eps):
     algebra = catalog.filiform(n)
@@ -191,6 +236,7 @@ def test_certified_sup_is_bracketed(n, eps):
     coord, rho = _coordinate_max_and_rho(algebra, np.array(report.metric_matrix))
     assert coord * (1.0 - 1e-10) <= report.sup_abs_K <= rho * (1.0 + 1e-8)
     assert report.sup_abs_K <= eps
+    assert report.sup_abs_K_bound == pytest.approx(rho, rel=1e-8)
 
 
 # [TRIVIAL] argument validation.
@@ -223,6 +269,7 @@ def test_certificate_summary():
     summary = certificate_summary(report)
     assert set(summary) == {"eps", "seed", "sample_count", "ts", "level_dims",
                             "curved_levels", "rounds", "fiber_lengths",
-                            "sup_abs_K", "diam_bound"}
+                            "sup_abs_K", "sup_abs_K_bound", "level_bounds",
+                            "diam_bound"}
     assert summary["ts"][0] == report.ts[0]
     assert isinstance(summary["ts"], list)

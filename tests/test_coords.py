@@ -177,6 +177,39 @@ def test_lattice_closed_matches_full_check(name, algebra):
     assert lattice_closed(algebra) == lattice_closed_full(algebra)
 
 
+def first_to_second_unskipped(algebra, v):
+    """Reference: the triangular peel with every factor exp(−a_k e_k)
+    multiplied away, also the identity factors where a_k = 0."""
+    n = algebra.dim
+    exponents = []
+    w = v
+    for k in range(n):
+        exponents.append(w[k])
+        w = bch_product(algebra, vec_scale(-w[k], basis_vec(n, k)), w)
+    assert w == vec_zero(n)
+    return MalcevWord(exponents=tuple(exponents))
+
+
+# [DERIVED] skipping the identity factors (a_k = 0) leaves every conversion
+# unchanged: on each closure input, the descending generator products that
+# `lattice_closed` converts and random first-kind vectors, half their
+# coordinates zero.
+@pytest.mark.parametrize("name,algebra", CLOSURE_INPUTS,
+                         ids=[name for name, _ in CLOSURE_INPUTS])
+def test_first_to_second_matches_unskipped(name, algebra):
+    n = algebra.dim
+    rng = random.Random(name)
+    gens = [basis_vec(n, i) for i in range(n)]
+    inputs = [bch_product(algebra, vec_scale(si, gens[i]), vec_scale(sj, gens[j]))
+              for i in range(n) for j in range(i)
+              for si, sj in ((1, 1), (-1, 1))]
+    for _ in range(8):
+        v = random_vec(rng, n)
+        inputs.append(tuple(a if rng.random() < 0.5 else Fraction(0) for a in v))
+    for v in inputs:
+        assert first_to_second(algebra, v) == first_to_second_unskipped(algebra, v)
+
+
 # [DERIVED] fuzz: products of random generator words stay integral for
 # class <= 2 (closure beyond the pairwise certificate).
 def test_lattice_fuzz():

@@ -240,6 +240,17 @@ def test_bound_short_by_more_than_rounding_raises(monkeypatch):
     assert err.value == pytest.approx(0.75e-3, rel=1e-9)
 
 
+# [DERIVED] a NaN measurement violates the bound instead of passing it: with
+# every sampled sup NaN the comparison with the (then NaN) bound is false.
+def test_nan_measurement_violates_bound(monkeypatch):
+    metric, split = geometry(H3)
+    monkeypatch.setattr(scan, "sup_abs_sectional",
+                        lambda *args, **kwargs: (float("nan"), 0))
+    with pytest.raises(BoundViolated) as info:
+        lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
+    assert math.isnan(info.value.value)
+
+
 # [DERIVED] C = 4‖A‖_F² + 2‖DA‖_F is computed, not sampled.  On h3 with
 # G = I, A has the four components ±½ (A_{e1}e2 = ½e3, A_{e1}e3 = −½e2 and
 # their alternates), so ‖A‖_F² = 1; DA has six components ±½ and eight ±¼,
