@@ -17,14 +17,13 @@ epsilon with an explicit diameter bound.
 """
 
 from .errors import (BasisNotAdapted, BoundViolated, BudgetNotMet,
-                     ClassExceeded, DegeneratePlane, DimensionMismatch,
-                     JacobiViolated, NilflatError, NotClosed, NotIntegral,
-                     NotNilpotent, NotPositiveDefinite, SchemaError,
-                     ValidationReport)
+                     DegeneratePlane, DimensionMismatch, JacobiViolated,
+                     NilflatError, NotClosed, NotIntegral, NotNilpotent,
+                     NotPositiveDefinite, SchemaError, ValidationReport)
 from .algebra import (NilAlgebra, algebra_center, basis_vec, check_adapted,
                       check_class, check_integer_constants, check_jacobi,
                       lower_central_series, validate_algebra, vec)
-from .bch import BchTable, bch_product, bch_table
+from .bch import bch_product
 from .coords import (MalcevWord, first_to_second, lattice_closed,
                      second_to_first, word_multiply)
 from .tower import (BundleTower, CentralCocycle, CohomologyVerdict,
@@ -49,13 +48,13 @@ __all__ = [
     "__version__",
     # errors
     "NilflatError", "SchemaError", "DimensionMismatch", "NotNilpotent",
-    "JacobiViolated", "ClassExceeded", "BasisNotAdapted", "NotClosed",
+    "JacobiViolated", "BasisNotAdapted", "NotClosed",
     "NotIntegral", "NotPositiveDefinite", "DegeneratePlane",
     "BoundViolated", "BudgetNotMet", "ValidationReport",
     # exact layer
     "NilAlgebra", "vec", "basis_vec", "check_jacobi", "check_adapted",
     "check_class", "check_integer_constants", "lower_central_series",
-    "algebra_center", "validate_algebra", "BchTable", "bch_table", "bch_product",
+    "algebra_center", "validate_algebra", "bch_product",
     "MalcevWord", "first_to_second", "second_to_first", "word_multiply",
     "lattice_closed", "NilLattice", "CentralCocycle", "TowerStep",
     "BundleTower", "check_closed", "check_integral",

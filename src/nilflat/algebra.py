@@ -139,14 +139,14 @@ class NilAlgebra:
 
 
 def _add_ad(out: Dict[int, Fraction], algebra: NilAlgebra, i: int,
-            terms: Mapping[int, Fraction], scale: int = 1) -> None:
+            terms: Mapping[int, Fraction], scale: Fraction | int = 1) -> None:
     """out += scale·[e_{i+1}, Σ_m terms[m]·e_{m+1}], read off the table."""
     for m, c in terms.items():
         entry = algebra.brackets.get((i, m) if i < m else (m, i))
         if entry:
             c = scale * c if i < m else -scale * c
             for k, coeff in entry.items():
-                out[k] = out.get(k, 0) + c * coeff
+                out[k] = out[k] + c * coeff if k in out else c * coeff
 
 
 def check_jacobi(algebra: NilAlgebra) -> ValidationReport:

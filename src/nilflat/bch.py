@@ -1,107 +1,90 @@
-"""Truncated Baker–Campbell–Hausdorff products via the Dynkin expansion.
+"""Truncated Baker–Campbell–Hausdorff products by Varadarajan's recursion.
 
 For a nilpotent algebra of class c the series log(exp x · exp y) is a
-polynomial: every bracket of depth > c vanishes. We precompute, once per
-truncation bound, the rational coefficient of each right-nested bracket word
+polynomial: it is Z_1 + ... + Z_c, where Z_d is its part of total degree d
+in (x, y), because every bracket of depth > c vanishes. The homogeneous
+parts obey (Varadarajan, *Lie Groups, Lie Algebras, and Their
+Representations*, §2.15)
 
-    [w_1, [w_2, [... [w_{d-1}, w_d] ...]]],   w_i in {x, y},
+    Z_1 = x + y,
+    (d+1)·Z_{d+1} = ½[x − y, Z_d] + Σ_{p>=1} (B_{2p}/(2p)!)·S(2p, d),
 
-by summing the Dynkin formula
+where S(0, 0) = x + y, S(0, m) = 0 for m > 0, and
 
-    log(e^x e^y) = sum_{m>=1} (-1)^{m-1}/m
-                   sum_{blocks} [x^{r_1} y^{s_1} ... x^{r_m} y^{s_m}]
-                                / (deg * prod_i r_i! s_i!)
+    S(q, m) = Σ_{k>=1} [Z_k, S(q−1, m−k)]
 
-over all block sequences (r_i + s_i >= 1) of total degree <= the bound.
-Words whose last two letters agree are dropped ([u, u] = 0).
+is the sum of [Z_{k_1}, [... [Z_{k_q}, x + y] ...]] over k_1 + ... + k_q = m.
+Every bracket is evaluated in the algebra through its sparse table, so the
+product is exact at any class and costs O(c³) brackets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, Tuple
 
-from .algebra import NilAlgebra, VecQ, vec_zero
-from .errors import ClassExceeded, DimensionMismatch
+from .algebra import NilAlgebra, VecQ, _add_ad
+from .errors import DimensionMismatch
 
-DEFAULT_CLASS_BOUND = 6
-
-Word = Tuple[int, ...]  # letters 0 = x, 1 = y
-
-
-@dataclass(frozen=True)
-class BchTable:
-    """Dynkin coefficients of all contributing bracket words up to a degree."""
-
-    class_bound: int
-    terms: Tuple[Tuple[Word, Fraction], ...]
-
-
-def _dynkin_words(bound: int) -> Dict[Word, Fraction]:
-    coeffs: Dict[Word, Fraction] = {}
-
-    def visit(word: Word, n_blocks: int, factor: int) -> None:
-        degree = len(word)
-        if degree:
-            sign = Fraction(-1) ** (n_blocks - 1)
-            contribution = sign / n_blocks / (degree * factor)
-            coeffs[word] = coeffs.get(word, Fraction(0)) + contribution
-        if degree == bound:
-            return
-        room = bound - degree
-        for r in range(room + 1):
-            for s in range(room - r + 1):
-                if r + s == 0:
-                    continue
-                visit(word + (0,) * r + (1,) * s,
-                      n_blocks + 1,
-                      factor * factorial(r) * factorial(s))
-
-    visit((), 0, 1)
-    return {w: c for w, c in coeffs.items()
-            if c != 0 and not (len(w) >= 2 and w[-1] == w[-2])}
+Sparse = Dict[int, Fraction]  # {k: c} for Σ c·e_{k+1}, zeros dropped
+_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
-def bch_table(class_bound: int = DEFAULT_CLASS_BOUND) -> BchTable:
-    """The truncated Dynkin table; cached per bound."""
-    if class_bound < 1:
-        raise ClassExceeded(f"class bound must be >= 1, got {class_bound}")
-    words = _dynkin_words(class_bound)
-    ordered = tuple(sorted(words.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return BchTable(class_bound=class_bound, terms=ordered)
+def _bernoulli_weight(m: int) -> Fraction:
+    """B_m/m!, the coefficient of t^m in t/(e^t − 1)."""
+    if m == 0:
+        return Fraction(1)
+    return -sum((_bernoulli_weight(k) / factorial(m - k + 1) for k in range(m)),
+                _ZERO)
 
 
-def evaluate_word(algebra: NilAlgebra, word: Word, x: VecQ, y: VecQ) -> VecQ:
-    """Value of the right-nested bracket word at (x, y)."""
-    args = (x, y)
-    value = args[word[-1]]
-    for letter in reversed(word[:-1]):
-        value = algebra.bracket(args[letter], value)
-    return value
+def _combine(terms: Iterable[Tuple[Fraction, Sparse]]) -> Sparse:
+    """Σ c·v over the (c, v) pairs."""
+    out: Sparse = {}
+    for c, v in terms:
+        for k, a in v.items():
+            if c != 1:
+                a = c * a
+            out[k] = out[k] + a if k in out else a
+    return {k: a for k, a in out.items() if a}
 
 
-def bch_product(algebra: NilAlgebra, x: VecQ, y: VecQ,
-                table: BchTable | None = None) -> VecQ:
-    """z with exp(z) = exp(x) exp(y), exact for class <= table bound."""
+def _bracket(algebra: NilAlgebra, u: Sparse, v: Sparse) -> Sparse:
+    """[u, v] = Σ_i u_i·ad_{e_{i+1}} v."""
+    out: Sparse = {}
+    for i, a in u.items():
+        _add_ad(out, algebra, i, v, scale=a)
+    return {k: a for k, a in out.items() if a}
+
+
+def bch_product(algebra: NilAlgebra, x: VecQ, y: VecQ) -> VecQ:
+    """z with exp(z) = exp(x) exp(y), exact at the algebra's declared class."""
     n = algebra.dim
     if len(x) != n or len(y) != n:
         raise DimensionMismatch(
             f"bch arguments must have length {n}, got {len(x)} and {len(y)}")
-    if table is None:
-        table = bch_table(max(DEFAULT_CLASS_BOUND, algebra.declared_class))
-    if algebra.declared_class > table.class_bound:
-        raise ClassExceeded(
-            f"algebra class {algebra.declared_class} exceeds table bound {table.class_bound}")
-    out: List[Fraction] = list(vec_zero(n))
-    for word, coeff in table.terms:
-        if len(word) > algebra.declared_class:
-            break  # terms are sorted by degree; deeper brackets vanish
-        value = evaluate_word(algebra, word, x, y)
-        for k in range(n):
-            if value[k]:
-                out[k] += coeff * value[k]
-    return tuple(out)
+    top = algebra.declared_class
+    xs = {k: a for k, a in enumerate(x) if a}
+    ys = {k: a for k, a in enumerate(y) if a}
+    half_diff = _combine(((Fraction(1, 2), xs), (Fraction(-1, 2), ys)))
+    z = [_combine(((1, xs), (1, ys)))]  # z[d - 1] = Z_d
+    s: Dict[Tuple[int, int], Sparse] = {(0, 0): z[0]}  # S(q, m); absent = 0
+    for d in range(1, top):
+        # S(q, d) for q <= d; Z_top needs only the even q, and S(1, 1) = 0.
+        for q in range(1, d + 1):
+            if (d == top - 1 and q % 2) or (q, d) == (1, 1):
+                continue
+            value = _combine((1, _bracket(algebra, z[k - 1], s[q - 1, d - k]))
+                             for k in range(1, d - q + 2) if (q - 1, d - k) in s)
+            if value:
+                s[q, d] = value
+        weight = Fraction(1, d + 1)
+        z.append(_combine(
+            [(weight, _bracket(algebra, half_diff, z[d - 1]))]
+            + [(weight * _bernoulli_weight(p), s[p, d])
+               for p in range(2, d + 1, 2) if (p, d) in s]))
+    total = _combine((1, zd) for zd in z)
+    return tuple(total.get(k, _ZERO) for k in range(n))

@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__, fileio
 from .algebra import (check_adapted, check_class, check_integer_constants,
                       check_jacobi)
-from .bch import DEFAULT_CLASS_BOUND, bch_table
 from .coords import lattice_closed
 from .certify import certify_almost_flat, certificate_summary
 from .errors import (BoundViolated, BudgetNotMet, DimensionMismatch,
@@ -174,21 +173,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"invalid: {args.path}", file=sys.stderr)
             return EXIT_MATH
 
-    # Informational: the strict closure certificate for integer second-kind
-    # points. It is exact at class <= 2 but honestly fails at class >= 3
-    # (collection meets BCH denominators), where the lattice is the group
-    # generated by the basis one-parameter integer points; it never gates.
-    if algebra.declared_class > DEFAULT_CLASS_BOUND:
-        print(f"lattice_closed: skipped (class > {DEFAULT_CLASS_BOUND} exceeds "
-              "the BCH truncation bound)")
+    # Informational, at every class: the strict closure certificate for
+    # integer second-kind points. It is exact at class <= 2 but honestly
+    # fails at class >= 3 (collection meets BCH denominators), where the
+    # lattice is the group generated by the basis one-parameter integer
+    # points; it never gates.
+    closed = lattice_closed(algebra)
+    if closed:
+        print("lattice_closed: ok")
     else:
-        table = bch_table(max(1, algebra.declared_class))
-        closed = lattice_closed(algebra, table)
-        if closed:
-            print("lattice_closed: ok")
-        else:
-            print(f"lattice_closed: strict certificate fails "
-                  f"({closed.message}) — informational at class >= 3")
+        print(f"lattice_closed: strict certificate fails "
+              f"({closed.message}) — informational at class >= 3")
     print(f"valid: {args.path} (dim {algebra.dim}, "
           f"class {algebra.declared_class})")
     return EXIT_OK

@@ -4,25 +4,19 @@ First-kind coordinates write an element of N = exp(n) as exp(v); second-kind
 as the product exp(a_1 e_1) ··· exp(a_n e_n). On an adapted basis the
 conversion is a triangular peel: a_1 is read off directly and the factor
 exp(-a_1 e_1) is multiplied away, leaving an element of the subgroup
-exp(span(e_2, ..., e_n)), and so on. The lattice Γ is exactly the set of
-elements with integer second-kind coordinates.
+exp(span(e_2, ..., e_n)), and so on. Every product is an exact
+`bch.bch_product`, so the conversions and `lattice_closed` work at any
+nilpotency class. The lattice Γ is exactly the set of elements with integer
+second-kind coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from fractions import Fraction
 
-from .algebra import (
-    NilAlgebra,
-    VecQ,
-    basis_vec,
-    check_adapted,
-    is_zero,
-    vec_scale,
-    vec_zero,
-)
-from .bch import BchTable, bch_product
+from .algebra import NilAlgebra, VecQ, check_adapted, is_zero, vec_zero
+from .bch import bch_product
 from .errors import BasisNotAdapted, DimensionMismatch, ValidationReport
 
 
@@ -37,14 +31,20 @@ class MalcevWord:
         return all(a.denominator == 1 for a in self.exponents)
 
 
+def _axis(n: int, k: int, c: Fraction | int) -> VecQ:
+    """c·e_{k+1} in dimension n."""
+    v = list(vec_zero(n))
+    v[k] = Fraction(c)
+    return tuple(v)
+
+
 def _require_adapted(algebra: NilAlgebra) -> None:
     report = check_adapted(algebra)
     if not report:
         raise BasisNotAdapted(report.message)
 
 
-def first_to_second(algebra: NilAlgebra, v: VecQ,
-                    table: Optional[BchTable] = None) -> MalcevWord:
+def first_to_second(algebra: NilAlgebra, v: VecQ) -> MalcevWord:
     """exp(v) = exp(a_1 e_1) ··· exp(a_n e_n); returns the a_i."""
     n = algebra.dim
     if len(v) != n:
@@ -56,13 +56,12 @@ def first_to_second(algebra: NilAlgebra, v: VecQ,
         a_k = w[k]
         exponents.append(a_k)
         if a_k:  # exp(0·e_k) is the identity
-            w = bch_product(algebra, vec_scale(-a_k, basis_vec(n, k)), w, table)
+            w = bch_product(algebra, _axis(n, k, -a_k), w)
     assert is_zero(w), "triangular peel left a nonzero remainder"
     return MalcevWord(exponents=tuple(exponents))
 
 
-def second_to_first(algebra: NilAlgebra, word: MalcevWord,
-                    table: Optional[BchTable] = None) -> VecQ:
+def second_to_first(algebra: NilAlgebra, word: MalcevWord) -> VecQ:
     """Multiply out exp(a_1 e_1) ··· exp(a_n e_n) into exp(v); returns v."""
     n = algebra.dim
     if len(word.exponents) != n:
@@ -70,12 +69,11 @@ def second_to_first(algebra: NilAlgebra, word: MalcevWord,
     _require_adapted(algebra)
     v = vec_zero(n)
     for k in range(n - 1, -1, -1):
-        v = bch_product(algebra, vec_scale(word.exponents[k], basis_vec(n, k)), v, table)
+        v = bch_product(algebra, _axis(n, k, word.exponents[k]), v)
     return v
 
 
-def lattice_closed(algebra: NilAlgebra,
-                   table: Optional[BchTable] = None) -> ValidationReport:
+def lattice_closed(algebra: NilAlgebra) -> ValidationReport:
     """Certify that the integer second-kind points form a group.
 
     Checks every signed pairwise generator product g_i^{±1} g_j^{±1} for
@@ -96,13 +94,11 @@ def lattice_closed(algebra: NilAlgebra,
     report = check_adapted(algebra)
     if not report:
         return report
-    gens = [basis_vec(n, i) for i in range(n)]
     for i in range(n):
         for j in range(i):
             for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                prod = bch_product(algebra, vec_scale(si, gens[i]),
-                                   vec_scale(sj, gens[j]), table)
-                word = first_to_second(algebra, prod, table)
+                prod = bch_product(algebra, _axis(n, i, si), _axis(n, j, sj))
+                word = first_to_second(algebra, prod)
                 bad = next((idx for idx, a in enumerate(word.exponents)
                             if a.denominator != 1), None)
                 if bad is not None:
@@ -116,9 +112,8 @@ def lattice_closed(algebra: NilAlgebra,
     return ValidationReport(ok=True, check="lattice_closed")
 
 
-def word_multiply(algebra: NilAlgebra, a: MalcevWord, b: MalcevWord,
-                  table: Optional[BchTable] = None) -> MalcevWord:
+def word_multiply(algebra: NilAlgebra, a: MalcevWord, b: MalcevWord) -> MalcevWord:
     """Group law in second-kind coordinates (collection via BCH round-trip)."""
-    va = second_to_first(algebra, a, table)
-    vb = second_to_first(algebra, b, table)
-    return first_to_second(algebra, bch_product(algebra, va, vb, table), table)
+    va = second_to_first(algebra, a)
+    vb = second_to_first(algebra, b)
+    return first_to_second(algebra, bch_product(algebra, va, vb))

@@ -35,10 +35,6 @@ class JacobiViolated(NilflatError):
         self.defect = defect
 
 
-class ClassExceeded(NilflatError):
-    """Algebra nilpotency class is above the truncation bound of the product table."""
-
-
 class BasisNotAdapted(NilflatError):
     """Some tail span(e_k, ..., e_n) fails to be an ideal."""
 

@@ -1,18 +1,20 @@
-"""Dynkin BCH products: frozen values, group laws, truncation exactness.
+"""BCH products by Varadarajan's recursion: frozen values, group laws,
+closed forms at every class, truncation exactness.
 
 Oracle key: [DERIVED] against the degree-4 closed form of the Hausdorff
-series (independent of the Dynkin enumeration) and group-law properties;
-[TRIVIAL] identity/inverse laws; frozen literals are hand-computed.
+series, the Bernoulli closed form on filiform algebras, exp/log of
+nilpotent rational matrices (all independent of the recursion) and
+group-law properties; [TRIVIAL] identity/inverse laws; frozen literals are
+hand-computed.
 """
 
 from fractions import Fraction
-
-import pytest
+from math import factorial
 
 from nilflat import catalog
-from nilflat.algebra import basis_vec, vec, vec_add, vec_scale, vec_zero
-from nilflat.bch import bch_product, bch_table, evaluate_word
-from nilflat.errors import ClassExceeded
+from nilflat.algebra import (NilAlgebra, basis_vec, validate_algebra, vec,
+                             vec_add, vec_scale, vec_zero)
+from nilflat.bch import bch_product
 from conftest import random_vec
 
 H3 = catalog.heisenberg3()
@@ -73,11 +75,12 @@ def test_degree4_closed_form(rng):
             assert bch_product(algebra, x, y) == expected
 
 
-# [DERIVED] associativity is exact — the sharpest global test of the Dynkin
-# coefficients; class-5 and class-6 filiforms exercise the deepest words.
+# [DERIVED] associativity is exact — the sharpest global test of the
+# recursion; filiform(8) and filiform(11) reach class 7 and 10.
 def test_associativity(rng):
     cases = [(H3, 30), (N4, 30), (F5, 30), (catalog.filiform(6), 8),
-             (catalog.filiform(7), 4)]
+             (catalog.filiform(7), 4), (catalog.filiform(8), 3),
+             (catalog.filiform(11), 2)]
     for algebra, rounds in cases:
         n = algebra.dim
         for _ in range(rounds):
@@ -89,29 +92,98 @@ def test_associativity(rng):
             assert left == right
 
 
-# [DERIVED] truncation exactness: every degree-(class+1) bracket word
-# evaluates to zero in the algebra, so enlarging the table changes nothing.
+# [DERIVED] truncation exactness: declaring class c + 1 on the same brackets
+# adds the degree-(c+1) part of the series, which vanishes in the algebra,
+# so every product is unchanged.
 def test_truncation_exact(rng):
-    for algebra in (H3, N4, F5):
-        cls = algebra.declared_class
+    for algebra in (H3, N4, F5, catalog.filiform(8)):
         n = algebra.dim
-        bigger = bch_table(cls + 1)
-        for word, _coeff in bigger.terms:
-            if len(word) != cls + 1:
-                continue
-            for _ in range(5):
-                x, y = random_vec(rng, n), random_vec(rng, n)
-                assert evaluate_word(algebra, word, x, y) == vec_zero(n)
-        for _ in range(10):
+        looser = NilAlgebra(dim=n, declared_class=algebra.declared_class + 1,
+                            brackets=algebra.brackets)
+        for _ in range(5):
             x, y = random_vec(rng, n), random_vec(rng, n)
-            assert (bch_product(algebra, x, y, bch_table(cls))
-                    == bch_product(algebra, x, y, bigger))
+            assert bch_product(algebra, x, y) == bch_product(looser, x, y)
 
 
-# [TRIVIAL] table bound below the algebra class is refused.
-def test_class_exceeded():
-    with pytest.raises(ClassExceeded):
-        bch_product(N4, basis_vec(4, 0), basis_vec(4, 1), bch_table(2))
+# Bernoulli numbers B_0..B_14 with B_1 = +1/2 (the standard table).
+BERNOULLI = [Fraction(1), Fraction(1, 2), Fraction(1, 6), 0, Fraction(-1, 30),
+             0, Fraction(1, 42), 0, Fraction(-1, 30), 0, Fraction(5, 66), 0,
+             Fraction(-691, 2730), 0, Fraction(7, 6)]
+
+
+# [DERIVED] closed form at every class: span(e2, ..., en) is an abelian
+# ideal of filiform(n) that ad_{e1} shifts (e_k -> e_{k+1}), so
+# log(exp e1 · exp e2) = e1 + (ad/(1 − e^{−ad})) e2
+#                      = e1 + Σ_{k=0}^{n−2} (B_k/k!)·e_{k+2}.
+def test_filiform_bernoulli_closed_form():
+    assert [BERNOULLI[k] / factorial(k) for k in range(7)] == [
+        1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0,
+        Fraction(1, 30240)]
+    for n in (4, 8, 12, 16):
+        algebra = catalog.filiform(n)
+        expected = vec([1] + [BERNOULLI[k] / factorial(k) for k in range(n - 1)])
+        assert bch_product(algebra, basis_vec(n, 0), basis_vec(n, 1)) == expected
+
+
+def strictly_upper(m):
+    """Strictly upper-triangular m×m matrices, basis E_ij ordered by height
+    j − i (an adapted basis), [A, B] = AB − BA; class m − 1."""
+    basis = [(i, i + h) for h in range(1, m) for i in range(m - h)]
+    where = {pair: k for k, pair in enumerate(basis)}
+    brackets = {}
+    for a, (i, j) in enumerate(basis):
+        for b, (k, l) in enumerate(basis[a + 1:], start=a + 1):
+            terms = {}
+            if j == k:
+                terms[where[i, l]] = 1
+            if l == i:
+                terms[where[k, j]] = -1
+            if terms:
+                brackets[a, b] = terms
+    algebra = NilAlgebra(dim=len(basis), declared_class=m - 1, brackets=brackets)
+    return algebra, basis
+
+
+def mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def mat_series(x, coeffs):
+    """Σ_k coeffs[k]·x^k for a nilpotent matrix x."""
+    m = len(x)
+    power = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for c in coeffs:
+        out = [[o + c * p for o, p in zip(ro, rp)] for ro, rp in zip(out, power)]
+        power = mat_mul(power, x)
+    return out
+
+
+# [DERIVED] matrix oracle at class 4 and 7: in strictly upper-triangular
+# matrices exp and log are finite sums, so log(exp X · exp Y) is computed
+# exactly without any BCH formula.
+def test_matrix_exp_log_oracle(rng):
+    for m in (5, 8):
+        algebra, basis = strictly_upper(m)
+        validate_algebra(algebra)  # raises if not a valid adapted algebra
+        exp = [Fraction(1, factorial(k)) for k in range(m)]
+        log = [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, m)]
+
+        def matrix(v):
+            out = [[Fraction(0)] * m for _ in range(m)]
+            for (i, j), c in zip(basis, v):
+                out[i][j] = c
+            return out
+
+        for _ in range(4):
+            x = random_vec(rng, algebra.dim, span=3, max_den=3)
+            y = random_vec(rng, algebra.dim, span=3, max_den=3)
+            g = mat_mul(mat_series(matrix(x), exp), mat_series(matrix(y), exp))
+            for i in range(m):
+                g[i][i] -= 1
+            z = mat_series(g, log)
+            assert bch_product(algebra, x, y) == tuple(z[i][j] for i, j in basis)
 
 
 # [TRIVIAL] degenerate dim-0 algebra: the empty product.

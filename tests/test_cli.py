@@ -68,6 +68,20 @@ def test_validate_n4_informational(capsys):
     assert "valid: " in out
 
 
+# [DERIVED] the closure line is printed at every class. filiform(8) has
+# class 7; its second-kind exponents 1–4 are those of its quotient
+# n4 = filiform(8)/span(e5, ..., e8), so e2·e1 fails at position 4 with 1/2.
+def test_validate_filiform8_prints_closure(tmp_path, capsys):
+    path = tmp_path / "filiform8.json"
+    path.write_text(fileio.dump_algebra(catalog.filiform(8)), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 0 and err == ""
+    assert ("lattice_closed: strict certificate fails (e2·e1 has non-integral "
+            "exponent 1/2 at position 4)") in out
+    assert "skipped" not in out
+    assert out.endswith(f"valid: {path} (dim 8, class 7)\n")
+
+
 # [PAPER] negative controls: Jacobi violation, non-nilpotency, and
 # fractional structure constants are invalid mathematics (exit 2).
 @pytest.mark.parametrize("name,fail_line", [

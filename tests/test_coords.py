@@ -5,6 +5,7 @@ form exp(a e1)exp(b e2)exp(c e3) = exp(a e1 + b e2 + (c + ab/2) e3).
 """
 
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,6 +98,17 @@ def test_lattice_closed_filiform_denominators():
     report = lattice_closed(N4)
     assert not report.ok
     assert report.witness == (2, 1)
+
+
+# [DERIVED] at class 11 the certificate reports the same first descending
+# product as in n4, in well under a second.
+def test_lattice_closed_filiform12():
+    start = time.perf_counter()
+    report = lattice_closed(catalog.filiform(12))
+    elapsed = time.perf_counter() - start
+    assert not report.ok
+    assert report.witness == (2, 1)
+    assert elapsed < 0.5
 
 
 def lattice_closed_full(algebra):
