@@ -1,15 +1,15 @@
 """Almost-flatness certification: schedule fiber collapse over a whole tower.
 
 Walking a circle-bundle tower bottom-up, each level adds one central direction
-e_k to the nilpotent algebra.  The certifier extends a split frame level by
-level: S_k = W_k · blockdiag(F_{k−1}, s_k^{-1/2}), where W_k lifts the base
-seed-orthogonally to e_k, F_{k−1} is the orthonormal frame of the metric
-assembled below and s_k the seed length² of e_k.  In S_k the level metric with
-fiber parameter t is diag(1, …, 1, t), so the level's structure constants are
-transformed once and a refinement round only changes t (see
-`submersion.split_curvature`).  The accepted F_k = S_k · diag(1, …, 1, t^{-1/2}); the
-reported metric F_n^{-T} F_n^{-1} is formed once, at the end, and no Gram
-matrix is formed or inverted while measuring.
+e_k to the nilpotent algebra.  The seed-orthogonal lifts of every level
+compose to one unit lower-triangular frame L, where row k of L⁻¹ is the seed
+lift G[k, :k] / G[k, k].  With w_k = √(s_k·t_k), s_k the seed length² of e_k,
+L·diag(w)⁻¹ is orthonormal for the assembled metric, with structure constants
+ĉ = c_L·w_c / (w_a·w_b), c_L those of the top algebra in L, transformed once.
+L is lower-triangular, so level k reads the leading k×k×k block and a
+refinement round only changes w_k; curvature is the Koszul formula at g = I
+(Milnor 1976), with no division by t.  The reported metric
+(w·L⁻¹)ᵀ(w·L⁻¹) is formed once, at the end.
 
 Levels whose extension cocycle vanishes are metric products — they add no
 curvature and keep t = 1.  Each curved level gets an equal share of eps and a
@@ -34,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetNotMet, DimensionMismatch
-from .metric import LeftInvariantMetric, structure_array
-from .scan import (_EPS, _curvature_operator, _orthonormal, diameter_bound,
-                   spawn_generator, sup_abs_sectional)
-from .submersion import _structure_in_frame, split_curvature
+from .metric import (LeftInvariantMetric, curvature_from_structure,
+                     structure_array)
+from .scan import (_EPS, _curvature_operator, diameter_bound, spawn_generator,
+                   sup_abs_sectional)
+from .submersion import _structure_in_frame
 from .tower import BundleTower
 
 _STREAM_FINAL = 7
@@ -69,55 +70,54 @@ class CertificateReport:
     metric_matrix: np.ndarray
 
 
-def _split_frame(seed_block: np.ndarray, base_frame: np.ndarray,
-                 base_frame_inv: np.ndarray) -> tuple:
-    """(S_k, S_k⁻¹) for S_k = W_k · blockdiag(F_{k−1}, s_k^{-1/2}).
-
-    W_k = I − e_k·lᵀ with l = seed row of e_k / s_k differs from I only in its
-    last row, and W_k⁻¹ = I + e_k·lᵀ, so only the last rows change.
-    """
-    k = seed_block.shape[0]
-    s = float(seed_block[k - 1, k - 1])
-    lift = seed_block[k - 1, :k - 1] / s
-    frame, frame_inv = np.zeros((k, k)), np.zeros((k, k))
-    frame[:k - 1, :k - 1] = base_frame
-    frame[k - 1, :k - 1] = -lift @ base_frame
-    frame[k - 1, k - 1] = 1.0 / math.sqrt(s)
-    frame_inv[:k - 1, :k - 1] = base_frame_inv
-    frame_inv[k - 1] = math.sqrt(s) * np.append(lift, 1.0)
+def _lift_frame(seed_matrix: np.ndarray) -> tuple:
+    """(L, L⁻¹) for the unit lower-triangular L whose inverse has row k equal
+    to the seed lift G[k, :k] / G[k, k], by forward substitution row by row."""
+    n = seed_matrix.shape[0]
+    frame, frame_inv = np.eye(n), np.eye(n)
+    for k in range(1, n):
+        frame_inv[k, :k] = seed_matrix[k, :k] / seed_matrix[k, k]
+        frame[k, :k] = -frame_inv[k, :k] @ frame[:k, :k]
     return frame, frame_inv
 
 
-def _measure_bound(c_hat: np.ndarray, t: float, where: str) -> tuple:
+def _level_curvature(c_lift: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """R̂ of level k in its orthonormal frame L·diag(w)⁻¹, from
+    ĉ = c_L[:k, :k, :k]·w_c / (w_a·w_b) by the Koszul formula at g = I."""
+    wk = w[:k]
+    c_hat = c_lift[:k, :k, :k] * wk / wk[:, None, None] / wk[None, :, None]
+    return curvature_from_structure(c_hat, np.eye(k))
+
+
+def _measure_bound(r_hat: np.ndarray, where: str) -> tuple:
     """(ρ, δ): the spectral radius ρ of the curvature operator ℛ on Λ² of
-    diag(1, …, 1, t) in the split frame of c_hat, and its rounding allowance
+    the orthonormal tensor r_hat, and its rounding allowance
     δ = 2k⁴·ε·max|R̂| (derived in `scan.lemma_scan`), so that ρ + δ bounds
     |K| of every plane.
 
     BudgetNotMet, naming `where`, if float64 linear algebra fails on it.
     """
     try:
-        r_hat = _orthonormal(split_curvature(c_hat, t), t)
         op, _ = _curvature_operator(r_hat)
         eigenvalues = np.linalg.eigvalsh(0.5 * (op + op.T))
     except np.linalg.LinAlgError as exc:
         raise BudgetNotMet(
             f"{where}: curvature could not be measured in float64 ({exc})") from exc
-    k = c_hat.shape[0]
+    k = r_hat.shape[0]
     rho = float(np.max(np.abs(eigenvalues), initial=0.0))
     delta = 2.0 * k ** 4 * _EPS * float(np.max(np.abs(r_hat), initial=0.0))
     return rho, delta
 
 
-def _measure_sup(c_hat: np.ndarray, t: float, gen: np.random.Generator,
+def _measure_sup(r_hat: np.ndarray, t: float, gen: np.random.Generator,
                  n_samples: int, where: str) -> float:
-    """Sampled sup|K| of diag(1, …, 1, t) in the split frame of c_hat.
+    """Sampled sup|K| of the orthonormal tensor r_hat, planes drawn in the
+    split frame of top parameter t.
 
     BudgetNotMet, naming `where`, if float64 linear algebra fails on it.
     """
     try:
-        r4 = split_curvature(c_hat, t)
-        sup, _ = sup_abs_sectional(r4, t, c_hat.shape[0], gen, n_samples)
+        sup, _ = sup_abs_sectional(r_hat, t, r_hat.shape[0], gen, n_samples)
     except np.linalg.LinAlgError as exc:
         raise BudgetNotMet(
             f"{where}: curvature could not be measured in float64 ({exc})") from exc
@@ -153,22 +153,26 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
                    if step.cocycle.upper_entries()]
     budget = eps / len(curved_dims) if curved_dims else None
 
-    frame = frame_inv = np.zeros((0, 0))
+    frame, frame_inv = _lift_frame(seed_matrix)
+    c_lift = _structure_in_frame(structure_array(steps[0].total.algebra),
+                                 frame, frame_inv)
+    fibers_bottom_up = [math.sqrt(float(seed_matrix[k - 1, k - 1]))
+                        for k in range(1, n + 1)]
+    w = np.array(fibers_bottom_up)  # w_k = √(s_k·t_k); t_k = 1 until accepted
     rho_prev = 0.0
     ts_bottom_up = []
     rounds_bottom_up = []
     bounds_bottom_up = []
     for k in range(1, n + 1):
         step = steps[n - k]
-        frame, frame_inv = _split_frame(seed_matrix[:k, :k], frame, frame_inv)
-        c_hat = _structure_in_frame(structure_array(step.total.algebra),
-                                    frame, frame_inv)
         t, used = 1.0, 0  # zero cocycle: a metric product factor keeps t = 1
         if step.cocycle.upper_entries():
             target = rho_prev + budget
             for round_index in range(max_rounds):
+                w[k - 1] = fibers_bottom_up[k - 1] * math.sqrt(t)
+                r_hat = _level_curvature(c_lift, w, k)
                 rho, delta = _measure_bound(
-                    c_hat, t, f"level dim {k} at t = {t!r} (smallest t below: "
+                    r_hat, f"level dim {k} at t = {t!r} (smallest t below: "
                     f"{min(ts_bottom_up, default=t)!r})")
                 if rho + delta <= target:
                     used = round_index + 1
@@ -183,11 +187,9 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
                     f"level dim {k}: could not meet curvature budget {budget!r} "
                     f"within {max_rounds} refinement rounds (eps = {eps!r})")
         else:
-            rho, delta = _measure_bound(c_hat, t, f"flat level dim {k}")
+            r_hat = _level_curvature(c_lift, w, k)
+            rho, delta = _measure_bound(r_hat, f"flat level dim {k}")
         rho_prev = rho
-        # F_k = S_k · diag(1, …, 1, t^{-1/2}), orthonormal for the level metric
-        frame[:, k - 1] /= math.sqrt(t)
-        frame_inv[k - 1, :] *= math.sqrt(t)
         ts_bottom_up.append(t)
         rounds_bottom_up.append(used)
         bounds_bottom_up.append(rho + delta)
@@ -197,15 +199,14 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
         raise BudgetNotMet(
             f"final bound ρ + δ = {bound!r} on sup|K| exceeds eps = {eps!r}")
     final_gen = spawn_generator(seed, _STREAM_FINAL)
-    sup_final = _measure_sup(c_hat, t, final_gen, n_samples,
+    sup_final = _measure_sup(r_hat, t, final_gen, n_samples,
                              f"final metric of dim {n} (smallest t: "
                              f"{min(ts_bottom_up)!r})")
 
-    fibers_bottom_up = [math.sqrt(float(seed_matrix[k - 1, k - 1]))
-                        for k in range(1, n + 1)]
     diam = diameter_bound(fibers_bottom_up, ts_bottom_up)
 
-    matrix = frame_inv.T @ frame_inv
+    scaled = w[:, None] * frame_inv
+    matrix = scaled.T @ scaled
     matrix.flags.writeable = False
     return CertificateReport(
         eps=float(eps), seed=int(seed), sample_count=int(n_samples),

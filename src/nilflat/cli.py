@@ -218,7 +218,7 @@ def _check_scan_flags(args: argparse.Namespace) -> None:
     if args.t_min < T_MIN:
         raise _UsageError(
             f"--t-min must be >= {T_MIN:.3g} (below it t² underflows "
-            f"float64 and the curvature rescaling fails), got {args.t_min}")
+            f"float64), got {args.t_min}")
     if args.t_max < args.t_min:
         raise _UsageError(
             f"--t-max ({args.t_max}) must be >= --t-min ({args.t_min})")

@@ -6,14 +6,15 @@ explicit bound.  Every 2-plane of the total space contains a horizontal unit
 vector (the vertical distribution is a line), so planes are parametrized as
 span(X, C) with X horizontal and C orthogonal to X, both g^t-unit.
 
-Frame convention: every tensor here is in a split frame (vertical direction
-last), where g^t is diag(1, …, 1, t); see `submersion.split_curvature`.
-Each leg is drawn there as a standard normal row (zeroed outside the leg's
-support; the second leg loses its component along the first), normalised in
-diag(1, …, 1, t), then rescaled by √(1, …, 1, t) into orthonormal
-coordinates, where the tensor is measured.
+Frame convention: vectors are drawn in a split frame (vertical direction
+last), where g^t is diag(1, …, 1, t), and curvature tensors are R̂ in the
+orthonormal frame of g^t that divides the vertical vector by √t; see
+`submersion.split_curvature`.  Each leg is drawn as a standard normal row
+(zeroed outside the leg's support; the second leg loses its component along
+the first), normalised in diag(1, …, 1, t), then rescaled by √(1, …, 1, t)
+into orthonormal coordinates, where R̂ is measured.
 
-Sampling kernel: once per call the orthonormal tensor R̂ is read as the
+Sampling kernel: once per call the tensor R̂ is read as the
 curvature operator ℛ on Λ², indexed by pairs p = (i, j), q = (k, l) with
 i < j, k < l, ℛ_pq = R̂_ijkl (Milnor 1976).  A sample (x, c) is scored as
 |K| = |bᵀℛb| with the bivector b = x ∧ c, b_p = x_i c_j − x_j c_i: about
@@ -75,8 +76,8 @@ _POLISH_COUNT = 16
 _POLISH_MAX_ITER = 50
 
 _EPS = float(np.finfo(np.float64).eps)
-# Smallest t a scan accepts: below it t² is not a normal float64, and the
-# division by t² in `_orthonormal` underflows to 0/0.
+# Smallest t a scan accepts, the floor of the `--t-min` contract: t² is a
+# normal float64 down to here.  No measurement divides by t or t².
 T_MIN = math.sqrt(float(np.finfo(np.float64).tiny))
 
 
@@ -108,12 +109,6 @@ def _draw_unit(gen: np.random.Generator, d: np.ndarray, support: int,
         out[rows] = draw[good] / np.sqrt(norms[good])[:, None]
         remaining = remaining[~good]
     return out
-
-
-def _orthonormal(r4: np.ndarray, t: float) -> np.ndarray:
-    """Split-frame tensor of diag(1, …, 1, t) in orthonormal coordinates."""
-    s = np.sqrt(split_diagonal(r4.shape[0], t))
-    return r4 / np.einsum("i,j,k,l->ijkl", s, s, s, s, optimize=False)
 
 
 def _curvature_operator(r4: np.ndarray) -> tuple:
@@ -184,17 +179,16 @@ def _polish(r4: np.ndarray, support: int, c: np.ndarray,
 def sup_abs_sectional(r4: np.ndarray, t: float, horizontal_dim: int,
                       gen: np.random.Generator, n_samples: int,
                       polish: int = _POLISH_COUNT) -> tuple:
-    """Sampled-and-polished sup |K| of the split-frame tensor r4 of
-    diag(1, …, 1, t), over planes with one leg in the first `horizontal_dim`
-    coordinates; the best `polish` samples (all if fewer, none if
-    polish ≤ 0) are polished.  Returns (sup, argmax raw sample index)."""
+    """Sampled-and-polished sup |K| of the orthonormal tensor r4 of
+    diag(1, …, 1, t) over planes drawn in the split frame, one leg in the
+    first `horizontal_dim` coordinates; the best `polish` samples (all if fewer,
+    none if polish ≤ 0) are polished.  Returns (sup, argmax raw sample index)."""
     n = r4.shape[0]
     if n < 2 or horizontal_dim < 1:
         return 0.0, -1
     d = split_diagonal(n, t)
     x = _draw_unit(gen, d, horizontal_dim, n_samples)
     c = _draw_unit(gen, d, n, n_samples, orth_to=x)
-    r4 = _orthonormal(r4, t)
     x, c = x * np.sqrt(d), c * np.sqrt(d)
     op, pairs = _curvature_operator(r4)
     k = _abs_sectional_lambda2(op, pairs, x, c)
@@ -254,6 +248,7 @@ class SubmersionContext:
         return self.split.dim
 
     def frame_curvature(self, t: float) -> np.ndarray:
+        """R̂ of g^t in its orthonormal frame (see `split_curvature`)."""
         t = float(t)
         if t not in self._frame_r:
             self._frame_r[t] = split_curvature(self.c_hat, t)
@@ -292,6 +287,7 @@ def decomposition_check(algebra: NilAlgebra, metric: LeftInvariantMetric,
     x, c, y, u = sample.x, sample.c, sample.y, sample.u
     a, da = ctx.tensors.a, ctx.tensors.da
     r_t = ctx.frame_curvature(t)
+    xs, ys, us = np.sqrt(split_diagonal(split.dim, t)) * [x, y, u]  # to R̂'s frame
 
     a_yx = np.einsum("fep,f,e->p", a, y, x, optimize=False)
     a_xu = np.einsum("fep,f,e->p", a, x, u, optimize=False)
@@ -302,9 +298,9 @@ def decomposition_check(algebra: NilAlgebra, metric: LeftInvariantMetric,
     term_da = -t * float(da_xyx @ u)
     term_vert = t * t * float(a_xu @ a_xu)
 
-    defect_i = abs((r_base_yxyx - _r4_value(r_t, y, x, y, x)) - term_a)
-    defect_ii = abs(_r4_value(r_t, y, x, u, x) - term_da)
-    defect_iii = abs(_r4_value(r_t, u, x, u, x) - term_vert)
+    defect_i = abs((r_base_yxyx - _r4_value(r_t, ys, xs, ys, xs)) - term_a)
+    defect_ii = abs(_r4_value(r_t, ys, xs, us, xs) - term_da)
+    defect_iii = abs(_r4_value(r_t, us, xs, us, xs) - term_vert)
 
     assembled = r_base_yxyx - term_a + 2.0 * term_da + term_vert
     gt, r_ambient = ctx.ambient_at(t)
@@ -368,7 +364,7 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
         raise ValueError("t grid must be nonempty, finite and positive")
     if min(ts) < T_MIN:
         raise ValueError(f"t grid value {min(ts)} is below {T_MIN:.3g}, where t² "
-                         "underflows float64 in the orthonormal rescaling")
+                         "underflows float64")
     if any(b > a for a, b in zip(ts, ts[1:])):
         raise ValueError("t grid must be descending")
     if n_samples < 1:
@@ -391,7 +387,7 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
         gen = spawn_generator(seed, _STREAM_GRID, idx)
         r_t = ctx.frame_curvature(t)
         sup_t, raw_index = sup_abs_sectional(r_t, t, m, gen, n_samples)
-        r_max = float(np.max(np.abs(_orthonormal(r_t, t))))
+        r_max = float(np.max(np.abs(r_t)))
         rounding = 2.0 * n ** 4 * _EPS * (r_max + base_max)
         bound = base_sup + c_const * math.sqrt(t) + rounding
         if not (sup_t <= bound):

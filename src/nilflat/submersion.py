@@ -11,11 +11,10 @@ submersion onto the quotient algebra.  This module builds:
     expressed in the split frame.
 
 Frame convention: a split frame has the horizontal vectors first and the
-vertical direction last, and in it G^t is diag(1, …, 1, t).  Every numerical
-curvature measurement works in one: `split_curvature` serves `scan.lemma_scan`
-(the frame of `build_split`) and `certify` (the frames it extends level by
-level).  `canonical_variation`, G^t in the original coordinates, is their
-independent oracle.
+vertical direction last; in it G^t is diag(1, …, 1, t), and `split_curvature`
+measures G^t in the orthonormal frame that divides the vertical vector by √t.
+`canonical_variation`, G^t in the original coordinates, is its independent
+oracle.
 
 Because z is central and the metric is left-invariant, the fibers are totally
 geodesic (T ≡ 0); the checks here verify that numerically rather than assume
@@ -122,10 +121,11 @@ def split_diagonal(n: int, t: float) -> np.ndarray:
 
 
 def split_curvature(c_hat: np.ndarray, t: float) -> np.ndarray:
-    """Curvature tensor of G^t = diag(1, …, 1, t) from split-frame structure
-    constants (vertical direction last)."""
-    return curvature_from_structure(
-        c_hat, np.diag(split_diagonal(c_hat.shape[0], float(t))))
+    """R̂ of G^t = diag(1, …, 1, t) in its orthonormal frame: the Koszul formula
+    at g = I on the split-frame structure constants c_hat (vertical direction
+    last and central) with their vertical output slice scaled by √t."""
+    n = c_hat.shape[0]
+    return curvature_from_structure(c_hat * np.sqrt(split_diagonal(n, t)), np.eye(n))
 
 
 def frame_structure(algebra: NilAlgebra, split: SubmersionSplit) -> np.ndarray:
@@ -137,9 +137,11 @@ def frame_structure(algebra: NilAlgebra, split: SubmersionSplit) -> np.ndarray:
 def _structure_in_frame(c: np.ndarray, f: np.ndarray,
                         f_inv: np.ndarray) -> np.ndarray:
     """Structure constants C in the frame whose vectors are the columns of f."""
-    # [F_a, F_b] = Σ C[i,j,k] F_ia F_jb e_k; e_k has frame coordinates
-    # F⁻¹[:, k], so the component index contracts F⁻¹[c, k].
-    return np.einsum("ia,jb,ijk,ck->abc", f, f, c, f_inv, optimize=False)
+    # [F_a, F_b] = Σ C[i,j,k] F_ia F_jb e_k and e_k has frame coordinates
+    # F⁻¹[:, k]; one index at a time, each contraction is O(n⁴).
+    c = np.einsum("ia,ijk->ajk", f, c, optimize=False)
+    c = np.einsum("jb,ajk->abk", f, c, optimize=False)
+    return np.einsum("abk,ck->abc", c, f_inv, optimize=False)
 
 
 def frame_metric(matrix: np.ndarray, split: SubmersionSplit) -> np.ndarray:

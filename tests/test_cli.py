@@ -411,6 +411,18 @@ def test_certify_h3(capsys):
     assert report["curved_levels"] == [3]
 
 
+# [DERIVED] regression: n4 at eps 1e-100 drives the top t to ~4e-201, whose
+# square underflows float64.  Curvature from orthonormal structure constants
+# never forms t², so it certifies (exit 0) with its sup below the bound.
+def test_certify_n4_tiny_eps(capsys):
+    code, stdout, err = run_cli(
+        ["certify", str(DATA / "n4.json"), "--eps", "1e-100"], capsys)
+    assert code == 0, err
+    report = json.loads(stdout)["report"]
+    assert report["sup_abs_K"] <= report["sup_abs_K_bound"] <= 1e-100
+    assert min(report["ts"]) < 1e-154
+
+
 # [TRIVIAL] certify flag validation.
 @pytest.mark.parametrize("flags", [["--eps", "-1"], ["--eps", "0"],
                                    ["--eps", "0.1", "--samples", "0"]],

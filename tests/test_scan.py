@@ -205,8 +205,8 @@ def test_lemma_scan_nonfinite_grid(grid):
 
 
 # [DERIVED] a t whose square underflows float64 is refused before any
-# sampling (the orthonormal rescaling would divide 0 by 0); the smallest
-# accepted t still gives a finite scan.
+# sampling (the floor of the `--t-min` contract); the smallest accepted t
+# still gives a finite scan.
 def test_lemma_scan_tiny_t():
     metric, split = geometry(H3)
     with pytest.raises(ValueError, match="underflows"):
@@ -385,7 +385,6 @@ def reference_sup(r4, t, support, gen, n_samples, polish):
     d = split_diagonal(n, t)
     x = scan._draw_unit(gen, d, support, n_samples)
     c = scan._draw_unit(gen, d, n, n_samples, orth_to=x)
-    r4 = scan._orthonormal(r4, t)
     x, c = x * np.sqrt(d), c * np.sqrt(d)
     k = [reference_abs_sectional(r4, xa, ca) for xa, ca in zip(x, c)]
     best = max(k)
@@ -399,8 +398,7 @@ def random_split_tensor(algebra, seed, t):
     n = algebra.dim
     b = np.random.default_rng(seed).standard_normal((n, n))
     metric, split = geometry(algebra, np.eye(n) + 0.5 * b @ b.T / n)
-    r4 = submersion.split_curvature(submersion.frame_structure(algebra, split), t)
-    return r4, scan._orthonormal(r4, t)
+    return submersion.split_curvature(submersion.frame_structure(algebra, split), t)
 
 
 def random_orthonormal_pairs(gen, n, support, count):
@@ -419,7 +417,7 @@ def random_orthonormal_pairs(gen, n, support, count):
 def test_batched_polish_matches_single_pair(algebra, t, support_drop):
     n = algebra.dim
     support = n - support_drop
-    _, r_hat = random_split_tensor(algebra, 11 + n, t)
+    r_hat = random_split_tensor(algebra, 11 + n, t)
     x, c = random_orthonormal_pairs(spawn_generator(2, n, support), n, support, 12)
     x[0], c[0] = np.eye(n)[0], np.eye(n)[n - 1]  # with support n − 1: no projector
     x[1], c[1] = reference_polish_pair(r_hat, support, x[2], c[2])[2:]  # at a maximum
@@ -438,7 +436,7 @@ def test_batched_polish_matches_single_pair(algebra, t, support_drop):
 def test_sup_abs_sectional_matches_reference(n_samples, polish):
     algebra = catalog.filiform(5)
     for t in (1.0, 1e-4):
-        r4, _ = random_split_tensor(algebra, 3, t)
+        r4 = random_split_tensor(algebra, 3, t)
         got, index = sup_abs_sectional(r4, t, 4, spawn_generator(1, 3), n_samples,
                                        polish=polish)
         expected = reference_sup(r4, t, 4, spawn_generator(1, 3), n_samples, polish)
