@@ -36,8 +36,8 @@ import numpy as np
 from .errors import BudgetNotMet, DimensionMismatch
 from .metric import (LeftInvariantMetric, curvature_from_structure,
                      structure_array)
-from .scan import (_EPS, _curvature_operator, diameter_bound, spawn_generator,
-                   sup_abs_sectional)
+from .scan import (_curvature_operator, _rounding_allowance, diameter_bound,
+                   spawn_generator, sup_abs_sectional)
 from .submersion import _structure_in_frame
 from .tower import BundleTower
 
@@ -103,10 +103,9 @@ def _measure_bound(r_hat: np.ndarray, where: str) -> tuple:
     except np.linalg.LinAlgError as exc:
         raise BudgetNotMet(
             f"{where}: curvature could not be measured in float64 ({exc})") from exc
-    k = r_hat.shape[0]
     rho = float(np.max(np.abs(eigenvalues), initial=0.0))
-    delta = 2.0 * k ** 4 * _EPS * float(np.max(np.abs(r_hat), initial=0.0))
-    return rho, delta
+    return rho, _rounding_allowance(r_hat.shape[0],
+                                    float(np.max(np.abs(r_hat), initial=0.0)))
 
 
 def _measure_sup(r_hat: np.ndarray, t: float, gen: np.random.Generator,

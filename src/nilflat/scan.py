@@ -25,19 +25,28 @@ Sup estimates are sampled and then *polished*: starting from the best sampled
 planes, alternate exact maximization over each leg of the plane, each step the
 top eigenvector of the leg's quadratic form compressed by the rank-one
 projector onto the other leg's orthocomplement.  |K| never decreases along
-the alternation, so the polished value dominates the raw sample max and
-resolves the sup to machine precision — which the decay-exponent fit needs,
-since the excess sup|K^t| − sup|Ǩ| can sit many orders of magnitude below
-sup|Ǩ|.  All candidates are polished as one batch: each half-sweep is one
-stacked contraction of R̂ and one stacked eigh, the projector is built per
-row (none for a purely vertical second leg), and a candidate leaves the batch
-when its own sweep moves its |K| by no more than rounding.
+the alternation, so the polished value dominates the raw sample max.  All
+candidates are polished as one batch: each half-sweep is one stacked
+contraction of R̂ and one stacked eigh, the projector is built per row (none
+for a purely vertical second leg), and a candidate leaves the batch when its
+own sweep moves its |K| by no more than rounding.
+
+Eigenplane seeds and ceiling: K(σ) is the Rayleigh quotient of ℛ at the
+unit bivector σ (Milnor 1976), so the spectral radius ρ of ℛ bounds every
+plane; it is attained exactly where the eigenspace of ρ or −ρ holds a
+decomposable bivector.  One eigh of ℛ gives ρ and its two extreme
+eigenvectors; each, read as a skew n×n matrix B, adds both legs of its best
+rank-2 plane (the top 2-eigenspace of BᵀB) to the batch, and the batch stops
+once some |K| reaches ρ − δ, δ the rounding allowance of `lemma_scan`.  No plane exceeds ρ + δ, so where ρ is
+attained the polished sup is within 2δ of the true sup — the decay-exponent
+fit needs that, since the excess sup|K^t| − sup|Ǩ| can sit many orders of
+magnitude below sup|Ǩ|.  Elsewhere the polish runs to its per-row stop.
 
 Determinism: all randomness flows through counter-based Philox generators
 keyed by (seed, stream, index), draws happen in single batched calls, every
 contraction is einsum(optimize=False) (no BLAS matmul) and every
-eigensolve a stacked LAPACK eigh, whose rows do not depend on the batch, so
-outputs are byte-identical regardless of thread count.
+eigensolve a LAPACK eigh (stacked in the polish, whose rows do not depend on
+the batch), so outputs are byte-identical regardless of thread count.
 """
 
 from __future__ import annotations
@@ -143,8 +152,31 @@ def _top_eigenpairs(q: np.ndarray, v: np.ndarray) -> tuple:
     return np.abs(vals[rows, top]), vecs[rows, :, top]
 
 
+def _rounding_allowance(n: int, r_max: float) -> float:
+    """δ = 2n⁴·ε·r_max, the rounding allowance on a |K| (or ρ) of an n-dim
+    orthonormal tensor with entries at most r_max (derived in `lemma_scan`)."""
+    return 2.0 * n ** 4 * _EPS * r_max
+
+
+def _eigenplane_seeds(op: np.ndarray, pairs: tuple, n: int) -> tuple:
+    """(ρ, legs): the spectral radius of the symmetrised operator op on Λ²,
+    and four unit rows, both legs of the best rank-2 plane of each extreme
+    eigenvector.  An eigenvector read as the skew n×n matrix B has as its
+    best plane the top 2-eigenspace of BᵀB, which is B's own plane when B is
+    decomposable."""
+    vals, vecs = np.linalg.eigh(0.5 * (op + op.T))
+    i, j = pairs
+    b = np.zeros((2, n, n))
+    ends = vecs[:, [0, -1]].T
+    b[:, i, j] = ends
+    b[:, j, i] = -ends
+    btb = np.einsum("aki,akj->aij", b, b, optimize=False)
+    legs = np.swapaxes(np.linalg.eigh(btb)[1][:, :, -2:], 1, 2).reshape(4, n)
+    return max(abs(float(vals[0])), abs(float(vals[-1]))), legs
+
+
 def _polish(r4: np.ndarray, support: int, c: np.ndarray,
-            start: np.ndarray) -> np.ndarray:
+            start: np.ndarray, ceiling: float = math.inf) -> np.ndarray:
     """Alternating exact maximization of |K(span(x_a, c_a))| for every row a
     at once, in orthonormal coordinates with x_a kept in the first `support`
     coordinates; starts from the second legs c_a of planes whose |K| is
@@ -152,12 +184,13 @@ def _polish(r4: np.ndarray, support: int, c: np.ndarray,
 
     A row leaves the batch once a sweep moves its |K| by no more than
     rounding (either way: at the maximum, recomputed values scatter by a few
-    ulp), or after _POLISH_MAX_ITER sweeps."""
+    ulp), or after _POLISH_MAX_ITER sweeps.  The whole batch stops once some
+    row reaches `ceiling` (checked before and after every sweep)."""
     n = r4.shape[0]
     best = start.copy()
     active = np.arange(best.shape[0])
     for _ in range(_POLISH_MAX_ITER):
-        if not active.size:
+        if not active.size or not (np.max(best) < ceiling):
             break
         qc = np.einsum("ijkl,aj,al->aik", r4[:support, :, :support], c, c,
                        optimize=False)
@@ -182,7 +215,9 @@ def sup_abs_sectional(r4: np.ndarray, t: float, horizontal_dim: int,
     """Sampled-and-polished sup |K| of the orthonormal tensor r4 of
     diag(1, …, 1, t) over planes drawn in the split frame, one leg in the
     first `horizontal_dim` coordinates; the best `polish` samples (all if fewer,
-    none if polish ≤ 0) are polished.  Returns (sup, argmax raw sample index)."""
+    none if polish ≤ 0) are polished, together with the eigenplane seeds of
+    the curvature operator, up to the ceiling ρ − δ.  Returns (sup, argmax
+    raw sample index)."""
     n = r4.shape[0]
     if n < 2 or horizontal_dim < 1:
         return 0.0, -1
@@ -194,8 +229,14 @@ def sup_abs_sectional(r4: np.ndarray, t: float, horizontal_dim: int,
     k = _abs_sectional_lambda2(op, pairs, x, c)
     order = np.argsort(k, kind="stable")
     best_index = int(order[-1])
+    if polish <= 0:
+        return float(k[best_index]), best_index
     top = order[n_samples - min(polish, n_samples):]
-    polished = _polish(r4, horizontal_dim, c[top], k[top])
+    rho, legs = _eigenplane_seeds(op, pairs, n)
+    ceiling = rho - _rounding_allowance(n, float(np.max(np.abs(r4))))
+    polished = _polish(r4, horizontal_dim, np.concatenate([c[top], legs]),
+                       np.concatenate([k[top], np.zeros(legs.shape[0])]),
+                       ceiling)
     return float(np.max(polished, initial=k[best_index])), best_index
 
 
@@ -388,7 +429,7 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
         r_t = ctx.frame_curvature(t)
         sup_t, raw_index = sup_abs_sectional(r_t, t, m, gen, n_samples)
         r_max = float(np.max(np.abs(r_t)))
-        rounding = 2.0 * n ** 4 * _EPS * (r_max + base_max)
+        rounding = _rounding_allowance(n, r_max + base_max)
         bound = base_sup + c_const * math.sqrt(t) + rounding
         if not (sup_t <= bound):
             raise BoundViolated(

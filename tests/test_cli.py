@@ -489,6 +489,31 @@ def test_certify_thread_determinism(tmp_path, child_env):
     assert b'"sup_abs_K"' in outputs[0]
 
 
+# [DERIVED] curvature writes the same bytes at BLAS/OpenMP thread counts 1
+# and 8 with a dense seed metric on filiform(6): the eigenplane seeds come
+# from an unstacked eigh of the 15×15 curvature operator on Λ².
+def test_curvature_thread_determinism_dense_seed(tmp_path, child_env):
+    lattice = tmp_path / "filiform6.json"
+    lattice.write_text(fileio.dump_algebra(catalog.filiform(6)))
+    b = np.random.default_rng(0).standard_normal((6, 6))
+    metric = tmp_path / "dense.json"
+    metric.write_text(fileio.dump_metric(np.eye(6) + 0.5 * b @ b.T / 6))
+    argv = [sys.executable, "-m", "nilflat", "curvature", str(lattice),
+            "--metric", str(metric), "--t-points", "4", "--t-min", "1e-4",
+            "--samples", "1024", "--out", "run.csv"]
+    outputs = []
+    for threads in ("1", "8"):
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                        MKL_NUM_THREADS=threads)
+        proc = subprocess.run(argv, cwd=workdir, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((workdir / "run.csv").read_bytes()
+                       + (workdir / "run.summary.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 # [TRIVIAL] the module entry point is wired up.
 def test_module_entry_point(tmp_path, child_env):
     proc = subprocess.run([sys.executable, "-m", "nilflat", "--version"],
