@@ -32,9 +32,9 @@ from .tower import (BundleTower, CentralCocycle, CohomologyVerdict,
                     peel_tower)
 from .metric import (LeftInvariantMetric, connection_coeffs,
                      curvature_tensor, sectional_curvature, structure_array)
-from .submersion import (OneillTensors, SubmersionSplit, base_geometry,
-                         build_split, canonical_variation, frame_metric,
-                         frame_structure, oneill_tensors)
+from .submersion import (OneillTensors, SubmersionSplit, build_split,
+                         canonical_variation, frame_metric, frame_structure,
+                         oneill_tensors)
 from .scan import (DecayReport, PlaneSample, decomposition_check,
                    diameter_bound, lemma_scan, report_csv, report_summary,
                    sample_plane, sup_abs_sectional)
@@ -65,7 +65,7 @@ __all__ = [
     "curvature_tensor", "sectional_curvature", "SubmersionSplit",
     "build_split", "canonical_variation",
     "frame_structure", "frame_metric", "OneillTensors", "oneill_tensors",
-    "base_geometry", "PlaneSample", "sample_plane", "decomposition_check",
+    "PlaneSample", "sample_plane", "decomposition_check",
     "DecayReport", "lemma_scan", "diameter_bound", "report_csv",
     "report_summary", "sup_abs_sectional", "CertificateReport",
     "certify_almost_flat", "certificate_summary",

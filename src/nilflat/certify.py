@@ -6,24 +6,25 @@ compose to one unit lower-triangular frame L, where row k of L⁻¹ is the seed
 lift G[k, :k] / G[k, k].  With w_k = √(s_k·t_k), s_k the seed length² of e_k,
 L·diag(w)⁻¹ is orthonormal for the assembled metric, with structure constants
 ĉ = c_L·w_c / (w_a·w_b), c_L those of the top algebra in L, transformed once.
-L is lower-triangular, so level k reads the leading k×k×k block and a
-refinement round only changes w_k; curvature is the Koszul formula at g = I
-(Milnor 1976), with no division by t.  The reported metric
+L is lower-triangular, so level k's curvature is `metric.rescaled_curvature`
+of the leading k×k×k block of c_L at weights w[:k], with no division by t,
+and a refinement round only changes w_k.  The reported metric
 (w·L⁻¹)ᵀ(w·L⁻¹) is formed once, at the end.
 
 Levels whose extension cocycle vanishes are metric products — they add no
 curvature and keep t = 1.  Each curved level gets an equal share of eps and a
-multiplicative refinement loop on t gated by the bound ρ + δ on sup|K|: ρ is
-the spectral radius of the curvature operator ℛ on Λ², which bounds |K| of
-every plane (K(σ) is the Rayleigh quotient of ℛ at the unit decomposable
-bivector σ; Milnor 1976), and δ its rounding allowance.  A level is accepted
-once ρ + δ is at most ρ of the level below plus the budget; the excess of ρ
-over the level below scales linearly in t, so the loop converges in a couple
-of rounds.  Every round costs one symmetric eigensolve, and no plane is
-sampled.  The final metric's ρ + δ must be at most eps; its sampled and
-polished sup|K| is reported beside the bound.  If a loop cannot meet its
-budget within the round cap, the final bound exceeds eps, or the curvature
-cannot be measured in float64, the certification fails with BudgetNotMet.
+multiplicative refinement loop on t gated by the bound ρ + δ on sup|K| of
+`scan.curvature_bound`: ρ is the spectral radius of the curvature operator ℛ
+on Λ², which bounds |K| of every plane (K(σ) is the Rayleigh quotient of ℛ
+at the unit decomposable bivector σ; Milnor 1976), and δ its rounding
+allowance.  A level is accepted once ρ + δ is at most ρ of the level below
+plus the budget; the excess of ρ over the level below scales linearly in t,
+so the loop converges in a couple of rounds.  Every round costs one
+symmetric eigensolve, and no plane is sampled.  The final metric's ρ + δ must
+be at most eps; its sampled and polished sup|K| is reported beside the bound.
+If a loop cannot meet its budget within _MAX_ROUNDS rounds, the final bound
+exceeds eps, or the curvature of a level or of the final metric cannot be
+measured in float64, the certification fails with BudgetNotMet.
 """
 
 from __future__ import annotations
@@ -34,16 +35,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetNotMet, DimensionMismatch
-from .metric import (LeftInvariantMetric, curvature_from_structure,
-                     structure_array)
-from .scan import (_curvature_operator, _rounding_allowance, diameter_bound,
-                   spawn_generator, sup_abs_sectional)
+from .metric import LeftInvariantMetric, rescaled_curvature, structure_array
+from .scan import (curvature_bound, diameter_bound, spawn_generator,
+                   sup_abs_sectional)
 from .submersion import _structure_in_frame
 from .tower import BundleTower
 
 _STREAM_FINAL = 7
 
 _REFINE_MARGIN = 0.95
+_MAX_ROUNDS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +52,7 @@ class CertificateReport:
     """Schedule and measurements; per-level tuples are top-down (tower order).
 
     level_bounds[i] is ρ + δ of level i at its accepted t (see
-    `_measure_bound`); sup_abs_K_bound is that of the final metric, and
+    `scan.curvature_bound`); sup_abs_K_bound is that of the final metric, and
     sup_abs_K its sampled and polished sup|K|.
     """
 
@@ -81,56 +82,14 @@ def _lift_frame(seed_matrix: np.ndarray) -> tuple:
     return frame, frame_inv
 
 
-def _level_curvature(c_lift: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
-    """R̂ of level k in its orthonormal frame L·diag(w)⁻¹, from
-    ĉ = c_L[:k, :k, :k]·w_c / (w_a·w_b) by the Koszul formula at g = I."""
-    wk = w[:k]
-    c_hat = c_lift[:k, :k, :k] * wk / wk[:, None, None] / wk[None, :, None]
-    return curvature_from_structure(c_hat, np.eye(k))
-
-
-def _measure_bound(r_hat: np.ndarray, where: str) -> tuple:
-    """(ρ, δ): the spectral radius ρ of the curvature operator ℛ on Λ² of
-    the orthonormal tensor r_hat, and its rounding allowance
-    δ = 2k⁴·ε·max|R̂| (derived in `scan.lemma_scan`), so that ρ + δ bounds
-    |K| of every plane.
-
-    BudgetNotMet, naming `where`, if float64 linear algebra fails on it.
-    """
-    try:
-        op, _ = _curvature_operator(r_hat)
-        eigenvalues = np.linalg.eigvalsh(0.5 * (op + op.T))
-    except np.linalg.LinAlgError as exc:
-        raise BudgetNotMet(
-            f"{where}: curvature could not be measured in float64 ({exc})") from exc
-    rho = float(np.max(np.abs(eigenvalues), initial=0.0))
-    return rho, _rounding_allowance(r_hat.shape[0],
-                                    float(np.max(np.abs(r_hat), initial=0.0)))
-
-
-def _measure_sup(r_hat: np.ndarray, t: float, gen: np.random.Generator,
-                 n_samples: int, where: str) -> float:
-    """Sampled sup|K| of the orthonormal tensor r_hat, planes drawn in the
-    split frame of top parameter t.
-
-    BudgetNotMet, naming `where`, if float64 linear algebra fails on it.
-    """
-    try:
-        sup, _ = sup_abs_sectional(r_hat, t, r_hat.shape[0], gen, n_samples)
-    except np.linalg.LinAlgError as exc:
-        raise BudgetNotMet(
-            f"{where}: curvature could not be measured in float64 ({exc})") from exc
-    return sup
-
-
 def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
-                        eps: float, *, seed: int = 0, n_samples: int = 4096,
-                        max_rounds: int = 20) -> CertificateReport:
+                        eps: float, *, seed: int = 0,
+                        n_samples: int = 4096) -> CertificateReport:
     """Choose per-level collapse parameters so the fully assembled metric has
     sup|K| ≤ ρ + δ ≤ eps, report its sampled sup|K| beside that bound, and
     bound the diameter of the result."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (0.0 < eps < math.inf):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     steps = tower.steps
@@ -162,45 +121,50 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
     ts_bottom_up = []
     rounds_bottom_up = []
     bounds_bottom_up = []
-    for k in range(1, n + 1):
-        step = steps[n - k]
-        t, used = 1.0, 0  # zero cocycle: a metric product factor keeps t = 1
-        if step.cocycle.upper_entries():
-            target = rho_prev + budget
-            for round_index in range(max_rounds):
-                w[k - 1] = fibers_bottom_up[k - 1] * math.sqrt(t)
-                r_hat = _level_curvature(c_lift, w, k)
-                rho, delta = _measure_bound(
-                    r_hat, f"level dim {k} at t = {t!r} (smallest t below: "
-                    f"{min(ts_bottom_up, default=t)!r})")
-                if rho + delta <= target:
-                    used = round_index + 1
-                    break
-                excess = rho - rho_prev
-                t_next = t * _REFINE_MARGIN * budget / excess
-                if not (0.0 < t_next < t):
-                    t_next = 0.5 * t
-                t = t_next
+    try:
+        for k in range(1, n + 1):
+            step = steps[n - k]
+            t, used = 1.0, 0  # zero cocycle: a metric product factor keeps t = 1
+            if step.cocycle.upper_entries():
+                target = rho_prev + budget
+                for round_index in range(_MAX_ROUNDS):
+                    w[k - 1] = fibers_bottom_up[k - 1] * math.sqrt(t)
+                    where = (f"level dim {k} at t = {t!r} (smallest t below: "
+                             f"{min(ts_bottom_up, default=t)!r})")
+                    r_hat = rescaled_curvature(c_lift[:k, :k, :k], w[:k])
+                    rho, delta = curvature_bound(r_hat)
+                    if rho + delta <= target:
+                        used = round_index + 1
+                        break
+                    excess = rho - rho_prev
+                    t_next = t * _REFINE_MARGIN * budget / excess
+                    if not (0.0 < t_next < t):
+                        t_next = 0.5 * t
+                    t = t_next
+                else:
+                    raise BudgetNotMet(
+                        f"level dim {k}: could not meet curvature budget "
+                        f"{budget!r} within {_MAX_ROUNDS} refinement rounds "
+                        f"(eps = {eps!r})")
             else:
-                raise BudgetNotMet(
-                    f"level dim {k}: could not meet curvature budget {budget!r} "
-                    f"within {max_rounds} refinement rounds (eps = {eps!r})")
-        else:
-            r_hat = _level_curvature(c_lift, w, k)
-            rho, delta = _measure_bound(r_hat, f"flat level dim {k}")
-        rho_prev = rho
-        ts_bottom_up.append(t)
-        rounds_bottom_up.append(used)
-        bounds_bottom_up.append(rho + delta)
+                where = f"flat level dim {k}"
+                r_hat = rescaled_curvature(c_lift[:k, :k, :k], w[:k])
+                rho, delta = curvature_bound(r_hat)
+            rho_prev = rho
+            ts_bottom_up.append(t)
+            rounds_bottom_up.append(used)
+            bounds_bottom_up.append(rho + delta)
 
-    bound = bounds_bottom_up[-1]
-    if not (bound <= eps):
+        bound = bounds_bottom_up[-1]
+        if not (bound <= eps):
+            raise BudgetNotMet(
+                f"final bound ρ + δ = {bound!r} on sup|K| exceeds eps = {eps!r}")
+        where = f"final metric of dim {n} (smallest t: {min(ts_bottom_up)!r})"
+        final_gen = spawn_generator(seed, _STREAM_FINAL)
+        sup_final, _ = sup_abs_sectional(r_hat, t, n, final_gen, n_samples)
+    except np.linalg.LinAlgError as exc:
         raise BudgetNotMet(
-            f"final bound ρ + δ = {bound!r} on sup|K| exceeds eps = {eps!r}")
-    final_gen = spawn_generator(seed, _STREAM_FINAL)
-    sup_final = _measure_sup(r_hat, t, final_gen, n_samples,
-                             f"final metric of dim {n} (smallest t: "
-                             f"{min(ts_bottom_up)!r})")
+            f"{where}: curvature could not be measured in float64 ({exc})") from exc
 
     diam = diameter_bound(fibers_bottom_up, ts_bottom_up)
 

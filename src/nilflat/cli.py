@@ -277,8 +277,8 @@ def cmd_curvature(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    if not (args.eps > 0.0):
-        raise _UsageError(f"--eps must be positive, got {args.eps}")
+    if not (0.0 < args.eps < math.inf):
+        raise _UsageError(f"--eps must be positive and finite, got {args.eps}")
     if args.samples < 1:
         raise _UsageError(f"--samples must be >= 1, got {args.samples}")
     lattice = fileio.load_lattice(args.path)

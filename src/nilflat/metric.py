@@ -11,6 +11,11 @@ C[i,j,k] ([e_i, e_j] = Σ_k C[i,j,k] e_k) and the Gram matrix G:
 The curvature sign convention is fixed so the Heisenberg metric G = I has
 K(e1,e2) = −3/4 and K(e1,e3) = +1/4.
 
+`rescaled_curvature` is the one constructor of R̂, curvature in an orthonormal
+frame: a frame of orthogonal vectors F_a of lengths w_a gives the orthonormal
+frame F_a / w_a, with structure constants ĉ = c·w_c / (w_a·w_b), and R̂ is the
+Koszul formula at g = I on ĉ (Milnor 1976).
+
 All dense algebra uses np.einsum with optimize=False: contractions stay in
 numpy's own deterministic loops, so results are byte-identical regardless of
 BLAS threading.
@@ -19,7 +24,7 @@ BLAS threading.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,17 +96,22 @@ def connection_from_structure(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("ijl,lk->ijk", rhs, np.linalg.inv(g), optimize=False)
 
 
-def curvature_from_structure(c: np.ndarray, g: np.ndarray,
-                             gamma: Optional[np.ndarray] = None) -> np.ndarray:
+def curvature_from_structure(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Curvature R4[i,j,k,l] = ⟨R(e_i,e_j)e_k, e_l⟩ (convention above)."""
-    if gamma is None:
-        gamma = connection_from_structure(c, g)
+    gamma = connection_from_structure(c, g)
     # ∇_{[e_i,e_j]} e_k
     term_bracket = np.einsum("ijp,pkm->ijkm", c, gamma, optimize=False)
     # ∇_{e_i} ∇_{e_j} e_k
     term_second = np.einsum("jkp,ipm->ijkm", gamma, gamma, optimize=False)
     rm = term_bracket - term_second + np.transpose(term_second, (1, 0, 2, 3))
     return np.einsum("ijkm,ml->ijkl", rm, g, optimize=False)
+
+
+def rescaled_curvature(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """R̂ in the orthonormal frame whose vector a is frame vector a divided by
+    w_a, from the frame's structure constants c and its vector lengths w."""
+    c_hat = c * w / w[:, None, None] / w[None, :, None]
+    return curvature_from_structure(c_hat, np.eye(w.shape[0]))
 
 
 def connection_coeffs(algebra: NilAlgebra, metric: LeftInvariantMetric) -> np.ndarray:

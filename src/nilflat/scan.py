@@ -8,11 +8,12 @@ span(X, C) with X horizontal and C orthogonal to X, both g^t-unit.
 
 Frame convention: vectors are drawn in a split frame (vertical direction
 last), where g^t is diag(1, …, 1, t), and curvature tensors are R̂ in the
-orthonormal frame of g^t that divides the vertical vector by √t; see
-`submersion.split_curvature`.  Each leg is drawn as a standard normal row
-(zeroed outside the leg's support; the second leg loses its component along
-the first), normalised in diag(1, …, 1, t), then rescaled by √(1, …, 1, t)
-into orthonormal coordinates, where R̂ is measured.
+orthonormal frame of g^t that divides the vertical vector by √t:
+`metric.rescaled_curvature` at weights √(1, …, 1, t).  Each leg is drawn as
+a standard normal row (zeroed outside the leg's support; the second leg
+loses its component along the first), normalised in diag(1, …, 1, t), then
+rescaled by √(1, …, 1, t) into orthonormal coordinates, where R̂ is
+measured.
 
 Sampling kernel: once per call the tensor R̂ is read as the
 curvature operator ℛ on Λ², indexed by pairs p = (i, j), q = (k, l) with
@@ -34,13 +35,15 @@ own sweep moves its |K| by no more than rounding.
 Eigenplane seeds and ceiling: K(σ) is the Rayleigh quotient of ℛ at the
 unit bivector σ (Milnor 1976), so the spectral radius ρ of ℛ bounds every
 plane; it is attained exactly where the eigenspace of ρ or −ρ holds a
-decomposable bivector.  One eigh of ℛ gives ρ and its two extreme
-eigenvectors; each, read as a skew n×n matrix B, adds both legs of its best
-rank-2 plane (the top 2-eigenspace of BᵀB) to the batch, and the batch stops
-once some |K| reaches ρ − δ, δ the rounding allowance of `lemma_scan`.  No plane exceeds ρ + δ, so where ρ is
-attained the polished sup is within 2δ of the true sup — the decay-exponent
-fit needs that, since the excess sup|K^t| − sup|Ǩ| can sit many orders of
-magnitude below sup|Ǩ|.  Elsewhere the polish runs to its per-row stop.
+decomposable bivector.  `curvature_bound` gives ρ and its rounding
+allowance δ (derived in `lemma_scan`), the bound ρ + δ that `certify` gates
+on.  One eigh of ℛ gives ρ and its two extreme eigenvectors; each, read as a
+skew n×n matrix B, adds both legs of its best rank-2 plane (the top
+2-eigenspace of BᵀB) to the batch, and the batch stops once some |K| reaches
+ρ − δ.  No plane exceeds ρ + δ, so where ρ is attained the polished sup is
+within 2δ of the true sup — the decay-exponent fit needs that, since the
+excess sup|K^t| − sup|Ǩ| can sit many orders of magnitude below sup|Ǩ|.
+Elsewhere the polish runs to its per-row stop.
 
 Determinism: all randomness flows through counter-based Philox generators
 keyed by (seed, stream, index), draws happen in single batched calls, every
@@ -63,17 +66,16 @@ from .metric import (
     TOL_GRAM,
     LeftInvariantMetric,
     curvature_from_structure,
+    rescaled_curvature,
     sectional_from_tensor,
     structure_array,
 )
 from .submersion import (
     OneillTensors,
     SubmersionSplit,
-    _base_from_frame,
     _oneill_from_frame,
     canonical_variation,
     frame_structure,
-    split_curvature,
     split_diagonal,
 )
 
@@ -156,6 +158,17 @@ def _rounding_allowance(n: int, r_max: float) -> float:
     """δ = 2n⁴·ε·r_max, the rounding allowance on a |K| (or ρ) of an n-dim
     orthonormal tensor with entries at most r_max (derived in `lemma_scan`)."""
     return 2.0 * n ** 4 * _EPS * r_max
+
+
+def curvature_bound(r_hat: np.ndarray) -> tuple:
+    """(ρ, δ): the spectral radius ρ of the curvature operator ℛ on Λ² of the
+    orthonormal tensor r_hat and its rounding allowance δ, so that ρ + δ
+    bounds |K| of every plane."""
+    op, _ = _curvature_operator(r_hat)
+    eigenvalues = np.linalg.eigvalsh(0.5 * (op + op.T))
+    rho = float(np.max(np.abs(eigenvalues), initial=0.0))
+    return rho, _rounding_allowance(r_hat.shape[0],
+                                    float(np.max(np.abs(r_hat), initial=0.0)))
 
 
 def _eigenplane_seeds(op: np.ndarray, pairs: tuple, n: int) -> tuple:
@@ -280,7 +293,8 @@ class SubmersionContext:
         self.c_ambient = structure_array(algebra)
         self.tensors: OneillTensors = _oneill_from_frame(
             self.c_hat, np.eye(split.dim))
-        _, _, self.r_base = _base_from_frame(self.c_hat, split.horizontal_dim)
+        m = split.horizontal_dim
+        self.r_base = rescaled_curvature(self.c_hat[:m, :m, :m], np.ones(m))
         self._frame_r: dict = {}
         self._ambient: dict = {}
 
@@ -289,10 +303,11 @@ class SubmersionContext:
         return self.split.dim
 
     def frame_curvature(self, t: float) -> np.ndarray:
-        """R̂ of g^t in its orthonormal frame (see `split_curvature`)."""
+        """R̂ of g^t in its orthonormal frame."""
         t = float(t)
         if t not in self._frame_r:
-            self._frame_r[t] = split_curvature(self.c_hat, t)
+            self._frame_r[t] = rescaled_curvature(
+                self.c_hat, np.sqrt(split_diagonal(self.dim, t)))
         return self._frame_r[t]
 
     def ambient_at(self, t: float) -> tuple:
@@ -481,8 +496,9 @@ def diameter_bound(fiber_lengths: Sequence[float], ts: Sequence[float],
             f"{len(fiber_lengths)} fiber lengths vs {len(ts)} collapse parameters")
     total = float(base)
     for ell, t in zip(fiber_lengths, ts):
-        if t <= 0.0:
-            raise ValueError(f"collapse parameter must be positive, got {t}")
+        if not (0.0 < t < math.inf):
+            raise ValueError(
+                f"collapse parameter must be positive and finite, got {t}")
         total += 0.5 * float(ell) * math.sqrt(float(t))
     return total
 

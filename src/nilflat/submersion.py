@@ -11,8 +11,9 @@ submersion onto the quotient algebra.  This module builds:
     expressed in the split frame.
 
 Frame convention: a split frame has the horizontal vectors first and the
-vertical direction last; in it G^t is diag(1, …, 1, t), and `split_curvature`
-measures G^t in the orthonormal frame that divides the vertical vector by √t.
+vertical direction last; in it G^t is diag(1, …, 1, t), so its curvature is
+`metric.rescaled_curvature` of the frame structure constants at weights
+√(1, …, 1, t), and that of the base the horizontal block at weights 1.
 `canonical_variation`, G^t in the original coordinates, is its independent
 oracle.
 
@@ -23,6 +24,7 @@ it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -34,7 +36,6 @@ from .metric import (
     TOL_GRAM,
     LeftInvariantMetric,
     connection_from_structure,
-    curvature_from_structure,
     structure_array,
 )
 
@@ -106,9 +107,9 @@ def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSp
 
 def canonical_variation(metric: LeftInvariantMetric, z: Sequence[float],
                         t: float) -> LeftInvariantMetric:
-    """G^t = G + (t−1)·(Gz)(Gz)ᵀ/⟨z,z⟩ in the original coordinates; t > 0."""
-    if t <= 0.0:
-        raise ValueError(f"canonical variation requires t > 0, got {t}")
+    """G^t = G + (t−1)·(Gz)(Gz)ᵀ/⟨z,z⟩ in the original coordinates; 0 < t < ∞."""
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"canonical variation requires 0 < t < inf, got {t}")
     gu = metric.matrix @ build_split(metric, z).frame[:, -1]  # u = z/|z|
     return LeftInvariantMetric(matrix=metric.matrix + (t - 1.0) * np.outer(gu, gu))
 
@@ -118,14 +119,6 @@ def split_diagonal(n: int, t: float) -> np.ndarray:
     d = np.ones(n)
     d[n - 1] = t
     return d
-
-
-def split_curvature(c_hat: np.ndarray, t: float) -> np.ndarray:
-    """R̂ of G^t = diag(1, …, 1, t) in its orthonormal frame: the Koszul formula
-    at g = I on the split-frame structure constants c_hat (vertical direction
-    last and central) with their vertical output slice scaled by √t."""
-    n = c_hat.shape[0]
-    return curvature_from_structure(c_hat * np.sqrt(split_diagonal(n, t)), np.eye(n))
 
 
 def frame_structure(algebra: NilAlgebra, split: SubmersionSplit) -> np.ndarray:
@@ -208,21 +201,3 @@ def _oneill_from_frame(c_hat: np.ndarray, g_hat: np.ndarray) -> OneillTensors:
           - np.einsum("exm,myp->exyp", gamma, a, optimize=False)
           - np.einsum("eym,xmp->exyp", gamma, a, optimize=False))
     return OneillTensors(a=a, t_tensor=t_tensor, da=da)
-
-
-def base_geometry(algebra: NilAlgebra, split: SubmersionSplit):
-    """Quotient structure constants and curvature in the horizontal frame.
-
-    The horizontal frame pushes forward to an orthonormal frame of the base,
-    so the base metric is the identity and the base bracket is the horizontal
-    block of the frame structure constants.
-    """
-    return _base_from_frame(frame_structure(algebra, split), split.horizontal_dim)
-
-
-def _base_from_frame(c_hat: np.ndarray, m: int):
-    """`base_geometry` from precomputed frame structure constants."""
-    c_base = c_hat[:m, :m, :m].copy()
-    g_base = np.eye(m)
-    r_base = curvature_from_structure(c_base, g_base)
-    return c_base, g_base, r_base

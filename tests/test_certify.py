@@ -183,19 +183,46 @@ def test_level_bounds_meet_budgets(algebra, n, eps):
 # [DERIVED] a NaN measurement fails the final gate: every level of an
 # abelian tower is flat, so only the final comparison sees the value.
 def test_nan_measurement_fails_final_gate(monkeypatch):
-    monkeypatch.setattr(certify_module, "_measure_bound",
+    monkeypatch.setattr(certify_module, "curvature_bound",
                         lambda *args: (float("nan"), 0.0))
-    monkeypatch.setattr(certify_module, "_measure_sup",
-                        lambda *args: float("nan"))
+    monkeypatch.setattr(certify_module, "sup_abs_sectional",
+                        lambda *args: (float("nan"), -1))
     with pytest.raises(BudgetNotMet):
         certify_almost_flat(tower_of(catalog.abelian(3)), identity_seed(3), 1e-2)
 
 
 # [TRIVIAL] refinement cap: zero rounds cannot accept any curved level.
-def test_budget_not_met():
+def test_budget_not_met(monkeypatch):
+    monkeypatch.setattr(certify_module, "_MAX_ROUNDS", 0)
     with pytest.raises(BudgetNotMet):
         certify_almost_flat(tower_of(catalog.heisenberg3()),
-                            identity_seed(3), 0.01, max_rounds=0)
+                            identity_seed(3), 0.01)
+
+
+def _raise_linalg(*args, **kwargs):
+    raise np.linalg.LinAlgError("simulated failure")
+
+
+# [TRIVIAL] a float64 eigensolver failure on h3's curved level (its operator
+# on Λ² is 3×3; the flat levels below are smaller) is a BudgetNotMet that
+# names the level.
+def test_level_linalg_error_is_budget_not_met(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: _raise_linalg() if a.shape == (3, 3)
+                        else eigvalsh(a))
+    with pytest.raises(BudgetNotMet, match="level dim 3"):
+        certify_almost_flat(tower_of(catalog.heisenberg3()), identity_seed(3),
+                            0.01)
+
+
+# [TRIVIAL] a float64 eigensolver failure while sampling the final metric is
+# a BudgetNotMet that names it; the levels gate on eigvalsh, not eigh.
+def test_final_linalg_error_is_budget_not_met(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", _raise_linalg)
+    with pytest.raises(BudgetNotMet, match="final metric of dim 3"):
+        certify_almost_flat(tower_of(catalog.heisenberg3()), identity_seed(3),
+                            0.01)
 
 
 # [DERIVED] a dense seed drives the collapse parameters of filiform(10) far
@@ -252,6 +279,14 @@ def test_certify_argument_errors():
         certify_almost_flat(tower, identity_seed(3), 0.01, n_samples=0)
     with pytest.raises(DimensionMismatch):
         certify_almost_flat(tower, identity_seed(4), 0.01)
+
+
+# [TRIVIAL] a NaN or infinite eps is rejected up front, not after the
+# refinement rounds run out.
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_certify_nonfinite_eps(eps):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        certify_almost_flat(tower_of(catalog.heisenberg3()), identity_seed(3), eps)
 
 
 # [DERIVED] determinism: identical arguments give identical reports.

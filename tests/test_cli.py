@@ -432,6 +432,16 @@ def test_certify_flag_errors(flags, capsys):
     assert code == 1 and err.startswith("nilflat: error:")
 
 
+# [TRIVIAL] a NaN or infinite --eps is a usage error: the report would carry
+# it as "eps", and NaN or Infinity is not JSON.
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_certify_nonfinite_eps(eps, capsys):
+    code, out, err = run_cli(["certify", str(DATA / "h3.json"), "--eps", eps],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("nilflat: error: --eps must be positive and finite")
+
+
 # [DERIVED] a dense seed metric whose collapse parameters fall to ~1e-30
 # certifies (exit 0) with one summary on stdout.
 def test_certify_dense_seed_exit_zero(tmp_path, capsys):

@@ -273,6 +273,13 @@ def test_canonical_variation_bad_t():
         canonical_variation(metric, [0, 0, 1], -0.5)
 
 
+# [TRIVIAL] a NaN or infinite t is the caller's error, not the metric's.
+@pytest.mark.parametrize("t", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_canonical_variation_nonfinite_t(t):
+    with pytest.raises(ValueError, match="requires 0 < t < inf"):
+        canonical_variation(LeftInvariantMetric.identity(3), [0, 0, 1], t)
+
+
 # [DERIVED] h3 under canonical variation: K^t(e1,e2) = -3t/4, mixed = t/4.
 @pytest.mark.parametrize("t", [1.0, 0.1, 0.01])
 def test_h3_variation_curvature(t):

@@ -48,16 +48,15 @@ from nilflat.algebra import (NilAlgebra, check_jacobi,
                              lower_central_series)
 from nilflat.errors import DimensionMismatch, NotNilpotent, ValidationReport
 from nilflat.intlinalg import rational_row_basis
-from nilflat.metric import (LeftInvariantMetric, sectional_curvature,
-                            sectional_from_tensor)
+from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
+                            sectional_curvature, sectional_from_tensor)
 from nilflat.scan import (SubmersionContext, _abs_sectional_lambda2,
                           _curvature_operator, _oneill_constant,
                           spawn_generator, sup_abs_sectional)
 from nilflat.tower import (CentralCocycle, NilLattice, check_closed,
                            extend_by_cocycle, peel_step)
 from nilflat.submersion import (build_split, canonical_variation,
-                                frame_structure, split_curvature,
-                                split_diagonal)
+                                frame_structure, split_diagonal)
 
 ALGEBRAS = {"h3": catalog.heisenberg3(), "n4": catalog.n4(),
             "filiform5": catalog.filiform(5)}
@@ -83,7 +82,7 @@ def test_split_frame_curvature_matches_canonical_variation(name, t, data):
     z[n - 1] = 1.0
     split = build_split(metric, z)
     d = split_diagonal(n, t)
-    r_hat = split_curvature(frame_structure(algebra, split), t)
+    r_hat = rescaled_curvature(frame_structure(algebra, split), np.sqrt(d))
     k_split = sectional_from_tensor(r_hat, np.eye(n), a, c)
     a, c = a / np.sqrt(d), c / np.sqrt(d)
     k_ambient = sectional_curvature(algebra, canonical_variation(metric, z, t),
@@ -110,7 +109,8 @@ def test_lambda2_kernel_matches_four_tensor(name, t, data):
 
     z = np.zeros(n)
     z[n - 1] = 1.0
-    r_hat = split_curvature(frame_structure(algebra, build_split(metric, z)), t)
+    r_hat = rescaled_curvature(frame_structure(algebra, build_split(metric, z)),
+                               np.sqrt(split_diagonal(n, t)))
     scale = float(np.max(np.abs(r_hat)))
     op, pairs = _curvature_operator(r_hat)
     k_lambda2 = _abs_sectional_lambda2(op, pairs, x[None], c[None])[0]

@@ -21,7 +21,8 @@ import pytest
 
 from nilflat import catalog, scan, submersion
 from nilflat.errors import BoundViolated, DimensionMismatch
-from nilflat.metric import LeftInvariantMetric, sectional_from_tensor
+from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
+                            sectional_from_tensor)
 from nilflat.scan import (T_MIN, DecayReport, PlaneSample, SubmersionContext,
                           decomposition_check, diameter_bound, lemma_scan,
                           report_csv, report_summary, sample_plane,
@@ -308,6 +309,13 @@ def test_diameter_bound_values():
         diameter_bound([1.0], [0.0])
 
 
+# [TRIVIAL] a NaN or infinite collapse parameter is rejected, not summed.
+@pytest.mark.parametrize("t", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_diameter_bound_nonfinite_t(t):
+    with pytest.raises(ValueError):
+        diameter_bound([1.0], [t])
+
+
 # [DERIVED] reports: CSV shape/columns and summary fields.
 def test_report_serialization():
     metric, split = geometry(H3)
@@ -400,7 +408,8 @@ def random_split_tensor(algebra, seed, t):
     n = algebra.dim
     b = np.random.default_rng(seed).standard_normal((n, n))
     metric, split = geometry(algebra, np.eye(n) + 0.5 * b @ b.T / n)
-    return submersion.split_curvature(submersion.frame_structure(algebra, split), t)
+    return rescaled_curvature(submersion.frame_structure(algebra, split),
+                              np.sqrt(split_diagonal(n, t)))
 
 
 def random_orthonormal_pairs(gen, n, support, count):

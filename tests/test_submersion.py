@@ -12,10 +12,9 @@ import pytest
 from nilflat import catalog
 from nilflat.errors import DimensionMismatch, NotPositiveDefinite
 from nilflat.metric import (LeftInvariantMetric, curvature_tensor,
-                            structure_array)
-from nilflat.submersion import (base_geometry, build_split,
-                                canonical_variation, frame_metric,
-                                frame_structure, oneill_tensors)
+                            rescaled_curvature, structure_array)
+from nilflat.submersion import (build_split, canonical_variation,
+                                frame_metric, frame_structure, oneill_tensors)
 
 TOL = 1e-12
 
@@ -163,8 +162,10 @@ def test_abelian_tensors_vanish():
 # [DERIVED] the base of the n4 peel is h3: base curvature from the quotient
 # frame equals the directly computed h3 curvature (identity metric).
 def test_n4_base_is_h3():
-    _, split = split_for(N4)
-    c_base, g_base, r_base = base_geometry(N4, split)
+    metric, split = split_for(N4)
+    c_base = frame_structure(N4, split)[:3, :3, :3]
+    g_base = frame_metric(metric.matrix, split)[:3, :3]
+    r_base = rescaled_curvature(c_base, np.ones(3))
     assert np.max(np.abs(c_base - structure_array(H3))) <= TOL
     assert np.max(np.abs(g_base - np.eye(3))) <= TOL
     r_h3 = curvature_tensor(H3, LeftInvariantMetric.identity(3))
@@ -175,6 +176,7 @@ def test_n4_base_is_h3():
 # vertical bracket component must not leak into the base).
 def test_tilted_h3_base_flat():
     _, split = split_for(H3, TILTED3)
-    c_base, _, r_base = base_geometry(H3, split)
+    c_base = frame_structure(H3, split)[:2, :2, :2]
+    r_base = rescaled_curvature(c_base, np.ones(2))
     assert np.max(np.abs(c_base)) <= TOL
     assert np.max(np.abs(r_base)) <= TOL
