@@ -9,8 +9,9 @@ algebra files and `catalog` use (0-based inside, 1-based in files and in
 Construction validates only shape (dimensions, index ranges). Mathematical
 invariants — Jacobi, adaptedness, nilpotency class — are checked by the
 report-valued `check_*` functions and enforced wholesale by
-`validate_algebra`; this keeps deliberately broken algebras constructible
-as negative controls.
+`validate_algebra`, which also returns the lower central series its class
+check computed; this keeps deliberately broken algebras constructible as
+negative controls.
 """
 
 from __future__ import annotations
@@ -235,17 +236,22 @@ def lower_central_series(algebra: NilAlgebra) -> Tuple[List[List[VecQ]], int]:
     return chain, len(chain) - 1
 
 
-def check_class(algebra: NilAlgebra) -> ValidationReport:
-    """Nilpotency plus agreement of the computed class with declared_class."""
+def _class_check(algebra: NilAlgebra) -> Tuple[ValidationReport, List[List[VecQ]]]:
+    """The class report and, when it passes, the lower central series."""
     try:
-        _, cls = lower_central_series(algebra)
+        chain, cls = lower_central_series(algebra)
     except NotNilpotent as exc:
-        return ValidationReport(ok=False, check="class", message=str(exc))
+        return ValidationReport(ok=False, check="class", message=str(exc)), []
     if cls != algebra.declared_class:
         return ValidationReport(
             ok=False, check="class",
-            message=f"computed class {cls} differs from declared {algebra.declared_class}")
-    return ValidationReport(ok=True, check="class")
+            message=f"computed class {cls} differs from declared {algebra.declared_class}"), []
+    return ValidationReport(ok=True, check="class"), chain
+
+
+def check_class(algebra: NilAlgebra) -> ValidationReport:
+    """Nilpotency plus agreement of the computed class with declared_class."""
+    return _class_check(algebra)[0]
 
 
 def algebra_center(algebra: NilAlgebra) -> List[VecQ]:
@@ -264,8 +270,9 @@ def algebra_center(algebra: NilAlgebra) -> List[VecQ]:
     return [tuple(v) for v in rational_nullspace(rows, n)]
 
 
-def validate_algebra(algebra: NilAlgebra) -> None:
-    """Raise on the first failed mathematical invariant (shape already holds).
+def validate_algebra(algebra: NilAlgebra) -> List[List[VecQ]]:
+    """Raise on the first failed mathematical invariant (shape already holds);
+    return the lower central series that the class check computed.
 
     Order: Jacobi, then nilpotency/class (so so(3)-type input is reported as
     NotNilpotent rather than merely non-adapted), then adaptedness.
@@ -273,9 +280,10 @@ def validate_algebra(algebra: NilAlgebra) -> None:
     report = check_jacobi(algebra)
     if not report:
         raise JacobiViolated(report.message, witness=report.witness, defect=report.defect)
-    report = check_class(algebra)
+    report, chain = _class_check(algebra)
     if not report:
         raise NotNilpotent(report.message)
     report = check_adapted(algebra)
     if not report:
         raise BasisNotAdapted(report.message)
+    return chain

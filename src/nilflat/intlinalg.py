@@ -1,15 +1,18 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here is small and dense (dimensions are desk scale), so the
-implementations favour clarity and exactness over asymptotics: fraction-free
-Gaussian elimination for rational kernels, and classical row operations for
-Hermite and Smith normal forms with unimodular transforms tracked explicitly.
+Everything here is small (dimensions are desk scale), so the
+implementations favour clarity and exactness over asymptotics. Rational row
+spans and kernels come from one canonical reduced row-echelon basis, built
+incrementally over sparse rows: the spanning sets of the lower central
+series are long and mostly dependent, and a dependent row costs only its own
+reduction. Hermite and Smith normal forms use classical row operations with
+the unimodular transforms tracked explicitly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 IntMatrix = List[List[int]]
@@ -17,6 +20,16 @@ IntMatrix = List[List[int]]
 
 def _identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _subtract(row: Dict[int, Fraction], f: Fraction, other: Dict[int, Fraction]) -> None:
+    """row -= f·other on sparse rows, in place; entries that cancel are dropped."""
+    for c, b in other.items():
+        v = row.get(c, 0) - f * b
+        if v:
+            row[c] = v
+        else:
+            del row[c]
 
 
 def rational_nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> List[List[Fraction]]:
@@ -40,29 +53,33 @@ def rational_nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> List[
 
 
 def rational_row_basis(rows: Sequence[Sequence[Fraction]], n_cols: int) -> List[List[Fraction]]:
-    """Reduced row-echelon basis of the rational row span (canonical)."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    n_rows = len(m)
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    """Reduced row-echelon basis of the rational row span (canonical).
+
+    Rows are folded in one at a time, as sparse {column: value} dicts, into
+    a running reduced basis {pivot: row}. Each basis row has a 1 at its pivot
+    and 0 at every other pivot, so a new row is reduced by one subtraction per
+    pivot it touches; a row that survives becomes a basis row, and its pivot
+    column is cleared from the others. Most rows of a spanning set reduce to
+    zero and cost only their own reduction.
+    """
+    basis: Dict[int, Dict[int, Fraction]] = {}
+    for dense in rows:
+        row = {c: Fraction(v) for c, v in enumerate(dense[:n_cols]) if v}
+        for p in [p for p in row if p in basis]:
+            _subtract(row, row[p], basis[p])
+        if not row:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == n_rows:
+        pivot = min(row)
+        pv = row[pivot]
+        row = {c: v / pv for c, v in row.items()}
+        for other in basis.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        basis[pivot] = row
+        if len(basis) == n_cols:
             break
-    return m[:r]
+    zero = Fraction(0)
+    return [[basis[p].get(c, zero) for c in range(n_cols)] for p in sorted(basis)]
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> IntMatrix:

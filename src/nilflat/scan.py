@@ -489,13 +489,17 @@ def diameter_bound(fiber_lengths: Sequence[float], ts: Sequence[float],
     """Recursive tower diameter bound: base + Σ ½·ℓ_i·√(t_i).
 
     ℓ_i is the unscaled fiber circle length at level i and t_i its collapse
-    parameter; the point at the bottom contributes 0.
+    parameter; the point at the bottom contributes 0. Each length and each
+    parameter must be positive and finite, so NaN is rejected too.
     """
     if len(fiber_lengths) != len(ts):
         raise DimensionMismatch(
             f"{len(fiber_lengths)} fiber lengths vs {len(ts)} collapse parameters")
     total = float(base)
     for ell, t in zip(fiber_lengths, ts):
+        if not (0.0 < ell < math.inf):
+            raise ValueError(
+                f"fiber length must be positive and finite, got {ell}")
         if not (0.0 < t < math.inf):
             raise ValueError(
                 f"collapse parameter must be positive and finite, got {t}")

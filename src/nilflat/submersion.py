@@ -83,6 +83,8 @@ def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSp
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (n,):
         raise DimensionMismatch(f"z has shape {z.shape}, expected ({n},)")
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"central direction must be finite, got {z.tolist()}")
     znorm2 = float(z @ g @ z)
     if znorm2 <= TOL_GRAM * float(z @ z) * float(np.max(np.diag(g))):
         raise NotPositiveDefinite("central direction has vanishing length")

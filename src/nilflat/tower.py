@@ -17,13 +17,14 @@ normal form, with an explicit λ witness or an obstruction certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     NilAlgebra,
+    VecQ,
     check_integer_constants,
     lower_central_series,
     validate_algebra,
@@ -58,16 +59,24 @@ class NilLattice:
     extension of a valid base by a closed, integral cocycle is the same
     (skewness holds by construction), and `extend_by_cocycle` checks
     exactly those two properties.
+
+    `series` is the lower central series, as `lower_central_series` returns
+    its chain: one reduced echelon basis per term, down to the empty one.
+    Validation computes it once for the class check. A peel base inherits
+    it by projection (`_project_series`), and an extension computes it once,
+    so no lattice runs a second elimination for its class.
     """
 
     algebra: NilAlgebra
+    series: Tuple[List[VecQ], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        validate_algebra(self.algebra)
+        series = validate_algebra(self.algebra)
         report = check_integer_constants(self.algebra)
         if not report:
             raise NotIntegral(
                 f"{report.message}; the basis Z-span is not a lattice model")
+        object.__setattr__(self, "series", tuple(series))
 
     @property
     def dim(self) -> int:
@@ -187,23 +196,44 @@ class BundleTower:
     steps: Tuple[TowerStep, ...]
 
 
-def _derived_lattice(dim: int, brackets: Mapping) -> NilLattice:
+def _derived_lattice(dim: int, brackets: Mapping,
+                     series: Sequence[List[VecQ]]) -> NilLattice:
     """Lattice on a table that `peel_step` or `extend_by_cocycle` derived.
 
     Only those two may call it, and only on a table valid by construction
-    (see `NilLattice`); the class comes from one lower central series and
-    `validate_algebra` is skipped.
+    (see `NilLattice`) with its lower central series already in hand; the
+    class is len(series) - 1 and `validate_algebra` is skipped.
     """
-    probe = NilAlgebra(dim=dim, declared_class=min(dim, 1), brackets=brackets)
-    _, cls = lower_central_series(probe)
-    algebra = NilAlgebra(dim=dim, declared_class=cls, brackets=probe.brackets)
+    algebra = NilAlgebra(dim=dim, declared_class=len(series) - 1, brackets=brackets)
     lattice = object.__new__(NilLattice)
     object.__setattr__(lattice, "algebra", algebra)
+    object.__setattr__(lattice, "series", tuple(series))
     return lattice
 
 
+def _project_series(series: Sequence[List[VecQ]]) -> List[List[VecQ]]:
+    """Lower central series of g/<e_n> from that of g: drop the last coordinate.
+
+    γ_k(g/<e_n>) is the image of γ_k(g). In a reduced echelon basis the row
+    with pivot e_n is e_n itself and vanishes; every other row keeps its
+    leading 1 and its zeros at the other pivots, so the projection is already
+    the canonical echelon basis of the image. Once e_n was the last nonzero
+    term, the projected chain ends one term earlier.
+    """
+    projected: List[List[VecQ]] = []
+    for basis in series:
+        projected.append([row[:-1] for row in basis if any(row[:-1])])
+        if not projected[-1]:
+            break
+    return projected
+
+
 def peel_step(lattice: NilLattice) -> TowerStep:
-    """Quotient by the central circle of e_n; emit base + Euler cocycle."""
+    """Quotient by the central circle of e_n; emit base + Euler cocycle.
+
+    The base inherits the projected lower central series of the total space,
+    so no elimination runs here.
+    """
     n = lattice.dim
     if n < 1:
         raise DimensionMismatch("the point has no central circle to peel")
@@ -216,7 +246,8 @@ def peel_step(lattice: NilLattice) -> TowerStep:
         if m in entry:
             entries[(i, j)] = entry[m]
     cocycle = CentralCocycle(dim=m, entries=entries)
-    return TowerStep(total=lattice, base=_derived_lattice(m, base), cocycle=cocycle)
+    series = _project_series(lattice.series)
+    return TowerStep(total=lattice, base=_derived_lattice(m, base, series), cocycle=cocycle)
 
 
 def peel_tower(lattice: NilLattice) -> BundleTower:
@@ -244,7 +275,9 @@ def extend_by_cocycle(base: NilLattice, cocycle: CentralCocycle) -> NilLattice:
     brackets = {pair: dict(entry) for pair, entry in base.algebra.brackets.items()}
     for pair, value in cocycle.entries.items():
         brackets.setdefault(pair, {})[n] = value
-    return _derived_lattice(n + 1, brackets)
+    probe = NilAlgebra(dim=n + 1, declared_class=1, brackets=brackets)
+    series, _ = lower_central_series(probe)
+    return _derived_lattice(n + 1, probe.brackets, series)
 
 
 @dataclass(frozen=True)

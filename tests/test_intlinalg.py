@@ -7,10 +7,13 @@ or a defining property; [TRIVIAL] small hand cases.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilflat.intlinalg import (
     hermite_normal_form,
     rational_nullspace,
+    rational_row_basis,
     reduce_mod_lattice,
     smith_normal_form,
     solve_integer,
@@ -102,6 +105,48 @@ def test_rational_nullspace_rank():
     for vec in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+ENTRY = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, n_cols): sparse-ish rational rows, possibly none, possibly more
+    rows than columns, with zero and repeated rows mixed in."""
+    n_cols = draw(st.integers(0, 6), label="n_cols")
+    rows = draw(st.lists(st.lists(ENTRY, min_size=n_cols, max_size=n_cols),
+                         max_size=9), label="rows")
+    if rows and draw(st.booleans(), label="repeat"):
+        rows.append(list(draw(st.sampled_from(rows), label="repeated")))
+    if draw(st.booleans(), label="zero row"):
+        rows.append([Fraction(0)] * n_cols)
+    return draw(st.permutations(rows), label="order"), n_cols
+
+
+def sympy_rref(rows, n_cols):
+    reduced, pivots = sympy.Matrix(len(rows), n_cols, [v for row in rows for v in row]).rref()
+    return [[Fraction(int(v.p), int(v.q)) for v in reduced.row(i)]
+            for i in range(len(pivots))]
+
+
+# [DERIVED] the incremental reduced row-echelon basis equals sympy's rref
+# (its nonzero rows) entry for entry, and the rational kernel read off it has
+# dimension n_cols − rank, lies in the kernel and is linearly independent.
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=rational_matrices())
+def test_row_basis_matches_sympy_rref(case):
+    rows, n_cols = case
+    echelon = rational_row_basis(rows, n_cols)
+    assert echelon == sympy_rref(rows, n_cols)
+    assert all(type(v) is Fraction for row in echelon for v in row)
+    kernel = rational_nullspace(rows, n_cols)
+    assert len(kernel) == n_cols - len(echelon)
+    for vec in kernel:
+        for row in rows:
+            assert sum(a * b for a, b in zip(row, vec)) == 0
+    assert len(rational_row_basis(kernel, n_cols)) == len(kernel)
 
 
 # [DERIVED] integer solve: round-trip A x = b, divisibility obstruction on

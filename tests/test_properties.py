@@ -54,7 +54,7 @@ from nilflat.scan import (SubmersionContext, _abs_sectional_lambda2,
                           _curvature_operator, _oneill_constant,
                           spawn_generator, sup_abs_sectional)
 from nilflat.tower import (CentralCocycle, NilLattice, check_closed,
-                           extend_by_cocycle, peel_step)
+                           extend_by_cocycle, peel_step, peel_tower)
 from nilflat.submersion import (build_split, canonical_variation,
                                 frame_structure, split_diagonal)
 
@@ -181,6 +181,27 @@ def test_extend_then_peel_round_trips(name, a, data):
     for pair, value in omega.items():
         expected.setdefault(pair, {})[n + 1] = value
     assert total.algebra == NilAlgebra.from_brackets(n + 1, cls, expected)
+
+
+# [DERIVED] the random extensions above hold the lower central series
+# recomputed from their table, and so does every base of their peel towers
+# (inherited by projection), with the recomputed class declared.
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(BASES)), a=SMALL, data=st.data())
+def test_extension_towers_inherit_series(name, a, data):
+    n, cls, table = BASES[name]
+    lam = data.draw(st.lists(SMALL, min_size=n, max_size=n), label="lambda")
+    base = NilLattice(NilAlgebra.from_brackets(n, cls, table))
+    top = {(i, j): v for i, j, v in peel_step(base).cocycle.upper_entries()}
+    omega = {(i, j): a * top.get((i, j), 0)
+             - sum(lam[k - 1] * c for k, c in table.get((i, j), {}).items())
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    total = extend_by_cocycle(base, CentralCocycle.from_entries(n, omega))
+    assert total.series == tuple(lower_central_series(total.algebra)[0])
+    for step in peel_tower(total).steps:
+        chain, base_cls = lower_central_series(step.base.algebra)
+        assert step.base.series == tuple(chain)
+        assert step.base.algebra.declared_class == base_cls
 
 
 def basis_vec(n, k):

@@ -316,6 +316,15 @@ def test_diameter_bound_nonfinite_t(t):
         diameter_bound([1.0], [t])
 
 
+# [TRIVIAL] a NaN, negative, zero or infinite fiber length is rejected, not
+# summed into a NaN, negative or infinite diameter bound.
+@pytest.mark.parametrize("length", [float("nan"), -1.0, 0.0, float("inf")],
+                         ids=["nan", "negative", "zero", "inf"])
+def test_diameter_bound_rejects_fiber_length(length):
+    with pytest.raises(ValueError, match="fiber length"):
+        diameter_bound([length], [1.0])
+
+
 # [DERIVED] reports: CSV shape/columns and summary fields.
 def test_report_serialization():
     metric, split = geometry(H3)

@@ -78,6 +78,14 @@ def test_split_errors():
         build_split(metric, [0.0, 1.0])
 
 
+# [TRIVIAL] a NaN or infinite central direction is rejected as a value, not
+# reported as a failed horizontal frame of the wrong dimension.
+@pytest.mark.parametrize("z", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_split_nonfinite_direction(z):
+    with pytest.raises(ValueError, match="finite"):
+        build_split(LeftInvariantMetric.identity(3), [0.0, 0.0, z])
+
+
 # [DERIVED] frame structure constants transform as a (1,2)-tensor: checked by
 # evaluating a bracket both ways on a non-diagonal metric (regression for the
 # component-index transpose).

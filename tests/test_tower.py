@@ -10,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from nilflat import algebra as algebra_module
 from nilflat import catalog, fileio
+from nilflat import intlinalg as intlinalg_module
+from nilflat import tower as tower_module
+from nilflat.algebra import NilAlgebra, lower_central_series
 from nilflat.errors import (
     DimensionMismatch,
     JacobiViolated,
@@ -135,6 +139,56 @@ def test_trusted_path_matches_full_validation(lattice):
     for step in peel_tower(lattice).steps:
         assert step.base == NilLattice(step.base.algebra)
         assert extend_by_cocycle(step.base, step.cocycle) == step.total
+
+
+def free2(r):
+    """Free 2-step nilpotent algebra on r generators: [e_i, e_j] is the next
+    new basis vector."""
+    pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    return NilAlgebra.from_brackets(
+        r + len(pairs), 2, {p: {r + 1 + pos: 1} for pos, p in enumerate(pairs)})
+
+
+SERIES_CASES = ([("point", catalog.point()), ("z3", catalog.abelian(3)),
+                 ("h3", catalog.heisenberg3()), ("h5", catalog.heisenberg5()),
+                 ("n4", catalog.n4()), ("h3_times_z", catalog.h3_times_z())]
+                + [(f"filiform{n}", catalog.filiform(n)) for n in range(3, 15)]
+                + [(f"free2_{r}", free2(r)) for r in (3, 4)])
+
+
+# [DERIVED] a lattice holds the lower central series its validation
+# computed, and every peel base holds the projection of its total's series:
+# both equal the series recomputed from the table, and the base's declared
+# class equals the recomputed class.
+@pytest.mark.parametrize("algebra", [case for _, case in SERIES_CASES],
+                         ids=[name for name, _ in SERIES_CASES])
+def test_peel_bases_inherit_series(algebra):
+    lattice = lat(algebra)
+    assert lattice.series == tuple(lower_central_series(algebra)[0])
+    for step in peel_tower(lattice).steps:
+        chain, cls = lower_central_series(step.base.algebra)
+        assert step.base.series == tuple(chain)
+        assert step.base.algebra.declared_class == cls
+
+
+# [DERIVED] peeling an already-built lattice runs no elimination: with both
+# functions wrapped by counters in every module that looks them up, the
+# whole tower of filiform(8) calls neither; building the lattice calls both,
+# which shows the counters are live.
+def test_peel_tower_runs_no_elimination(monkeypatch):
+    calls = {"lower_central_series": 0, "rational_row_basis": 0}
+    for module in (algebra_module, intlinalg_module, tower_module):
+        for name in calls:
+            if hasattr(module, name):
+                def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    lattice = lat(catalog.filiform(8))
+    assert calls["lower_central_series"] == 1 and calls["rational_row_basis"] > 0
+    calls.update(lower_central_series=0, rational_row_basis=0)
+    assert len(peel_tower(lattice).steps) == 8
+    assert calls == {"lower_central_series": 0, "rational_row_basis": 0}
 
 
 # [DERIVED] extension examples: (Z², ω=1) is the integer Heisenberg,
