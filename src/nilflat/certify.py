@@ -21,7 +21,8 @@ allowance.  A level is accepted once ρ + δ is at most ρ of the level below
 plus the budget; the excess of ρ over the level below scales linearly in t,
 so the loop converges in a couple of rounds.  Every round costs one
 symmetric eigensolve, and no plane is sampled.  The final metric's ρ + δ must
-be at most eps; its sampled and polished sup|K| is reported beside the bound.
+be at most eps; its polished sup|K| (sampled only where the eigenplane polish
+stays below ρ − δ) is reported beside the bound.
 If a loop cannot meet its budget within _MAX_ROUNDS rounds, the final bound
 exceeds eps, or the curvature of a level or of the final metric cannot be
 measured in float64, the certification fails with BudgetNotMet.
@@ -53,7 +54,7 @@ class CertificateReport:
 
     level_bounds[i] is ρ + δ of level i at its accepted t (see
     `scan.curvature_bound`); sup_abs_K_bound is that of the final metric, and
-    sup_abs_K its sampled and polished sup|K|.
+    sup_abs_K its polished sup|K|.
     """
 
     eps: float
@@ -86,7 +87,7 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
                         eps: float, *, seed: int = 0,
                         n_samples: int = 4096) -> CertificateReport:
     """Choose per-level collapse parameters so the fully assembled metric has
-    sup|K| ≤ ρ + δ ≤ eps, report its sampled sup|K| beside that bound, and
+    sup|K| ≤ ρ + δ ≤ eps, report its polished sup|K| beside that bound, and
     bound the diameter of the result."""
     if not (0.0 < eps < math.inf):
         raise ValueError(f"eps must be positive and finite, got {eps}")

@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-points", type=int, default=7,
                    help="number of log-spaced grid points (default: 7)")
     p.add_argument("--samples", type=int, default=4096,
-                   help="plane samples per t value (default: 4096)")
+                   help="plane samples per t value, drawn only where the "
+                        "eigenplane polish stays below rho - delta (default: 4096)")
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed (default: 0)")
     p.add_argument("--out",
@@ -121,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True,
                    help="target for the bound on sup|K|")
     p.add_argument("--samples", type=int, default=4096,
-                   help="plane samples for the reported sampled sup|K| "
-                        "(default: 4096)")
+                   help="plane samples for the reported sup|K|, drawn only where the "
+                        "eigenplane polish stays below rho - delta (default: 4096)")
     p.add_argument("--seed", type=int, default=0,
                    help="RNG seed (default: 0)")
     p.add_argument("--out", help="schedule JSON path (default: stdout)")

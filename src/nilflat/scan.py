@@ -1,7 +1,7 @@
 """Sampling verification of the collapse curvature bound sup|K^t| ≤ sup|Ǩ| + C√t.
 
-The scan rescales the fiber of a central circle direction by t, samples tangent
-2-planes, and tracks the sampled sup of |sectional curvature| against the
+The scan rescales the fiber of a central circle direction by t, measures the
+sup of |sectional curvature| over tangent 2-planes, and checks it against the
 explicit bound.  Every 2-plane of the total space contains a horizontal unit
 vector (the vertical distribution is a line), so planes are parametrized as
 span(X, C) with X horizontal and C orthogonal to X, both g^t-unit.
@@ -22,11 +22,12 @@ i < j, k < l, ℛ_pq = R̂_ijkl (Milnor 1976).  A sample (x, c) is scored as
 n⁴/4 terms per plane, where the 4-tensor form R̂(x, c, x, c) has n⁴, and
 temporaries of O(samples · n(n−1)/2).
 
-Sup estimates are sampled and then *polished*: starting from the best sampled
-planes, alternate exact maximization over each leg of the plane, each step the
-top eigenvector of the leg's quadratic form compressed by the rank-one
+Sup estimates are *polished* from the eigenplane seeds (below), and from
+the best sampled planes only where the seeds stay below ρ − δ: alternate
+exact maximization over each leg of the plane, each step the top
+eigenvector of the leg's quadratic form compressed by the rank-one
 projector onto the other leg's orthocomplement.  |K| never decreases along
-the alternation, so the polished value dominates the raw sample max.  All
+the alternation, so the polished value dominates its start.  All
 candidates are polished as one batch: each half-sweep is one stacked
 contraction of R̂ and one stacked eigh, the projector is built per row (none
 for a purely vertical second leg), and a candidate leaves the batch when its
@@ -38,11 +39,12 @@ plane; it is attained exactly where the eigenspace of ρ or −ρ holds a
 decomposable bivector.  `curvature_bound` gives ρ and its rounding
 allowance δ (derived in `lemma_scan`), the bound ρ + δ that `certify` gates
 on.  One eigh of ℛ gives ρ and its two extreme eigenvectors; each, read as a
-skew n×n matrix B, adds both legs of its best rank-2 plane (the top
-2-eigenspace of BᵀB) to the batch, and the batch stops once some |K| reaches
-ρ − δ.  No plane exceeds ρ + δ, so where ρ is attained the polished sup is
-within 2δ of the true sup — the decay-exponent fit needs that, since the
-excess sup|K^t| − sup|Ǩ| can sit many orders of magnitude below sup|Ǩ|.
+skew n×n matrix B, gives both legs of its best rank-2 plane (the top
+2-eigenspace of BᵀB).  If one polish sweep takes a leg to a finite ρ − δ,
+nothing is drawn; else the legs join the sampled batch, which stops there.
+No plane exceeds ρ + δ, so where ρ is attained the polished sup is within
+2δ of the true sup — the decay-exponent fit needs that, since the excess
+sup|K^t| − sup|Ǩ| can sit many orders of magnitude below sup|Ǩ|.
 Elsewhere the polish runs to its per-row stop.
 
 Determinism: all randomness flows through counter-based Philox generators
@@ -102,24 +104,31 @@ def _draw_unit(gen: np.random.Generator, d: np.ndarray, support: int,
                count: int, orth_to: Optional[np.ndarray] = None) -> np.ndarray:
     """count rows supported on the first `support` coordinates, unit in the
     diagonal metric diag(d) and, if given, orthogonal to the matching row of
-    orth_to (whose rows are diag(d)-unit)."""
+    orth_to (whose rows are diag(d)-unit).  Rows are normalised in place;
+    only rejected ones are drawn again."""
     n = d.shape[0]
-    out = np.empty((count, n))
-    remaining = np.arange(count)
-    while remaining.size:
-        draw = gen.standard_normal((remaining.size, n))
-        if support < n:
-            draw[:, support:] = 0.0
-        if orth_to is not None:
-            x = orth_to[remaining]
-            proj = np.einsum("ai,ai->a", draw, x * d, optimize=False)
-            draw = draw - proj[:, None] * x
-        norms = np.einsum("ai,i,ai->a", draw, d, draw, optimize=False)
-        good = norms > TOL_GRAM
-        rows = remaining[good]
-        out[rows] = draw[good] / np.sqrt(norms[good])[:, None]
-        remaining = remaining[~good]
+    out = gen.standard_normal((count, n))
+    if support < n:
+        out[:, support:] = 0.0
+    if orth_to is not None:
+        proj = np.einsum("ai,ai->a", out, orth_to * d, optimize=False)
+        out -= proj[:, None] * orth_to
+    norms = np.einsum("ai,i,ai->a", out, d, out, optimize=False)
+    rejected = np.flatnonzero(~(norms > TOL_GRAM))
+    norms[rejected] = 1.0
+    out /= np.sqrt(norms)[:, None]
+    if rejected.size:
+        redo = None if orth_to is None else orth_to[rejected]
+        out[rejected] = _draw_unit(gen, d, support, rejected.size, redo)
     return out
+
+
+def _top_stable(k: np.ndarray, count: int) -> np.ndarray:
+    """np.argsort(k, kind="stable")[-count:] for count ≥ 1, sorting only the
+    entries not below the count-th largest (NaN counts as largest)."""
+    cut_at = max(k.size - count, 0)
+    chosen = np.flatnonzero(~(k < k[np.argpartition(k, cut_at)[cut_at]]))
+    return chosen[np.argsort(k[chosen], kind="stable")][-count:]
 
 
 def _curvature_operator(r4: np.ndarray) -> tuple:
@@ -189,7 +198,8 @@ def _eigenplane_seeds(op: np.ndarray, pairs: tuple, n: int) -> tuple:
 
 
 def _polish(r4: np.ndarray, support: int, c: np.ndarray,
-            start: np.ndarray, ceiling: float = math.inf) -> np.ndarray:
+            start: np.ndarray, ceiling: float = math.inf,
+            sweeps: int = _POLISH_MAX_ITER) -> np.ndarray:
     """Alternating exact maximization of |K(span(x_a, c_a))| for every row a
     at once, in orthonormal coordinates with x_a kept in the first `support`
     coordinates; starts from the second legs c_a of planes whose |K| is
@@ -197,12 +207,12 @@ def _polish(r4: np.ndarray, support: int, c: np.ndarray,
 
     A row leaves the batch once a sweep moves its |K| by no more than
     rounding (either way: at the maximum, recomputed values scatter by a few
-    ulp), or after _POLISH_MAX_ITER sweeps.  The whole batch stops once some
+    ulp), or after `sweeps` sweeps.  The whole batch stops once some
     row reaches `ceiling` (checked before and after every sweep)."""
     n = r4.shape[0]
     best = start.copy()
     active = np.arange(best.shape[0])
-    for _ in range(_POLISH_MAX_ITER):
+    for _ in range(sweeps):
         if not active.size or not (np.max(best) < ceiling):
             break
         qc = np.einsum("ijkl,aj,al->aik", r4[:support, :, :support], c, c,
@@ -225,31 +235,35 @@ def _polish(r4: np.ndarray, support: int, c: np.ndarray,
 def sup_abs_sectional(r4: np.ndarray, t: float, horizontal_dim: int,
                       gen: np.random.Generator, n_samples: int,
                       polish: int = _POLISH_COUNT) -> tuple:
-    """Sampled-and-polished sup |K| of the orthonormal tensor r4 of
-    diag(1, …, 1, t) over planes drawn in the split frame, one leg in the
-    first `horizontal_dim` coordinates; the best `polish` samples (all if fewer,
-    none if polish ≤ 0) are polished, together with the eigenplane seeds of
-    the curvature operator, up to the ceiling ρ − δ.  Returns (sup, argmax
-    raw sample index)."""
+    """Polished sup |K| of the orthonormal tensor r4 of diag(1, …, 1, t) over
+    planes with one leg in the first `horizontal_dim` split-frame coordinates.
+    The eigenplane seeds of ℛ get one polish sweep, and if one reaches a
+    finite ceiling ρ − δ, no sample is drawn.  Else `n_samples` planes are
+    drawn in the split frame and the best `polish` (all if fewer; none and no
+    seeds if polish ≤ 0) are polished with the seeds up to the ceiling.
+    Returns (sup, argmax raw sample index, −1 where none is drawn)."""
     n = r4.shape[0]
     if n < 2 or horizontal_dim < 1:
         return 0.0, -1
+    op, pairs = _curvature_operator(r4)
+    if polish > 0:
+        rho, legs = _eigenplane_seeds(op, pairs, n)
+        ceiling = rho - _rounding_allowance(n, float(np.max(np.abs(r4))))
+        starts = np.zeros(legs.shape[0])
+        reached = np.max(_polish(r4, horizontal_dim, legs, starts, ceiling, 1))
+        if math.isfinite(ceiling) and reached >= ceiling:
+            return float(reached), -1
     d = split_diagonal(n, t)
     x = _draw_unit(gen, d, horizontal_dim, n_samples)
     c = _draw_unit(gen, d, n, n_samples, orth_to=x)
     x, c = x * np.sqrt(d), c * np.sqrt(d)
-    op, pairs = _curvature_operator(r4)
     k = _abs_sectional_lambda2(op, pairs, x, c)
-    order = np.argsort(k, kind="stable")
-    best_index = int(order[-1])
+    best_index = n_samples - 1 - int(np.argmax(k[::-1]))  # last max, as sorted
     if polish <= 0:
         return float(k[best_index]), best_index
-    top = order[n_samples - min(polish, n_samples):]
-    rho, legs = _eigenplane_seeds(op, pairs, n)
-    ceiling = rho - _rounding_allowance(n, float(np.max(np.abs(r4))))
+    top = _top_stable(k, min(polish, n_samples))
     polished = _polish(r4, horizontal_dim, np.concatenate([c[top], legs]),
-                       np.concatenate([k[top], np.zeros(legs.shape[0])]),
-                       ceiling)
+                       np.concatenate([k[top], starts]), ceiling)
     return float(np.max(polished, initial=k[best_index])), best_index
 
 
@@ -446,10 +460,12 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
         r_max = float(np.max(np.abs(r_t)))
         rounding = _rounding_allowance(n, r_max + base_max)
         bound = base_sup + c_const * math.sqrt(t) + rounding
-        if not (sup_t <= bound):
+        if not (math.isfinite(sup_t) and sup_t <= bound):
+            witness = (f" (witness near sample {raw_index})" if raw_index >= 0 else
+                       "; witness: an eigenplane of ℛ at this t (no sample drawn)")
             raise BoundViolated(
-                f"sampled sup|K^t| = {sup_t!r} exceeds bound {bound!r} at "
-                f"t = {t!r} (witness near sample {raw_index})",
+                f"measured sup|K^t| = {sup_t!r} exceeds bound {bound!r} at "
+                f"t = {t!r}{witness}",
                 t=t, sample_index=raw_index, value=sup_t, bound=bound)
         sups.append(sup_t)
         roundings.append(rounding)

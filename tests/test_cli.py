@@ -524,6 +524,36 @@ def test_curvature_thread_determinism_dense_seed(tmp_path, child_env):
     assert outputs[0] == outputs[1]
 
 
+# [DERIVED] curvature writes the same bytes at BLAS/OpenMP thread counts 1
+# and 8 on h5, where no eigenplane of ℛ attains ρ: every grid t draws and
+# scores samples and polishes the best of them with the seeds.
+def test_curvature_thread_determinism_sampler(tmp_path, child_env):
+    argv = [sys.executable, "-m", "nilflat", "curvature", str(DATA / "h5.json"),
+            "--out", "run.csv"]
+    outputs = []
+    for threads in ("1", "8"):
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                        MKL_NUM_THREADS=threads)
+        proc = subprocess.run(argv, cwd=workdir, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((workdir / "run.csv").read_bytes()
+                       + (workdir / "run.summary.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+# [DERIVED] the README's curvature example is what the command prints.
+def test_readme_curvature_example(capsys, monkeypatch):
+    readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
+    prompt = "$ nilflat curvature data/h3.json --t-points 4 --t-min 1e-6 --samples 2048\n"
+    block = readme.split(prompt, 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(DATA.parent)
+    code, out, _ = run_cli(prompt.split()[2:], capsys)
+    assert code == 0
+    assert out == block
+
+
 # [TRIVIAL] the module entry point is wired up.
 def test_module_entry_point(tmp_path, child_env):
     proc = subprocess.run([sys.executable, "-m", "nilflat", "--version"],

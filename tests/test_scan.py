@@ -46,6 +46,29 @@ def geometry(algebra, matrix=None):
     return metric, build_split(metric, z)
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """The row counts of every `scan._draw_unit` call made in the test."""
+    calls = []
+    real = scan._draw_unit
+
+    def counting(gen, d, support, count, orth_to=None):
+        calls.append(count)
+        return real(gen, d, support, count, orth_to)
+
+    monkeypatch.setattr(scan, "_draw_unit", counting)
+    return calls
+
+
+def assert_witness(index, drawn, n_samples):
+    """The sup's index is −1 exactly when no plane was drawn, and a sample
+    index otherwise."""
+    if drawn:
+        assert 0 <= index < n_samples
+    else:
+        assert index == -1
+
+
 # [DERIVED] unit-disk normalization of every sample: x horizontal g^t-unit,
 # c g^t-unit and g^t-orthogonal to x, and g(y,y) + t·g(u,u) = 1.
 @pytest.mark.parametrize("t", [1.0, 0.1, 1e-4])
@@ -137,13 +160,13 @@ def test_vertical_plane_law(t):
 
 
 # [DERIVED] polished sup over h3 planes finds the closed-form maximum 3/4.
-def test_sup_abs_sectional_h3():
+def test_sup_abs_sectional_h3(draws):
     metric, split = geometry(H3)
     ctx = SubmersionContext(H3, metric, split)
     r1 = ctx.frame_curvature(1.0)
     sup, index = sup_abs_sectional(r1, 1.0, 2, spawn_generator(0, 9), 500)
     assert sup == pytest.approx(0.75, abs=1e-12)
-    assert 0 <= index < 500
+    assert_witness(index, draws, 500)
 
 
 # [DERIVED] h3 scan: sup|K^t| = 3t/4 at every t, flat base, unit exponent.
@@ -220,14 +243,16 @@ def test_lemma_scan_tiny_t():
 
 # [DERIVED] outside the C-constant's validity domain (t <= 1) the asserted
 # bound can fail; the violation is reported with the witnessing data.
-def test_bound_violated_outside_domain():
+def test_bound_violated_outside_domain(draws):
     metric, split = geometry(H3)
     with pytest.raises(BoundViolated) as info:
         lemma_scan(H3, metric, split, [100.0], n_samples=500, seed=0)
     err = info.value
     assert err.t == 100.0
     assert err.value > err.bound
-    assert err.sample_index >= 0
+    assert_witness(err.sample_index, draws, 500)
+    if not draws:
+        assert "witness: an eigenplane of ℛ at this t (no sample drawn)" in str(err)
 
 
 # [DERIVED] the rounding allowance δ_t in the bound is far below any real
@@ -465,19 +490,20 @@ def test_batched_polish_matches_single_pair(algebra, t, support_drop):
 # reference; no plane exceeds ρ + δ.
 @pytest.mark.parametrize("n_samples,polish", [(5, 16), (40, 0), (200, 16)],
                          ids=["few-samples", "no-polish", "default"])
-def test_sup_abs_sectional_matches_reference(n_samples, polish):
+def test_sup_abs_sectional_matches_reference(n_samples, polish, draws):
     algebra = catalog.filiform(5)
     for t in (1.0, 1e-4):
         r4 = random_split_tensor(algebra, 3, t)
+        draws.clear()
         got, index = sup_abs_sectional(r4, t, 4, spawn_generator(1, 3), n_samples,
                                        polish=polish)
+        assert_witness(index, draws, n_samples)
         expected = reference_sup(r4, t, 4, spawn_generator(1, 3), n_samples, polish)
         if polish > 0:
             rho, delta = reference_rho_and_delta(r4)
             assert expected - 2.0 * delta <= got <= rho + delta
         else:
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
-        assert 0 <= index < n_samples
 
 
 def assert_reaches_rho(r4, t, support, gen, n_samples=4096):
@@ -530,3 +556,98 @@ def test_polish_sweeps_filiform8(monkeypatch):
         sup_abs_sectional(r1, 1.0, 7, spawn_generator(seed, scan._STREAM_GRID, 0),
                           4096)
         assert 0 < len(calls) <= 4
+
+
+# [DERIVED] a NaN or infinite tensor entry yields a non-finite sup, and so a
+# bound violation: the eigenplane probe stops only at a finite ceiling, never
+# at one built from a non-finite ρ − δ.
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_tensor_is_not_hidden(value, monkeypatch):
+    metric, split = geometry(H3)
+    real = SubmersionContext.frame_curvature
+
+    def poisoned(self, t):
+        r_hat = real(self, t).copy()
+        r_hat[0, 1, 0, 1] = value
+        return r_hat
+
+    r1 = poisoned(SubmersionContext(H3, metric, split), 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sup, _ = sup_abs_sectional(r1, 1.0, 2, spawn_generator(0, 9), 500)
+        assert not math.isfinite(sup)
+        monkeypatch.setattr(SubmersionContext, "frame_curvature", poisoned)
+        with pytest.raises(BoundViolated) as info:
+            lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
+    assert not math.isfinite(info.value.value)
+
+
+# [DERIVED] where an eigenplane of ℛ attains ρ (h3, n4 and filiform(8) at
+# G = I, every t of the default grid and the flat bases) nothing is drawn;
+# on h5, where ρ = 5t/4 exceeds the sup 3t/4, both legs are drawn at every t.
+@pytest.mark.parametrize("algebra,expected", [
+    (H3, []), (N4, []), (catalog.filiform(8), []),
+    (catalog.heisenberg5(), [4096, 4096] * 7)], ids=["h3", "n4", "filiform8", "h5"])
+def test_lemma_scan_draws_only_below_ceiling(algebra, expected, draws):
+    metric, split = geometry(algebra)
+    lemma_scan(algebra, metric, split, np.geomspace(1.0, 1e-6, 7),
+               n_samples=4096, seed=0)
+    assert draws == expected
+
+
+def old_draw_unit(gen, d, support, count, orth_to=None):
+    """`scan._draw_unit` as it was before the in-place first pass."""
+    n = d.shape[0]
+    out = np.empty((count, n))
+    remaining = np.arange(count)
+    while remaining.size:
+        draw = gen.standard_normal((remaining.size, n))
+        if support < n:
+            draw[:, support:] = 0.0
+        if orth_to is not None:
+            x = orth_to[remaining]
+            proj = np.einsum("ai,ai->a", draw, x * d, optimize=False)
+            draw = draw - proj[:, None] * x
+        norms = np.einsum("ai,i,ai->a", draw, d, draw, optimize=False)
+        good = norms > scan.TOL_GRAM
+        rows = remaining[good]
+        out[rows] = draw[good] / np.sqrt(norms[good])[:, None]
+        remaining = remaining[~good]
+    return out
+
+
+# [DERIVED] the in-place draw gives the old draw's bytes, also when rows are
+# rejected and drawn again (forced by a Gram tolerance above most norms).
+@pytest.mark.parametrize("tol", [scan.TOL_GRAM, 0.5], ids=["default", "rejecting"])
+@pytest.mark.parametrize("seed", range(4))
+def test_draw_unit_matches_old(seed, tol, monkeypatch):
+    monkeypatch.setattr(scan, "TOL_GRAM", tol)
+    n, t = 5, 1e-3
+    d = split_diagonal(n, t)
+    for support, count in ((n - 1, 300), (n, 7), (1, 1)):
+        pair = []
+        for draw_unit in (scan._draw_unit, old_draw_unit):
+            gen = spawn_generator(seed, support, count)
+            x = draw_unit(gen, d, support, count)
+            pair.append((x, draw_unit(gen, d, n, count, orth_to=x)))
+        for got, expected in zip(pair[0], pair[1]):
+            assert got.tobytes() == expected.tobytes()
+
+
+# [DERIVED] the partial selection returns what the stable sort returns: the
+# same top set in the same order, ties at the cut taken by index, and the
+# last index of the max; on sampled scores and on scores built with ties.
+def test_top_stable_matches_argsort():
+    rng = np.random.default_rng(5)
+    arrays = [np.abs(rng.standard_normal(4096)),
+              rng.integers(0, 4, 64).astype(float),    # ties at every cut
+              np.repeat([0.5, 0.25, 0.75], [10, 20, 10]),
+              np.zeros(20), np.array([1.0]),
+              np.array([0.3, np.nan, 0.1, np.nan, 0.3])]
+    for k in arrays:
+        order = np.argsort(k, kind="stable")
+        for count in (1, 2, 9, 10, 11, 16, k.size - 1, k.size, k.size + 3):
+            if count < 1:
+                continue
+            got = scan._top_stable(k, count)
+            np.testing.assert_array_equal(got, order[max(k.size - count, 0):])
+        assert k.size - 1 - int(np.argmax(k[::-1])) == order[-1]
