@@ -21,8 +21,9 @@ allowance.  A level is accepted once ρ + δ is at most ρ of the level below
 plus the budget; the excess of ρ over the level below scales linearly in t,
 so the loop converges in a couple of rounds.  Every round costs one
 symmetric eigensolve, and no plane is sampled.  The final metric's ρ + δ must
-be at most eps; its polished sup|K| (sampled only where the eigenplane polish
-stays below ρ − δ) is reported beside the bound.
+be at most eps; its polished sup|K| is reported beside the bound (samples
+are drawn only where the polished eigenplanes neither reach ρ − δ nor meet
+Thorpe's certificate, see `scan`).
 If a loop cannot meet its budget within _MAX_ROUNDS rounds, the final bound
 exceeds eps, or the curvature of a level or of the final metric cannot be
 measured in float64, the certification fails with BudgetNotMet.
@@ -93,6 +94,8 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     steps = tower.steps
     if not steps:  # the point: nothing to collapse
         empty = np.zeros((0, 0))

@@ -101,9 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of log-spaced grid points (default: 7)")
     p.add_argument("--samples", type=int, default=4096,
                    help="plane samples per t value, drawn only where the "
-                        "eigenplane polish stays below rho - delta (default: 4096)")
+                        "polished eigenplanes neither reach rho - delta nor "
+                        "are certified as the sup (default: 4096)")
     p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed (default: 0)")
+                   help="RNG seed, non-negative (default: 0)")
     p.add_argument("--out",
                    help="output path; with csv format a *.summary.json file "
                         "is written beside it (default: stdout)")
@@ -122,10 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True,
                    help="target for the bound on sup|K|")
     p.add_argument("--samples", type=int, default=4096,
-                   help="plane samples for the reported sup|K|, drawn only where the "
-                        "eigenplane polish stays below rho - delta (default: 4096)")
+                   help="plane samples for the reported sup|K|, drawn only where "
+                        "the polished eigenplanes neither reach rho - delta nor "
+                        "are certified as the sup (default: 4096)")
     p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed (default: 0)")
+                   help="RNG seed, non-negative (default: 0)")
     p.add_argument("--out", help="schedule JSON path (default: stdout)")
     p.set_defaults(func=cmd_certify)
 
@@ -227,6 +229,12 @@ def _check_scan_flags(args: argparse.Namespace) -> None:
         raise _UsageError(f"--t-points must be >= 1, got {args.t_points}")
     if args.samples < 1:
         raise _UsageError(f"--samples must be >= 1, got {args.samples}")
+    _check_seed(args.seed)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {seed}")
 
 
 def cmd_curvature(args: argparse.Namespace) -> int:
@@ -282,6 +290,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         raise _UsageError(f"--eps must be positive and finite, got {args.eps}")
     if args.samples < 1:
         raise _UsageError(f"--samples must be >= 1, got {args.samples}")
+    _check_seed(args.seed)
     lattice = fileio.load_lattice(args.path)
     metric = _load_metric_arg(args.metric, lattice.dim)
     tower = peel_tower(lattice)

@@ -23,7 +23,7 @@ n⁴/4 terms per plane, where the 4-tensor form R̂(x, c, x, c) has n⁴, and
 temporaries of O(samples · n(n−1)/2).
 
 Sup estimates are *polished* from the eigenplane seeds (below), and from
-the best sampled planes only where the seeds stay below ρ − δ: alternate
+the best sampled planes only where no certificate meets the seeds: alternate
 exact maximization over each leg of the plane, each step the top
 eigenvector of the leg's quadratic form compressed by the rank-one
 projector onto the other leg's orthocomplement.  |K| never decreases along
@@ -40,22 +40,36 @@ decomposable bivector.  `curvature_bound` gives ρ and its rounding
 allowance δ (derived in `lemma_scan`), the bound ρ + δ that `certify` gates
 on.  One eigh of ℛ gives ρ and its two extreme eigenvectors; each, read as a
 skew n×n matrix B, gives both legs of its best rank-2 plane (the top
-2-eigenspace of BᵀB).  If one polish sweep takes a leg to a finite ρ − δ,
-nothing is drawn; else the legs join the sampled batch, which stops there.
+2-eigenspace of BᵀB).  The legs are polished first, and if one reaches a
+finite ρ − δ (usually in one sweep where ρ is attained), nothing is drawn.
 No plane exceeds ρ + δ, so where ρ is attained the polished sup is within
 2δ of the true sup — the decay-exponent fit needs that, since the excess
 sup|K^t| − sup|Ǩ| can sit many orders of magnitude below sup|Ǩ|.
-Elsewhere the polish runs to its per-row stop.
+
+Thorpe certificate: where the legs stop below ρ − δ, the best of them,
+σ = x ∧ c with value B and sign s of K, may still be the sup.  K is also
+the Rayleigh quotient of sℛ + W_ω at decomposable σ for every 4-form ω,
+since W_ω vanishes there (Thorpe 1971; one coefficient per 4-subset, placed
+at its three disjoint pair-pairs), so λ_max(sℛ + W_ω) + δ_ω bounds sK for
+every ω.  ω is the least-norm solution of the complementary slackness
+(sℛ + W_ω)σ = Bσ, through the eigh of an m×m Gram matrix (m = n(n−1)/2).
+If B reaches λ_max − δ_ω and the other sign's extreme eigenvalue of ℛ stays
+below B − δ, B is returned and nothing is drawn.  Else (the relaxation is
+not exact there, as on free 2-step algebras at G = I) the legs join the
+sampled batch, which polishes to the per-row stop or to ρ − δ.
 
 Determinism: all randomness flows through counter-based Philox generators
 keyed by (seed, stream, index), draws happen in single batched calls, every
-contraction is einsum(optimize=False) (no BLAS matmul) and every
+contraction is einsum(optimize=False) (no BLAS matmul; the certificate's
+Gram matrix is a np.bincount scatter sum, in input order) and every
 eigensolve a LAPACK eigh (stacked in the polish, whose rows do not depend on
 the batch), so outputs are byte-identical regardless of thread count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -180,13 +194,13 @@ def curvature_bound(r_hat: np.ndarray) -> tuple:
                                     float(np.max(np.abs(r_hat), initial=0.0)))
 
 
-def _eigenplane_seeds(op: np.ndarray, pairs: tuple, n: int) -> tuple:
-    """(ρ, legs): the spectral radius of the symmetrised operator op on Λ²,
-    and four unit rows, both legs of the best rank-2 plane of each extreme
-    eigenvector.  An eigenvector read as the skew n×n matrix B has as its
-    best plane the top 2-eigenspace of BᵀB, which is B's own plane when B is
-    decomposable."""
-    vals, vecs = np.linalg.eigh(0.5 * (op + op.T))
+def _eigenplane_seeds(sym: np.ndarray, pairs: tuple, n: int) -> tuple:
+    """((λ_min, λ_max), legs): the extreme eigenvalues of the symmetric
+    operator sym on Λ², and four unit rows, both legs of the best rank-2
+    plane of each extreme eigenvector.  An eigenvector read as the skew n×n
+    matrix B has as its best plane the top 2-eigenspace of BᵀB, which is B's
+    own plane when B is decomposable."""
+    vals, vecs = np.linalg.eigh(sym)
     i, j = pairs
     b = np.zeros((2, n, n))
     ends = vecs[:, [0, -1]].T
@@ -194,25 +208,113 @@ def _eigenplane_seeds(op: np.ndarray, pairs: tuple, n: int) -> tuple:
     b[:, j, i] = -ends
     btb = np.einsum("aki,akj->aij", b, b, optimize=False)
     legs = np.swapaxes(np.linalg.eigh(btb)[1][:, :, -2:], 1, 2).reshape(4, n)
-    return max(abs(float(vals[0])), abs(float(vals[-1]))), legs
+    return (float(vals[0]), float(vals[-1])), legs
+
+
+# Signs of the splittings (ab|cd), (ac|bd), (ad|bc) of a 4-subset a < b < c < d
+# in the Plücker relation σ_ab σ_cd − σ_ac σ_bd + σ_ad σ_bc = 0, which holds
+# for every decomposable bivector σ.
+_SPLIT_SIGN = np.array([1.0, -1.0, 1.0])
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_splittings(n: int) -> tuple:
+    """(p, q): the three splittings of every 4-subset of range(n), in
+    lexicographic order, into disjoint pairs p | q, as C(n, 4)×3 indices into
+    the pairs of `_curvature_operator` (in `_SPLIT_SIGN` order)."""
+    index = np.zeros((n, n), dtype=np.intp)
+    index[np.triu_indices(n, 1)] = np.arange(n * (n - 1) // 2)
+    a, b, c, d = np.array(list(itertools.combinations(range(n), 4)),
+                          dtype=np.intp).reshape(-1, 4).T
+    p = np.stack([index[a, b], index[a, c], index[a, d]], axis=1)
+    q = np.stack([index[c, d], index[b, d], index[b, c]], axis=1)
+    p.flags.writeable = q.flags.writeable = False
+    return p, q
+
+
+def _thorpe_form(omega: np.ndarray, n: int) -> np.ndarray:
+    """W_ω, the symmetric form on Λ² of the 4-form ω (one coefficient per
+    4-subset, in `_pair_splittings` order): bᵀW_ωb = 2Σ ω_abcd(b_ab b_cd −
+    b_ac b_bd + b_ad b_bc), zero at every decomposable b (Thorpe 1971)."""
+    p, q = _pair_splittings(n)
+    m = n * (n - 1) // 2
+    w = np.zeros((m, m))
+    entries = omega[:, None] * _SPLIT_SIGN
+    w[p, q] = entries
+    w[q, p] = entries
+    return w
+
+
+def _slack_form(sigma: np.ndarray, residual: np.ndarray, n: int) -> np.ndarray:
+    """The least-norm 4-form ω that brings W_ω σ nearest to residual.
+
+    ω ↦ W_ω σ is a linear map A, whose column of the 4-subset abcd is
+    nonzero only at its six pairs; ω = Aᵀ(AAᵀ)⁺ residual, with the m×m Gram
+    matrix AAᵀ scatter-summed over those 6×6 blocks (np.bincount adds in
+    input order) and pseudo-inverted by its eigh."""
+    p, q = _pair_splittings(n)
+    m = sigma.shape[0]
+    rows = np.concatenate([p, q], axis=1)
+    column = np.concatenate([_SPLIT_SIGN * sigma[q], _SPLIT_SIGN * sigma[p]],
+                            axis=1)
+    gram = np.bincount((rows[:, :, None] * m + rows[:, None, :]).reshape(-1),
+                       weights=(column[:, :, None] * column[:, None, :]).reshape(-1),
+                       minlength=m * m).reshape(m, m)
+    lam, u = np.linalg.eigh(gram)
+    keep = lam > m * _EPS * lam[-1]
+    coef = np.einsum("pk,p->k", u[:, keep], residual, optimize=False) / lam[keep]
+    y = np.einsum("pk,k->p", u[:, keep], coef, optimize=False)
+    return np.einsum("se,se->s", column, y[rows], optimize=False)
+
+
+def _thorpe_certifies(sym: np.ndarray, pairs: tuple, extremes: tuple,
+                      x: np.ndarray, c: np.ndarray, value: float,
+                      r_max: float) -> bool:
+    """Whether |K| = value of the orthonormal plane span(x, c) is the sup
+    over all planes, to the rounding allowance, by Thorpe's trick.
+
+    With σ = x ∧ c and s the sign of K(σ), sK(τ) = τᵀ(sℛ + W_ω)τ for every
+    unit decomposable τ and every 4-form ω, so λ_max(sℛ + W_ω) + δ_ω bounds
+    sK.  ω solves the complementary slackness (sℛ + W_ω)σ = value·σ in the
+    least-norm sense.  The plane is certified if value ≥ λ_max − δ_ω, with
+    δ_ω counting max|ω| beside max|R̂|, and the other sign is bounded below
+    value − δ by its extreme eigenvalue of ℛ (`extremes` = (λ_min, λ_max))."""
+    n = x.shape[0]
+    i, j = pairs
+    sigma = x[i] * c[j] - x[j] * c[i]
+    norm = math.sqrt(float(np.einsum("p,p->", sigma, sigma, optimize=False)))
+    if not (value > 0.0 and norm > 0.0):
+        return False
+    sigma = sigma / norm
+    r_sigma = np.einsum("pq,q->p", sym, sigma, optimize=False)
+    k_sigma = float(np.einsum("p,p->", sigma, r_sigma, optimize=False))
+    sign = 1.0 if k_sigma >= 0.0 else -1.0
+    other = -extremes[0] if sign > 0 else extremes[1]
+    if other > value - _rounding_allowance(n, r_max):
+        return False
+    omega = _slack_form(sigma, value * sigma - sign * r_sigma, n)
+    top = float(np.linalg.eigvalsh(sign * sym + _thorpe_form(omega, n))[-1])
+    omega_max = float(np.max(np.abs(omega), initial=0.0))
+    return value >= top - _rounding_allowance(n, r_max + omega_max)
 
 
 def _polish(r4: np.ndarray, support: int, c: np.ndarray,
-            start: np.ndarray, ceiling: float = math.inf,
-            sweeps: int = _POLISH_MAX_ITER) -> np.ndarray:
+            start: np.ndarray, ceiling: float = math.inf) -> tuple:
     """Alternating exact maximization of |K(span(x_a, c_a))| for every row a
     at once, in orthonormal coordinates with x_a kept in the first `support`
     coordinates; starts from the second legs c_a of planes whose |K| is
-    `start` and returns the max found per row.
+    `start`.  Returns (best, x, c): the max found per row and the legs of
+    the polished plane that reached it (zero rows where none beat `start`).
 
     A row leaves the batch once a sweep moves its |K| by no more than
     rounding (either way: at the maximum, recomputed values scatter by a few
-    ulp), or after `sweeps` sweeps.  The whole batch stops once some
+    ulp), or after _POLISH_MAX_ITER sweeps.  The whole batch stops once some
     row reaches `ceiling` (checked before and after every sweep)."""
     n = r4.shape[0]
     best = start.copy()
+    best_x, best_c = np.zeros((2, best.shape[0], n))
     active = np.arange(best.shape[0])
-    for _ in range(sweeps):
+    for _ in range(_POLISH_MAX_ITER):
         if not active.size or not (np.max(best) < ceiling):
             break
         qc = np.einsum("ijkl,aj,al->aik", r4[:support, :, :support], c, c,
@@ -227,9 +329,11 @@ def _polish(r4: np.ndarray, support: int, c: np.ndarray,
         qx = np.einsum("ijkl,ai,ak->ajl", r4, x, x, optimize=False)
         val, c = _top_eigenpairs(qx, x)
         done = np.abs(val - best[active]) <= 1e-14 * np.maximum(1.0, np.abs(val))
+        raised = val > best[active]
+        best_x[active[raised]], best_c[active[raised]] = x[raised], c[raised]
         best[active] = np.maximum(best[active], val)
         active, c = active[~done], c[~done]
-    return best
+    return best, best_x, best_c
 
 
 def sup_abs_sectional(r4: np.ndarray, t: float, horizontal_dim: int,
@@ -237,22 +341,32 @@ def sup_abs_sectional(r4: np.ndarray, t: float, horizontal_dim: int,
                       polish: int = _POLISH_COUNT) -> tuple:
     """Polished sup |K| of the orthonormal tensor r4 of diag(1, …, 1, t) over
     planes with one leg in the first `horizontal_dim` split-frame coordinates.
-    The eigenplane seeds of ℛ get one polish sweep, and if one reaches a
-    finite ceiling ρ − δ, no sample is drawn.  Else `n_samples` planes are
-    drawn in the split frame and the best `polish` (all if fewer; none and no
-    seeds if polish ≤ 0) are polished with the seeds up to the ceiling.
-    Returns (sup, argmax raw sample index, −1 where none is drawn)."""
+    The eigenplane seeds of ℛ are polished first, up to their per-row stop
+    or a finite ceiling ρ − δ.  If one reaches the ceiling, or Thorpe's
+    trick certifies the best of them (`_thorpe_certifies`), no sample is
+    drawn.  Else `n_samples` planes are drawn in the split frame and the
+    best `polish` (all if fewer; none and no seeds if polish ≤ 0) are
+    polished with the seeds up to the ceiling.  Returns (sup, argmax raw
+    sample index, −1 where none is drawn)."""
     n = r4.shape[0]
     if n < 2 or horizontal_dim < 1:
         return 0.0, -1
     op, pairs = _curvature_operator(r4)
     if polish > 0:
-        rho, legs = _eigenplane_seeds(op, pairs, n)
-        ceiling = rho - _rounding_allowance(n, float(np.max(np.abs(r4))))
+        sym = 0.5 * (op + op.T)
+        extremes, legs = _eigenplane_seeds(sym, pairs, n)
+        rho = max(abs(extremes[0]), abs(extremes[1]))
+        r_max = float(np.max(np.abs(r4)))
+        ceiling = rho - _rounding_allowance(n, r_max)
         starts = np.zeros(legs.shape[0])
-        reached = np.max(_polish(r4, horizontal_dim, legs, starts, ceiling, 1))
-        if math.isfinite(ceiling) and reached >= ceiling:
-            return float(reached), -1
+        if math.isfinite(ceiling):
+            best, best_x, best_c = _polish(r4, horizontal_dim, legs, starts,
+                                           ceiling)
+            lead = int(np.argmax(best))
+            if best[lead] >= ceiling or _thorpe_certifies(
+                    sym, pairs, extremes, best_x[lead], best_c[lead],
+                    float(best[lead]), r_max):
+                return float(best[lead]), -1
     d = split_diagonal(n, t)
     x = _draw_unit(gen, d, horizontal_dim, n_samples)
     c = _draw_unit(gen, d, n, n_samples, orth_to=x)
@@ -263,7 +377,7 @@ def sup_abs_sectional(r4: np.ndarray, t: float, horizontal_dim: int,
         return float(k[best_index]), best_index
     top = _top_stable(k, min(polish, n_samples))
     polished = _polish(r4, horizontal_dim, np.concatenate([c[top], legs]),
-                       np.concatenate([k[top], starts]), ceiling)
+                       np.concatenate([k[top], starts]), ceiling)[0]
     return float(np.max(polished, initial=k[best_index])), best_index
 
 
@@ -439,6 +553,8 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
         raise ValueError("t grid must be descending")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     ctx = SubmersionContext(algebra, metric, split)
     n = ctx.dim

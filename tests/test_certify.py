@@ -14,6 +14,8 @@ import pytest
 
 from nilflat import catalog
 from nilflat import certify as certify_module
+from nilflat import scan as scan_module
+from nilflat.algebra import NilAlgebra
 from nilflat.certify import (CertificateReport, certificate_summary,
                              certify_almost_flat)
 from nilflat.errors import BudgetNotMet, DimensionMismatch
@@ -159,6 +161,29 @@ def test_certify_h5():
     assert report.level_bounds == (report.sup_abs_K_bound, 0.0, 0.0, 0.0, 0.0)
 
 
+# [DERIVED] the final sup draws no sample on h5 at G = I, where Thorpe's
+# certificate closes on the polished eigenplane, and falls back to the
+# sampler on h7 at G = I, where it does not; there it keeps the bytes the
+# code gave before the certificate existed.
+def test_certify_final_sup_paths(monkeypatch):
+    draws = []
+    real = scan_module._draw_unit
+
+    def counting(gen, d, support, count, orth_to=None):
+        draws.append(count)
+        return real(gen, d, support, count, orth_to)
+
+    monkeypatch.setattr(scan_module, "_draw_unit", counting)
+    h5 = certify_almost_flat(tower_of(catalog.heisenberg5()), identity_seed(5), 1e-2)
+    assert draws == []
+    assert h5.sup_abs_K == pytest.approx(0.75 * h5.ts[0], rel=1e-12)
+    h7 = NilAlgebra.from_brackets(7, 2, {(1, 2): {7: 1}, (3, 4): {7: 1},
+                                         (5, 6): {7: 1}})
+    report = certify_almost_flat(tower_of(h7), identity_seed(7), 1e-2)
+    assert draws == [4096, 4096]
+    assert report.sup_abs_K == 0.004071428571428576
+
+
 # [DERIVED] the gate is a bound: each curved level's accepted ρ + δ is at
 # most the level below's plus its share of eps, and the sampled sup of the
 # final metric lies below its ρ + δ, which lies below eps.
@@ -287,6 +312,17 @@ def test_certify_argument_errors():
 def test_certify_nonfinite_eps(eps):
     with pytest.raises(ValueError, match="eps must be positive and finite"):
         certify_almost_flat(tower_of(catalog.heisenberg3()), identity_seed(3), eps)
+
+
+# [TRIVIAL] a negative seed is rejected up front: no level is measured.
+def test_certify_negative_seed(monkeypatch):
+    def schedule_ran(*args):
+        raise AssertionError("the schedule ran")
+
+    monkeypatch.setattr(certify_module, "rescaled_curvature", schedule_ran)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        certify_almost_flat(tower_of(catalog.heisenberg5()), identity_seed(5), 1e-2,
+                            seed=-1)
 
 
 # [DERIVED] determinism: identical arguments give identical reports.

@@ -15,6 +15,7 @@ import pytest
 
 import nilflat
 from nilflat import __version__, catalog, fileio
+from nilflat.algebra import NilAlgebra
 from nilflat.cli import main
 from nilflat.tower import NilLattice, peel_tower
 
@@ -432,6 +433,18 @@ def test_certify_flag_errors(flags, capsys):
     assert code == 1 and err.startswith("nilflat: error:")
 
 
+# [TRIVIAL] a negative --seed is a usage error (exit 1) before any work, not
+# a traceback from the Philox key; certify used to raise it only after its
+# whole schedule had run.
+@pytest.mark.parametrize("argv", [["curvature", str(DATA / "h3.json")],
+                                  ["certify", str(DATA / "h5.json"), "--eps", "0.01"]],
+                         ids=["curvature", "certify"])
+def test_negative_seed_is_usage_error(argv, capsys):
+    code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "nilflat: error: --seed must be >= 0, got -1\n"
+
+
 # [TRIVIAL] a NaN or infinite --eps is a usage error: the report would carry
 # it as "eps", and NaN or Infinity is not JSON.
 @pytest.mark.parametrize("eps", ["inf", "nan"])
@@ -524,23 +537,81 @@ def test_curvature_thread_determinism_dense_seed(tmp_path, child_env):
     assert outputs[0] == outputs[1]
 
 
-# [DERIVED] curvature writes the same bytes at BLAS/OpenMP thread counts 1
-# and 8 on h5, where no eigenplane of ℛ attains ρ: every grid t draws and
-# scores samples and polishes the best of them with the seeds.
-def test_curvature_thread_determinism_sampler(tmp_path, child_env):
-    argv = [sys.executable, "-m", "nilflat", "curvature", str(DATA / "h5.json"),
-            "--out", "run.csv"]
+def free_two_step(r):
+    """The free 2-step nilpotent algebra on r generators."""
+    brackets, k = {}, r
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            k += 1
+            brackets[(i, j)] = {k: 1}
+    return NilAlgebra.from_brackets(k, 2, brackets)
+
+
+def curvature_bytes_by_threads(argv, tmp_path, child_env):
+    """CSV and summary bytes of `nilflat curvature … --out run.csv` run in a
+    child process at BLAS/OpenMP thread counts 1 and 8."""
     outputs = []
     for threads in ("1", "8"):
         workdir = tmp_path / f"threads{threads}"
         workdir.mkdir()
         env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
                         MKL_NUM_THREADS=threads)
-        proc = subprocess.run(argv, cwd=workdir, env=env, capture_output=True)
+        proc = subprocess.run([sys.executable, "-m", "nilflat", "curvature"]
+                              + argv + ["--out", "run.csv"],
+                              cwd=workdir, env=env, capture_output=True)
         assert proc.returncode == 0, proc.stderr
         outputs.append((workdir / "run.csv").read_bytes()
                        + (workdir / "run.summary.json").read_bytes())
+    return outputs
+
+
+# [DERIVED] curvature writes the same bytes at BLAS/OpenMP thread counts 1
+# and 8 on free 2-step(3) at G = I, where no eigenplane of ℛ attains ρ and
+# Thorpe's certificate does not close: every grid t draws and scores samples
+# and polishes the best of them with the seeds.
+def test_curvature_thread_determinism_sampler(tmp_path, child_env):
+    lattice = tmp_path / "free3.json"
+    lattice.write_text(fileio.dump_algebra(free_two_step(3)))
+    outputs = curvature_bytes_by_threads([str(lattice)], tmp_path, child_env)
     assert outputs[0] == outputs[1]
+
+
+# [DERIVED] curvature writes the same bytes at BLAS/OpenMP thread counts 1
+# and 8 where Thorpe's certificate closes and nothing is drawn (h5 at G = I,
+# free 2-step(3) with a dense seed): the 4-form comes from a scatter sum,
+# einsum(optimize=False) and LAPACK eigh only.
+@pytest.mark.parametrize("dense", [False, True], ids=["h5", "free3-dense"])
+def test_curvature_thread_determinism_certificate(dense, tmp_path, child_env):
+    if dense:
+        lattice = tmp_path / "free3.json"
+        lattice.write_text(fileio.dump_algebra(free_two_step(3)))
+        b = np.random.default_rng(0).standard_normal((6, 6))
+        metric = tmp_path / "dense.json"
+        metric.write_text(fileio.dump_metric(np.eye(6) + 0.5 * b @ b.T / 6))
+        argv = [str(lattice), "--metric", str(metric)]
+    else:
+        argv = [str(DATA / "h5.json")]
+    outputs = curvature_bytes_by_threads(argv, tmp_path, child_env)
+    assert outputs[0] == outputs[1]
+
+
+# [DERIVED] on the sampler fallback, the bytes are those the code wrote
+# before Thorpe's certificate existed: free 2-step(3) at G = I, default flags.
+def test_curvature_free3_fallback_bytes(tmp_path, capsys):
+    lattice = tmp_path / "free3.json"
+    lattice.write_text(fileio.dump_algebra(free_two_step(3)))
+    code, out, _ = run_cli(["curvature", str(lattice)], capsys)
+    assert code == 0
+    assert out == (
+        "t,sup_abs_K,base_sup_K,bound,diam_bound\n"
+        "1.0,0.75,0.75,8.214101615138617,0.5\n"
+        "0.1,0.7500000000000006,0.75,3.1103561790785474,0.15811388300841897\n"
+        "0.01,0.7500000000000007,0.75,1.4964101615146388,0.05\n"
+        "0.001,0.7500000000000003,0.75,0.9860356179086317,0.015811388300841896\n"
+        "0.0001,0.7500000000000007,0.75,0.8246410161522408,0.005\n"
+        "9.999999999999999e-06,0.7500000000000008,0.75,0.7736035617916401,"
+        "0.0015811388300841897\n"
+        "1e-06,0.7500000000000007,0.75,0.7574641016160011,0.0005\n")
 
 
 # [DERIVED] the README's curvature example is what the command prints.

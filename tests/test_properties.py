@@ -35,7 +35,7 @@ arguments (Cauchy–Schwarz), on the same random seeds.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -52,6 +52,7 @@ from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
                             sectional_curvature, sectional_from_tensor)
 from nilflat.scan import (SubmersionContext, _abs_sectional_lambda2,
                           _curvature_operator, _oneill_constant,
+                          _rounding_allowance, _slack_form, _thorpe_form,
                           spawn_generator, sup_abs_sectional)
 from nilflat.tower import (CentralCocycle, NilLattice, check_closed,
                            extend_by_cocycle, peel_step, peel_tower)
@@ -333,3 +334,153 @@ def test_cocycle_table_canonical():
     for bad in ({(2, 2): 1}, {(1, 4): 1}, {(0, 1): 1}):
         with pytest.raises(DimensionMismatch):
             CentralCocycle.from_entries(3, bad)
+
+
+# Oracle key, Thorpe's certificate: [DERIVED] W_ω of `scan._thorpe_form`
+# against the form read off the fully antisymmetric 4-tensor of ω built here
+# by permutations (W[(i,j),(k,l)] = Ω_ijkl), which vanishes at every
+# decomposable bivector (the Plücker relations); the least-norm 4-form of
+# `scan._slack_form` against numpy's lstsq on the dense m×C(n,4) matrix of
+# ω ↦ W_ω σ; λ_max(±ℛ + W_ω) + δ_ω bounds ±K of random planes, K from the
+# 4-tensor; and every sup returned without a sample (index −1) lies within
+# 2δ of an upper bound built here from a plane found by alternating
+# maximization of ±K and the lstsq 4-form.
+
+THORPE_ALGEBRAS = {
+    "h5": catalog.heisenberg5(),
+    "h7": NilAlgebra.from_brackets(7, 2, {(1, 2): {7: 1}, (3, 4): {7: 1},
+                                          (5, 6): {7: 1}}),
+    "free3": NilAlgebra.from_brackets(6, 2, {(1, 2): {4: 1}, (1, 3): {5: 1},
+                                             (2, 3): {6: 1}})}
+
+
+def antisymmetric_form(omega, n):
+    """W[(i,j),(k,l)] = Ω_ijkl over pairs i < j, k < l, with Ω the fully
+    antisymmetric 4-tensor whose sorted entries are ω, 4-subsets in
+    lexicographic order."""
+    tensor = np.zeros((n,) * 4)
+    for value, quad in zip(omega, combinations(range(n), 4)):
+        for perm in permutations(range(4)):
+            inversions = sum(perm[a] > perm[b] for a in range(4) for b in range(a + 1, 4))
+            tensor[tuple(quad[p] for p in perm)] = (-1) ** inversions * value
+    i, j = np.triu_indices(n, 1)
+    return tensor[i[:, None], j[:, None], i, j]
+
+
+def wedge(x, c):
+    i, j = np.triu_indices(x.shape[0], 1)
+    return x[i] * c[j] - x[j] * c[i]
+
+
+def unit_pair(a, c):
+    x = a / np.sqrt(a @ a)
+    c = c - (c @ x) * x
+    return x, c / np.sqrt(c @ c)
+
+
+def thorpe_tensor(name, b, t):
+    algebra = THORPE_ALGEBRAS[name]
+    n = algebra.dim
+    metric = LeftInvariantMetric(matrix=np.eye(n) + 0.5 * b @ b.T / n)
+    z = np.zeros(n)
+    z[n - 1] = 1.0
+    return rescaled_curvature(frame_structure(algebra, build_split(metric, z)),
+                              np.sqrt(split_diagonal(n, t)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(n=st.integers(4, 8), data=st.data())
+def test_thorpe_form_vanishes_on_planes(n, data):
+    count = n * (n - 1) * (n - 2) * (n - 3) // 24
+    omega = data.draw(arrays(np.float64, (count,), elements=UNIT), label="omega")
+    a, c = data.draw(arrays(np.float64, (2, n), elements=UNIT), label="plane")
+    assume((a @ a) * (c @ c) - (a @ c) ** 2 > 1e-3 * (a @ a) * (c @ c))
+    w = _thorpe_form(omega, n)
+    assert np.array_equal(w, antisymmetric_form(omega, n))
+    sigma = wedge(*unit_pair(a, c))
+    assert abs(float(sigma @ w @ sigma)) <= 1e-13 * count
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(THORPE_ALGEBRAS)), t=st.floats(1e-6, 1.0),
+       data=st.data())
+def test_thorpe_bound_dominates_random_planes(name, t, data):
+    n = THORPE_ALGEBRAS[name].dim
+    b = data.draw(arrays(np.float64, (n, n), elements=UNIT), label="B")
+    r_hat = thorpe_tensor(name, b, t)
+    op, _ = _curvature_operator(r_hat)
+    scale = float(np.max(np.abs(op)))
+    count = n * (n - 1) * (n - 2) * (n - 3) // 24
+    omega = scale * data.draw(arrays(np.float64, (count,), elements=UNIT),
+                              label="omega")
+    delta = _rounding_allowance(n, float(np.max(np.abs(r_hat)))
+                                + float(np.max(np.abs(omega))))
+    planes = data.draw(arrays(np.float64, (16, 2, n), elements=UNIT), label="planes")
+    k = []
+    for a, c in planes:
+        if (a @ a) * (c @ c) - (a @ c) ** 2 > 1e-3 * (a @ a) * (c @ c):
+            x, c = unit_pair(a, c)
+            k.append(float(np.einsum("ijkl,i,j,k,l->", r_hat, x, c, x, c,
+                                     optimize=False)))
+    for sign in (1.0, -1.0):
+        top = np.linalg.eigvalsh(sign * 0.5 * (op + op.T) + _thorpe_form(omega, n))[-1]
+        assert all(sign * value <= top + delta for value in k)
+
+
+def slack_matrix(sigma, n):
+    """The dense m×C(n,4) matrix of ω ↦ W_ω σ, column by column."""
+    count = n * (n - 1) * (n - 2) * (n - 3) // 24
+    return np.stack([antisymmetric_form(np.eye(count)[s], n) @ sigma
+                     for s in range(count)], axis=1)
+
+
+def best_signed_plane(r_hat, sign, gen):
+    """(sσᵀℛσ, σ) at the plane of largest sK found by alternating exact
+    maximization over each leg (the top eigenvector of the leg's form on the
+    other leg's orthocomplement) from 12 random starts, each run until a
+    step no longer raises sK."""
+    n = r_hat.shape[0]
+    best = (-np.inf, None)
+    for _ in range(12):
+        x, c = unit_pair(*gen.standard_normal((2, n)))
+        value = -np.inf
+        for _ in range(400):
+            q = sign * np.einsum("ijkl,i,k->jl", r_hat, x, x)
+            p = np.eye(n) - np.outer(x, x)
+            q = p @ (0.5 * (q + q.T)) @ p - (np.abs(q).sum() + 1.0) * np.outer(x, x)
+            vals, vecs = np.linalg.eigh(q)
+            x, c = vecs[:, -1], x
+            if vals[-1] <= value + 1e-15 * abs(value):
+                break
+            value = vals[-1]
+        value = sign * float(np.einsum("ijkl,i,j,k,l->", r_hat, x, c, x, c))
+        if value > best[0]:
+            best = (value, wedge(*unit_pair(x, c)))
+    return best
+
+
+@settings(max_examples=24, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(THORPE_ALGEBRAS)), t=st.floats(1e-4, 1.0),
+       data=st.data())
+def test_unsampled_sup_meets_independent_bound(name, t, data):
+    n = THORPE_ALGEBRAS[name].dim
+    b = data.draw(arrays(np.float64, (n, n), elements=UNIT), label="B")
+    r_hat = thorpe_tensor(name, b, t)
+    sup, index = sup_abs_sectional(r_hat, t, n, spawn_generator(0, n), 64)
+    if index != -1:
+        return
+    op, _ = _curvature_operator(r_hat)
+    sym = 0.5 * (op + op.T)
+    gen = np.random.default_rng(n)
+    bounds, omega_max = [], 0.0
+    for sign in (1.0, -1.0):
+        value, sigma = best_signed_plane(r_hat, sign, gen)
+        omega = np.linalg.lstsq(slack_matrix(sigma, n),
+                                value * sigma - sign * sym @ sigma, rcond=None)[0]
+        np.testing.assert_allclose(_slack_form(sigma, value * sigma - sign * sym @ sigma, n),
+                                   omega, rtol=0.0, atol=1e-9 * max(1.0, np.abs(omega).max()))
+        omega_max = max(omega_max, float(np.max(np.abs(omega))))
+        bounds.append(min(np.linalg.eigvalsh(sign * sym)[-1],
+                          np.linalg.eigvalsh(sign * sym + antisymmetric_form(omega, n))[-1]))
+    delta = _rounding_allowance(n, float(np.max(np.abs(r_hat))) + omega_max)
+    assert max(bounds) - 2.0 * delta <= sup <= max(bounds) + 2.0 * delta

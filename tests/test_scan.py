@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from nilflat import catalog, scan, submersion
+from nilflat.algebra import NilAlgebra
 from nilflat.errors import BoundViolated, DimensionMismatch
 from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
                             sectional_from_tensor)
@@ -35,6 +36,26 @@ N4 = catalog.n4()
 TILTED3 = np.array([[1.0, 0.0, 0.3],
                     [0.0, 1.0, 0.0],
                     [0.3, 0.0, 1.0]])
+
+
+def free_two_step(r):
+    """The free 2-step nilpotent algebra on r generators: [e_i, e_j] is a new
+    central e_k for every i < j."""
+    brackets, k = {}, r
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            k += 1
+            brackets[(i, j)] = {k: 1}
+    return NilAlgebra.from_brackets(k, 2, brackets)
+
+
+FREE3 = free_two_step(3)
+
+
+def dense_seed(n, seed):
+    """The SPD seed metric I + ½BBᵀ/n, B standard normal from `seed`."""
+    b = np.random.default_rng(seed).standard_normal((n, n))
+    return np.eye(n) + 0.5 * b @ b.T / n
 
 
 def geometry(algebra, matrix=None):
@@ -218,6 +239,19 @@ def test_lemma_scan_grid_errors():
         lemma_scan(H3, metric, split, [1.0, -0.1], 10, 0)
     with pytest.raises(ValueError):
         lemma_scan(H3, metric, split, [1.0], 0, 0)
+
+
+# [TRIVIAL] a negative seed is refused up front, before the curvature of
+# any t is built, with a message that names the seed.
+def test_lemma_scan_negative_seed(monkeypatch):
+    metric, split = geometry(H3)
+
+    def scan_ran(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(scan, "SubmersionContext", scan_ran)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        lemma_scan(H3, metric, split, [1.0], 10, -1)
 
 
 # [TRIVIAL] a non-finite grid value is refused before any sampling (a NaN t
@@ -440,8 +474,7 @@ def reference_sup(r4, t, support, gen, n_samples, polish):
 def random_split_tensor(algebra, seed, t):
     """Orthonormal split-frame curvature of a random SPD seed metric."""
     n = algebra.dim
-    b = np.random.default_rng(seed).standard_normal((n, n))
-    metric, split = geometry(algebra, np.eye(n) + 0.5 * b @ b.T / n)
+    metric, split = geometry(algebra, dense_seed(n, seed))
     return rescaled_curvature(submersion.frame_structure(algebra, split),
                               np.sqrt(split_diagonal(n, t)))
 
@@ -464,7 +497,8 @@ def reference_rho_and_delta(r4):
 
 # [DERIVED] the batched polish gives each plane the value of the single-pair
 # alternation, to 1e-12 relative: a purely vertical c (no projector), planes
-# that converge at different sweeps, and horizontal support n − 1 and n.
+# that converge at different sweeps, and horizontal support n − 1 and n; the
+# plane it returns for a raised row has that value.
 @pytest.mark.parametrize("algebra", [N4, catalog.filiform(5), catalog.heisenberg5()],
                          ids=["n4", "filiform5", "heisenberg5"])
 @pytest.mark.parametrize("t", [1.0, 1e-3])
@@ -479,9 +513,12 @@ def test_batched_polish_matches_single_pair(algebra, t, support_drop):
     start = np.array([reference_abs_sectional(r_hat, xa, ca) for xa, ca in zip(x, c)])
     expected, sweeps, _, _ = zip(*(reference_polish_pair(r_hat, support, xa, ca)
                                    for xa, ca in zip(x, c)))
-    got = scan._polish(r_hat, support, c, start)
+    got, got_x, got_c = scan._polish(r_hat, support, c, start)
     assert len(set(sweeps)) > 1
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    for a in np.flatnonzero(got > start):  # the returned plane attains the max
+        assert reference_abs_sectional(r_hat, got_x[a], got_c[a]) == pytest.approx(
+            got[a], rel=1e-12, abs=0.0)
 
 
 # [DERIVED] sup_abs_sectional against the reference.  Without polish the
@@ -582,13 +619,17 @@ def test_non_finite_tensor_is_not_hidden(value, monkeypatch):
 
 
 # [DERIVED] where an eigenplane of ℛ attains ρ (h3, n4 and filiform(8) at
-# G = I, every t of the default grid and the flat bases) nothing is drawn;
-# on h5, where ρ = 5t/4 exceeds the sup 3t/4, both legs are drawn at every t.
-@pytest.mark.parametrize("algebra,expected", [
-    (H3, []), (N4, []), (catalog.filiform(8), []),
-    (catalog.heisenberg5(), [4096, 4096] * 7)], ids=["h3", "n4", "filiform8", "h5"])
-def test_lemma_scan_draws_only_below_ceiling(algebra, expected, draws):
-    metric, split = geometry(algebra)
+# G = I, every t of the default grid and the flat bases) nothing is drawn.
+# Nor on h5 at G = I (ρ = 5t/4 exceeds the sup 3t/4) or free 2-step(3) with
+# a dense seed, where Thorpe's trick certifies the polished eigenplane; on
+# free 2-step(3) at G = I it does not close, and both legs are drawn at
+# every t.
+@pytest.mark.parametrize("algebra,seed,expected", [
+    (H3, None, []), (N4, None, []), (catalog.filiform(8), None, []),
+    (catalog.heisenberg5(), None, []), (FREE3, None, [4096, 4096] * 7),
+    (FREE3, 0, [])], ids=["h3", "n4", "filiform8", "h5", "free3", "free3-dense"])
+def test_lemma_scan_draws_only_below_ceiling(algebra, seed, expected, draws):
+    metric, split = geometry(algebra, None if seed is None else dense_seed(algebra.dim, seed))
     lemma_scan(algebra, metric, split, np.geomspace(1.0, 1e-6, 7),
                n_samples=4096, seed=0)
     assert draws == expected
