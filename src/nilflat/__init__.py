@@ -36,8 +36,8 @@ from .submersion import (OneillTensors, SubmersionSplit, build_split,
                          canonical_variation, frame_metric, frame_structure,
                          oneill_tensors)
 from .scan import (DecayReport, PlaneSample, decomposition_check,
-                   diameter_bound, lemma_scan, report_csv, report_summary,
-                   sample_plane, sup_abs_sectional)
+                   diameter_bound, lemma_scan, polished_sup, report_csv,
+                   report_summary, sample_plane)
 from .certify import (CertificateReport, certificate_summary,
                       certify_almost_flat)
 from . import catalog, fileio
@@ -67,7 +67,7 @@ __all__ = [
     "frame_structure", "frame_metric", "OneillTensors", "oneill_tensors",
     "PlaneSample", "sample_plane", "decomposition_check",
     "DecayReport", "lemma_scan", "diameter_bound", "report_csv",
-    "report_summary", "sup_abs_sectional", "CertificateReport",
+    "report_summary", "polished_sup", "CertificateReport",
     "certify_almost_flat", "certificate_summary",
     # submodules
     "catalog", "fileio",

@@ -21,9 +21,8 @@ allowance.  A level is accepted once ρ + δ is at most ρ of the level below
 plus the budget; the excess of ρ over the level below scales linearly in t,
 so the loop converges in a couple of rounds.  Every round costs one
 symmetric eigensolve, and no plane is sampled.  The final metric's ρ + δ must
-be at most eps; its polished sup|K| is reported beside the bound (samples
-are drawn only where the polished eigenplanes neither reach ρ − δ nor meet
-Thorpe's certificate, see `scan`).
+be at most eps; its polished sup|K| (`scan.polished_sup`, no plane is
+drawn) is reported beside the bound.
 If a loop cannot meet its budget within _MAX_ROUNDS rounds, the final bound
 exceeds eps, or the curvature of a level or of the final metric cannot be
 measured in float64, the certification fails with BudgetNotMet.
@@ -38,12 +37,9 @@ import numpy as np
 
 from .errors import BudgetNotMet, DimensionMismatch
 from .metric import LeftInvariantMetric, rescaled_curvature, structure_array
-from .scan import (curvature_bound, diameter_bound, spawn_generator,
-                   sup_abs_sectional)
+from .scan import curvature_bound, diameter_bound, polished_sup
 from .submersion import _structure_in_frame
 from .tower import BundleTower
-
-_STREAM_FINAL = 7
 
 _REFINE_MARGIN = 0.95
 _MAX_ROUNDS = 20
@@ -89,7 +85,8 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
                         n_samples: int = 4096) -> CertificateReport:
     """Choose per-level collapse parameters so the fully assembled metric has
     sup|K| ≤ ρ + δ ≤ eps, report its polished sup|K| beside that bound, and
-    bound the diameter of the result."""
+    bound the diameter of the result.  `seed` and `n_samples` are validated
+    and echoed but change no value."""
     if not (0.0 < eps < math.inf):
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if n_samples < 1:
@@ -164,8 +161,7 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
             raise BudgetNotMet(
                 f"final bound ρ + δ = {bound!r} on sup|K| exceeds eps = {eps!r}")
         where = f"final metric of dim {n} (smallest t: {min(ts_bottom_up)!r})"
-        final_gen = spawn_generator(seed, _STREAM_FINAL)
-        sup_final, _ = sup_abs_sectional(r_hat, t, n, final_gen, n_samples)
+        sup_final, _ = polished_sup(r_hat, n)
     except np.linalg.LinAlgError as exc:
         raise BudgetNotMet(
             f"{where}: curvature could not be measured in float64 ({exc})") from exc

@@ -100,11 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-points", type=int, default=7,
                    help="number of log-spaced grid points (default: 7)")
     p.add_argument("--samples", type=int, default=4096,
-                   help="plane samples per t value, drawn only where the "
-                        "polished eigenplanes neither reach rho - delta nor "
-                        "are certified as the sup (default: 4096)")
+                   help="at least 1; echoed in the summary, no effect on "
+                        "results: the sup search draws no plane "
+                        "(default: 4096)")
     p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed, non-negative (default: 0)")
+                   help="non-negative; echoed in the summary, no effect on "
+                        "results (default: 0)")
     p.add_argument("--out",
                    help="output path; with csv format a *.summary.json file "
                         "is written beside it (default: stdout)")
@@ -123,11 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True,
                    help="target for the bound on sup|K|")
     p.add_argument("--samples", type=int, default=4096,
-                   help="plane samples for the reported sup|K|, drawn only where "
-                        "the polished eigenplanes neither reach rho - delta nor "
-                        "are certified as the sup (default: 4096)")
+                   help="at least 1; echoed in the schedule, no effect on "
+                        "results: the sup search draws no plane "
+                        "(default: 4096)")
     p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed, non-negative (default: 0)")
+                   help="non-negative; echoed in the schedule, no effect on "
+                        "results (default: 0)")
     p.add_argument("--out", help="schedule JSON path (default: stdout)")
     p.set_defaults(func=cmd_certify)
 

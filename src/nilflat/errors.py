@@ -65,13 +65,11 @@ class DegeneratePlane(NilflatError):
 
 
 class BoundViolated(NilflatError):
-    """Sampled curvature exceeded the certified bound (internal bug canary)."""
+    """Measured curvature exceeded the certified bound (internal bug canary)."""
 
-    def __init__(self, message: str, t: float, sample_index: int,
-                 value: float, bound: float):
+    def __init__(self, message: str, t: float, value: float, bound: float):
         super().__init__(message)
         self.t = t
-        self.sample_index = sample_index
         self.value = value
         self.bound = bound
 

@@ -69,6 +69,23 @@ class SubmersionSplit:
         return self.frame @ np.asarray(v, dtype=np.float64)
 
 
+def _unit_vertical(metric: LeftInvariantMetric, z: Sequence[float]) -> tuple:
+    """(z, u): z as a float64 vector and u = z/|z|_G, after checking that z
+    has the metric's dimension, is finite and has a length that does not
+    vanish relative to G's scale."""
+    g = metric.matrix
+    n = metric.dim
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (n,):
+        raise DimensionMismatch(f"z has shape {z.shape}, expected ({n},)")
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"central direction must be finite, got {z.tolist()}")
+    znorm2 = float(z @ g @ z)
+    if znorm2 <= TOL_GRAM * float(z @ z) * float(np.max(np.diag(g))):
+        raise NotPositiveDefinite("central direction has vanishing length")
+    return z, z / np.sqrt(znorm2)
+
+
 def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSplit:
     """G-orthonormalized frame with the unit vertical direction last.
 
@@ -80,16 +97,7 @@ def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSp
     """
     g = metric.matrix
     n = metric.dim
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (n,):
-        raise DimensionMismatch(f"z has shape {z.shape}, expected ({n},)")
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"central direction must be finite, got {z.tolist()}")
-    znorm2 = float(z @ g @ z)
-    if znorm2 <= TOL_GRAM * float(z @ z) * float(np.max(np.diag(g))):
-        raise NotPositiveDefinite("central direction has vanishing length")
-    u = z / np.sqrt(znorm2)
-
+    z, u = _unit_vertical(metric, z)
     columns = []
     for i in range(n):
         v = np.zeros(n)
@@ -112,7 +120,7 @@ def canonical_variation(metric: LeftInvariantMetric, z: Sequence[float],
     """G^t = G + (t−1)·(Gz)(Gz)ᵀ/⟨z,z⟩ in the original coordinates; 0 < t < ∞."""
     if not (0.0 < t < math.inf):
         raise ValueError(f"canonical variation requires 0 < t < inf, got {t}")
-    gu = metric.matrix @ build_split(metric, z).frame[:, -1]  # u = z/|z|
+    gu = metric.matrix @ _unit_vertical(metric, z)[1]
     return LeftInvariantMetric(matrix=metric.matrix + (t - 1.0) * np.outer(gu, gu))
 
 

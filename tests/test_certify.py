@@ -162,9 +162,9 @@ def test_certify_h5():
 
 
 # [DERIVED] the final sup draws no sample on h5 at G = I, where Thorpe's
-# certificate closes on the polished eigenplane, and falls back to the
-# sampler on h7 at G = I, where it does not; there it keeps the bytes the
-# code gave before the certificate existed.
+# certificate closes on the polished eigenplane, nor on h7 at G = I, where it
+# does not (ρ = 7t/4 there); its polished eigenplane gives the sup 3t/4 at
+# the top t.
 def test_certify_final_sup_paths(monkeypatch):
     draws = []
     real = scan_module._draw_unit
@@ -180,8 +180,8 @@ def test_certify_final_sup_paths(monkeypatch):
     h7 = NilAlgebra.from_brackets(7, 2, {(1, 2): {7: 1}, (3, 4): {7: 1},
                                          (5, 6): {7: 1}})
     report = certify_almost_flat(tower_of(h7), identity_seed(7), 1e-2)
-    assert draws == [4096, 4096]
-    assert report.sup_abs_K == 0.004071428571428576
+    assert draws == []
+    assert report.sup_abs_K == 0.004071428571428573
 
 
 # [DERIVED] the gate is a bound: each curved level's accepted ρ + δ is at
@@ -210,8 +210,8 @@ def test_level_bounds_meet_budgets(algebra, n, eps):
 def test_nan_measurement_fails_final_gate(monkeypatch):
     monkeypatch.setattr(certify_module, "curvature_bound",
                         lambda *args: (float("nan"), 0.0))
-    monkeypatch.setattr(certify_module, "sup_abs_sectional",
-                        lambda *args: (float("nan"), -1))
+    monkeypatch.setattr(certify_module, "polished_sup",
+                        lambda *args: (float("nan"), False))
     with pytest.raises(BudgetNotMet):
         certify_almost_flat(tower_of(catalog.abelian(3)), identity_seed(3), 1e-2)
 

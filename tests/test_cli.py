@@ -496,8 +496,8 @@ def test_curvature_determinism_across_cwd(tmp_path, monkeypatch, capsys):
 
 
 # [DERIVED] certify prints the same bytes at BLAS/OpenMP thread counts 1 and
-# 8: its sampling and batched polish contract with einsum(optimize=False)
-# and stacked eigh only.
+# 8: its batched polish contracts with einsum(optimize=False) and stacked
+# eigh only.
 def test_certify_thread_determinism(tmp_path, child_env):
     argv = [sys.executable, "-m", "nilflat", "certify", str(DATA / "h5.json"),
             "--eps", "0.001"]
@@ -567,8 +567,8 @@ def curvature_bytes_by_threads(argv, tmp_path, child_env):
 
 # [DERIVED] curvature writes the same bytes at BLAS/OpenMP thread counts 1
 # and 8 on free 2-step(3) at G = I, where no eigenplane of ℛ attains ρ and
-# Thorpe's certificate does not close: every grid t draws and scores samples
-# and polishes the best of them with the seeds.
+# Thorpe's certificate does not close: every grid t polishes the eigenplane
+# legs to their own stop and runs the certificate's eigensolves.
 def test_curvature_thread_determinism_sampler(tmp_path, child_env):
     lattice = tmp_path / "free3.json"
     lattice.write_text(fileio.dump_algebra(free_two_step(3)))
@@ -577,8 +577,8 @@ def test_curvature_thread_determinism_sampler(tmp_path, child_env):
 
 
 # [DERIVED] curvature writes the same bytes at BLAS/OpenMP thread counts 1
-# and 8 where Thorpe's certificate closes and nothing is drawn (h5 at G = I,
-# free 2-step(3) with a dense seed): the 4-form comes from a scatter sum,
+# and 8 where Thorpe's certificate closes (h5 at G = I, free 2-step(3) with
+# a dense seed): the 4-form comes from a scatter sum,
 # einsum(optimize=False) and LAPACK eigh only.
 @pytest.mark.parametrize("dense", [False, True], ids=["h5", "free3-dense"])
 def test_curvature_thread_determinism_certificate(dense, tmp_path, child_env):
@@ -595,8 +595,9 @@ def test_curvature_thread_determinism_certificate(dense, tmp_path, child_env):
     assert outputs[0] == outputs[1]
 
 
-# [DERIVED] on the sampler fallback, the bytes are those the code wrote
-# before Thorpe's certificate existed: free 2-step(3) at G = I, default flags.
+# [DERIVED] where the certificate does not close (free 2-step(3) at G = I,
+# default flags) the polished eigenplane is reported: the sup 3/4 (Milnor
+# 1976) to 2 ulp at every t.
 def test_curvature_free3_fallback_bytes(tmp_path, capsys):
     lattice = tmp_path / "free3.json"
     lattice.write_text(fileio.dump_algebra(free_two_step(3)))
@@ -605,13 +606,27 @@ def test_curvature_free3_fallback_bytes(tmp_path, capsys):
     assert out == (
         "t,sup_abs_K,base_sup_K,bound,diam_bound\n"
         "1.0,0.75,0.75,8.214101615138617,0.5\n"
-        "0.1,0.7500000000000006,0.75,3.1103561790785474,0.15811388300841897\n"
+        "0.1,0.75,0.75,3.1103561790785474,0.15811388300841897\n"
         "0.01,0.7500000000000007,0.75,1.4964101615146388,0.05\n"
-        "0.001,0.7500000000000003,0.75,0.9860356179086317,0.015811388300841896\n"
-        "0.0001,0.7500000000000007,0.75,0.8246410161522408,0.005\n"
-        "9.999999999999999e-06,0.7500000000000008,0.75,0.7736035617916401,"
+        "0.001,0.7500000000000002,0.75,0.9860356179086317,0.015811388300841896\n"
+        "0.0001,0.75,0.75,0.8246410161522408,0.005\n"
+        "9.999999999999999e-06,0.75,0.75,0.7736035617916401,"
         "0.0015811388300841897\n"
-        "1e-06,0.7500000000000007,0.75,0.7574641016160011,0.0005\n")
+        "1e-06,0.75,0.75,0.7574641016160011,0.0005\n")
+
+
+# [DERIVED] --seed and --samples are validated and echoed but change no
+# value: the same CSV bytes on free 2-step(3) at G = I, where the certificate
+# does not close.
+def test_curvature_ignores_seed_and_samples(tmp_path, capsys):
+    lattice = tmp_path / "free3.json"
+    lattice.write_text(fileio.dump_algebra(free_two_step(3)))
+    outputs = []
+    for flags in (["--seed", "0", "--samples", "4096"], ["--seed", "7", "--samples", "1"]):
+        code, out, _ = run_cli(["curvature", str(lattice)] + flags, capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 # [DERIVED] the README's curvature example is what the command prints.

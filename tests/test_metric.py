@@ -20,7 +20,7 @@ from nilflat.metric import (TOL_IDENTITY, TOL_INVARIANCE, TOL_ORACLE,
                             LeftInvariantMetric, connection_coeffs,
                             curvature_tensor, sectional_curvature,
                             structure_array)
-from nilflat.submersion import canonical_variation
+from nilflat.submersion import build_split, canonical_variation
 
 H3 = catalog.heisenberg3()
 N4 = catalog.n4()
@@ -236,11 +236,19 @@ def test_degenerate_plane_scale_invariant():
 
 
 # [DERIVED] canonical variation: scales only the vertical direction.
+def split_variation_bytes(metric, z, t):
+    """G^t from the unit vertical of the split frame, G + (t−1)(Gu)(Gu)ᵀ,
+    as bytes: `canonical_variation` must give exactly these."""
+    gu = metric.matrix @ build_split(metric, z).frame[:, -1]
+    return (metric.matrix + (t - 1.0) * np.outer(gu, gu)).tobytes()
+
+
 def test_canonical_variation_diagonal():
     metric = LeftInvariantMetric.identity(3)
     for t in (1.0, 0.1, 0.01):
         g_t = canonical_variation(metric, [0, 0, 1], t).matrix
         assert np.allclose(g_t, np.diag([1.0, 1.0, t]), atol=TOL_IDENTITY)
+        assert g_t.tobytes() == split_variation_bytes(metric, [0, 0, 1], t)
     assert np.allclose(canonical_variation(metric, [0, 0, 1], 1.0).matrix,
                        metric.matrix, atol=0.0)
 
@@ -252,6 +260,7 @@ def test_canonical_variation_tilted():
     z = np.array([0.0, 0.0, 1.0])
     t = 0.2
     g_t = canonical_variation(metric, z, t).matrix
+    assert g_t.tobytes() == split_variation_bytes(metric, z, t)
     g = metric.matrix
     gz = g @ z
     # vertical scaling: G^t(z, x) = t·G(z, x) for every x

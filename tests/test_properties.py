@@ -23,11 +23,21 @@ filiform(5), t in [1e-6, 1], random planes that are not nearly degenerate in
 G^t; agreement to 1e-9 relative, with an absolute floor of 1e-12 times the
 largest orthonormal curvature component for planes whose |K| nearly cancels.
 
-Oracle key, sampling kernel: [DERIVED] |K| of an orthonormal pair scored as
-bᵀℛb on Λ² (b = x ∧ c) against the direct 4-tensor contraction
-R̂(x, c, x, c), to 1e-12 of the largest component, on the same random seeds;
-the sampled-and-polished sup lies between the largest coordinate-plane |K|
-and the spectral radius ρ(ℛ), up to the rounding allowance 2n⁴ε.
+Oracle key, curvature operator: [DERIVED] K of an orthonormal pair read as
+bᵀℛb on Λ² (b = x ∧ c over the pairs of `scan._pairs`) against the direct
+4-tensor contraction R̂(x, c, x, c), to 1e-12 of the largest component, on
+the same random seeds; the polished sup lies between the largest
+coordinate-plane |K| and the spectral radius ρ(ℛ), up to the rounding
+allowance 2n⁴ε.
+
+Oracle key, polished sup: [DERIVED] on dense seeds I + ½BBᵀ/n of h5, h7,
+free 2-step(3, 4) and filiform(6), `scan.polished_sup` of the split-frame
+tensor at support n − 1 and n, and certify's reported sup, lie at or above
+the largest |K| over the basis coordinate planes, computed here with
+`metric.sectional_curvature` in the original coordinates (of
+`canonical_variation` for scans, of the reported metric for certify; to
+1e-9 relative), and at or below ρ + δ (ρ from ℛ built entry by entry here,
+for scans; the reported `sup_abs_K_bound` for certify).
 
 Oracle key, lemma constant: [DERIVED] C = 4‖A‖_F² + 2‖DA‖_F of
 `scan.lemma_scan` is at least 4|A(x, e)|² + 2|DA(e, f, h)| at random unit
@@ -50,10 +60,10 @@ from nilflat.errors import DimensionMismatch, NotNilpotent, ValidationReport
 from nilflat.intlinalg import rational_row_basis
 from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
                             sectional_curvature, sectional_from_tensor)
-from nilflat.scan import (SubmersionContext, _abs_sectional_lambda2,
-                          _curvature_operator, _oneill_constant,
-                          _rounding_allowance, _slack_form, _thorpe_form,
-                          spawn_generator, sup_abs_sectional)
+from nilflat.certify import certify_almost_flat
+from nilflat.scan import (SubmersionContext, _curvature_operator,
+                          _oneill_constant, _pairs, _rounding_allowance,
+                          _slack_form, _thorpe_form, polished_sup)
 from nilflat.tower import (CentralCocycle, NilLattice, check_closed,
                            extend_by_cocycle, peel_step, peel_tower)
 from nilflat.submersion import (build_split, canonical_variation,
@@ -113,18 +123,20 @@ def test_lambda2_kernel_matches_four_tensor(name, t, data):
     r_hat = rescaled_curvature(frame_structure(algebra, build_split(metric, z)),
                                np.sqrt(split_diagonal(n, t)))
     scale = float(np.max(np.abs(r_hat)))
-    op, pairs = _curvature_operator(r_hat)
-    k_lambda2 = _abs_sectional_lambda2(op, pairs, x[None], c[None])[0]
-    k_direct = abs(float(np.einsum("ijkl,i,j,k,l->", r_hat, x, c, x, c,
-                                   optimize=False)))
+    op = _curvature_operator(r_hat)
+    i, j = _pairs(n)
+    b = x[i] * c[j] - x[j] * c[i]
+    k_lambda2 = float(np.einsum("p,pq,q->", b, op, b, optimize=False))
+    k_direct = float(np.einsum("ijkl,i,j,k,l->", r_hat, x, c, x, c,
+                               optimize=False))
     assert abs(k_lambda2 - k_direct) <= 1e-12 * scale
 
-    # sampled sup ≥ every coordinate plane's |K| (the diagonal of ℛ) and
+    # polished sup ≥ every coordinate plane's |K| (the diagonal of ℛ) and
     # ≤ ρ(ℛ), the top of the Rayleigh quotient on unit bivectors, up to the
     # rounding allowance of `scan.lemma_scan`
     delta = 2.0 * n ** 4 * np.finfo(np.float64).eps
     rho = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (op + op.T)))))
-    sup, _ = sup_abs_sectional(r_hat, t, n, spawn_generator(0, n), 64)
+    sup, _ = polished_sup(r_hat, n)
     assert float(np.max(np.abs(np.diag(op)))) - delta * scale <= sup
     assert sup <= rho * (1.0 + delta)
 
@@ -342,7 +354,7 @@ def test_cocycle_table_canonical():
 # decomposable bivector (the Plücker relations); the least-norm 4-form of
 # `scan._slack_form` against numpy's lstsq on the dense m×C(n,4) matrix of
 # ω ↦ W_ω σ; λ_max(±ℛ + W_ω) + δ_ω bounds ±K of random planes, K from the
-# 4-tensor; and every sup returned without a sample (index −1) lies within
+# 4-tensor; and every sup that `polished_sup` flags as certified lies within
 # 2δ of an upper bound built here from a plane found by alternating
 # maximization of ±K and the lstsq 4-form.
 
@@ -408,7 +420,7 @@ def test_thorpe_bound_dominates_random_planes(name, t, data):
     n = THORPE_ALGEBRAS[name].dim
     b = data.draw(arrays(np.float64, (n, n), elements=UNIT), label="B")
     r_hat = thorpe_tensor(name, b, t)
-    op, _ = _curvature_operator(r_hat)
+    op = _curvature_operator(r_hat)
     scale = float(np.max(np.abs(op)))
     count = n * (n - 1) * (n - 2) * (n - 3) // 24
     omega = scale * data.draw(arrays(np.float64, (count,), elements=UNIT),
@@ -466,10 +478,10 @@ def test_unsampled_sup_meets_independent_bound(name, t, data):
     n = THORPE_ALGEBRAS[name].dim
     b = data.draw(arrays(np.float64, (n, n), elements=UNIT), label="B")
     r_hat = thorpe_tensor(name, b, t)
-    sup, index = sup_abs_sectional(r_hat, t, n, spawn_generator(0, n), 64)
-    if index != -1:
+    sup, certified = polished_sup(r_hat, n)
+    if not certified:
         return
-    op, _ = _curvature_operator(r_hat)
+    op = _curvature_operator(r_hat)
     sym = 0.5 * (op + op.T)
     gen = np.random.default_rng(n)
     bounds, omega_max = [], 0.0
@@ -484,3 +496,65 @@ def test_unsampled_sup_meets_independent_bound(name, t, data):
                           np.linalg.eigvalsh(sign * sym + antisymmetric_form(omega, n))[-1]))
     delta = _rounding_allowance(n, float(np.max(np.abs(r_hat))) + omega_max)
     assert max(bounds) - 2.0 * delta <= sup <= max(bounds) + 2.0 * delta
+
+
+def free_two_step(r):
+    """The free 2-step nilpotent algebra on r generators: [e_i, e_j] is a new
+    central e_k for every i < j."""
+    brackets, k = {}, r
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            k += 1
+            brackets[(i, j)] = {k: 1}
+    return NilAlgebra.from_brackets(k, 2, brackets)
+
+
+FLOOR_ALGEBRAS = {"h5": THORPE_ALGEBRAS["h5"], "h7": THORPE_ALGEBRAS["h7"],
+                  "free3": THORPE_ALGEBRAS["free3"], "free4": free_two_step(4),
+                  "filiform6": catalog.filiform(6)}
+
+
+def coordinate_floor(algebra, metric):
+    """max |K| over the basis coordinate planes span(e_i, e_j), i < j."""
+    e = np.eye(algebra.dim)
+    return max(abs(sectional_curvature(algebra, metric, e[i], e[j]))
+               for i, j in combinations(range(algebra.dim), 2))
+
+
+def dense_metric(n, b):
+    return LeftInvariantMetric(matrix=np.eye(n) + 0.5 * b @ b.T / n)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(FLOOR_ALGEBRAS)), t=st.floats(1e-4, 1.0),
+       data=st.data())
+def test_polished_sup_between_coordinate_planes_and_rho(name, t, data):
+    algebra = FLOOR_ALGEBRAS[name]
+    n = algebra.dim
+    metric = dense_metric(n, data.draw(arrays(np.float64, (n, n), elements=UNIT),
+                                       label="B"))
+    z = np.zeros(n)
+    z[n - 1] = 1.0
+    r_hat = rescaled_curvature(frame_structure(algebra, build_split(metric, z)),
+                               np.sqrt(split_diagonal(n, t)))
+    floor = coordinate_floor(algebra, canonical_variation(metric, z, t))
+    pairs = list(combinations(range(n), 2))
+    op = np.array([[r_hat[i, j, k, l] for k, l in pairs] for i, j in pairs])
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (op + op.T)))))
+    delta = _rounding_allowance(n, float(np.max(np.abs(r_hat))))
+    for support in (n - 1, n):
+        sup, _ = polished_sup(r_hat, support)
+        assert floor * (1.0 - 1e-9) <= sup <= rho + delta
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(FLOOR_ALGEBRAS)),
+       eps=st.sampled_from([1e-2, 1e-3]), data=st.data())
+def test_certified_sup_between_coordinate_planes_and_bound(name, eps, data):
+    algebra = FLOOR_ALGEBRAS[name]
+    n = algebra.dim
+    seed = dense_metric(n, data.draw(arrays(np.float64, (n, n), elements=UNIT),
+                                     label="B"))
+    report = certify_almost_flat(peel_tower(NilLattice(algebra)), seed, eps)
+    floor = coordinate_floor(algebra, LeftInvariantMetric(matrix=report.metric_matrix))
+    assert floor * (1.0 - 1e-9) <= report.sup_abs_K <= report.sup_abs_K_bound <= eps

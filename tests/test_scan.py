@@ -6,9 +6,9 @@ checks, and hand-evaluated diameter formulas; [DERIVED] the constant C in
 closed form on h3 and against explicit unit arguments on filiform(14);
 [DERIVED] the batched polish
 against a reference kept here, the single-pair alternation with the 4-tensor
-form of |K|, to 1e-12 relative, and the polished sup against that reference
-and the spectral radius ρ of the curvature operator, to the rounding
-allowance δ; [TRIVIAL] abelian cases.
+form of |K|, to 1e-12 relative, and the polished sup against the spectral
+radius ρ of the curvature operator, to the rounding allowance δ; [TRIVIAL]
+abelian cases.
 Identity defects are checked at 1e-9 (they come out near 1e-15), the plane
 normalizations at 1e-12.
 """
@@ -26,8 +26,8 @@ from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
                             sectional_from_tensor)
 from nilflat.scan import (T_MIN, DecayReport, PlaneSample, SubmersionContext,
                           decomposition_check, diameter_bound, lemma_scan,
-                          report_csv, report_summary, sample_plane,
-                          spawn_generator, sup_abs_sectional)
+                          polished_sup, report_csv, report_summary,
+                          sample_plane, spawn_generator)
 from nilflat.submersion import build_split, split_diagonal
 
 H3 = catalog.heisenberg3()
@@ -79,15 +79,6 @@ def draws(monkeypatch):
 
     monkeypatch.setattr(scan, "_draw_unit", counting)
     return calls
-
-
-def assert_witness(index, drawn, n_samples):
-    """The sup's index is −1 exactly when no plane was drawn, and a sample
-    index otherwise."""
-    if drawn:
-        assert 0 <= index < n_samples
-    else:
-        assert index == -1
 
 
 # [DERIVED] unit-disk normalization of every sample: x horizontal g^t-unit,
@@ -160,6 +151,26 @@ def test_context_computes_frame_structure_once(monkeypatch):
     assert len(calls) == 1
 
 
+# [DERIVED] a split must be the algebra's and built from the scan's metric:
+# h3 with G = I and the split of diag(1, 1, 4) would mix the split's sup 3.0
+# with the diameter bound 0.5 of I's fiber, and a 3-dim split of n4 would
+# fail inside a contraction.
+def test_context_rejects_foreign_split():
+    metric = LeftInvariantMetric.identity(3)
+    foreign = build_split(LeftInvariantMetric(matrix=np.diag([1.0, 1.0, 4.0])),
+                          [0.0, 0.0, 1.0])
+    sample = sample_plane(spawn_generator(0, 1), 3, 1.0)
+    with pytest.raises(ValueError, match="different metric"):
+        lemma_scan(H3, metric, foreign, [1.0], 10, 0)
+    with pytest.raises(ValueError, match="different metric"):
+        decomposition_check(H3, metric, foreign, 1.0, sample)
+    with pytest.raises(DimensionMismatch, match="split dim 3"):
+        SubmersionContext(N4, metric, build_split(metric, [0.0, 0.0, 1.0]))
+    same = LeftInvariantMetric(matrix=np.eye(3))  # an equal matrix is the same metric
+    assert lemma_scan(H3, same, build_split(metric, [0.0, 0.0, 1.0]),
+                      [1.0], 10, 0).sup_abs_K == (0.75,)
+
+
 # [DERIVED] vertical-plane law: for Y = 0 the sectional curvature is exactly
 # the t²·g(A_XU, A_XU) term; h3 closed form gives K^t = t/4.
 @pytest.mark.parametrize("t", [1.0, 0.01, 1e-4])
@@ -180,14 +191,15 @@ def test_vertical_plane_law(t):
     assert abs(direct - 0.25 * t) <= 1e-10
 
 
-# [DERIVED] polished sup over h3 planes finds the closed-form maximum 3/4.
-def test_sup_abs_sectional_h3(draws):
+# [DERIVED] polished sup over h3 planes finds the closed-form maximum 3/4,
+# certified, without drawing a plane.
+def test_polished_sup_h3(draws):
     metric, split = geometry(H3)
     ctx = SubmersionContext(H3, metric, split)
     r1 = ctx.frame_curvature(1.0)
-    sup, index = sup_abs_sectional(r1, 1.0, 2, spawn_generator(0, 9), 500)
+    sup, certified = polished_sup(r1, 2)
     assert sup == pytest.approx(0.75, abs=1e-12)
-    assert_witness(index, draws, 500)
+    assert certified and draws == []
 
 
 # [DERIVED] h3 scan: sup|K^t| = 3t/4 at every t, flat base, unit exponent.
@@ -284,9 +296,8 @@ def test_bound_violated_outside_domain(draws):
     err = info.value
     assert err.t == 100.0
     assert err.value > err.bound
-    assert_witness(err.sample_index, draws, 500)
-    if not draws:
-        assert "witness: an eigenplane of ℛ at this t (no sample drawn)" in str(err)
+    assert draws == []
+    assert "witness: an eigenplane of ℛ at this t" in str(err)
 
 
 # [DERIVED] the rounding allowance δ_t in the bound is far below any real
@@ -306,8 +317,8 @@ def test_bound_short_by_more_than_rounding_raises(monkeypatch):
 # every sampled sup NaN the comparison with the (then NaN) bound is false.
 def test_nan_measurement_violates_bound(monkeypatch):
     metric, split = geometry(H3)
-    monkeypatch.setattr(scan, "sup_abs_sectional",
-                        lambda *args, **kwargs: (float("nan"), 0))
+    monkeypatch.setattr(scan, "polished_sup",
+                        lambda *args: (float("nan"), False))
     with pytest.raises(BoundViolated) as info:
         lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
     assert math.isnan(info.value.value)
@@ -434,11 +445,11 @@ def reference_abs_sectional(r4, x, c):
                                optimize=False)))
 
 
-def reference_polish_pair(r4, support, x, c, max_iter=50):
+def reference_polish_pair(r4, support, c, max_iter=50):
     """(max |K| found, sweeps run, last x, last c) of the alternation from
-    span(x, c)."""
+    the second leg c, from 0."""
     n = r4.shape[0]
-    best = reference_abs_sectional(r4, x, c)
+    best = 0.0
     for sweep in range(1, max_iter + 1):
         qc = np.einsum("ijkl,j,l->ik", r4, c, c, optimize=False)
         ch = c[:support]
@@ -454,21 +465,6 @@ def reference_polish_pair(r4, support, x, c, max_iter=50):
         if converged:
             break
     return best, sweep, x, c
-
-
-def reference_sup(r4, t, support, gen, n_samples, polish):
-    """Sampled-and-polished sup: the same draws, every plane scored by the
-    4-tensor form, the best `polish` of them polished one at a time."""
-    n = r4.shape[0]
-    d = split_diagonal(n, t)
-    x = scan._draw_unit(gen, d, support, n_samples)
-    c = scan._draw_unit(gen, d, n, n_samples, orth_to=x)
-    x, c = x * np.sqrt(d), c * np.sqrt(d)
-    k = [reference_abs_sectional(r4, xa, ca) for xa, ca in zip(x, c)]
-    best = max(k)
-    for a in np.argsort(k, kind="stable")[::-1][:polish]:
-        best = max(best, reference_polish_pair(r4, support, x[a], c[a])[0])
-    return best
 
 
 def random_split_tensor(algebra, seed, t):
@@ -498,7 +494,7 @@ def reference_rho_and_delta(r4):
 # [DERIVED] the batched polish gives each plane the value of the single-pair
 # alternation, to 1e-12 relative: a purely vertical c (no projector), planes
 # that converge at different sweeps, and horizontal support n − 1 and n; the
-# plane it returns for a raised row has that value.
+# plane it returns for a row with positive |K| has that value.
 @pytest.mark.parametrize("algebra", [N4, catalog.filiform(5), catalog.heisenberg5()],
                          ids=["n4", "filiform5", "heisenberg5"])
 @pytest.mark.parametrize("t", [1.0, 1e-3])
@@ -507,75 +503,51 @@ def test_batched_polish_matches_single_pair(algebra, t, support_drop):
     n = algebra.dim
     support = n - support_drop
     r_hat = random_split_tensor(algebra, 11 + n, t)
-    x, c = random_orthonormal_pairs(spawn_generator(2, n, support), n, support, 12)
-    x[0], c[0] = np.eye(n)[0], np.eye(n)[n - 1]  # with support n − 1: no projector
-    x[1], c[1] = reference_polish_pair(r_hat, support, x[2], c[2])[2:]  # at a maximum
-    start = np.array([reference_abs_sectional(r_hat, xa, ca) for xa, ca in zip(x, c)])
-    expected, sweeps, _, _ = zip(*(reference_polish_pair(r_hat, support, xa, ca)
-                                   for xa, ca in zip(x, c)))
-    got, got_x, got_c = scan._polish(r_hat, support, c, start)
+    c = random_orthonormal_pairs(spawn_generator(2, n, support), n, support, 12)[1]
+    c[0] = np.eye(n)[n - 1]  # with support n − 1: no projector
+    c[1] = reference_polish_pair(r_hat, support, c[2])[3]  # at a maximum
+    expected, sweeps, _, _ = zip(*(reference_polish_pair(r_hat, support, ca)
+                                   for ca in c))
+    got, got_x, got_c = scan._polish(r_hat, support, c)
     assert len(set(sweeps)) > 1
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
-    for a in np.flatnonzero(got > start):  # the returned plane attains the max
+    for a in np.flatnonzero(got > 0.0):  # the returned plane attains the max
         assert reference_abs_sectional(r_hat, got_x[a], got_c[a]) == pytest.approx(
             got[a], rel=1e-12, abs=0.0)
 
 
-# [DERIVED] sup_abs_sectional against the reference.  Without polish the
-# values agree to 1e-12 relative.  With polish the eigenplane seeds can only
-# raise the sup, and the ceiling ρ − δ stops it at most 2δ below the
-# reference; no plane exceeds ρ + δ.
-@pytest.mark.parametrize("n_samples,polish", [(5, 16), (40, 0), (200, 16)],
-                         ids=["few-samples", "no-polish", "default"])
-def test_sup_abs_sectional_matches_reference(n_samples, polish, draws):
-    algebra = catalog.filiform(5)
-    for t in (1.0, 1e-4):
-        r4 = random_split_tensor(algebra, 3, t)
-        draws.clear()
-        got, index = sup_abs_sectional(r4, t, 4, spawn_generator(1, 3), n_samples,
-                                       polish=polish)
-        assert_witness(index, draws, n_samples)
-        expected = reference_sup(r4, t, 4, spawn_generator(1, 3), n_samples, polish)
-        if polish > 0:
-            rho, delta = reference_rho_and_delta(r4)
-            assert expected - 2.0 * delta <= got <= rho + delta
-        else:
-            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
-
-
-def assert_reaches_rho(r4, t, support, gen, n_samples=4096):
+def assert_reaches_rho(r4, support):
     rho, delta = reference_rho_and_delta(r4)
-    got, _ = sup_abs_sectional(r4, t, support, gen, n_samples)
+    got, certified = polished_sup(r4, support)
     assert rho - 2.0 * delta <= got <= rho + delta
+    assert certified
 
 
-# [DERIVED] where ρ is attained the polished sup reaches it to 2δ: n4 with
-# G = I at t = 1 (the sup from the 16 best samples alone stops 3.0e-5 short),
-# every default grid t of filiform(8) with support n − 1, and a dense seed
-# metric on filiform(6) with support n (certify's final sup).
+# [DERIVED] where ρ is attained the polished sup reaches it to 2δ, certified:
+# n4 with G = I at t = 1, every default grid t of filiform(8) with support
+# n − 1, and a dense seed metric on filiform(6) with support n (certify's
+# final sup).
 def test_sup_reaches_rho_n4():
     metric, split = geometry(N4)
     r1 = SubmersionContext(N4, metric, split).frame_curvature(1.0)
-    assert_reaches_rho(r1, 1.0, 3, spawn_generator(0, scan._STREAM_GRID, 0))
+    assert_reaches_rho(r1, 3)
 
 
 def test_sup_reaches_rho_filiform8_grid():
     algebra = catalog.filiform(8)
     metric, split = geometry(algebra)
     ctx = SubmersionContext(algebra, metric, split)
-    for idx, t in enumerate(np.geomspace(1.0, 1e-6, 7)):
-        assert_reaches_rho(ctx.frame_curvature(t), t, 7,
-                           spawn_generator(0, scan._STREAM_GRID, idx))
+    for t in np.geomspace(1.0, 1e-6, 7):
+        assert_reaches_rho(ctx.frame_curvature(t), 7)
 
 
 def test_sup_reaches_rho_dense_filiform6():
     r_hat = random_split_tensor(catalog.filiform(6), 0, 1.0)
-    assert_reaches_rho(r_hat, 1.0, 6, spawn_generator(0, 7))
+    assert_reaches_rho(r_hat, 6)
 
 
 # [DERIVED] the eigenplane seeds reach the ceiling at once: at most 2 polish
-# sweeps (two `_top_eigenpairs` calls each) per call on filiform(8) at t = 1,
-# where the 16 best samples alone run into the 50-sweep cap.
+# sweeps (two `_top_eigenpairs` calls each) on filiform(8) at t = 1.
 def test_polish_sweeps_filiform8(monkeypatch):
     algebra = catalog.filiform(8)
     metric, split = geometry(algebra)
@@ -588,16 +560,12 @@ def test_polish_sweeps_filiform8(monkeypatch):
         return real(q, v)
 
     monkeypatch.setattr(scan, "_top_eigenpairs", counting)
-    for seed in range(4):
-        calls.clear()
-        sup_abs_sectional(r1, 1.0, 7, spawn_generator(seed, scan._STREAM_GRID, 0),
-                          4096)
-        assert 0 < len(calls) <= 4
+    polished_sup(r1, 7)
+    assert 0 < len(calls) <= 4
 
 
 # [DERIVED] a NaN or infinite tensor entry yields a non-finite sup, and so a
-# bound violation: the eigenplane probe stops only at a finite ceiling, never
-# at one built from a non-finite ρ − δ.
+# bound violation, never the 0.0 that a polish from zero starts at.
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 def test_non_finite_tensor_is_not_hidden(value, monkeypatch):
     metric, split = geometry(H3)
@@ -610,29 +578,28 @@ def test_non_finite_tensor_is_not_hidden(value, monkeypatch):
 
     r1 = poisoned(SubmersionContext(H3, metric, split), 1.0)
     with np.errstate(invalid="ignore", over="ignore"):
-        sup, _ = sup_abs_sectional(r1, 1.0, 2, spawn_generator(0, 9), 500)
-        assert not math.isfinite(sup)
+        sup, certified = polished_sup(r1, 2)
+        assert not math.isfinite(sup) and not certified
         monkeypatch.setattr(SubmersionContext, "frame_curvature", poisoned)
         with pytest.raises(BoundViolated) as info:
             lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
     assert not math.isfinite(info.value.value)
 
 
-# [DERIVED] where an eigenplane of ℛ attains ρ (h3, n4 and filiform(8) at
-# G = I, every t of the default grid and the flat bases) nothing is drawn.
-# Nor on h5 at G = I (ρ = 5t/4 exceeds the sup 3t/4) or free 2-step(3) with
-# a dense seed, where Thorpe's trick certifies the polished eigenplane; on
-# free 2-step(3) at G = I it does not close, and both legs are drawn at
-# every t.
-@pytest.mark.parametrize("algebra,seed,expected", [
-    (H3, None, []), (N4, None, []), (catalog.filiform(8), None, []),
-    (catalog.heisenberg5(), None, []), (FREE3, None, [4096, 4096] * 7),
-    (FREE3, 0, [])], ids=["h3", "n4", "filiform8", "h5", "free3", "free3-dense"])
-def test_lemma_scan_draws_only_below_ceiling(algebra, seed, expected, draws):
+# [DERIVED] the scan draws no plane, below the ceiling ρ − δ or not: where an
+# eigenplane of ℛ attains ρ (h3, n4 and filiform(8) at G = I, and the flat
+# bases), where Thorpe's trick certifies the polished eigenplane (h5 at
+# G = I, free 2-step(3) with a dense seed), and on free 2-step(3) at G = I,
+# where neither holds.
+@pytest.mark.parametrize("algebra,seed", [
+    (H3, None), (N4, None), (catalog.filiform(8), None),
+    (catalog.heisenberg5(), None), (FREE3, None), (FREE3, 0)],
+    ids=["h3", "n4", "filiform8", "h5", "free3", "free3-dense"])
+def test_lemma_scan_draws_only_below_ceiling(algebra, seed, draws):
     metric, split = geometry(algebra, None if seed is None else dense_seed(algebra.dim, seed))
     lemma_scan(algebra, metric, split, np.geomspace(1.0, 1e-6, 7),
                n_samples=4096, seed=0)
-    assert draws == expected
+    assert draws == []
 
 
 def old_draw_unit(gen, d, support, count, orth_to=None):
@@ -672,23 +639,3 @@ def test_draw_unit_matches_old(seed, tol, monkeypatch):
             pair.append((x, draw_unit(gen, d, n, count, orth_to=x)))
         for got, expected in zip(pair[0], pair[1]):
             assert got.tobytes() == expected.tobytes()
-
-
-# [DERIVED] the partial selection returns what the stable sort returns: the
-# same top set in the same order, ties at the cut taken by index, and the
-# last index of the max; on sampled scores and on scores built with ties.
-def test_top_stable_matches_argsort():
-    rng = np.random.default_rng(5)
-    arrays = [np.abs(rng.standard_normal(4096)),
-              rng.integers(0, 4, 64).astype(float),    # ties at every cut
-              np.repeat([0.5, 0.25, 0.75], [10, 20, 10]),
-              np.zeros(20), np.array([1.0]),
-              np.array([0.3, np.nan, 0.1, np.nan, 0.3])]
-    for k in arrays:
-        order = np.argsort(k, kind="stable")
-        for count in (1, 2, 9, 10, 11, 16, k.size - 1, k.size, k.size + 3):
-            if count < 1:
-                continue
-            got = scan._top_stable(k, count)
-            np.testing.assert_array_equal(got, order[max(k.size - count, 0):])
-        assert k.size - 1 - int(np.argmax(k[::-1])) == order[-1]

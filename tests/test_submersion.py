@@ -142,7 +142,8 @@ def test_oneill_structure(name, algebra, matrix):
 
 
 # [DERIVED] canonical-variation relations: A^t on horizontal pairs is
-# t-independent, on mixed pairs scales linearly in t.
+# t-independent, on mixed pairs scales linearly in t; G^t is bit for bit
+# G + (t−1)(Gu)(Gu)ᵀ with u the split frame's unit vertical.
 @pytest.mark.parametrize("name,algebra,matrix", GEOMETRIES, ids=GEOMETRY_IDS)
 @pytest.mark.parametrize("t", [1.0, 0.1, 0.003])
 def test_variation_relations(name, algebra, matrix, t):
@@ -150,6 +151,9 @@ def test_variation_relations(name, algebra, matrix, t):
     n = algebra.dim
     m = n - 1
     g_t = canonical_variation(metric, last_basis(n), t)
+    gu = metric.matrix @ split.frame[:, -1]
+    assert g_t.matrix.tobytes() == (metric.matrix
+                                    + (t - 1.0) * np.outer(gu, gu)).tobytes()
     base = oneill_tensors(algebra, metric, split)
     varied = oneill_tensors(algebra, g_t, split)
     assert np.max(np.abs(varied.a[:m, :m, :] - base.a[:m, :m, :])) <= TOL
