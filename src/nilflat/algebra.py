@@ -150,26 +150,43 @@ def _add_ad(out: Dict[int, Fraction], algebra: NilAlgebra, i: int,
                 out[k] = out[k] + c * coeff if k in out else c * coeff
 
 
+def _partners(algebra: NilAlgebra) -> List[List[int]]:
+    """partners[m]: the indices i with a nonzero [e_{i+1}, e_{m+1}]."""
+    partners: List[List[int]] = [[] for _ in range(algebra.dim)]
+    for i, j in algebra.brackets:
+        partners[i].append(j)
+        partners[j].append(i)
+    return partners
+
+
 def check_jacobi(algebra: NilAlgebra) -> ValidationReport:
     """Jacobi identity on all basis triples; first violation reported.
 
     Convention: J(x,y,z) = [x,[y,z]] + [y,[z,x]] + [z,[x,y]].
+
+    Only the nonzero terms are visited: each stored bracket [e_p,e_q]
+    (p < q) adds ad_{e_r}[e_p,e_q] to J on the sorted triple {p,q,r}, with
+    the sign of the permutation that sorts (p,q,r), for each r that
+    brackets with its support. The first violation is the least sorted
+    triple whose sum is nonzero.
     """
     n = algebra.dim
-    table = algebra.brackets
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                out: Dict[int, Fraction] = {}
-                _add_ad(out, algebra, i, table.get((j, k), {}))
-                _add_ad(out, algebra, j, table.get((i, k), {}), scale=-1)
-                _add_ad(out, algebra, k, table.get((i, j), {}))
-                if any(out.values()):
-                    return ValidationReport(
-                        ok=False, check="jacobi",
-                        message=(f"Jacobi fails on (e{i + 1},e{j + 1},e{k + 1})"),
-                        witness=(i + 1, j + 1, k + 1),
-                        defect=tuple(Fraction(out.get(m, 0)) for m in range(n)))
+    partners = _partners(algebra)
+    sums: Dict[Tuple[int, int, int], Dict[int, Fraction]] = {}
+    for (p, q), entry in algebra.brackets.items():
+        for r in set().union(*(partners[m] for m in entry)):
+            if r != p and r != q:
+                out = sums.setdefault(tuple(sorted((p, q, r))), {})
+                _add_ad(out, algebra, r, entry, scale=-1 if p < r < q else 1)
+    failing = [key for key, out in sums.items() if any(out.values())]
+    if failing:
+        i, j, k = min(failing)
+        out = sums[i, j, k]
+        return ValidationReport(
+            ok=False, check="jacobi",
+            message=(f"Jacobi fails on (e{i + 1},e{j + 1},e{k + 1})"),
+            witness=(i + 1, j + 1, k + 1),
+            defect=tuple(Fraction(out.get(m, 0)) for m in range(n)))
     return ValidationReport(ok=True, check="jacobi")
 
 
@@ -214,20 +231,26 @@ def lower_central_series(algebra: NilAlgebra) -> Tuple[List[List[VecQ]], int]:
     n = algebra.dim
     if n == 0:
         return [[]], 0
+    partners = _partners(algebra)
+    zero, one = Fraction(0), Fraction(1)
     chain: List[List[VecQ]] = [
-        [tuple(Fraction(int(k == i)) for k in range(n)) for i in range(n)]]
+        [(zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)]]
     while True:
         current = chain[-1]
         if not current:
             break
         sparse = [{m: c for m, c in enumerate(v) if c} for v in current]
+        # [e_i, v] is built only for the i that bracket with v's support
+        reach = [set().union(*(partners[m] for m in terms)) for terms in sparse]
         products = []
         for i in range(n):
-            for terms in sparse:
-                w: Dict[int, Fraction] = {}
-                _add_ad(w, algebra, i, terms)
-                if any(w.values()):
-                    products.append([w.get(k, 0) for k in range(n)])
+            for terms, near in zip(sparse, reach):
+                if i in near:
+                    w: Dict[int, Fraction] = {}
+                    _add_ad(w, algebra, i, terms)
+                    w = {k: c for k, c in w.items() if c}
+                    if w:
+                        products.append(w)
         nxt = [tuple(row) for row in rational_row_basis(products, n)]
         if len(nxt) >= len(current):
             raise NotNilpotent(

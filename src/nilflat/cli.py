@@ -17,6 +17,7 @@ version and the full run configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -315,9 +316,15 @@ def cmd_certify(args: argparse.Namespace) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built once: `parse_args` leaves it
+    unchanged and fills a fresh namespace on every call."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -12,7 +12,7 @@ the unimodular transforms tracked explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Matrix = List[List[Fraction]]
 IntMatrix = List[List[int]]
@@ -52,26 +52,32 @@ def rational_nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> List[
     return basis
 
 
-def rational_row_basis(rows: Sequence[Sequence[Fraction]], n_cols: int) -> List[List[Fraction]]:
+def rational_row_basis(rows: Sequence[Union[Sequence[Fraction], Mapping[int, Fraction]]],
+                       n_cols: int) -> List[List[Fraction]]:
     """Reduced row-echelon basis of the rational row span (canonical).
 
-    Rows are folded in one at a time, as sparse {column: value} dicts, into
-    a running reduced basis {pivot: row}. Each basis row has a 1 at its pivot
-    and 0 at every other pivot, so a new row is reduced by one subtraction per
-    pivot it touches; a row that survives becomes a basis row, and its pivot
-    column is cleared from the others. Most rows of a spanning set reduce to
-    zero and cost only their own reduction.
+    A row is a dense sequence or a sparse {column: value} mapping; columns
+    from n_cols on are ignored. Rows are folded in one at a time, as sparse
+    {column: value} dicts, into a running reduced basis {pivot: row}. Each
+    basis row has a 1 at its pivot and 0 at every other pivot, so a new row
+    is reduced by one subtraction per pivot it touches; a row that survives
+    becomes a basis row, and its pivot column is cleared from the others.
+    Most rows of a spanning set reduce to zero and cost only their own
+    reduction.
     """
     basis: Dict[int, Dict[int, Fraction]] = {}
     for dense in rows:
-        row = {c: Fraction(v) for c, v in enumerate(dense[:n_cols]) if v}
+        items = dense.items() if isinstance(dense, Mapping) else enumerate(dense)
+        row = {c: v if type(v) is Fraction else Fraction(v)
+               for c, v in items if v and c < n_cols}
         for p in [p for p in row if p in basis]:
             _subtract(row, row[p], basis[p])
         if not row:
             continue
         pivot = min(row)
         pv = row[pivot]
-        row = {c: v / pv for c, v in row.items()}
+        if pv != 1:
+            row = {c: v / pv for c, v in row.items()}
         for other in basis.values():
             if pivot in other:
                 _subtract(other, other[pivot], row)

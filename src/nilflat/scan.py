@@ -430,8 +430,21 @@ def decomposition_check(algebra: NilAlgebra, metric: LeftInvariantMetric,
       (iv)  K^t(span(X,C)) computed directly from the ambient metric G^t
             equals Ř(Y,X,Y,X) − 3t·g(A_YX,A_YX) − 2t·g((D_XA)_YX,U)
             + t²·g(A_XU,A_XU).
+
+    A passed `context` must be built for this algebra, metric and split;
+    otherwise ValueError.
     """
-    ctx = context if context is not None else SubmersionContext(algebra, metric, split)
+    if context is None:
+        ctx = SubmersionContext(algebra, metric, split)
+    else:
+        ctx = context
+        for name, same in (
+                ("algebra", ctx.algebra == algebra),
+                ("metric", np.array_equal(ctx.metric.matrix, metric.matrix)),
+                ("split", np.array_equal(ctx.split.z, split.z)
+                 and np.array_equal(ctx.split.frame, split.frame))):
+            if not same:
+                raise ValueError(f"context was built for a different {name}")
     m = split.horizontal_dim
     x, c, y, u = sample.x, sample.c, sample.y, sample.u
     a, da = ctx.tensors.a, ctx.tensors.da

@@ -136,6 +136,12 @@ def check_closed(algebra: NilAlgebra, cocycle: CentralCocycle) -> ValidationRepo
     leading term ω([x,y],z) is nonzero, which pins the defect on a single
     visible structure constant. Each term ω([e_a,e_b],e_c) is
     Σ_k [e_a,e_b]_k·ω(e_k,e_c), read off the two tables.
+
+    Only the nonzero terms are visited: each stored bracket [e_p,e_q]
+    (p < q), each of its components e_k and each form entry ω(e_k,e_r)
+    add to S on the sorted triple {p,q,r}, with the sign of the
+    permutation that sorts (p,q,r). The first violating triple is the least
+    sorted triple whose sum is nonzero.
     """
     n = algebra.dim
     if cocycle.dim != n:
@@ -152,20 +158,30 @@ def check_closed(algebra: NilAlgebra, cocycle: CentralCocycle) -> ValidationRepo
     def cyc(a: int, b: int, c: int) -> Fraction:
         return leading(a, b, c) + leading(b, c, a) + leading(c, a, b)
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                if cyc(a, b, c) == 0:
-                    continue
-                for p in permutations((a, b, c)):
-                    if leading(*p) != 0:
-                        return ValidationReport(
-                            ok=False, check="closed",
-                            message=("cocycle condition fails on "
-                                     f"(e{p[0] + 1},e{p[1] + 1},e{p[2] + 1})"),
-                            witness=(p[0] + 1, p[1] + 1, p[2] + 1),
-                            defect=cyc(*p))
-                # unreachable: a nonzero alternating sum has a nonzero term
+    row: Dict[int, List[Tuple[int, Fraction]]] = {}  # k -> [(r, ω(e_k, e_r))]
+    for (i, j), value in form.items():
+        row.setdefault(i, []).append((j, value))
+        row.setdefault(j, []).append((i, -value))
+    sums: Dict[Tuple[int, int, int], Fraction] = {}
+    for (p, q), entry in table.items():
+        for k, coeff in entry.items():
+            for r, value in row.get(k, ()):
+                if r != p and r != q:
+                    key = tuple(sorted((p, q, r)))
+                    term = -coeff * value if p < r < q else coeff * value
+                    sums[key] = sums.get(key, 0) + term
+    failing = [key for key, value in sums.items() if value]
+    if failing:
+        a, b, c = min(failing)
+        for p in permutations((a, b, c)):
+            if leading(*p) != 0:
+                return ValidationReport(
+                    ok=False, check="closed",
+                    message=("cocycle condition fails on "
+                             f"(e{p[0] + 1},e{p[1] + 1},e{p[2] + 1})"),
+                    witness=(p[0] + 1, p[1] + 1, p[2] + 1),
+                    defect=cyc(*p))
+        # unreachable: a nonzero alternating sum has a nonzero term
     return ValidationReport(ok=True, check="closed")
 
 

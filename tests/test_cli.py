@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import nilflat
-from nilflat import __version__, catalog, fileio
+from nilflat import __version__, catalog, cli, fileio
 from nilflat.algebra import NilAlgebra
 from nilflat.cli import main
 from nilflat.tower import NilLattice, peel_tower
@@ -249,6 +249,46 @@ def test_curvature_csv_and_summary(tmp_path, capsys):
     assert envelope["config"]["seed"] == 0
     assert set(envelope["report"]) == {"C", "exponent_fit", "sample_count",
                                        "seed"}
+
+
+# [TRIVIAL] one process builds the parser once, and no value leaks from one
+# call into the next: after a peel to a file and a failed parse that had
+# already read --t-points 3, --seed 5 and --out, a curvature run echoes every
+# default and its own --out, and a peel without --out writes to stdout.
+def test_main_calls_share_one_parser_without_leaks(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda real=cli.build_parser: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        code, stdout, err = run_cli(["validate", str(DATA / "h3.json")], capsys)
+        assert code == 0 and err == "" and "->" not in stdout
+        tower = tmp_path / "tower.json"
+        code, stdout, err = run_cli(
+            ["peel", str(DATA / "h3.json"), "--out", str(tower)], capsys)
+        assert code == 0 and err == "" and str(tower) in stdout
+        with pytest.raises(SystemExit) as exit_info:
+            main(["curvature", str(DATA / "h3.json"), "--t-points", "3",
+                  "--seed", "5", "--out", str(tmp_path / "stale.csv"), "--bogus"])
+        assert exit_info.value.code == 1
+        capsys.readouterr()
+        out = tmp_path / "run.csv"
+        code, stdout, err = run_cli(
+            ["curvature", str(DATA / "h3.json"), "--out", str(out)], capsys)
+        assert code == 0 and err == "" and str(out) in stdout
+        config = json.loads((tmp_path / "run.summary.json").read_text(
+            encoding="utf-8"))["config"]
+        assert config == {"input": str(DATA / "h3.json"), "metric": None,
+                          "t_max": 1.0, "t_min": 1e-6, "t_points": 7,
+                          "samples": 4096, "seed": 0, "format": "csv",
+                          "out": str(out)}
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 8
+        assert not (tmp_path / "stale.csv").exists()
+        code, stdout, err = run_cli(["peel", str(DATA / "h3.json")], capsys)
+        assert code == 0 and stdout == tower.read_text(encoding="utf-8")
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 # [DERIVED] h3 JSON summary: excess decays linearly in t, so the fitted

@@ -12,7 +12,10 @@ Oracle key, exact checks: [DERIVED] `check_jacobi`, `check_closed` and
 dense basis vectors through a bilinear bracket and a bilinear ω written
 from the same tables, and must give the same report or chain on random
 tables of dim <= 7, adapted or not, Jacobi or not, nilpotent or not, with
-closed and non-closed cocycles.
+closed and non-closed cocycles; and on fixed large tables (filiform(12),
+filiform(16), free 2-step(4), abelian(12), h3×Z and their peel bases), with
+the peel cocycle plus a coboundary and that cocycle with one entry raised
+by 1, and on a filiform(16) table that breaks Jacobi on many triples.
 
 Oracle key, numerical layer: [DERIVED] the curvature every measurement uses, that of
 diag(1, …, 1, t) in the split frame of `build_split`, against the ambient
@@ -330,6 +333,64 @@ def test_table_checks_match_dense_references(case):
     algebra, cocycle = case
     assert check_jacobi(algebra) == reference_jacobi(algebra)
     assert check_closed(algebra, cocycle) == reference_closed(algebra, cocycle)
+    assert (outcome(lower_central_series, algebra)
+            == outcome(reference_series, algebra))
+
+
+def large_tables():
+    return {"filiform12": catalog.filiform(12), "filiform16": catalog.filiform(16),
+            "free2step4": free_two_step(4), "abelian12": catalog.abelian(12),
+            "h3xZ": catalog.h3_times_z()}
+
+
+# (i, j, k) of the first failure of the raised cocycle, None where every
+# 2-form on the base is closed (abelian, h3)
+RAISED_FAILS = {"filiform12": (1, 9, 11), "filiform16": (1, 13, 15),
+                "free2step4": (2, 3, 9), "abelian12": None, "h3xZ": None}
+
+
+# [DERIVED] beyond the random tables' reach: the sparse checks give the
+# dense references' reports and chains on large algebras and their peel
+# bases, for a closed cocycle (peel cocycle + δλ) and for that cocycle with
+# its last entry ω(e_{m−1}, e_m) raised by 1.
+@pytest.mark.parametrize("name", sorted(RAISED_FAILS))
+def test_large_table_checks_match_dense_references(name):
+    algebra = large_tables()[name]
+    step = peel_step(NilLattice(algebra))
+    base = step.base.algebra
+    m = base.dim
+    lam = [(-1) ** k * (k % 3 + 1) for k in range(m)]
+    omega = dict(step.cocycle.entries)
+    for pair, entry in base.brackets.items():
+        omega[pair] = omega.get(pair, 0) - sum(lam[k] * c for k, c in entry.items())
+    closed = CentralCocycle(dim=m, entries=omega)
+    omega[m - 2, m - 1] = omega.get((m - 2, m - 1), 0) + 1
+    raised = CentralCocycle(dim=m, entries=omega)
+
+    assert check_closed(base, closed) == reference_closed(base, closed)
+    assert check_closed(base, closed).ok
+    report = check_closed(base, raised)
+    assert report == reference_closed(base, raised)
+    assert report.witness == RAISED_FAILS[name]
+    for table in (algebra, base):
+        assert check_jacobi(table) == reference_jacobi(table)
+        assert (outcome(lower_central_series, table)
+                == outcome(reference_series, table))
+
+
+# [DERIVED] the first Jacobi failure is the least triple, not the first one
+# the sparse loop meets: with [e4, e5] = e10 and [e2, e7] = 2·e12 added to
+# filiform(16), the bracket [e1, e3] already breaks (e1, e3, e5), but
+# (e1, e2, e6) is reported, as by the dense reference.
+def test_large_jacobi_breaker_reports_least_triple():
+    brackets = {pair: dict(entry) for pair, entry in catalog.filiform(16).brackets.items()}
+    brackets[3, 4] = {9: 1}
+    brackets[1, 6] = {11: 2}
+    algebra = NilAlgebra(dim=16, declared_class=15, brackets=brackets)
+    report = check_jacobi(algebra)
+    assert report == reference_jacobi(algebra)
+    assert report.witness == (1, 2, 6)
+    assert report.defect == tuple(Fraction(-2 * (m == 11)) for m in range(16))
     assert (outcome(lower_central_series, algebra)
             == outcome(reference_series, algebra))
 

@@ -171,6 +171,29 @@ def test_context_rejects_foreign_split():
                       [1.0], 10, 0).sup_abs_K == (0.75,)
 
 
+# [DERIVED] a passed context must be the arguments' own: an h3 context at
+# G = I, asked about diag(1, 1, 4) at t = 0.1, would report a defect of
+# about 5.8e-3 from the wrong O'Neill terms, where the right context gives
+# rounding. A context of another algebra or another split is refused too.
+def test_decomposition_check_rejects_foreign_context():
+    metric, split = geometry(H3)
+    ctx = SubmersionContext(H3, metric, split)
+    stretched, stretched_split = geometry(H3, np.diag([1.0, 1.0, 4.0]))
+    sample = sample_plane(spawn_generator(0, 3), 3, 0.1)
+    with pytest.raises(ValueError, match="different metric"):
+        decomposition_check(H3, stretched, stretched_split, 0.1, sample,
+                            context=ctx)
+    with pytest.raises(ValueError, match="different algebra"):
+        decomposition_check(catalog.abelian(3), metric, split, 0.1, sample,
+                            context=ctx)
+    tilted_split = build_split(metric, [0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="different split"):
+        decomposition_check(H3, metric, tilted_split, 0.1, sample, context=ctx)
+    own = SubmersionContext(H3, stretched, stretched_split)
+    assert decomposition_check(H3, stretched, stretched_split, 0.1, sample,
+                               context=own) <= 1e-12
+
+
 # [DERIVED] vertical-plane law: for Y = 0 the sectional curvature is exactly
 # the t²·g(A_XU, A_XU) term; h3 closed form gives K^t = t/4.
 @pytest.mark.parametrize("t", [1.0, 0.01, 1e-4])
