@@ -9,7 +9,7 @@ cocycles give the same bundle.
 The numerical layer (`metric`, `submersion`, `scan`, `certify`) puts
 left-invariant metrics on the same data: sectional curvature, canonical
 variations that shrink the circle fibers, O'Neill-tensor decompositions of
-the varied curvature, seeded scans certifying the |K^t| <= |K_base| + C*sqrt(t)
+the varied curvature, scans certifying the |K^t| <= |K_base| + C*sqrt(t)
 bound, and a per-level collapse schedule driving sup|K| below a requested
 epsilon with an explicit diameter bound.
 
@@ -35,9 +35,9 @@ from .metric import (LeftInvariantMetric, connection_coeffs,
 from .submersion import (OneillTensors, SubmersionSplit, build_split,
                          canonical_variation, frame_metric, frame_structure,
                          oneill_tensors)
-from .scan import (DecayReport, PlaneSample, decomposition_check,
+from .scan import (DecayReport, SubmersionContext, decomposition_check,
                    diameter_bound, lemma_scan, polished_sup, report_csv,
-                   report_summary, sample_plane)
+                   report_summary)
 from .certify import (CertificateReport, certificate_summary,
                       certify_almost_flat)
 from . import catalog, fileio
@@ -65,7 +65,7 @@ __all__ = [
     "curvature_tensor", "sectional_curvature", "SubmersionSplit",
     "build_split", "canonical_variation",
     "frame_structure", "frame_metric", "OneillTensors", "oneill_tensors",
-    "PlaneSample", "sample_plane", "decomposition_check",
+    "SubmersionContext", "decomposition_check",
     "DecayReport", "lemma_scan", "diameter_bound", "report_csv",
     "report_summary", "polished_sup", "CertificateReport",
     "certify_almost_flat", "certificate_summary",

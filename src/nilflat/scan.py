@@ -10,8 +10,7 @@ Frame convention: a split frame has the vertical direction last, and g^t is
 diag(1, …, 1, t) there; curvature tensors are R̂ in the orthonormal frame of
 g^t that divides the vertical vector by √t: `metric.rescaled_curvature` at
 weights √(1, …, 1, t).  The sup is searched in those orthonormal
-coordinates.  `sample_plane` draws one plane in the split frame for the
-curvature-decomposition checks; the sup search draws nothing.
+coordinates; `decomposition_check` takes its plane in the split frame.
 
 Curvature operator and ceiling: R̂ is read as the curvature operator ℛ on
 Λ², indexed by pairs p = (i, j), q = (k, l) with i < j, k < l (`_pairs`),
@@ -49,12 +48,11 @@ below B − δ, B is certified as the sup.  Else (the relaxation is not exact
 there, as on free 2-step algebras and h7 at G = I) B is still returned, as
 the lower end of the bracket [B, ρ + δ]; it is not flagged as certified.
 
-Determinism: the sup search has no randomness, every contraction is
+Determinism: nothing here draws a random number, every contraction is
 einsum(optimize=False) (no BLAS matmul; the certificate's Gram matrix is a
 np.bincount scatter sum, in input order) and every eigensolve a LAPACK eigh
 (stacked in the polish, whose rows do not depend on the batch), so outputs
-are byte-identical regardless of thread count.  `sample_plane` draws from
-counter-based Philox generators keyed by (seed, *path) (`spawn_generator`).
+are byte-identical regardless of thread count.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import NilAlgebra
-from .errors import BoundViolated, DimensionMismatch
+from .errors import BoundViolated, DegeneratePlane, DimensionMismatch
 from .metric import (
     TOL_GRAM,
     LeftInvariantMetric,
@@ -92,35 +90,6 @@ _EPS = float(np.finfo(np.float64).eps)
 # Smallest t a scan accepts, the floor of the `--t-min` contract: t² is a
 # normal float64 down to here.  No measurement divides by t or t².
 T_MIN = math.sqrt(float(np.finfo(np.float64).tiny))
-
-
-def spawn_generator(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic Philox generator keyed by (seed, *path)."""
-    key = (int(seed),) + tuple(int(p) for p in path)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-
-
-def _draw_unit(gen: np.random.Generator, d: np.ndarray, support: int,
-               count: int, orth_to: Optional[np.ndarray] = None) -> np.ndarray:
-    """count rows supported on the first `support` coordinates, unit in the
-    diagonal metric diag(d) and, if given, orthogonal to the matching row of
-    orth_to (whose rows are diag(d)-unit).  Rows are normalised in place;
-    only rejected ones are drawn again."""
-    n = d.shape[0]
-    out = gen.standard_normal((count, n))
-    if support < n:
-        out[:, support:] = 0.0
-    if orth_to is not None:
-        proj = np.einsum("ai,ai->a", out, orth_to * d, optimize=False)
-        out -= proj[:, None] * orth_to
-    norms = np.einsum("ai,i,ai->a", out, d, out, optimize=False)
-    rejected = np.flatnonzero(~(norms > TOL_GRAM))
-    norms[rejected] = 1.0
-    out /= np.sqrt(norms)[:, None]
-    if rejected.size:
-        redo = None if orth_to is None else orth_to[rejected]
-        out[rejected] = _draw_unit(gen, d, support, rejected.size, redo)
-    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -340,34 +309,6 @@ def polished_sup(r4: np.ndarray, horizontal_dim: int) -> tuple:
         sym, extremes, best_x[lead], best_c[lead], sup, r_max)
 
 
-@dataclass(frozen=True, eq=False)
-class PlaneSample:
-    """Tangent 2-plane span(x, c) in split-frame coordinates at parameter t.
-
-    x is horizontal and g^t-unit; c is g^t-unit and g^t-orthogonal to x,
-    decomposed c = y + u into horizontal and vertical parts, so that
-    g(y, y) + t·g(u, u) = 1 exactly (the unit-disk normalization).
-    """
-
-    x: np.ndarray
-    c: np.ndarray
-    y: np.ndarray
-    u: np.ndarray
-    t: float
-
-
-def sample_plane(gen: np.random.Generator, n: int, t: float) -> PlaneSample:
-    """One plane sample for an n-dim split frame (vertical direction last)."""
-    d = split_diagonal(n, t)
-    x = _draw_unit(gen, d, n - 1, 1)[0]
-    c = _draw_unit(gen, d, n, 1, orth_to=x[None])[0]
-    y = c.copy()
-    y[n - 1] = 0.0
-    u = np.zeros(n)
-    u[n - 1] = c[n - 1]
-    return PlaneSample(x=x, c=c, y=y, u=u, t=float(t))
-
-
 class SubmersionContext:
     """Precomputed frame data shared by decomposition checks and scans.
     The split must be the algebra's and built from this metric."""
@@ -379,7 +320,6 @@ class SubmersionContext:
                 f"split dim {split.dim} does not match algebra dim {algebra.dim}")
         if not np.array_equal(split.metric.matrix, metric.matrix):
             raise ValueError("split was built from a different metric")
-        self.algebra = algebra
         self.metric = metric
         self.split = split
         self.c_hat = frame_structure(algebra, split)
@@ -416,10 +356,16 @@ def _r4_value(r4: np.ndarray, a, b, c, d) -> float:
     return float(np.einsum("ijkl,i,j,k,l->", r4, a, b, c, d, optimize=False))
 
 
-def decomposition_check(algebra: NilAlgebra, metric: LeftInvariantMetric,
-                        split: SubmersionSplit, t: float, sample: PlaneSample,
-                        context: Optional[SubmersionContext] = None) -> float:
-    """Max absolute defect across the four curvature-decomposition identities.
+def decomposition_check(context: SubmersionContext, t: float,
+                        x: Sequence[float], c: Sequence[float]) -> float:
+    """Max absolute defect across the four curvature-decomposition identities
+    at the plane span(x, c) of g^t, given in the split frame of `context`.
+
+    0 < t < ∞ and x must be horizontal (vertical coordinate zero), else
+    ValueError.  The legs are made g^t-orthonormal here, so c = y + u, its
+    horizontal and vertical parts, has g(y, y) + t·g(u, u) = 1.  A pair
+    whose g^t Gram determinant is at most TOL_GRAM·|x|²|c|² raises
+    DegeneratePlane, legs of another length DimensionMismatch.
 
     With A, DA the O'Neill tensors of the base metric g and R^t, Ř the
     curvature tensors of g^t and of the base:
@@ -430,32 +376,39 @@ def decomposition_check(algebra: NilAlgebra, metric: LeftInvariantMetric,
       (iv)  K^t(span(X,C)) computed directly from the ambient metric G^t
             equals Ř(Y,X,Y,X) − 3t·g(A_YX,A_YX) − 2t·g((D_XA)_YX,U)
             + t²·g(A_XU,A_XU).
-
-    A passed `context` must be built for this algebra, metric and split;
-    otherwise ValueError.
     """
-    if context is None:
-        ctx = SubmersionContext(algebra, metric, split)
-    else:
-        ctx = context
-        for name, same in (
-                ("algebra", ctx.algebra == algebra),
-                ("metric", np.array_equal(ctx.metric.matrix, metric.matrix)),
-                ("split", np.array_equal(ctx.split.z, split.z)
-                 and np.array_equal(ctx.split.frame, split.frame))):
-            if not same:
-                raise ValueError(f"context was built for a different {name}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"decomposition check requires 0 < t < inf, got {t}")
+    split = context.split
+    n = split.dim
+    x = np.asarray(x, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    if x.shape != (n,) or c.shape != (n,):
+        raise DimensionMismatch(
+            f"legs of shape {x.shape} and {c.shape}, expected ({n},)")
+    if x[n - 1] != 0.0:
+        raise ValueError(f"x must be horizontal, got vertical coordinate {x[n - 1]!r}")
+    d = split_diagonal(n, t)
+    xx, cc, xc = x @ (d * x), c @ (d * c), x @ (d * c)
+    gram = xx * cc - xc * xc
+    if not gram > TOL_GRAM * xx * cc:
+        raise DegeneratePlane(f"plane Gram determinant {gram:.3e} below tolerance")
+    c = c - (xc / xx) * x
+    x = x / math.sqrt(xx)
+    c = c / math.sqrt(c @ (d * c))
+    y = c.copy()
+    y[n - 1] = 0.0
+    u = c - y
     m = split.horizontal_dim
-    x, c, y, u = sample.x, sample.c, sample.y, sample.u
-    a, da = ctx.tensors.a, ctx.tensors.da
-    r_t = ctx.frame_curvature(t)
-    xs, ys, us = np.sqrt(split_diagonal(split.dim, t)) * [x, y, u]  # to R̂'s frame
+    a, da = context.tensors.a, context.tensors.da
+    r_t = context.frame_curvature(t)
+    xs, ys, us = np.sqrt(d) * [x, y, u]  # to R̂'s frame
 
     a_yx = np.einsum("fep,f,e->p", a, y, x, optimize=False)
     a_xu = np.einsum("fep,f,e->p", a, x, u, optimize=False)
     da_xyx = np.einsum("efhp,e,f,h->p", da, x, y, x, optimize=False)
 
-    r_base_yxyx = _r4_value(ctx.r_base, y[:m], x[:m], y[:m], x[:m])
+    r_base_yxyx = _r4_value(context.r_base, y[:m], x[:m], y[:m], x[:m])
     term_a = 3.0 * t * float(a_yx @ a_yx)
     term_da = -t * float(da_xyx @ u)
     term_vert = t * t * float(a_xu @ a_xu)
@@ -465,7 +418,7 @@ def decomposition_check(algebra: NilAlgebra, metric: LeftInvariantMetric,
     defect_iii = abs(_r4_value(r_t, us, xs, us, xs) - term_vert)
 
     assembled = r_base_yxyx - term_a + 2.0 * term_da + term_vert
-    gt, r_ambient = ctx.ambient_at(t)
+    gt, r_ambient = context.ambient_at(t)
     x_amb = split.from_frame(x)
     c_amb = split.from_frame(c)
     direct = sectional_from_tensor(r_ambient, gt, x_amb, c_amb)
@@ -487,7 +440,7 @@ class DecayReport:
     diam_bound: tuple
     sample_count: int
     seed: int
-    bounds: tuple  # sup|Ǩ| + C√t + δ_t per t (see lemma_scan)
+    bounds: tuple  # sup|Ǩ| (or its ρ + δ) + C√t + δ_t per t (see lemma_scan)
 
 
 def _oneill_constant(tensors: OneillTensors) -> float:
@@ -510,7 +463,10 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     By Cauchy–Schwarz |A(x, e)| ≤ ‖A‖_F for unit x, e (and likewise for DA),
     so C is a true upper bound; it is computed, not sampled.  Each sup is
     `polished_sup`, which draws no plane: `n_samples` and `seed` are
-    validated and echoed in the report but change no value.
+    validated and echoed in the report but change no value.  Where the
+    base sup is not certified it is only a lower end of sup|Ǩ|, so the
+    bound starts from the base's ρ + δ (`curvature_bound`) instead; the
+    exponent fit still measures the excess over the polished base sup.
 
     δ_t is a rounding allowance, so a bound met exactly (C = 0 on a metric
     product) does not fail by a few ulp.  Each polished |K| is
@@ -541,7 +497,8 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     n = ctx.dim
     m = split.horizontal_dim
 
-    base_sup, _ = polished_sup(ctx.r_base, m)
+    base_sup, certified = polished_sup(ctx.r_base, m)
+    base_bound = base_sup if certified else sum(curvature_bound(ctx.r_base))
     base_max = float(np.max(np.abs(ctx.r_base), initial=0.0))
 
     c_const = _oneill_constant(ctx.tensors)
@@ -554,7 +511,7 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
         sup_t, _ = polished_sup(r_t, m)
         r_max = float(np.max(np.abs(r_t)))
         rounding = _rounding_allowance(n, r_max + base_max)
-        bound = base_sup + c_const * math.sqrt(t) + rounding
+        bound = base_bound + c_const * math.sqrt(t) + rounding
         if not (math.isfinite(sup_t) and sup_t <= bound):
             raise BoundViolated(
                 f"measured sup|K^t| = {sup_t!r} exceeds bound {bound!r} at "

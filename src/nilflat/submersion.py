@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -168,24 +168,22 @@ class OneillTensors:
     da: np.ndarray
 
 
-def oneill_tensors(algebra: NilAlgebra, metric_matrix: Union[np.ndarray, LeftInvariantMetric],
+def oneill_tensors(algebra: NilAlgebra, metric: LeftInvariantMetric,
                    split: SubmersionSplit) -> OneillTensors:
     """A, T and DA of the submersion for the given ambient metric.
 
-    ``metric_matrix`` is the ambient Gram matrix (e.g. G or G^t); tensors are
-    returned in the split frame of G.  Slots of A and T follow O'Neill:
+    ``metric`` is the ambient metric (e.g. G or G^t); tensors are returned
+    in the split frame of G.  Slots of A and T follow O'Neill:
 
         A_X E = H ∇_{HX} (VE) + V ∇_{HX} (HE)
         T_U E = H ∇_{VU} (VE) + V ∇_{VU} (HE)
     """
-    if isinstance(metric_matrix, LeftInvariantMetric):
-        metric_matrix = metric_matrix.matrix
     n = algebra.dim
-    if metric_matrix.shape != (n, n):
+    if metric.dim != n:
         raise DimensionMismatch(
-            f"metric shape {metric_matrix.shape} does not match algebra dim {n}")
+            f"metric dim {metric.dim} does not match algebra dim {n}")
     return _oneill_from_frame(frame_structure(algebra, split),
-                              frame_metric(metric_matrix, split))
+                              frame_metric(metric.matrix, split))
 
 
 def _oneill_from_frame(c_hat: np.ndarray, g_hat: np.ndarray) -> OneillTensors:

@@ -1,5 +1,6 @@
-"""Shared helpers: deterministic random rationals and vectors, and the
-environment for child `python -m nilflat` processes."""
+"""Shared helpers: deterministic random rationals and vectors, the free
+2-step algebras, and the environment for child `python -m nilflat`
+processes."""
 
 import os
 import random
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nilflat
+from nilflat.algebra import NilAlgebra
 
 
 def random_fraction(rng: random.Random, span: int = 6, max_den: int = 4) -> Fraction:
@@ -17,6 +19,17 @@ def random_fraction(rng: random.Random, span: int = 6, max_den: int = 4) -> Frac
 
 def random_vec(rng: random.Random, n: int, span: int = 6, max_den: int = 4):
     return tuple(random_fraction(rng, span, max_den) for _ in range(n))
+
+
+def free_two_step(r: int) -> NilAlgebra:
+    """The free 2-step nilpotent algebra on r generators: [e_i, e_j] is a new
+    central e_k for every i < j, in lexicographic order."""
+    brackets, k = {}, r
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            k += 1
+            brackets[(i, j)] = {k: 1}
+    return NilAlgebra.from_brackets(k, 2, brackets)
 
 
 @pytest.fixture

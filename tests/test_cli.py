@@ -15,9 +15,9 @@ import pytest
 
 import nilflat
 from nilflat import __version__, catalog, cli, fileio
-from nilflat.algebra import NilAlgebra
 from nilflat.cli import main
 from nilflat.tower import NilLattice, peel_tower
+from conftest import free_two_step
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -575,16 +575,6 @@ def test_curvature_thread_determinism_dense_seed(tmp_path, child_env):
         outputs.append((workdir / "run.csv").read_bytes()
                        + (workdir / "run.summary.json").read_bytes())
     assert outputs[0] == outputs[1]
-
-
-def free_two_step(r):
-    """The free 2-step nilpotent algebra on r generators."""
-    brackets, k = {}, r
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            k += 1
-            brackets[(i, j)] = {k: 1}
-    return NilAlgebra.from_brackets(k, 2, brackets)
 
 
 def curvature_bytes_by_threads(argv, tmp_path, child_env):

@@ -23,7 +23,7 @@ from nilflat.coords import (
     word_multiply,
 )
 from nilflat.errors import BasisNotAdapted, ValidationReport
-from conftest import random_vec
+from conftest import free_two_step, random_vec
 
 H3 = catalog.heisenberg3()
 N4 = catalog.n4()
@@ -152,14 +152,6 @@ def lattice_closed_full(algebra):
     return ValidationReport(ok=True, check="lattice_closed")
 
 
-def free2(r):
-    """Free 2-step nilpotent algebra on r generators: [e_i, e_j] is the next
-    new basis vector."""
-    pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    return NilAlgebra.from_brackets(
-        r + len(pairs), 2, {p: {r + 1 + pos: 1} for pos, p in enumerate(pairs)})
-
-
 def scaled(algebra, factor):
     return NilAlgebra(dim=algebra.dim, declared_class=algebra.declared_class,
                       brackets={p: {k: factor * c for k, c in terms.items()}
@@ -170,7 +162,7 @@ def closure_inputs():
     data = [(stem, fileio.load_algebra(DATA / f"{stem}.json"))
             for stem in ("h3", "h3_scaled", "h3_times_z", "h5", "n4", "z2", "z3")]
     families = ([(f"filiform{n}", catalog.filiform(n)) for n in range(3, 8)]
-                + [(f"free{r}", free2(r)) for r in (3, 4)])
+                + [(f"free{r}", free_two_step(r)) for r in (3, 4)])
     variants = [(f"{name}*{factor}", scaled(algebra, factor))
                 for name, algebra in families
                 for factor in (Fraction(1, 2), Fraction(3))]

@@ -71,6 +71,7 @@ from nilflat.tower import (CentralCocycle, NilLattice, check_closed,
                            extend_by_cocycle, peel_step, peel_tower)
 from nilflat.submersion import (build_split, canonical_variation,
                                 frame_structure, split_diagonal)
+from conftest import free_two_step
 
 ALGEBRAS = {"h3": catalog.heisenberg3(), "n4": catalog.n4(),
             "filiform5": catalog.filiform(5)}
@@ -423,8 +424,7 @@ THORPE_ALGEBRAS = {
     "h5": catalog.heisenberg5(),
     "h7": NilAlgebra.from_brackets(7, 2, {(1, 2): {7: 1}, (3, 4): {7: 1},
                                           (5, 6): {7: 1}}),
-    "free3": NilAlgebra.from_brackets(6, 2, {(1, 2): {4: 1}, (1, 3): {5: 1},
-                                             (2, 3): {6: 1}})}
+    "free3": free_two_step(3)}
 
 
 def antisymmetric_form(omega, n):
@@ -557,17 +557,6 @@ def test_unsampled_sup_meets_independent_bound(name, t, data):
                           np.linalg.eigvalsh(sign * sym + antisymmetric_form(omega, n))[-1]))
     delta = _rounding_allowance(n, float(np.max(np.abs(r_hat))) + omega_max)
     assert max(bounds) - 2.0 * delta <= sup <= max(bounds) + 2.0 * delta
-
-
-def free_two_step(r):
-    """The free 2-step nilpotent algebra on r generators: [e_i, e_j] is a new
-    central e_k for every i < j."""
-    brackets, k = {}, r
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            k += 1
-            brackets[(i, j)] = {k: 1}
-    return NilAlgebra.from_brackets(k, 2, brackets)
 
 
 FLOOR_ALGEBRAS = {"h5": THORPE_ALGEBRAS["h5"], "h7": THORPE_ALGEBRAS["h7"],

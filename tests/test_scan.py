@@ -1,4 +1,5 @@
-"""Plane sampling, curvature-decomposition identities, and the decay scan.
+"""Curvature-decomposition identities, the deterministic sup search, and the
+decay scan.
 
 Oracle key: [DERIVED] Heisenberg closed forms (sup|K^t| = 3t/4 for G = I,
 vertical planes K^t = t/4), the independently computed two-sided identity
@@ -9,8 +10,8 @@ against a reference kept here, the single-pair alternation with the 4-tensor
 form of |K|, to 1e-12 relative, and the polished sup against the spectral
 radius ρ of the curvature operator, to the rounding allowance δ; [TRIVIAL]
 abelian cases.
-Identity defects are checked at 1e-9 (they come out near 1e-15), the plane
-normalizations at 1e-12.
+Identity defects are checked at 1e-9 on random planes (they come out near
+1e-15) and at 1e-12 on single planes whose legs the check normalizes.
 """
 
 import math
@@ -20,15 +21,14 @@ import numpy as np
 import pytest
 
 from nilflat import catalog, scan, submersion
-from nilflat.algebra import NilAlgebra
-from nilflat.errors import BoundViolated, DimensionMismatch
+from nilflat.errors import BoundViolated, DegeneratePlane, DimensionMismatch
 from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
                             sectional_from_tensor)
-from nilflat.scan import (T_MIN, DecayReport, PlaneSample, SubmersionContext,
-                          decomposition_check, diameter_bound, lemma_scan,
-                          polished_sup, report_csv, report_summary,
-                          sample_plane, spawn_generator)
+from nilflat.scan import (T_MIN, DecayReport, SubmersionContext,
+                          curvature_bound, decomposition_check, diameter_bound,
+                          lemma_scan, polished_sup, report_csv, report_summary)
 from nilflat.submersion import build_split, split_diagonal
+from conftest import free_two_step
 
 H3 = catalog.heisenberg3()
 N4 = catalog.n4()
@@ -36,17 +36,6 @@ N4 = catalog.n4()
 TILTED3 = np.array([[1.0, 0.0, 0.3],
                     [0.0, 1.0, 0.0],
                     [0.3, 0.0, 1.0]])
-
-
-def free_two_step(r):
-    """The free 2-step nilpotent algebra on r generators: [e_i, e_j] is a new
-    central e_k for every i < j."""
-    brackets, k = {}, r
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            k += 1
-            brackets[(i, j)] = {k: 1}
-    return NilAlgebra.from_brackets(k, 2, brackets)
 
 
 FREE3 = free_two_step(3)
@@ -67,37 +56,12 @@ def geometry(algebra, matrix=None):
     return metric, build_split(metric, z)
 
 
-@pytest.fixture
-def draws(monkeypatch):
-    """The row counts of every `scan._draw_unit` call made in the test."""
-    calls = []
-    real = scan._draw_unit
-
-    def counting(gen, d, support, count, orth_to=None):
-        calls.append(count)
-        return real(gen, d, support, count, orth_to)
-
-    monkeypatch.setattr(scan, "_draw_unit", counting)
-    return calls
-
-
-# [DERIVED] unit-disk normalization of every sample: x horizontal g^t-unit,
-# c g^t-unit and g^t-orthogonal to x, and g(y,y) + t·g(u,u) = 1.
-@pytest.mark.parametrize("t", [1.0, 0.1, 1e-4])
-def test_plane_sample_invariants(t):
-    n = 4
-    gen = spawn_generator(3, 41)
-    g_t = np.diag([1.0, 1.0, 1.0, t])
-    for _ in range(50):
-        s = sample_plane(gen, n, t)
-        assert s.x[n - 1] == 0.0
-        assert abs(s.x @ g_t @ s.x - 1.0) <= 1e-12
-        assert abs(s.c @ g_t @ s.c - 1.0) <= 1e-12
-        assert abs(s.x @ g_t @ s.c) <= 1e-12
-        assert np.max(np.abs(s.c - (s.y + s.u))) == 0.0
-        assert s.y[n - 1] == 0.0
-        assert np.max(np.abs(s.u[:n - 1])) == 0.0
-        assert abs(s.y @ s.y + t * (s.u @ s.u) - 1.0) <= 1e-12
+def random_plane(rng, n):
+    """Legs (x, c) in the split frame: x horizontal, both standard normal;
+    `decomposition_check` makes them g^t-orthonormal."""
+    x, c = rng.standard_normal((2, n))
+    x[n - 1] = 0.0
+    return x, c
 
 
 # [DERIVED] the four decomposition identities on random planes; identity and
@@ -109,12 +73,10 @@ def test_plane_sample_invariants(t):
 def test_decomposition_identities(algebra, matrix, t):
     metric, split = geometry(algebra, matrix)
     ctx = SubmersionContext(algebra, metric, split)
-    gen = spawn_generator(5, 17)
+    rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(100):
-        sample = sample_plane(gen, algebra.dim, t)
-        worst = max(worst, decomposition_check(algebra, metric, split, t,
-                                               sample, context=ctx))
+        worst = max(worst, decomposition_check(ctx, t, *random_plane(rng, algebra.dim)))
     assert worst <= 1e-9
 
 
@@ -123,11 +85,9 @@ def test_decomposition_abelian_exact():
     z3 = catalog.abelian(3)
     metric, split = geometry(z3)
     ctx = SubmersionContext(z3, metric, split)
-    gen = spawn_generator(1, 2)
+    rng = np.random.default_rng(2)
     for t in (1.0, 0.01):
-        sample = sample_plane(gen, 3, t)
-        assert decomposition_check(z3, metric, split, t, sample,
-                                   context=ctx) == 0.0
+        assert decomposition_check(ctx, t, *random_plane(rng, 3)) == 0.0
 
 
 # [TRIVIAL] one context computes the split-frame structure constants once and
@@ -159,11 +119,10 @@ def test_context_rejects_foreign_split():
     metric = LeftInvariantMetric.identity(3)
     foreign = build_split(LeftInvariantMetric(matrix=np.diag([1.0, 1.0, 4.0])),
                           [0.0, 0.0, 1.0])
-    sample = sample_plane(spawn_generator(0, 1), 3, 1.0)
     with pytest.raises(ValueError, match="different metric"):
         lemma_scan(H3, metric, foreign, [1.0], 10, 0)
     with pytest.raises(ValueError, match="different metric"):
-        decomposition_check(H3, metric, foreign, 1.0, sample)
+        SubmersionContext(H3, metric, foreign)
     with pytest.raises(DimensionMismatch, match="split dim 3"):
         SubmersionContext(N4, metric, build_split(metric, [0.0, 0.0, 1.0]))
     same = LeftInvariantMetric(matrix=np.eye(3))  # an equal matrix is the same metric
@@ -171,27 +130,45 @@ def test_context_rejects_foreign_split():
                       [1.0], 10, 0).sup_abs_K == (0.75,)
 
 
-# [DERIVED] a passed context must be the arguments' own: an h3 context at
-# G = I, asked about diag(1, 1, 4) at t = 0.1, would report a defect of
-# about 5.8e-3 from the wrong O'Neill terms, where the right context gives
-# rounding. A context of another algebra or another split is refused too.
-def test_decomposition_check_rejects_foreign_context():
+# [DERIVED] the context is the only source of algebra, metric and split: on
+# h3 with the split of diag(1, 1, 4) at t = 0.1 the identities hold to
+# rounding.
+def test_decomposition_check_own_context():
+    metric, split = geometry(H3, np.diag([1.0, 1.0, 4.0]))
+    ctx = SubmersionContext(H3, metric, split)
+    x, c = random_plane(np.random.default_rng(3), 3)
+    assert decomposition_check(ctx, 0.1, x, c) <= 1e-12
+
+
+# [DERIVED] the legs are made g^t-orthonormal inside the check, at the t it
+# is given: legs of length 2 on h3 at t = 1 (the identities are quartic in
+# the legs, so these legs unnormalized would leave a defect of 3.75), and
+# legs that are g^0.1-orthonormal checked at t = 0.5 (else 0.19).
+def test_decomposition_check_normalizes_legs():
     metric, split = geometry(H3)
     ctx = SubmersionContext(H3, metric, split)
-    stretched, stretched_split = geometry(H3, np.diag([1.0, 1.0, 4.0]))
-    sample = sample_plane(spawn_generator(0, 3), 3, 0.1)
-    with pytest.raises(ValueError, match="different metric"):
-        decomposition_check(H3, stretched, stretched_split, 0.1, sample,
-                            context=ctx)
-    with pytest.raises(ValueError, match="different algebra"):
-        decomposition_check(catalog.abelian(3), metric, split, 0.1, sample,
-                            context=ctx)
-    tilted_split = build_split(metric, [0.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="different split"):
-        decomposition_check(H3, metric, tilted_split, 0.1, sample, context=ctx)
-    own = SubmersionContext(H3, stretched, stretched_split)
-    assert decomposition_check(H3, stretched, stretched_split, 0.1, sample,
-                               context=own) <= 1e-12
+    assert decomposition_check(ctx, 1.0, [2.0, 0.0, 0.0],
+                               [0.0, math.sqrt(2.0), math.sqrt(2.0)]) <= 1e-12
+    assert decomposition_check(ctx, 0.5, [1.0, 0.0, 0.0],
+                               [0.0, 0.6, 0.8 / math.sqrt(0.1)]) <= 1e-12
+
+
+# [TRIVIAL] a t outside (0, ∞), and legs that give no horizontal x, no plane
+# or the wrong dimension, are refused.
+def test_decomposition_check_rejects_bad_input():
+    metric, split = geometry(H3)
+    ctx = SubmersionContext(H3, metric, split)
+    for t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="0 < t < inf"):
+            decomposition_check(ctx, t, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="horizontal"):
+        decomposition_check(ctx, 0.1, [1.0, 0.0, 1e-3], [0.0, 1.0, 0.0])
+    with pytest.raises(DegeneratePlane):
+        decomposition_check(ctx, 0.1, [1.0, 2.0, 0.0], [-2.0, -4.0, 0.0])
+    with pytest.raises(DimensionMismatch):
+        decomposition_check(ctx, 0.1, [1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        decomposition_check(ctx, 0.1, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
 
 
 # [DERIVED] vertical-plane law: for Y = 0 the sectional curvature is exactly
@@ -202,8 +179,7 @@ def test_vertical_plane_law(t):
     ctx = SubmersionContext(H3, metric, split)
     x = np.array([1.0, 0.0, 0.0])
     u = np.array([0.0, 0.0, 1.0 / np.sqrt(t)])
-    sample = PlaneSample(x=x, c=u.copy(), y=np.zeros(3), u=u, t=t)
-    assert decomposition_check(H3, metric, split, t, sample, context=ctx) <= 1e-10
+    assert decomposition_check(ctx, t, x, u) <= 1e-10
 
     a_xu = np.einsum("fep,f,e->p", ctx.tensors.a, x, u, optimize=False)
     predicted = t * t * float(a_xu @ a_xu)
@@ -215,14 +191,14 @@ def test_vertical_plane_law(t):
 
 
 # [DERIVED] polished sup over h3 planes finds the closed-form maximum 3/4,
-# certified, without drawing a plane.
-def test_polished_sup_h3(draws):
+# certified.
+def test_polished_sup_h3():
     metric, split = geometry(H3)
     ctx = SubmersionContext(H3, metric, split)
     r1 = ctx.frame_curvature(1.0)
     sup, certified = polished_sup(r1, 2)
     assert sup == pytest.approx(0.75, abs=1e-12)
-    assert certified and draws == []
+    assert certified
 
 
 # [DERIVED] h3 scan: sup|K^t| = 3t/4 at every t, flat base, unit exponent.
@@ -289,8 +265,8 @@ def test_lemma_scan_negative_seed(monkeypatch):
         lemma_scan(H3, metric, split, [1.0], 10, -1)
 
 
-# [TRIVIAL] a non-finite grid value is refused before any sampling (a NaN t
-# would otherwise never pass the unit-norm rejection loop).
+# [TRIVIAL] a non-finite grid value is refused before any curvature is
+# built.
 @pytest.mark.parametrize("grid", [[float("nan")], [1.0, float("nan")],
                                   [float("inf"), 1.0]], ids=["nan", "nan-last", "inf"])
 def test_lemma_scan_nonfinite_grid(grid):
@@ -312,14 +288,13 @@ def test_lemma_scan_tiny_t():
 
 # [DERIVED] outside the C-constant's validity domain (t <= 1) the asserted
 # bound can fail; the violation is reported with the witnessing data.
-def test_bound_violated_outside_domain(draws):
+def test_bound_violated_outside_domain():
     metric, split = geometry(H3)
     with pytest.raises(BoundViolated) as info:
         lemma_scan(H3, metric, split, [100.0], n_samples=500, seed=0)
     err = info.value
     assert err.t == 100.0
     assert err.value > err.bound
-    assert draws == []
     assert "witness: an eigenplane of ℛ at this t" in str(err)
 
 
@@ -436,8 +411,7 @@ def test_report_serialization():
     assert summary["seed"] == 7 and summary["sample_count"] == 200
 
 
-# [DERIVED] determinism: identical seeds give identical reports, stream
-# separation keeps different seeds independent.
+# [DERIVED] determinism: repeated scans give identical reports.
 def test_scan_determinism():
     metric, split = geometry(N4)
     grid = np.geomspace(1.0, 1e-3, 4)
@@ -498,10 +472,9 @@ def random_split_tensor(algebra, seed, t):
                               np.sqrt(split_diagonal(n, t)))
 
 
-def random_orthonormal_pairs(gen, n, support, count):
-    ones = np.ones(n)
-    x = scan._draw_unit(gen, ones, support, count)
-    return x, scan._draw_unit(gen, ones, n, count, orth_to=x)
+def random_unit_rows(seed, n, count):
+    rows = np.random.default_rng(seed).standard_normal((count, n))
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
 
 
 def reference_rho_and_delta(r4):
@@ -526,7 +499,7 @@ def test_batched_polish_matches_single_pair(algebra, t, support_drop):
     n = algebra.dim
     support = n - support_drop
     r_hat = random_split_tensor(algebra, 11 + n, t)
-    c = random_orthonormal_pairs(spawn_generator(2, n, support), n, support, 12)[1]
+    c = random_unit_rows(2 + support, n, 12)
     c[0] = np.eye(n)[n - 1]  # with support n − 1: no projector
     c[1] = reference_polish_pair(r_hat, support, c[2])[3]  # at a maximum
     expected, sweeps, _, _ = zip(*(reference_polish_pair(r_hat, support, ca)
@@ -609,56 +582,37 @@ def test_non_finite_tensor_is_not_hidden(value, monkeypatch):
     assert not math.isfinite(info.value.value)
 
 
-# [DERIVED] the scan draws no plane, below the ceiling ρ − δ or not: where an
-# eigenplane of ℛ attains ρ (h3, n4 and filiform(8) at G = I, and the flat
-# bases), where Thorpe's trick certifies the polished eigenplane (h5 at
-# G = I, free 2-step(3) with a dense seed), and on free 2-step(3) at G = I,
-# where neither holds.
+# [DERIVED] the scan's values do not depend on `n_samples` or `seed`, below
+# the ceiling ρ − δ or not: where an eigenplane of ℛ attains ρ (h3, n4 and
+# filiform(8) at G = I, and the flat bases), where Thorpe's trick certifies
+# the polished eigenplane (h5 at G = I, free 2-step(3) with a dense seed),
+# and on free 2-step(3) at G = I, where neither holds.
 @pytest.mark.parametrize("algebra,seed", [
     (H3, None), (N4, None), (catalog.filiform(8), None),
     (catalog.heisenberg5(), None), (FREE3, None), (FREE3, 0)],
     ids=["h3", "n4", "filiform8", "h5", "free3", "free3-dense"])
-def test_lemma_scan_draws_only_below_ceiling(algebra, seed, draws):
+def test_lemma_scan_draws_only_below_ceiling(algebra, seed):
     metric, split = geometry(algebra, None if seed is None else dense_seed(algebra.dim, seed))
-    lemma_scan(algebra, metric, split, np.geomspace(1.0, 1e-6, 7),
-               n_samples=4096, seed=0)
-    assert draws == []
+    grid = np.geomspace(1.0, 1e-6, 7)
+    reports = [lemma_scan(algebra, metric, split, grid, n_samples=samples, seed=s)
+               for samples, s in ((4096, 0), (1, 7))]
+    assert report_csv(reports[0]) == report_csv(reports[1])
+    assert reports[0].C == reports[1].C
+    assert reports[0].exponent_fit == reports[1].exponent_fit
 
 
-def old_draw_unit(gen, d, support, count, orth_to=None):
-    """`scan._draw_unit` as it was before the in-place first pass."""
-    n = d.shape[0]
-    out = np.empty((count, n))
-    remaining = np.arange(count)
-    while remaining.size:
-        draw = gen.standard_normal((remaining.size, n))
-        if support < n:
-            draw[:, support:] = 0.0
-        if orth_to is not None:
-            x = orth_to[remaining]
-            proj = np.einsum("ai,ai->a", draw, x * d, optimize=False)
-            draw = draw - proj[:, None] * x
-        norms = np.einsum("ai,i,ai->a", draw, d, draw, optimize=False)
-        good = norms > scan.TOL_GRAM
-        rows = remaining[good]
-        out[rows] = draw[good] / np.sqrt(norms[good])[:, None]
-        remaining = remaining[~good]
-    return out
-
-
-# [DERIVED] the in-place draw gives the old draw's bytes, also when rows are
-# rejected and drawn again (forced by a Gram tolerance above most norms).
-@pytest.mark.parametrize("tol", [scan.TOL_GRAM, 0.5], ids=["default", "rejecting"])
-@pytest.mark.parametrize("seed", range(4))
-def test_draw_unit_matches_old(seed, tol, monkeypatch):
-    monkeypatch.setattr(scan, "TOL_GRAM", tol)
-    n, t = 5, 1e-3
-    d = split_diagonal(n, t)
-    for support, count in ((n - 1, 300), (n, 7), (1, 1)):
-        pair = []
-        for draw_unit in (scan._draw_unit, old_draw_unit):
-            gen = spawn_generator(seed, support, count)
-            x = draw_unit(gen, d, support, count)
-            pair.append((x, draw_unit(gen, d, n, count, orth_to=x)))
-        for got, expected in zip(pair[0], pair[1]):
-            assert got.tobytes() == expected.tobytes()
+# [DERIVED] where the base sup is not certified the bound column starts from
+# the base's ρ + δ: free 2-step(4) at G = I polishes the base sup to 0.75,
+# uncertified, below ρ ≈ 0.8904, and every bound stays at or above ρ; the
+# exponent fit still measures the excess over 0.75.
+def test_uncertified_base_bounds_from_rho():
+    algebra = free_two_step(4)
+    metric, split = geometry(algebra)
+    r_base = SubmersionContext(algebra, metric, split).r_base
+    base_sup, certified = polished_sup(r_base, algebra.dim - 1)
+    rho, _ = curvature_bound(r_base)
+    assert not certified and base_sup < rho
+    report = lemma_scan(algebra, metric, split, np.geomspace(1.0, 1e-6, 7),
+                        n_samples=1, seed=0)
+    assert report.base_sup_K == base_sup
+    assert min(report.bounds) == report.bounds[-1] >= rho

@@ -14,7 +14,7 @@ from nilflat import algebra as algebra_module
 from nilflat import catalog, fileio
 from nilflat import intlinalg as intlinalg_module
 from nilflat import tower as tower_module
-from nilflat.algebra import NilAlgebra, lower_central_series
+from nilflat.algebra import lower_central_series
 from nilflat.errors import (
     DimensionMismatch,
     JacobiViolated,
@@ -30,6 +30,7 @@ from nilflat.tower import (
     peel_step,
     peel_tower,
 )
+from conftest import free_two_step
 
 
 def lat(algebra):
@@ -141,19 +142,11 @@ def test_trusted_path_matches_full_validation(lattice):
         assert extend_by_cocycle(step.base, step.cocycle) == step.total
 
 
-def free2(r):
-    """Free 2-step nilpotent algebra on r generators: [e_i, e_j] is the next
-    new basis vector."""
-    pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    return NilAlgebra.from_brackets(
-        r + len(pairs), 2, {p: {r + 1 + pos: 1} for pos, p in enumerate(pairs)})
-
-
 SERIES_CASES = ([("point", catalog.point()), ("z3", catalog.abelian(3)),
                  ("h3", catalog.heisenberg3()), ("h5", catalog.heisenberg5()),
                  ("n4", catalog.n4()), ("h3_times_z", catalog.h3_times_z())]
                 + [(f"filiform{n}", catalog.filiform(n)) for n in range(3, 15)]
-                + [(f"free2_{r}", free2(r)) for r in (3, 4)])
+                + [(f"free2_{r}", free_two_step(r)) for r in (3, 4)])
 
 
 # [DERIVED] a lattice holds the lower central series its validation
