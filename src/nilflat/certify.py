@@ -11,6 +11,13 @@ of the leading k×k×k block of c_L at weights w[:k], with no division by t,
 and a refinement round only changes w_k.  The reported metric
 (w·L⁻¹)ᵀ(w·L⁻¹) is formed once, at the end.
 
+The seed G is read as per-level data, not as a Gram matrix to reproduce:
+level k takes its fiber length² s_k = G[k, k] and its lift G[k, :k]/G[k, k].
+With every t_k = 1 the reported metric is L⁻ᵀ·diag(s)·L⁻¹, which equals the
+seed only when the seed is diagonal: on Z³ with seed
+[[2, .5, .3], [.5, 1.5, .4], [.3, .4, 1.2]] at eps 0.01, ts is (1, 1, 1) but
+metric_matrix[0][0] is 2.2417, where the seed has 2.0.
+
 Levels whose extension cocycle vanishes are metric products — they add no
 curvature and keep t = 1.  Each curved level gets an equal share of eps and a
 multiplicative refinement loop on t gated by the bound ρ + δ on sup|K| of

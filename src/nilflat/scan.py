@@ -69,6 +69,7 @@ from .algebra import NilAlgebra
 from .errors import BoundViolated, DegeneratePlane, DimensionMismatch
 from .metric import (
     TOL_GRAM,
+    TOL_IDENTITY,
     LeftInvariantMetric,
     curvature_from_structure,
     rescaled_curvature,
@@ -311,7 +312,9 @@ def polished_sup(r4: np.ndarray, horizontal_dim: int) -> tuple:
 
 class SubmersionContext:
     """Precomputed frame data shared by decomposition checks and scans.
-    The split must be the algebra's and built from this metric."""
+    The split must be the algebra's, built from this metric, and its
+    direction z central: every bracket [e_i, z] vanishes to within
+    TOL_IDENTITY·max|C|·max|z|, since the lemma's bound holds only there."""
 
     def __init__(self, algebra: NilAlgebra, metric: LeftInvariantMetric,
                  split: SubmersionSplit):
@@ -320,10 +323,17 @@ class SubmersionContext:
                 f"split dim {split.dim} does not match algebra dim {algebra.dim}")
         if not np.array_equal(split.metric.matrix, metric.matrix):
             raise ValueError("split was built from a different metric")
+        self.c_ambient = structure_array(algebra)
+        ad_z = np.einsum("ijk,j->ik", self.c_ambient, split.z, optimize=False)
+        i, k = np.unravel_index(np.argmax(np.abs(ad_z)), ad_z.shape)
+        if abs(ad_z[i, k]) > (TOL_IDENTITY * np.max(np.abs(self.c_ambient))
+                              * np.max(np.abs(split.z))):
+            raise ValueError(
+                f"direction z = {split.z.tolist()} is not central: [e{i + 1}, z] "
+                f"has e{k + 1}-component {float(ad_z[i, k])!r}")
         self.metric = metric
         self.split = split
         self.c_hat = frame_structure(algebra, split)
-        self.c_ambient = structure_array(algebra)
         self.tensors: OneillTensors = _oneill_from_frame(
             self.c_hat, np.eye(split.dim))
         m = split.horizontal_dim

@@ -11,8 +11,9 @@ tower round-trips are exact structure-constant equalities.
 
 Euler-class comparison is integral cocycle cohomology: ω1 and ω2 agree up to
 coboundary iff δλ = ω1 − ω2 has an integer solution λ, where
-δλ(x, y) = −λ([x, y]); this is an integer linear system solved by Smith
-normal form, with an explicit λ witness or an obstruction certificate.
+δλ(x, y) = −λ([x, y]), i.e. iff ω1 − ω2 lies in the lattice spanned by the
+coboundaries δ(e_k*). One Hermite reduction of those generators decides
+membership, with an explicit λ witness or an obstruction certificate.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     NotIntegral,
     ValidationReport,
 )
-from .intlinalg import reduce_mod_lattice, solve_integer
+from .intlinalg import lattice_coordinates, reduce_mod_lattice
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,8 @@ class CohomologyVerdict:
     -1 for δλ = ω1 + ω2 (the up-to-sign branch); `witness` is the integral
     1-cochain λ in basis-dual coordinates, canonically reduced modulo the
     kernel lattice. On failure `obstruction` is a divisibility or
-    inconsistency certificate from the Smith-normal-form solve.
+    inconsistency certificate from the Hermite reduction of the coboundary
+    lattice.
     """
 
     cohomologous: bool
@@ -314,14 +316,19 @@ class CohomologyVerdict:
 
 
 def _coboundary_system(base: NilLattice) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
-    """Rows of the integer system λ ↦ (−λ([e_i,e_j]))_{i<j}, plus 0-based pairs."""
+    """Generators δ(e_k*) of the coboundary lattice, plus the 0-based pairs.
+
+    One generator per basis 1-cochain e_k*, with entry −c_ij^k at the pair
+    (i, j), i < j, read straight off the sparse table.
+    """
     n = base.dim
-    rows, pairs = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append([-int(c) for c in base.algebra.basis_bracket(i, j)])
-            pairs.append((i, j))
-    return rows, pairs
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: p for p, pair in enumerate(pairs)}
+    generators = [[0] * len(pairs) for _ in range(n)]
+    for pair, entry in base.algebra.brackets.items():
+        for k, c in entry.items():
+            generators[k][index[pair]] = -int(c)
+    return generators, pairs
 
 
 def _require_valid_cocycle(base: NilLattice, w: CentralCocycle) -> None:
@@ -341,18 +348,18 @@ def cocycles_cohomologous(base: NilLattice, w1: CentralCocycle, w2: CentralCocyc
         raise DimensionMismatch("cocycle dims do not match the base")
     _require_valid_cocycle(base, w1)
     _require_valid_cocycle(base, w2)
-    rows, pairs = _coboundary_system(base)
+    generators, pairs = _coboundary_system(base)
 
     def attempt(target_sign: int) -> CohomologyVerdict:
         # target_sign=+1 solves δλ = w1 − w2; target_sign=−1 solves δλ = w1 + w2
         b = [int(w1.entries.get(pair, 0) - target_sign * w2.entries.get(pair, 0))
              for pair in pairs]
-        x, obstruction, kernel = solve_integer(rows, b)
+        x, obstruction, kernel = lattice_coordinates(generators, b)
         if x is None:
             return CohomologyVerdict(cohomologous=False, obstruction=obstruction)
         x = reduce_mod_lattice(x, kernel)
-        for row, rhs in zip(rows, b):
-            assert sum(r * v for r, v in zip(row, x)) == rhs
+        assert [sum(v * g[p] for v, g in zip(x, generators))
+                for p in range(len(pairs))] == b
         return CohomologyVerdict(cohomologous=True, sign=target_sign,
                                  witness=tuple(x))
 

@@ -686,3 +686,32 @@ def test_child_env_imports_session_package(tmp_path, child_env):
         cwd=tmp_path, env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert Path(proc.stdout.strip()).resolve() == Path(nilflat.__file__).resolve()
+
+
+# [DERIVED] the shipped-artifact dump on two inputs: every command leaves
+# its stdout, stderr and exit code; `extend` runs with every shipped cocycle
+# (z2 by the Euler-one form is the shipped h3 file, the n4 form is refused
+# on dimension); the echoed paths are relative to the dump, so two
+# checkouts dump comparable bytes.
+def test_shipped_artifacts_dump(tmp_path):
+    script = DATA.parent / "tools" / "shipped_artifacts.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path), "h3.json", "z2.json"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "h3", "z2"]
+    labels = ["certify", "curvature", "peel", "validate"] + [
+        f"extend+{name}" for name in ("bad_cocycle_n4", "euler_one_z2",
+                                      "euler_two_z2", "euler_zero_z2")]
+    for stem in ("h3", "z2"):
+        for label in labels:
+            for suffix in (".stdout", ".stderr", ".exit"):
+                assert (tmp_path / stem / (label + suffix)).is_file()
+    exits = {f"{p.parent.name}/{p.stem}": p.read_text() for p in tmp_path.glob("*/*.exit")}
+    assert exits["z2/extend+euler_one_z2"] == "0\n"
+    assert exits["z2/extend+bad_cocycle_n4"] == "2\n"
+    assert exits["h3/certify"] == "0\n"
+    assert ((tmp_path / "z2" / "extend+euler_one_z2.json").read_bytes()
+            == (DATA / "h3.json").read_bytes())
+    config = json.loads((tmp_path / "h3" / "certify.json").read_text())["config"]
+    assert (config["input"], config["out"]) == ("data/h3.json", "h3/certify.json")
+    assert (tmp_path / "h3" / "curvature.summary.json").is_file()

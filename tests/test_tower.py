@@ -225,6 +225,15 @@ def test_cohomologous_equal():
     assert verdict.witness == (0, 0)
 
 
+# [TRIVIAL] the witness is a 1-cochain, one coordinate per base dimension,
+# also on the point and on Z, which have no pairs (i < j).
+@pytest.mark.parametrize("dim", [0, 1, 2])
+def test_witness_has_one_coordinate_per_dimension(dim):
+    w = CentralCocycle(dim, {})
+    verdict = cocycles_cohomologous(lat(catalog.abelian(dim)), w, w)
+    assert verdict.cohomologous and verdict.witness == (0,) * dim
+
+
 # [DERIVED] over an abelian base coboundaries vanish: ω=1 vs ω=2 differ.
 def test_not_cohomologous_abelian():
     w1 = CentralCocycle.from_entries(2, {(1, 2): 1})
