@@ -27,7 +27,7 @@ from .errors import (
     NotNilpotent,
     ValidationReport,
 )
-from .intlinalg import rational_nullspace, rational_row_basis
+from .intlinalg import SparseRow, rational_nullspace, rational_row_basis
 
 VecQ = Tuple[Fraction, ...]
 RationalLike = Union[int, Fraction, str]
@@ -221,37 +221,32 @@ def check_integer_constants(algebra: NilAlgebra) -> ValidationReport:
     return ValidationReport(ok=True, check="integer_constants")
 
 
-def lower_central_series(algebra: NilAlgebra) -> Tuple[List[List[VecQ]], int]:
+def lower_central_series(algebra: NilAlgebra) -> Tuple[List[List[SparseRow]], int]:
     """Chain g = g_1 ⊇ [g, g_1] ⊇ [g, g_2] ⊇ ... ⊇ 0 and the nilpotency class.
 
-    Returns (chain, class) where chain[k] is an echelon basis of g_{k+1} and
-    class = len(chain) - 1. Raises NotNilpotent if the chain stabilizes at a
-    nonzero subspace.
+    Returns (chain, class) where chain[k] is the reduced echelon basis of
+    g_{k+1} as `rational_row_basis` returns it (sparse rows in pivot order)
+    and class = len(chain) - 1. Raises NotNilpotent if the chain stabilizes
+    at a nonzero subspace.
     """
     n = algebra.dim
-    if n == 0:
-        return [[]], 0
     partners = _partners(algebra)
-    zero, one = Fraction(0), Fraction(1)
-    chain: List[List[VecQ]] = [
-        [(zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)]]
+    one = Fraction(1)
+    chain: List[List[SparseRow]] = [[{i: one} for i in range(n)]]
     while True:
         current = chain[-1]
         if not current:
             break
-        sparse = [{m: c for m, c in enumerate(v) if c} for v in current]
         # [e_i, v] is built only for the i that bracket with v's support
-        reach = [set().union(*(partners[m] for m in terms)) for terms in sparse]
+        reach = [set().union(*(partners[m] for m in terms)) for terms in current]
         products = []
         for i in range(n):
-            for terms, near in zip(sparse, reach):
+            for terms, near in zip(current, reach):
                 if i in near:
-                    w: Dict[int, Fraction] = {}
+                    w: SparseRow = {}
                     _add_ad(w, algebra, i, terms)
-                    w = {k: c for k, c in w.items() if c}
-                    if w:
-                        products.append(w)
-        nxt = [tuple(row) for row in rational_row_basis(products, n)]
+                    products.append(w)
+        nxt = rational_row_basis(products, n)
         if len(nxt) >= len(current):
             raise NotNilpotent(
                 f"lower central series stabilizes at dimension {len(current)}")
@@ -259,7 +254,7 @@ def lower_central_series(algebra: NilAlgebra) -> Tuple[List[List[VecQ]], int]:
     return chain, len(chain) - 1
 
 
-def _class_check(algebra: NilAlgebra) -> Tuple[ValidationReport, List[List[VecQ]]]:
+def _class_check(algebra: NilAlgebra) -> Tuple[ValidationReport, List[List[SparseRow]]]:
     """The class report and, when it passes, the lower central series."""
     try:
         chain, cls = lower_central_series(algebra)
@@ -278,22 +273,20 @@ def check_class(algebra: NilAlgebra) -> ValidationReport:
 
 
 def algebra_center(algebra: NilAlgebra) -> List[VecQ]:
-    """Echelon basis of {x : [x, e_j] = 0 for all j} over Q."""
-    n = algebra.dim
-    if n == 0:
-        return []
-    rows = []
-    for j in range(n):
-        # component m of [x, e_j] = sum_i x_i [e_i, e_j]_m
-        cols = [algebra.basis_bracket(i, j) for i in range(n)]
-        for m in range(n):
-            row = [cols[i][m] for i in range(n)]
-            if any(v != 0 for v in row):
-                rows.append(row)
-    return [tuple(v) for v in rational_nullspace(rows, n)]
+    """Echelon basis of {x : [x, e_j] = 0 for all j} over Q.
+
+    One equation per (j, m), component m of [x, e_j] = Σ_i x_i [e_i, e_j]_m,
+    read off the table as a sparse row over i.
+    """
+    rows: Dict[Tuple[int, int], SparseRow] = {}
+    for (i, j), entry in algebra.brackets.items():
+        for m, coeff in entry.items():
+            rows.setdefault((j, m), {})[i] = coeff
+            rows.setdefault((i, m), {})[j] = -coeff
+    return [tuple(v) for v in rational_nullspace(list(rows.values()), algebra.dim)]
 
 
-def validate_algebra(algebra: NilAlgebra) -> List[List[VecQ]]:
+def validate_algebra(algebra: NilAlgebra) -> List[List[SparseRow]]:
     """Raise on the first failed mathematical invariant (shape already holds);
     return the lower central series that the class check computed.
 

@@ -179,11 +179,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"invalid: {args.path}", file=sys.stderr)
             return EXIT_MATH
 
-    # Informational, at every class: the strict closure certificate for
-    # integer second-kind points. It is exact at class <= 2 but honestly
-    # fails at class >= 3 (collection meets BCH denominators), where the
-    # lattice is the group generated by the basis one-parameter integer
-    # points; it never gates.
+    # Reported at every class, never gating: whether the integer second-kind
+    # points form a group (coords.lattice_closed). A failure, possible from
+    # class 3 on, is not mere strictness: the group the basis points generate
+    # is then larger (in n4 it contains exp(1/2 e4)).
     closed = lattice_closed(algebra)
     if closed:
         print("lattice_closed: ok")

@@ -6,8 +6,9 @@ conversion is a triangular peel: a_1 is read off directly and the factor
 exp(-a_1 e_1) is multiplied away, leaving an element of the subgroup
 exp(span(e_2, ..., e_n)), and so on. Every product is an exact
 `bch.bch_product`, so the conversions and `lattice_closed` work at any
-nilpotency class. The lattice Γ is exactly the set of elements with integer
-second-kind coordinates.
+nilpotency class. Where `lattice_closed` passes, the group Γ that the
+exp(e_i) generate is exactly the set of elements with integer second-kind
+coordinates.
 """
 
 from __future__ import annotations
@@ -74,24 +75,29 @@ def second_to_first(algebra: NilAlgebra, word: MalcevWord) -> VecQ:
 
 
 def lattice_closed(algebra: NilAlgebra) -> ValidationReport:
-    """Certify that the integer second-kind points form a group.
+    """Decide whether the integer second-kind points form a group.
 
-    Checks every signed pairwise generator product g_i^{±1} g_j^{±1} for
-    integral second-kind coordinates. On an adapted basis only the
+    Checks every signed pairwise product g_i^{±1} g_j^{±1}, g_i = exp(e_i),
+    for integral second-kind coordinates. On an adapted basis only the
     descending products (j < i) of non-commuting generators are converted.
     An inverse exp(−e_i) and an ascending product exp(±e_i) exp(±e_j) with
     i < j are already in second-kind form, with exponents ±1. So is a
     descending product of commuting generators: there
     exp(±e_i) exp(±e_j) = exp(±e_j ± e_i) = exp(±e_j) exp(±e_i), so it can
-    never be the first failure. For class <= 2 this certificate is
-    exact: it passes iff the structure constants are integers, and full
-    closure follows (the test suite fuzzes longer words as well). For
-    class >= 3 the certificate is honest but strict — collection of a
-    descending product picks up the Baker–Campbell–Hausdorff denominators,
-    so e.g. the standard filiform basis fails here (exp(e2)exp(e1) has a
-    half-integral top exponent) even though a lattice generated by the basis
-    one-parameter subgroups still exists. The tower machinery therefore
-    gates on integer structure constants instead; see `tower.NilLattice`.
+    never be the first failure.
+
+    The verdict is exact at every class, by collection. Let Γ_k be the
+    integer points exp(a_k e_k) ··· exp(a_n e_n), so Γ = Γ_1. For j > k the
+    product g_j^t g_k^s is g_k^s·h with h = g_k^{−s} g_j^t g_k^s in the
+    normal subgroup exp(span(e_{k+1}, ..., e_n)), and it passes iff
+    h ∈ Γ_{k+1}. Descend on k: Γ_n = g_n^Z is a group; if Γ_{k+1} is one,
+    the g_j (j > k) generate it, so conjugation by g_k^{±1} maps it into
+    itself and Γ_k = g_k^Z Γ_{k+1} is a group. A failure means the group
+    the g_i generate is larger than Γ. At class <= 2 the certificate passes
+    iff the structure constants are integers. At class >= 3 that does not
+    suffice: in n4, exp(e2)exp(e1) has top exponent 1/2 and the g_i
+    generate exp(½e4). The tower machinery gates on integer structure
+    constants alone; see `tower.NilLattice`.
     """
     n = algebra.dim
     report = check_adapted(algebra)

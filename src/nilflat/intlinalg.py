@@ -3,11 +3,12 @@
 Everything here is small (dimensions are desk scale), so the
 implementations favour clarity and exactness over asymptotics. Rational row
 spans and kernels come from one canonical reduced row-echelon basis, built
-incrementally over sparse rows: the spanning sets of the lower central
-series are long and mostly dependent, and a dependent row costs only its own
-reduction. The one integer normal form is Hermite's, by Euclidean row
-operations; integer systems are solved by the same reduction with the
-unimodular transform tracked (Cohen 1993, §2.4.3).
+incrementally over sparse rows and returned sparse: the spanning sets of the
+lower central series are long and mostly dependent, and a dependent row
+costs only its own reduction. The one integer normal form is Hermite's, by
+Euclidean row operations; integer systems are solved by the same reduction
+with the unimodular transform tracked, one reduction for every target
+(Cohen 1993, §2.4.3).
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Matrix = List[List[Fraction]]
+SparseRow = Dict[int, Fraction]
+Row = Union[Sequence[Fraction], Mapping[int, Fraction]]
 IntMatrix = List[List[int]]
+Solution = Tuple[Optional[List[int]], Optional[str]]
 
 
 def _subtract(row: Dict[int, Fraction], f: Fraction, other: Dict[int, Fraction]) -> None:
@@ -29,33 +33,35 @@ def _subtract(row: Dict[int, Fraction], f: Fraction, other: Dict[int, Fraction])
             del row[c]
 
 
-def rational_nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> List[List[Fraction]]:
+def rational_nullspace(rows: Sequence[Row], n_cols: int) -> Matrix:
     """Basis of {x : A x = 0} over Q, read off the reduced row echelon form.
 
     Each basis vector has a 1 in its free column, −row[free] in the pivot
     column of each echelon row and 0 elsewhere.
     """
     echelon = rational_row_basis(rows, n_cols)
-    pivots = [next(c for c, v in enumerate(row) if v) for row in echelon]
+    pivots = [min(row) for row in echelon]
+    zero = Fraction(0)
     basis = []
     for free in range(n_cols):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * n_cols
+        vec = [zero] * n_cols
         vec[free] = Fraction(1)
         for row, col in zip(echelon, pivots):
-            vec[col] = -row[free]
+            vec[col] = -row.get(free, zero)
         basis.append(vec)
     return basis
 
 
-def rational_row_basis(rows: Sequence[Union[Sequence[Fraction], Mapping[int, Fraction]]],
-                       n_cols: int) -> List[List[Fraction]]:
+def rational_row_basis(rows: Sequence[Row], n_cols: int) -> List[SparseRow]:
     """Reduced row-echelon basis of the rational row span (canonical).
 
     A row is a dense sequence or a sparse {column: value} mapping; columns
-    from n_cols on are ignored. Rows are folded in one at a time, as sparse
-    {column: value} dicts, into a running reduced basis {pivot: row}. Each
+    from n_cols on are ignored. The basis comes back sparse, one
+    {column: value} dict of nonzero `Fraction`s per row, in pivot order; a
+    row's pivot is its least column. Rows are folded in one at a time, as
+    sparse dicts, into a running reduced basis {pivot: row}. Each
     basis row has a 1 at its pivot and 0 at every other pivot, so a new row
     is reduced by one subtraction per pivot it touches; a row that survives
     becomes a basis row, and its pivot column is cleared from the others.
@@ -64,7 +70,7 @@ def rational_row_basis(rows: Sequence[Union[Sequence[Fraction], Mapping[int, Fra
     """
     basis: Dict[int, Dict[int, Fraction]] = {}
     for dense in rows:
-        items = dense.items() if isinstance(dense, Mapping) else enumerate(dense)
+        items = dense.items() if hasattr(dense, "items") else enumerate(dense)
         row = {c: v if type(v) is Fraction else Fraction(v)
                for c, v in items if v and c < n_cols}
         for p in [p for p in row if p in basis]:
@@ -81,8 +87,7 @@ def rational_row_basis(rows: Sequence[Union[Sequence[Fraction], Mapping[int, Fra
         basis[pivot] = row
         if len(basis) == n_cols:
             break
-    zero = Fraction(0)
-    return [[basis[p].get(c, zero) for c in range(n_cols)] for p in sorted(basis)]
+    return [basis[p] for p in sorted(basis)]
 
 
 def _hermite_reduce(m: IntMatrix, n_cols: int) -> int:
@@ -128,52 +133,57 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> IntMatrix:
     return m[:_hermite_reduce(m, len(m[0]) if m else 0)]
 
 
-def lattice_coordinates(generators: Sequence[Sequence[int]], target: Sequence[int]
-                        ) -> Tuple[Optional[List[int]], Optional[str], IntMatrix]:
-    """Write ``target`` as an integer combination of ``generators``.
+def lattice_coordinates(generators: Sequence[Sequence[int]], targets: Sequence[Sequence[int]]
+                        ) -> Tuple[List[Solution], IntMatrix]:
+    """Write each of ``targets`` as an integer combination of ``generators``.
 
-    Returns (coefficients, obstruction, kernel): exactly one of coefficients
-    / obstruction is set. The Hermite reduction of [generators | I] gives
-    U·generators = H with U unimodular. The target lies in the lattice iff
-    it reduces to zero against H's echelon rows, column by column; the
-    quotients y give the coefficients yᵀ·U[:rank]. Otherwise the obstruction
-    names an equation (a column): one where a pivot does not divide the
-    remainder, or one without a pivot where a remainder is left. The rows
-    U[rank:] map to zero and span every relation; the kernel is their
-    Hermite form.
+    Returns (solutions, kernel), one (coefficients, obstruction) pair per
+    target: exactly one of coefficients / obstruction is set. One Hermite
+    reduction of [generators | I] gives U·generators = H with U unimodular
+    and serves every target. A target lies in the lattice iff it reduces to
+    zero against H's echelon rows, column by column; the quotients y give
+    the coefficients yᵀ·U[:rank]. Otherwise the obstruction names an
+    equation (a column): one where a pivot does not divide the remainder,
+    or one without a pivot where a remainder is left. The rows U[rank:] map
+    to zero and span every relation; the kernel is their Hermite form.
     """
     k = len(generators)
-    n_cols = len(target)
+    n_cols = len(targets[0])
     m = [list(map(int, g)) + [int(i == j) for j in range(k)]
          for i, g in enumerate(generators)]
     rank = _hermite_reduce(m, n_cols)
     kernel = hermite_normal_form([row[n_cols:] for row in m[rank:]])
-    rest = list(map(int, target))
-    y = []
-    for row in m[:rank]:
-        c = next(c for c, v in enumerate(row) if v)
-        q, remainder = divmod(rest[c], row[c])
-        if remainder:
-            return None, (f"equation {c + 1}: pivot {row[c]} does not divide "
-                          f"{rest[c]}"), kernel
-        rest = [a - q * b for a, b in zip(rest, row)]
-        y.append(q)
-    c = next((c for c, v in enumerate(rest) if v), None)
-    if c is not None:
-        return None, f"equation {c + 1} is inconsistent: 0 = {rest[c]}", kernel
-    coefficients = [sum(q * u[n_cols + j] for q, u in zip(y, m)) for j in range(k)]
-    return coefficients, None, kernel
+    pivots = [next(c for c, v in enumerate(row) if v) for row in m[:rank]]
+
+    def solve(target: Sequence[int]) -> Solution:
+        rest = list(map(int, target))
+        y = []
+        for c, row in zip(pivots, m):
+            q, remainder = divmod(rest[c], row[c])
+            if remainder:
+                return None, (f"equation {c + 1}: pivot {row[c]} does not divide "
+                              f"{rest[c]}")
+            rest = [a - q * b for a, b in zip(rest, row)]
+            y.append(q)
+        c = next((c for c, v in enumerate(rest) if v), None)
+        if c is not None:
+            return None, f"equation {c + 1} is inconsistent: 0 = {rest[c]}"
+        return [sum(q * u[n_cols + j] for q, u in zip(y, m)) for j in range(k)], None
+
+    return [solve(target) for target in targets], kernel
 
 
 def reduce_mod_lattice(x: Sequence[int], basis_rows: Sequence[Sequence[int]]) -> List[int]:
     """Canonical representative of x modulo the lattice spanned by basis_rows.
 
-    Greedy reduction against the HNF basis; with a full set of unit-pivot rows
-    this zeroes the corresponding coordinates, which is the canonical witness
-    convention used by the cocycle-cohomology solver.
+    The rows must be in Hermite form already, as `hermite_normal_form` and
+    `lattice_coordinates` return them. Greedy reduction against them; with a
+    full set of unit-pivot rows this zeroes the corresponding coordinates,
+    which is the canonical witness convention used by the cocycle-cohomology
+    solver.
     """
     out = list(map(int, x))
-    for row in hermite_normal_form(basis_rows):
+    for row in basis_rows:
         pivot_col = next(i for i, v in enumerate(row) if v != 0)
         q = out[pivot_col] // row[pivot_col]
         if q:

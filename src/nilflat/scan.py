@@ -560,9 +560,8 @@ def _fit_exponent(ts: Sequence[float], sups: Sequence[float], base_sup: float,
     return float(slope)
 
 
-def diameter_bound(fiber_lengths: Sequence[float], ts: Sequence[float],
-                   base: float = 0.0) -> float:
-    """Recursive tower diameter bound: base + Σ ½·ℓ_i·√(t_i).
+def diameter_bound(fiber_lengths: Sequence[float], ts: Sequence[float]) -> float:
+    """Recursive tower diameter bound: Σ ½·ℓ_i·√(t_i).
 
     ℓ_i is the unscaled fiber circle length at level i and t_i its collapse
     parameter; the point at the bottom contributes 0. Each length and each
@@ -571,7 +570,7 @@ def diameter_bound(fiber_lengths: Sequence[float], ts: Sequence[float],
     if len(fiber_lengths) != len(ts):
         raise DimensionMismatch(
             f"{len(fiber_lengths)} fiber lengths vs {len(ts)} collapse parameters")
-    total = float(base)
+    total = 0.0
     for ell, t in zip(fiber_lengths, ts):
         if not (0.0 < ell < math.inf):
             raise ValueError(

@@ -25,7 +25,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     NilAlgebra,
-    VecQ,
     check_integer_constants,
     lower_central_series,
     validate_algebra,
@@ -36,7 +35,7 @@ from .errors import (
     NotIntegral,
     ValidationReport,
 )
-from .intlinalg import lattice_coordinates, reduce_mod_lattice
+from .intlinalg import SparseRow, lattice_coordinates, reduce_mod_lattice
 
 
 @dataclass(frozen=True)
@@ -45,13 +44,13 @@ class NilLattice:
 
     Validation at construction: `validate_algebra` (Jacobi, nilpotency class,
     adapted basis) plus integer structure constants. Integer constants are
-    what keep every peel/extension/cocycle computation exactly integral; for
-    class <= 2 they are moreover equivalent to the full closure certificate
-    `coords.lattice_closed`. At class >= 3 the integer second-kind points are
-    not literally closed under collection (BCH denominators appear), and the
-    lattice is understood as the group generated by the basis one-parameter
-    subgroups' integer points; no operation here multiplies deep group words,
-    so all outputs stay exact.
+    what keep every peel/extension/cocycle computation exactly integral. For
+    class <= 2 they are moreover equivalent to the closure certificate
+    `coords.lattice_closed`, which decides whether the integer second-kind
+    points form a group. At class >= 3 they are not: where it fails, the
+    group Γ that the exp(e_i) generate is larger than the integer points (in
+    n4 it holds exp(½e4)). The tower here is that of the integer structure
+    constants; no operation multiplies group words.
 
     The bases of `peel_step` and the totals of `extend_by_cocycle` skip this
     validation (`_derived_lattice`): they are valid by construction. A
@@ -61,23 +60,23 @@ class NilLattice:
     (skewness holds by construction), and `extend_by_cocycle` checks
     exactly those two properties.
 
-    `series` is the lower central series, as `lower_central_series` returns
-    its chain: one reduced echelon basis per term, down to the empty one.
-    Validation computes it once for the class check. A peel base inherits
-    it by projection (`_project_series`), and an extension computes it once,
-    so no lattice runs a second elimination for its class.
+    `leads` holds the least pivot (0-based) of each nonzero term γ_k of the
+    lower central series; the class is len(leads). The image of γ_k in the
+    quotient by span(e_{m+1}, ..., e_n) is nonzero iff γ_k has a pivot < m,
+    and leads never decrease, so a peel base of dimension m keeps the
+    prefix of leads below m: no lattice runs a second elimination.
     """
 
     algebra: NilAlgebra
-    series: Tuple[List[VecQ], ...] = field(init=False, compare=False, repr=False)
+    leads: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        series = validate_algebra(self.algebra)
+        chain = validate_algebra(self.algebra)
         report = check_integer_constants(self.algebra)
         if not report:
             raise NotIntegral(
                 f"{report.message}; the basis Z-span is not a lattice model")
-        object.__setattr__(self, "series", tuple(series))
+        object.__setattr__(self, "leads", _leads(chain))
 
     @property
     def dim(self) -> int:
@@ -213,43 +212,30 @@ class BundleTower:
     steps: Tuple[TowerStep, ...]
 
 
-def _derived_lattice(dim: int, brackets: Mapping,
-                     series: Sequence[List[VecQ]]) -> NilLattice:
+def _leads(chain: Sequence[List[SparseRow]]) -> Tuple[int, ...]:
+    """Least pivot of each nonzero term of a `lower_central_series` chain."""
+    return tuple(min(term[0]) for term in chain if term)
+
+
+def _derived_lattice(dim: int, brackets: Mapping, leads: Tuple[int, ...]) -> NilLattice:
     """Lattice on a table that `peel_step` or `extend_by_cocycle` derived.
 
     Only those two may call it, and only on a table valid by construction
-    (see `NilLattice`) with its lower central series already in hand; the
-    class is len(series) - 1 and `validate_algebra` is skipped.
+    (see `NilLattice`) with the leads of its lower central series already in
+    hand; the class is len(leads) and `validate_algebra` is skipped.
     """
-    algebra = NilAlgebra(dim=dim, declared_class=len(series) - 1, brackets=brackets)
+    algebra = NilAlgebra(dim=dim, declared_class=len(leads), brackets=brackets)
     lattice = object.__new__(NilLattice)
     object.__setattr__(lattice, "algebra", algebra)
-    object.__setattr__(lattice, "series", tuple(series))
+    object.__setattr__(lattice, "leads", leads)
     return lattice
-
-
-def _project_series(series: Sequence[List[VecQ]]) -> List[List[VecQ]]:
-    """Lower central series of g/<e_n> from that of g: drop the last coordinate.
-
-    γ_k(g/<e_n>) is the image of γ_k(g). In a reduced echelon basis the row
-    with pivot e_n is e_n itself and vanishes; every other row keeps its
-    leading 1 and its zeros at the other pivots, so the projection is already
-    the canonical echelon basis of the image. Once e_n was the last nonzero
-    term, the projected chain ends one term earlier.
-    """
-    projected: List[List[VecQ]] = []
-    for basis in series:
-        projected.append([row[:-1] for row in basis if any(row[:-1])])
-        if not projected[-1]:
-            break
-    return projected
 
 
 def peel_step(lattice: NilLattice) -> TowerStep:
     """Quotient by the central circle of e_n; emit base + Euler cocycle.
 
-    The base inherits the projected lower central series of the total space,
-    so no elimination runs here.
+    The base keeps the leads of the total space below its dimension (see
+    `NilLattice`), so no elimination runs here.
     """
     n = lattice.dim
     if n < 1:
@@ -263,8 +249,8 @@ def peel_step(lattice: NilLattice) -> TowerStep:
         if m in entry:
             entries[(i, j)] = entry[m]
     cocycle = CentralCocycle(dim=m, entries=entries)
-    series = _project_series(lattice.series)
-    return TowerStep(total=lattice, base=_derived_lattice(m, base, series), cocycle=cocycle)
+    leads = tuple(lead for lead in lattice.leads if lead < m)
+    return TowerStep(total=lattice, base=_derived_lattice(m, base, leads), cocycle=cocycle)
 
 
 def peel_tower(lattice: NilLattice) -> BundleTower:
@@ -293,8 +279,8 @@ def extend_by_cocycle(base: NilLattice, cocycle: CentralCocycle) -> NilLattice:
     for pair, value in cocycle.entries.items():
         brackets.setdefault(pair, {})[n] = value
     probe = NilAlgebra(dim=n + 1, declared_class=1, brackets=brackets)
-    series, _ = lower_central_series(probe)
-    return _derived_lattice(n + 1, probe.brackets, series)
+    chain, _ = lower_central_series(probe)
+    return _derived_lattice(n + 1, probe.brackets, _leads(chain))
 
 
 @dataclass(frozen=True)
@@ -349,27 +335,17 @@ def cocycles_cohomologous(base: NilLattice, w1: CentralCocycle, w2: CentralCocyc
     _require_valid_cocycle(base, w1)
     _require_valid_cocycle(base, w2)
     generators, pairs = _coboundary_system(base)
-
-    def attempt(target_sign: int) -> CohomologyVerdict:
-        # target_sign=+1 solves δλ = w1 − w2; target_sign=−1 solves δλ = w1 + w2
-        b = [int(w1.entries.get(pair, 0) - target_sign * w2.entries.get(pair, 0))
-             for pair in pairs]
-        x, obstruction, kernel = lattice_coordinates(generators, b)
-        if x is None:
-            return CohomologyVerdict(cohomologous=False, obstruction=obstruction)
-        x = reduce_mod_lattice(x, kernel)
-        assert [sum(v * g[p] for v, g in zip(x, generators))
-                for p in range(len(pairs))] == b
-        return CohomologyVerdict(cohomologous=True, sign=target_sign,
-                                 witness=tuple(x))
-
-    first = attempt(1)
-    if first.cohomologous or not up_to_sign:
-        return first
-    second = attempt(-1)
-    if second.cohomologous:
-        return second
-    return CohomologyVerdict(
-        cohomologous=False,
-        obstruction=f"+: {first.obstruction}; -: {second.obstruction}")
-
+    # sign +1 solves δλ = w1 − w2; sign −1 solves δλ = w1 + w2
+    signs = (1, -1) if up_to_sign else (1,)
+    targets = [[int(w1.entries.get(pair, 0) - sign * w2.entries.get(pair, 0))
+                for pair in pairs] for sign in signs]
+    solutions, kernel = lattice_coordinates(generators, targets)
+    for sign, b, (x, _) in zip(signs, targets, solutions):
+        if x is not None:
+            x = reduce_mod_lattice(x, kernel)
+            assert [sum(v * g[p] for v, g in zip(x, generators))
+                    for p in range(len(pairs))] == b
+            return CohomologyVerdict(cohomologous=True, sign=sign, witness=tuple(x))
+    plus, *minus = (obstruction for _, obstruction in solutions)
+    return CohomologyVerdict(cohomologous=False,
+                             obstruction=f"+: {plus}; -: {minus[0]}" if minus else plus)

@@ -1,6 +1,6 @@
 """Shared helpers: deterministic random rationals and vectors, the free
-2-step algebras, and the environment for child `python -m nilflat`
-processes."""
+2-step algebras, the leads of a lower central series, and the environment
+for child `python -m nilflat` processes."""
 
 import os
 import random
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import nilflat
-from nilflat.algebra import NilAlgebra
+from nilflat.algebra import NilAlgebra, lower_central_series
 
 
 def random_fraction(rng: random.Random, span: int = 6, max_den: int = 4) -> Fraction:
@@ -30,6 +30,13 @@ def free_two_step(r: int) -> NilAlgebra:
             k += 1
             brackets[(i, j)] = {k: 1}
     return NilAlgebra.from_brackets(k, 2, brackets)
+
+
+def series_leads(algebra: NilAlgebra):
+    """(leads, class) recomputed from the algebra's own lower central series:
+    the least column of any row of each nonzero term."""
+    chain, cls = lower_central_series(algebra)
+    return tuple(min(c for row in term for c in row) for term in chain if term), cls
 
 
 @pytest.fixture

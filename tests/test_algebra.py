@@ -110,11 +110,11 @@ def test_series_terms_are_ideals():
         n = algebra.dim
         for k in range(cls):
             nxt = chain[k + 1]
-            span_rows = [list(v) for v in nxt]
             for i in range(n):
-                for v in chain[k]:
+                for row in chain[k]:
+                    v = tuple(row.get(c, Fraction(0)) for c in range(n))
                     w = algebra.bracket(basis_vec(n, i), v)
-                    stacked = rational_row_basis(span_rows + [list(w)], n)
+                    stacked = rational_row_basis(nxt + [list(w)], n)
                     assert len(stacked) == len(nxt)
 
 

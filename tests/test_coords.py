@@ -100,6 +100,41 @@ def test_lattice_closed_filiform_denominators():
     assert report.witness == (2, 1)
 
 
+def integer_word_products(algebra, count=150):
+    """How many of ``count`` products of random integer words (exponents in
+    [−3, 3], drawn from a fixed seed) leave the integer points."""
+    rng = random.Random(0)
+
+    def word():
+        return MalcevWord(tuple(Fraction(rng.randint(-3, 3)) for _ in range(algebra.dim)))
+
+    return sum(not word_multiply(algebra, word(), word()).is_lattice
+               for _ in range(count))
+
+
+# [DERIVED] the certificate decides whether the integer second-kind points
+# form a group, at class 3 and 4 too (see `lattice_closed`): filiform(4)
+# with [e1, e3] = 2e4 passes and 150 products of random integer words stay
+# integral; n4 and filiform(5) fail and some of those products leave the
+# integers. In n4 the group the exp(e_i) generate contains exp(½e4) =
+# g3·g2⁻¹·g1⁻¹·g2·g1.
+def test_lattice_closed_decides_closure_beyond_class_two():
+    doubled = NilAlgebra.from_brackets(4, 3, {(1, 2): {3: 1}, (1, 3): {4: 2}})
+    assert lattice_closed(doubled).ok
+    assert integer_word_products(doubled) == 0
+    for algebra in (N4, catalog.filiform(5)):
+        assert not lattice_closed(algebra).ok
+        assert integer_word_products(algebra) > 0
+
+    def g(k, s=1):
+        return MalcevWord(tuple(Fraction(s * (i == k)) for i in range(4)))
+
+    word = g(2)
+    for factor in (g(1, -1), g(0, -1), g(1), g(0)):
+        word = word_multiply(N4, word, factor)
+    assert word.exponents == vec([0, 0, 0, Fraction(1, 2)])
+
+
 # [DERIVED] at class 11 the certificate reports the same first descending
 # product as in n4, in well under a second.
 def test_lattice_closed_filiform12():

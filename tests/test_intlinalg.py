@@ -98,15 +98,19 @@ def sympy_rref(rows, n_cols):
 
 
 # [DERIVED] the incremental reduced row-echelon basis equals sympy's rref
-# (its nonzero rows) entry for entry, and the rational kernel read off it has
-# dimension n_cols − rank, lies in the kernel and is linearly independent.
+# (its nonzero rows) entry for entry once densified; its sparse rows hold
+# only nonzero `Fraction`s and come in increasing pivot order. The rational
+# kernel read off it has dimension n_cols − rank, lies in the kernel and is
+# linearly independent.
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(case=rational_matrices())
 def test_row_basis_matches_sympy_rref(case):
     rows, n_cols = case
     echelon = rational_row_basis(rows, n_cols)
-    assert echelon == sympy_rref(rows, n_cols)
-    assert all(type(v) is Fraction for row in echelon for v in row)
+    assert [[row.get(c, 0) for c in range(n_cols)] for row in echelon] == sympy_rref(rows, n_cols)
+    assert all(type(v) is Fraction and v for row in echelon for v in row.values())
+    pivots = [min(row) for row in echelon]
+    assert pivots == sorted(set(pivots))
     kernel = rational_nullspace(rows, n_cols)
     assert len(kernel) == n_cols - len(echelon)
     for vec in kernel:
@@ -123,7 +127,7 @@ def _combine(coefficients, generators, n_cols):
 # obstruction on 2x = 1, inconsistency on 0 = 1, kernel spans the relations.
 def test_solve_integer_roundtrip():
     generators = [[2, 0], [1, 3], [0, 1]]
-    x, obstruction, kernel = lattice_coordinates(generators, [5, 7])
+    [(x, obstruction)], kernel = lattice_coordinates(generators, [[5, 7]])
     assert obstruction is None
     assert _combine(x, generators, 2) == [5, 7]
     assert len(kernel) == 1
@@ -131,13 +135,13 @@ def test_solve_integer_roundtrip():
 
 
 def test_solve_integer_divisibility_obstruction():
-    x, obstruction, _ = lattice_coordinates([[2]], [1])
+    [(x, obstruction)], _ = lattice_coordinates([[2]], [[1]])
     assert x is None
     assert obstruction == "equation 1: pivot 2 does not divide 1"
 
 
 def test_solve_integer_inconsistent():
-    x, obstruction, _ = lattice_coordinates([[1, 1], [1, 1]], [0, 1])
+    [(x, obstruction)], _ = lattice_coordinates([[1, 1], [1, 1]], [[0, 1]])
     assert x is None
     assert obstruction == "equation 2 is inconsistent: 0 = 1"
 
@@ -176,7 +180,7 @@ def lattice_problems(draw):
 @given(problem=lattice_problems())
 def test_lattice_coordinates_matches_smith_invariants(problem):
     generators, target = problem
-    x, obstruction, kernel = lattice_coordinates(generators, target)
+    [(x, obstruction)], kernel = lattice_coordinates(generators, [target])
     rank, index = _lattice_index_data(generators)
     assert (x is not None) == (_lattice_index_data(generators + [target]) == (rank, index))
     assert (x is None) == (obstruction is not None)
@@ -203,7 +207,7 @@ def test_witness_is_canonical_mod_kernel(data):
          NilAlgebra.from_brackets(4, 2, {(1, 2): {3: 2, 4: 1}})]), label="base"))
     n = base.dim
     generators, pairs = _coboundary_system(base)
-    _, _, kernel = lattice_coordinates(generators, [0] * len(pairs))
+    _, kernel = lattice_coordinates(generators, [[0] * len(pairs)])
     lam = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n), label="λ0")
     shift = data.draw(st.lists(st.integers(-3, 3), min_size=len(kernel),
                                max_size=len(kernel)), label="κ")

@@ -386,12 +386,10 @@ def test_reported_bound_includes_rounding():
 
 
 # [DERIVED] diameter formula: half fiber length at t = 1; three unit fibers
-# at t = 1e-4 give 0.015; the bound converges to the base value as t -> 0.
+# at t = 1e-4 give 0.015.
 def test_diameter_bound_values():
     assert diameter_bound([1.0], [1.0]) == pytest.approx(0.5, abs=1e-15)
     assert diameter_bound([1.0, 1.0, 1.0], [1e-4] * 3) == pytest.approx(0.015, abs=1e-15)
-    base = 2.25
-    assert diameter_bound([1.0, 1.0], [1e-30, 1e-30], base=base) == pytest.approx(base, abs=1e-12)
     with pytest.raises(DimensionMismatch):
         diameter_bound([1.0, 1.0], [0.1])
     with pytest.raises(ValueError):

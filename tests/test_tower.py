@@ -14,7 +14,6 @@ from nilflat import algebra as algebra_module
 from nilflat import catalog, fileio
 from nilflat import intlinalg as intlinalg_module
 from nilflat import tower as tower_module
-from nilflat.algebra import lower_central_series
 from nilflat.errors import (
     DimensionMismatch,
     JacobiViolated,
@@ -30,7 +29,7 @@ from nilflat.tower import (
     peel_step,
     peel_tower,
 )
-from conftest import free_two_step
+from conftest import free_two_step, series_leads
 
 
 def lat(algebra):
@@ -149,19 +148,20 @@ SERIES_CASES = ([("point", catalog.point()), ("z3", catalog.abelian(3)),
                 + [(f"free2_{r}", free_two_step(r)) for r in (3, 4)])
 
 
-# [DERIVED] a lattice holds the lower central series its validation
-# computed, and every peel base holds the projection of its total's series:
-# both equal the series recomputed from the table, and the base's declared
-# class equals the recomputed class.
+# [DERIVED] a lattice holds the leads of the lower central series its
+# validation computed, and every peel base keeps the leads of its total below
+# its dimension: both equal the leads recomputed from the table's own
+# series, and the base's declared class is their number, the recomputed
+# class.
 @pytest.mark.parametrize("algebra", [case for _, case in SERIES_CASES],
                          ids=[name for name, _ in SERIES_CASES])
 def test_peel_bases_inherit_series(algebra):
     lattice = lat(algebra)
-    assert lattice.series == tuple(lower_central_series(algebra)[0])
+    assert lattice.leads == series_leads(algebra)[0]
     for step in peel_tower(lattice).steps:
-        chain, cls = lower_central_series(step.base.algebra)
-        assert step.base.series == tuple(chain)
-        assert step.base.algebra.declared_class == cls
+        leads, cls = series_leads(step.base.algebra)
+        assert step.base.leads == leads
+        assert step.base.algebra.declared_class == cls == len(leads)
 
 
 # [DERIVED] peeling an already-built lattice runs no elimination: with both
@@ -280,3 +280,26 @@ def test_up_to_sign_branch():
         if not strict.cohomologous:
             assert signed.sign == -1
             assert signed.witness == (0,) * base.dim
+
+
+# [DERIVED] an up-to-sign comparison reduces [generators | I] once for both
+# signs: on the base of filiform(16), its peel cocycle against
+# ω(e1, e2) = 7 fails on both branches with one such reduction (the kernel's
+# Hermite form reduces no transform and is not counted).
+def test_up_to_sign_reduces_once(monkeypatch):
+    reductions = []
+    reduce = intlinalg_module._hermite_reduce
+
+    def counted(m, n_cols):
+        if m and len(m[0]) > n_cols:
+            reductions.append(n_cols)
+        return reduce(m, n_cols)
+
+    monkeypatch.setattr(intlinalg_module, "_hermite_reduce", counted)
+    step = peel_step(lat(catalog.filiform(16)))
+    w2 = CentralCocycle.from_entries(15, {(1, 2): 7})
+    verdict = cocycles_cohomologous(step.base, step.cocycle, w2, up_to_sign=True)
+    assert not verdict.cohomologous
+    assert verdict.obstruction == ("+: equation 14 is inconsistent: 0 = 1; "
+                                   "-: equation 14 is inconsistent: 0 = 1")
+    assert reductions == [15 * 14 // 2]
