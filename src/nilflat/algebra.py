@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
-from .errors import (
-    BasisNotAdapted,
-    DimensionMismatch,
-    JacobiViolated,
-    NotNilpotent,
-    ValidationReport,
-)
+from .errors import DimensionMismatch, NotNilpotent, ValidationReport
 from .intlinalg import SparseRow, rational_nullspace, rational_row_basis
 
 VecQ = Tuple[Fraction, ...]
@@ -293,13 +287,8 @@ def validate_algebra(algebra: NilAlgebra) -> List[List[SparseRow]]:
     Order: Jacobi, then nilpotency/class (so so(3)-type input is reported as
     NotNilpotent rather than merely non-adapted), then adaptedness.
     """
-    report = check_jacobi(algebra)
-    if not report:
-        raise JacobiViolated(report.message, witness=report.witness, defect=report.defect)
+    check_jacobi(algebra).require()
     report, chain = _class_check(algebra)
-    if not report:
-        raise NotNilpotent(report.message)
-    report = check_adapted(algebra)
-    if not report:
-        raise BasisNotAdapted(report.message)
+    report.require()
+    check_adapted(algebra).require()
     return chain

@@ -101,6 +101,10 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     steps = tower.steps
+    n = len(steps)  # each step peels one circle, down to the point
+    if seed_metric.dim != n:
+        raise DimensionMismatch(
+            f"seed metric dim {seed_metric.dim} does not match tower dim {n}")
     if not steps:  # the point: nothing to collapse
         empty = np.zeros((0, 0))
         empty.flags.writeable = False
@@ -109,10 +113,6 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
             ts=(), level_dims=(), curved_levels=(), rounds=(),
             fiber_lengths=(), sup_abs_K=0.0, sup_abs_K_bound=0.0,
             level_bounds=(), diam_bound=0.0, metric_matrix=empty)
-    n = steps[0].total.algebra.dim
-    if seed_metric.dim != n:
-        raise DimensionMismatch(
-            f"seed metric dim {seed_metric.dim} does not match tower dim {n}")
     seed_matrix = seed_metric.matrix
 
     curved_dims = [step.total.algebra.dim for step in steps

@@ -169,15 +169,14 @@ def _load_metric_arg(path: Optional[str], dim: int) -> LeftInvariantMetric:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     algebra = fileio.load_algebra(args.path)
-    gate = [check_jacobi(algebra), check_class(algebra),
-            check_adapted(algebra), check_integer_constants(algebra)]
-    for report in gate:
-        if report:
-            print(f"{report.check}: ok")
-        else:
+    for check in (check_jacobi, check_class, check_adapted,
+                  check_integer_constants):
+        report = check(algebra)
+        if not report:
             print(f"{report.check}: FAIL — {report.message}")
             print(f"invalid: {args.path}", file=sys.stderr)
             return EXIT_MATH
+        print(f"{report.check}: ok")
 
     # Reported at every class, never gating: whether the integer second-kind
     # points form a group (coords.lattice_closed). A failure, possible from
@@ -326,20 +325,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, OSError, NilflatError) as exc:
         print(f"nilflat: error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SchemaError as exc:
-        print(f"nilflat: error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"nilflat: error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (BoundViolated, BudgetNotMet) as exc:
-        print(f"nilflat: error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except NilflatError as exc:
-        print(f"nilflat: error: {exc}", file=sys.stderr)
+        if isinstance(exc, (BoundViolated, BudgetNotMet)):
+            return EXIT_BOUND
+        if isinstance(exc, (_UsageError, OSError, SchemaError)):
+            return EXIT_IO
         return EXIT_MATH
 
 

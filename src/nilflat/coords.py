@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .algebra import NilAlgebra, VecQ, check_adapted, is_zero, vec_zero
 from .bch import bch_product
-from .errors import BasisNotAdapted, DimensionMismatch, ValidationReport
+from .errors import DimensionMismatch, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,12 @@ def _axis(n: int, k: int, c: Fraction | int) -> VecQ:
     return tuple(v)
 
 
-def _require_adapted(algebra: NilAlgebra) -> None:
-    report = check_adapted(algebra)
-    if not report:
-        raise BasisNotAdapted(report.message)
-
-
 def first_to_second(algebra: NilAlgebra, v: VecQ) -> MalcevWord:
     """exp(v) = exp(a_1 e_1) ··· exp(a_n e_n); returns the a_i."""
     n = algebra.dim
     if len(v) != n:
         raise DimensionMismatch(f"expected length {n}, got {len(v)}")
-    _require_adapted(algebra)
+    check_adapted(algebra).require()
     exponents = []
     w = v
     for k in range(n):
@@ -67,7 +61,7 @@ def second_to_first(algebra: NilAlgebra, word: MalcevWord) -> VecQ:
     n = algebra.dim
     if len(word.exponents) != n:
         raise DimensionMismatch(f"expected length {n}, got {len(word.exponents)}")
-    _require_adapted(algebra)
+    check_adapted(algebra).require()
     v = vec_zero(n)
     for k in range(n - 1, -1, -1):
         v = bch_product(algebra, _axis(n, k, word.exponents[k]), v)

@@ -1,4 +1,10 @@
-"""Exception hierarchy and the report type shared by all validation checks."""
+"""Exception hierarchy, the report type of the validation checks, and the one
+table from a failed check to its error: `ValidationReport.require` raises
+JacobiViolated for `jacobi`, NotNilpotent for `class`, BasisNotAdapted for
+`adapted`, NotIntegral for `integer_constants` and `integral`, and NotClosed
+for `closed`, with the report's message, witness and defect. The
+informational `lattice_closed` has no entry.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +13,18 @@ from typing import Any, Optional
 
 
 class NilflatError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``witness`` and
+    ``defect`` are those of the failed check's report, else None."""
+
+    def __init__(self, message: str, witness: Optional[tuple] = None,
+                 defect: Any = None):
+        super().__init__(message)
+        self.witness = witness
+        self.defect = defect
 
 
 class SchemaError(NilflatError):
-    """Input file is readable JSON but does not match the expected schema."""
+    """Input file is not JSON or does not match the expected schema."""
 
 
 class DimensionMismatch(NilflatError):
@@ -29,14 +42,12 @@ class JacobiViolated(NilflatError):
     Jacobi sum as a coefficient vector.
     """
 
-    def __init__(self, message: str, witness: tuple, defect: Any):
-        super().__init__(message)
-        self.witness = witness
-        self.defect = defect
-
 
 class BasisNotAdapted(NilflatError):
-    """Some tail span(e_k, ..., e_n) fails to be an ideal."""
+    """Some tail span(e_k, ..., e_n) fails to be an ideal.
+
+    ``witness`` holds the 1-based pair (i, j) and ``defect`` [e_i, e_j].
+    """
 
 
 class NotClosed(NilflatError):
@@ -46,14 +57,13 @@ class NotClosed(NilflatError):
     nonzero cyclic sum in that orientation.
     """
 
-    def __init__(self, message: str, witness: tuple, defect: Any):
-        super().__init__(message)
-        self.witness = witness
-        self.defect = defect
-
 
 class NotIntegral(NilflatError):
-    """Extension of the lattice by the two-form is not closed over the integers."""
+    """Structure constants or cocycle values that are not integers.
+
+    ``witness`` holds the 1-based triple (i, j, k) of a structure constant or
+    the pair (i, j) of a cocycle value, and ``defect`` that value.
+    """
 
 
 class NotPositiveDefinite(NilflatError):
@@ -96,3 +106,14 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def require(self) -> None:
+        """Return on a passing report; raise the error of a failed check."""
+        if not self.ok:
+            raise _CHECK_ERRORS[self.check](
+                self.message, witness=self.witness, defect=self.defect)
+
+
+_CHECK_ERRORS = {"jacobi": JacobiViolated, "class": NotNilpotent,
+                 "adapted": BasisNotAdapted, "integer_constants": NotIntegral,
+                 "closed": NotClosed, "integral": NotIntegral}

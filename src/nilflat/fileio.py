@@ -52,15 +52,17 @@ def canonical_json(obj: Any) -> str:
 
 
 def read_json(path: PathLike) -> Any:
-    """Load a JSON document, turning syntax errors into SchemaError.
+    """Load a JSON document, turning undecodable input into SchemaError.
 
-    The re-raised message keeps the decoder's line/column diagnostic and
-    prefixes the file name so CLI users see where the problem is.
+    Undecodable means a syntax error, bytes that are not UTF-8, an integer
+    past the interpreter's digit limit (all `ValueError`s) or nesting too
+    deep for the decoder (`RecursionError`). The re-raised message keeps the
+    decoder's diagnostic and prefixes the file name so CLI users see where
+    the problem is.
     """
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -530,7 +530,7 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
         sups.append(sup_t)
         roundings.append(rounding)
         bounds.append(bound)
-        diams.append(0.5 * fiber_len * math.sqrt(t))
+        diams.append(diameter_bound([fiber_len], [t]))
 
     exponent = _fit_exponent(ts, sups, base_sup, roundings)
     return DecayReport(t_grid=tuple(ts), sup_abs_K=tuple(sups),

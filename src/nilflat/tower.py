@@ -29,12 +29,7 @@ from .algebra import (
     lower_central_series,
     validate_algebra,
 )
-from .errors import (
-    DimensionMismatch,
-    NotClosed,
-    NotIntegral,
-    ValidationReport,
-)
+from .errors import DimensionMismatch, NotIntegral, ValidationReport
 from .intlinalg import SparseRow, lattice_coordinates, reduce_mod_lattice
 
 
@@ -75,7 +70,8 @@ class NilLattice:
         report = check_integer_constants(self.algebra)
         if not report:
             raise NotIntegral(
-                f"{report.message}; the basis Z-span is not a lattice model")
+                f"{report.message}; the basis Z-span is not a lattice model",
+                witness=report.witness, defect=report.defect)
         object.__setattr__(self, "leads", _leads(chain))
 
     @property
@@ -318,12 +314,8 @@ def _coboundary_system(base: NilLattice) -> Tuple[List[List[int]], List[Tuple[in
 
 
 def _require_valid_cocycle(base: NilLattice, w: CentralCocycle) -> None:
-    report = check_closed(base.algebra, w)
-    if not report:
-        raise NotClosed(report.message, witness=report.witness, defect=report.defect)
-    report = check_integral(w)
-    if not report:
-        raise NotIntegral(report.message)
+    check_closed(base.algebra, w).require()
+    check_integral(w).require()
 
 
 def cocycles_cohomologous(base: NilLattice, w1: CentralCocycle, w2: CentralCocycle,

@@ -98,6 +98,12 @@ def test_certify_point():
     assert report.sup_abs_K == 0.0 and report.diam_bound == 0.0
 
 
+# [TRIVIAL] the point tower has dimension 0: any other seed is a mismatch.
+def test_certify_point_rejects_positive_seed_dim():
+    with pytest.raises(DimensionMismatch):
+        certify_almost_flat(tower_of(catalog.point()), identity_seed(3), 0.1)
+
+
 # [DERIVED] h3: sup|K^t| = 3t/4, so the accepted top t is within 10% of
 # 4·eps/3; only the top level is curved.
 def test_certify_h3():

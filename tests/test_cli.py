@@ -16,6 +16,8 @@ import pytest
 import nilflat
 from nilflat import __version__, catalog, cli, fileio
 from nilflat.cli import main
+from nilflat.errors import (BoundViolated, BudgetNotMet, DimensionMismatch,
+                            NotClosed, SchemaError)
 from nilflat.tower import NilLattice, peel_tower
 from conftest import free_two_step
 
@@ -114,6 +116,43 @@ def test_validate_malformed_json(tmp_path, capsys):
     path.write_text("{\"dim\": 3,", encoding="utf-8")
     code, _, err = run_cli(["validate", str(path)], capsys)
     assert code == 1 and "invalid JSON" in err
+
+
+# [TRIVIAL] input the JSON decoder cannot read at all (bytes that are not
+# UTF-8, nesting past the recursion limit, an integer past the digit limit)
+# is exit 1 with one diagnostic line, not a traceback.
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000,
+    b'{"dim": 1' + b"0" * 5000],
+    ids=["not-utf8", "too-deep", "too-many-digits"])
+def test_validate_undecodable_json(content, tmp_path, child_env):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    proc = subprocess.run([sys.executable, "-m", "nilflat", "validate", str(path)],
+                          env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"nilflat: error: {path}: invalid JSON: ")
+    assert "Traceback" not in proc.stderr
+
+
+# [TRIVIAL] one handler maps every error a command raises to its exit code
+# and prints it on one line.
+@pytest.mark.parametrize("error, code", [
+    (cli._UsageError("usage"), 1), (SchemaError("schema"), 1),
+    (OSError("io"), 1), (DimensionMismatch("dims"), 2),
+    (NotClosed("closed", witness=(1, 2, 3), defect=1), 2),
+    (BoundViolated("bound", t=1.0, value=2.0, bound=1.0), 3),
+    (BudgetNotMet("budget"), 3)],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None)
+def test_main_maps_errors_to_exit_codes(error, code, monkeypatch, capsys):
+    def fail(path):
+        raise error
+
+    monkeypatch.setattr(fileio, "load_algebra", fail)
+    assert run_cli(["validate", str(DATA / "h3.json")], capsys) == (
+        code, "", f"nilflat: error: {error}\n")
 
 
 # [DERIVED] peel writes the canonical tower file (checked against the
