@@ -82,7 +82,7 @@ class NilAlgebra:
                 if not (0 <= k < n):
                     raise DimensionMismatch(
                         f"component index {k + 1} out of range for dim {n}")
-                coeff = Fraction(coeff)
+                coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if coeff:
                     entry[k] = coeff
             if entry:

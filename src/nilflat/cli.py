@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "validate",
         help="check a lattice file (Jacobi, nilpotency class, adapted basis, "
-             "integer constants; lattice closure reported informationally)")
+             "integer constants; lattice closure reported, never gating)")
     p.add_argument("path", help="algebra/lattice JSON file")
     p.set_defaults(func=cmd_validate)
 
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric",
                    help="left-invariant metric JSON file (default: identity)")
     p.add_argument("--t-max", type=float, default=1.0,
-                   help="largest t in the grid (default: 1.0)")
+                   help="largest t in the grid, at most 1 (default: 1.0)")
     p.add_argument("--t-min", type=float, default=1e-6,
                    help="smallest t in the grid (default: 1e-6)")
     p.add_argument("--t-points", type=int, default=7,
@@ -180,14 +180,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     # Reported at every class, never gating: whether the integer second-kind
     # points form a group (coords.lattice_closed). A failure, possible from
-    # class 3 on, is not mere strictness: the group the basis points generate
-    # is then larger (in n4 it contains exp(1/2 e4)).
+    # class 3 on, means the exp(e_i) generate more (in n4, exp(1/2 e4)).
     closed = lattice_closed(algebra)
     if closed:
         print("lattice_closed: ok")
     else:
-        print(f"lattice_closed: strict certificate fails "
-              f"({closed.message}) — informational at class >= 3")
+        print(f"lattice_closed: fails ({closed.message}) — the exp(e_i) "
+              f"generate more than the integer points")
     print(f"valid: {args.path} (dim {algebra.dim}, "
           f"class {algebra.declared_class})")
     return EXIT_OK
@@ -217,6 +216,8 @@ def _check_scan_flags(args: argparse.Namespace) -> None:
     for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
         if not math.isfinite(value):
             raise _UsageError(f"{flag} must be finite, got {value}")
+    if args.t_max > 1.0:
+        raise _UsageError(f"--t-max must be <= 1, got {args.t_max}")
     if not (args.t_min > 0.0):
         raise _UsageError(f"--t-min must be positive, got {args.t_min}")
     if args.t_min < T_MIN:

@@ -5,10 +5,10 @@ as the product exp(a_1 e_1) ··· exp(a_n e_n). On an adapted basis the
 conversion is a triangular peel: a_1 is read off directly and the factor
 exp(-a_1 e_1) is multiplied away, leaving an element of the subgroup
 exp(span(e_2, ..., e_n)), and so on. Every product is an exact
-`bch.bch_product`, so the conversions and `lattice_closed` work at any
-nilpotency class. Where `lattice_closed` passes, the group Γ that the
-exp(e_i) generate is exactly the set of elements with integer second-kind
-coordinates.
+`bch.bch_product`, so the conversions and `lattice_closed`, which converts
+one product g_i·g_j per pair of non-commuting generators g_i = exp(e_i),
+work at any nilpotency class. Where it passes, the group Γ the g_i generate
+is exactly the set of elements with integer second-kind coordinates.
 """
 
 from __future__ import annotations
@@ -71,50 +71,47 @@ def second_to_first(algebra: NilAlgebra, word: MalcevWord) -> VecQ:
 def lattice_closed(algebra: NilAlgebra) -> ValidationReport:
     """Decide whether the integer second-kind points form a group.
 
-    Checks every signed pairwise product g_i^{±1} g_j^{±1}, g_i = exp(e_i),
-    for integral second-kind coordinates. On an adapted basis only the
-    descending products (j < i) of non-commuting generators are converted.
-    An inverse exp(−e_i) and an ascending product exp(±e_i) exp(±e_j) with
-    i < j are already in second-kind form, with exponents ±1. So is a
-    descending product of commuting generators: there
-    exp(±e_i) exp(±e_j) = exp(±e_j ± e_i) = exp(±e_j) exp(±e_i), so it can
-    never be the first failure.
+    Converts g_i·g_j, g_i = exp(e_i), for each descending pair j < i of
+    non-commuting generators; the first pair in (i, j) order with a
+    non-integral second-kind coordinate is the witness. Inverses, ascending
+    products exp(±e_i) exp(±e_j) (i < j) and descending ones of commuting
+    generators, exp(±e_i) exp(±e_j) = exp(±e_j) exp(±e_i), are already in
+    second-kind form, with exponents ±1.
 
     The verdict is exact at every class, by collection. Let Γ_k be the
-    integer points exp(a_k e_k) ··· exp(a_n e_n), so Γ = Γ_1. For j > k the
-    product g_j^t g_k^s is g_k^s·h with h = g_k^{−s} g_j^t g_k^s in the
-    normal subgroup exp(span(e_{k+1}, ..., e_n)), and it passes iff
-    h ∈ Γ_{k+1}. Descend on k: Γ_n = g_n^Z is a group; if Γ_{k+1} is one,
-    the g_j (j > k) generate it, so conjugation by g_k^{±1} maps it into
-    itself and Γ_k = g_k^Z Γ_{k+1} is a group. A failure means the group
-    the g_i generate is larger than Γ. At class <= 2 the certificate passes
-    iff the structure constants are integers. At class >= 3 that does not
-    suffice: in n4, exp(e2)exp(e1) has top exponent 1/2 and the g_i
-    generate exp(½e4). The tower machinery gates on integer structure
-    constants alone; see `tower.NilLattice`.
+    integer points exp(a_k e_k) ··· exp(a_n e_n), so Γ = Γ_1, and
+    φ_k(x) = g_k⁻¹·x·g_k, which keeps each N_m = exp(span(e_m, ..., e_n)),
+    m > k. For j > k, g_j g_k = g_k φ_k(g_j), so the pair passes iff
+    φ_k(g_j) ∈ Γ_{k+1}. If every pair passes, descend on k: Γ_n = g_n^Z is
+    a group; if Γ_{k+1} is one, the g_j (j > k) generate it, so φ_k maps it
+    into itself, keeping each Γ_m = Γ_{k+1} ∩ N_m and acting as the
+    identity on Γ_m/Γ_{m+1} ≅ ℤ (the e_m-coordinate of exp(e^{−ad e_k} e_m)
+    is 1). So φ_k maps Γ_{k+1} onto itself, every signed product
+    g_j^{±1} g_k^{±1} passes too, and Γ_k = g_k^Z Γ_{k+1} is a group. Where
+    the lattice fails, a signed product of an earlier pair may fail before
+    the first g_j·g_k does. A failure means the group the g_i generate is
+    larger than Γ. At class <= 2 the certificate passes iff the structure
+    constants are integers. At class >= 3 that does not suffice: in n4,
+    exp(e2)exp(e1) has top exponent 1/2 and the g_i generate exp(½e4). The
+    tower machinery gates on integer structure constants alone; see
+    `tower.NilLattice`.
     """
     n = algebra.dim
     report = check_adapted(algebra)
     if not report:
         return report
-    table = algebra.brackets
-    for i in range(n):
-        for j in range(i):
-            if (j, i) not in table:  # e_i, e_j commute: already second kind
-                continue
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                prod = bch_product(algebra, _axis(n, i, si), _axis(n, j, sj))
-                word = first_to_second(algebra, prod)
-                bad = next((idx for idx, a in enumerate(word.exponents)
-                            if a.denominator != 1), None)
-                if bad is not None:
-                    pow_i = "" if si == 1 else "^-1"
-                    pow_j = "" if sj == 1 else "^-1"
-                    return ValidationReport(
-                        ok=False, check="lattice_closed",
-                        message=(f"e{i + 1}{pow_i}·e{j + 1}{pow_j} has non-integral "
-                                 f"exponent {word.exponents[bad]} at position {bad + 1}"),
-                        witness=(i + 1, j + 1), defect=word.exponents)
+    # the stored pairs (j, i), j < i, are the non-commuting ones
+    for j, i in sorted(algebra.brackets, key=lambda pair: (pair[1], pair[0])):
+        word = first_to_second(
+            algebra, bch_product(algebra, _axis(n, i, 1), _axis(n, j, 1)))
+        bad = next((idx for idx, a in enumerate(word.exponents)
+                    if a.denominator != 1), None)
+        if bad is not None:
+            return ValidationReport(
+                ok=False, check="lattice_closed",
+                message=(f"e{i + 1}·e{j + 1} has non-integral exponent "
+                         f"{word.exponents[bad]} at position {bad + 1}"),
+                witness=(i + 1, j + 1), defect=word.exponents)
     return ValidationReport(ok=True, check="lattice_closed")
 
 

@@ -2,8 +2,8 @@
 table from a failed check to its error: `ValidationReport.require` raises
 JacobiViolated for `jacobi`, NotNilpotent for `class`, BasisNotAdapted for
 `adapted`, NotIntegral for `integer_constants` and `integral`, and NotClosed
-for `closed`, with the report's message, witness and defect. The
-informational `lattice_closed` has no entry.
+for `closed`, with the report's message, witness and defect.
+`lattice_closed`, which never gates, has no entry.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ class LeftInvariantMetric:
         if bad.size:
             entries = ", ".join(f"G[{i + 1},{j + 1}] = {m[i, j]}" for i, j in bad)
             raise NotPositiveDefinite(f"metric matrix has non-finite entries: {entries}")
-        if m.size and not np.allclose(m, m.T, atol=TOL_IDENTITY, rtol=0.0):
+        if m.size and np.max(np.abs(m - m.T)) > TOL_IDENTITY * np.max(np.abs(m)):
             raise NotPositiveDefinite("metric matrix is not symmetric")
         sym = 0.5 * (m + m.T)
         if m.size:

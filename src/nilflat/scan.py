@@ -493,6 +493,8 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     ts = [float(t) for t in t_grid]
     if not ts or not all(math.isfinite(t) and t > 0.0 for t in ts):
         raise ValueError("t grid must be nonempty, finite and positive")
+    if max(ts) > 1.0:
+        raise ValueError(f"t grid value {max(ts)} is above 1, where C is unproven")
     if min(ts) < T_MIN:
         raise ValueError(f"t grid value {min(ts)} is below {T_MIN:.3g}, where t² "
                          "underflows float64")

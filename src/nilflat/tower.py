@@ -99,7 +99,7 @@ class CentralCocycle:
             if not (0 <= i < j < n):
                 raise DimensionMismatch(
                     f"cocycle index ({i + 1},{j + 1}) out of range for dim {n}")
-            value = Fraction(value)
+            value = value if type(value) is Fraction else Fraction(value)
             if value:
                 table[(i, j)] = value
         object.__setattr__(self, "entries", table)

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from nilflat import catalog, fileio
-from nilflat.algebra import (NilAlgebra, basis_vec, check_adapted, vec,
+from nilflat.algebra import (NilAlgebra, basis_vec, check_adapted,
+                             check_jacobi, lower_central_series, vec,
                              vec_scale, vec_zero)
 from nilflat.bch import bch_product
 from nilflat.coords import (
@@ -207,13 +208,62 @@ def closure_inputs():
 CLOSURE_INPUTS = closure_inputs()
 
 
-# [DERIVED] the descending-only certificate gives the same report (verdict,
-# message, witness and defect) as the full check of every inverse and every
-# signed pair: the skipped products are already in second-kind form.
+# [DERIVED] on these inputs the one-product certificate gives the same report
+# (verdict, message, witness and defect) as the full check of every inverse
+# and every signed pair; on the random tables below it need not (see there).
 @pytest.mark.parametrize("name,algebra", CLOSURE_INPUTS,
                          ids=[name for name, _ in CLOSURE_INPUTS])
 def test_lattice_closed_matches_full_check(name, algebra):
     assert lattice_closed(algebra) == lattice_closed_full(algebra)
+
+
+def random_adapted_tables(count, seed):
+    """``count`` random adapted tables that satisfy Jacobi, drawn from a fixed
+    seed: dim 3–6, one to five brackets [e_{i+1}, e_{j+1}] (i < j < n − 1),
+    each with one or two components above e_{j+1}, coefficients from ±1, ±2
+    and ±½, and the class their own lower central series gives."""
+    rng = random.Random(seed)
+    coeffs = [-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2)]
+    tables = []
+    while len(tables) < count:
+        n = rng.randint(3, 6)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n - 1)]
+        brackets = {}
+        for i, j in rng.sample(pairs, rng.randint(1, min(5, len(pairs)))):
+            above = rng.sample(range(j + 1, n), rng.randint(1, min(2, n - 1 - j)))
+            brackets[(i, j)] = {k: rng.choice(coeffs) for k in above}
+        algebra = NilAlgebra(dim=n, declared_class=1, brackets=brackets)
+        if check_jacobi(algebra):
+            tables.append(NilAlgebra(dim=n, brackets=brackets,
+                                     declared_class=lower_central_series(algebra)[1]))
+    return tables
+
+
+RANDOM_TABLES = random_adapted_tables(1000, seed=0)
+
+
+# [DERIVED] one product per pair decides what every signed product decides
+# (the collection argument in `lattice_closed`): on 1000 random adapted
+# Jacobi tables with rational coefficients (514 failing) the verdict is the
+# full check's. Where the full check first fails at some g_i·g_j, the
+# reports are identical. Where it first fails at a signed product
+# g_i^{±1}·g_j^{±1} whose g_i·g_j passes (4 tables here, e.g. e2·e1^-1 when
+# [e1, e2] = −e3 − 2e4, [e1, e3] = −½e4, [e2, e3] = ½e4), the certificate
+# names a later pair's g_i·g_j (there e3·e1).
+def test_lattice_closed_verdict_on_random_tables():
+    failing = signed = 0
+    for algebra in RANDOM_TABLES:
+        report, full = lattice_closed(algebra), lattice_closed_full(algebra)
+        assert report.ok == full.ok, algebra
+        failing += not full.ok
+        if "^-1" in full.message:
+            signed += 1
+            assert "^-1" not in report.message
+            assert report.witness > full.witness, algebra
+        else:
+            assert report == full, algebra
+    assert failing > len(RANDOM_TABLES) // 4
+    assert 0 < signed < failing // 20
 
 
 def first_to_second_unskipped(algebra, v):
@@ -230,9 +280,9 @@ def first_to_second_unskipped(algebra, v):
 
 
 # [DERIVED] skipping the identity factors (a_k = 0) leaves every conversion
-# unchanged: on each closure input, the descending generator products that
-# `lattice_closed` converts and random first-kind vectors, half their
-# coordinates zero.
+# unchanged: on each closure input, the descending generator products
+# g_i^{±1}·g_j (`lattice_closed` converts g_i·g_j) and random first-kind
+# vectors, half their coordinates zero.
 @pytest.mark.parametrize("name,algebra", CLOSURE_INPUTS,
                          ids=[name for name, _ in CLOSURE_INPUTS])
 def test_first_to_second_matches_unskipped(name, algebra):

@@ -221,6 +221,18 @@ def test_metric_validation_errors():
     assert not metric.matrix.flags.writeable
 
 
+# [DERIVED] the symmetry test is relative to the largest entry: at scale
+# 1e5 an off-diagonal pair one ulp apart is symmetric, and a matrix of scale
+# 1e-13 whose lower corner is 0 (its upper one 1e-13) is not.
+def test_metric_symmetry_scale_invariant():
+    a = 0.5e5
+    m = np.array([[1e5, a], [np.nextafter(a, np.inf), 1e5]])
+    assert m[0, 1] != m[1, 0]
+    assert LeftInvariantMetric(matrix=m).matrix[0, 1] == 0.5 * (m[0, 1] + m[1, 0])
+    with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+        LeftInvariantMetric(matrix=np.array([[1e-13, 1e-13], [0.0, 1e-13]]))
+
+
 # [DERIVED] the degenerate-plane test is scale-invariant: an orthogonal plane
 # with one very short leg is a plane (h3 with G = diag(1, 1, t) has
 # K(e1, e3) = t/4), whatever the leg lengths; parallel legs are rejected.

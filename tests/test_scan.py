@@ -307,29 +307,32 @@ def test_lemma_scan_tiny_t():
     assert math.isfinite(report.sup_abs_K[0])
 
 
-# [DERIVED] outside the C-constant's validity domain (t <= 1) the asserted
-# bound can fail; the violation is reported with the witnessing data.
+# [TRIVIAL] outside the C-constant's validity domain (t <= 1) no bound is
+# proven, so a grid reaching above 1 is rejected before any scan (h3 at
+# t = 100 has sup|K^t| = 75 above the formula's 68.28).
 def test_bound_violated_outside_domain():
     metric, split = geometry(H3)
-    with pytest.raises(BoundViolated) as info:
+    with pytest.raises(ValueError, match="above 1"):
         lemma_scan(H3, metric, split, [100.0], n_samples=500, seed=0)
-    err = info.value
-    assert err.t == 100.0
-    assert err.value > err.bound
-    assert "witness: an eigenplane of ℛ at this t" in str(err)
+    with pytest.raises(ValueError, match="above 1"):
+        lemma_scan(H3, metric, split, [1.5, 1.0, 0.5], n_samples=500, seed=0)
+    assert lemma_scan(H3, metric, split, [1.0], n_samples=500, seed=0).t_grid == (1.0,)
 
 
 # [DERIVED] the rounding allowance δ_t in the bound is far below any real
 # shortfall: with C forced to 0, h3 (flat base, sup|K^t| = 3t/4) still
-# violates its bound, by far more than δ_t.
+# violates its bound, by far more than δ_t; the violation is reported with
+# the witnessing data.
 def test_bound_short_by_more_than_rounding_raises(monkeypatch):
     metric, split = geometry(H3)
     monkeypatch.setattr(scan, "_oneill_constant", lambda *args: 0.0)
     with pytest.raises(BoundViolated) as info:
         lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
     err = info.value
+    assert err.t == 1e-3
     assert 0.0 < err.bound <= 1e-12
     assert err.value == pytest.approx(0.75e-3, rel=1e-9)
+    assert "witness: an eigenplane of ℛ at this t" in str(err)
 
 
 # [DERIVED] a NaN measurement violates the bound instead of passing it: with
