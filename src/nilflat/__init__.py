@@ -36,8 +36,8 @@ from .submersion import (OneillTensors, SubmersionSplit, build_split,
                          canonical_variation, frame_metric, frame_structure,
                          oneill_tensors)
 from .scan import (DecayReport, SubmersionContext, decomposition_check,
-                   diameter_bound, lemma_scan, polished_sup, report_csv,
-                   report_summary)
+                   diameter_bound, lemma_scan, polished_sup, polished_sups,
+                   report_csv, report_summary)
 from .certify import (CertificateReport, certificate_summary,
                       certify_almost_flat)
 from . import catalog, fileio
@@ -67,7 +67,7 @@ __all__ = [
     "frame_structure", "frame_metric", "OneillTensors", "oneill_tensors",
     "SubmersionContext", "decomposition_check",
     "DecayReport", "lemma_scan", "diameter_bound", "report_csv",
-    "report_summary", "polished_sup", "CertificateReport",
+    "report_summary", "polished_sup", "polished_sups", "CertificateReport",
     "certify_almost_flat", "certificate_summary",
     # submodules
     "catalog", "fileio",

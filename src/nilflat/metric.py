@@ -109,9 +109,17 @@ def curvature_from_structure(c: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def rescaled_curvature(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """R̂ in the orthonormal frame whose vector a is frame vector a divided by
-    w_a, from the frame's structure constants c and its vector lengths w."""
-    c_hat = c * w / w[:, None, None] / w[None, :, None]
-    return curvature_from_structure(c_hat, np.eye(w.shape[0]))
+    w_a, from the frame's structure constants c and its vector lengths w; a
+    stack of lengths (T, n) gives T tensors, each with its own call's bits.
+    Koszul at g = I: Γ_ijk = ½(ĉ_ijk − ĉ_jki + ĉ_kij)."""
+    c_hat = (c * w[..., None, None, :] / w[..., :, None, None]
+             / w[..., None, :, None])
+    gamma = 0.5 * (c_hat - np.einsum("...jki->...ijk", c_hat)
+                   + np.einsum("...kij->...ijk", c_hat))
+    # ∇_{[e_i,e_j]} e_k − ∇_{e_i} ∇_{e_j} e_k + ∇_{e_j} ∇_{e_i} e_k
+    second = np.einsum("...jkp,...ipm->...ijkm", gamma, gamma, optimize=False)
+    return (np.einsum("...ijp,...pkm->...ijkm", c_hat, gamma, optimize=False)
+            - second + np.swapaxes(second, -4, -3))
 
 
 def connection_coeffs(algebra: NilAlgebra, metric: LeftInvariantMetric) -> np.ndarray:

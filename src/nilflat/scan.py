@@ -21,17 +21,18 @@ or −ρ holds a decomposable bivector.  `curvature_bound` gives ρ and its
 rounding allowance δ (derived in `lemma_scan`), the bound ρ + δ that
 `certify` gates on.
 
-Sup search (`polished_sup`), one deterministic pass: one eigh of ℛ gives ρ
-and its two extreme eigenvectors; each, read as a skew n×n matrix B, gives
-both legs of its best rank-2 plane (the top 2-eigenspace of BᵀB).  The four
-legs are *polished* once: alternate exact maximization over each leg of the
-plane, each step the top eigenvector of the leg's quadratic form compressed
-by the rank-one projector onto the other leg's orthocomplement.  |K| never
-decreases along the alternation.  The legs are polished as one batch: each
-half-sweep is one stacked contraction of R̂ and one stacked eigh, the
-projector is built per row (none for a purely vertical second leg), a leg
-leaves the batch when its own sweep moves its |K| by no more than rounding,
-and the batch stops once some leg reaches ρ − δ.  No plane exceeds ρ + δ,
+Sup search (`polished_sups` on a stack of tensors, one deterministic pass):
+one stacked eigh of the ℛ gives each ρ and two extreme eigenvectors; each,
+read as a skew n×n matrix B, gives both legs of its best rank-2 plane (the
+top 2-eigenspace of BᵀB).  The four legs per tensor are *polished* once:
+alternate exact maximization over each leg, each step the top eigenvector
+of the leg's quadratic form compressed by the rank-one projector onto the
+other leg's orthocomplement, so |K| never decreases.  All legs are one
+batch: each half-sweep is one stacked contraction (each leg with its own
+tensor) and one stacked eigh, the projector is built per row (none for a
+purely vertical second leg), a leg leaves when its own sweep moves its |K|
+by no more than rounding, and a tensor's legs stop once one reaches its
+ρ − δ, so each tensor gets the bits of its own call.  No plane exceeds ρ + δ,
 so where ρ is attained the polished sup is within 2δ of the true sup — the
 decay-exponent fit needs that, since the excess sup|K^t| − sup|Ǩ| can sit
 many orders of magnitude below sup|Ǩ|.
@@ -51,8 +52,8 @@ the lower end of the bracket [B, ρ + δ]; it is not flagged as certified.
 Determinism: nothing here draws a random number, every contraction is
 einsum(optimize=False) (no BLAS matmul; the certificate's Gram matrix is a
 np.bincount scatter sum, in input order) and every eigensolve a LAPACK eigh
-(stacked in the polish, whose rows do not depend on the batch), so outputs
-are byte-identical regardless of thread count.
+(stacked, whose rows do not depend on the batch), so outputs are
+byte-identical regardless of thread count and of how tensors are stacked.
 """
 
 from __future__ import annotations
@@ -103,10 +104,10 @@ def _pairs(n: int) -> tuple:
 
 
 def _curvature_operator(r4: np.ndarray) -> np.ndarray:
-    """ℛ, the curvature operator of the orthonormal tensor r4 on Λ²,
-    ℛ_pq = R̂_ijkl for the pairs p = (i, j), q = (k, l) of `_pairs`."""
-    i, j = _pairs(r4.shape[0])
-    return r4[i[:, None], j[:, None], i, j]
+    """ℛ, the curvature operator on Λ² of the orthonormal tensor r4 (or of
+    each in a stack), ℛ_pq = R̂_ijkl for the pairs p = (i, j), q = (k, l)."""
+    i, j = _pairs(r4.shape[-1])
+    return r4[..., i[:, None], j[:, None], i, j]
 
 
 def _top_eigenpairs(q: np.ndarray, v: np.ndarray) -> tuple:
@@ -142,20 +143,20 @@ def curvature_bound(r_hat: np.ndarray) -> tuple:
 
 
 def _eigenplane_seeds(sym: np.ndarray, n: int) -> tuple:
-    """((λ_min, λ_max), legs): the extreme eigenvalues of the symmetric
-    operator sym on Λ², and four unit rows, both legs of the best rank-2
-    plane of each extreme eigenvector.  An eigenvector read as the skew n×n
-    matrix B has as its best plane the top 2-eigenspace of BᵀB, which is B's
-    own plane when B is decomposable."""
+    """((λ_min, λ_max), legs) of a stack of T symmetric operators sym on Λ²:
+    the extreme eigenvalues of each, and 4T unit rows, four per member: both
+    legs of the best rank-2 plane of each extreme eigenvector.  An
+    eigenvector read as the skew n×n matrix B has as its best plane the top
+    2-eigenspace of BᵀB, which is B's own plane when B is decomposable."""
     vals, vecs = np.linalg.eigh(sym)
     i, j = _pairs(n)
-    b = np.zeros((2, n, n))
-    ends = vecs[:, [0, -1]].T
-    b[:, i, j] = ends
-    b[:, j, i] = -ends
-    btb = np.einsum("aki,akj->aij", b, b, optimize=False)
-    legs = np.swapaxes(np.linalg.eigh(btb)[1][:, :, -2:], 1, 2).reshape(4, n)
-    return (float(vals[0]), float(vals[-1])), legs
+    b = np.zeros((sym.shape[0], 2, n, n))
+    ends = np.swapaxes(vecs[:, :, [0, -1]], 1, 2)
+    b[:, :, i, j] = ends
+    b[:, :, j, i] = -ends
+    btb = np.einsum("taki,takj->taij", b, b, optimize=False)
+    legs = np.swapaxes(np.linalg.eigh(btb)[1][..., -2:], -1, -2).reshape(-1, n)
+    return (vals[:, 0], vals[:, -1]), legs
 
 
 # Signs of the splittings (ab|cd), (ac|bd), (ad|bc) of a 4-subset a < b < c < d
@@ -244,26 +245,31 @@ def _thorpe_certifies(sym: np.ndarray, extremes: tuple, x: np.ndarray,
     return value >= top - _rounding_allowance(n, r_max + omega_max)
 
 
-def _polish(r4: np.ndarray, support: int, c: np.ndarray,
-            ceiling: float = math.inf) -> tuple:
-    """Alternating exact maximization of |K(span(x_a, c_a))| for every row a
-    at once, in orthonormal coordinates with x_a kept in the first `support`
-    coordinates; starts from the second legs c_a.  Returns (best, x, c): the
-    max found per row and the legs of the polished plane that reached it
-    (0 and zero rows where no sweep found a positive |K|).
+def _polish(r4s: np.ndarray, group: np.ndarray, support: int, c: np.ndarray,
+            ceilings: np.ndarray) -> tuple:
+    """Alternating exact maximization of |K(span(x_a, c_a))| under the tensor
+    r4s[group[a]] for every row a at once, in orthonormal coordinates with
+    x_a kept in the first `support` coordinates; starts from the second legs
+    c_a.  Returns (best, x, c): the max found per row and the legs of the
+    polished plane that reached it (0 and zero rows where no sweep found a
+    positive |K|).
 
     A row leaves the batch once a sweep moves its |K| by no more than
     rounding (either way: at the maximum, recomputed values scatter by a few
-    ulp), or after _POLISH_MAX_ITER sweeps.  The whole batch stops once some
-    row reaches `ceiling` (checked before and after every sweep)."""
-    n = r4.shape[0]
+    ulp), or after _POLISH_MAX_ITER sweeps.  Group g stops once one of its
+    rows reaches ceilings[g] (checked before every sweep)."""
+    n = r4s.shape[-1]
     best = np.zeros(c.shape[0])
     best_x, best_c = np.zeros((2, best.shape[0], n))
     active = np.arange(best.shape[0])
     for _ in range(_POLISH_MAX_ITER):
-        if not active.size or not (np.max(best) < ceiling):
+        keep = ~np.isin(group[active], group[~(best < ceilings[group])])
+        active, c = active[keep], c[keep]
+        if not active.size:
             break
-        qc = np.einsum("ijkl,aj,al->aik", r4[:support, :, :support], c, c,
+        r4 = (r4s[group[active]] if r4s.shape[0] > 1 else  # a view for one tensor
+              np.broadcast_to(r4s[0], (active.size,) + r4s.shape[1:]))
+        qc = np.einsum("aijkl,aj,al->aik", r4[:, :support, :, :support], c, c,
                        optimize=False)
         ch = c[:, :support]
         h2 = np.einsum("ai,ai->a", ch, ch, optimize=False)
@@ -272,7 +278,7 @@ def _polish(r4: np.ndarray, support: int, c: np.ndarray,
         v[has] = ch[has] / np.sqrt(h2[has])[:, None]
         x = np.zeros((active.size, n))
         x[:, :support] = _top_eigenpairs(qc, v)[1]
-        qx = np.einsum("ijkl,ai,ak->ajl", r4, x, x, optimize=False)
+        qx = np.einsum("aijkl,ai,ak->ajl", r4, x, x, optimize=False)
         val, c = _top_eigenpairs(qx, x)
         done = np.abs(val - best[active]) <= 1e-14 * np.maximum(1.0, np.abs(val))
         raised = val > best[active]
@@ -282,32 +288,42 @@ def _polish(r4: np.ndarray, support: int, c: np.ndarray,
     return best, best_x, best_c
 
 
-def polished_sup(r4: np.ndarray, horizontal_dim: int) -> tuple:
-    """(sup, certified): the polished sup |K| of the orthonormal tensor r4
-    over planes with one leg in the first `horizontal_dim` coordinates.
+def polished_sups(r4s: np.ndarray, horizontal_dim: int) -> list:
+    """[(sup, certified)] per member of the stack r4s of orthonormal tensors:
+    the polished sup |K| over planes with one leg in the first
+    `horizontal_dim` coordinates, with the bits of its one-tensor call.
 
-    The four eigenplane legs of ℛ are polished once, up to their per-row
-    stop or the ceiling ρ − δ, and the best value is returned.  It is
-    certified as the sup (to 2δ) where it reaches the ceiling or Thorpe's
-    trick closes at its plane (`_thorpe_certifies`); else it is the lower
-    end of the bracket [sup, ρ + δ].  A non-finite tensor entry gives a
-    non-finite sup."""
-    n = r4.shape[0]
+    Per member, the four eigenplane legs of ℛ are polished once, up to their
+    per-row stop or the member's ceiling ρ − δ, and the best value is
+    returned.  It is certified as the sup (to 2δ) where it reaches the
+    ceiling or Thorpe's trick closes at its plane (`_thorpe_certifies`);
+    else it is the lower end of the bracket [sup, ρ + δ].  A non-finite
+    entry gives its member a non-finite sup and no other member a change."""
+    n = r4s.shape[-1]
     if n < 2 or horizontal_dim < 1:
-        return 0.0, True
-    r_max = float(np.max(np.abs(r4)))
-    if not math.isfinite(r_max):
-        return r_max, False
-    op = _curvature_operator(r4)
-    sym = 0.5 * (op + op.T)
-    extremes, legs = _eigenplane_seeds(sym, n)
-    ceiling = (max(abs(extremes[0]), abs(extremes[1]))
-               - _rounding_allowance(n, r_max))
-    best, best_x, best_c = _polish(r4, horizontal_dim, legs, ceiling)
-    lead = int(np.argmax(best))
-    sup = float(best[lead])
-    return sup, sup >= ceiling or _thorpe_certifies(
-        sym, extremes, best_x[lead], best_c[lead], sup, r_max)
+        return [(0.0, True)] * r4s.shape[0]
+    r_max = np.max(np.abs(r4s), axis=(1, 2, 3, 4))
+    out = [(float(r), False) for r in r_max]
+    finite = np.flatnonzero(np.isfinite(r_max))
+    r4s = r4s[finite]
+    op = _curvature_operator(r4s)
+    sym = 0.5 * (op + np.swapaxes(op, 1, 2))
+    (low, high), legs = _eigenplane_seeds(sym, n)
+    ceilings = np.maximum(-low, high) - _rounding_allowance(n, r_max[finite])
+    group = np.repeat(np.arange(finite.size), 4)
+    best, best_x, best_c = _polish(r4s, group, horizontal_dim, legs, ceilings)
+    for g, member in enumerate(finite):
+        lead = 4 * g + int(np.argmax(best[4 * g:4 * g + 4]))
+        sup = float(best[lead])
+        out[member] = (sup, sup >= float(ceilings[g]) or _thorpe_certifies(
+            sym[g], (float(low[g]), float(high[g])), best_x[lead],
+            best_c[lead], sup, float(r_max[member])))
+    return out
+
+
+def polished_sup(r4: np.ndarray, horizontal_dim: int) -> tuple:
+    """(sup, certified) of the one orthonormal tensor r4, as `polished_sups`."""
+    return polished_sups(r4[None], horizontal_dim)[0]
 
 
 class SubmersionContext:
@@ -338,7 +354,6 @@ class SubmersionContext:
             self.c_hat, np.eye(split.dim))
         m = split.horizontal_dim
         self.r_base = rescaled_curvature(self.c_hat[:m, :m, :m], np.ones(m))
-        self._frame_r: dict = {}
         self._ambient: dict = {}
 
     @property
@@ -347,11 +362,7 @@ class SubmersionContext:
 
     def frame_curvature(self, t: float) -> np.ndarray:
         """R̂ of g^t in its orthonormal frame."""
-        t = float(t)
-        if t not in self._frame_r:
-            self._frame_r[t] = rescaled_curvature(
-                self.c_hat, np.sqrt(split_diagonal(self.dim, t)))
-        return self._frame_r[t]
+        return rescaled_curvature(self.c_hat, np.sqrt(split_diagonal(self.dim, t)))
 
     def ambient_at(self, t: float) -> tuple:
         """(G^t matrix, curvature of G^t) in ambient coordinates."""
@@ -471,12 +482,13 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
 
     computed from the O'Neill tensors of g in its orthonormal split frame.
     By Cauchy–Schwarz |A(x, e)| ≤ ‖A‖_F for unit x, e (and likewise for DA),
-    so C is a true upper bound; it is computed, not sampled.  Each sup is
-    `polished_sup`, which draws no plane: `n_samples` and `seed` are
-    validated and echoed in the report but change no value.  Where the
-    base sup is not certified it is only a lower end of sup|Ǩ|, so the
-    bound starts from the base's ρ + δ (`curvature_bound`) instead; the
-    exponent fit still measures the excess over the polished base sup.
+    so C is a true upper bound; it is computed, not sampled.  The grid is one
+    batch (stacked `rescaled_curvature` and `polished_sups`, a stop per t)
+    and draws no plane: `n_samples` and `seed` are validated and echoed in
+    the report but change no value.  Where the base sup is not certified it
+    is only a lower end of sup|Ǩ|, so the bound starts from the base's ρ + δ
+    (`curvature_bound`) instead; the exponent fit still measures the excess
+    over the polished base sup.
 
     δ_t is a rounding allowance, so a bound met exactly (C = 0 on a metric
     product) does not fail by a few ulp.  Each polished |K| is
@@ -517,10 +529,10 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
 
     fiber_len = math.sqrt(float(split.z @ metric.matrix @ split.z))
 
+    r_ts = rescaled_curvature(
+        ctx.c_hat, np.sqrt(np.stack([split_diagonal(n, t) for t in ts])))
     sups, roundings, bounds, diams = [], [], [], []
-    for t in ts:
-        r_t = ctx.frame_curvature(t)
-        sup_t, _ = polished_sup(r_t, m)
+    for t, r_t, (sup_t, _) in zip(ts, r_ts, polished_sups(r_ts, m)):
         r_max = float(np.max(np.abs(r_t)))
         rounding = _rounding_allowance(n, r_max + base_max)
         bound = base_bound + c_const * math.sqrt(t) + rounding

@@ -218,9 +218,13 @@ def _derived_lattice(dim: int, brackets: Mapping, leads: Tuple[int, ...]) -> Nil
 
     Only those two may call it, and only on a table valid by construction
     (see `NilLattice`) with the leads of its lower central series already in
-    hand; the class is len(leads) and `validate_algebra` is skipped.
+    hand; the class is len(leads), and neither `validate_algebra` nor the
+    canonical sort of `NilAlgebra` runs again.
     """
-    algebra = NilAlgebra(dim=dim, declared_class=len(leads), brackets=brackets)
+    algebra = object.__new__(NilAlgebra)
+    object.__setattr__(algebra, "dim", dim)
+    object.__setattr__(algebra, "declared_class", len(leads))
+    object.__setattr__(algebra, "brackets", brackets)
     lattice = object.__new__(NilLattice)
     object.__setattr__(lattice, "algebra", algebra)
     object.__setattr__(lattice, "leads", leads)
@@ -241,7 +245,8 @@ def peel_step(lattice: NilLattice) -> TowerStep:
     for (i, j), entry in lattice.algebra.brackets.items():
         if j == m:
             continue
-        base[(i, j)] = {k: c for k, c in entry.items() if k != m}
+        if rest := {k: c for k, c in entry.items() if k != m}:
+            base[(i, j)] = rest
         if m in entry:
             entries[(i, j)] = entry[m]
     cocycle = CentralCocycle(dim=m, entries=entries)

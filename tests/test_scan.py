@@ -21,9 +21,10 @@ import numpy as np
 import pytest
 
 from nilflat import catalog, scan, submersion
+from nilflat.algebra import NilAlgebra
 from nilflat.errors import BoundViolated, DegeneratePlane, DimensionMismatch
 from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
-                            sectional_from_tensor)
+                            sectional_from_tensor, structure_array)
 from nilflat.scan import (T_MIN, DecayReport, SubmersionContext,
                           curvature_bound, decomposition_check, diameter_bound,
                           lemma_scan, polished_sup, report_csv, report_summary)
@@ -336,11 +337,11 @@ def test_bound_short_by_more_than_rounding_raises(monkeypatch):
 
 
 # [DERIVED] a NaN measurement violates the bound instead of passing it: with
-# every sampled sup NaN the comparison with the (then NaN) bound is false.
+# every polished sup NaN the comparison with the (then NaN) bound is false.
 def test_nan_measurement_violates_bound(monkeypatch):
     metric, split = geometry(H3)
-    monkeypatch.setattr(scan, "polished_sup",
-                        lambda *args: (float("nan"), False))
+    monkeypatch.setattr(scan, "polished_sups",
+                        lambda r4s, h: [(float("nan"), False)] * len(r4s))
     with pytest.raises(BoundViolated) as info:
         lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
     assert math.isnan(info.value.value)
@@ -526,7 +527,8 @@ def test_batched_polish_matches_single_pair(algebra, t, support_drop):
     c[1] = reference_polish_pair(r_hat, support, c[2])[3]  # at a maximum
     expected, sweeps, _, _ = zip(*(reference_polish_pair(r_hat, support, ca)
                                    for ca in c))
-    got, got_x, got_c = scan._polish(r_hat, support, c)
+    got, got_x, got_c = scan._polish(r_hat[None], np.zeros(len(c), dtype=np.intp),
+                                     support, c, np.array([math.inf]))
     assert len(set(sweeps)) > 1
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
     for a in np.flatnonzero(got > 0.0):  # the returned plane attains the max
@@ -587,21 +589,62 @@ def test_polish_sweeps_filiform8(monkeypatch):
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 def test_non_finite_tensor_is_not_hidden(value, monkeypatch):
     metric, split = geometry(H3)
-    real = SubmersionContext.frame_curvature
+    real = scan.rescaled_curvature
 
-    def poisoned(self, t):
-        r_hat = real(self, t).copy()
-        r_hat[0, 1, 0, 1] = value
+    def poisoned(c, w):  # the scan's stacked R̂, not the base's
+        r_hat = real(c, w).copy()
+        if np.ndim(w) == 2:
+            r_hat[..., 0, 1, 0, 1] = value
         return r_hat
 
-    r1 = poisoned(SubmersionContext(H3, metric, split), 1.0)
+    r1 = poisoned(SubmersionContext(H3, metric, split).c_hat,
+                  np.sqrt(split_diagonal(3, 1.0))[None])[0]
     with np.errstate(invalid="ignore", over="ignore"):
         sup, certified = polished_sup(r1, 2)
         assert not math.isfinite(sup) and not certified
-        monkeypatch.setattr(SubmersionContext, "frame_curvature", poisoned)
+        monkeypatch.setattr(scan, "rescaled_curvature", poisoned)
         with pytest.raises(BoundViolated) as info:
             lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
     assert not math.isfinite(info.value.value)
+
+
+def padded_identity_tensor(algebra, n=6):
+    """R̂ at G = I of algebra × R^(n − dim), in the algebra's basis."""
+    product = NilAlgebra(dim=n, declared_class=max(algebra.declared_class, 1),
+                         brackets=algebra.brackets)
+    return rescaled_curvature(structure_array(product), np.ones(n))
+
+
+# [DERIVED] a stack gives every member the bits of its one-tensor call: one
+# member of each kind, all of dimension 6 with support 5 — flat (z3 × R³,
+# stopped before the first sweep), one whose polish reaches the ceiling ρ − δ
+# (n4 × R²), one that Thorpe's trick certifies below it (h5 × R), one where it
+# does not close (free 2-step(3) at G = I), and one with a NaN entry, whose
+# sup is non-finite and changes no other member's bits.  Stacked weights give
+# the per-row tensors of `rescaled_curvature` bit for bit.
+def test_stack_matches_one_tensor_at_a_time():
+    kinds = [catalog.abelian(3), N4, catalog.heisenberg5(), FREE3, N4]
+    stack = np.stack([padded_identity_tensor(algebra) for algebra in kinds])
+    stack[4, 0, 1, 0, 1] = math.nan
+    alone = [polished_sup(r4, 5) for r4 in stack[:4]]
+    with np.errstate(invalid="ignore"):
+        together = scan.polished_sups(stack, 5)
+    assert together[:4] == alone
+    assert not math.isfinite(together[4][0]) and together[4][1] is False
+    ceilings = [curvature_bound(r4)[0] - curvature_bound(r4)[1] for r4 in stack[:4]]
+    assert alone[0] == (0.0, True)
+    assert alone[1][1] and alone[1][0] >= ceilings[1]
+    assert alone[2][1] and alone[2][0] < ceilings[2]
+    assert not alone[3][1]
+
+    algebra = catalog.filiform(6)
+    _, split = geometry(algebra, dense_seed(6, 3))
+    c_hat = submersion.frame_structure(algebra, split)
+    weights = np.sqrt(np.stack([split_diagonal(6, t)
+                                for t in np.geomspace(1.0, 1e-6, 7)]))
+    stacked = rescaled_curvature(c_hat, weights)
+    for row, w in zip(stacked, weights):
+        assert np.array_equal(row, rescaled_curvature(c_hat, w))
 
 
 # [DERIVED] the scan's values do not depend on `n_samples` or `seed`, below

@@ -14,6 +14,7 @@ from nilflat import algebra as algebra_module
 from nilflat import catalog, fileio
 from nilflat import intlinalg as intlinalg_module
 from nilflat import tower as tower_module
+from nilflat.algebra import NilAlgebra
 from nilflat.errors import (
     DimensionMismatch,
     JacobiViolated,
@@ -139,6 +140,31 @@ def test_trusted_path_matches_full_validation(lattice):
     for step in peel_tower(lattice).steps:
         assert step.base == NilLattice(step.base.algebra)
         assert extend_by_cocycle(step.base, step.cocycle) == step.total
+
+
+def canonical_items(algebra):
+    return [(pair, list(entry.items())) for pair, entry in algebra.brackets.items()]
+
+
+# [DERIVED] a derived table is handed over without a second sort, so it must
+# already be canonical: every peel base and every extension (by the peeled
+# cocycle, which adds pairs the base lacks, and by zero) of the shipped and
+# catalog lattices equals the algebra the public constructor builds from the
+# same table, with the same pairs and components in the same order, and no
+# empty bracket.
+@pytest.mark.parametrize("lattice", [case for _, case in TRUSTED_CASES],
+                         ids=[name for name, _ in TRUSTED_CASES])
+def test_derived_tables_are_canonical(lattice):
+    derived = [extend_by_cocycle(lattice, CentralCocycle.from_entries(lattice.dim, {}))]
+    for step in peel_tower(lattice).steps:
+        derived += [step.base, extend_by_cocycle(step.base, step.cocycle)]
+    for result in derived:
+        algebra = result.algebra
+        rebuilt = NilAlgebra(dim=algebra.dim, declared_class=algebra.declared_class,
+                             brackets=algebra.brackets)
+        assert algebra == rebuilt
+        assert canonical_items(algebra) == canonical_items(rebuilt)
+        assert all(algebra.brackets.values())
 
 
 SERIES_CASES = ([("point", catalog.point()), ("z3", catalog.abelian(3)),
