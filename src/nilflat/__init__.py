@@ -8,10 +8,11 @@ cocycles give the same bundle.
 
 The numerical layer (`metric`, `submersion`, `scan`, `certify`) puts
 left-invariant metrics on the same data: sectional curvature, canonical
-variations that shrink the circle fibers, O'Neill-tensor decompositions of
-the varied curvature, scans certifying the |K^t| <= |K_base| + C*sqrt(t)
-bound, and a per-level collapse schedule driving sup|K| below a requested
-epsilon with an explicit diameter bound.
+variations that shrink the circle fibers, scans certifying the
+|K^t| <= |K_base| + C*sqrt(t) bound (C from the O'Neill tensors of the
+submersion, all read off one orthonormal split frame), and a per-level
+collapse schedule driving sup|K| below a requested epsilon with an explicit
+diameter bound.
 
 `fileio` defines the JSON formats and `cli` the command-line front end.
 """
@@ -32,12 +33,10 @@ from .tower import (BundleTower, CentralCocycle, CohomologyVerdict,
                     peel_tower)
 from .metric import (LeftInvariantMetric, connection_coeffs,
                      curvature_tensor, sectional_curvature, structure_array)
-from .submersion import (OneillTensors, SubmersionSplit, build_split,
-                         canonical_variation, frame_metric, frame_structure,
-                         oneill_tensors)
-from .scan import (DecayReport, SubmersionContext, decomposition_check,
-                   diameter_bound, lemma_scan, polished_sup, polished_sups,
-                   report_csv, report_summary)
+from .submersion import (SubmersionSplit, build_split, canonical_variation,
+                         frame_structure)
+from .scan import (DecayReport, diameter_bound, lemma_scan, polished_sup,
+                   polished_sups, report_csv, report_summary)
 from .certify import (CertificateReport, certificate_summary,
                       certify_almost_flat)
 from . import catalog, fileio
@@ -63,9 +62,7 @@ __all__ = [
     # numerical layer
     "LeftInvariantMetric", "structure_array", "connection_coeffs",
     "curvature_tensor", "sectional_curvature", "SubmersionSplit",
-    "build_split", "canonical_variation",
-    "frame_structure", "frame_metric", "OneillTensors", "oneill_tensors",
-    "SubmersionContext", "decomposition_check",
+    "build_split", "canonical_variation", "frame_structure",
     "DecayReport", "lemma_scan", "diameter_bound", "report_csv",
     "report_summary", "polished_sup", "polished_sups", "CertificateReport",
     "certify_almost_flat", "certificate_summary",

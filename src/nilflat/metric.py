@@ -107,15 +107,21 @@ def curvature_from_structure(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.einsum("ijkm,ml->ijkl", rm, g, optimize=False)
 
 
+def _orthonormal_connection(c_hat: np.ndarray) -> np.ndarray:
+    """Koszul connection Γ of an orthonormal frame (or of each in a stack)
+    from its structure constants: Γ_ijk = ½(ĉ_ijk − ĉ_jki + ĉ_kij)."""
+    return 0.5 * (c_hat - np.einsum("...jki->...ijk", c_hat)
+                  + np.einsum("...kij->...ijk", c_hat))
+
+
 def rescaled_curvature(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """R̂ in the orthonormal frame whose vector a is frame vector a divided by
     w_a, from the frame's structure constants c and its vector lengths w; a
     stack of lengths (T, n) gives T tensors, each with its own call's bits.
-    Koszul at g = I: Γ_ijk = ½(ĉ_ijk − ĉ_jki + ĉ_kij)."""
+    Koszul at g = I (`_orthonormal_connection`)."""
     c_hat = (c * w[..., None, None, :] / w[..., :, None, None]
              / w[..., None, :, None])
-    gamma = 0.5 * (c_hat - np.einsum("...jki->...ijk", c_hat)
-                   + np.einsum("...kij->...ijk", c_hat))
+    gamma = _orthonormal_connection(c_hat)
     # ∇_{[e_i,e_j]} e_k − ∇_{e_i} ∇_{e_j} e_k + ∇_{e_j} ∇_{e_i} e_k
     second = np.einsum("...jkp,...ipm->...ijkm", gamma, gamma, optimize=False)
     return (np.einsum("...ijp,...pkm->...ijkm", c_hat, gamma, optimize=False)

@@ -10,7 +10,10 @@ Frame convention: a split frame has the vertical direction last, and g^t is
 diag(1, …, 1, t) there; curvature tensors are R̂ in the orthonormal frame of
 g^t that divides the vertical vector by √t: `metric.rescaled_curvature` at
 weights √(1, …, 1, t).  The sup is searched in those orthonormal
-coordinates; `decomposition_check` takes its plane in the split frame.
+coordinates.  `lemma_scan` reads everything off the split frame's structure
+constants ĉ: the base tensor (the horizontal block at weights 1), the tensors
+of the t grid (stacked, `_T_CHUNK` grid points per stack) and the constant C
+(the O'Neill tensors A and DA, from the Koszul connection of ĉ).
 
 Curvature operator and ceiling: R̂ is read as the curvature operator ℛ on
 Λ², indexed by pairs p = (i, j), q = (k, l) with i < j, k < l (`_pairs`),
@@ -67,26 +70,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import NilAlgebra
-from .errors import BoundViolated, DegeneratePlane, DimensionMismatch
+from .errors import BoundViolated, DimensionMismatch
 from .metric import (
-    TOL_GRAM,
     TOL_IDENTITY,
     LeftInvariantMetric,
-    curvature_from_structure,
+    _orthonormal_connection,
     rescaled_curvature,
-    sectional_from_tensor,
     structure_array,
 )
-from .submersion import (
-    OneillTensors,
-    SubmersionSplit,
-    _oneill_from_frame,
-    canonical_variation,
-    frame_structure,
-    split_diagonal,
-)
+from .submersion import SubmersionSplit, _structure_in_frame, split_diagonal
 
 _POLISH_MAX_ITER = 50
+# Grid points per stacked curvature evaluation: a stack's memory grows as its
+# length times n⁴, and no row depends on the stack it is in.
+_T_CHUNK = 16
 
 _EPS = float(np.finfo(np.float64).eps)
 # Smallest t a scan accepts, the floor of the `--t-min` contract: t² is a
@@ -326,126 +323,25 @@ def polished_sup(r4: np.ndarray, horizontal_dim: int) -> tuple:
     return polished_sups(r4[None], horizontal_dim)[0]
 
 
-class SubmersionContext:
-    """Precomputed frame data shared by decomposition checks and scans.
-    The split must be the algebra's, built from this metric, and its
-    direction z central: every bracket [e_i, z] vanishes to within
-    TOL_IDENTITY·max|C|·max|z|, since the lemma's bound holds only there."""
-
-    def __init__(self, algebra: NilAlgebra, metric: LeftInvariantMetric,
-                 split: SubmersionSplit):
-        if split.dim != algebra.dim:
-            raise DimensionMismatch(
-                f"split dim {split.dim} does not match algebra dim {algebra.dim}")
-        if not np.array_equal(split.metric.matrix, metric.matrix):
-            raise ValueError("split was built from a different metric")
-        self.c_ambient = structure_array(algebra)
-        ad_z = np.einsum("ijk,j->ik", self.c_ambient, split.z, optimize=False)
-        i, k = np.unravel_index(np.argmax(np.abs(ad_z)), ad_z.shape)
-        if abs(ad_z[i, k]) > (TOL_IDENTITY * np.max(np.abs(self.c_ambient))
-                              * np.max(np.abs(split.z))):
-            raise ValueError(
-                f"direction z = {split.z.tolist()} is not central: [e{i + 1}, z] "
-                f"has e{k + 1}-component {float(ad_z[i, k])!r}")
-        self.metric = metric
-        self.split = split
-        self.c_hat = frame_structure(algebra, split)
-        self.tensors: OneillTensors = _oneill_from_frame(
-            self.c_hat, np.eye(split.dim))
-        m = split.horizontal_dim
-        self.r_base = rescaled_curvature(self.c_hat[:m, :m, :m], np.ones(m))
-        self._ambient: dict = {}
-
-    @property
-    def dim(self) -> int:
-        return self.split.dim
-
-    def frame_curvature(self, t: float) -> np.ndarray:
-        """R̂ of g^t in its orthonormal frame."""
-        return rescaled_curvature(self.c_hat, np.sqrt(split_diagonal(self.dim, t)))
-
-    def ambient_at(self, t: float) -> tuple:
-        """(G^t matrix, curvature of G^t) in ambient coordinates."""
-        t = float(t)
-        if t not in self._ambient:
-            gt = canonical_variation(self.metric, self.split.z, t).matrix
-            self._ambient[t] = (gt, curvature_from_structure(self.c_ambient, gt))
-        return self._ambient[t]
-
-
-def _r4_value(r4: np.ndarray, a, b, c, d) -> float:
-    return float(np.einsum("ijkl,i,j,k,l->", r4, a, b, c, d, optimize=False))
-
-
-def decomposition_check(context: SubmersionContext, t: float,
-                        x: Sequence[float], c: Sequence[float]) -> float:
-    """Max absolute defect across the four curvature-decomposition identities
-    at the plane span(x, c) of g^t, given in the split frame of `context`.
-
-    0 < t < ∞ and x must be horizontal (vertical coordinate zero), else
-    ValueError.  The legs are made g^t-orthonormal here, so c = y + u, its
-    horizontal and vertical parts, has g(y, y) + t·g(u, u) = 1.  A pair
-    whose g^t Gram determinant is at most TOL_GRAM·|x|²|c|² raises
-    DegeneratePlane, legs of another length DimensionMismatch.
-
-    With A, DA the O'Neill tensors of the base metric g and R^t, Ř the
-    curvature tensors of g^t and of the base:
-
-      (i)   Ř(Y,X,Y,X) − R^t(Y,X,Y,X) = 3t·g(A_Y X, A_Y X)
-      (ii)  R^t(Y,X,U,X) = −t·g((D_X A)_Y X, U)
-      (iii) R^t(U,X,U,X) = t²·g(A_X U, A_X U)
-      (iv)  K^t(span(X,C)) computed directly from the ambient metric G^t
-            equals Ř(Y,X,Y,X) − 3t·g(A_YX,A_YX) − 2t·g((D_XA)_YX,U)
-            + t²·g(A_XU,A_XU).
-    """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"decomposition check requires 0 < t < inf, got {t}")
-    split = context.split
-    n = split.dim
-    x = np.asarray(x, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if x.shape != (n,) or c.shape != (n,):
+def _central_structure(algebra: NilAlgebra, metric: LeftInvariantMetric,
+                       split: SubmersionSplit) -> np.ndarray:
+    """The algebra's structure tensor, after checking the split: it must be
+    the algebra's, built from this metric, and its direction z central (every
+    bracket [e_i, z] vanishes to within TOL_IDENTITY·max|C|·max|z|), since
+    the lemma's bound holds only there."""
+    if split.dim != algebra.dim:
         raise DimensionMismatch(
-            f"legs of shape {x.shape} and {c.shape}, expected ({n},)")
-    if x[n - 1] != 0.0:
-        raise ValueError(f"x must be horizontal, got vertical coordinate {x[n - 1]!r}")
-    d = split_diagonal(n, t)
-    xx, cc, xc = x @ (d * x), c @ (d * c), x @ (d * c)
-    gram = xx * cc - xc * xc
-    if not gram > TOL_GRAM * xx * cc:
-        raise DegeneratePlane(f"plane Gram determinant {gram:.3e} below tolerance")
-    c = c - (xc / xx) * x
-    x = x / math.sqrt(xx)
-    c = c / math.sqrt(c @ (d * c))
-    y = c.copy()
-    y[n - 1] = 0.0
-    u = c - y
-    m = split.horizontal_dim
-    a, da = context.tensors.a, context.tensors.da
-    r_t = context.frame_curvature(t)
-    xs, ys, us = np.sqrt(d) * [x, y, u]  # to R̂'s frame
-
-    a_yx = np.einsum("fep,f,e->p", a, y, x, optimize=False)
-    a_xu = np.einsum("fep,f,e->p", a, x, u, optimize=False)
-    da_xyx = np.einsum("efhp,e,f,h->p", da, x, y, x, optimize=False)
-
-    r_base_yxyx = _r4_value(context.r_base, y[:m], x[:m], y[:m], x[:m])
-    term_a = 3.0 * t * float(a_yx @ a_yx)
-    term_da = -t * float(da_xyx @ u)
-    term_vert = t * t * float(a_xu @ a_xu)
-
-    defect_i = abs((r_base_yxyx - _r4_value(r_t, ys, xs, ys, xs)) - term_a)
-    defect_ii = abs(_r4_value(r_t, ys, xs, us, xs) - term_da)
-    defect_iii = abs(_r4_value(r_t, us, xs, us, xs) - term_vert)
-
-    assembled = r_base_yxyx - term_a + 2.0 * term_da + term_vert
-    gt, r_ambient = context.ambient_at(t)
-    x_amb = split.from_frame(x)
-    c_amb = split.from_frame(c)
-    direct = sectional_from_tensor(r_ambient, gt, x_amb, c_amb)
-    defect_iv = abs(direct - assembled)
-
-    return max(defect_i, defect_ii, defect_iii, defect_iv)
+            f"split dim {split.dim} does not match algebra dim {algebra.dim}")
+    if not np.array_equal(split.metric.matrix, metric.matrix):
+        raise ValueError("split was built from a different metric")
+    c = structure_array(algebra)
+    ad_z = np.einsum("ijk,j->ik", c, split.z, optimize=False)
+    i, k = np.unravel_index(np.argmax(np.abs(ad_z)), ad_z.shape)
+    if abs(ad_z[i, k]) > TOL_IDENTITY * np.max(np.abs(c)) * np.max(np.abs(split.z)):
+        raise ValueError(
+            f"direction z = {split.z.tolist()} is not central: [e{i + 1}, z] "
+            f"has e{k + 1}-component {float(ad_z[i, k])!r}")
+    return c
 
 
 @dataclass(frozen=True)
@@ -464,10 +360,28 @@ class DecayReport:
     bounds: tuple  # sup|Ǩ| (or its ρ + δ) + C√t + δ_t per t (see lemma_scan)
 
 
-def _oneill_constant(tensors: OneillTensors) -> float:
-    """C = 4‖A‖_F² + 2‖DA‖_F from the tensors of an orthonormal frame."""
-    a2 = float(np.einsum("fep,fep->", tensors.a, tensors.a, optimize=False))
-    da2 = float(np.einsum("efhp,efhp->", tensors.da, tensors.da, optimize=False))
+def _lemma_constant(c_hat: np.ndarray) -> float:
+    """C = 4‖A‖_F² + 2‖DA‖_F from the structure constants c_hat of an
+    orthonormal split frame (vertical vector last).
+
+    A and DA are O'Neill's integrability tensor and its covariant derivative,
+    read off the Koszul connection Γ of the frame:
+    A_X E = H ∇_{HX} (VE) + V ∇_{HX} (HE), and with the frame fields
+    left-invariant, ∇_E of a constant-component field is contraction with Γ."""
+    n = c_hat.shape[0]
+    m = n - 1
+    gamma = _orthonormal_connection(c_hat)
+    # a[x, e, :] are the frame components of A_X E: its first slot is
+    # horizontal, and its second slot decides which projection of ∇ lands there
+    a = np.zeros((n, n, n))
+    a[:m, :m, m] = gamma[:m, :m, m]
+    a[:m, m, :m] = gamma[:m, m, :m]
+    # da[e, x, y, :] = (D_E A)_X Y = ∇_E (A_X Y) − A_{∇_E X} Y − A_X (∇_E Y)
+    da = (np.einsum("xym,epm->exyp", a, gamma, optimize=False)
+          - np.einsum("exm,myp->exyp", gamma, a, optimize=False)
+          - np.einsum("eym,xmp->exyp", gamma, a, optimize=False))
+    a2 = float(np.einsum("fep,fep->", a, a, optimize=False))
+    da2 = float(np.einsum("efhp,efhp->", da, da, optimize=False))
     return 4.0 * a2 + 2.0 * math.sqrt(da2)
 
 
@@ -482,10 +396,12 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
 
     computed from the O'Neill tensors of g in its orthonormal split frame.
     By Cauchy–Schwarz |A(x, e)| ≤ ‖A‖_F for unit x, e (and likewise for DA),
-    so C is a true upper bound; it is computed, not sampled.  The grid is one
-    batch (stacked `rescaled_curvature` and `polished_sups`, a stop per t)
-    and draws no plane: `n_samples` and `seed` are validated and echoed in
-    the report but change no value.  Where the base sup is not certified it
+    so C is a true upper bound; it is computed, not sampled.  The grid runs in
+    stacks of `_T_CHUNK` points (stacked `rescaled_curvature` and
+    `polished_sups`, a stop per t), so memory does not grow with its length,
+    and no value depends on the stacking.  The scan draws no plane:
+    `n_samples` and `seed` are validated and echoed in the report but change
+    no value.  Where the base sup is not certified it
     is only a lower end of sup|Ǩ|, so the bound starts from the base's ρ + δ
     (`curvature_bound`) instead; the exponent fit still measures the excess
     over the polished base sup.
@@ -517,34 +433,38 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
-    ctx = SubmersionContext(algebra, metric, split)
-    n = ctx.dim
+    c = _central_structure(algebra, metric, split)
+    c_hat = _structure_in_frame(c, split.frame, np.linalg.inv(split.frame))
+    n = split.dim
     m = split.horizontal_dim
 
-    base_sup, certified = polished_sup(ctx.r_base, m)
-    base_bound = base_sup if certified else sum(curvature_bound(ctx.r_base))
-    base_max = float(np.max(np.abs(ctx.r_base), initial=0.0))
+    r_base = rescaled_curvature(c_hat[:m, :m, :m], np.ones(m))
+    base_sup, certified = polished_sup(r_base, m)
+    base_bound = base_sup if certified else sum(curvature_bound(r_base))
+    base_max = float(np.max(np.abs(r_base), initial=0.0))
 
-    c_const = _oneill_constant(ctx.tensors)
+    c_const = _lemma_constant(c_hat)
 
     fiber_len = math.sqrt(float(split.z @ metric.matrix @ split.z))
 
-    r_ts = rescaled_curvature(
-        ctx.c_hat, np.sqrt(np.stack([split_diagonal(n, t) for t in ts])))
+    weights = np.sqrt(np.stack([split_diagonal(n, t) for t in ts]))
     sups, roundings, bounds, diams = [], [], [], []
-    for t, r_t, (sup_t, _) in zip(ts, r_ts, polished_sups(r_ts, m)):
-        r_max = float(np.max(np.abs(r_t)))
-        rounding = _rounding_allowance(n, r_max + base_max)
-        bound = base_bound + c_const * math.sqrt(t) + rounding
-        if not (math.isfinite(sup_t) and sup_t <= bound):
-            raise BoundViolated(
-                f"measured sup|K^t| = {sup_t!r} exceeds bound {bound!r} at "
-                f"t = {t!r}; witness: an eigenplane of ℛ at this t",
-                t=t, value=sup_t, bound=bound)
-        sups.append(sup_t)
-        roundings.append(rounding)
-        bounds.append(bound)
-        diams.append(diameter_bound([fiber_len], [t]))
+    for start in range(0, len(ts), _T_CHUNK):
+        r_ts = rescaled_curvature(c_hat, weights[start:start + _T_CHUNK])
+        for t, r_t, (sup_t, _) in zip(ts[start:start + _T_CHUNK], r_ts,
+                                      polished_sups(r_ts, m)):
+            r_max = float(np.max(np.abs(r_t)))
+            rounding = _rounding_allowance(n, r_max + base_max)
+            bound = base_bound + c_const * math.sqrt(t) + rounding
+            if not (math.isfinite(sup_t) and sup_t <= bound):
+                raise BoundViolated(
+                    f"measured sup|K^t| = {sup_t!r} exceeds bound {bound!r} at "
+                    f"t = {t!r}; witness: an eigenplane of ℛ at this t",
+                    t=t, value=sup_t, bound=bound)
+            sups.append(sup_t)
+            roundings.append(rounding)
+            bounds.append(bound)
+            diams.append(diameter_bound([fiber_len], [t]))
 
     exponent = _fit_exponent(ts, sups, base_sup, roundings)
     return DecayReport(t_grid=tuple(ts), sup_abs_K=tuple(sups),

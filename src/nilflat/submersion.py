@@ -7,19 +7,16 @@ submersion onto the quotient algebra.  This module builds:
     (horizontal vectors first, the normalized vertical direction last);
   * the canonical variation G^t, which rescales the vertical direction by t
     while keeping the horizontal distribution and base metric fixed;
-  * the O'Neill invariants A, T and the covariant derivative DA of A,
-    expressed in the split frame.
+  * the structure constants of the bracket in the split frame.
 
 Frame convention: a split frame has the horizontal vectors first and the
 vertical direction last; in it G^t is diag(1, …, 1, t), so its curvature is
 `metric.rescaled_curvature` of the frame structure constants at weights
 √(1, …, 1, t), and that of the base the horizontal block at weights 1.
 `canonical_variation`, G^t in the original coordinates, is its independent
-oracle.
-
-Because z is central and the metric is left-invariant, the fibers are totally
-geodesic (T ≡ 0); the checks here verify that numerically rather than assume
-it.
+oracle.  The split frame is orthonormal for G, so the O'Neill tensors A and
+DA of the submersion are read off the Koszul connection of those structure
+constants (`scan.lemma_scan`'s constant C).
 """
 
 from __future__ import annotations
@@ -32,12 +29,7 @@ import numpy as np
 
 from .algebra import NilAlgebra
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .metric import (
-    TOL_GRAM,
-    LeftInvariantMetric,
-    connection_from_structure,
-    structure_array,
-)
+from .metric import TOL_GRAM, LeftInvariantMetric, structure_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,13 +52,6 @@ class SubmersionSplit:
     @property
     def horizontal_dim(self) -> int:
         return self.dim - 1
-
-    def to_frame(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of an ambient vector in the split frame."""
-        return np.linalg.solve(self.frame, np.asarray(v, dtype=np.float64))
-
-    def from_frame(self, v: np.ndarray) -> np.ndarray:
-        return self.frame @ np.asarray(v, dtype=np.float64)
 
 
 def _unit_vertical(metric: LeftInvariantMetric, z: Sequence[float]) -> tuple:
@@ -145,67 +130,3 @@ def _structure_in_frame(c: np.ndarray, f: np.ndarray,
     c = np.einsum("ia,ijk->ajk", f, c, optimize=False)
     c = np.einsum("jb,ajk->abk", f, c, optimize=False)
     return np.einsum("abk,ck->abc", c, f_inv, optimize=False)
-
-
-def frame_metric(matrix: np.ndarray, split: SubmersionSplit) -> np.ndarray:
-    """Gram matrix of an ambient metric in split-frame coordinates."""
-    f = split.frame
-    return f.T @ matrix @ f
-
-
-@dataclass(frozen=True, eq=False)
-class OneillTensors:
-    """O'Neill invariants in split-frame coordinates.
-
-    ``a`` and ``t_tensor`` are (n,n,n): a[x, e, :] are the frame components
-    of A_X E (first slot of A restricted to horizontal directions, of T to
-    vertical ones).  ``da`` is (n,n,n,n): da[e, x, y, :] = (D_E A)_X Y, the
-    covariant derivative of A as a (1,2)-tensor for the same metric.
-    """
-
-    a: np.ndarray
-    t_tensor: np.ndarray
-    da: np.ndarray
-
-
-def oneill_tensors(algebra: NilAlgebra, metric: LeftInvariantMetric,
-                   split: SubmersionSplit) -> OneillTensors:
-    """A, T and DA of the submersion for the given ambient metric.
-
-    ``metric`` is the ambient metric (e.g. G or G^t); tensors are returned
-    in the split frame of G.  Slots of A and T follow O'Neill:
-
-        A_X E = H ∇_{HX} (VE) + V ∇_{HX} (HE)
-        T_U E = H ∇_{VU} (VE) + V ∇_{VU} (HE)
-    """
-    n = algebra.dim
-    if metric.dim != n:
-        raise DimensionMismatch(
-            f"metric dim {metric.dim} does not match algebra dim {n}")
-    return _oneill_from_frame(frame_structure(algebra, split),
-                              frame_metric(metric.matrix, split))
-
-
-def _oneill_from_frame(c_hat: np.ndarray, g_hat: np.ndarray) -> OneillTensors:
-    """`oneill_tensors` from precomputed frame structure constants and Gram."""
-    n = c_hat.shape[0]
-    m = n - 1
-    gamma = connection_from_structure(c_hat, g_hat)
-
-    # With the vertical direction last, H keeps components :m and V keeps m;
-    # the first slot picks A (horizontal) or T (vertical), and the second
-    # slot decides which projection of ∇ lands there.
-    a = np.zeros((n, n, n))
-    a[:m, :m, m] = gamma[:m, :m, m]
-    a[:m, m, :m] = gamma[:m, m, :m]
-    t_tensor = np.zeros((n, n, n))
-    t_tensor[m, :m, m] = gamma[m, :m, m]
-    t_tensor[m, m, :m] = gamma[m, m, :m]
-
-    # (D_E A)_X Y = ∇_E (A_X Y) − A_{∇_E X} Y − A_X (∇_E Y), with the frame
-    # fields left-invariant so ∇_E applied to a constant-component field is
-    # contraction with Γ.
-    da = (np.einsum("xym,epm->exyp", a, gamma, optimize=False)
-          - np.einsum("exm,myp->exyp", gamma, a, optimize=False)
-          - np.einsum("eym,xmp->exyp", gamma, a, optimize=False))
-    return OneillTensors(a=a, t_tensor=t_tensor, da=da)

@@ -1,0 +1,214 @@
+"""Test-side O'Neill oracle for the collapse of a central circle direction.
+
+`scan.lemma_scan` reads its constant C = 4‖A‖_F² + 2‖DA‖_F off the Koszul
+connection of the orthonormal split frame.  This module keeps the general
+construction as an independent check, imported by the tests the way the
+`conftest` helpers are:
+
+  * the O'Neill invariants A, T and the covariant derivative DA of A for an
+    ambient metric of any Gram in the split frame, through the full Koszul
+    formula `metric.connection_from_structure`;
+  * the four curvature-decomposition identities (i)–(iv) of O'Neill (1966)
+    at one plane of g^t, the fourth against the ambient curvature of
+    `canonical_variation` in the original coordinates.
+
+Because z is central and the metric is left-invariant, the fibers are
+totally geodesic (T ≡ 0); the tests verify that numerically rather than
+assume it.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from nilflat import scan, submersion
+from nilflat.errors import DegeneratePlane, DimensionMismatch
+from nilflat.metric import (TOL_GRAM, connection_from_structure,
+                            curvature_from_structure, rescaled_curvature,
+                            sectional_from_tensor)
+from nilflat.submersion import canonical_variation, split_diagonal
+
+
+def to_frame(split, v):
+    """Coordinates of an ambient vector in the split frame."""
+    return np.linalg.solve(split.frame, np.asarray(v, dtype=np.float64))
+
+
+def from_frame(split, v):
+    """The ambient vector of split-frame coordinates v."""
+    return split.frame @ np.asarray(v, dtype=np.float64)
+
+
+def frame_metric(matrix, split):
+    """Gram matrix of an ambient metric in split-frame coordinates."""
+    f = split.frame
+    return f.T @ matrix @ f
+
+
+@dataclass(frozen=True, eq=False)
+class OneillTensors:
+    """O'Neill invariants in split-frame coordinates.
+
+    ``a`` and ``t_tensor`` are (n,n,n): a[x, e, :] are the frame components
+    of A_X E (first slot of A restricted to horizontal directions, of T to
+    vertical ones).  ``da`` is (n,n,n,n): da[e, x, y, :] = (D_E A)_X Y, the
+    covariant derivative of A as a (1,2)-tensor for the same metric.
+    """
+
+    a: np.ndarray
+    t_tensor: np.ndarray
+    da: np.ndarray
+
+
+def oneill_tensors(algebra, metric, split):
+    """A, T and DA of the submersion for the given ambient metric.
+
+    ``metric`` is the ambient metric (e.g. G or G^t); tensors are returned
+    in the split frame of G.  Slots of A and T follow O'Neill:
+
+        A_X E = H ∇_{HX} (VE) + V ∇_{HX} (HE)
+        T_U E = H ∇_{VU} (VE) + V ∇_{VU} (HE)
+    """
+    if metric.dim != algebra.dim:
+        raise DimensionMismatch(
+            f"metric dim {metric.dim} does not match algebra dim {algebra.dim}")
+    return oneill_from_frame(submersion.frame_structure(algebra, split),
+                             frame_metric(metric.matrix, split))
+
+
+def oneill_from_frame(c_hat, g_hat):
+    """`oneill_tensors` from frame structure constants and a frame Gram."""
+    n = c_hat.shape[0]
+    m = n - 1
+    gamma = connection_from_structure(c_hat, g_hat)
+
+    # With the vertical direction last, H keeps components :m and V keeps m;
+    # the first slot picks A (horizontal) or T (vertical), and the second
+    # slot decides which projection of ∇ lands there.
+    a = np.zeros((n, n, n))
+    a[:m, :m, m] = gamma[:m, :m, m]
+    a[:m, m, :m] = gamma[:m, m, :m]
+    t_tensor = np.zeros((n, n, n))
+    t_tensor[m, :m, m] = gamma[m, :m, m]
+    t_tensor[m, m, :m] = gamma[m, m, :m]
+
+    # (D_E A)_X Y = ∇_E (A_X Y) − A_{∇_E X} Y − A_X (∇_E Y), with the frame
+    # fields left-invariant so ∇_E applied to a constant-component field is
+    # contraction with Γ.
+    da = (np.einsum("xym,epm->exyp", a, gamma, optimize=False)
+          - np.einsum("exm,myp->exyp", gamma, a, optimize=False)
+          - np.einsum("eym,xmp->exyp", gamma, a, optimize=False))
+    return OneillTensors(a=a, t_tensor=t_tensor, da=da)
+
+
+def oneill_constant(tensors):
+    """C = 4‖A‖_F² + 2‖DA‖_F from the tensors of an orthonormal frame."""
+    a2 = float(np.einsum("fep,fep->", tensors.a, tensors.a, optimize=False))
+    da2 = float(np.einsum("efhp,efhp->", tensors.da, tensors.da, optimize=False))
+    return 4.0 * a2 + 2.0 * math.sqrt(da2)
+
+
+class SubmersionContext:
+    """Frame data of one split, shared by decomposition checks.  The split is
+    checked as `lemma_scan` checks it: the algebra's, built from this metric,
+    with a central direction z."""
+
+    def __init__(self, algebra, metric, split):
+        self.c_ambient = scan._central_structure(algebra, metric, split)
+        self.metric = metric
+        self.split = split
+        self.c_hat = submersion.frame_structure(algebra, split)
+        self.tensors = oneill_from_frame(self.c_hat, np.eye(split.dim))
+        m = split.horizontal_dim
+        self.r_base = rescaled_curvature(self.c_hat[:m, :m, :m], np.ones(m))
+        self._ambient = {}
+
+    @property
+    def dim(self):
+        return self.split.dim
+
+    def frame_curvature(self, t):
+        """R̂ of g^t in its orthonormal frame."""
+        return rescaled_curvature(self.c_hat, np.sqrt(split_diagonal(self.dim, t)))
+
+    def ambient_at(self, t):
+        """(G^t matrix, curvature of G^t) in ambient coordinates."""
+        t = float(t)
+        if t not in self._ambient:
+            gt = canonical_variation(self.metric, self.split.z, t).matrix
+            self._ambient[t] = (gt, curvature_from_structure(self.c_ambient, gt))
+        return self._ambient[t]
+
+
+def r4_value(r4, a, b, c, d):
+    return float(np.einsum("ijkl,i,j,k,l->", r4, a, b, c, d, optimize=False))
+
+
+def decomposition_check(context, t, x, c):
+    """Max absolute defect across the four curvature-decomposition identities
+    at the plane span(x, c) of g^t, given in the split frame of `context`.
+
+    0 < t < ∞ and x must be horizontal (vertical coordinate zero), else
+    ValueError.  The legs are made g^t-orthonormal here, so c = y + u, its
+    horizontal and vertical parts, has g(y, y) + t·g(u, u) = 1.  A pair
+    whose g^t Gram determinant is at most TOL_GRAM·|x|²|c|² raises
+    DegeneratePlane, legs of another length DimensionMismatch.
+
+    With A, DA the O'Neill tensors of the base metric g and R^t, Ř the
+    curvature tensors of g^t and of the base:
+
+      (i)   Ř(Y,X,Y,X) − R^t(Y,X,Y,X) = 3t·g(A_Y X, A_Y X)
+      (ii)  R^t(Y,X,U,X) = −t·g((D_X A)_Y X, U)
+      (iii) R^t(U,X,U,X) = t²·g(A_X U, A_X U)
+      (iv)  K^t(span(X,C)) computed directly from the ambient metric G^t
+            equals Ř(Y,X,Y,X) − 3t·g(A_YX,A_YX) − 2t·g((D_XA)_YX,U)
+            + t²·g(A_XU,A_XU).
+    """
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"decomposition check requires 0 < t < inf, got {t}")
+    split = context.split
+    n = split.dim
+    x = np.asarray(x, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    if x.shape != (n,) or c.shape != (n,):
+        raise DimensionMismatch(
+            f"legs of shape {x.shape} and {c.shape}, expected ({n},)")
+    if x[n - 1] != 0.0:
+        raise ValueError(f"x must be horizontal, got vertical coordinate {x[n - 1]!r}")
+    d = split_diagonal(n, t)
+    xx, cc, xc = x @ (d * x), c @ (d * c), x @ (d * c)
+    gram = xx * cc - xc * xc
+    if not gram > TOL_GRAM * xx * cc:
+        raise DegeneratePlane(f"plane Gram determinant {gram:.3e} below tolerance")
+    c = c - (xc / xx) * x
+    x = x / math.sqrt(xx)
+    c = c / math.sqrt(c @ (d * c))
+    y = c.copy()
+    y[n - 1] = 0.0
+    u = c - y
+    m = split.horizontal_dim
+    a, da = context.tensors.a, context.tensors.da
+    r_t = context.frame_curvature(t)
+    xs, ys, us = np.sqrt(d) * [x, y, u]  # to R̂'s frame
+
+    a_yx = np.einsum("fep,f,e->p", a, y, x, optimize=False)
+    a_xu = np.einsum("fep,f,e->p", a, x, u, optimize=False)
+    da_xyx = np.einsum("efhp,e,f,h->p", da, x, y, x, optimize=False)
+
+    r_base_yxyx = r4_value(context.r_base, y[:m], x[:m], y[:m], x[:m])
+    term_a = 3.0 * t * float(a_yx @ a_yx)
+    term_da = -t * float(da_xyx @ u)
+    term_vert = t * t * float(a_xu @ a_xu)
+
+    defect_i = abs((r_base_yxyx - r4_value(r_t, ys, xs, ys, xs)) - term_a)
+    defect_ii = abs(r4_value(r_t, ys, xs, us, xs) - term_da)
+    defect_iii = abs(r4_value(r_t, us, xs, us, xs) - term_vert)
+
+    assembled = r_base_yxyx - term_a + 2.0 * term_da + term_vert
+    gt, r_ambient = context.ambient_at(t)
+    direct = sectional_from_tensor(r_ambient, gt, from_frame(split, x),
+                                   from_frame(split, c))
+    defect_iv = abs(direct - assembled)
+
+    return max(defect_i, defect_ii, defect_iii, defect_iv)

@@ -410,7 +410,7 @@ def test_curvature_needs_dim_two(tmp_path, capsys):
 # --t-max above 1 is a usage error (exit 1), not a violation: at t = 100
 # h3 has sup|K^t| = 75 above the formula's 68.28.
 def test_curvature_bound_violated_exit_three(monkeypatch, capsys):
-    monkeypatch.setattr(nilflat.scan, "_oneill_constant", lambda *args: 0.0)
+    monkeypatch.setattr(nilflat.scan, "_lemma_constant", lambda *args: 0.0)
     code, _, err = run_cli(
         ["curvature", str(DATA / "h3.json"), "--t-max", "1e-3", "--t-min",
          "1e-3", "--t-points", "1", "--samples", "128"], capsys)

@@ -44,7 +44,8 @@ for scans; the reported `sup_abs_K_bound` for certify).
 
 Oracle key, lemma constant: [DERIVED] C = 4‖A‖_F² + 2‖DA‖_F of
 `scan.lemma_scan` is at least 4|A(x, e)|² + 2|DA(e, f, h)| at random unit
-arguments (Cauchy–Schwarz), on the same random seeds.
+arguments (Cauchy–Schwarz), with A and DA from the test-side O'Neill oracle
+at Gram I in the split frame, on the same random seeds.
 """
 
 from fractions import Fraction
@@ -64,14 +65,15 @@ from nilflat.intlinalg import rational_row_basis
 from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
                             sectional_curvature, sectional_from_tensor)
 from nilflat.certify import certify_almost_flat
-from nilflat.scan import (SubmersionContext, _curvature_operator,
-                          _oneill_constant, _pairs, _rounding_allowance,
-                          _slack_form, _thorpe_form, polished_sup)
+from nilflat.scan import (_curvature_operator, _lemma_constant, _pairs,
+                          _rounding_allowance, _slack_form, _thorpe_form,
+                          polished_sup)
 from nilflat.tower import (CentralCocycle, NilLattice, check_closed,
                            extend_by_cocycle, peel_step, peel_tower)
 from nilflat.submersion import (build_split, canonical_variation,
                                 frame_structure, split_diagonal)
 from conftest import free_two_step, series_leads
+from oneill_oracle import from_frame, oneill_from_frame
 
 ALGEBRAS = {"h3": catalog.heisenberg3(), "n4": catalog.n4(),
             "filiform5": catalog.filiform(5)}
@@ -101,7 +103,7 @@ def test_split_frame_curvature_matches_canonical_variation(name, t, data):
     k_split = sectional_from_tensor(r_hat, np.eye(n), a, c)
     a, c = a / np.sqrt(d), c / np.sqrt(d)
     k_ambient = sectional_curvature(algebra, canonical_variation(metric, z, t),
-                                    split.from_frame(a), split.from_frame(c))
+                                    from_frame(split, a), from_frame(split, c))
 
     scale = float(np.max(np.abs(r_hat)))
     assert k_split == pytest.approx(k_ambient, rel=1e-9, abs=1e-12 * scale)
@@ -159,11 +161,12 @@ def test_lemma_constant_dominates_unit_arguments(name, data):
 
     z = np.zeros(n)
     z[n - 1] = 1.0
-    tensors = SubmersionContext(algebra, metric, build_split(metric, z)).tensors
+    c_hat = frame_structure(algebra, build_split(metric, z))
+    tensors = oneill_from_frame(c_hat, np.eye(n))
     a_xe = np.einsum("fep,f,e->p", tensors.a, x, e, optimize=False)
     da_efh = np.einsum("efhp,e,f,h->p", tensors.da, f, g, h, optimize=False)
     lower = 4.0 * float(a_xe @ a_xe) + 2.0 * float(np.sqrt(da_efh @ da_efh))
-    assert lower <= _oneill_constant(tensors) * (1.0 + 1e-12)
+    assert lower <= _lemma_constant(c_hat) * (1.0 + 1e-12)
 
 
 # 1-based tables: (dim, class, {(i, j): {k: c}})

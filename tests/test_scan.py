@@ -3,8 +3,10 @@ decay scan.
 
 Oracle key: [DERIVED] Heisenberg closed forms (sup|K^t| = 3t/4 for G = I,
 vertical planes K^t = t/4), the independently computed two-sided identity
-checks, and hand-evaluated diameter formulas; [DERIVED] the constant C in
-closed form on h3 and against explicit unit arguments on filiform(14);
+checks of the test-side O'Neill oracle (`oneill_oracle`), and hand-evaluated
+diameter formulas; [DERIVED] the constant C in closed form on h3, against
+explicit unit arguments on filiform(14), and bit for bit against the
+oracle's O'Neill tensors;
 [DERIVED] the batched polish
 against a reference kept here, the single-pair alternation with the 4-tensor
 form of |K|, to 1e-12 relative, and the polished sup against the spectral
@@ -25,11 +27,12 @@ from nilflat.algebra import NilAlgebra
 from nilflat.errors import BoundViolated, DegeneratePlane, DimensionMismatch
 from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
                             sectional_from_tensor, structure_array)
-from nilflat.scan import (T_MIN, DecayReport, SubmersionContext,
-                          curvature_bound, decomposition_check, diameter_bound,
+from nilflat.scan import (T_MIN, DecayReport, curvature_bound, diameter_bound,
                           lemma_scan, polished_sup, report_csv, report_summary)
 from nilflat.submersion import build_split, split_diagonal
 from conftest import free_two_step
+from oneill_oracle import (SubmersionContext, decomposition_check, from_frame,
+                           oneill_constant, oneill_from_frame)
 
 H3 = catalog.heisenberg3()
 N4 = catalog.n4()
@@ -91,8 +94,8 @@ def test_decomposition_abelian_exact():
         assert decomposition_check(ctx, t, *random_plane(rng, 3)) == 0.0
 
 
-# [TRIVIAL] one context computes the split-frame structure constants once and
-# derives the O'Neill tensors and the base curvature from them.
+# [TRIVIAL] one oracle context computes the split-frame structure constants
+# once and derives the O'Neill tensors and the base curvature from them.
 def test_context_computes_frame_structure_once(monkeypatch):
     real = submersion.frame_structure
     calls = []
@@ -112,7 +115,8 @@ def test_context_computes_frame_structure_once(monkeypatch):
     assert len(calls) == 1
 
 
-# [DERIVED] a split must be the algebra's and built from the scan's metric:
+# [DERIVED] a split must be the algebra's and built from the scan's metric
+# (checked by `lemma_scan` and, through the same check, the oracle context):
 # h3 with G = I and the split of diag(1, 1, 4) would mix the split's sup 3.0
 # with the diameter bound 0.5 of I's fiber, and a 3-dim split of n4 would
 # fail inside a contraction.
@@ -133,7 +137,7 @@ def test_context_rejects_foreign_split():
 
 # [DERIVED] the collapsed direction must be central: on h3 the split of e1
 # has [e2, e1] = −e3, and its sup|K^t| (7.5 at t = 0.1) is far above the
-# lemma's bound, so the context that `lemma_scan` and `decomposition_check`
+# lemma's bound, so the split check that `lemma_scan` and the oracle context
 # share refuses it by name; the test is relative to max|C|·max|z|, so a
 # bracket of rounding size passes. e3 of h3×Z is central though not last,
 # and its fiber collapses as h3's does: sup|K^t| = 3t/4.
@@ -206,8 +210,8 @@ def test_vertical_plane_law(t):
     a_xu = np.einsum("fep,f,e->p", ctx.tensors.a, x, u, optimize=False)
     predicted = t * t * float(a_xu @ a_xu)
     gt, r_ambient = ctx.ambient_at(t)
-    direct = sectional_from_tensor(r_ambient, gt, split.from_frame(x),
-                                   split.from_frame(u))
+    direct = sectional_from_tensor(r_ambient, gt, from_frame(split, x),
+                                   from_frame(split, u))
     assert abs(direct - predicted) <= 1e-10
     assert abs(direct - 0.25 * t) <= 1e-10
 
@@ -282,7 +286,7 @@ def test_lemma_scan_negative_seed(monkeypatch):
     def scan_ran(*args):
         raise AssertionError("the scan ran")
 
-    monkeypatch.setattr(scan, "SubmersionContext", scan_ran)
+    monkeypatch.setattr(scan, "_central_structure", scan_ran)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         lemma_scan(H3, metric, split, [1.0], 10, -1)
 
@@ -326,7 +330,7 @@ def test_bound_violated_outside_domain():
 # the witnessing data.
 def test_bound_short_by_more_than_rounding_raises(monkeypatch):
     metric, split = geometry(H3)
-    monkeypatch.setattr(scan, "_oneill_constant", lambda *args: 0.0)
+    monkeypatch.setattr(scan, "_lemma_constant", lambda *args: 0.0)
     with pytest.raises(BoundViolated) as info:
         lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
     err = info.value
@@ -377,6 +381,20 @@ def test_constant_dominates_filiform14_witness():
     da = np.einsum("efhp,e,f,h->p", tensors.da, (e[11] + e[13]) / math.sqrt(2.0),
                    e[12], e[13], optimize=False)
     assert report.C >= 4.0 * 0.5 ** 2 + 2.0 * float(np.linalg.norm(da))
+
+
+# [DERIVED] C is the oracle's 4‖A‖_F² + 2‖DA‖_F bit for bit, with A and DA
+# the test-side O'Neill tensors of the full Koszul formula at Gram I in the
+# split frame: h5, n4 and filiform(8), each with G = I and two dense seeds.
+@pytest.mark.parametrize("algebra", [catalog.heisenberg5(), N4, catalog.filiform(8)],
+                         ids=["h5", "n4", "filiform8"])
+@pytest.mark.parametrize("seed", [None, 0, 1], ids=["identity", "dense0", "dense1"])
+def test_constant_matches_oneill_oracle(algebra, seed):
+    n = algebra.dim
+    metric, split = geometry(algebra, None if seed is None else dense_seed(n, seed))
+    report = lemma_scan(algebra, metric, split, [1.0], n_samples=1, seed=0)
+    tensors = oneill_from_frame(submersion.frame_structure(algebra, split), np.eye(n))
+    assert report.C == oneill_constant(tensors)
 
 
 # [DERIVED] the reported bound is sup|Ǩ| + C√t plus an allowance δ_t that is
@@ -645,6 +663,35 @@ def test_stack_matches_one_tensor_at_a_time():
     stacked = rescaled_curvature(c_hat, weights)
     for row, w in zip(stacked, weights):
         assert np.array_equal(row, rescaled_curvature(c_hat, w))
+
+
+# [DERIVED] a long grid is measured in stacks of at most 16 t values, so
+# its memory does not grow with the grid, and the report is that of the
+# one-t-at-a-time scans: a 40-point grid on filiform(5) with a dense seed.
+def test_long_grid_runs_in_bounded_stacks(monkeypatch):
+    algebra = catalog.filiform(5)
+    metric, split = geometry(algebra, dense_seed(5, 2))
+    grid = np.geomspace(1.0, 1e-6, 40)
+    alone = [lemma_scan(algebra, metric, split, [t], n_samples=1, seed=0)
+             for t in grid]
+    real = scan.rescaled_curvature
+    stacks = []
+
+    def counting(c, w):
+        if np.ndim(w) == 2:
+            stacks.append(len(w))
+        return real(c, w)
+
+    monkeypatch.setattr(scan, "rescaled_curvature", counting)
+    report = lemma_scan(algebra, metric, split, grid, n_samples=1, seed=0)
+    assert sum(stacks) == 40 and max(stacks) <= 16
+    assert report == DecayReport(
+        t_grid=tuple(grid), sup_abs_K=tuple(r.sup_abs_K[0] for r in alone),
+        base_sup_K=alone[0].base_sup_K, C=alone[0].C,
+        exponent_fit=report.exponent_fit,
+        diam_bound=tuple(r.diam_bound[0] for r in alone), sample_count=1,
+        seed=0, bounds=tuple(r.bounds[0] for r in alone))
+    assert report.exponent_fit is not None
 
 
 # [DERIVED] the scan's values do not depend on `n_samples` or `seed`, below

@@ -10,7 +10,10 @@ For every `data/NAME` (default: every `data/*.json`) this runs, with the
   * `extend`, once per shipped cocycle (every `data/*.json` that loads as a
     cocycle), with NAME as the base;
   * `curvature` with default flags;
-  * `certify --eps 0.01`.
+  * `certify --eps 0.01`;
+  * where NAME is a 3-dimensional algebra, `curvature` and
+    `certify --eps 0.01` once more with `--metric data/metric3_tilted.json`,
+    whose split frame is not the identity.
 
 Each run leaves `OUTDIR/STEM/LABEL.stdout`, `.stderr` and `.exit`, and its
 `--out` files next to them. The inputs are copied to `OUTDIR/data` and the
@@ -42,6 +45,14 @@ def _is_cocycle(path: Path) -> bool:
     except SchemaError:
         return False
     return True
+
+
+def _algebra_dim(path: Path):
+    """The dimension of an algebra file, or None for any other file."""
+    try:
+        return fileio.load_algebra(path).dim
+    except SchemaError:
+        return None
 
 
 def _run(argv: list, prefix: Path) -> None:
@@ -79,6 +90,12 @@ def dump(outdir: Path, names: list) -> None:
                  Path(stem, "curvature"))
             _run(["certify", path, "--eps", "0.01", "--out", f"{stem}/certify.json"],
                  Path(stem, "certify"))
+            if _algebra_dim(Path(path)) == 3:
+                tilted = ["--metric", "data/metric3_tilted.json"]
+                _run(["curvature", path, *tilted, "--out", f"{stem}/curvature-tilted.csv"],
+                     Path(stem, "curvature-tilted"))
+                _run(["certify", path, "--eps", "0.01", *tilted,
+                      "--out", f"{stem}/certify-tilted.json"], Path(stem, "certify-tilted"))
     finally:
         os.chdir(cwd)
 
