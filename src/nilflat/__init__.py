@@ -7,9 +7,11 @@ into a tower of central circle extensions, and deciding when two extension
 cocycles give the same bundle.
 
 The numerical layer (`metric`, `submersion`, `scan`, `certify`) puts
-left-invariant metrics on the same data: sectional curvature, canonical
-variations that shrink the circle fibers, scans certifying the
-|K^t| <= |K_base| + C*sqrt(t) bound (C from the O'Neill tensors of the
+left-invariant metrics on the same data: sectional curvature (one Koszul
+formula, one curvature formula and one change of frame, all in `metric`),
+the split of a metric along a central circle direction (`submersion`),
+scans of the canonical variation g^t that shrinks that circle, certifying
+the |K^t| <= |K_base| + C*sqrt(t) bound (C from the O'Neill tensors of the
 submersion, all read off one orthonormal split frame), and a per-level
 collapse schedule driving sup|K| below a requested epsilon with an explicit
 diameter bound.
@@ -33,8 +35,7 @@ from .tower import (BundleTower, CentralCocycle, CohomologyVerdict,
                     peel_tower)
 from .metric import (LeftInvariantMetric, connection_coeffs,
                      curvature_tensor, sectional_curvature, structure_array)
-from .submersion import (SubmersionSplit, build_split, canonical_variation,
-                         frame_structure)
+from .submersion import SubmersionSplit, build_split
 from .scan import (DecayReport, diameter_bound, lemma_scan, polished_sup,
                    polished_sups, report_csv, report_summary)
 from .certify import (CertificateReport, certificate_summary,
@@ -62,8 +63,7 @@ __all__ = [
     # numerical layer
     "LeftInvariantMetric", "structure_array", "connection_coeffs",
     "curvature_tensor", "sectional_curvature", "SubmersionSplit",
-    "build_split", "canonical_variation", "frame_structure",
-    "DecayReport", "lemma_scan", "diameter_bound", "report_csv",
+    "build_split", "DecayReport", "lemma_scan", "diameter_bound", "report_csv",
     "report_summary", "polished_sup", "polished_sups", "CertificateReport",
     "certify_almost_flat", "certificate_summary",
     # submodules

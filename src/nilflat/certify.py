@@ -43,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetNotMet, DimensionMismatch
-from .metric import LeftInvariantMetric, rescaled_curvature, structure_array
+from .metric import (LeftInvariantMetric, _structure_in_frame,
+                     rescaled_curvature, structure_array)
 from .scan import curvature_bound, diameter_bound, polished_sup
-from .submersion import _structure_in_frame
 from .tower import BundleTower
 
 _REFINE_MARGIN = 0.95
@@ -131,33 +131,30 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
     bounds_bottom_up = []
     try:
         for k in range(1, n + 1):
-            step = steps[n - k]
-            t, used = 1.0, 0  # zero cocycle: a metric product factor keeps t = 1
-            if step.cocycle.upper_entries():
-                target = rho_prev + budget
-                for round_index in range(_MAX_ROUNDS):
-                    w[k - 1] = fibers_bottom_up[k - 1] * math.sqrt(t)
-                    where = (f"level dim {k} at t = {t!r} (smallest t below: "
-                             f"{min(ts_bottom_up, default=t)!r})")
-                    r_hat = rescaled_curvature(c_lift[:k, :k, :k], w[:k])
-                    rho, delta = curvature_bound(r_hat)
-                    if rho + delta <= target:
-                        used = round_index + 1
-                        break
-                    excess = rho - rho_prev
-                    t_next = t * _REFINE_MARGIN * budget / excess
-                    if not (0.0 < t_next < t):
-                        t_next = 0.5 * t
-                    t = t_next
-                else:
-                    raise BudgetNotMet(
-                        f"level dim {k}: could not meet curvature budget "
-                        f"{budget!r} within {_MAX_ROUNDS} refinement rounds "
-                        f"(eps = {eps!r})")
-            else:
-                where = f"flat level dim {k}"
+            # a zero cocycle is a metric product factor: one pass, t = 1
+            curved = bool(steps[n - k].cocycle.upper_entries())
+            t, used = 1.0, 0
+            for round_index in range(_MAX_ROUNDS if curved else 1):
+                w[k - 1] = fibers_bottom_up[k - 1] * math.sqrt(t)
+                where = (f"level dim {k} at t = {t!r} (smallest t below: "
+                         f"{min(ts_bottom_up, default=t)!r})" if curved
+                         else f"flat level dim {k}")
                 r_hat = rescaled_curvature(c_lift[:k, :k, :k], w[:k])
                 rho, delta = curvature_bound(r_hat)
+                if not curved:
+                    break
+                if rho + delta <= rho_prev + budget:
+                    used = round_index + 1
+                    break
+                t_next = t * _REFINE_MARGIN * budget / (rho - rho_prev)
+                if not (0.0 < t_next < t):
+                    t_next = 0.5 * t
+                t = t_next
+            else:
+                raise BudgetNotMet(
+                    f"level dim {k}: could not meet curvature budget "
+                    f"{budget!r} within {_MAX_ROUNDS} refinement rounds "
+                    f"(eps = {eps!r})")
             rho_prev = rho
             ts_bottom_up.append(t)
             rounds_bottom_up.append(used)

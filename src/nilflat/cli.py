@@ -55,6 +55,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
 
 
+def _add_run_arguments(p: argparse.ArgumentParser, metric_help: str,
+                       echoed_in: str, *own: tuple) -> None:
+    """`path`, `--metric`, the command's own (flag, keywords) options, then
+    `--samples` and `--seed`, which are echoed in `echoed_in` only."""
+    p.add_argument("path", help="algebra/lattice JSON file")
+    p.add_argument("--metric", help=metric_help)
+    for flag, keywords in own:
+        p.add_argument(flag, **keywords)
+    p.add_argument("--samples", type=int, default=4096,
+                   help=f"at least 1; echoed in the {echoed_in}, no effect on "
+                        "results: the sup search draws no plane "
+                        "(default: 4096)")
+    p.add_argument("--seed", type=int, default=0,
+                   help=f"non-negative; echoed in the {echoed_in}, no effect on "
+                        "results (default: 0)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="nilflat",
@@ -91,22 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
         "curvature",
         help="scan sup|K^t| over a geometric t grid against the "
              "sup|K_base| + C*sqrt(t) bound")
-    p.add_argument("path", help="algebra/lattice JSON file")
-    p.add_argument("--metric",
-                   help="left-invariant metric JSON file (default: identity)")
-    p.add_argument("--t-max", type=float, default=1.0,
-                   help="largest t in the grid, at most 1 (default: 1.0)")
-    p.add_argument("--t-min", type=float, default=1e-6,
-                   help="smallest t in the grid (default: 1e-6)")
-    p.add_argument("--t-points", type=int, default=7,
-                   help="number of log-spaced grid points (default: 7)")
-    p.add_argument("--samples", type=int, default=4096,
-                   help="at least 1; echoed in the summary, no effect on "
-                        "results: the sup search draws no plane "
-                        "(default: 4096)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="non-negative; echoed in the summary, no effect on "
-                        "results (default: 0)")
+    _add_run_arguments(
+        p, "left-invariant metric JSON file (default: identity)", "summary",
+        ("--t-max", dict(type=float, default=1.0,
+                         help="largest t in the grid, at most 1 (default: 1.0)")),
+        ("--t-min", dict(type=float, default=1e-6,
+                         help="smallest t in the grid (default: 1e-6)")),
+        ("--t-points", dict(type=int, default=7,
+                            help="number of log-spaced grid points (default: 7)")))
     p.add_argument("--out",
                    help="output path; with csv format a *.summary.json file "
                         "is written beside it (default: stdout)")
@@ -119,18 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
         "certify",
         help="schedule per-level fiber collapse until a bound on sup|K| "
              "is <= eps")
-    p.add_argument("path", help="algebra/lattice JSON file")
-    p.add_argument("--metric",
-                   help="seed metric JSON file (default: identity)")
-    p.add_argument("--eps", type=float, required=True,
-                   help="target for the bound on sup|K|")
-    p.add_argument("--samples", type=int, default=4096,
-                   help="at least 1; echoed in the schedule, no effect on "
-                        "results: the sup search draws no plane "
-                        "(default: 4096)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="non-negative; echoed in the schedule, no effect on "
-                        "results (default: 0)")
+    _add_run_arguments(
+        p, "seed metric JSON file (default: identity)", "schedule",
+        ("--eps", dict(type=float, required=True,
+                       help="target for the bound on sup|K|")))
     p.add_argument("--out", help="schedule JSON path (default: stdout)")
     p.set_defaults(func=cmd_certify)
 
@@ -229,14 +230,15 @@ def _check_scan_flags(args: argparse.Namespace) -> None:
             f"--t-max ({args.t_max}) must be >= --t-min ({args.t_min})")
     if args.t_points < 1:
         raise _UsageError(f"--t-points must be >= 1, got {args.t_points}")
+    _check_echoed_flags(args)
+
+
+def _check_echoed_flags(args: argparse.Namespace) -> None:
+    """--samples and --seed change no value, but must be valid to be echoed."""
     if args.samples < 1:
         raise _UsageError(f"--samples must be >= 1, got {args.samples}")
-    _check_seed(args.seed)
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise _UsageError(f"--seed must be >= 0, got {seed}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
 
 
 def cmd_curvature(args: argparse.Namespace) -> int:
@@ -290,9 +292,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
 def cmd_certify(args: argparse.Namespace) -> int:
     if not (0.0 < args.eps < math.inf):
         raise _UsageError(f"--eps must be positive and finite, got {args.eps}")
-    if args.samples < 1:
-        raise _UsageError(f"--samples must be >= 1, got {args.samples}")
-    _check_seed(args.seed)
+    _check_echoed_flags(args)
     lattice = fileio.load_lattice(args.path)
     metric = _load_metric_arg(args.metric, lattice.dim)
     tower = peel_tower(lattice)

@@ -16,6 +16,12 @@ frame: a frame of orthogonal vectors F_a of lengths w_a gives the orthonormal
 frame F_a / w_a, with structure constants ĉ = c·w_c / (w_a·w_b), and R̂ is the
 Koszul formula at g = I on ĉ (Milnor 1976).
 
+Each formula is written once: the Koszul formula in `_orthonormal_connection`
+(the general Gram applies it to ⟨[e_i, e_j], e_k⟩ and raises the last index
+with G⁻¹), the curvature formula in `_curvature_from_connection`, and the
+change of structure constants to another frame in `_structure_in_frame`,
+which the scan's split frame and certify's lift frame both use.
+
 All dense algebra uses np.einsum with optimize=False: contractions stay in
 numpy's own deterministic loops, so results are byte-identical regardless of
 BLAS threading.
@@ -87,45 +93,55 @@ def structure_array(algebra: NilAlgebra) -> np.ndarray:
     return c
 
 
+def _structure_in_frame(c: np.ndarray, f: np.ndarray,
+                        f_inv: np.ndarray) -> np.ndarray:
+    """Structure constants C in the frame whose vectors are the columns of f."""
+    # [F_a, F_b] = Σ C[i,j,k] F_ia F_jb e_k and e_k has frame coordinates
+    # F⁻¹[:, k]; one index at a time, each contraction is O(n⁴).
+    c = np.einsum("ia,ijk->ajk", f, c, optimize=False)
+    c = np.einsum("jb,ajk->abk", f, c, optimize=False)
+    return np.einsum("abk,ck->abc", c, f_inv, optimize=False)
+
+
+def _orthonormal_connection(b: np.ndarray) -> np.ndarray:
+    """The Koszul formula ½(b_ijk − b_jki + b_kij) on b[i,j,k] =
+    ⟨[e_i, e_j], e_k⟩ (or on each in a stack): ⟨∇_{e_i} e_j, e_k⟩.  In an
+    orthonormal frame b is ĉ, and this is its connection Γ."""
+    return 0.5 * (b - np.einsum("...jki->...ijk", b)
+                  + np.einsum("...kij->...ijk", b))
+
+
+def _curvature_from_connection(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """R(e_i, e_j)e_k = ∇_{[e_i,e_j]} e_k − ∇_{e_i} ∇_{e_j} e_k
+    + ∇_{e_j} ∇_{e_i} e_k, with index [i,j,k,m] on e_m, from the structure
+    constants c and the connection Γ (or from each pair in a stack)."""
+    second = np.einsum("...jkp,...ipm->...ijkm", gamma, gamma, optimize=False)
+    return (np.einsum("...ijp,...pkm->...ijkm", c, gamma, optimize=False)
+            - second + np.swapaxes(second, -4, -3))
+
+
 def connection_from_structure(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Koszul connection Γ[i,j,k] (∇_{e_i} e_j = Σ_k Γ[i,j,k] e_k)."""
-    # B[i,j,l] = ⟨[e_i,e_j], e_l⟩
+    # B[i,j,l] = ⟨[e_i,e_j], e_l⟩; the index l is raised with G⁻¹
     b = np.einsum("ijk,kl->ijl", c, g, optimize=False)
-    # 2⟨∇_i j, e_l⟩ = B[i,j,l] − B[j,l,i] + B[l,i,j]
-    rhs = b - np.transpose(b, (2, 0, 1)) + np.transpose(b, (1, 2, 0))
-    return 0.5 * np.einsum("ijl,lk->ijk", rhs, np.linalg.inv(g), optimize=False)
+    return np.einsum("ijl,lk->ijk", _orthonormal_connection(b),
+                     np.linalg.inv(g), optimize=False)
 
 
 def curvature_from_structure(c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Curvature R4[i,j,k,l] = ⟨R(e_i,e_j)e_k, e_l⟩ (convention above)."""
-    gamma = connection_from_structure(c, g)
-    # ∇_{[e_i,e_j]} e_k
-    term_bracket = np.einsum("ijp,pkm->ijkm", c, gamma, optimize=False)
-    # ∇_{e_i} ∇_{e_j} e_k
-    term_second = np.einsum("jkp,ipm->ijkm", gamma, gamma, optimize=False)
-    rm = term_bracket - term_second + np.transpose(term_second, (1, 0, 2, 3))
+    rm = _curvature_from_connection(c, connection_from_structure(c, g))
     return np.einsum("ijkm,ml->ijkl", rm, g, optimize=False)
-
-
-def _orthonormal_connection(c_hat: np.ndarray) -> np.ndarray:
-    """Koszul connection Γ of an orthonormal frame (or of each in a stack)
-    from its structure constants: Γ_ijk = ½(ĉ_ijk − ĉ_jki + ĉ_kij)."""
-    return 0.5 * (c_hat - np.einsum("...jki->...ijk", c_hat)
-                  + np.einsum("...kij->...ijk", c_hat))
 
 
 def rescaled_curvature(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """R̂ in the orthonormal frame whose vector a is frame vector a divided by
     w_a, from the frame's structure constants c and its vector lengths w; a
     stack of lengths (T, n) gives T tensors, each with its own call's bits.
-    Koszul at g = I (`_orthonormal_connection`)."""
+    Koszul at g = I: Γ = `_orthonormal_connection` of ĉ."""
     c_hat = (c * w[..., None, None, :] / w[..., :, None, None]
              / w[..., None, :, None])
-    gamma = _orthonormal_connection(c_hat)
-    # ∇_{[e_i,e_j]} e_k − ∇_{e_i} ∇_{e_j} e_k + ∇_{e_j} ∇_{e_i} e_k
-    second = np.einsum("...jkp,...ipm->...ijkm", gamma, gamma, optimize=False)
-    return (np.einsum("...ijp,...pkm->...ijkm", c_hat, gamma, optimize=False)
-            - second + np.swapaxes(second, -4, -3))
+    return _curvature_from_connection(c_hat, _orthonormal_connection(c_hat))
 
 
 def connection_coeffs(algebra: NilAlgebra, metric: LeftInvariantMetric) -> np.ndarray:

@@ -75,10 +75,11 @@ from .metric import (
     TOL_IDENTITY,
     LeftInvariantMetric,
     _orthonormal_connection,
+    _structure_in_frame,
     rescaled_curvature,
     structure_array,
 )
-from .submersion import SubmersionSplit, _structure_in_frame, split_diagonal
+from .submersion import SubmersionSplit
 
 _POLISH_MAX_ITER = 50
 # Grid points per stacked curvature evaluation: a stack's memory grows as its
@@ -447,7 +448,8 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
 
     fiber_len = math.sqrt(float(split.z @ metric.matrix @ split.z))
 
-    weights = np.sqrt(np.stack([split_diagonal(n, t) for t in ts]))
+    weights = np.ones((len(ts), n))  # √ of G^t = diag(1, …, 1, t)
+    weights[:, n - 1] = np.sqrt(ts)
     sups, roundings, bounds, diams = [], [], [], []
     for start in range(0, len(ts), _T_CHUNK):
         r_ts = rescaled_curvature(c_hat, weights[start:start + _T_CHUNK])

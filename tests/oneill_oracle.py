@@ -10,7 +10,11 @@ construction as an independent check, imported by the tests the way the
     formula `metric.connection_from_structure`;
   * the four curvature-decomposition identities (i)–(iv) of O'Neill (1966)
     at one plane of g^t, the fourth against the ambient curvature of
-    `canonical_variation` in the original coordinates.
+    `canonical_variation` in the original coordinates;
+  * the metric g^t itself, built here and not taken from the package: in the
+    split frame (`split_diagonal`) and in the original coordinates
+    (`canonical_variation`), and the split-frame structure constants
+    (`frame_structure`).
 
 Because z is central and the metric is left-invariant, the fibers are
 totally geodesic (T ≡ 0); the tests verify that numerically rather than
@@ -22,12 +26,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nilflat import scan, submersion
+from nilflat import scan
 from nilflat.errors import DegeneratePlane, DimensionMismatch
-from nilflat.metric import (TOL_GRAM, connection_from_structure,
-                            curvature_from_structure, rescaled_curvature,
-                            sectional_from_tensor)
-from nilflat.submersion import canonical_variation, split_diagonal
+from nilflat.metric import (TOL_GRAM, LeftInvariantMetric, _structure_in_frame,
+                            connection_from_structure, curvature_from_structure,
+                            rescaled_curvature, sectional_from_tensor,
+                            structure_array)
+
+
+def split_diagonal(n, t):
+    """Diagonal (1, …, 1, t) of G^t in an n-dimensional split frame."""
+    d = np.ones(n)
+    d[n - 1] = t
+    return d
+
+
+def canonical_variation(metric, z, t):
+    """G^t = G + (t−1)·(Gu)(Gu)ᵀ in the original coordinates, u = z/|z|_G;
+    0 < t < ∞."""
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"canonical variation requires 0 < t < inf, got {t}")
+    z = np.asarray(z, dtype=np.float64)
+    gu = metric.matrix @ (z / np.sqrt(float(z @ metric.matrix @ z)))
+    return LeftInvariantMetric(matrix=metric.matrix + (t - 1.0) * np.outer(gu, gu))
+
+
+def frame_structure(algebra, split):
+    """Structure constants of the bracket in split-frame coordinates."""
+    f = split.frame
+    return _structure_in_frame(structure_array(algebra), f, np.linalg.inv(f))
 
 
 def to_frame(split, v):
@@ -73,7 +100,7 @@ def oneill_tensors(algebra, metric, split):
     if metric.dim != algebra.dim:
         raise DimensionMismatch(
             f"metric dim {metric.dim} does not match algebra dim {algebra.dim}")
-    return oneill_from_frame(submersion.frame_structure(algebra, split),
+    return oneill_from_frame(frame_structure(algebra, split),
                              frame_metric(metric.matrix, split))
 
 
@@ -118,7 +145,7 @@ class SubmersionContext:
         self.c_ambient = scan._central_structure(algebra, metric, split)
         self.metric = metric
         self.split = split
-        self.c_hat = submersion.frame_structure(algebra, split)
+        self.c_hat = frame_structure(algebra, split)
         self.tensors = oneill_from_frame(self.c_hat, np.eye(split.dim))
         m = split.horizontal_dim
         self.r_base = rescaled_curvature(self.c_hat[:m, :m, :m], np.ones(m))

@@ -28,9 +28,10 @@ from nilflat.errors import JacobiViolated, NotClosed, NotNilpotent  # noqa: E402
 from nilflat.metric import (LeftInvariantMetric,  # noqa: E402
                             sectional_curvature)
 from nilflat.scan import lemma_scan  # noqa: E402
-from nilflat.submersion import build_split, canonical_variation  # noqa: E402
+from nilflat.submersion import build_split  # noqa: E402
 from oneill_oracle import (SubmersionContext,  # noqa: E402  (test-side oracle)
-                           decomposition_check, oneill_tensors)
+                           canonical_variation, decomposition_check,
+                           oneill_tensors)
 from nilflat.tower import (CentralCocycle, NilLattice,  # noqa: E402
                            cocycles_cohomologous, extend_by_cocycle,
                            peel_step, peel_tower)

@@ -218,6 +218,17 @@ def test_budget_not_met(monkeypatch):
                             identity_seed(3), 0.01)
 
 
+# [TRIVIAL] a flat level is one pass of the level loop whatever the round
+# cap: with no refinement round allowed, z3 still certifies at t = 1 with
+# rounds 0, and h3 fails at its curved top level, not at a flat one.
+def test_flat_levels_take_one_pass(monkeypatch):
+    monkeypatch.setattr(certify_module, "_MAX_ROUNDS", 0)
+    report = certify_almost_flat(tower_of(catalog.abelian(3)), identity_seed(3), 1e-2)
+    assert (report.ts, report.rounds) == ((1.0, 1.0, 1.0), (0, 0, 0))
+    with pytest.raises(BudgetNotMet, match="level dim 3: could not meet"):
+        certify_almost_flat(tower_of(catalog.heisenberg3()), identity_seed(3), 0.01)
+
+
 def _raise_linalg(*args, **kwargs):
     raise np.linalg.LinAlgError("simulated failure")
 

@@ -741,7 +741,8 @@ def test_child_env_imports_session_package(tmp_path, child_env):
 # [DERIVED] the shipped-artifact dump on two inputs: every command leaves
 # its stdout, stderr and exit code; `extend` runs with every shipped cocycle
 # (z2 by the Euler-one form is the shipped h3 file, the n4 form is refused
-# on dimension); the echoed paths are relative to the dump, so two
+# on dimension); a seed metric `metricN_*.json` runs on the N-dimensional
+# inputs only; the echoed paths are relative to the dump, so two
 # checkouts dump comparable bytes.
 def test_shipped_artifacts_dump(tmp_path):
     script = DATA.parent / "tools" / "shipped_artifacts.py"
@@ -760,6 +761,9 @@ def test_shipped_artifacts_dump(tmp_path):
     assert exits["z2/extend+euler_one_z2"] == "0\n"
     assert exits["z2/extend+bad_cocycle_n4"] == "2\n"
     assert exits["h3/certify"] == "0\n"
+    # a seed metric runs on the algebras of its dimension only
+    assert sorted(key for key in exits if key.endswith("-tilted")) == [
+        "h3/certify-tilted", "h3/curvature-tilted"]
     assert ((tmp_path / "z2" / "extend+euler_one_z2.json").read_bytes()
             == (DATA / "h3.json").read_bytes())
     config = json.loads((tmp_path / "h3" / "certify.json").read_text())["config"]

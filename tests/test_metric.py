@@ -20,7 +20,8 @@ from nilflat.metric import (TOL_IDENTITY, TOL_INVARIANCE, TOL_ORACLE,
                             LeftInvariantMetric, connection_coeffs,
                             curvature_tensor, sectional_curvature,
                             structure_array)
-from nilflat.submersion import build_split, canonical_variation
+from nilflat.submersion import build_split
+from oneill_oracle import canonical_variation
 
 H3 = catalog.heisenberg3()
 N4 = catalog.n4()

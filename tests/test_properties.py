@@ -70,10 +70,10 @@ from nilflat.scan import (_curvature_operator, _lemma_constant, _pairs,
                           polished_sup)
 from nilflat.tower import (CentralCocycle, NilLattice, check_closed,
                            extend_by_cocycle, peel_step, peel_tower)
-from nilflat.submersion import (build_split, canonical_variation,
-                                frame_structure, split_diagonal)
+from nilflat.submersion import build_split
 from conftest import free_two_step, series_leads
-from oneill_oracle import from_frame, oneill_from_frame
+from oneill_oracle import (canonical_variation, frame_structure, from_frame,
+                           oneill_from_frame, split_diagonal)
 
 ALGEBRAS = {"h3": catalog.heisenberg3(), "n4": catalog.n4(),
             "filiform5": catalog.filiform(5)}

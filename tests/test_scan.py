@@ -17,22 +17,23 @@ Identity defects are checked at 1e-9 on random planes (they come out near
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
 
-from nilflat import catalog, scan, submersion
+from nilflat import catalog, scan
 from nilflat.algebra import NilAlgebra
 from nilflat.errors import BoundViolated, DegeneratePlane, DimensionMismatch
 from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
                             sectional_from_tensor, structure_array)
 from nilflat.scan import (T_MIN, DecayReport, curvature_bound, diameter_bound,
                           lemma_scan, polished_sup, report_csv, report_summary)
-from nilflat.submersion import build_split, split_diagonal
+from nilflat.submersion import build_split
 from conftest import free_two_step
-from oneill_oracle import (SubmersionContext, decomposition_check, from_frame,
-                           oneill_constant, oneill_from_frame)
+from oneill_oracle import (SubmersionContext, decomposition_check,
+                           frame_structure, from_frame, oneill_constant,
+                           oneill_from_frame, split_diagonal)
+import oneill_oracle
 
 H3 = catalog.heisenberg3()
 N4 = catalog.n4()
@@ -97,19 +98,14 @@ def test_decomposition_abelian_exact():
 # [TRIVIAL] one oracle context computes the split-frame structure constants
 # once and derives the O'Neill tensors and the base curvature from them.
 def test_context_computes_frame_structure_once(monkeypatch):
-    real = submersion.frame_structure
+    real = oneill_oracle.frame_structure
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    namespaces = [module for name, module in list(sys.modules.items())
-                  if name.split(".")[0] == "nilflat"
-                  and getattr(module, "frame_structure", None) is real]
-    assert submersion in namespaces
-    for module in namespaces:
-        monkeypatch.setattr(module, "frame_structure", counting)
+    monkeypatch.setattr(oneill_oracle, "frame_structure", counting)
     metric, split = geometry(N4, np.diag([1.0, 2.0, 0.5, 1.5]))
     SubmersionContext(N4, metric, split)
     assert len(calls) == 1
@@ -393,7 +389,7 @@ def test_constant_matches_oneill_oracle(algebra, seed):
     n = algebra.dim
     metric, split = geometry(algebra, None if seed is None else dense_seed(n, seed))
     report = lemma_scan(algebra, metric, split, [1.0], n_samples=1, seed=0)
-    tensors = oneill_from_frame(submersion.frame_structure(algebra, split), np.eye(n))
+    tensors = oneill_from_frame(frame_structure(algebra, split), np.eye(n))
     assert report.C == oneill_constant(tensors)
 
 
@@ -509,7 +505,7 @@ def random_split_tensor(algebra, seed, t):
     """Orthonormal split-frame curvature of a random SPD seed metric."""
     n = algebra.dim
     metric, split = geometry(algebra, dense_seed(n, seed))
-    return rescaled_curvature(submersion.frame_structure(algebra, split),
+    return rescaled_curvature(frame_structure(algebra, split),
                               np.sqrt(split_diagonal(n, t)))
 
 
@@ -657,7 +653,7 @@ def test_stack_matches_one_tensor_at_a_time():
 
     algebra = catalog.filiform(6)
     _, split = geometry(algebra, dense_seed(6, 3))
-    c_hat = submersion.frame_structure(algebra, split)
+    c_hat = frame_structure(algebra, split)
     weights = np.sqrt(np.stack([split_diagonal(6, t)
                                 for t in np.geomspace(1.0, 1e-6, 7)]))
     stacked = rescaled_curvature(c_hat, weights)

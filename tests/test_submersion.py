@@ -13,8 +13,9 @@ from nilflat import catalog
 from nilflat.errors import DimensionMismatch, NotPositiveDefinite
 from nilflat.metric import (LeftInvariantMetric, curvature_tensor,
                             rescaled_curvature, structure_array)
-from nilflat.submersion import build_split, canonical_variation, frame_structure
-from oneill_oracle import frame_metric, from_frame, oneill_tensors, to_frame
+from nilflat.submersion import build_split
+from oneill_oracle import (canonical_variation, frame_metric, frame_structure,
+                           from_frame, oneill_tensors, to_frame)
 
 TOL = 1e-12
 

@@ -11,9 +11,10 @@ For every `data/NAME` (default: every `data/*.json`) this runs, with the
     cocycle), with NAME as the base;
   * `curvature` with default flags;
   * `certify --eps 0.01`;
-  * where NAME is a 3-dimensional algebra, `curvature` and
-    `certify --eps 0.01` once more with `--metric data/metric3_tilted.json`,
-    whose split frame is not the identity.
+  * where NAME is an n-dimensional algebra, `curvature` and
+    `certify --eps 0.01` once more with each `data/metricN_LABEL.json` of
+    that n (labels `curvature-LABEL`, `certify-LABEL`): non-diagonal seed
+    metrics, whose split and lift frames are not the identity.
 
 Each run leaves `OUTDIR/STEM/LABEL.stdout`, `.stderr` and `.exit`, and its
 `--out` files next to them. The inputs are copied to `OUTDIR/data` and the
@@ -73,6 +74,7 @@ def dump(outdir: Path, names: list) -> None:
     shipped = sorted((REPO / "data").glob("*.json"))
     shutil.copytree(REPO / "data", outdir / "data", dirs_exist_ok=True)
     cocycles = [p.name for p in shipped if _is_cocycle(p)]
+    metrics = sorted(p.name for p in shipped if p.name.startswith("metric"))
     cwd = os.getcwd()
     os.chdir(outdir)
     try:
@@ -90,12 +92,16 @@ def dump(outdir: Path, names: list) -> None:
                  Path(stem, "curvature"))
             _run(["certify", path, "--eps", "0.01", "--out", f"{stem}/certify.json"],
                  Path(stem, "certify"))
-            if _algebra_dim(Path(path)) == 3:
-                tilted = ["--metric", "data/metric3_tilted.json"]
-                _run(["curvature", path, *tilted, "--out", f"{stem}/curvature-tilted.csv"],
-                     Path(stem, "curvature-tilted"))
-                _run(["certify", path, "--eps", "0.01", *tilted,
-                      "--out", f"{stem}/certify-tilted.json"], Path(stem, "certify-tilted"))
+            dim = _algebra_dim(Path(path))
+            for metric in metrics:
+                prefix, _, label = Path(metric).stem.partition("_")
+                if prefix != f"metric{dim}":
+                    continue
+                seeded = ["--metric", f"data/{metric}"]
+                _run(["curvature", path, *seeded, "--out", f"{stem}/curvature-{label}.csv"],
+                     Path(stem, f"curvature-{label}"))
+                _run(["certify", path, "--eps", "0.01", *seeded,
+                      "--out", f"{stem}/certify-{label}.json"], Path(stem, f"certify-{label}"))
     finally:
         os.chdir(cwd)
 
