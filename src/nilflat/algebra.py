@@ -135,13 +135,20 @@ class NilAlgebra:
 
 def _add_ad(out: Dict[int, Fraction], algebra: NilAlgebra, i: int,
             terms: Mapping[int, Fraction], scale: Fraction | int = 1) -> None:
-    """out += scale·[e_{i+1}, Σ_m terms[m]·e_{m+1}], read off the table."""
+    """out += scale·[e_{i+1}, Σ_m terms[m]·e_{m+1}], read off the table.
+
+    Products by 1 are skipped: most scales and structure constants are 1.
+    """
     for m, c in terms.items():
         entry = algebra.brackets.get((i, m) if i < m else (m, i))
         if entry:
-            c = scale * c if i < m else -scale * c
+            if scale != 1:
+                c = scale * c
+            if m < i:
+                c = -c
             for k, coeff in entry.items():
-                out[k] = out[k] + c * coeff if k in out else c * coeff
+                t = c if coeff == 1 else c * coeff
+                out[k] = out[k] + t if k in out else t
 
 
 def _partners(algebra: NilAlgebra) -> List[List[int]]:

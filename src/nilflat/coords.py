@@ -5,18 +5,24 @@ as the product exp(a_1 e_1) ··· exp(a_n e_n). On an adapted basis the
 conversion is a triangular peel: a_1 is read off directly and the factor
 exp(-a_1 e_1) is multiplied away, leaving an element of the subgroup
 exp(span(e_2, ..., e_n)), and so on. Every product is an exact
-`bch.bch_product`, so the conversions and `lattice_closed`, which converts
-one product g_i·g_j per pair of non-commuting generators g_i = exp(e_i),
-work at any nilpotency class. Where it passes, the group Γ the g_i generate
-is exactly the set of elements with integer second-kind coordinates.
+`bch.bch_product`, so the conversions work at any nilpotency class.
+
+`lattice_closed` forms no product for a pair of non-commuting generators
+g_i = exp(e_i), j < i: it collects g_i·g_j = g_j·exp(e^{−ad e_j} e_i)
+directly. The series e^{−ad e_j} e_i is summed until a term vanishes, over
+at most the declared class of terms, and only its exponential is peeled.
+Where the certificate passes, the group Γ the g_i generate is exactly the
+set of elements with integer second-kind coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Dict
 
-from .algebra import NilAlgebra, VecQ, check_adapted, is_zero, vec_zero
+from .algebra import (NilAlgebra, VecQ, _add_ad, check_adapted, is_zero,
+                      vec_zero)
 from .bch import bch_product
 from .errors import DimensionMismatch, ValidationReport
 
@@ -68,15 +74,44 @@ def second_to_first(algebra: NilAlgebra, word: MalcevWord) -> VecQ:
     return v
 
 
+def _conjugated_word(algebra: NilAlgebra, i: int, j: int) -> MalcevWord:
+    """Second-kind word of g_i·g_j = g_j·exp(u), u = e^{−ad e_j} e_i, for the
+    0-based positions j < i.
+
+    u = Σ_m (−1)^m/m!·ad_{e_j}^m e_i, summed until a term vanishes and over
+    at most `declared_class` terms: ad_{e_j}^c e_i is a bracket of depth
+    c + 1, zero at class c, and the cap ends the series also on an adapted
+    table that is not nilpotent. On an adapted basis u has no component at
+    positions <= j, so the word is u's with exponent 1 at position j.
+    """
+    one = Fraction(1)
+    term: Dict[int, Fraction] = {i: one}
+    u = dict(term)
+    for m in range(1, algebra.declared_class):
+        nxt: Dict[int, Fraction] = {}
+        _add_ad(nxt, algebra, j, term, scale=Fraction(-1, m))
+        term = {k: a for k, a in nxt.items() if a}
+        if not term:
+            break
+        for k, a in term.items():
+            u[k] = u[k] + a if k in u else a
+    exponents = list(first_to_second(
+        algebra, tuple(u.get(k, Fraction(0)) for k in range(algebra.dim))).exponents)
+    exponents[j] = one
+    return MalcevWord(exponents=tuple(exponents))
+
+
 def lattice_closed(algebra: NilAlgebra) -> ValidationReport:
     """Decide whether the integer second-kind points form a group.
 
     Converts g_i·g_j, g_i = exp(e_i), for each descending pair j < i of
-    non-commuting generators; the first pair in (i, j) order with a
-    non-integral second-kind coordinate is the witness. Inverses, ascending
-    products exp(±e_i) exp(±e_j) (i < j) and descending ones of commuting
-    generators, exp(±e_i) exp(±e_j) = exp(±e_j) exp(±e_i), are already in
-    second-kind form, with exponents ±1.
+    non-commuting generators, collected directly as g_j·exp(e^{−ad e_j} e_i)
+    with the series capped at the declared class (`_conjugated_word`); the
+    first pair in (i, j) order with a non-integral second-kind coordinate
+    is the witness. Inverses, ascending products exp(±e_i) exp(±e_j)
+    (i < j) and descending ones of commuting generators,
+    exp(±e_i) exp(±e_j) = exp(±e_j) exp(±e_i), are already in second-kind
+    form, with exponents ±1.
 
     The verdict is exact at every class, by collection. Let Γ_k be the
     integer points exp(a_k e_k) ··· exp(a_n e_n), so Γ = Γ_1, and
@@ -96,14 +131,12 @@ def lattice_closed(algebra: NilAlgebra) -> ValidationReport:
     tower machinery gates on integer structure constants alone; see
     `tower.NilLattice`.
     """
-    n = algebra.dim
     report = check_adapted(algebra)
     if not report:
         return report
     # the stored pairs (j, i), j < i, are the non-commuting ones
     for j, i in sorted(algebra.brackets, key=lambda pair: (pair[1], pair[0])):
-        word = first_to_second(
-            algebra, bch_product(algebra, _axis(n, i, 1), _axis(n, j, 1)))
+        word = _conjugated_word(algebra, i, j)
         bad = next((idx for idx, a in enumerate(word.exponents)
                     if a.denominator != 1), None)
         if bad is not None:

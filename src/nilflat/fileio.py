@@ -16,6 +16,7 @@ the constructors and validators that consume them.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
@@ -103,7 +104,10 @@ def _expect_int(obj: Any, where: str) -> int:
 def _expect_number(obj: Any, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {obj!r}")
-    return float(obj)
+    try:
+        return float(obj)
+    except OverflowError:  # an integer past float64 overflows as 1e400 does
+        return math.inf if obj > 0 else -math.inf
 
 
 def _fraction_from(obj: Dict[str, Any], where: str) -> Fraction:

@@ -11,7 +11,7 @@ hand-computed.
 from fractions import Fraction
 from math import factorial
 
-from nilflat import catalog
+from nilflat import bch, catalog
 from nilflat.algebra import (NilAlgebra, basis_vec, validate_algebra, vec,
                              vec_add, vec_scale, vec_zero)
 from nilflat.bch import bch_product
@@ -184,6 +184,32 @@ def test_matrix_exp_log_oracle(rng):
                 g[i][i] -= 1
             z = mat_series(g, log)
             assert bch_product(algebra, x, y) == tuple(z[i][j] for i, j in basis)
+
+
+# [DERIVED] commuting x and y: every term of degree >= 2 is an iterated
+# bracket with [x, y] innermost, so the product is exactly x + y, returned
+# without running the recursion (no `_combine` call). Pairs in the abelian
+# ideal span(e2, ..., e10) of filiform(10), a central x on h5, a zero x.
+def test_commuting_pairs_add(rng, monkeypatch):
+    combined = []
+    real_combine = bch._combine
+    monkeypatch.setattr(bch, "_combine",
+                        lambda terms: combined.append(1) or real_combine(terms))
+    f10, h5 = catalog.filiform(10), catalog.heisenberg5()
+    cases = []
+    for _ in range(10):
+        x, y = random_vec(rng, 10), random_vec(rng, 10)
+        cases.append((f10, (Fraction(0),) + x[1:], (Fraction(0),) + y[1:]))
+        cases.append((h5, vec_scale(random_vec(rng, 1)[0], basis_vec(5, 4)),
+                      random_vec(rng, 5)))
+        cases.append((f10, vec_zero(10), x))
+    for algebra, x, y in cases:
+        assert bch_product(algebra, x, y) == vec_add(x, y)
+        assert bch_product(algebra, y, x) == vec_add(y, x)
+    assert not combined
+    # a non-commuting pair still runs the recursion
+    assert bch_product(h5, basis_vec(5, 0), basis_vec(5, 1)) == vec([1, 1, 0, 0, Fraction(1, 2)])
+    assert combined
 
 
 # [TRIVIAL] degenerate dim-0 algebra: the empty product.

@@ -237,6 +237,22 @@ def test_nonfinite_metric_exit_two(command, entry, tmp_path, capsys):
     assert code == 2 and "non-finite" in err
 
 
+# [TRIVIAL] an integer entry too large for float64 goes the way of 1e400:
+# G[1,1] = inf, one error line and exit code 2, not a traceback.
+@pytest.mark.parametrize("command", [["curvature", "--samples", "16", "--t-points", "1"],
+                                     ["certify", "--eps", "0.01"]],
+                         ids=["curvature", "certify"])
+def test_huge_integer_metric_exit_two(command, tmp_path, capsys):
+    path = tmp_path / "metric.json"
+    path.write_text('{"dim": 3, "entries": [1%s, 0, 0, 0, 1, 0, 0, 0, 1]}' % ("0" * 400),
+                    encoding="utf-8")
+    code, _, err = run_cli([command[0], str(DATA / "h3.json"), "--metric", str(path)]
+                           + command[1:], capsys)
+    assert code == 2
+    assert err.startswith("nilflat: error: ") and err.count("\n") == 1
+    assert "metric matrix has non-finite entries: G[1,1] = inf" in err
+
+
 # [DERIVED] full file-level round-trip: peel to a tower file, then rebuild
 # the lattice from the point by chaining extend over the stored cocycles.
 @pytest.mark.parametrize("name", ["z3.json", "h3.json", "n4.json", "h5.json"])

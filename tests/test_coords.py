@@ -11,13 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from nilflat import catalog, fileio
+from nilflat import catalog, coords, fileio
 from nilflat.algebra import (NilAlgebra, basis_vec, check_adapted,
                              check_jacobi, lower_central_series, vec,
                              vec_scale, vec_zero)
 from nilflat.bch import bch_product
 from nilflat.coords import (
     MalcevWord,
+    _conjugated_word,
     first_to_second,
     lattice_closed,
     second_to_first,
@@ -266,6 +267,72 @@ def test_lattice_closed_verdict_on_random_tables():
     assert 0 < signed < failing // 20
 
 
+def lattice_closed_by_products(algebra):
+    """Reference: `lattice_closed` with each descending pair converted from
+    the BCH product, first_to_second(bch_product(e_i, e_j))."""
+    n = algebra.dim
+    report = check_adapted(algebra)
+    if not report:
+        return report
+    for j, i in sorted(algebra.brackets, key=lambda pair: (pair[1], pair[0])):
+        word = first_to_second(
+            algebra, bch_product(algebra, basis_vec(n, i), basis_vec(n, j)))
+        bad = next((idx for idx, a in enumerate(word.exponents)
+                    if a.denominator != 1), None)
+        if bad is not None:
+            return ValidationReport(
+                ok=False, check="lattice_closed",
+                message=(f"e{i + 1}·e{j + 1} has non-integral exponent "
+                         f"{word.exponents[bad]} at position {bad + 1}"),
+                witness=(i + 1, j + 1), defect=word.exponents)
+    return ValidationReport(ok=True, check="lattice_closed")
+
+
+CONJUGATION_INPUTS = ([(f"filiform{n}", catalog.filiform(n)) for n in range(3, 17)]
+                      + [(f"free{r}", free_two_step(r)) for r in (3, 4)]
+                      + [("n4", N4), ("h5", catalog.heisenberg5())]
+                      + [(f"random{k}", algebra) for k, algebra in enumerate(RANDOM_TABLES)])
+
+
+# [DERIVED] g_i·g_j collected as g_j·exp(e^{−ad e_j} e_i) is the word of the
+# BCH product e_i ∘ e_j (second-kind coordinates are unique), for every
+# descending non-commuting pair; so `lattice_closed` gives the report of the
+# product path, message, witness and defect included. Filiform(3…16), free
+# 2-step(3, 4), n4, h5 and the 1000 random adapted Jacobi tables above.
+def test_conjugated_word_matches_product():
+    for name, algebra in CONJUGATION_INPUTS:
+        n = algebra.dim
+        for j, i in algebra.brackets:
+            product = bch_product(algebra, basis_vec(n, i), basis_vec(n, j))
+            assert _conjugated_word(algebra, i, j) == first_to_second(algebra, product), \
+                (name, i, j)
+        assert lattice_closed(algebra) == lattice_closed_by_products(algebra), name
+
+
+# [TRIVIAL] the series e^{−ad e_j} e_i stops after `declared_class` terms also
+# where no term vanishes: on the adapted, non-nilpotent [e1, e2] = e2 declared
+# class 1 (e^{−ad e1} e2 = e^{−1}·e2), `lattice_closed` returns the product
+# path's ok. A series without the cap fails on the call count, not by hanging.
+def test_lattice_closed_series_capped(monkeypatch):
+    algebra = NilAlgebra.from_brackets(2, 1, {(1, 2): {2: 1}})
+    calls = []
+    real_add_ad = coords._add_ad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        assert len(calls) <= 10, "series of e^{-ad e_j} e_i does not stop"
+        return real_add_ad(*args, **kwargs)
+
+    monkeypatch.setattr(coords, "_add_ad", counted)
+    report = lattice_closed(algebra)
+    assert report == lattice_closed_by_products(algebra)
+    assert report.ok
+    assert not calls
+    # declared class 3: three terms, two applications of ad_{e1}
+    lattice_closed(NilAlgebra.from_brackets(2, 3, {(1, 2): {2: 1}}))
+    assert len(calls) == 2
+
+
 def first_to_second_unskipped(algebra, v):
     """Reference: the triangular peel with every factor exp(−a_k e_k)
     multiplied away, also the identity factors where a_k = 0."""
@@ -281,8 +348,7 @@ def first_to_second_unskipped(algebra, v):
 
 # [DERIVED] skipping the identity factors (a_k = 0) leaves every conversion
 # unchanged: on each closure input, the descending generator products
-# g_i^{±1}·g_j (`lattice_closed` converts g_i·g_j) and random first-kind
-# vectors, half their coordinates zero.
+# g_i^{±1}·g_j and random first-kind vectors, half their coordinates zero.
 @pytest.mark.parametrize("name,algebra", CLOSURE_INPUTS,
                          ids=[name for name, _ in CLOSURE_INPUTS])
 def test_first_to_second_matches_unskipped(name, algebra):

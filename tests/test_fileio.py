@@ -210,6 +210,16 @@ def test_metric_schema_errors(obj, fragment):
     assert fragment in str(err.value)
 
 
+# [TRIVIAL] an integer entry past float64 loads as ±inf, as a literal 1e400
+# does, for the metric check to refuse; it is not an OverflowError.
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_metric_huge_integer_is_infinite(sign):
+    huge = sign * 10 ** 400
+    matrix = fileio.metric_from_obj({"dim": 2, "entries": [huge, 0, 0, 1]})
+    assert matrix[0, 0] == sign * np.inf
+    assert matrix[1, 1] == 1.0
+
+
 # [TRIVIAL] non-square matrices are refused at dump time.
 def test_metric_dump_rejects_non_square():
     with pytest.raises(SchemaError, match="square"):
