@@ -14,10 +14,14 @@ scans of the canonical variation g^t that shrinks that circle, certifying
 the |K^t| <= |K_base| + C*sqrt(t) bound (C from the O'Neill tensors of the
 submersion, all read off one orthonormal split frame), and a per-level
 collapse schedule driving sup|K| below a requested epsilon with an explicit
-diameter bound.
+diameter bound. The numerical layer, and numpy with it, loads on first
+access to one of its names, so the exact layer and the `validate`, `peel`
+and `extend` commands run without importing numpy.
 
 `fileio` defines the JSON formats and `cli` the command-line front end.
 """
+
+import importlib
 
 from .errors import (BasisNotAdapted, BoundViolated, BudgetNotMet,
                      DegeneratePlane, DimensionMismatch, JacobiViolated,
@@ -33,16 +37,24 @@ from .tower import (BundleTower, CentralCocycle, CohomologyVerdict,
                     NilLattice, TowerStep, check_closed, check_integral,
                     cocycles_cohomologous, extend_by_cocycle, peel_step,
                     peel_tower)
-from .metric import (LeftInvariantMetric, connection_coeffs,
-                     curvature_tensor, sectional_curvature, structure_array)
-from .submersion import SubmersionSplit, build_split
-from .scan import (DecayReport, diameter_bound, lemma_scan, polished_sup,
-                   polished_sups, report_csv, report_summary)
-from .certify import (CertificateReport, certificate_summary,
-                      certify_almost_flat)
 from . import catalog, fileio
 
 __version__ = "0.1.0"
+
+# The numerical layer: each name, submodules included, maps to the module
+# that defines it and is imported by `__getattr__` on first access.
+_NUMERICAL = {
+    "metric": "metric", "LeftInvariantMetric": "metric",
+    "structure_array": "metric", "connection_coeffs": "metric",
+    "curvature_tensor": "metric", "sectional_curvature": "metric",
+    "submersion": "submersion", "SubmersionSplit": "submersion",
+    "build_split": "submersion",
+    "scan": "scan", "DecayReport": "scan", "lemma_scan": "scan",
+    "diameter_bound": "scan", "report_csv": "scan", "report_summary": "scan",
+    "polished_sup": "scan", "polished_sups": "scan",
+    "certify": "certify", "CertificateReport": "certify",
+    "certify_almost_flat": "certify", "certificate_summary": "certify",
+}
 
 __all__ = [
     "__version__",
@@ -61,11 +73,24 @@ __all__ = [
     "peel_step", "peel_tower", "extend_by_cocycle", "CohomologyVerdict",
     "cocycles_cohomologous",
     # numerical layer
-    "LeftInvariantMetric", "structure_array", "connection_coeffs",
-    "curvature_tensor", "sectional_curvature", "SubmersionSplit",
-    "build_split", "DecayReport", "lemma_scan", "diameter_bound", "report_csv",
-    "report_summary", "polished_sup", "polished_sups", "CertificateReport",
-    "certify_almost_flat", "certificate_summary",
+    *(name for name, module in _NUMERICAL.items() if name != module),
     # submodules
     "catalog", "fileio",
 ]
+
+
+def __getattr__(name):
+    try:
+        module = _NUMERICAL[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _NUMERICAL.keys())

@@ -21,21 +21,22 @@ import functools
 import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from . import __version__, fileio
 from .algebra import (check_adapted, check_class, check_integer_constants,
                       check_jacobi)
 from .coords import lattice_closed
-from .certify import certify_almost_flat, certificate_summary
 from .errors import (BoundViolated, BudgetNotMet, DimensionMismatch,
                      NilflatError, SchemaError)
-from .metric import LeftInvariantMetric
-from .scan import T_MIN, lemma_scan, report_csv, report_summary
-from .submersion import build_split
 from .tower import extend_by_cocycle, peel_tower
+
+if TYPE_CHECKING:
+    from .metric import LeftInvariantMetric
+
+# The numerical layer (numpy, `metric`, `submersion`, `scan`, `certify`) is
+# imported inside the commands that use it, so `validate`, `peel`, `extend`
+# and `--help` start without numpy.
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -155,6 +156,7 @@ def _emit(text: str, out: Optional[str], human_line: str) -> None:
 
 
 def _load_metric_arg(path: Optional[str], dim: int) -> LeftInvariantMetric:
+    from .metric import LeftInvariantMetric
     if path is None:
         return LeftInvariantMetric.identity(dim)
     matrix = fileio.load_metric(path)
@@ -214,6 +216,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def _check_scan_flags(args: argparse.Namespace) -> None:
+    from .scan import T_MIN
     for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
         if not math.isfinite(value):
             raise _UsageError(f"{flag} must be finite, got {value}")
@@ -242,6 +245,9 @@ def _check_echoed_flags(args: argparse.Namespace) -> None:
 
 
 def cmd_curvature(args: argparse.Namespace) -> int:
+    import numpy as np
+    from .scan import lemma_scan, report_csv, report_summary
+    from .submersion import build_split
     _check_scan_flags(args)
     lattice = fileio.load_lattice(args.path)
     algebra = lattice.algebra
@@ -290,6 +296,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    from .certify import certify_almost_flat, certificate_summary
     if not (0.0 < args.eps < math.inf):
         raise _UsageError(f"--eps must be positive and finite, got {args.eps}")
     _check_echoed_flags(args)

@@ -19,15 +19,16 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
 
 from . import catalog
 from .algebra import NilAlgebra
 from .errors import SchemaError
 from .tower import (BundleTower, CentralCocycle, NilLattice, TowerStep,
                     extend_by_cocycle)
+
+if TYPE_CHECKING:
+    import numpy as np  # imported by the metric readers and writers only
 
 __all__ = [
     "canonical_json",
@@ -274,6 +275,7 @@ def dump_tower(tower: BundleTower) -> str:
 
 def metric_to_obj(matrix: np.ndarray) -> Dict[str, Any]:
     """Row-major dense entries; floats survive the round-trip exactly."""
+    import numpy as np
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise SchemaError(f"metric must be a square matrix, got shape {arr.shape}")
@@ -282,6 +284,7 @@ def metric_to_obj(matrix: np.ndarray) -> Dict[str, Any]:
 
 
 def metric_from_obj(obj: Any, where: str = "metric") -> np.ndarray:
+    import numpy as np
     top = _expect_dict(obj, where)
     dim = _expect_int(_get(top, "dim", where), f"{where}.dim")
     if dim < 1:

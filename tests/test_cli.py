@@ -754,6 +754,51 @@ def test_child_env_imports_session_package(tmp_path, child_env):
     assert Path(proc.stdout.strip()).resolve() == Path(nilflat.__file__).resolve()
 
 
+# [TRIVIAL] the exact-layer commands start without numpy: `import nilflat`
+# and `validate`, `peel`, `extend` and `--version` leave it unloaded, and a
+# numerical name loads its module on first access. The child prints what it
+# saw after each step.
+EXACT_CHILD = """
+import json, sys
+import nilflat
+import nilflat.cli
+data, out = sys.argv[1], sys.argv[2]
+seen = {"import": "numpy" in sys.modules}
+for argv in (["validate", f"{data}/n4.json"],
+             ["peel", f"{data}/n4.json", "--out", f"{out}/n4_tower.json"],
+             ["extend", f"{data}/z2.json", f"{data}/euler_one_z2.json",
+              "--out", f"{out}/h3.json"],
+             ["--version"]):
+    try:
+        code = nilflat.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    seen[argv[0]] = [code, "numpy" in sys.modules]
+seen["lazy"] = nilflat.lemma_scan is nilflat.scan.lemma_scan
+seen["numpy_after_lazy"] = "numpy" in sys.modules
+seen["all_in_dir"] = set(nilflat.__all__) <= set(dir(nilflat))
+try:
+    nilflat.no_such_name
+    seen["unknown"] = "resolved"
+except AttributeError:
+    seen["unknown"] = "AttributeError"
+print(json.dumps(seen))
+"""
+
+
+def test_exact_commands_start_without_numpy(tmp_path, child_env):
+    proc = subprocess.run([sys.executable, "-c", EXACT_CHILD, str(DATA), str(tmp_path)],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": False, "validate": [0, False], "peel": [0, False],
+                    "extend": [0, False], "--version": [0, False], "lazy": True,
+                    "numpy_after_lazy": True, "all_in_dir": True,
+                    "unknown": "AttributeError"}
+    assert (tmp_path / "h3.json").read_bytes() == (DATA / "h3.json").read_bytes()
+    assert (tmp_path / "n4_tower.json").is_file()
+
+
 # [DERIVED] the shipped-artifact dump on two inputs: every command leaves
 # its stdout, stderr and exit code; `extend` runs with every shipped cocycle
 # (z2 by the Euler-one form is the shipped h3 file, the n4 form is refused
