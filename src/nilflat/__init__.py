@@ -7,8 +7,9 @@ into a tower of central circle extensions, and deciding when two extension
 cocycles give the same bundle.
 
 The numerical layer (`metric`, `submersion`, `scan`, `certify`) puts
-left-invariant metrics on the same data: sectional curvature (one Koszul
-formula, one curvature formula and one change of frame, all in `metric`),
+left-invariant metrics on the same data: curvature in an orthonormal frame
+(`metric.rescaled_curvature`: one Koszul formula, one curvature formula and
+one change of frame, all in `metric`),
 the split of a metric along a central circle direction (`submersion`),
 scans of the canonical variation g^t that shrinks that circle, certifying
 the |K^t| <= |K_base| + C*sqrt(t) bound (C from the O'Neill tensors of the
@@ -24,11 +25,11 @@ and `extend` commands run without importing numpy.
 import importlib
 
 from .errors import (BasisNotAdapted, BoundViolated, BudgetNotMet,
-                     DegeneratePlane, DimensionMismatch, JacobiViolated,
-                     NilflatError, NotClosed, NotIntegral, NotNilpotent,
+                     DimensionMismatch, JacobiViolated, NilflatError,
+                     NotClosed, NotIntegral, NotNilpotent,
                      NotPositiveDefinite, SchemaError, ValidationReport)
-from .algebra import (NilAlgebra, algebra_center, basis_vec, check_adapted,
-                      check_class, check_integer_constants, check_jacobi,
+from .algebra import (NilAlgebra, basis_vec, check_adapted, check_class,
+                      check_integer_constants, check_jacobi,
                       lower_central_series, validate_algebra, vec)
 from .bch import bch_product
 from .coords import (MalcevWord, first_to_second, lattice_closed,
@@ -45,10 +46,8 @@ __version__ = "0.1.0"
 # that defines it and is imported by `__getattr__` on first access.
 _NUMERICAL = {
     "metric": "metric", "LeftInvariantMetric": "metric",
-    "structure_array": "metric", "connection_coeffs": "metric",
-    "curvature_tensor": "metric", "sectional_curvature": "metric",
-    "submersion": "submersion", "SubmersionSplit": "submersion",
-    "build_split": "submersion",
+    "structure_array": "metric", "submersion": "submersion",
+    "SubmersionSplit": "submersion", "build_split": "submersion",
     "scan": "scan", "DecayReport": "scan", "lemma_scan": "scan",
     "diameter_bound": "scan", "report_csv": "scan", "report_summary": "scan",
     "polished_sup": "scan", "polished_sups": "scan",
@@ -61,12 +60,12 @@ __all__ = [
     # errors
     "NilflatError", "SchemaError", "DimensionMismatch", "NotNilpotent",
     "JacobiViolated", "BasisNotAdapted", "NotClosed",
-    "NotIntegral", "NotPositiveDefinite", "DegeneratePlane",
+    "NotIntegral", "NotPositiveDefinite",
     "BoundViolated", "BudgetNotMet", "ValidationReport",
     # exact layer
     "NilAlgebra", "vec", "basis_vec", "check_jacobi", "check_adapted",
     "check_class", "check_integer_constants", "lower_central_series",
-    "algebra_center", "validate_algebra", "bch_product",
+    "validate_algebra", "bch_product",
     "MalcevWord", "first_to_second", "second_to_first", "word_multiply",
     "lattice_closed", "NilLattice", "CentralCocycle", "TowerStep",
     "BundleTower", "check_closed", "check_integral",

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import DimensionMismatch, NotNilpotent, ValidationReport
-from .intlinalg import SparseRow, rational_nullspace, rational_row_basis
+from .intlinalg import SparseRow, rational_row_basis
 
 VecQ = Tuple[Fraction, ...]
 RationalLike = Union[int, Fraction, str]
@@ -271,20 +271,6 @@ def _class_check(algebra: NilAlgebra) -> Tuple[ValidationReport, List[List[Spars
 def check_class(algebra: NilAlgebra) -> ValidationReport:
     """Nilpotency plus agreement of the computed class with declared_class."""
     return _class_check(algebra)[0]
-
-
-def algebra_center(algebra: NilAlgebra) -> List[VecQ]:
-    """Echelon basis of {x : [x, e_j] = 0 for all j} over Q.
-
-    One equation per (j, m), component m of [x, e_j] = Σ_i x_i [e_i, e_j]_m,
-    read off the table as a sparse row over i.
-    """
-    rows: Dict[Tuple[int, int], SparseRow] = {}
-    for (i, j), entry in algebra.brackets.items():
-        for m, coeff in entry.items():
-            rows.setdefault((j, m), {})[i] = coeff
-            rows.setdefault((i, m), {})[j] = -coeff
-    return [tuple(v) for v in rational_nullspace(list(rows.values()), algebra.dim)]
 
 
 def validate_algebra(algebra: NilAlgebra) -> List[List[SparseRow]]:

@@ -70,10 +70,6 @@ class NotPositiveDefinite(NilflatError):
     """Metric matrix is not symmetric positive definite."""
 
 
-class DegeneratePlane(NilflatError):
-    """Plane spanning vectors have Gram determinant below tolerance."""
-
-
 class BoundViolated(NilflatError):
     """Measured curvature exceeded the certified bound (internal bug canary)."""
 

@@ -2,7 +2,7 @@
 
 Everything here is small (dimensions are desk scale), so the
 implementations favour clarity and exactness over asymptotics. Rational row
-spans and kernels come from one canonical reduced row-echelon basis, built
+spans come from one canonical reduced row-echelon basis, built
 incrementally over sparse rows and returned sparse: the spanning sets of the
 lower central series are long and mostly dependent, and a dependent row
 costs only its own reduction. The one integer normal form is Hermite's, by
@@ -16,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-Matrix = List[List[Fraction]]
 SparseRow = Dict[int, Fraction]
 Row = Union[Sequence[Fraction], Mapping[int, Fraction]]
 IntMatrix = List[List[int]]
@@ -31,27 +30,6 @@ def _subtract(row: Dict[int, Fraction], f: Fraction, other: Dict[int, Fraction])
             row[c] = v
         else:
             del row[c]
-
-
-def rational_nullspace(rows: Sequence[Row], n_cols: int) -> Matrix:
-    """Basis of {x : A x = 0} over Q, read off the reduced row echelon form.
-
-    Each basis vector has a 1 in its free column, −row[free] in the pivot
-    column of each echelon row and 0 elsewhere.
-    """
-    echelon = rational_row_basis(rows, n_cols)
-    pivots = [min(row) for row in echelon]
-    zero = Fraction(0)
-    basis = []
-    for free in range(n_cols):
-        if free in pivots:
-            continue
-        vec = [zero] * n_cols
-        vec[free] = Fraction(1)
-        for row, col in zip(echelon, pivots):
-            vec[col] = -row.get(free, zero)
-        basis.append(vec)
-    return basis
 
 
 def rational_row_basis(rows: Sequence[Row], n_cols: int) -> List[SparseRow]:

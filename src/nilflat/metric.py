@@ -1,4 +1,4 @@
-"""Left-invariant metrics: Koszul connection, curvature, sectional curvature.
+"""Left-invariant metrics and their curvature in an orthonormal frame.
 
 Everything is evaluated at the identity in a left-invariant frame, where the
 geometry of a left-invariant metric is encoded by the structure constants
@@ -14,13 +14,14 @@ K(e1,e2) = −3/4 and K(e1,e3) = +1/4.
 `rescaled_curvature` is the one constructor of R̂, curvature in an orthonormal
 frame: a frame of orthogonal vectors F_a of lengths w_a gives the orthonormal
 frame F_a / w_a, with structure constants ĉ = c·w_c / (w_a·w_b), and R̂ is the
-Koszul formula at g = I on ĉ (Milnor 1976).
+Koszul formula at g = I on ĉ (Milnor 1976).  A metric of any other Gram is
+read in a G-orthonormal frame first, as the scan's split frame and certify's
+lift frame are: the package computes no curvature at a general Gram.
 
-Each formula is written once: the Koszul formula in `_orthonormal_connection`
-(the general Gram applies it to ⟨[e_i, e_j], e_k⟩ and raises the last index
-with G⁻¹), the curvature formula in `_curvature_from_connection`, and the
-change of structure constants to another frame in `_structure_in_frame`,
-which the scan's split frame and certify's lift frame both use.
+Each formula is written once: the Koszul formula in `_orthonormal_connection`,
+the curvature formula in `_curvature_from_connection`, and the change of
+structure constants to another frame in `_structure_in_frame`, which the
+scan's split frame and certify's lift frame both use.
 
 All dense algebra uses np.einsum with optimize=False: contractions stay in
 numpy's own deterministic loops, so results are byte-identical regardless of
@@ -29,18 +30,14 @@ BLAS threading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import NilAlgebra
-from .errors import DegeneratePlane, DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NotPositiveDefinite
 
-TOL_IDENTITY = 1e-12   # connection/curvature identities
-TOL_ORACLE = 1e-9      # agreement with independent oracles
-TOL_INVARIANCE = 1e-10 # basis-invariance checks
-TOL_GRAM = 1e-14       # degenerate-plane rejection threshold (relative)
+TOL_IDENTITY = 1e-12   # relative: metric symmetry, centrality of z (`scan`)
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -120,20 +117,6 @@ def _curvature_from_connection(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
             - second + np.swapaxes(second, -4, -3))
 
 
-def connection_from_structure(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Koszul connection Γ[i,j,k] (∇_{e_i} e_j = Σ_k Γ[i,j,k] e_k)."""
-    # B[i,j,l] = ⟨[e_i,e_j], e_l⟩; the index l is raised with G⁻¹
-    b = np.einsum("ijk,kl->ijl", c, g, optimize=False)
-    return np.einsum("ijl,lk->ijk", _orthonormal_connection(b),
-                     np.linalg.inv(g), optimize=False)
-
-
-def curvature_from_structure(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Curvature R4[i,j,k,l] = ⟨R(e_i,e_j)e_k, e_l⟩ (convention above)."""
-    rm = _curvature_from_connection(c, connection_from_structure(c, g))
-    return np.einsum("ijkm,ml->ijkl", rm, g, optimize=False)
-
-
 def rescaled_curvature(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """R̂ in the orthonormal frame whose vector a is frame vector a divided by
     w_a, from the frame's structure constants c and its vector lengths w; a
@@ -142,41 +125,3 @@ def rescaled_curvature(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     c_hat = (c * w[..., None, None, :] / w[..., :, None, None]
              / w[..., None, :, None])
     return _curvature_from_connection(c_hat, _orthonormal_connection(c_hat))
-
-
-def connection_coeffs(algebra: NilAlgebra, metric: LeftInvariantMetric) -> np.ndarray:
-    if metric.dim != algebra.dim:
-        raise DimensionMismatch(
-            f"metric dim {metric.dim} does not match algebra dim {algebra.dim}")
-    return connection_from_structure(structure_array(algebra), metric.matrix)
-
-
-def curvature_tensor(algebra: NilAlgebra, metric: LeftInvariantMetric) -> np.ndarray:
-    if metric.dim != algebra.dim:
-        raise DimensionMismatch(
-            f"metric dim {metric.dim} does not match algebra dim {algebra.dim}")
-    return curvature_from_structure(structure_array(algebra), metric.matrix)
-
-
-def sectional_from_tensor(r4: np.ndarray, g: np.ndarray,
-                          v: np.ndarray, w: np.ndarray) -> float:
-    """K of span(v, w) given a precomputed curvature tensor; the plane is
-    degenerate when its Gram determinant is at most TOL_GRAM·|v|²|w|²."""
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    gv, gw = g @ v, g @ w
-    vv, ww = v @ gv, w @ gw
-    gram = vv * ww - (v @ gw) ** 2
-    if gram <= TOL_GRAM * vv * ww:
-        raise DegeneratePlane(f"plane Gram determinant {gram:.3e} below tolerance")
-    num = np.einsum("ijkl,i,j,k,l->", r4, v, w, v, w, optimize=False)
-    return float(num / gram)
-
-
-def sectional_curvature(algebra: NilAlgebra, metric: LeftInvariantMetric,
-                        v: Sequence[float], w: Sequence[float]) -> float:
-    """K(span(v,w)) = ⟨R(v,w)v,w⟩ / (|v|²|w|² − ⟨v,w⟩²)."""
-    r4 = curvature_tensor(algebra, metric)
-    return sectional_from_tensor(r4, metric.matrix,
-                                 np.asarray(v, dtype=np.float64),
-                                 np.asarray(w, dtype=np.float64))

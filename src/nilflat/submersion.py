@@ -20,7 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
-from .metric import TOL_GRAM, LeftInvariantMetric
+from .metric import LeftInvariantMetric
+
+TOL_GRAM = 1e-14  # a G-length² of z at most this, relative to G's scale, vanishes
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,12 +50,13 @@ class SubmersionSplit:
 def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSplit:
     """G-orthonormalized frame with the unit vertical direction last.
 
-    The horizontal frame comes from G-Gram-Schmidt applied to the standard
-    basis vectors with their vertical components projected out; the basis
-    vector most parallel to z is dropped.  Both length tests are relative to
-    G's scale, so a valid metric of any scale is accepted.  The procedure is
-    deterministic.  z must have the metric's dimension, be finite and have a
-    G-length that does not vanish relative to G's scale.
+    The horizontal frame is G-Gram-Schmidt of the standard basis vectors with
+    their vertical components projected out, in order, without the one most
+    parallel to z in G (the greatest ⟨e_i, z⟩_G²/|e_i|_G², the first on a
+    tie): with z the other n − 1 span the space, so none is dropped for a
+    short residual.  The procedure is deterministic.  z must have the
+    metric's dimension, be finite and have a G-length that does not vanish
+    relative to G's scale, so a valid metric of any scale is accepted.
     """
     g = metric.matrix
     n = metric.dim
@@ -66,18 +69,21 @@ def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSp
     if znorm2 <= TOL_GRAM * float(z @ z) * float(np.max(np.diag(g))):
         raise NotPositiveDefinite("central direction has vanishing length")
     u = z / np.sqrt(znorm2)
+    gu = g @ u
+    dropped = int(np.argmax(gu * gu / np.diag(g)))
     columns = []
     for i in range(n):
+        if i == dropped:
+            continue
         v = np.zeros(n)
         v[i] = 1.0
         v = v - (v @ g @ u) * u
         for h in columns:
             v = v - (v @ g @ h) * h
         norm2 = float(v @ g @ v)
-        if norm2 > 1e-10 * g[i, i]:
-            columns.append(v / np.sqrt(norm2))
-    if len(columns) != n - 1:
-        raise DimensionMismatch(
-            f"failed to build horizontal frame: got {len(columns)} of {n - 1}")
+        if not norm2 > 0.0:
+            raise NotPositiveDefinite(
+                "metric is singular to working precision: no horizontal frame")
+        columns.append(v / np.sqrt(norm2))
     frame = np.stack(columns + [u], axis=1)
     return SubmersionSplit(z=np.array(z), frame=frame, metric=metric)

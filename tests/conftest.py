@@ -1,12 +1,14 @@
 """Shared helpers: deterministic random rationals and vectors, the free
-2-step algebras, the leads of a lower central series, and the environment
-for child `python -m nilflat` processes."""
+2-step algebras, the leads of a lower central series, Milnor's sectional
+curvature (an oracle that shares no code with `nilflat.metric`), and the
+environment for child `python -m nilflat` processes."""
 
 import os
 import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nilflat
@@ -37,6 +39,31 @@ def series_leads(algebra: NilAlgebra):
     the least column of any row of each nonzero term."""
     chain, cls = lower_central_series(algebra)
     return tuple(min(c for row in term for c in row) for term in chain if term), cls
+
+
+def milnor_sectional(algebra: NilAlgebra, gram, v, w) -> float:
+    """K(span(v, w)) of the left-invariant metric with Gram matrix `gram`, by
+    Milnor's formula (Milnor 1976, Lemma 1.1).  A G-orthonormal basis u_1,
+    u_2 of the plane is completed to one of the whole space by a complete
+    Householder QR of (v, w) in the coordinates Lᵀx, G = LLᵀ, where G is
+    the dot product; with α_ijk = ⟨[u_i, u_j], u_k⟩,
+    K = Σ_k ½α_12k(−α_12k + α_2k1 + α_k12)
+            − ¼(α_12k − α_2k1 + α_k12)(α_12k + α_2k1 − α_k12) − α_k11·α_k22."""
+    g, n = np.asarray(gram, dtype=np.float64), algebra.dim
+    c = np.zeros((n, n, n))
+    for (i, j), entry in algebra.brackets.items():
+        for k, coeff in entry.items():
+            c[i, j, k], c[j, i, k] = float(coeff), -float(coeff)
+    chol = np.linalg.cholesky(g)
+    plane = np.column_stack([np.asarray(v, dtype=np.float64),
+                             np.asarray(w, dtype=np.float64)])
+    q = np.linalg.qr(chol.T @ plane, mode="complete")[0]
+    u = np.linalg.solve(chol.T, q)  # uᵀ G u = qᵀ q = I
+    a = np.einsum("ijk,ia,jb,kc->abc", c, u, u, g @ u, optimize=True)
+    a12, a2k1, ak12 = a[0, 1], a[1, :, 0], a[:, 0, 1]
+    return float(np.sum(0.5 * a12 * (-a12 + a2k1 + ak12)
+                        - 0.25 * (a12 - a2k1 + ak12) * (a12 + a2k1 - ak12)
+                        - a[:, 0, 0] * a[:, 1, 1]))
 
 
 @pytest.fixture

@@ -7,10 +7,12 @@ construction as an independent check, imported by the tests the way the
 
   * the O'Neill invariants A, T and the covariant derivative DA of A for an
     ambient metric of any Gram in the split frame, through the full Koszul
-    formula `metric.connection_from_structure`;
+    formula, written here (`oneill_from_frame`) and not taken from the
+    package;
   * the four curvature-decomposition identities (i)–(iv) of O'Neill (1966)
-    at one plane of g^t, the fourth against the ambient curvature of
-    `canonical_variation` in the original coordinates;
+    at one plane of g^t, the fourth against Milnor's formula
+    (`conftest.milnor_sectional`) at the G^t of `canonical_variation` in the
+    original coordinates;
   * the metric g^t itself, built here and not taken from the package: in the
     split frame (`split_diagonal`) and in the original coordinates
     (`canonical_variation`), and the split-frame structure constants
@@ -27,11 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from nilflat import scan
-from nilflat.errors import DegeneratePlane, DimensionMismatch
-from nilflat.metric import (TOL_GRAM, LeftInvariantMetric, _structure_in_frame,
-                            connection_from_structure, curvature_from_structure,
-                            rescaled_curvature, sectional_from_tensor,
-                            structure_array)
+from nilflat.errors import DimensionMismatch
+from nilflat.metric import (LeftInvariantMetric, _structure_in_frame,
+                            rescaled_curvature, structure_array)
+from conftest import milnor_sectional
+
+TOL_PLANE = 1e-14  # relative Gram determinant of a degenerate plane
 
 
 def split_diagonal(n, t):
@@ -108,7 +111,11 @@ def oneill_from_frame(c_hat, g_hat):
     """`oneill_tensors` from frame structure constants and a frame Gram."""
     n = c_hat.shape[0]
     m = n - 1
-    gamma = connection_from_structure(c_hat, g_hat)
+    # Koszul: ⟨∇_{e_i} e_j, e_k⟩ = ½(b_ijk − b_jki + b_kij) on b_ijk =
+    # ⟨[e_i, e_j], e_k⟩, with the last index raised by g⁻¹
+    b = np.einsum("ijk,kl->ijl", c_hat, g_hat, optimize=False)
+    lowered = 0.5 * (b - np.einsum("jki->ijk", b) + np.einsum("kij->ijk", b))
+    gamma = np.einsum("ijl,lk->ijk", lowered, np.linalg.inv(g_hat), optimize=False)
 
     # With the vertical direction last, H keeps components :m and V keeps m;
     # the first slot picks A (horizontal) or T (vertical), and the second
@@ -142,14 +149,14 @@ class SubmersionContext:
     with a central direction z."""
 
     def __init__(self, algebra, metric, split):
-        self.c_ambient = scan._central_structure(algebra, metric, split)
+        scan._central_structure(algebra, metric, split)
+        self.algebra = algebra
         self.metric = metric
         self.split = split
         self.c_hat = frame_structure(algebra, split)
         self.tensors = oneill_from_frame(self.c_hat, np.eye(split.dim))
         m = split.horizontal_dim
         self.r_base = rescaled_curvature(self.c_hat[:m, :m, :m], np.ones(m))
-        self._ambient = {}
 
     @property
     def dim(self):
@@ -159,13 +166,12 @@ class SubmersionContext:
         """R̂ of g^t in its orthonormal frame."""
         return rescaled_curvature(self.c_hat, np.sqrt(split_diagonal(self.dim, t)))
 
-    def ambient_at(self, t):
-        """(G^t matrix, curvature of G^t) in ambient coordinates."""
-        t = float(t)
-        if t not in self._ambient:
-            gt = canonical_variation(self.metric, self.split.z, t).matrix
-            self._ambient[t] = (gt, curvature_from_structure(self.c_ambient, gt))
-        return self._ambient[t]
+    def ambient_sectional(self, t, x, c):
+        """K of the plane span(x, c), given in split-frame coordinates, for
+        G^t in the original coordinates, by Milnor's formula."""
+        gt = canonical_variation(self.metric, self.split.z, t).matrix
+        return milnor_sectional(self.algebra, gt, from_frame(self.split, x),
+                                from_frame(self.split, c))
 
 
 def r4_value(r4, a, b, c, d):
@@ -179,8 +185,8 @@ def decomposition_check(context, t, x, c):
     0 < t < ∞ and x must be horizontal (vertical coordinate zero), else
     ValueError.  The legs are made g^t-orthonormal here, so c = y + u, its
     horizontal and vertical parts, has g(y, y) + t·g(u, u) = 1.  A pair
-    whose g^t Gram determinant is at most TOL_GRAM·|x|²|c|² raises
-    DegeneratePlane, legs of another length DimensionMismatch.
+    whose g^t Gram determinant is at most TOL_PLANE·|x|²|c|² raises
+    ValueError, legs of another length DimensionMismatch.
 
     With A, DA the O'Neill tensors of the base metric g and R^t, Ř the
     curvature tensors of g^t and of the base:
@@ -188,7 +194,7 @@ def decomposition_check(context, t, x, c):
       (i)   Ř(Y,X,Y,X) − R^t(Y,X,Y,X) = 3t·g(A_Y X, A_Y X)
       (ii)  R^t(Y,X,U,X) = −t·g((D_X A)_Y X, U)
       (iii) R^t(U,X,U,X) = t²·g(A_X U, A_X U)
-      (iv)  K^t(span(X,C)) computed directly from the ambient metric G^t
+      (iv)  K^t(span(X,C)) by Milnor's formula at the ambient metric G^t
             equals Ř(Y,X,Y,X) − 3t·g(A_YX,A_YX) − 2t·g((D_XA)_YX,U)
             + t²·g(A_XU,A_XU).
     """
@@ -206,8 +212,8 @@ def decomposition_check(context, t, x, c):
     d = split_diagonal(n, t)
     xx, cc, xc = x @ (d * x), c @ (d * c), x @ (d * c)
     gram = xx * cc - xc * xc
-    if not gram > TOL_GRAM * xx * cc:
-        raise DegeneratePlane(f"plane Gram determinant {gram:.3e} below tolerance")
+    if not gram > TOL_PLANE * xx * cc:
+        raise ValueError(f"plane Gram determinant {gram:.3e} below tolerance")
     c = c - (xc / xx) * x
     x = x / math.sqrt(xx)
     c = c / math.sqrt(c @ (d * c))
@@ -233,9 +239,6 @@ def decomposition_check(context, t, x, c):
     defect_iii = abs(r4_value(r_t, us, xs, us, xs) - term_vert)
 
     assembled = r_base_yxyx - term_a + 2.0 * term_da + term_vert
-    gt, r_ambient = context.ambient_at(t)
-    direct = sectional_from_tensor(r_ambient, gt, from_frame(split, x),
-                                   from_frame(split, c))
-    defect_iv = abs(direct - assembled)
+    defect_iv = abs(context.ambient_sectional(t, x, c) - assembled)
 
     return max(defect_i, defect_ii, defect_iii, defect_iv)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from conftest import milnor_sectional  # noqa: E402  (independent oracle)
 from test_metric import symbolic_geometry  # noqa: E402  (independent oracle)
 
 from nilflat import catalog, fileio  # noqa: E402
@@ -26,7 +27,7 @@ from nilflat.bch import bch_product  # noqa: E402
 from nilflat.cli import main  # noqa: E402
 from nilflat.errors import JacobiViolated, NotClosed, NotNilpotent  # noqa: E402
 from nilflat.metric import (LeftInvariantMetric,  # noqa: E402
-                            sectional_curvature)
+                            rescaled_curvature, structure_array)
 from nilflat.scan import lemma_scan  # noqa: E402
 from nilflat.submersion import build_split  # noqa: E402
 from oneill_oracle import (SubmersionContext,  # noqa: E402  (test-side oracle)
@@ -129,21 +130,19 @@ def test_criterion_4_curvature_oracle():
     assert riem[0][2][0][2] == sp.Rational(1, 4)
     assert riem[1][2][1][2] == sp.Rational(1, 4)
 
-    planes = [((1, 0, 0), (0, 1, 0), -0.75),
-              ((1, 0, 0), (0, 0, 1), 0.25),
-              ((0, 1, 0), (0, 0, 1), 0.25)]
-    for v, w, value in planes:
-        assert sectional_curvature(h3, metric, v, w) == \
-            pytest.approx(value, abs=TOL_ORACLE)
-
+    e = np.eye(3)
+    planes = [(0, 1, -0.75), (0, 2, 0.25), (1, 2, 0.25)]
     z = np.array([0.0, 0.0, 1.0])
     for t in (1.0, 0.1, 0.01):
-        varied = canonical_variation(metric, z, t)
-        for v, w, value in planes:
-            assert sectional_curvature(h3, varied, v, w) == \
+        varied = canonical_variation(metric, z, t).matrix
+        r_hat = rescaled_curvature(structure_array(h3), np.sqrt([1.0, 1.0, t]))
+        for i, j, value in planes:
+            assert milnor_sectional(h3, varied, e[i], e[j]) == \
                 pytest.approx(value * t, abs=TOL_ORACLE)
-    print("CRITERION 4 h3 curvature -3/4, +1/4 vs symbolic Koszul oracle; "
-          "variation scales by t over {1, 0.1, 0.01}: PASS")
+            assert r_hat[i, j, i, j] == pytest.approx(value * t, abs=TOL_ORACLE)
+    print("CRITERION 4 h3 curvature -3/4, +1/4 vs symbolic Koszul oracle, "
+          "Milnor's formula and the split frame; variation scales by t over "
+          "{1, 0.1, 0.01}: PASS")
 
 
 # Criterion 5 — curvature-decomposition identities, vanishing T, and the

@@ -11,7 +11,6 @@ import pytest
 from nilflat import catalog
 from nilflat.algebra import (
     NilAlgebra,
-    algebra_center,
     basis_vec,
     check_adapted,
     check_class,
@@ -124,22 +123,13 @@ def test_not_nilpotent():
         lower_central_series(catalog.so3_like())
 
 
-# [DERIVED] centers: h3 -> e3; abelian -> everything; n4 -> e4; h3xZ -> e3,e4.
-def test_algebra_center():
-    assert algebra_center(H3) == [basis_vec(3, 2)]
-    assert algebra_center(catalog.abelian(2)) == [basis_vec(2, 0), basis_vec(2, 1)]
-    assert algebra_center(N4) == [basis_vec(4, 3)]
-    assert algebra_center(catalog.h3_times_z()) == [basis_vec(4, 2), basis_vec(4, 3)]
-    assert algebra_center(catalog.point()) == []
-
-
-# [DERIVED] center vectors commute with every basis vector, exactly.
+# [DERIVED] in an adapted basis e_n is central, the circle a peel divides
+# out: it commutes with every basis vector, exactly.
 def test_center_commutes(rng):
     for algebra in (H3, N4, catalog.heisenberg5(), catalog.filiform(6)):
         n = algebra.dim
-        for v in algebra_center(algebra):
-            for i in range(n):
-                assert algebra.bracket(v, basis_vec(n, i)) == (Fraction(0),) * n
+        for i in range(n):
+            assert algebra.bracket(basis_vec(n, n - 1), basis_vec(n, i)) == (Fraction(0),) * n
 
 
 # [TRIVIAL] class agreement check and the dim-0 degenerate case.

@@ -1,14 +1,19 @@
-"""The package namespace: every exported name resolves, no module draws a
-random number, and README's library example runs as printed.
+"""The package namespace: every exported name resolves, removed names stay
+removed, no module draws a random number, and README's library example runs
+as printed.
 
 Oracle key: [TRIVIAL] `from nilflat import *` fails on a stale `__all__`
-entry, so removed API cannot linger in the export list; the modules'
-syntax trees name no `random`; [DERIVED] the values README's example pins
-in trailing comments (h3 closed forms: 3t/4 at t = 1e-6 and 0.01).
+entry, so removed API cannot linger in the export list; every name in
+README's "Removed public names" list is absent from `nilflat.__all__`,
+`dir(nilflat)` and the module that held it; the modules' syntax trees name
+no `random`; [DERIVED] the values README's example pins in trailing
+comments (h3 closed forms: 3t/4 at t = 1e-6 and 0.01).
 """
 
 import ast
+import importlib
 import io
+import re
 import sys
 import tokenize
 from pathlib import Path
@@ -25,6 +30,33 @@ def test_star_import_resolves_all():
         assert name in namespace
         assert namespace[name] is getattr(nilflat, name)
     assert len(set(nilflat.__all__)) == len(nilflat.__all__)
+
+
+def readme_removed_names():
+    """{module: names} from README's "Removed public names" list, one
+    bullet per module, its names up to the first full stop:
+    "- `nilflat.module`: `name`, `name`. What replaces them." """
+    section = README.read_text(encoding="utf-8").split(
+        "Removed public names", 1)[1].split("\n\n", 2)[1]
+    removed = {}
+    for bullet in section.split("\n- "):
+        module, rest = bullet.lstrip("- ").split(":", 1)
+        names = rest.split(".", 1)[0]
+        removed[module.strip("`")] = re.findall(r"`(\w+)`", names)
+    return removed
+
+
+# [TRIVIAL] a removed name is in no export list, namespace or old module.
+def test_removed_names_stay_removed():
+    removed = readme_removed_names()
+    assert "DegeneratePlane" in removed["nilflat.errors"]
+    assert len(removed["nilflat.metric"]) == 8
+    for module, names in removed.items():
+        held = importlib.import_module(module)
+        for name in names:
+            assert name not in nilflat.__all__, name
+            assert name not in dir(nilflat), name
+            assert not hasattr(held, name), f"{module}.{name}"
 
 
 # [TRIVIAL] no module of the package draws a random number: none names

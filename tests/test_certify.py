@@ -18,7 +18,8 @@ from nilflat.algebra import NilAlgebra
 from nilflat.certify import (CertificateReport, certificate_summary,
                              certify_almost_flat)
 from nilflat.errors import BudgetNotMet, DimensionMismatch
-from nilflat.metric import LeftInvariantMetric, curvature_tensor
+from nilflat.metric import (LeftInvariantMetric, _structure_in_frame,
+                            rescaled_curvature, structure_array)
 from nilflat.tower import NilLattice, peel_tower
 
 TILTED3 = np.array([[1.0, 0.0, 0.3],
@@ -270,10 +271,11 @@ def test_dense_seed_certifies():
 def _coordinate_max_and_rho(algebra, metric):
     """Max |K| over the coordinate planes of the Cholesky orthonormal frame
     and the spectral radius ρ(ℛ) of the curvature operator on Λ²."""
-    r4 = curvature_tensor(algebra, LeftInvariantMetric(matrix=metric))
-    f = np.linalg.inv(np.linalg.cholesky(metric)).T  # fᵀ·metric·f = I
-    rhat = np.einsum("ijkl,ia,jb,kc,ld->abcd", r4, f, f, f, f)
+    chol = np.linalg.cholesky(metric)
+    f = np.linalg.inv(chol).T  # fᵀ·metric·f = I
     n = len(metric)
+    rhat = rescaled_curvature(
+        _structure_in_frame(structure_array(algebra), f, chol.T), np.ones(n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     op = np.array([[rhat[i, j, k, l] for (k, l) in pairs] for (i, j) in pairs])
     coord = max(abs(rhat[i, j, i, j]) for (i, j) in pairs)

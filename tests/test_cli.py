@@ -253,6 +253,21 @@ def test_huge_integer_metric_exit_two(command, tmp_path, capsys):
     assert "metric matrix has non-finite entries: G[1,1] = inf" in err
 
 
+# [TRIVIAL] regression: an SPD metric with λ_min ≈ 1e-12 is valid, and the
+# split along e3 keeps both horizontal vectors however short e2's residual
+# after e1 (about 2e-12 of its G-length²): `curvature` exits 0, as `certify`
+# does, where it used to refuse the metric with exit 2.
+def test_curvature_accepts_nearly_singular_metric(tmp_path, child_env):
+    (tmp_path / "m.json").write_text(
+        '{"dim": 3, "entries": [1, 0.999999999999, 0, 0.999999999999, 1, 0, '
+        '0, 0, 1]}', encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "nilflat", "curvature",
+                           str(DATA / "h3.json"), "--metric", "m.json"],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 # [DERIVED] full file-level round-trip: peel to a tower file, then rebuild
 # the lattice from the point by chaining extend over the stored cocycles.
 @pytest.mark.parametrize("name", ["z3.json", "h3.json", "n4.json", "h5.json"])

@@ -16,7 +16,6 @@ from nilflat.algebra import NilAlgebra
 from nilflat.intlinalg import (
     hermite_normal_form,
     lattice_coordinates,
-    rational_nullspace,
     rational_row_basis,
     reduce_mod_lattice,
 )
@@ -53,26 +52,6 @@ def test_hnf_invariants():
             assert 0 <= above[j] < row[j]
 
 
-# [TRIVIAL] rational kernel on a hand case: x + y + z = 0, y - z = 0.
-def test_rational_nullspace_hand():
-    rows = [[Fraction(1), Fraction(1), Fraction(1)],
-            [Fraction(0), Fraction(1), Fraction(-1)]]
-    basis = rational_nullspace(rows, 3)
-    assert len(basis) == 1
-    vec = basis[0]
-    assert vec[0] == -2 * vec[1] and vec[1] == vec[2] and vec[2] == 1
-
-
-# [DERIVED] nullspace vectors actually lie in the kernel, rank checks out.
-def test_rational_nullspace_rank():
-    rows = [[Fraction(v) for v in r] for r in [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]]]
-    basis = rational_nullspace(rows, 4)
-    assert len(basis) == 2  # rank 2 in Q^4
-    for vec in basis:
-        for row in rows:
-            assert sum(a * b for a, b in zip(row, vec)) == 0
-
-
 ENTRY = st.one_of(st.just(Fraction(0)),
                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
 
@@ -99,9 +78,7 @@ def sympy_rref(rows, n_cols):
 
 # [DERIVED] the incremental reduced row-echelon basis equals sympy's rref
 # (its nonzero rows) entry for entry once densified; its sparse rows hold
-# only nonzero `Fraction`s and come in increasing pivot order. The rational
-# kernel read off it has dimension n_cols − rank, lies in the kernel and is
-# linearly independent.
+# only nonzero `Fraction`s and come in increasing pivot order.
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(case=rational_matrices())
 def test_row_basis_matches_sympy_rref(case):
@@ -111,12 +88,6 @@ def test_row_basis_matches_sympy_rref(case):
     assert all(type(v) is Fraction and v for row in echelon for v in row.values())
     pivots = [min(row) for row in echelon]
     assert pivots == sorted(set(pivots))
-    kernel = rational_nullspace(rows, n_cols)
-    assert len(kernel) == n_cols - len(echelon)
-    for vec in kernel:
-        for row in rows:
-            assert sum(a * b for a, b in zip(row, vec)) == 0
-    assert len(rational_row_basis(kernel, n_cols)) == len(kernel)
 
 
 def _combine(coefficients, generators, n_cols):

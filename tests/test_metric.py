@@ -1,10 +1,18 @@
-"""Left-invariant curvature against an independent symbolic oracle.
+"""Left-invariant curvature against independent oracles.
+
+The package computes curvature only in an orthonormal frame: R̂ =
+`rescaled_curvature(c_F, w)` from a frame's structure constants c_F and its
+vector lengths w, with Γ̂ = `_orthonormal_connection(c_F)`.  A metric of any
+Gram G is read here in its Cholesky frame F (FᵀGF = I).
 
 Oracle key: [DERIVED] exact sympy re-implementation of the Koszul/curvature
-pipeline (explicit loops and rational linear solves, no shared code) plus
-hand-pinned Heisenberg literals; [TRIVIAL] abelian/flat cases.  Identity
-checks (torsion, compatibility, symmetries) run at 1e-12, oracle agreement
-at 1e-9, invariance checks at 1e-10.
+pipeline at the Gram G in the original basis (explicit loops and rational
+linear solves, no shared code), its tensors pushed into F and compared with
+Γ̂ and R̂; Milnor's sectional-curvature formula (`conftest.milnor_sectional`,
+no Koszul connection and nothing from `nilflat.metric`); hand-pinned
+Heisenberg literals; [TRIVIAL] abelian/flat cases.  Identity checks
+(torsion, compatibility, symmetries) run at 1e-12, oracle agreement at 1e-9,
+invariance checks at 1e-10.
 """
 
 from fractions import Fraction
@@ -14,14 +22,16 @@ import pytest
 import sympy as sp
 
 from nilflat import catalog
-from nilflat.errors import (DegeneratePlane, DimensionMismatch,
-                            NotPositiveDefinite)
-from nilflat.metric import (TOL_IDENTITY, TOL_INVARIANCE, TOL_ORACLE,
-                            LeftInvariantMetric, connection_coeffs,
-                            curvature_tensor, sectional_curvature,
-                            structure_array)
+from nilflat.errors import DimensionMismatch, NotPositiveDefinite
+from nilflat.metric import (TOL_IDENTITY, LeftInvariantMetric,
+                            _orthonormal_connection, _structure_in_frame,
+                            rescaled_curvature, structure_array)
 from nilflat.submersion import build_split
+from conftest import milnor_sectional
 from oneill_oracle import canonical_variation
+
+TOL_ORACLE = 1e-9       # agreement with independent oracles
+TOL_INVARIANCE = 1e-10  # basis-invariance checks
 
 H3 = catalog.heisenberg3()
 N4 = catalog.n4()
@@ -112,6 +122,20 @@ def metric_from_rows(rows):
         matrix=np.array([[float(Fraction(v)) for v in row] for row in rows]))
 
 
+def cholesky_frame(algebra, rows):
+    """(F, c_F): the Cholesky frame F of G, FᵀGF = I, and the structure
+    constants in it, as the commands read a metric."""
+    chol = np.linalg.cholesky(metric_from_rows(rows).matrix)
+    f = np.linalg.inv(chol).T
+    return f, _structure_in_frame(structure_array(algebra), f, chol.T)
+
+
+def frame_sectional(r_hat, x, y):
+    """K of span(x, y), given in the orthonormal frame of R̂."""
+    num = np.einsum("ijkl,i,j,k,l->", r_hat, x, y, x, y, optimize=False)
+    return float(num / ((x @ x) * (y @ y) - (x @ y) ** 2))
+
+
 CASES = [
     ("h3-identity", H3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
     ("h3-tilted", H3, [[1, 0, Fraction(3, 10)], [0, 1, 0],
@@ -122,46 +146,50 @@ CASES = [
 ]
 
 
-# [DERIVED] connection and curvature agree with the symbolic oracle.
+# [DERIVED] the connection and curvature of the Cholesky frame agree with the
+# symbolic oracle at G, pushed into the frame: Γ̂_abc = F_ia F_jb Γ_ijm
+# (GF)_mc and R̂_abcd = R_ijkl F_ia F_jb F_kc F_ld.
 @pytest.mark.parametrize("name,algebra,rows", CASES, ids=[c[0] for c in CASES])
 def test_against_symbolic_oracle(name, algebra, rows):
-    metric = metric_from_rows(rows)
-    gamma = connection_coeffs(algebra, metric)
-    r4 = curvature_tensor(algebra, metric)
+    f, c_f = cholesky_frame(algebra, rows)
+    gamma = _orthonormal_connection(c_f)
+    r_hat = rescaled_curvature(c_f, np.ones(algebra.dim))
     gam_oracle, r4_oracle = oracle_arrays(algebra, rows)
+    gf = metric_from_rows(rows).matrix @ f
+    gam_oracle = np.einsum("ia,jb,ijm,mc->abc", f, f, gam_oracle, gf)
+    r4_oracle = np.einsum("ia,jb,kc,ld,ijkl->abcd", f, f, f, f, r4_oracle)
     assert np.max(np.abs(gamma - gam_oracle)) <= TOL_ORACLE
-    assert np.max(np.abs(r4 - r4_oracle)) <= TOL_ORACLE
+    assert np.max(np.abs(r_hat - r4_oracle)) <= TOL_ORACLE
 
 
-# [DERIVED] hand-pinned Heisenberg literals: K(e1,e2) = -3/4, mixed = +1/4.
+# [DERIVED] hand-pinned Heisenberg literals: K(e1,e2) = -3/4, mixed = +1/4,
+# from R̂ at G = I and from Milnor's formula.
 def test_h3_sectional_literals():
-    metric = LeftInvariantMetric.identity(3)
-    assert sectional_curvature(H3, metric, [1, 0, 0], [0, 1, 0]) == pytest.approx(-0.75, abs=1e-9)
-    assert sectional_curvature(H3, metric, [1, 0, 0], [0, 0, 1]) == pytest.approx(0.25, abs=1e-9)
-    assert sectional_curvature(H3, metric, [0, 1, 0], [0, 0, 1]) == pytest.approx(0.25, abs=1e-9)
+    r_hat = rescaled_curvature(structure_array(H3), np.ones(3))
+    e = np.eye(3)
+    for i, j, value in ((0, 1, -0.75), (0, 2, 0.25), (1, 2, 0.25)):
+        assert r_hat[i, j, i, j] == pytest.approx(value, abs=1e-9)
+        assert milnor_sectional(H3, e, e[i], e[j]) == pytest.approx(value, abs=1e-9)
 
 
 # [TRIVIAL] abelian algebras are flat for every metric.
 @pytest.mark.parametrize("rows", [np.eye(3, dtype=int).tolist(),
                                   [[2, 1, 0], [1, 2, 0], [0, 0, 5]]])
 def test_abelian_flat(rows):
-    z3 = catalog.abelian(3)
-    r4 = curvature_tensor(z3, metric_from_rows(rows))
-    assert np.max(np.abs(r4)) == 0.0
+    _, c_f = cholesky_frame(catalog.abelian(3), rows)
+    r_hat = rescaled_curvature(c_f, np.ones(3))
+    assert np.max(np.abs(r_hat)) == 0.0
 
 
 # [DERIVED] torsion ∇_XY − ∇_YX − [X,Y] = 0 and metric compatibility
-# ∂(⟨Y,Z⟩) = 0 = ⟨∇_XY,Z⟩ + ⟨Y,∇_XZ⟩ in a left-invariant frame.
+# ∂(⟨Y,Z⟩) = 0 = ⟨∇_XY,Z⟩ + ⟨Y,∇_XZ⟩ in the orthonormal Cholesky frame.
 @pytest.mark.parametrize("name,algebra,rows", CASES, ids=[c[0] for c in CASES])
 def test_connection_identities(name, algebra, rows):
-    metric = metric_from_rows(rows)
-    gamma = connection_coeffs(algebra, metric)
-    c = structure_array(algebra)
-    g = metric.matrix
-    torsion = gamma - gamma.transpose(1, 0, 2) - c
+    _, c_f = cholesky_frame(algebra, rows)
+    gamma = _orthonormal_connection(c_f)
+    torsion = gamma - gamma.transpose(1, 0, 2) - c_f
     assert np.max(np.abs(torsion)) <= TOL_IDENTITY
-    compat = (np.einsum("ijm,mk->ijk", gamma, g, optimize=False)
-              + np.einsum("ikm,mj->ijk", gamma, g, optimize=False))
+    compat = gamma + gamma.transpose(0, 2, 1)
     assert np.max(np.abs(compat)) <= TOL_IDENTITY
 
 
@@ -169,7 +197,8 @@ def test_connection_identities(name, algebra, rows):
 # symmetry, first Bianchi.
 @pytest.mark.parametrize("name,algebra,rows", CASES, ids=[c[0] for c in CASES])
 def test_curvature_symmetries(name, algebra, rows):
-    r4 = curvature_tensor(algebra, metric_from_rows(rows))
+    _, c_f = cholesky_frame(algebra, rows)
+    r4 = rescaled_curvature(c_f, np.ones(algebra.dim))
     assert np.max(np.abs(r4 + r4.transpose(1, 0, 2, 3))) <= TOL_IDENTITY
     assert np.max(np.abs(r4 + r4.transpose(0, 1, 3, 2))) <= TOL_IDENTITY
     assert np.max(np.abs(r4 - r4.transpose(2, 3, 0, 1))) <= TOL_IDENTITY
@@ -177,30 +206,39 @@ def test_curvature_symmetries(name, algebra, rows):
     assert np.max(np.abs(bianchi)) <= TOL_IDENTITY
 
 
-# [DERIVED] K depends only on the plane: invariant under basis changes.
+# [DERIVED] K depends only on the plane: Milnor's K is invariant under
+# changes of the plane's basis, and equals K of R̂ in the Cholesky frame.
 def test_sectional_plane_invariance():
-    metric = metric_from_rows(CASES[3][2])
+    rows = CASES[3][2]
+    g = metric_from_rows(rows).matrix
     rng = np.random.default_rng(11)
     v = np.array([1.0, 0.0, 2.0, -1.0])
     w = np.array([0.0, 1.0, 1.0, 3.0])
-    k0 = sectional_curvature(N4, metric, v, w)
+    k0 = milnor_sectional(N4, g, v, w)
+    f, c_f = cholesky_frame(N4, rows)
+    r_hat = rescaled_curvature(c_f, np.ones(4))
+    f_inv = np.linalg.inv(f)
+    assert abs(frame_sectional(r_hat, f_inv @ v, f_inv @ w) - k0) <= TOL_INVARIANCE
     for _ in range(20):
         a, b, c, d = rng.uniform(-2, 2, size=4)
         if abs(a * d - b * c) < 0.1:
             continue
-        k1 = sectional_curvature(N4, metric, a * v + b * w, c * v + d * w)
+        k1 = milnor_sectional(N4, g, a * v + b * w, c * v + d * w)
         assert abs(k1 - k0) <= TOL_INVARIANCE
 
 
-# [DERIVED] homothety G -> λG scales sectional curvature by 1/λ.
+# [DERIVED] homothety G -> λG scales sectional curvature by 1/λ: frame
+# weights ·√λ divide R̂ by λ, and Milnor's K at λG is K at G over λ.
 def test_homothety_scaling():
     lam = 3.5
-    base = LeftInvariantMetric.identity(4)
-    scaled = LeftInvariantMetric(matrix=lam * np.eye(4))
+    c = structure_array(N4)
+    r_base = rescaled_curvature(c, np.ones(4))
+    r_scaled = rescaled_curvature(c, np.full(4, np.sqrt(lam)))
+    assert np.max(np.abs(r_scaled - r_base / lam)) <= TOL_INVARIANCE
     v = [1, 0, 1, 0]
     w = [0, 1, 0, 2]
-    k_base = sectional_curvature(N4, base, v, w)
-    k_scaled = sectional_curvature(N4, scaled, v, w)
+    k_base = milnor_sectional(N4, np.eye(4), v, w)
+    k_scaled = milnor_sectional(N4, lam * np.eye(4), v, w)
     assert abs(k_scaled - k_base / lam) <= TOL_INVARIANCE
 
 
@@ -212,12 +250,6 @@ def test_metric_validation_errors():
         LeftInvariantMetric(matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(DimensionMismatch):
         LeftInvariantMetric(matrix=np.zeros((2, 3)))
-    with pytest.raises(DimensionMismatch):
-        sectional_curvature(H3, LeftInvariantMetric.identity(4), [1, 0, 0, 0],
-                            [0, 1, 0, 0])
-    with pytest.raises(DegeneratePlane):
-        sectional_curvature(H3, LeftInvariantMetric.identity(3), [1, 0, 0],
-                            [2, 0, 0])
     metric = LeftInvariantMetric.identity(3)
     assert not metric.matrix.flags.writeable
 
@@ -234,18 +266,16 @@ def test_metric_symmetry_scale_invariant():
         LeftInvariantMetric(matrix=np.array([[1e-13, 1e-13], [0.0, 1e-13]]))
 
 
-# [DERIVED] the degenerate-plane test is scale-invariant: an orthogonal plane
-# with one very short leg is a plane (h3 with G = diag(1, 1, t) has
-# K(e1, e3) = t/4), whatever the leg lengths; parallel legs are rejected.
+# [DERIVED] an orthogonal plane with one very short leg is a plane: h3 with
+# G = diag(1, 1, t) has K(e1, e3) = t/4 at t = 1e-16, from R̂ at frame
+# weights √(1, 1, t) and from Milnor's formula whatever the leg lengths.
 def test_degenerate_plane_scale_invariant():
-    metric = LeftInvariantMetric(matrix=np.diag([1.0, 1.0, 1e-16]))
+    t = 1e-16
+    r_hat = rescaled_curvature(structure_array(H3), np.sqrt([1.0, 1.0, t]))
+    assert r_hat[0, 2, 0, 2] == pytest.approx(0.25 * t, rel=1e-9)
     for scale in (1.0, 1e8):
-        k = sectional_curvature(H3, metric, [1, 0, 0], [0, 0, scale])
-        assert k == pytest.approx(0.25e-16, rel=1e-9)
-    with pytest.raises(DegeneratePlane):
-        sectional_curvature(H3, metric, [1, 0, 0], [2, 0, 0])
-    with pytest.raises(DegeneratePlane):
-        sectional_curvature(H3, metric, [0, 0, 0], [0, 0, 1])
+        k = milnor_sectional(H3, np.diag([1.0, 1.0, t]), [1, 0, 0], [0, 0, scale])
+        assert k == pytest.approx(0.25 * t, rel=1e-9)
 
 
 # [DERIVED] canonical variation: scales only the vertical direction.
@@ -302,10 +332,13 @@ def test_canonical_variation_nonfinite_t(t):
         canonical_variation(LeftInvariantMetric.identity(3), [0, 0, 1], t)
 
 
-# [DERIVED] h3 under canonical variation: K^t(e1,e2) = -3t/4, mixed = t/4.
+# [DERIVED] h3 under canonical variation: K^t(e1,e2) = -3t/4, mixed = t/4,
+# from R̂ at split-frame weights √(1, 1, t) and from Milnor's formula at G^t.
 @pytest.mark.parametrize("t", [1.0, 0.1, 0.01])
 def test_h3_variation_curvature(t):
-    metric = LeftInvariantMetric.identity(3)
-    g_t = canonical_variation(metric, [0, 0, 1], t)
-    assert sectional_curvature(H3, g_t, [1, 0, 0], [0, 1, 0]) == pytest.approx(-0.75 * t, abs=1e-9)
-    assert sectional_curvature(H3, g_t, [1, 0, 0], [0, 0, 1]) == pytest.approx(0.25 * t, abs=1e-9)
+    g_t = canonical_variation(LeftInvariantMetric.identity(3), [0, 0, 1], t).matrix
+    r_hat = rescaled_curvature(structure_array(H3), np.sqrt([1.0, 1.0, t]))
+    e = np.eye(3)
+    for i, j, value in ((0, 1, -0.75 * t), (0, 2, 0.25 * t)):
+        assert r_hat[i, j, i, j] == pytest.approx(value, abs=1e-9)
+        assert milnor_sectional(H3, g_t, e[i], e[j]) == pytest.approx(value, abs=1e-9)

@@ -18,13 +18,17 @@ the peel cocycle plus a coboundary and that cocycle with one entry raised
 by 1, and on a filiform(16) table that breaks Jacobi on many triples.
 
 Oracle key, numerical layer: [DERIVED] the curvature every measurement uses, that of
-diag(1, …, 1, t) in the split frame of `build_split`, against the ambient
-curvature of `canonical_variation` in the original coordinates.  The two
-share only the Koszul formula: one path transforms the structure constants
-into the frame, the other the metric.  Random SPD seeds on h3, n4 and
-filiform(5), t in [1e-6, 1], random planes that are not nearly degenerate in
-G^t; agreement to 1e-9 relative, with an absolute floor of 1e-12 times the
-largest orthonormal curvature component for planes whose |K| nearly cancels.
+diag(1, …, 1, t) in the split frame of `build_split`, against Milnor's
+sectional curvature (`conftest.milnor_sectional`) of `canonical_variation`
+in the original coordinates.  The two share no code: one path transforms
+the structure constants into the frame and applies the Koszul formula, the
+other transforms the metric and sums Milnor's formula.  Random SPD seeds on
+h3, n4 and filiform(5), t in [1e-6, 1], random planes that are not nearly
+degenerate in G^t; agreement to 1e-9 relative, with an absolute floor of
+1e-12 times the largest orthonormal curvature component for planes whose |K|
+nearly cancels.  At t = 1, on the same seeds, Milnor's K at G and K of
+`rescaled_curvature` in the Cholesky frame of G agree to 1e-12 relative,
+with the same floor.
 
 Oracle key, curvature operator: [DERIVED] K of an orthonormal pair read as
 bᵀℛb on Λ² (b = x ∧ c over the pairs of `scan._pairs`) against the direct
@@ -36,8 +40,8 @@ allowance 2n⁴ε.
 Oracle key, polished sup: [DERIVED] on dense seeds I + ½BBᵀ/n of h5, h7,
 free 2-step(3, 4) and filiform(6), `scan.polished_sup` of the split-frame
 tensor at support n − 1 and n, and certify's reported sup, lie at or above
-the largest |K| over the basis coordinate planes, computed here with
-`metric.sectional_curvature` in the original coordinates (of
+the largest |K| over the basis coordinate planes, computed here by
+Milnor's formula (`conftest.milnor_sectional`) in the original coordinates (of
 `canonical_variation` for scans, of the reported metric for certify; to
 1e-9 relative), and at or below ρ + δ (ρ from ℛ built entry by entry here,
 for scans; the reported `sup_abs_K_bound` for certify).
@@ -62,8 +66,8 @@ from nilflat.algebra import (NilAlgebra, check_jacobi,
                              lower_central_series)
 from nilflat.errors import DimensionMismatch, NotNilpotent, ValidationReport
 from nilflat.intlinalg import rational_row_basis
-from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
-                            sectional_curvature, sectional_from_tensor)
+from nilflat.metric import (LeftInvariantMetric, _structure_in_frame,
+                            rescaled_curvature, structure_array)
 from nilflat.certify import certify_almost_flat
 from nilflat.scan import (_curvature_operator, _lemma_constant, _pairs,
                           _rounding_allowance, _slack_form, _thorpe_form,
@@ -71,7 +75,7 @@ from nilflat.scan import (_curvature_operator, _lemma_constant, _pairs,
 from nilflat.tower import (CentralCocycle, NilLattice, check_closed,
                            extend_by_cocycle, peel_step, peel_tower)
 from nilflat.submersion import build_split
-from conftest import free_two_step, series_leads
+from conftest import free_two_step, milnor_sectional, series_leads
 from oneill_oracle import (canonical_variation, frame_structure, from_frame,
                            oneill_from_frame, split_diagonal)
 
@@ -100,13 +104,36 @@ def test_split_frame_curvature_matches_canonical_variation(name, t, data):
     split = build_split(metric, z)
     d = split_diagonal(n, t)
     r_hat = rescaled_curvature(frame_structure(algebra, split), np.sqrt(d))
-    k_split = sectional_from_tensor(r_hat, np.eye(n), a, c)
+    k_split = float(np.einsum("ijkl,i,j,k,l->", r_hat, a, c, a, c, optimize=False)
+                    / ((a @ a) * (c @ c) - (a @ c) ** 2))
     a, c = a / np.sqrt(d), c / np.sqrt(d)
-    k_ambient = sectional_curvature(algebra, canonical_variation(metric, z, t),
-                                    from_frame(split, a), from_frame(split, c))
+    k_ambient = milnor_sectional(algebra, canonical_variation(metric, z, t).matrix,
+                                 from_frame(split, a), from_frame(split, c))
 
     scale = float(np.max(np.abs(r_hat)))
     assert k_split == pytest.approx(k_ambient, rel=1e-9, abs=1e-12 * scale)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(ALGEBRAS)), data=st.data())
+def test_milnor_matches_rescaled_curvature(name, data):
+    algebra = ALGEBRAS[name]
+    n = algebra.dim
+    b = data.draw(arrays(np.float64, (n, n), elements=UNIT), label="B")
+    g = np.eye(n) + b @ b.T
+    a, c = data.draw(arrays(np.float64, (2, n), elements=UNIT), label="plane")
+    assume((a @ a) * (c @ c) - (a @ c) ** 2 > 1e-3 * (a @ a) * (c @ c))
+
+    chol = np.linalg.cholesky(g)
+    f = np.linalg.inv(chol).T  # fᵀ·g·f = I
+    r_hat = rescaled_curvature(
+        _structure_in_frame(structure_array(algebra), f, chol.T), np.ones(n))
+    k_frame = float(np.einsum("ijkl,i,j,k,l->", r_hat, a, c, a, c, optimize=False)
+                    / ((a @ a) * (c @ c) - (a @ c) ** 2))
+    k_milnor = milnor_sectional(algebra, g, f @ a, f @ c)
+
+    scale = float(np.max(np.abs(r_hat)))
+    assert k_frame == pytest.approx(k_milnor, rel=1e-12, abs=1e-12 * scale)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -582,7 +609,7 @@ FLOOR_ALGEBRAS = {"h5": THORPE_ALGEBRAS["h5"], "h7": THORPE_ALGEBRAS["h7"],
 def coordinate_floor(algebra, metric):
     """max |K| over the basis coordinate planes span(e_i, e_j), i < j."""
     e = np.eye(algebra.dim)
-    return max(abs(sectional_curvature(algebra, metric, e[i], e[j]))
+    return max(abs(milnor_sectional(algebra, metric.matrix, e[i], e[j]))
                for i, j in combinations(range(algebra.dim), 2))
 
 

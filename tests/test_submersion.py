@@ -11,8 +11,8 @@ import pytest
 
 from nilflat import catalog
 from nilflat.errors import DimensionMismatch, NotPositiveDefinite
-from nilflat.metric import (LeftInvariantMetric, curvature_tensor,
-                            rescaled_curvature, structure_array)
+from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
+                            structure_array)
 from nilflat.submersion import build_split
 from oneill_oracle import (canonical_variation, frame_metric, frame_structure,
                            from_frame, oneill_tensors, to_frame)
@@ -70,13 +70,20 @@ def test_split_frame_orthonormal(name, algebra, matrix):
     assert np.max(np.abs(from_frame(split, to_frame(split, v)) - v)) <= TOL
 
 
-# [TRIVIAL] degenerate or mis-sized central directions are rejected.
+# [TRIVIAL] degenerate or mis-sized central directions are rejected, and so
+# is a singular metric that passes the Cholesky test by rounding (det = 0,
+# last Cholesky pivot 3e-8): no horizontal vector has a positive G-length².
 def test_split_errors():
     metric = LeftInvariantMetric.identity(3)
     with pytest.raises(NotPositiveDefinite):
         build_split(metric, [0.0, 0.0, 0.0])
     with pytest.raises(DimensionMismatch):
         build_split(metric, [0.0, 1.0])
+    singular = LeftInvariantMetric(matrix=np.array([[8.0, 2.0, 4.0],
+                                                    [2.0, 13.0, -4.0],
+                                                    [4.0, -4.0, 4.0]]))
+    with pytest.raises(NotPositiveDefinite, match="singular to working precision"):
+        build_split(singular, [0.0, 0.0, 1.0])
 
 
 # [TRIVIAL] a NaN or infinite central direction is rejected as a value, not
@@ -181,7 +188,7 @@ def test_n4_base_is_h3():
     r_base = rescaled_curvature(c_base, np.ones(3))
     assert np.max(np.abs(c_base - structure_array(H3))) <= TOL
     assert np.max(np.abs(g_base - np.eye(3))) <= TOL
-    r_h3 = curvature_tensor(H3, LeftInvariantMetric.identity(3))
+    r_h3 = rescaled_curvature(structure_array(H3), np.ones(3))
     assert np.max(np.abs(r_base - r_h3)) <= TOL
 
 
