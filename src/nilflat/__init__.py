@@ -10,7 +10,9 @@ The numerical layer (`metric`, `submersion`, `scan`, `certify`) puts
 left-invariant metrics on the same data: curvature in an orthonormal frame
 (`metric.rescaled_curvature`: one Koszul formula, one curvature formula and
 one change of frame, all in `metric`),
-the split of a metric along a central circle direction (`submersion`),
+the split of a metric along e_n, the top circle of an adapted basis, in
+the frame of the reversed Cholesky factor that is also the metric's one
+positive-definiteness gate (`submersion`),
 scans of the canonical variation g^t that shrinks that circle, certifying
 the |K^t| <= |K_base| + C*sqrt(t) bound (C from the O'Neill tensors of the
 submersion, all read off one orthonormal split frame), and a per-level

@@ -37,7 +37,7 @@ import numpy as np
 from .algebra import NilAlgebra
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-TOL_IDENTITY = 1e-12   # relative: metric symmetry, centrality of z (`scan`)
+TOL_IDENTITY = 1e-12   # relative: metric symmetry
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -46,9 +46,28 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _reversed_cholesky(g: np.ndarray) -> np.ndarray:
+    """Lower-triangular R with P·G·P = R·Rᵀ, P the reversal of the basis
+    order: the metric's one positive-definiteness gate and the factor of its
+    split frame (`submersion.build_split`).  A pivot d_k = R_kk² at most
+    n·ε·(PGP)_kk is rounding, so G is singular to working precision; each
+    pivot is compared with its own diagonal entry, so rescaling the basis
+    keeps a valid G valid."""
+    reversed_g = g[::-1, ::-1]
+    try:
+        r = np.linalg.cholesky(reversed_g)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite("metric matrix is not positive definite")
+    if np.any(np.diag(r) ** 2 <= len(g) * np.finfo(float).eps * np.diag(reversed_g)):
+        raise NotPositiveDefinite("metric matrix is singular to working precision")
+    return r
+
+
 @dataclass(frozen=True, eq=False)
 class LeftInvariantMetric:
-    """Symmetric positive-definite Gram matrix on the algebra basis."""
+    """Symmetric positive-definite Gram matrix on the algebra basis: finite,
+    symmetric to TOL_IDENTITY relative to its largest entry, and passed by
+    the one positive-definiteness gate, `_reversed_cholesky`."""
 
     matrix: np.ndarray
 
@@ -64,10 +83,7 @@ class LeftInvariantMetric:
             raise NotPositiveDefinite("metric matrix is not symmetric")
         sym = 0.5 * (m + m.T)
         if m.size:
-            try:
-                np.linalg.cholesky(sym)
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefinite("metric matrix is not positive definite")
+            _reversed_cholesky(sym)
         object.__setattr__(self, "matrix", _as_readonly(sym))
 
     @property

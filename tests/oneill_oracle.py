@@ -18,9 +18,9 @@ construction as an independent check, imported by the tests the way the
     (`canonical_variation`), and the split-frame structure constants
     (`frame_structure`).
 
-Because z is central and the metric is left-invariant, the fibers are
-totally geodesic (T ≡ 0); the tests verify that numerically rather than
-assume it.
+Because the split direction e_n is central and the metric is
+left-invariant, the fibers are totally geodesic (T ≡ 0); the tests verify
+that numerically rather than assume it.
 """
 
 import math
@@ -146,7 +146,7 @@ def oneill_constant(tensors):
 class SubmersionContext:
     """Frame data of one split, shared by decomposition checks.  The split is
     checked as `lemma_scan` checks it: the algebra's, built from this metric,
-    with a central direction z."""
+    split along e_n, which must be central."""
 
     def __init__(self, algebra, metric, split):
         scan._central_structure(algebra, metric, split)

@@ -253,10 +253,9 @@ def test_huge_integer_metric_exit_two(command, tmp_path, capsys):
     assert "metric matrix has non-finite entries: G[1,1] = inf" in err
 
 
-# [TRIVIAL] regression: an SPD metric with λ_min ≈ 1e-12 is valid, and the
-# split along e3 keeps both horizontal vectors however short e2's residual
-# after e1 (about 2e-12 of its G-length²): `curvature` exits 0, as `certify`
-# does, where it used to refuse the metric with exit 2.
+# [TRIVIAL] regression: an SPD metric with λ_min ≈ 1e-12 is valid (its
+# reversed Cholesky pivots are 1, 1 and 2e-12): `curvature` exits 0, as
+# `certify` does, where it used to refuse the metric with exit 2.
 def test_curvature_accepts_nearly_singular_metric(tmp_path, child_env):
     (tmp_path / "m.json").write_text(
         '{"dim": 3, "entries": [1, 0.999999999999, 0, 0.999999999999, 1, 0, '
@@ -266,6 +265,32 @@ def test_curvature_accepts_nearly_singular_metric(tmp_path, child_env):
                           cwd=tmp_path, env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+SINGULAR_METRIC = [8, 2, 4, 2, 13, -4, 4, -4, 4]  # det 0
+
+
+# [TRIVIAL] regression: both orders of an exactly singular metric are
+# refused by `curvature` and `certify` alike (exit 2), where `certify`
+# accepted the first through a rounded forward Cholesky pivot of 3e-8, and a
+# metric of widely spread scales is accepted by both.
+@pytest.mark.parametrize("command", [["curvature"], ["certify", "--eps", "0.01"]],
+                         ids=["curvature", "certify"])
+@pytest.mark.parametrize("entries,code", [
+    (SINGULAR_METRIC, 2),
+    (SINGULAR_METRIC[::-1], 2),
+    ([1e10, 0, 0, 0, 1, 0, 0, 0, 1e-8], 0),
+], ids=["singular", "singular-reversed", "spread-diagonal"])
+def test_metric_gate_same_for_every_command(command, entries, code, tmp_path,
+                                            monkeypatch, capsys):
+    (tmp_path / "m.json").write_text(json.dumps({"dim": 3, "entries": entries}),
+                                     encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exit_code, _, err = run_cli([command[0], str(DATA / "h3.json"), "--metric",
+                                 "m.json"] + command[1:], capsys)
+    assert exit_code == code, err
+    if code:
+        assert err.startswith("nilflat: error: ") and "metric matrix is" in err
 
 
 # [DERIVED] full file-level round-trip: peel to a tower file, then rebuild

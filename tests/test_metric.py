@@ -242,12 +242,19 @@ def test_homothety_scaling():
     assert abs(k_scaled - k_base / lam) <= TOL_INVARIANCE
 
 
-# [TRIVIAL] validation errors.
+# [TRIVIAL] validation errors.  Both orders of an exactly singular matrix
+# (det 0) are refused, the one whose reversed Cholesky factor passes by
+# rounding by its last pivot, 8.9e-16 ≤ 3ε·4.
 def test_metric_validation_errors():
     with pytest.raises(NotPositiveDefinite):
         LeftInvariantMetric(matrix=np.array([[1.0, 0.5], [-0.5, 1.0]]))
     with pytest.raises(NotPositiveDefinite):
         LeftInvariantMetric(matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    singular = np.array([[8.0, 2.0, 4.0], [2.0, 13.0, -4.0], [4.0, -4.0, 4.0]])
+    with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+        LeftInvariantMetric(matrix=singular)
+    with pytest.raises(NotPositiveDefinite, match="singular to working precision"):
+        LeftInvariantMetric(matrix=singular[::-1, ::-1])
     with pytest.raises(DimensionMismatch):
         LeftInvariantMetric(matrix=np.zeros((2, 3)))
     metric = LeftInvariantMetric.identity(3)

@@ -131,23 +131,21 @@ def test_context_rejects_foreign_split():
                       [1.0], 10, 0).sup_abs_K == (0.75,)
 
 
-# [DERIVED] the collapsed direction must be central: on h3 the split of e1
-# has [e2, e1] = −e3, and its sup|K^t| (7.5 at t = 0.1) is far above the
-# lemma's bound, so the split check that `lemma_scan` and the oracle context
-# share refuses it by name; the test is relative to max|C|·max|z|, so a
-# bracket of rounding size passes. e3 of h3×Z is central though not last,
-# and its fiber collapses as h3's does: sup|K^t| = 3t/4.
+# [DERIVED] the collapsed direction e_n must be central: with [e1, e3] = e2
+# it is not, so the split check that `lemma_scan` and the oracle context
+# share refuses it by naming the bracket.  A center that is not last is
+# collapsed by permuting the basis: h3×Z with the Heisenberg center moved
+# last collapses as h3 does, sup|K^t| = 3t/4.
 def test_context_rejects_non_central_direction():
-    metric = LeftInvariantMetric.identity(3)
-    split = build_split(metric, [1.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match=r"not central: \[e2, z\] has e3-component -1.0"):
-        lemma_scan(H3, metric, split, [1.0, 0.1, 0.01], n_samples=1, seed=0)
+    algebra = NilAlgebra.from_brackets(3, 2, {(1, 3): {2: 1}})
+    metric, split = geometry(algebra)
+    with pytest.raises(ValueError, match=r"e3 is not central: \[e1, e3\] = 1·e2"):
+        lemma_scan(algebra, metric, split, [1.0, 0.1, 0.01], n_samples=1, seed=0)
     with pytest.raises(ValueError, match="not central"):
-        SubmersionContext(H3, metric, build_split(metric, [1e-9, 0.0, 1.0]))
-    SubmersionContext(H3, metric, build_split(metric, [1e-14, 0.0, 1.0]))  # rounding
-    metric4 = LeftInvariantMetric.identity(4)
-    report = lemma_scan(catalog.h3_times_z(), metric4,
-                        build_split(metric4, [0.0, 0.0, 1.0, 0.0]), [1.0, 0.1, 0.01],
+        SubmersionContext(algebra, metric, split)
+    center_last = NilAlgebra.from_brackets(4, 2, {(1, 2): {4: 1}})
+    metric4, split4 = geometry(center_last)
+    report = lemma_scan(center_last, metric4, split4, [1.0, 0.1, 0.01],
                         n_samples=1, seed=0)
     assert report.sup_abs_K == pytest.approx((0.75, 0.075, 0.0075), rel=1e-12)
 

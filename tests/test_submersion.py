@@ -6,11 +6,14 @@ T from their definitions; [TRIVIAL] abelian cases.  The structural checks
 run at 1e-12.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nilflat import catalog
-from nilflat.errors import DimensionMismatch, NotPositiveDefinite
+from nilflat.errors import DimensionMismatch
+from nilflat.fileio import load_metric
 from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
                             structure_array)
 from nilflat.submersion import build_split
@@ -18,6 +21,7 @@ from oneill_oracle import (canonical_variation, frame_metric, frame_structure,
                            from_frame, oneill_tensors, to_frame)
 
 TOL = 1e-12
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 H3 = catalog.heisenberg3()
 N4 = catalog.n4()
@@ -70,28 +74,53 @@ def test_split_frame_orthonormal(name, algebra, matrix):
     assert np.max(np.abs(from_frame(split, to_frame(split, v)) - v)) <= TOL
 
 
-# [TRIVIAL] degenerate or mis-sized central directions are rejected, and so
-# is a singular metric that passes the Cholesky test by rounding (det = 0,
-# last Cholesky pivot 3e-8): no horizontal vector has a positive G-length².
+# [TRIVIAL] a split is along e_n only: any other direction, however close to
+# e_n or parallel to it, is refused by name, and a mis-sized one by shape.
 def test_split_errors():
     metric = LeftInvariantMetric.identity(3)
-    with pytest.raises(NotPositiveDefinite):
-        build_split(metric, [0.0, 0.0, 0.0])
+    for z in ([1.0, 0.0, 0.0], [1e-9, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 2.0]):
+        with pytest.raises(ValueError, match=r"along e3 only"):
+            build_split(metric, z)
     with pytest.raises(DimensionMismatch):
         build_split(metric, [0.0, 1.0])
-    singular = LeftInvariantMetric(matrix=np.array([[8.0, 2.0, 4.0],
-                                                    [2.0, 13.0, -4.0],
-                                                    [4.0, -4.0, 4.0]]))
-    with pytest.raises(NotPositiveDefinite, match="singular to working precision"):
-        build_split(singular, [0.0, 0.0, 1.0])
 
 
-# [TRIVIAL] a NaN or infinite central direction is rejected as a value, not
-# reported as a failed horizontal frame of the wrong dimension.
+# [TRIVIAL] a NaN or infinite direction is not e_n, and is refused as such.
 @pytest.mark.parametrize("z", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_split_nonfinite_direction(z):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"along e3 only"):
         build_split(LeftInvariantMetric.identity(3), [0.0, 0.0, z])
+
+
+def dense_seed(n, seed):
+    """The SPD seed metric I + ½BBᵀ/n, B standard normal from `seed`."""
+    b = np.random.default_rng(seed).standard_normal((n, n))
+    return np.eye(n) + 0.5 * b @ b.T / n
+
+
+SHIPPED_METRICS = sorted(DATA.glob("metric*_*.json"))
+
+
+# [DERIVED] the split frame is the reversed Cholesky frame: lower-triangular
+# and G-orthonormal to rounding, on every shipped seed metric and on dense
+# seeds of dimensions 6 to 10.
+@pytest.mark.parametrize("matrix", [
+    *(load_metric(path) for path in SHIPPED_METRICS),
+    dense_seed(6, 0), dense_seed(8, 1), dense_seed(10, 2),
+], ids=[path.stem for path in SHIPPED_METRICS] + ["dense6", "dense8", "dense10"])
+def test_split_frame_lower_triangular(matrix):
+    metric = LeftInvariantMetric(matrix=matrix)
+    frame = build_split(metric, last_basis(metric.dim)).frame
+    assert np.array_equal(frame, np.tril(frame))
+    defect = frame.T @ metric.matrix @ frame - np.eye(metric.dim)
+    assert np.max(np.abs(defect)) <= 1e-15
+
+
+# [TRIVIAL] at G = I the split frame is the identity, bit for bit.
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_split_frame_identity(n):
+    frame = build_split(LeftInvariantMetric.identity(n), last_basis(n)).frame
+    assert frame.tobytes() == np.eye(n).tobytes()
 
 
 # [DERIVED] frame structure constants transform as a (1,2)-tensor: checked by
