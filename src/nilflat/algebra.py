@@ -239,14 +239,12 @@ def lower_central_series(algebra: NilAlgebra) -> Tuple[List[List[SparseRow]], in
         if not current:
             break
         # [e_i, v] is built only for the i that bracket with v's support
-        reach = [set().union(*(partners[m] for m in terms)) for terms in current]
         products = []
-        for i in range(n):
-            for terms, near in zip(current, reach):
-                if i in near:
-                    w: SparseRow = {}
-                    _add_ad(w, algebra, i, terms)
-                    products.append(w)
+        for terms in current:
+            for i in sorted(set().union(*(partners[m] for m in terms))):
+                w: SparseRow = {}
+                _add_ad(w, algebra, i, terms)
+                products.append(w)
         nxt = rational_row_basis(products, n)
         if len(nxt) >= len(current):
             raise NotNilpotent(

@@ -18,8 +18,11 @@ seed only when the seed is diagonal: on Z³ with seed
 [[2, .5, .3], [.5, 1.5, .4], [.3, .4, 1.2]] at eps 0.01, ts is (1, 1, 1) but
 metric_matrix[0][0] is 2.2417, where the seed has 2.0.
 
-Levels whose extension cocycle vanishes are metric products — they add no
-curvature and keep t = 1.  Each curved level gets an equal share of eps and a
+Levels whose extension cocycle vanishes keep t = 1, as metric products.
+That holds only where the seed does not couple e_k to [g, g]: where it
+does, the lifted bracket gains a vertical part and the level carries
+curvature that no t collapses, as on `h3_times_z` with G₃₄ = 0.25, which
+exits 3 (ROADMAP F5).  Each curved level gets an equal share of eps and a
 multiplicative refinement loop on t gated by the bound ρ + δ on sup|K| of
 `scan.curvature_bound`: ρ is the spectral radius of the curvature operator ℛ
 on Λ², which bounds |K| of every plane (K(σ) is the Rayleigh quotient of ℛ
@@ -165,7 +168,7 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
             raise BudgetNotMet(
                 f"final bound ρ + δ = {bound!r} on sup|K| exceeds eps = {eps!r}")
         where = f"final metric of dim {n} (smallest t: {min(ts_bottom_up)!r})"
-        sup_final, _ = polished_sup(r_hat, n)
+        sup_final, _ = polished_sup(r_hat)
     except np.linalg.LinAlgError as exc:
         raise BudgetNotMet(
             f"{where}: curvature could not be measured in float64 ({exc})") from exc

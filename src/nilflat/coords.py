@@ -51,6 +51,13 @@ def first_to_second(algebra: NilAlgebra, v: VecQ) -> MalcevWord:
     if len(v) != n:
         raise DimensionMismatch(f"expected length {n}, got {len(v)}")
     check_adapted(algebra).require()
+    return _peel(algebra, v)
+
+
+def _peel(algebra: NilAlgebra, v: VecQ) -> MalcevWord:
+    """`first_to_second` on a basis already known to be adapted, with v of
+    the algebra's length."""
+    n = algebra.dim
     exponents = []
     w = v
     for k in range(n):
@@ -76,7 +83,8 @@ def second_to_first(algebra: NilAlgebra, word: MalcevWord) -> VecQ:
 
 def _conjugated_word(algebra: NilAlgebra, i: int, j: int) -> MalcevWord:
     """Second-kind word of g_i·g_j = g_j·exp(u), u = e^{−ad e_j} e_i, for the
-    0-based positions j < i.
+    0-based positions j < i, on a basis already known to be adapted
+    (`lattice_closed` checks it once).
 
     u = Σ_m (−1)^m/m!·ad_{e_j}^m e_i, summed until a term vanishes and over
     at most `declared_class` terms: ad_{e_j}^c e_i is a bracket of depth
@@ -95,7 +103,7 @@ def _conjugated_word(algebra: NilAlgebra, i: int, j: int) -> MalcevWord:
             break
         for k, a in term.items():
             u[k] = u[k] + a if k in u else a
-    exponents = list(first_to_second(
+    exponents = list(_peel(
         algebra, tuple(u.get(k, Fraction(0)) for k in range(algebra.dim))).exponents)
     exponents[j] = one
     return MalcevWord(exponents=tuple(exponents))

@@ -2,10 +2,8 @@
 
 The scan rescales the top fiber e_n of an adapted basis by t (it must be
 central: no bracket [e_i, e_n] is stored), measures the sup of |sectional
-curvature| over tangent 2-planes, and checks it against the explicit bound.
-Every 2-plane of the total space contains a horizontal unit vector (the
-vertical distribution is a line), so planes are parametrized as span(X, C)
-with X horizontal and C orthogonal to X, both g^t-unit.
+curvature| over all tangent 2-planes, and checks it against the explicit
+bound.  The sup search reads only the curvature tensor, not the split.
 
 Frame convention: a split frame has the vertical direction last, and g^t is
 diag(1, …, 1, t) there; curvature tensors are R̂ in the orthonormal frame of
@@ -28,18 +26,18 @@ rounding allowance δ (derived in `lemma_scan`), the bound ρ + δ that
 Sup search (`polished_sups` on a stack of tensors, one deterministic pass):
 one stacked eigh of the ℛ gives each ρ and two extreme eigenvectors; each,
 read as a skew n×n matrix B, gives both legs of its best rank-2 plane (the
-top 2-eigenspace of BᵀB).  The four legs per tensor are *polished* once:
-alternate exact maximization over each leg, each step the top eigenvector
-of the leg's quadratic form compressed by the rank-one projector onto the
-other leg's orthocomplement, so |K| never decreases.  All legs are one
-batch: each half-sweep is one stacked contraction (each leg with its own
-tensor) and one stacked eigh, the projector is built per row (none for a
-purely vertical second leg), a leg leaves when its own sweep moves its |K|
-by no more than rounding, and a tensor's legs stop once one reaches its
-ρ − δ, so each tensor gets the bits of its own call.  No plane exceeds ρ + δ,
-so where ρ is attained the polished sup is within 2δ of the true sup — the
-decay-exponent fit needs that, since the excess sup|K^t| − sup|Ǩ| can sit
-many orders of magnitude below sup|Ǩ|.
+top 2-eigenspace of BᵀB).  The four legs per tensor are *polished* once
+over all planes: alternate exact maximization over each leg of the plane,
+each step the top eigenvector of the fixed leg v's quadratic form
+R̂(·, v, ·, v) compressed by the rank-one projector onto v's
+orthocomplement, so |K| never decreases.  All legs are one batch: each
+half-sweep is one stacked contraction (each leg with its own tensor) and
+one stacked eigh over all n coordinates, a leg leaves when its own sweep
+moves its |K| by no more than rounding, and a tensor's legs stop once one
+reaches its ρ − δ, so each tensor gets the bits of its own call.  No plane
+exceeds ρ + δ, so where ρ is attained the polished sup is within 2δ of the
+true sup — the decay-exponent fit needs that, since the excess
+sup|K^t| − sup|Ǩ| can sit many orders of magnitude below sup|Ǩ|.
 
 Thorpe certificate: where the legs stop below ρ − δ, the best of them,
 σ = x ∧ c with value B and sign s of K, may still be the sup.  K is also
@@ -111,7 +109,7 @@ def _curvature_operator(r4: np.ndarray) -> np.ndarray:
 def _top_eigenpairs(q: np.ndarray, v: np.ndarray) -> tuple:
     """Per row a, the eigenpair of largest |eigenvalue| of the symmetric form
     q[a] compressed by the projector I − v[a] v[a]ᵀ onto the orthocomplement
-    of v[a], a unit vector or zero (then q[a] itself)."""
+    of the unit vector v[a]."""
     q = 0.5 * (q + np.swapaxes(q, 1, 2))
     qv = np.einsum("aij,aj->ai", q, v, optimize=False)
     vqv = np.einsum("ai,ai->a", v, qv, optimize=False)
@@ -145,7 +143,8 @@ def _eigenplane_seeds(sym: np.ndarray, n: int) -> tuple:
     the extreme eigenvalues of each, and 4T unit rows, four per member: both
     legs of the best rank-2 plane of each extreme eigenvector.  An
     eigenvector read as the skew n×n matrix B has as its best plane the top
-    2-eigenspace of BᵀB, which is B's own plane when B is decomposable."""
+    2-eigenspace of BᵀB, B's own plane when B is decomposable; else its two
+    legs can polish to different planes, so both are kept."""
     vals, vecs = np.linalg.eigh(sym)
     i, j = _pairs(n)
     b = np.zeros((sym.shape[0], 2, n, n))
@@ -243,14 +242,13 @@ def _thorpe_certifies(sym: np.ndarray, extremes: tuple, x: np.ndarray,
     return value >= top - _rounding_allowance(n, r_max + omega_max)
 
 
-def _polish(r4s: np.ndarray, group: np.ndarray, support: int, c: np.ndarray,
+def _polish(r4s: np.ndarray, group: np.ndarray, c: np.ndarray,
             ceilings: np.ndarray) -> tuple:
     """Alternating exact maximization of |K(span(x_a, c_a))| under the tensor
-    r4s[group[a]] for every row a at once, in orthonormal coordinates with
-    x_a kept in the first `support` coordinates; starts from the second legs
-    c_a.  Returns (best, x, c): the max found per row and the legs of the
-    polished plane that reached it (0 and zero rows where no sweep found a
-    positive |K|).
+    r4s[group[a]] for every row a at once, in orthonormal coordinates; starts
+    from the unit legs c_a.  Returns (best, x, c): the max found per row and
+    the legs of the polished plane that reached it (0 and zero rows where no
+    sweep found a positive |K|).
 
     A row leaves the batch once a sweep moves its |K| by no more than
     rounding (either way: at the maximum, recomputed values scatter by a few
@@ -267,15 +265,8 @@ def _polish(r4s: np.ndarray, group: np.ndarray, support: int, c: np.ndarray,
             break
         r4 = (r4s[group[active]] if r4s.shape[0] > 1 else  # a view for one tensor
               np.broadcast_to(r4s[0], (active.size,) + r4s.shape[1:]))
-        qc = np.einsum("aijkl,aj,al->aik", r4[:, :support, :, :support], c, c,
-                       optimize=False)
-        ch = c[:, :support]
-        h2 = np.einsum("ai,ai->a", ch, ch, optimize=False)
-        v = np.zeros_like(ch)
-        has = h2 > 1e-20  # a vertical c leaves x unconstrained
-        v[has] = ch[has] / np.sqrt(h2[has])[:, None]
-        x = np.zeros((active.size, n))
-        x[:, :support] = _top_eigenpairs(qc, v)[1]
+        qc = np.einsum("aijkl,aj,al->aik", r4, c, c, optimize=False)
+        x = _top_eigenpairs(qc, c)[1]
         qx = np.einsum("aijkl,ai,ak->ajl", r4, x, x, optimize=False)
         val, c = _top_eigenpairs(qx, x)
         done = np.abs(val - best[active]) <= 1e-14 * np.maximum(1.0, np.abs(val))
@@ -286,10 +277,10 @@ def _polish(r4s: np.ndarray, group: np.ndarray, support: int, c: np.ndarray,
     return best, best_x, best_c
 
 
-def polished_sups(r4s: np.ndarray, horizontal_dim: int) -> list:
+def polished_sups(r4s: np.ndarray) -> list:
     """[(sup, certified)] per member of the stack r4s of orthonormal tensors:
-    the polished sup |K| over planes with one leg in the first
-    `horizontal_dim` coordinates, with the bits of its one-tensor call.
+    the polished sup |K| over all 2-planes, with the bits of its one-tensor
+    call.
 
     Per member, the four eigenplane legs of ℛ are polished once, up to their
     per-row stop or the member's ceiling ρ − δ, and the best value is
@@ -298,7 +289,7 @@ def polished_sups(r4s: np.ndarray, horizontal_dim: int) -> list:
     else it is the lower end of the bracket [sup, ρ + δ].  A non-finite
     entry gives its member a non-finite sup and no other member a change."""
     n = r4s.shape[-1]
-    if n < 2 or horizontal_dim < 1:
+    if n < 2:
         return [(0.0, True)] * r4s.shape[0]
     r_max = np.max(np.abs(r4s), axis=(1, 2, 3, 4))
     out = [(float(r), False) for r in r_max]
@@ -309,7 +300,7 @@ def polished_sups(r4s: np.ndarray, horizontal_dim: int) -> list:
     (low, high), legs = _eigenplane_seeds(sym, n)
     ceilings = np.maximum(-low, high) - _rounding_allowance(n, r_max[finite])
     group = np.repeat(np.arange(finite.size), 4)
-    best, best_x, best_c = _polish(r4s, group, horizontal_dim, legs, ceilings)
+    best, best_x, best_c = _polish(r4s, group, legs, ceilings)
     for g, member in enumerate(finite):
         lead = 4 * g + int(np.argmax(best[4 * g:4 * g + 4]))
         sup = float(best[lead])
@@ -319,9 +310,9 @@ def polished_sups(r4s: np.ndarray, horizontal_dim: int) -> list:
     return out
 
 
-def polished_sup(r4: np.ndarray, horizontal_dim: int) -> tuple:
+def polished_sup(r4: np.ndarray) -> tuple:
     """(sup, certified) of the one orthonormal tensor r4, as `polished_sups`."""
-    return polished_sups(r4[None], horizontal_dim)[0]
+    return polished_sups(r4[None])[0]
 
 
 def _central_structure(algebra: NilAlgebra, metric: LeftInvariantMetric,
@@ -437,10 +428,10 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     c = _central_structure(algebra, metric, split)
     c_hat = _structure_in_frame(c, split.frame, np.linalg.inv(split.frame))
     n = split.dim
-    m = split.horizontal_dim
+    m = n - 1
 
     r_base = rescaled_curvature(c_hat[:m, :m, :m], np.ones(m))
-    base_sup, certified = polished_sup(r_base, m)
+    base_sup, certified = polished_sup(r_base)
     base_bound = base_sup if certified else sum(curvature_bound(r_base))
     base_max = float(np.max(np.abs(r_base), initial=0.0))
 
@@ -454,7 +445,7 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     for start in range(0, len(ts), _T_CHUNK):
         r_ts = rescaled_curvature(c_hat, weights[start:start + _T_CHUNK])
         for t, r_t, (sup_t, _) in zip(ts[start:start + _T_CHUNK], r_ts,
-                                      polished_sups(r_ts, m)):
+                                      polished_sups(r_ts)):
             r_max = float(np.max(np.abs(r_t)))
             rounding = _rounding_allowance(n, r_max + base_max)
             bound = base_bound + c_const * math.sqrt(t) + rounding

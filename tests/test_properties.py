@@ -39,7 +39,7 @@ allowance 2n⁴ε.
 
 Oracle key, polished sup: [DERIVED] on dense seeds I + ½BBᵀ/n of h5, h7,
 free 2-step(3, 4) and filiform(6), `scan.polished_sup` of the split-frame
-tensor at support n − 1 and n, and certify's reported sup, lie at or above
+tensor, and certify's reported sup, lie at or above
 the largest |K| over the basis coordinate planes, computed here by
 Milnor's formula (`conftest.milnor_sectional`) in the original coordinates (of
 `canonical_variation` for scans, of the reported metric for certify; to
@@ -169,7 +169,7 @@ def test_lambda2_kernel_matches_four_tensor(name, t, data):
     # rounding allowance of `scan.lemma_scan`
     delta = 2.0 * n ** 4 * np.finfo(np.float64).eps
     rho = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (op + op.T)))))
-    sup, _ = polished_sup(r_hat, n)
+    sup, _ = polished_sup(r_hat)
     assert float(np.max(np.abs(np.diag(op)))) - delta * scale <= sup
     assert sup <= rho * (1.0 + delta)
 
@@ -581,7 +581,7 @@ def test_unsampled_sup_meets_independent_bound(name, t, data):
     n = THORPE_ALGEBRAS[name].dim
     b = data.draw(arrays(np.float64, (n, n), elements=UNIT), label="B")
     r_hat = thorpe_tensor(name, b, t)
-    sup, certified = polished_sup(r_hat, n)
+    sup, certified = polished_sup(r_hat)
     if not certified:
         return
     op = _curvature_operator(r_hat)
@@ -634,9 +634,8 @@ def test_polished_sup_between_coordinate_planes_and_rho(name, t, data):
     op = np.array([[r_hat[i, j, k, l] for k, l in pairs] for i, j in pairs])
     rho = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (op + op.T)))))
     delta = _rounding_allowance(n, float(np.max(np.abs(r_hat))))
-    for support in (n - 1, n):
-        sup, _ = polished_sup(r_hat, support)
-        assert floor * (1.0 - 1e-9) <= sup <= rho + delta
+    sup, _ = polished_sup(r_hat)
+    assert floor * (1.0 - 1e-9) <= sup <= rho + delta
 
 
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)

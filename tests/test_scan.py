@@ -214,7 +214,7 @@ def test_polished_sup_h3():
     metric, split = geometry(H3)
     ctx = SubmersionContext(H3, metric, split)
     r1 = ctx.frame_curvature(1.0)
-    sup, certified = polished_sup(r1, 2)
+    sup, certified = polished_sup(r1)
     assert sup == pytest.approx(0.75, abs=1e-12)
     assert certified
 
@@ -337,7 +337,7 @@ def test_bound_short_by_more_than_rounding_raises(monkeypatch):
 def test_nan_measurement_violates_bound(monkeypatch):
     metric, split = geometry(H3)
     monkeypatch.setattr(scan, "polished_sups",
-                        lambda r4s, h: [(float("nan"), False)] * len(r4s))
+                        lambda r4s: [(float("nan"), False)] * len(r4s))
     with pytest.raises(BoundViolated) as info:
         lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
     assert math.isnan(info.value.value)
@@ -476,10 +476,11 @@ def reference_abs_sectional(r4, x, c):
 
 
 def reference_polish_pair(r4, support, c, max_iter=50):
-    """(max |K| found, sweeps run, last x, last c) of the alternation from
-    the second leg c, from 0."""
+    """(max |K| found, sweeps run, x, c) of the alternation from the second
+    leg c, from 0, with x kept in the first `support` coordinates; (x, c) is
+    the plane that reached the max."""
     n = r4.shape[0]
-    best = 0.0
+    best, best_x, best_c = 0.0, None, None
     for sweep in range(1, max_iter + 1):
         qc = np.einsum("ijkl,j,l->ik", r4, c, c, optimize=False)
         ch = c[:support]
@@ -491,10 +492,11 @@ def reference_polish_pair(r4, support, c, max_iter=50):
         qx = np.einsum("ijkl,i,k->jl", r4, x, x, optimize=False)
         val, c = reference_top_eigenpair(qx, x)
         converged = abs(val - best) <= 1e-14 * max(1.0, abs(val))
-        best = max(best, val)
+        if val > best:
+            best, best_x, best_c = val, x, c
         if converged:
             break
-    return best, sweep, x, c
+    return best, sweep, best_x, best_c
 
 
 def random_split_tensor(algebra, seed, t):
@@ -521,24 +523,28 @@ def reference_rho_and_delta(r4):
 
 
 # [DERIVED] the batched polish gives each plane the value of the single-pair
-# alternation, to 1e-12 relative: a purely vertical c (no projector), planes
-# that converge at different sweeps, and horizontal support n − 1 and n; the
-# plane it returns for a row with positive |K| has that value.
+# alternation over all planes, to 1e-12 relative: a coordinate leg c = e_n,
+# planes that converge at different sweeps, all rows on one tensor (a
+# broadcast view) or each row on its own copy in a stack; the plane it
+# returns for a row with positive |K| has that value.
 @pytest.mark.parametrize("algebra", [N4, catalog.filiform(5), catalog.heisenberg5()],
                          ids=["n4", "filiform5", "heisenberg5"])
 @pytest.mark.parametrize("t", [1.0, 1e-3])
-@pytest.mark.parametrize("support_drop", [0, 1], ids=["all", "horizontal"])
-def test_batched_polish_matches_single_pair(algebra, t, support_drop):
+@pytest.mark.parametrize("stacked", [False, True], ids=["all", "stacked"])
+def test_batched_polish_matches_single_pair(algebra, t, stacked):
     n = algebra.dim
-    support = n - support_drop
     r_hat = random_split_tensor(algebra, 11 + n, t)
-    c = random_unit_rows(2 + support, n, 12)
-    c[0] = np.eye(n)[n - 1]  # with support n − 1: no projector
-    c[1] = reference_polish_pair(r_hat, support, c[2])[3]  # at a maximum
-    expected, sweeps, _, _ = zip(*(reference_polish_pair(r_hat, support, ca)
+    c = random_unit_rows(2 + n, n, 12)
+    c[0] = np.eye(n)[n - 1]
+    c[1] = reference_polish_pair(r_hat, n, c[2])[3]  # at a maximum
+    expected, sweeps, _, _ = zip(*(reference_polish_pair(r_hat, n, ca)
                                    for ca in c))
-    got, got_x, got_c = scan._polish(r_hat[None], np.zeros(len(c), dtype=np.intp),
-                                     support, c, np.array([math.inf]))
+    rows = len(c)
+    if stacked:
+        r4s, group = np.stack([r_hat] * rows), np.arange(rows)
+    else:
+        r4s, group = r_hat[None], np.zeros(rows, dtype=np.intp)
+    got, got_x, got_c = scan._polish(r4s, group, c, np.full(len(r4s), math.inf))
     assert len(set(sweeps)) > 1
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
     for a in np.flatnonzero(got > 0.0):  # the returned plane attains the max
@@ -546,21 +552,85 @@ def test_batched_polish_matches_single_pair(algebra, t, support_drop):
             got[a], rel=1e-12, abs=0.0)
 
 
-def assert_reaches_rho(r4, support):
+def reference_horizontal_search(r4):
+    """(sup, certified) of the sup search over planes with one leg in the
+    first n − 1 coordinates, kept here as a reference: both legs of the best
+    rank-2 plane of each extreme eigenvector of ℛ (built entry by entry),
+    each polished by the single-pair alternation with x horizontal; the best
+    value is certified where it reaches ρ − δ or Thorpe's trick closes at its
+    plane."""
+    n = r4.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    op = np.array([[r4[i, j, k, l] for k, l in pairs] for i, j in pairs])
+    sym = 0.5 * (op + op.T)
+    vals, vecs = np.linalg.eigh(sym)
+    legs = []
+    for end in (0, -1):
+        b = np.zeros((n, n))
+        for p, (i, j) in enumerate(pairs):
+            b[i, j], b[j, i] = vecs[p, end], -vecs[p, end]
+        legs.extend(np.linalg.eigh(b.T @ b)[1][:, -2:].T)
+    sup, _, x, c = max((reference_polish_pair(r4, n - 1, leg) for leg in legs),
+                       key=lambda polished: polished[0])
     rho, delta = reference_rho_and_delta(r4)
-    got, certified = polished_sup(r4, support)
+    return sup, bool(sup >= rho - delta or scan._thorpe_certifies(
+        sym, (float(vals[0]), float(vals[-1])), x, c, sup, float(np.max(np.abs(r4)))))
+
+
+H7 = NilAlgebra.from_brackets(7, 2, {(1, 2): {7: 1}, (3, 4): {7: 1}, (5, 6): {7: 1}})
+
+
+# [DERIVED] every 2-plane meets the horizontal space, so the search over all
+# planes finds the sup of the search with one leg horizontal: to 1e-12
+# relative, with the same certified flag, on every point of the default grid
+# of free 2-step(3, 4), h7 and filiform(6), each at G = I and two dense
+# seeds.
+@pytest.mark.parametrize("algebra", [FREE3, free_two_step(4), H7, catalog.filiform(6)],
+                         ids=["free3", "free4", "h7", "filiform6"])
+def test_whole_plane_search_matches_horizontal_search(algebra):
+    n = algebra.dim
+    weights = np.sqrt(np.stack([split_diagonal(n, t)
+                                for t in np.geomspace(1.0, 1e-6, 7)]))
+    for seed in (None, 0, 1):
+        _, split = geometry(algebra, None if seed is None else dense_seed(n, seed))
+        r_ts = rescaled_curvature(frame_structure(algebra, split), weights)
+        for r4, (sup, certified) in zip(r_ts, scan.polished_sups(r_ts)):
+            expected, expected_certified = reference_horizontal_search(r4)
+            assert sup == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert certified == expected_certified
+
+
+# [DERIVED] both legs of each eigenplane are polished: on free 2-step(4) at
+# the seed I + 0.2·AAᵀ/n (A standard normal from seed 109) and t = 1e-4,
+# where neither ρ − δ nor Thorpe's trick is reached, the legs of each
+# eigenvector's top BᵀB eigenvector polish to 0.76880, and only the other
+# leg of the λ_max eigenplane reaches 0.78408, the reference's value.
+def test_both_eigenplane_legs_are_polished():
+    algebra = free_two_step(4)
+    n = algebra.dim
+    a = np.random.default_rng(109).standard_normal((n, n))
+    _, split = geometry(algebra, np.eye(n) + 0.2 * a @ a.T / n)
+    r4 = rescaled_curvature(frame_structure(algebra, split),
+                            np.sqrt(split_diagonal(n, 1e-4)))
+    sup, certified = polished_sup(r4)
+    assert not certified and sup > 0.784
+    assert sup == pytest.approx(reference_horizontal_search(r4)[0], rel=1e-12, abs=0.0)
+
+
+def assert_reaches_rho(r4):
+    rho, delta = reference_rho_and_delta(r4)
+    got, certified = polished_sup(r4)
     assert rho - 2.0 * delta <= got <= rho + delta
     assert certified
 
 
 # [DERIVED] where ρ is attained the polished sup reaches it to 2δ, certified:
-# n4 with G = I at t = 1, every default grid t of filiform(8) with support
-# n − 1, and a dense seed metric on filiform(6) with support n (certify's
-# final sup).
+# n4 with G = I at t = 1, every default grid t of filiform(8), and a dense
+# seed metric on filiform(6).
 def test_sup_reaches_rho_n4():
     metric, split = geometry(N4)
     r1 = SubmersionContext(N4, metric, split).frame_curvature(1.0)
-    assert_reaches_rho(r1, 3)
+    assert_reaches_rho(r1)
 
 
 def test_sup_reaches_rho_filiform8_grid():
@@ -568,12 +638,12 @@ def test_sup_reaches_rho_filiform8_grid():
     metric, split = geometry(algebra)
     ctx = SubmersionContext(algebra, metric, split)
     for t in np.geomspace(1.0, 1e-6, 7):
-        assert_reaches_rho(ctx.frame_curvature(t), 7)
+        assert_reaches_rho(ctx.frame_curvature(t))
 
 
 def test_sup_reaches_rho_dense_filiform6():
     r_hat = random_split_tensor(catalog.filiform(6), 0, 1.0)
-    assert_reaches_rho(r_hat, 6)
+    assert_reaches_rho(r_hat)
 
 
 # [DERIVED] the eigenplane seeds reach the ceiling at once: at most 2 polish
@@ -590,7 +660,7 @@ def test_polish_sweeps_filiform8(monkeypatch):
         return real(q, v)
 
     monkeypatch.setattr(scan, "_top_eigenpairs", counting)
-    polished_sup(r1, 7)
+    polished_sup(r1)
     assert 0 < len(calls) <= 4
 
 
@@ -610,7 +680,7 @@ def test_non_finite_tensor_is_not_hidden(value, monkeypatch):
     r1 = poisoned(SubmersionContext(H3, metric, split).c_hat,
                   np.sqrt(split_diagonal(3, 1.0))[None])[0]
     with np.errstate(invalid="ignore", over="ignore"):
-        sup, certified = polished_sup(r1, 2)
+        sup, certified = polished_sup(r1)
         assert not math.isfinite(sup) and not certified
         monkeypatch.setattr(scan, "rescaled_curvature", poisoned)
         with pytest.raises(BoundViolated) as info:
@@ -626,7 +696,7 @@ def padded_identity_tensor(algebra, n=6):
 
 
 # [DERIVED] a stack gives every member the bits of its one-tensor call: one
-# member of each kind, all of dimension 6 with support 5 — flat (z3 × R³,
+# member of each kind, all of dimension 6 — flat (z3 × R³,
 # stopped before the first sweep), one whose polish reaches the ceiling ρ − δ
 # (n4 × R²), one that Thorpe's trick certifies below it (h5 × R), one where it
 # does not close (free 2-step(3) at G = I), and one with a NaN entry, whose
@@ -636,9 +706,9 @@ def test_stack_matches_one_tensor_at_a_time():
     kinds = [catalog.abelian(3), N4, catalog.heisenberg5(), FREE3, N4]
     stack = np.stack([padded_identity_tensor(algebra) for algebra in kinds])
     stack[4, 0, 1, 0, 1] = math.nan
-    alone = [polished_sup(r4, 5) for r4 in stack[:4]]
+    alone = [polished_sup(r4) for r4 in stack[:4]]
     with np.errstate(invalid="ignore"):
-        together = scan.polished_sups(stack, 5)
+        together = scan.polished_sups(stack)
     assert together[:4] == alone
     assert not math.isfinite(together[4][0]) and together[4][1] is False
     ceilings = [curvature_bound(r4)[0] - curvature_bound(r4)[1] for r4 in stack[:4]]
@@ -713,7 +783,7 @@ def test_uncertified_base_bounds_from_rho():
     algebra = free_two_step(4)
     metric, split = geometry(algebra)
     r_base = SubmersionContext(algebra, metric, split).r_base
-    base_sup, certified = polished_sup(r_base, algebra.dim - 1)
+    base_sup, certified = polished_sup(r_base)
     rho, _ = curvature_bound(r_base)
     assert not certified and base_sup < rho
     report = lemma_scan(algebra, metric, split, np.geomspace(1.0, 1e-6, 7),

@@ -65,10 +65,10 @@ def test_split_frame_orthonormal(name, algebra, matrix):
     n = algebra.dim
     gram = split.frame.T @ metric.matrix @ split.frame
     assert np.max(np.abs(gram - np.eye(n))) <= TOL
-    # last column is z up to positive scale
+    # last column is e_n up to positive scale
+    z = last_basis(n)
     u = split.frame[:, n - 1]
-    assert np.max(np.abs(u * np.sqrt(split.z @ metric.matrix @ split.z)
-                         - split.z)) <= TOL
+    assert np.max(np.abs(u * np.sqrt(z @ metric.matrix @ z) - z)) <= TOL
     # to_frame/from_frame invert each other
     v = np.arange(1.0, n + 1.0)
     assert np.max(np.abs(from_frame(split, to_frame(split, v)) - v)) <= TOL
