@@ -1,38 +1,37 @@
 """Almost-flatness certification: schedule fiber collapse over a whole tower.
 
 Walking a circle-bundle tower bottom-up, each level adds one central direction
-e_k to the nilpotent algebra.  The seed-orthogonal lifts of every level
-compose to one unit lower-triangular frame L, where row k of L⁻¹ is the seed
-lift G[k, :k] / G[k, k].  With w_k = √(s_k·t_k), s_k the seed length² of e_k,
-L·diag(w)⁻¹ is orthonormal for the assembled metric, with structure constants
-ĉ = c_L·w_c / (w_a·w_b), c_L those of the top algebra in L, transformed once.
-L is lower-triangular, so level k's curvature is `metric.rescaled_curvature`
-of the leading k×k×k block of c_L at weights w[:k], with no division by t,
-and a refinement round only changes w_k.  The reported metric
-(w·L⁻¹)ᵀ(w·L⁻¹) is formed once, at the end.
-
-The seed G is read as per-level data, not as a Gram matrix to reproduce:
-level k takes its fiber length² s_k = G[k, k] and its lift G[k, :k]/G[k, k].
-With every t_k = 1 the reported metric is L⁻ᵀ·diag(s)·L⁻¹, which equals the
-seed only when the seed is diagonal: on Z³ with seed
-[[2, .5, .3], [.5, 1.5, .4], [.3, .4, 1.2]] at eps 0.01, ts is (1, 1, 1) but
-metric_matrix[0][0] is 2.2417, where the seed has 2.0.
+e_k to the nilpotent algebra, and each level is a Riemannian submersion onto
+the quotient by the fibers above it (O'Neill 1966).  One frame serves every
+level: the seed's G-orthonormal, lower-triangular frame F of
+`metric._orthonormal_frame`, whose leading k×k block is a G-orthonormal
+frame of the quotient metric on g/span(e_{k+1}, …, e_n).  With w_k = √t_k,
+F·diag(w)⁻¹ is orthonormal for the assembled metric, with structure
+constants ĉ = c_F·w_c / (w_a·w_b), c_F those of the top algebra in F,
+transformed once.  Level k's curvature is `metric.rescaled_curvature` of the
+leading k×k×k block of c_F at weights w[:k], with no division by t, and a
+refinement round only changes w_k.  The reported metric (w·F⁻¹)ᵀ(w·F⁻¹) is
+formed once, at the end; at every t_k = 1 it is the seed.  The reported
+fiber lengths are √G_kk: the level-k fiber has length √D_k ≤ √G_kk, D the
+pivots of the seed's reversed LDLᵀ, so the diameter bound built from them
+is a true bound.
 
 Levels whose extension cocycle vanishes keep t = 1, as metric products.
-That holds only where the seed does not couple e_k to [g, g]: where it
-does, the lifted bracket gains a vertical part and the level carries
-curvature that no t collapses, as on `h3_times_z` with G₃₄ = 0.25, which
-exits 3 (ROADMAP F5).  Each curved level gets an equal share of eps and a
-multiplicative refinement loop on t gated by the bound ρ + δ on sup|K| of
-`scan.curvature_bound`: ρ is the spectral radius of the curvature operator ℛ
-on Λ², which bounds |K| of every plane (K(σ) is the Rayleigh quotient of ℛ
-at the unit decomposable bivector σ; Milnor 1976), and δ its rounding
-allowance.  A level is accepted once ρ + δ is at most ρ of the level below
-plus the budget; the excess of ρ over the level below scales linearly in t,
-so the loop converges in a couple of rounds.  Every round costs one
-symmetric eigensolve, and no plane is sampled.  The final metric's ρ + δ must
-be at most eps; its polished sup|K| (`scan.polished_sup`, no plane is
-drawn) is reported beside the bound.
+That holds only where the seed does not couple e_k to [g, g], that is, where
+c_F[a, b, k] = 0 for all a, b < k: where it does, the brackets of the frame
+vectors below gain a component along the level's own frame vector, and the
+level carries curvature that its fixed t = 1 never collapses, as on
+`h3_times_z` with G₃₄ = 0.25, which exits 3 (ROADMAP F5).  Each curved level
+gets an equal share of eps and a multiplicative refinement loop on t gated
+by the bound ρ + δ on sup|K| of `scan.curvature_bound`: ρ is the spectral
+radius of the curvature operator ℛ on Λ², which bounds |K| of every plane
+(K(σ) is the Rayleigh quotient of ℛ at the unit decomposable bivector σ;
+Milnor 1976), and δ its rounding allowance.  A level is accepted once ρ + δ
+is at most ρ of the level below plus the budget; the excess of ρ over the
+level below scales linearly in t, so the loop converges in a couple of
+rounds.  Every round costs one symmetric eigensolve, and no plane is
+sampled.  The final metric's ρ + δ must be at most eps; its polished sup|K|
+(`scan.polished_sup`, no plane is drawn) is reported beside the bound.
 If a loop cannot meet its budget within _MAX_ROUNDS rounds, the final bound
 exceeds eps, or the curvature of a level or of the final metric cannot be
 measured in float64, the certification fails with BudgetNotMet.
@@ -46,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetNotMet, DimensionMismatch
-from .metric import (LeftInvariantMetric, _structure_in_frame,
-                     rescaled_curvature, structure_array)
+from .metric import (LeftInvariantMetric, _orthonormal_frame,
+                     _structure_in_frame, rescaled_curvature, structure_array)
 from .scan import curvature_bound, diameter_bound, polished_sup
 from .tower import BundleTower
 
@@ -61,7 +60,9 @@ class CertificateReport:
 
     level_bounds[i] is ρ + δ of level i at its accepted t (see
     `scan.curvature_bound`); sup_abs_K_bound is that of the final metric, and
-    sup_abs_K its polished sup|K|.
+    sup_abs_K its polished sup|K|.  metric_matrix is the certified metric,
+    the seed where every t_k = 1; fiber_lengths are the seed's √G_kk, upper
+    bounds on the level fibers √D_k, and diam_bound is Σ ½·√G_kk·√t_k.
     """
 
     eps: float
@@ -77,17 +78,6 @@ class CertificateReport:
     level_bounds: tuple
     diam_bound: float
     metric_matrix: np.ndarray
-
-
-def _lift_frame(seed_matrix: np.ndarray) -> tuple:
-    """(L, L⁻¹) for the unit lower-triangular L whose inverse has row k equal
-    to the seed lift G[k, :k] / G[k, k], by forward substitution row by row."""
-    n = seed_matrix.shape[0]
-    frame, frame_inv = np.eye(n), np.eye(n)
-    for k in range(1, n):
-        frame_inv[k, :k] = seed_matrix[k, :k] / seed_matrix[k, k]
-        frame[k, :k] = -frame_inv[k, :k] @ frame[:k, :k]
-    return frame, frame_inv
 
 
 def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
@@ -116,18 +106,16 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
             ts=(), level_dims=(), curved_levels=(), rounds=(),
             fiber_lengths=(), sup_abs_K=0.0, sup_abs_K_bound=0.0,
             level_bounds=(), diam_bound=0.0, metric_matrix=empty)
-    seed_matrix = seed_metric.matrix
 
     curved_dims = [step.total.algebra.dim for step in steps
                    if step.cocycle.upper_entries()]
     budget = eps / len(curved_dims) if curved_dims else None
 
-    frame, frame_inv = _lift_frame(seed_matrix)
-    c_lift = _structure_in_frame(structure_array(steps[0].total.algebra),
-                                 frame, frame_inv)
-    fibers_bottom_up = [math.sqrt(float(seed_matrix[k - 1, k - 1]))
-                        for k in range(1, n + 1)]
-    w = np.array(fibers_bottom_up)  # w_k = √(s_k·t_k); t_k = 1 until accepted
+    frame, frame_inv = _orthonormal_frame(seed_metric.matrix)
+    c_frame = _structure_in_frame(structure_array(steps[0].total.algebra),
+                                  frame, frame_inv)
+    fibers_bottom_up = [math.sqrt(g) for g in np.diag(seed_metric.matrix).tolist()]
+    w = np.ones(n)  # w_k = √t_k; t_k = 1 until accepted
     rho_prev = 0.0
     ts_bottom_up = []
     rounds_bottom_up = []
@@ -138,11 +126,11 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
             curved = bool(steps[n - k].cocycle.upper_entries())
             t, used = 1.0, 0
             for round_index in range(_MAX_ROUNDS if curved else 1):
-                w[k - 1] = fibers_bottom_up[k - 1] * math.sqrt(t)
+                w[k - 1] = math.sqrt(t)
                 where = (f"level dim {k} at t = {t!r} (smallest t below: "
                          f"{min(ts_bottom_up, default=t)!r})" if curved
                          else f"flat level dim {k}")
-                r_hat = rescaled_curvature(c_lift[:k, :k, :k], w[:k])
+                r_hat = rescaled_curvature(c_frame[:k, :k, :k], w[:k])
                 rho, delta = curvature_bound(r_hat)
                 if not curved:
                     break
@@ -176,7 +164,7 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
     diam = diameter_bound(fibers_bottom_up, ts_bottom_up)
 
     scaled = w[:, None] * frame_inv
-    matrix = scaled.T @ scaled
+    matrix = np.einsum("ki,kj->ij", scaled, scaled, optimize=False)
     matrix.flags.writeable = False
     return CertificateReport(
         eps=float(eps), seed=int(seed), sample_count=int(n_samples),

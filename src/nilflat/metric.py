@@ -15,13 +15,13 @@ K(e1,e2) = −3/4 and K(e1,e3) = +1/4.
 frame: a frame of orthogonal vectors F_a of lengths w_a gives the orthonormal
 frame F_a / w_a, with structure constants ĉ = c·w_c / (w_a·w_b), and R̂ is the
 Koszul formula at g = I on ĉ (Milnor 1976).  A metric of any other Gram is
-read in a G-orthonormal frame first, as the scan's split frame and certify's
-lift frame are: the package computes no curvature at a general Gram.
+read in its one G-orthonormal frame first (`_orthonormal_frame`, which the
+scan and every certify level read): the package computes no curvature at a
+general Gram.
 
 Each formula is written once: the Koszul formula in `_orthonormal_connection`,
 the curvature formula in `_curvature_from_connection`, and the change of
-structure constants to another frame in `_structure_in_frame`, which the
-scan's split frame and certify's lift frame both use.
+structure constants to a frame in `_structure_in_frame`.
 
 All dense algebra uses np.einsum with optimize=False: contractions stay in
 numpy's own deterministic loops, so results are byte-identical regardless of
@@ -49,7 +49,7 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 def _reversed_cholesky(g: np.ndarray) -> np.ndarray:
     """Lower-triangular R with P·G·P = R·Rᵀ, P the reversal of the basis
     order: the metric's one positive-definiteness gate and the factor of its
-    split frame (`submersion.build_split`).  A pivot d_k = R_kk² at most
+    orthonormal frame (`_orthonormal_frame`).  A pivot d_k = R_kk² at most
     n·ε·(PGP)_kk is rounding, so G is singular to working precision; each
     pivot is compared with its own diagonal entry, so rescaling the basis
     keeps a valid G valid."""
@@ -61,6 +61,16 @@ def _reversed_cholesky(g: np.ndarray) -> np.ndarray:
     if np.any(np.diag(r) ** 2 <= len(g) * np.finfo(float).eps * np.diag(reversed_g)):
         raise NotPositiveDefinite("metric matrix is singular to working precision")
     return r
+
+
+def _orthonormal_frame(g: np.ndarray) -> tuple:
+    """(F, F⁻¹), the metric's one G-orthonormal frame: F = P·R⁻ᵀ·P and
+    F⁻¹ = P·Rᵀ·P with P·G·P = R·Rᵀ (`_reversed_cholesky`), lower-triangular,
+    so its leading k×k block is a G-orthonormal frame of the quotient metric
+    on g/span(e_{k+1}, …, e_n) and its last column is e_n/√G_nn."""
+    r = _reversed_cholesky(g)
+    # tril drops what the pivoting of inv leaves above R⁻¹'s diagonal
+    return np.tril(np.linalg.inv(r)).T[::-1, ::-1], r.T[::-1, ::-1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,6 +73,7 @@ from .errors import BoundViolated, DimensionMismatch
 from .metric import (
     LeftInvariantMetric,
     _orthonormal_connection,
+    _orthonormal_frame,
     _structure_in_frame,
     rescaled_curvature,
     structure_array,
@@ -378,11 +379,11 @@ def _lemma_constant(c_hat: np.ndarray) -> float:
 def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
                split: SubmersionSplit, t_grid: Sequence[float], n_samples: int,
                seed: int) -> DecayReport:
-    """Scan sup|K^t| over a descending t grid, collapsing e_n in the frame of
-    `split` (its algebra's, from `metric`, with e_n central), and assert it
-    stays below sup|Ǩ| + C√t + δ_t, where the lemma's constant
-    3‖A‖² + 2‖DA‖ + ‖A‖² (operator norms over unit arguments; valid for
-    t ≤ 1) is bounded by
+    """Scan sup|K^t| over a descending t grid, collapsing e_n in the metric's
+    one frame (`split` must be its algebra's, from `metric`, with e_n
+    central; its `frame` is not read), and assert it stays below
+    sup|Ǩ| + C√t + δ_t, where the lemma's constant 3‖A‖² + 2‖DA‖ + ‖A‖²
+    (operator norms over unit arguments; valid for t ≤ 1) is bounded by
 
         C := 4‖A‖_F² + 2‖DA‖_F,
 
@@ -426,7 +427,7 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
         raise ValueError(f"seed must be >= 0, got {seed}")
 
     c = _central_structure(algebra, metric, split)
-    c_hat = _structure_in_frame(c, split.frame, np.linalg.inv(split.frame))
+    c_hat = _structure_in_frame(c, *_orthonormal_frame(metric.matrix))
     n = split.dim
     m = n - 1
 

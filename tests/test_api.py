@@ -1,13 +1,14 @@
 """The package namespace: every exported name resolves, removed names stay
-removed, no module draws a random number, and README's library example runs
-as printed.
+removed, no module draws a random number or uses `@`, and README's library
+example runs as printed.
 
 Oracle key: [TRIVIAL] `from nilflat import *` fails on a stale `__all__`
 entry, so removed API cannot linger in the export list; every name in
 README's "Removed public names" list is absent from `nilflat.__all__`,
 `dir(nilflat)` and the module that held it; the modules' syntax trees name
-no `random`; [DERIVED] the values README's example pins in trailing
-comments (h3 closed forms: 3t/4 at t = 1e-6 and 0.01).
+no `random` and hold no `ast.MatMult`; [DERIVED] the values README's
+example pins in trailing comments (h3 closed forms: 3t/4 at t = 1e-6 and
+0.01).
 """
 
 import ast
@@ -76,6 +77,19 @@ def test_no_module_names_random():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 names.update(node.module.split("."))
         assert "random" not in names, path.name
+
+
+# [TRIVIAL] no module of the package uses the `@` operator: every dense
+# contraction is einsum(optimize=False), in numpy's own loops, so no BLAS
+# matmul can make the bits depend on its thread count.
+def test_no_module_uses_matmul():
+    package = Path(nilflat.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign))
+                 and isinstance(node.op, ast.MatMult)]
+        assert not lines, f"{path.name}: @ at lines {lines}"
 
 
 def readme_library_example() -> str:

@@ -3,10 +3,14 @@
 Oracle key: [DERIVED] Heisenberg closed form sup|K^t| = 3t/4 pins the h3
 schedule near 4·eps/3, and on h5 the gating spectral radius ρ(ℛ) = 5t/4 pins
 it near 4·eps/5; the returned metric matrix is checked against its
-defining congruence (each level's lift basis diagonalizes it to
-blockdiag(base, t·s)); the certified sup is bracketed by the coordinate-plane
-max and the spectral radius of the curvature operator, both computed here
-with numpy; [TRIVIAL] abelian towers are already flat.
+defining congruence (the unit lower-triangular F′ of the seed's reversed
+LDLᵀ, F′ᵀ·G·F′ = D, built here from numpy's Cholesky factor, diagonalizes
+it to diag(D·t)) and is the seed where every t = 1; the diameter bound is
+checked against the seed's diagonal and the LDLᵀ pivots; the final sup
+equals `lemma_scan`'s at the same metric and t; the certified sup is
+bracketed by the coordinate-plane max and the spectral radius of the
+curvature operator, both computed here with numpy; [TRIVIAL] abelian towers
+are already flat.
 """
 
 import numpy as np
@@ -20,6 +24,8 @@ from nilflat.certify import (CertificateReport, certificate_summary,
 from nilflat.errors import BudgetNotMet, DimensionMismatch
 from nilflat.metric import (LeftInvariantMetric, _structure_in_frame,
                             rescaled_curvature, structure_array)
+from nilflat.scan import lemma_scan
+from nilflat.submersion import build_split
 from nilflat.tower import NilLattice, peel_tower
 
 TILTED3 = np.array([[1.0, 0.0, 0.3],
@@ -42,13 +48,25 @@ def dense_seed(n):
     return LeftInvariantMetric(matrix=np.eye(n) + 0.5 * b @ b.T / n)
 
 
-# [DERIVED] congruence property of the returned metric: peeling level k with
-# its seed-orthogonal lift basis W (e_j − (s_kj/s)·e_k, then e_k) leaves
-# blockdiag(metric of the levels below, t_k·s_k); non-identity seeds.
+def reversed_ldl(seed):
+    """(F′, D) of the seed's reversed LDLᵀ, from numpy's Cholesky factor of
+    the reversed seed P·G·P = R·Rᵀ: F′ = P·R⁻ᵀ·P scaled to a unit diagonal,
+    unit lower-triangular with F′ᵀ·G·F′ = D, and the pivots D_k, which
+    D_k ≤ G_kk."""
+    r = np.linalg.cholesky(seed[::-1, ::-1])
+    f = np.linalg.inv(r).T[::-1, ::-1]
+    return f / np.diag(f), np.diag(r)[::-1] ** 2
+
+
+# [DERIVED] congruence property of the returned metric: each level's frame
+# vector is G-orthogonal to the fibers above it, so the unit lower-triangular
+# F′ of the seed's reversed LDLᵀ (F′ᵀ·G·F′ = D) diagonalizes the certified
+# metric to diag(D_k·t_k); non-identity seeds.
 @pytest.mark.parametrize("algebra,n", [(catalog.heisenberg3(), 3),
                                        (catalog.n4(), 4),
-                                       (catalog.heisenberg5(), 5)],
-                         ids=["h3", "n4", "h5"])
+                                       (catalog.heisenberg5(), 5),
+                                       (catalog.filiform(8), 8)],
+                         ids=["h3", "n4", "h5", "filiform8"])
 def test_metric_matrix_congruence(algebra, n):
     m = np.random.default_rng(8).uniform(-1, 1, size=(n, n))
     seed = m @ m.T + n * np.eye(n)
@@ -59,15 +77,55 @@ def test_metric_matrix_congruence(algebra, n):
     assert np.max(np.abs(metric - metric.T)) <= 1e-12
     np.linalg.cholesky(metric)
     assert any(t < 1.0 for t in report.ts)
-    for k, t in zip(range(n, 0, -1), report.ts):
-        s = seed[k - 1, k - 1]
-        w = np.eye(k)
-        w[k - 1, :k - 1] = -seed[k - 1, :k - 1] / s
-        block = w.T @ metric[:k, :k] @ w
-        scale = np.max(np.abs(block))
-        assert np.all(np.abs(block[k - 1, :k - 1]) <= 1e-12 * scale)
-        assert block[k - 1, k - 1] == pytest.approx(t * s, rel=1e-12)
-        metric = block[:k - 1, :k - 1]
+    unit, pivots = reversed_ldl(seed)
+    block = unit.T @ metric @ unit
+    expected = pivots * np.array(report.ts[::-1])
+    off = block - np.diag(np.diag(block))
+    assert np.max(np.abs(off)) <= 1e-12 * np.max(np.abs(block))
+    assert np.diag(block) == pytest.approx(expected, rel=1e-12)
+
+
+# [DERIVED] at every t_k = 1 the certified metric is the seed: an abelian
+# tower keeps t = 1 on a dense seed, which comes back to rounding.
+def test_certify_returns_seed_at_unit_ts():
+    seed = np.array([[2.0, 0.5, 0.3], [0.5, 1.5, 0.4], [0.3, 0.4, 1.2]])
+    report = certify_almost_flat(tower_of(catalog.abelian(3)),
+                                 LeftInvariantMetric(matrix=seed), 1e-2)
+    assert report.ts == (1.0, 1.0, 1.0)
+    assert np.max(np.abs(report.metric_matrix - seed)) <= 1e-15
+
+
+# [DERIVED] the diameter bound Σ ½·√G_kk·√t_k reads the fiber lengths off
+# the seed's diagonal; the level-k fiber of the certified metric has length
+# √D_k ≤ √G_kk (D the reversed LDLᵀ pivots), so it bounds Σ ½·√(D_k·t_k).
+@pytest.mark.parametrize("algebra", [catalog.n4(), catalog.filiform(6)],
+                         ids=["n4", "filiform6"])
+def test_diameter_bound_from_seed_diagonal(algebra):
+    n = algebra.dim
+    seed = dense_seed(n)
+    report = certify_almost_flat(tower_of(algebra), seed, 1e-2)
+    ts = np.array(report.ts[::-1])
+    diagonal = np.diag(seed.matrix)
+    assert report.fiber_lengths == tuple(np.sqrt(diagonal[::-1]))
+    assert report.diam_bound == pytest.approx(
+        float(np.sum(0.5 * np.sqrt(diagonal) * np.sqrt(ts))), rel=1e-14)
+    pivots = reversed_ldl(seed.matrix)[1]
+    assert report.diam_bound >= float(np.sum(0.5 * np.sqrt(pivots * ts)))
+
+
+# [DERIVED] certify and the curvature scan read the metric in the same
+# frame: on a tower curved only at its top level, certify's final sup is
+# `lemma_scan`'s sup at the same metric and t, bit for bit.
+@pytest.mark.parametrize("algebra", [catalog.heisenberg3(),
+                                     catalog.heisenberg5()], ids=["h3", "h5"])
+def test_certify_sup_equals_scan_sup(algebra):
+    n = algebra.dim
+    seed = dense_seed(n)
+    report = certify_almost_flat(tower_of(algebra), seed, 1e-2)
+    assert report.curved_levels == (n,) and report.ts[1:] == (1.0,) * (n - 1)
+    scan = lemma_scan(algebra, seed, build_split(seed, np.eye(n)[n - 1]),
+                      [report.ts[0]], n_samples=1, seed=0)
+    assert report.sup_abs_K == scan.sup_abs_K[0]
 
 
 # [TRIVIAL] abelian towers: no curved level, everything stays at t = 1.
@@ -123,8 +181,8 @@ def test_certify_h3():
         1.0 + 0.5 * np.sqrt(report.ts[0]), abs=1e-12)
 
 
-# [DERIVED] h3 with a tilted seed metric still certifies (the lift basis
-# absorbs the seed off-diagonal).
+# [DERIVED] h3 with a tilted seed metric still certifies (the seed's
+# orthonormal frame absorbs its off-diagonal).
 def test_certify_h3_tilted_seed():
     eps = 0.01
     report = certify_almost_flat(tower_of(catalog.heisenberg3()),

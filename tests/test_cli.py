@@ -436,6 +436,17 @@ def test_curvature_flag_errors(flags, capsys):
     assert code == 1 and err.startswith("nilflat: error:")
 
 
+# [TRIVIAL] a --t-points past numpy's array-size limit is a usage error
+# naming the flag, not a traceback.  Both sizes fail before any allocation:
+# 10**20 as ValueError, 2**63 (which wraps int64) as IndexError.
+@pytest.mark.parametrize("points", [10**20, 2**63], ids=["1e20", "2^63"])
+def test_curvature_t_points_too_large(points, capsys):
+    code, _, err = run_cli(
+        ["curvature", str(DATA / "h3.json"), "--t-points", str(points)], capsys)
+    assert code == 1
+    assert err.startswith(f"nilflat: error: --t-points {points} is too large")
+
+
 # [DERIVED] equal --t-min and --t-max scan a constant grid (np.geomspace
 # alone puts interior points an ulp below the ends, which is not a
 # descending grid); one distinct t fits no exponent.

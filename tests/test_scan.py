@@ -28,7 +28,7 @@ from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
                             structure_array)
 from nilflat.scan import (T_MIN, DecayReport, curvature_bound, diameter_bound,
                           lemma_scan, polished_sup, report_csv, report_summary)
-from nilflat.submersion import build_split
+from nilflat.submersion import SubmersionSplit, build_split
 from conftest import free_two_step
 from oneill_oracle import (SubmersionContext, decomposition_check,
                            frame_structure, oneill_constant,
@@ -129,6 +129,17 @@ def test_context_rejects_foreign_split():
     same = LeftInvariantMetric(matrix=np.eye(3))  # an equal matrix is the same metric
     assert lemma_scan(H3, same, build_split(metric, [0.0, 0.0, 1.0]),
                       [1.0], 10, 0).sup_abs_K == (0.75,)
+
+
+# [DERIVED] the scan reads its frame off the metric, not off `split.frame`:
+# a hand-built split of n4 with G = I whose frame 2·I is not orthonormal
+# gives the bytes of the built split's report.
+def test_lemma_scan_reads_frame_from_metric():
+    metric, split = geometry(N4)
+    foreign = SubmersionSplit(frame=2.0 * np.eye(4), metric=metric)
+    grid = np.geomspace(1.0, 1e-3, 4)
+    assert (report_csv(lemma_scan(N4, metric, foreign, grid, 16, 0))
+            == report_csv(lemma_scan(N4, metric, split, grid, 16, 0)))
 
 
 # [DERIVED] the collapsed direction e_n must be central: with [e1, e3] = e2

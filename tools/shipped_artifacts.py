@@ -14,7 +14,7 @@ For every `data/NAME` (default: every `data/*.json`) this runs, with the
   * where NAME is an n-dimensional algebra, `curvature` and
     `certify --eps 0.01` once more with each `data/metricN_LABEL.json` of
     that n (labels `curvature-LABEL`, `certify-LABEL`): non-diagonal seed
-    metrics, whose split and lift frames are not the identity.
+    metrics, whose orthonormal frames are not the identity.
 
 Each run leaves `OUTDIR/STEM/LABEL.stdout`, `.stderr` and `.exit`, and its
 `--out` files next to them. The inputs are copied to `OUTDIR/data` and the
