@@ -4,7 +4,7 @@ Walking a circle-bundle tower bottom-up, each level adds one central direction
 e_k to the nilpotent algebra, and each level is a Riemannian submersion onto
 the quotient by the fibers above it (O'Neill 1966).  One frame serves every
 level: the seed's G-orthonormal, lower-triangular frame F of
-`metric._orthonormal_frame`, whose leading k×k block is a G-orthonormal
+`LeftInvariantMetric._frame`, whose leading k×k block is a G-orthonormal
 frame of the quotient metric on g/span(e_{k+1}, …, e_n).  With w_k = √t_k,
 F·diag(w)⁻¹ is orthonormal for the assembled metric, with structure
 constants ĉ = c_F·w_c / (w_a·w_b), c_F those of the top algebra in F,
@@ -16,6 +16,12 @@ fiber lengths are √G_kk: the level-k fiber has length √D_k ≤ √G_kk, D th
 pivots of the seed's reversed LDLᵀ, so the diameter bound built from them
 is a true bound.
 
+The levels k ≤ p, with e_{p+1} the first vector of [g, g] (p = `leads[1]`
+of the top lattice, p = n on an abelian tower), are quotients by a space
+that holds [g, g], hence abelian; since F⁻¹ is lower-triangular,
+c_F[:k, :k, :k] is exactly 0 there, so R̂ = 0 and ρ = δ = 0.0, bit for bit.
+They are recorded at t = 1, rounds 0 and bound 0.0 without a measurement,
+and the level loop starts at k = p + 1 with ρ of the level below 0.0.
 Levels whose extension cocycle vanishes keep t = 1, as metric products.
 That holds only where the seed does not couple e_k to [g, g], that is, where
 c_F[a, b, k] = 0 for all a, b < k: where it does, the brackets of the frame
@@ -31,7 +37,8 @@ is at most ρ of the level below plus the budget; the excess of ρ over the
 level below scales linearly in t, so the loop converges in a couple of
 rounds.  Every round costs one symmetric eigensolve, and no plane is
 sampled.  The final metric's ρ + δ must be at most eps; its polished sup|K|
-(`scan.polished_sup`, no plane is drawn) is reported beside the bound.
+(`scan.polished_sups`, no plane is drawn and no certificate is solved) is
+reported beside the bound; on an abelian tower it is 0.0.
 If a loop cannot meet its budget within _MAX_ROUNDS rounds, the final bound
 exceeds eps, or the curvature of a level or of the final metric cannot be
 measured in float64, the certification fails with BudgetNotMet.
@@ -45,9 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetNotMet, DimensionMismatch
-from .metric import (LeftInvariantMetric, _orthonormal_frame,
-                     _structure_in_frame, rescaled_curvature, structure_array)
-from .scan import curvature_bound, diameter_bound, polished_sup
+from .metric import (LeftInvariantMetric, _structure_in_frame,
+                     rescaled_curvature, structure_array)
+from .scan import curvature_bound, diameter_bound, polished_sups
 from .tower import BundleTower
 
 _REFINE_MARGIN = 0.95
@@ -111,17 +118,21 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
                    if step.cocycle.upper_entries()]
     budget = eps / len(curved_dims) if curved_dims else None
 
-    frame, frame_inv = _orthonormal_frame(seed_metric.matrix)
+    frame, frame_inv = seed_metric._frame
     c_frame = _structure_in_frame(structure_array(steps[0].total.algebra),
                                   frame, frame_inv)
     fibers_bottom_up = [math.sqrt(g) for g in np.diag(seed_metric.matrix).tolist()]
     w = np.ones(n)  # w_k = √t_k; t_k = 1 until accepted
+    # the abelian bottom: [g, g] starts at e_{p+1}, so the levels k ≤ p are
+    # flat, R̂ = 0 and ρ = δ = 0.0 there, and none is measured
+    leads = steps[0].total.leads
+    p = leads[1] if len(leads) > 1 else n
     rho_prev = 0.0
-    ts_bottom_up = []
-    rounds_bottom_up = []
-    bounds_bottom_up = []
+    ts_bottom_up = [1.0] * p
+    rounds_bottom_up = [0] * p
+    bounds_bottom_up = [0.0] * p
     try:
-        for k in range(1, n + 1):
+        for k in range(p + 1, n + 1):
             # a zero cocycle is a metric product factor: one pass, t = 1
             curved = bool(steps[n - k].cocycle.upper_entries())
             t, used = 1.0, 0
@@ -156,7 +167,7 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
             raise BudgetNotMet(
                 f"final bound ρ + δ = {bound!r} on sup|K| exceeds eps = {eps!r}")
         where = f"final metric of dim {n} (smallest t: {min(ts_bottom_up)!r})"
-        sup_final, _ = polished_sup(r_hat)
+        sup_final = polished_sups(r_hat[None])[0] if p < n else 0.0
     except np.linalg.LinAlgError as exc:
         raise BudgetNotMet(
             f"{where}: curvature could not be measured in float64 ({exc})") from exc

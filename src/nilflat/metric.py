@@ -15,9 +15,10 @@ K(e1,e2) = −3/4 and K(e1,e3) = +1/4.
 frame: a frame of orthogonal vectors F_a of lengths w_a gives the orthonormal
 frame F_a / w_a, with structure constants ĉ = c·w_c / (w_a·w_b), and R̂ is the
 Koszul formula at g = I on ĉ (Milnor 1976).  A metric of any other Gram is
-read in its one G-orthonormal frame first (`_orthonormal_frame`, which the
-scan and every certify level read): the package computes no curvature at a
-general Gram.
+read in its one G-orthonormal frame first (`LeftInvariantMetric._frame`,
+derived once from the factor of its positive-definiteness gate, which the
+split, the scan and every certify level read): the package computes no
+curvature at a general Gram.
 
 Each formula is written once: the Koszul formula in `_orthonormal_connection`,
 the curvature formula in `_curvature_from_connection`, and the change of
@@ -30,6 +31,7 @@ BLAS threading.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,21 +65,25 @@ def _reversed_cholesky(g: np.ndarray) -> np.ndarray:
     return r
 
 
-def _orthonormal_frame(g: np.ndarray) -> tuple:
+def _orthonormal_frame(r: np.ndarray) -> tuple:
     """(F, F⁻¹), the metric's one G-orthonormal frame: F = P·R⁻ᵀ·P and
-    F⁻¹ = P·Rᵀ·P with P·G·P = R·Rᵀ (`_reversed_cholesky`), lower-triangular,
-    so its leading k×k block is a G-orthonormal frame of the quotient metric
-    on g/span(e_{k+1}, …, e_n) and its last column is e_n/√G_nn."""
-    r = _reversed_cholesky(g)
+    F⁻¹ = P·Rᵀ·P from the factor R of P·G·P = R·Rᵀ (`_reversed_cholesky`),
+    lower-triangular, so its leading k×k block is a G-orthonormal frame of
+    the quotient metric on g/span(e_{k+1}, …, e_n) and its last column is
+    e_n/√G_nn (read-only arrays)."""
     # tril drops what the pivoting of inv leaves above R⁻¹'s diagonal
-    return np.tril(np.linalg.inv(r)).T[::-1, ::-1], r.T[::-1, ::-1]
+    frame, frame_inv = np.tril(np.linalg.inv(r)).T[::-1, ::-1], r.T[::-1, ::-1]
+    frame.flags.writeable = frame_inv.flags.writeable = False
+    return frame, frame_inv
 
 
 @dataclass(frozen=True, eq=False)
 class LeftInvariantMetric:
     """Symmetric positive-definite Gram matrix on the algebra basis: finite,
     symmetric to TOL_IDENTITY relative to its largest entry, and passed by
-    the one positive-definiteness gate, `_reversed_cholesky`."""
+    the one positive-definiteness gate, `_reversed_cholesky`, whose factor
+    is kept: the metric's frame `_frame` is derived from it, once, so each
+    metric is factored once."""
 
     matrix: np.ndarray
 
@@ -92,9 +98,16 @@ class LeftInvariantMetric:
         if m.size and np.max(np.abs(m - m.T)) > TOL_IDENTITY * np.max(np.abs(m)):
             raise NotPositiveDefinite("metric matrix is not symmetric")
         sym = 0.5 * (m + m.T)
-        if m.size:
-            _reversed_cholesky(sym)
+        factor = _reversed_cholesky(sym) if m.size else np.zeros((0, 0))
+        factor.flags.writeable = False
+        object.__setattr__(self, "_factor", factor)
         object.__setattr__(self, "matrix", _as_readonly(sym))
+
+    @functools.cached_property
+    def _frame(self) -> tuple:
+        """(F, F⁻¹) of `_orthonormal_frame` on the gate's factor, which the
+        split, the scan and certify read."""
+        return _orthonormal_frame(self._factor)
 
     @property
     def dim(self) -> int:

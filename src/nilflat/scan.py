@@ -23,8 +23,10 @@ or −ρ holds a decomposable bivector.  `curvature_bound` gives ρ and its
 rounding allowance δ (derived in `lemma_scan`), the bound ρ + δ that
 `certify` gates on.
 
-Sup search (`polished_sups` on a stack of tensors, one deterministic pass):
-one stacked eigh of the ℛ gives each ρ and two extreme eigenvectors; each,
+Sup search (`polished_sups` on a stack of tensors, one deterministic pass;
+`polished_sup` on one tensor, with its certificate): one stacked eigh of
+the ℛ (read off each tensor by one take through a flat index cached per n)
+gives each ρ and two extreme eigenvectors; each,
 read as a skew n×n matrix B, gives both legs of its best rank-2 plane (the
 top 2-eigenspace of BᵀB).  The four legs per tensor are *polished* once
 over all planes: alternate exact maximization over each leg of the plane,
@@ -34,12 +36,15 @@ orthocomplement, so |K| never decreases.  All legs are one batch: each
 half-sweep is one stacked contraction (each leg with its own tensor) and
 one stacked eigh over all n coordinates, a leg leaves when its own sweep
 moves its |K| by no more than rounding, and a tensor's legs stop once one
-reaches its ρ − δ, so each tensor gets the bits of its own call.  No plane
+reaches its ρ − δ, so each tensor gets the bits of its own call.  The legs'
+tensors are gathered once and again only when legs leave.  No plane
 exceeds ρ + δ, so where ρ is attained the polished sup is within 2δ of the
 true sup — the decay-exponent fit needs that, since the excess
 sup|K^t| − sup|Ǩ| can sit many orders of magnitude below sup|Ǩ|.
 
-Thorpe certificate: where the legs stop below ρ − δ, the best of them,
+Thorpe certificate (`polished_sup` only, its one caller; `polished_sups`
+returns the sups alone, since neither `certify` nor the scan's t grid reads
+a flag): where the legs stop below ρ − δ, the best of them,
 σ = x ∧ c with value B and sign s of K, may still be the sup.  K is also
 the Rayleigh quotient of sℛ + W_ω at decomposable σ for every 4-form ω,
 since W_ω vanishes there (Thorpe 1971; one coefficient per 4-subset, placed
@@ -55,7 +60,8 @@ Determinism: nothing here draws a random number, every contraction is
 einsum(optimize=False) (no BLAS matmul; the certificate's Gram matrix is a
 np.bincount scatter sum, in input order) and every eigensolve a LAPACK eigh
 (stacked, whose rows do not depend on the batch), so outputs are
-byte-identical regardless of thread count and of how tensors are stacked.
+byte-identical regardless of thread count and of how tensors are stacked,
+and `polished_sup` has the bits of `polished_sups` on the same tensor.
 """
 
 from __future__ import annotations
@@ -73,7 +79,6 @@ from .errors import BoundViolated, DimensionMismatch
 from .metric import (
     LeftInvariantMetric,
     _orthonormal_connection,
-    _orthonormal_frame,
     _structure_in_frame,
     rescaled_curvature,
     structure_array,
@@ -100,11 +105,22 @@ def _pairs(n: int) -> tuple:
     return i, j
 
 
+@functools.lru_cache(maxsize=64)
+def _operator_index(n: int) -> np.ndarray:
+    """The flat index of R̂_ijkl in an n⁴ tensor at ℛ_pq, p = (i, j) and
+    q = (k, l) pairs of `_pairs` (m×m, read-only)."""
+    i, j = _pairs(n)
+    pair = i * n + j
+    index = pair[:, None] * (n * n) + pair
+    index.flags.writeable = False
+    return index
+
+
 def _curvature_operator(r4: np.ndarray) -> np.ndarray:
     """ℛ, the curvature operator on Λ² of the orthonormal tensor r4 (or of
     each in a stack), ℛ_pq = R̂_ijkl for the pairs p = (i, j), q = (k, l)."""
-    i, j = _pairs(r4.shape[-1])
-    return r4[..., i[:, None], j[:, None], i, j]
+    n = r4.shape[-1]
+    return r4.reshape(r4.shape[:-4] + (n ** 4,)).take(_operator_index(n), axis=-1)
 
 
 def _top_eigenpairs(q: np.ndarray, v: np.ndarray) -> tuple:
@@ -243,6 +259,13 @@ def _thorpe_certifies(sym: np.ndarray, extremes: tuple, x: np.ndarray,
     return value >= top - _rounding_allowance(n, r_max + omega_max)
 
 
+def _row_tensors(r4s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """r4s[rows]: a view where the stack holds one tensor, else a gather."""
+    if r4s.shape[0] == 1:
+        return np.broadcast_to(r4s[0], (rows.size,) + r4s.shape[1:])
+    return r4s[rows]
+
+
 def _polish(r4s: np.ndarray, group: np.ndarray, c: np.ndarray,
             ceilings: np.ndarray) -> tuple:
     """Alternating exact maximization of |K(span(x_a, c_a))| under the tensor
@@ -254,18 +277,20 @@ def _polish(r4s: np.ndarray, group: np.ndarray, c: np.ndarray,
     A row leaves the batch once a sweep moves its |K| by no more than
     rounding (either way: at the maximum, recomputed values scatter by a few
     ulp), or after _POLISH_MAX_ITER sweeps.  Group g stops once one of its
-    rows reaches ceilings[g] (checked before every sweep)."""
+    rows reaches ceilings[g] (checked before the first sweep and after
+    every sweep).  The rows' tensors are gathered once, and again only
+    when rows leave."""
     n = r4s.shape[-1]
     best = np.zeros(c.shape[0])
     best_x, best_c = np.zeros((2, best.shape[0], n))
-    active = np.arange(best.shape[0])
+    stopped = np.zeros(ceilings.shape[0], dtype=bool)
+    stopped[group[~(best < ceilings[group])]] = True
+    active = np.flatnonzero(~stopped[group])
+    c = c[active]
+    r4 = _row_tensors(r4s, group[active])
     for _ in range(_POLISH_MAX_ITER):
-        keep = ~np.isin(group[active], group[~(best < ceilings[group])])
-        active, c = active[keep], c[keep]
         if not active.size:
             break
-        r4 = (r4s[group[active]] if r4s.shape[0] > 1 else  # a view for one tensor
-              np.broadcast_to(r4s[0], (active.size,) + r4s.shape[1:]))
         qc = np.einsum("aijkl,aj,al->aik", r4, c, c, optimize=False)
         x = _top_eigenpairs(qc, c)[1]
         qx = np.einsum("aijkl,ai,ak->ajl", r4, x, x, optimize=False)
@@ -274,26 +299,23 @@ def _polish(r4s: np.ndarray, group: np.ndarray, c: np.ndarray,
         raised = val > best[active]
         best_x[active[raised]], best_c[active[raised]] = x[raised], c[raised]
         best[active] = np.maximum(best[active], val)
-        active, c = active[~done], c[~done]
+        groups = group[active]
+        stopped[groups[~(best[active] < ceilings[groups])]] = True
+        keep = ~(done | stopped[groups])
+        if not keep.all():
+            active, c = active[keep], c[keep]
+            r4 = _row_tensors(r4s, group[active])
     return best, best_x, best_c
 
 
-def polished_sups(r4s: np.ndarray) -> list:
-    """[(sup, certified)] per member of the stack r4s of orthonormal tensors:
-    the polished sup |K| over all 2-planes, with the bits of its one-tensor
-    call.
-
-    Per member, the four eigenplane legs of ℛ are polished once, up to their
-    per-row stop or the member's ceiling ρ − δ, and the best value is
-    returned.  It is certified as the sup (to 2δ) where it reaches the
-    ceiling or Thorpe's trick closes at its plane (`_thorpe_certifies`);
-    else it is the lower end of the bracket [sup, ρ + δ].  A non-finite
-    entry gives its member a non-finite sup and no other member a change."""
+def _search(r4s: np.ndarray) -> tuple:
+    """The polished sups of the stack r4s of n-dim tensors, n ≥ 2, one float
+    per member, and what `polished_sup` certifies with, per finite member
+    (their indices `finite`): the symmetrized ℛ, its extreme eigenvalues,
+    the ceiling ρ − δ and the legs (x, c) of the best plane."""
     n = r4s.shape[-1]
-    if n < 2:
-        return [(0.0, True)] * r4s.shape[0]
     r_max = np.max(np.abs(r4s), axis=(1, 2, 3, 4))
-    out = [(float(r), False) for r in r_max]
+    sups = r_max.tolist()
     finite = np.flatnonzero(np.isfinite(r_max))
     r4s = r4s[finite]
     op = _curvature_operator(r4s)
@@ -302,18 +324,41 @@ def polished_sups(r4s: np.ndarray) -> list:
     ceilings = np.maximum(-low, high) - _rounding_allowance(n, r_max[finite])
     group = np.repeat(np.arange(finite.size), 4)
     best, best_x, best_c = _polish(r4s, group, legs, ceilings)
-    for g, member in enumerate(finite):
-        lead = 4 * g + int(np.argmax(best[4 * g:4 * g + 4]))
-        sup = float(best[lead])
-        out[member] = (sup, sup >= float(ceilings[g]) or _thorpe_certifies(
-            sym[g], (float(low[g]), float(high[g])), best_x[lead],
-            best_c[lead], sup, float(r_max[member])))
-    return out
+    lead = 4 * np.arange(finite.size) + np.argmax(best.reshape(-1, 4), axis=1)
+    for member, sup in zip(finite.tolist(), best[lead].tolist()):
+        sups[member] = sup
+    return sups, finite, sym, (low, high), ceilings, best_x[lead], best_c[lead]
+
+
+def polished_sups(r4s: np.ndarray) -> list:
+    """The polished sup |K| over all 2-planes of each member of the stack r4s
+    of orthonormal tensors, with the bits of its one-tensor call.
+
+    Per member, the four eigenplane legs of ℛ are polished once, up to their
+    per-row stop or the member's ceiling ρ − δ, and the best value is
+    returned.  No certificate is solved (`polished_sup` has one).  A
+    non-finite entry gives its member a non-finite sup and no other member a
+    change."""
+    if r4s.shape[-1] < 2:
+        return [0.0] * r4s.shape[0]
+    return _search(r4s)[0]
 
 
 def polished_sup(r4: np.ndarray) -> tuple:
-    """(sup, certified) of the one orthonormal tensor r4, as `polished_sups`."""
-    return polished_sups(r4[None])[0]
+    """(sup, certified) of the one orthonormal tensor r4: the sup of
+    `polished_sups`, certified as the sup (to 2δ) where it reaches the
+    ceiling ρ − δ or Thorpe's trick closes at its plane
+    (`_thorpe_certifies`); else it is the lower end of the bracket
+    [sup, ρ + δ]."""
+    n = r4.shape[-1]
+    if n < 2:
+        return 0.0, True
+    [sup], finite, sym, (low, high), ceilings, x, c = _search(r4[None])
+    if not finite.size:
+        return sup, False
+    return sup, sup >= float(ceilings[0]) or _thorpe_certifies(
+        sym[0], (float(low[0]), float(high[0])), x[0], c[0], sup,
+        float(np.max(np.abs(r4))))
 
 
 def _central_structure(algebra: NilAlgebra, metric: LeftInvariantMetric,
@@ -372,8 +417,16 @@ def _lemma_constant(c_hat: np.ndarray) -> float:
           - np.einsum("exm,myp->exyp", gamma, a, optimize=False)
           - np.einsum("eym,xmp->exyp", gamma, a, optimize=False))
     a2 = float(np.einsum("fep,fep->", a, a, optimize=False))
-    da2 = float(np.einsum("efhp,efhp->", da, da, optimize=False))
-    return 4.0 * a2 + 2.0 * math.sqrt(da2)
+    da_norm = math.sqrt(float(np.einsum("efhp,efhp->", da, da, optimize=False)))
+    if math.isinf(da_norm):
+        # ΣDA² can overflow where ‖DA‖_F does not; only then is DA rescaled
+        # by max|DA|, so every finite sum keeps its bits
+        scale = float(np.max(np.abs(da)))
+        if math.isfinite(scale):
+            da = da / scale
+            da_norm = scale * math.sqrt(
+                float(np.einsum("efhp,efhp->", da, da, optimize=False)))
+    return 4.0 * a2 + 2.0 * da_norm
 
 
 def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
@@ -394,8 +447,8 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     `polished_sups`, a stop per t), so memory does not grow with its length,
     and no value depends on the stacking.  The scan draws no plane:
     `n_samples` and `seed` are validated and echoed in the report but change
-    no value.  Where the base sup is not certified it
-    is only a lower end of sup|Ǩ|, so the bound starts from the base's ρ + δ
+    no value.  The base sup alone is certified (`polished_sup`); where it
+    is not, it is only a lower end of sup|Ǩ|, so the bound starts from the base's ρ + δ
     (`curvature_bound`) instead; the exponent fit still measures the excess
     over the polished base sup.
 
@@ -427,7 +480,7 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
         raise ValueError(f"seed must be >= 0, got {seed}")
 
     c = _central_structure(algebra, metric, split)
-    c_hat = _structure_in_frame(c, *_orthonormal_frame(metric.matrix))
+    c_hat = _structure_in_frame(c, *metric._frame)
     n = split.dim
     m = n - 1
 
@@ -445,8 +498,8 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     sups, roundings, bounds, diams = [], [], [], []
     for start in range(0, len(ts), _T_CHUNK):
         r_ts = rescaled_curvature(c_hat, weights[start:start + _T_CHUNK])
-        for t, r_t, (sup_t, _) in zip(ts[start:start + _T_CHUNK], r_ts,
-                                      polished_sups(r_ts)):
+        for t, r_t, sup_t in zip(ts[start:start + _T_CHUNK], r_ts,
+                                 polished_sups(r_ts)):
             r_max = float(np.max(np.abs(r_t)))
             rounding = _rounding_allowance(n, r_max + base_max)
             bound = base_bound + c_const * math.sqrt(t) + rounding

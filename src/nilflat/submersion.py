@@ -2,7 +2,7 @@
 
 Collapsing the central direction e_n defines a Riemannian submersion onto
 the quotient algebra.  `build_split` makes a `SubmersionSplit`, the
-metric's one orthonormal frame (`metric._orthonormal_frame`): horizontal
+metric's one orthonormal frame (`LeftInvariantMetric._frame`): horizontal
 vectors (the G-orthogonal complement of e_n) first and e_n normalized last.
 It has no tolerance or failure of its own.  To collapse another central
 direction, permute the basis of the input so that it comes last.
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .metric import LeftInvariantMetric, _orthonormal_frame
+from .metric import LeftInvariantMetric
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +43,9 @@ class SubmersionSplit:
 
 def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSplit:
     """The split frame along z, which must be e_n: the metric's one frame
-    P·R⁻ᵀ·P of `metric._orthonormal_frame`, lower-triangular and
-    G-orthonormal, so its last column is e_n/√G_nn.  At G = I it is the
-    identity."""
+    P·R⁻ᵀ·P (`LeftInvariantMetric._frame`, derived once per metric),
+    lower-triangular and G-orthonormal, so its last column is e_n/√G_nn.
+    At G = I it is the identity."""
     n = metric.dim
     z = np.asarray(z, dtype=np.float64)
     if n == 0 or z.shape != (n,):
@@ -53,5 +53,4 @@ def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSp
     if not np.array_equal(z, np.eye(n)[n - 1]):
         raise ValueError(f"a split is along e{n} only, got z = {z.tolist()}; "
                          "put a central direction last by permuting the basis")
-    return SubmersionSplit(frame=_orthonormal_frame(metric.matrix)[0],
-                           metric=metric)
+    return SubmersionSplit(frame=metric._frame[0], metric=metric)

@@ -24,9 +24,10 @@ from nilflat.certify import (CertificateReport, certificate_summary,
 from nilflat.errors import BudgetNotMet, DimensionMismatch
 from nilflat.metric import (LeftInvariantMetric, _structure_in_frame,
                             rescaled_curvature, structure_array)
-from nilflat.scan import lemma_scan
+from nilflat.scan import curvature_bound, lemma_scan
 from nilflat.submersion import build_split
 from nilflat.tower import NilLattice, peel_tower
+from conftest import free_two_step
 
 TILTED3 = np.array([[1.0, 0.0, 0.3],
                     [0.0, 1.0, 0.0],
@@ -258,15 +259,62 @@ def test_level_bounds_meet_budgets(algebra, n, eps):
     assert report.sup_abs_K <= report.sup_abs_K_bound <= eps
 
 
-# [DERIVED] a NaN measurement fails the final gate: every level of an
-# abelian tower is flat, so only the final comparison sees the value.
+# [DERIVED] a NaN measurement fails the final gate: the top level of h3 × Z
+# at G = I is flat, so it is measured once, and only the final comparison
+# sees its NaN bound.
 def test_nan_measurement_fails_final_gate(monkeypatch):
+    real = certify_module.curvature_bound
     monkeypatch.setattr(certify_module, "curvature_bound",
-                        lambda *args: (float("nan"), 0.0))
-    monkeypatch.setattr(certify_module, "polished_sup",
-                        lambda *args: (float("nan"), False))
-    with pytest.raises(BudgetNotMet):
-        certify_almost_flat(tower_of(catalog.abelian(3)), identity_seed(3), 1e-2)
+                        lambda r_hat: (float("nan"), 0.0) if r_hat.shape[0] == 4
+                        else real(r_hat))
+    monkeypatch.setattr(certify_module, "polished_sups",
+                        lambda r4s: [float("nan")] * len(r4s))
+    with pytest.raises(BudgetNotMet, match="final bound"):
+        certify_almost_flat(tower_of(catalog.h3_times_z()), identity_seed(4), 1e-2)
+
+
+H7 = NilAlgebra.from_brackets(7, 2, {(1, 2): {7: 1}, (3, 4): {7: 1}, (5, 6): {7: 1}})
+
+
+# [DERIVED] certify measures no level of the abelian bottom: on h7 at G = I
+# the six levels below [g, g] = span(e7) are recorded at t = 1 with bound
+# 0.0 unmeasured, and the top level takes two rounds, one
+# `rescaled_curvature` call each; an abelian tower calls it not at all.
+def test_abelian_bottom_is_not_measured(monkeypatch):
+    real = certify_module.rescaled_curvature
+    dims = []
+
+    def counting(c, w):
+        dims.append(c.shape[0])
+        return real(c, w)
+
+    monkeypatch.setattr(certify_module, "rescaled_curvature", counting)
+    report = certify_almost_flat(tower_of(H7), identity_seed(7), 1e-3)
+    assert dims == [7, 7] and report.rounds == (2, 0, 0, 0, 0, 0, 0)
+    assert report.ts[1:] == (1.0,) * 6 and report.level_bounds[1:] == (0.0,) * 6
+    dims.clear()
+    report = certify_almost_flat(tower_of(catalog.abelian(4)), identity_seed(4), 1e-2)
+    assert dims == []
+    assert report.sup_abs_K == report.sup_abs_K_bound == 0.0
+    assert report.level_bounds == (0.0,) * 4
+
+
+# [DERIVED] the levels certify skips are exactly flat: measured in the dense
+# seed's frame, every level k ≤ p (e_{p+1} the first vector of [g, g], so
+# p = 6 on h7 and 4 on free 2-step(4)) has R̂ = 0 and ρ + δ = (0.0, 0.0)
+# bit for bit, and level p + 1 is curved.
+@pytest.mark.parametrize("algebra", [H7, free_two_step(4)], ids=["h7", "free4"])
+def test_skipped_levels_are_flat(algebra):
+    n = algebra.dim
+    seed = dense_seed(n)
+    c_frame = _structure_in_frame(structure_array(algebra), *seed._frame)
+    p = NilLattice(algebra=algebra).leads[1]
+    for k in range(1, p + 2):
+        r_hat = rescaled_curvature(c_frame[:k, :k, :k], np.ones(k))
+        if k <= p:
+            assert not np.any(r_hat) and curvature_bound(r_hat) == (0.0, 0.0)
+        else:
+            assert curvature_bound(r_hat)[0] > 0.0
 
 
 # [TRIVIAL] refinement cap: zero rounds cannot accept any curved level.

@@ -6,6 +6,7 @@ per-step extend chain that rebuilds a peeled lattice from its tower file.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -539,6 +540,45 @@ def test_curvature_tiny_metric_scale(c, tmp_path, capsys):
     for t, sup, _, bound, _ in csv_rows(out):
         assert sup == pytest.approx(0.75 * t / c, rel=1e-9)
         assert sup <= bound
+
+
+# [DERIVED] regression: ‖DA‖_F is summed without overflow where ΣDA² would
+# overflow: on h3 at G = 1e-300·I, C = (4 + 2√2)·1e300 (the G = I constant
+# over the scale) and every bound is finite, so the summary is strict JSON,
+# where it held "C": Infinity.
+def test_curvature_constant_does_not_overflow(tmp_path, capsys):
+    metric = tmp_path / "tiny.json"
+    metric.write_text(fileio.dump_metric(1e-300 * np.eye(3)))
+    out = tmp_path / "scan.csv"
+    code, _, err = run_cli(["curvature", str(DATA / "h3.json"), "--metric",
+                            str(metric), "--out", str(out)], capsys)
+    assert code == 0, err
+
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    summary = json.loads(out.with_suffix(".summary.json").read_text(encoding="utf-8"),
+                         parse_constant=refuse)
+    assert summary["report"]["C"] == pytest.approx((4.0 + 2.0 * math.sqrt(2.0)) * 1e300,
+                                                   rel=1e-12)
+    bounds = [row[3] for row in csv_rows(out.read_text(encoding="utf-8"))]
+    assert len(bounds) == 7 and all(math.isfinite(b) for b in bounds)
+
+
+# [TRIVIAL] each metric is factored once: a `curvature` run (metric, split
+# and scan) calls np.linalg.cholesky once and np.linalg.inv once.
+def test_curvature_factors_metric_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(name, real):
+        return lambda a: (calls.append(name), real(a))[1]
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    code, _, err = run_cli(["curvature", str(DATA / "h3.json"), "--metric",
+                            str(DATA / "metric3_tilted.json")], capsys)
+    assert code == 0, err
+    assert calls == ["cholesky", "inv"]
 
 
 # [TRIVIAL] certify: abelian tower certifies at once with unit fibers.

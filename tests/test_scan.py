@@ -23,12 +23,14 @@ import pytest
 
 from nilflat import catalog, scan
 from nilflat.algebra import NilAlgebra
+from nilflat.certify import certify_almost_flat
 from nilflat.errors import BoundViolated, DimensionMismatch
 from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
                             structure_array)
 from nilflat.scan import (T_MIN, DecayReport, curvature_bound, diameter_bound,
                           lemma_scan, polished_sup, report_csv, report_summary)
 from nilflat.submersion import SubmersionSplit, build_split
+from nilflat.tower import NilLattice, peel_tower
 from conftest import free_two_step
 from oneill_oracle import (SubmersionContext, decomposition_check,
                            frame_structure, oneill_constant,
@@ -344,11 +346,11 @@ def test_bound_short_by_more_than_rounding_raises(monkeypatch):
 
 
 # [DERIVED] a NaN measurement violates the bound instead of passing it: with
-# every polished sup NaN the comparison with the (then NaN) bound is false.
+# every polished sup of the t grid NaN the comparison with the bound is false.
 def test_nan_measurement_violates_bound(monkeypatch):
     metric, split = geometry(H3)
     monkeypatch.setattr(scan, "polished_sups",
-                        lambda r4s: [(float("nan"), False)] * len(r4s))
+                        lambda r4s: [float("nan")] * len(r4s))
     with pytest.raises(BoundViolated) as info:
         lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
     assert math.isnan(info.value.value)
@@ -593,9 +595,9 @@ H7 = NilAlgebra.from_brackets(7, 2, {(1, 2): {7: 1}, (3, 4): {7: 1}, (5, 6): {7:
 
 # [DERIVED] every 2-plane meets the horizontal space, so the search over all
 # planes finds the sup of the search with one leg horizontal: to 1e-12
-# relative, with the same certified flag, on every point of the default grid
-# of free 2-step(3, 4), h7 and filiform(6), each at G = I and two dense
-# seeds.
+# relative, with the same certified flag (through `polished_sup`, which has
+# the stack's bits), on every point of the default grid of free 2-step(3, 4),
+# h7 and filiform(6), each at G = I and two dense seeds.
 @pytest.mark.parametrize("algebra", [FREE3, free_two_step(4), H7, catalog.filiform(6)],
                          ids=["free3", "free4", "h7", "filiform6"])
 def test_whole_plane_search_matches_horizontal_search(algebra):
@@ -605,10 +607,10 @@ def test_whole_plane_search_matches_horizontal_search(algebra):
     for seed in (None, 0, 1):
         _, split = geometry(algebra, None if seed is None else dense_seed(n, seed))
         r_ts = rescaled_curvature(frame_structure(algebra, split), weights)
-        for r4, (sup, certified) in zip(r_ts, scan.polished_sups(r_ts)):
+        for r4, sup in zip(r_ts, scan.polished_sups(r_ts)):
             expected, expected_certified = reference_horizontal_search(r4)
             assert sup == pytest.approx(expected, rel=1e-12, abs=0.0)
-            assert certified == expected_certified
+            assert polished_sup(r4) == (sup, expected_certified)
 
 
 # [DERIVED] both legs of each eigenplane are polished: on free 2-step(4) at
@@ -699,6 +701,29 @@ def test_non_finite_tensor_is_not_hidden(value, monkeypatch):
     assert not math.isfinite(info.value.value)
 
 
+# [TRIVIAL] only `polished_sup` solves Thorpe's certificate: with
+# `_thorpe_certifies` made to raise, `polished_sups` gives the sups of h5 × R
+# (where it closes) and free 2-step(3) (where it does not), and certify
+# certifies h5; `polished_sup` still certifies h5 × R below its ceiling.
+def test_only_polished_sup_certifies(monkeypatch):
+    stack = np.stack([padded_identity_tensor(algebra)
+                      for algebra in (catalog.heisenberg5(), FREE3)])
+    real = scan._thorpe_certifies
+
+    def refuse(*args):
+        raise AssertionError("a certificate was solved")
+
+    monkeypatch.setattr(scan, "_thorpe_certifies", refuse)
+    sups = scan.polished_sups(stack)
+    certify_almost_flat(peel_tower(NilLattice(algebra=catalog.heisenberg5())),
+                        LeftInvariantMetric.identity(5), 1e-2)
+    monkeypatch.setattr(scan, "_thorpe_certifies", real)
+    sup, certified = polished_sup(stack[0])
+    rho, delta = curvature_bound(stack[0])
+    assert sups[0] == sup and certified and sup < rho - delta
+    assert sups[1] == polished_sup(stack[1])[0]
+
+
 def padded_identity_tensor(algebra, n=6):
     """R̂ at G = I of algebra × R^(n − dim), in the algebra's basis."""
     product = NilAlgebra(dim=n, declared_class=max(algebra.declared_class, 1),
@@ -711,8 +736,9 @@ def padded_identity_tensor(algebra, n=6):
 # stopped before the first sweep), one whose polish reaches the ceiling ρ − δ
 # (n4 × R²), one that Thorpe's trick certifies below it (h5 × R), one where it
 # does not close (free 2-step(3) at G = I), and one with a NaN entry, whose
-# sup is non-finite and changes no other member's bits.  Stacked weights give
-# the per-row tensors of `rescaled_curvature` bit for bit.
+# sup is non-finite and changes no other member's bits.  The certified flags
+# come from `polished_sup`.  Stacked weights give the per-row tensors of
+# `rescaled_curvature` bit for bit.
 def test_stack_matches_one_tensor_at_a_time():
     kinds = [catalog.abelian(3), N4, catalog.heisenberg5(), FREE3, N4]
     stack = np.stack([padded_identity_tensor(algebra) for algebra in kinds])
@@ -720,8 +746,10 @@ def test_stack_matches_one_tensor_at_a_time():
     alone = [polished_sup(r4) for r4 in stack[:4]]
     with np.errstate(invalid="ignore"):
         together = scan.polished_sups(stack)
-    assert together[:4] == alone
-    assert not math.isfinite(together[4][0]) and together[4][1] is False
+        nan_sup, nan_certified = polished_sup(stack[4])
+    assert together[:4] == [sup for sup, _ in alone]
+    assert not math.isfinite(together[4]) and not math.isfinite(nan_sup)
+    assert nan_certified is False
     ceilings = [curvature_bound(r4)[0] - curvature_bound(r4)[1] for r4 in stack[:4]]
     assert alone[0] == (0.0, True)
     assert alone[1][1] and alone[1][0] >= ceilings[1]
