@@ -9,8 +9,9 @@ algebra files and `catalog` use (0-based inside, 1-based in files and in
 Construction validates only shape (dimensions, index ranges). Mathematical
 invariants — Jacobi, adaptedness, nilpotency class — are checked by the
 report-valued `check_*` functions and enforced wholesale by
-`validate_algebra`, which also returns the lower central series its class
-check computed; this keeps deliberately broken algebras constructible as
+`validate_algebra`, which also returns the leads of the lower central
+series (the least pivot of each term) that its class check read off
+generators; this keeps deliberately broken algebras constructible as
 negative controls.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple, Union
 
 from .errors import DimensionMismatch, NotNilpotent, ValidationReport
 from .intlinalg import SparseRow, rational_row_basis
@@ -253,33 +254,96 @@ def lower_central_series(algebra: NilAlgebra) -> Tuple[List[List[SparseRow]], in
     return chain, len(chain) - 1
 
 
-def _class_check(algebra: NilAlgebra) -> Tuple[ValidationReport, List[List[SparseRow]]]:
-    """The class report and, when it passes, the lower central series."""
+def _generator_leads(algebra: NilAlgebra) -> Tuple[int, ...]:
+    """Leads of the lower central series of a table that satisfies Jacobi:
+    the least pivot (0-based) of each nonzero term γ_k; the class is their
+    number.
+
+    Read off generators instead of the series. X is the unit vectors off the
+    pivots of [g, g], U_1 = span X and U_{k+1} = [X, U_k]. As X spans g
+    modulo [g, g], Jacobi gives γ_k = U_k + γ_{k+1}, so γ_k = Σ_{j≥k} U_j:
+    the class is the number of nonzero U_k, and the leads are the suffix
+    minima of their least pivots. A step brackets the rows of U_k with the
+    generators alone, not with all of g. The table is nilpotent exactly when
+    U vanishes within dim steps and Σ_{k≥2} U_k is all of [g, g]; where it
+    is not, `lower_central_series` raises its NotNilpotent.
+
+    On a table that breaks Jacobi the leads mean nothing: `validate_algebra`
+    checks Jacobi first, and `check_class` reads the series itself.
+    """
+    n = algebra.dim
+    partners = _partners(algebra)
+    derived = rational_row_basis(list(algebra.brackets.values()), n)
+    generators = set(range(n)).difference(min(row) for row in derived)
+    one = Fraction(1)
+    terms = [[{i: one} for i in sorted(generators)]] if generators else []
+    # U_2 is read off the table: the brackets of pairs of generators
+    term = rational_row_basis([entry for (i, j), entry in algebra.brackets.items()
+                               if i in generators and j in generators], n)
+    while term and len(terms) < n:
+        terms.append(term)
+        # [e_i, v] is built only for the generators that bracket with v's support
+        products = []
+        for row in term:
+            for i in generators & set().union(*(partners[m] for m in row)):
+                w: SparseRow = {}
+                _add_ad(w, algebra, i, row)
+                products.append(w)
+        term = rational_row_basis(products, n)
+    # rows with distinct pivots are independent: reduce only if too few
+    higher = [row for t in terms[1:] for row in t]
+    if term or (len({min(row) for row in higher}) < len(derived)
+                and len(rational_row_basis(higher, n)) < len(derived)):
+        lower_central_series(algebra)  # raises NotNilpotent on a Jacobi table
+        raise AssertionError("the lower central series of a non-nilpotent "
+                             "table ended; does it satisfy Jacobi?")
+    leads, least = [], n
+    for t in reversed(terms):
+        least = min(least, min(t[0]))
+        leads.append(least)
+    return tuple(reversed(leads))
+
+
+def _series_leads(algebra: NilAlgebra) -> Tuple[int, ...]:
+    """Leads read off `lower_central_series` itself, on any table."""
+    chain, _ = lower_central_series(algebra)
+    return tuple(min(term[0]) for term in chain if term)
+
+
+def _class_check(algebra: NilAlgebra, leads_of: Callable[[NilAlgebra], Tuple[int, ...]],
+                 ) -> Tuple[ValidationReport, Tuple[int, ...]]:
+    """The class report on `leads_of(algebra)`, whose number is the class,
+    and, when it passes, the leads."""
     try:
-        chain, cls = lower_central_series(algebra)
+        leads = leads_of(algebra)
     except NotNilpotent as exc:
-        return ValidationReport(ok=False, check="class", message=str(exc)), []
-    if cls != algebra.declared_class:
+        return ValidationReport(ok=False, check="class", message=str(exc)), ()
+    if len(leads) != algebra.declared_class:
         return ValidationReport(
             ok=False, check="class",
-            message=f"computed class {cls} differs from declared {algebra.declared_class}"), []
-    return ValidationReport(ok=True, check="class"), chain
+            message=(f"computed class {len(leads)} differs from declared "
+                     f"{algebra.declared_class}")), ()
+    return ValidationReport(ok=True, check="class"), leads
 
 
 def check_class(algebra: NilAlgebra) -> ValidationReport:
-    """Nilpotency plus agreement of the computed class with declared_class."""
-    return _class_check(algebra)[0]
+    """Nilpotency plus agreement of the computed class with declared_class,
+    read off `lower_central_series`, so on any table, Jacobi or not."""
+    return _class_check(algebra, _series_leads)[0]
 
 
-def validate_algebra(algebra: NilAlgebra) -> List[List[SparseRow]]:
+def validate_algebra(algebra: NilAlgebra) -> Tuple[int, ...]:
     """Raise on the first failed mathematical invariant (shape already holds);
-    return the lower central series that the class check computed.
+    return the leads of the lower central series, the least pivot (0-based)
+    of each nonzero term, whose number is the class.
 
     Order: Jacobi, then nilpotency/class (so so(3)-type input is reported as
-    NotNilpotent rather than merely non-adapted), then adaptedness.
+    NotNilpotent rather than merely non-adapted), then adaptedness. Once
+    Jacobi holds, the class check reads the leads off generators
+    (`_generator_leads`), not off the series.
     """
     check_jacobi(algebra).require()
-    report, chain = _class_check(algebra)
+    report, leads = _class_check(algebra, _generator_leads)
     report.require()
     check_adapted(algebra).require()
-    return chain
+    return leads

@@ -116,7 +116,7 @@ def _fraction_from(obj: Dict[str, Any], where: str) -> Fraction:
     den = _expect_int(_get(obj, "den", where), f"{where}.den")
     if den == 0:
         raise SchemaError(f"{where}.den: denominator must be nonzero")
-    return Fraction(num, den)
+    return Fraction(num) if den == 1 else Fraction(num, den)  # an integer needs no gcd
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +140,7 @@ def algebra_from_obj(obj: Any, where: str = "algebra") -> NilAlgebra:
     if dim < 0:
         raise SchemaError(f"{where}.dim: must be nonnegative, got {dim}")
     declared = _expect_int(_get(top, "class", where), f"{where}.class")
+    # 0-based table, each coefficient one Fraction (a repeated k adds up)
     brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     for pos, item in enumerate(_expect_list(_get(top, "brackets", where),
                                             f"{where}.brackets")):
@@ -150,7 +151,7 @@ def algebra_from_obj(obj: Any, where: str = "algebra") -> NilAlgebra:
         if not (1 <= i < j <= dim):
             raise SchemaError(
                 f"{loc}: bracket pair ({i},{j}) out of range; need 1 <= i < j <= {dim}")
-        target = brackets.setdefault((i, j), {})
+        target = brackets.setdefault((i - 1, j - 1), {})
         for tpos, term in enumerate(_expect_list(_get(entry, "terms", loc),
                                                  f"{loc}.terms")):
             tloc = f"{loc}.terms[{tpos}]"
@@ -159,8 +160,9 @@ def algebra_from_obj(obj: Any, where: str = "algebra") -> NilAlgebra:
             if not (1 <= k <= dim):
                 raise SchemaError(
                     f"{tloc}.k: component {k} out of range for dim {dim}")
-            target[k] = target.get(k, Fraction(0)) + _fraction_from(tdict, tloc)
-    return NilAlgebra.from_brackets(dim, declared, brackets)
+            value = _fraction_from(tdict, tloc)
+            target[k - 1] = target[k - 1] + value if k - 1 in target else value
+    return NilAlgebra(dim=dim, declared_class=declared, brackets=brackets)
 
 
 def load_algebra(path: PathLike) -> NilAlgebra:
@@ -205,8 +207,10 @@ def cocycle_from_obj(obj: Any, where: str = "cocycle") -> CentralCocycle:
         if not (1 <= i < j <= dim):
             raise SchemaError(
                 f"{loc}: entry pair ({i},{j}) out of range; need 1 <= i < j <= {dim}")
-        entries[(i, j)] = entries.get((i, j), Fraction(0)) + _fraction_from(entry, loc)
-    return CentralCocycle.from_entries(dim, entries)
+        value = _fraction_from(entry, loc)
+        pair = (i - 1, j - 1)
+        entries[pair] = entries[pair] + value if pair in entries else value
+    return CentralCocycle(dim=dim, entries=entries)
 
 
 def load_cocycle(path: PathLike) -> CentralCocycle:

@@ -21,16 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .algebra import (
     NilAlgebra,
+    _generator_leads,
     check_integer_constants,
-    lower_central_series,
     validate_algebra,
 )
 from .errors import DimensionMismatch, NotIntegral, ValidationReport
-from .intlinalg import SparseRow, lattice_coordinates, reduce_mod_lattice
+from .intlinalg import lattice_coordinates, reduce_mod_lattice
 
 
 @dataclass(frozen=True)
@@ -56,23 +56,25 @@ class NilLattice:
     exactly those two properties.
 
     `leads` holds the least pivot (0-based) of each nonzero term γ_k of the
-    lower central series; the class is len(leads). The image of γ_k in the
-    quotient by span(e_{m+1}, ..., e_n) is nonzero iff γ_k has a pivot < m,
-    and leads never decrease, so a peel base of dimension m keeps the
-    prefix of leads below m: no lattice runs a second elimination.
+    lower central series, as `validate_algebra` returns them (read off
+    generators, see `algebra._generator_leads`); the class is len(leads).
+    The image of γ_k in the quotient by span(e_{m+1}, ..., e_n) is nonzero
+    iff γ_k has a pivot < m, and leads never decrease, so a peel base of
+    dimension m keeps the prefix of leads below m: no lattice runs a second
+    elimination.
     """
 
     algebra: NilAlgebra
     leads: Tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        chain = validate_algebra(self.algebra)
+        leads = validate_algebra(self.algebra)
         report = check_integer_constants(self.algebra)
         if not report:
             raise NotIntegral(
                 f"{report.message}; the basis Z-span is not a lattice model",
                 witness=report.witness, defect=report.defect)
-        object.__setattr__(self, "leads", _leads(chain))
+        object.__setattr__(self, "leads", leads)
 
     @property
     def dim(self) -> int:
@@ -208,11 +210,6 @@ class BundleTower:
     steps: Tuple[TowerStep, ...]
 
 
-def _leads(chain: Sequence[List[SparseRow]]) -> Tuple[int, ...]:
-    """Least pivot of each nonzero term of a `lower_central_series` chain."""
-    return tuple(min(term[0]) for term in chain if term)
-
-
 def _derived_lattice(dim: int, brackets: Mapping, leads: Tuple[int, ...]) -> NilLattice:
     """Lattice on a table that `peel_step` or `extend_by_cocycle` derived.
 
@@ -269,7 +266,8 @@ def extend_by_cocycle(base: NilLattice, cocycle: CentralCocycle) -> NilLattice:
     """Central extension: new central e_{n+1}, brackets gain ω(e_i,e_j)·e_{n+1}.
 
     Validates the cocycle (closed, integral; skew by construction) before
-    building; the result peels back to (base, cocycle) on the nose.
+    building; the result peels back to (base, cocycle) on the nose. The
+    total's leads are read off generators (`algebra._generator_leads`).
     """
     n = base.dim
     if cocycle.dim != n:
@@ -280,8 +278,7 @@ def extend_by_cocycle(base: NilLattice, cocycle: CentralCocycle) -> NilLattice:
     for pair, value in cocycle.entries.items():
         brackets.setdefault(pair, {})[n] = value
     probe = NilAlgebra(dim=n + 1, declared_class=1, brackets=brackets)
-    chain, _ = lower_central_series(probe)
-    return _derived_lattice(n + 1, probe.brackets, _leads(chain))
+    return _derived_lattice(n + 1, probe.brackets, _generator_leads(probe))
 
 
 @dataclass(frozen=True)

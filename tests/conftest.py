@@ -1,7 +1,8 @@
 """Shared helpers: deterministic random rationals and vectors, the free
-2-step algebras, the leads of a lower central series, Milnor's sectional
-curvature (an oracle that shares no code with `nilflat.metric`), and the
-environment for child `python -m nilflat` processes."""
+2-step algebras, Jacobi tables that are not nilpotent, the leads of a lower
+central series, Milnor's sectional curvature (an oracle that shares no code
+with `nilflat.metric`), and the environment for child `python -m nilflat`
+processes."""
 
 import os
 import random
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import nilflat
+from nilflat import catalog
 from nilflat.algebra import NilAlgebra, lower_central_series
 
 
@@ -32,6 +34,17 @@ def free_two_step(r: int) -> NilAlgebra:
             k += 1
             brackets[(i, j)] = {k: 1}
     return NilAlgebra.from_brackets(k, 2, brackets)
+
+
+# (name, table, dimension where its lower central series stabilizes): tables
+# that satisfy Jacobi but are not nilpotent
+NOT_NILPOTENT = [
+    ("so3_like", catalog.so3_like(), 3),
+    ("e2", NilAlgebra.from_brackets(2, 1, {(1, 2): {2: 1}}), 1),
+    ("e1+e2", NilAlgebra.from_brackets(2, 1, {(1, 2): {1: 1, 2: 1}}), 1),
+    # [e1, e3] = e3 keeps every U_{k+1} = [X, U_k] at span(e3)
+    ("e3-loop", NilAlgebra.from_brackets(3, 2, {(1, 2): {3: 1}, (1, 3): {3: 1}}), 1),
+]
 
 
 def series_leads(algebra: NilAlgebra):

@@ -11,6 +11,7 @@ import pytest
 from nilflat import catalog
 from nilflat.algebra import (
     NilAlgebra,
+    _generator_leads,
     basis_vec,
     check_adapted,
     check_class,
@@ -27,7 +28,8 @@ from nilflat.errors import (
     JacobiViolated,
     NotNilpotent,
 )
-from conftest import random_vec
+from nilflat.tower import NilLattice
+from conftest import NOT_NILPOTENT, free_two_step, random_vec, series_leads
 
 H3 = catalog.heisenberg3()
 N4 = catalog.n4()
@@ -151,6 +153,53 @@ def test_validate_algebra_raises():
     # permuted Heisenberg: valid and nilpotent, but the basis order is wrong
     with pytest.raises(BasisNotAdapted):
         validate_algebra(NilAlgebra.from_brackets(3, 2, {(2, 3): {1: 1}}))
+
+
+def times_z(algebra):
+    """The product with Z: a new central e_{n+1} that no bracket meets."""
+    return NilAlgebra(dim=algebra.dim + 1, declared_class=algebra.declared_class,
+                      brackets=algebra.brackets)
+
+
+H7 = NilAlgebra.from_brackets(7, 2, {(1, 2): {7: 1}, (3, 4): {7: 1}, (5, 6): {7: 1}})
+LEADS_CASES = ([(f"filiform{n}", catalog.filiform(n)) for n in range(4, 41)]
+               + [(f"free2_{r}", free_two_step(r)) for r in range(3, 7)]
+               + [("h3", H3), ("h5", catalog.heisenberg5()), ("h7", H7)]
+               + [(f"{name}xZ", times_z(algebra)) for name, algebra in (
+                   ("h3", H3), ("h5", catalog.heisenberg5()), ("h7", H7),
+                   ("n4", N4), ("filiform8", catalog.filiform(8)),
+                   ("free2_3", free_two_step(3)))]
+               + [(f"z{n}", catalog.abelian(n)) for n in range(1, 13)]
+               + [("point", catalog.point())])
+
+
+# [DERIVED] the leads that validation reads off generators are those of the
+# algebra's own lower central series (`conftest.series_leads`), and their
+# number is its class.
+@pytest.mark.parametrize("algebra", [case for _, case in LEADS_CASES],
+                         ids=[name for name, _ in LEADS_CASES])
+def test_generator_leads_match_series(algebra):
+    leads = _generator_leads(algebra)
+    assert (leads, len(leads)) == series_leads(algebra)
+    assert validate_algebra(algebra) == leads
+
+
+# [DERIVED] on Jacobi tables that are not nilpotent, validation raises the
+# NotNilpotent of the lower central series, with its message: the dimension
+# where the series stabilizes.
+@pytest.mark.parametrize("algebra,dim", [case[1:] for case in NOT_NILPOTENT],
+                         ids=[case[0] for case in NOT_NILPOTENT])
+def test_not_nilpotent_message_through_lattice(algebra, dim):
+    message = f"lower central series stabilizes at dimension {dim}"
+    assert check_jacobi(algebra).ok
+    with pytest.raises(NotNilpotent) as series_err:
+        lower_central_series(algebra)
+    assert str(series_err.value) == message
+    for build in (_generator_leads, validate_algebra, NilLattice):
+        with pytest.raises(NotNilpotent) as err:
+            build(algebra)
+        assert str(err.value) == message
+    assert check_class(algebra).message == message
 
 
 # [TRIVIAL] constructor shape validation.

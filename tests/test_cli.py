@@ -20,7 +20,7 @@ from nilflat.cli import main
 from nilflat.errors import (BoundViolated, BudgetNotMet, DimensionMismatch,
                             NotClosed, SchemaError)
 from nilflat.tower import NilLattice, peel_tower
-from conftest import free_two_step
+from conftest import NOT_NILPOTENT, free_two_step
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -99,6 +99,20 @@ def test_validate_rejects(name, fail_line, capsys):
     assert code == 2
     assert fail_line in out
     assert f"invalid: {DATA / name}" in err
+
+
+# [DERIVED] a table that passes Jacobi but is not nilpotent fails the class
+# line with the message of the lower central series, exit 2.
+@pytest.mark.parametrize("algebra,dim", [case[1:] for case in NOT_NILPOTENT],
+                         ids=[case[0] for case in NOT_NILPOTENT])
+def test_validate_not_nilpotent_message(algebra, dim, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(fileio.dump_algebra(algebra), encoding="utf-8")
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2
+    assert out == ("jacobi: ok\nclass: FAIL — lower central series "
+                   f"stabilizes at dimension {dim}\n")
+    assert err == f"invalid: {path}\n"
 
 
 def test_validate_jacobi_witness_names_triple(capsys):

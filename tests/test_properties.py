@@ -15,7 +15,9 @@ tables of dim <= 7, adapted or not, Jacobi or not, nilpotent or not, with
 closed and non-closed cocycles; and on fixed large tables (filiform(12),
 filiform(16), free 2-step(4), abelian(12), h3×Z and their peel bases), with
 the peel cocycle plus a coboundary and that cocycle with one entry raised
-by 1, and on a filiform(16) table that breaks Jacobi on many triples.
+by 1, and on a filiform(16) table that breaks Jacobi on many triples. On
+the random tables that satisfy Jacobi, the leads that validation reads off
+generators are those of the lower central series, or the same NotNilpotent.
 
 Oracle key, numerical layer: [DERIVED] the curvature every measurement uses, that of
 diag(1, …, 1, t) in the split frame of `build_split`, against Milnor's
@@ -62,7 +64,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nilflat import catalog
-from nilflat.algebra import (NilAlgebra, check_jacobi,
+from nilflat.algebra import (NilAlgebra, _generator_leads, check_jacobi,
                              lower_central_series)
 from nilflat.errors import DimensionMismatch, NotNilpotent, ValidationReport
 from nilflat.intlinalg import rational_row_basis
@@ -378,6 +380,23 @@ def test_table_checks_match_dense_references(case):
     assert check_closed(algebra, cocycle) == reference_closed(algebra, cocycle)
     assert (outcome(dense_series, algebra)
             == outcome(reference_series, algebra))
+
+
+# [DERIVED] on every random table that satisfies Jacobi, nilpotent or not,
+# the leads that validation reads off generators, and their number, are those
+# of the table's own lower central series (`conftest.series_leads`), or the
+# same NotNilpotent message.
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=tables())
+def test_generator_leads_match_series_on_jacobi_tables(case):
+    algebra, _ = case
+    assume(check_jacobi(algebra).ok)
+
+    def generated(table):
+        leads = _generator_leads(table)
+        return leads, len(leads)
+
+    assert outcome(generated, algebra) == outcome(series_leads, algebra)
 
 
 def large_tables():

@@ -190,12 +190,14 @@ def test_peel_bases_inherit_series(algebra):
         assert step.base.algebra.declared_class == cls == len(leads)
 
 
-# [DERIVED] peeling an already-built lattice runs no elimination: with both
-# functions wrapped by counters in every module that looks them up, the
-# whole tower of filiform(8) calls neither; building the lattice calls both,
-# which shows the counters are live.
+# [DERIVED] peeling an already-built lattice runs no elimination: with the
+# series, the leads from generators and the row reduction wrapped by counters
+# in every module that looks them up, the whole tower of filiform(8) calls
+# none of them; building the lattice reads the leads once, off generators,
+# and reduces rows, which shows the counters are live.
 def test_peel_tower_runs_no_elimination(monkeypatch):
-    calls = {"lower_central_series": 0, "rational_row_basis": 0}
+    names = ("lower_central_series", "_generator_leads", "rational_row_basis")
+    calls = dict.fromkeys(names, 0)
     for module in (algebra_module, intlinalg_module, tower_module):
         for name in calls:
             if hasattr(module, name):
@@ -204,10 +206,30 @@ def test_peel_tower_runs_no_elimination(monkeypatch):
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(module, name, counted)
     lattice = lat(catalog.filiform(8))
-    assert calls["lower_central_series"] == 1 and calls["rational_row_basis"] > 0
-    calls.update(lower_central_series=0, rational_row_basis=0)
+    assert calls["_generator_leads"] == 1 and calls["lower_central_series"] == 0
+    assert calls["rational_row_basis"] > 0
+    calls.update(dict.fromkeys(names, 0))
     assert len(peel_tower(lattice).steps) == 8
-    assert calls == {"lower_central_series": 0, "rational_row_basis": 0}
+    assert calls == dict.fromkeys(names, 0)
+
+
+# [DERIVED] building a lattice brackets linearly in the dimension: the
+# leads come from the two generators of filiform(n), one bracket per step,
+# so the whole validation of NilLattice(filiform(n)) calls `_add_ad` at most
+# 2n times (the lower central series itself brackets about n²/2 times).
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_lattice_build_brackets_linearly(n, monkeypatch):
+    calls = []
+    real_add_ad = algebra_module._add_ad
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real_add_ad(*args, **kwargs)
+
+    monkeypatch.setattr(algebra_module, "_add_ad", counted)
+    lattice = lat(catalog.filiform(n))
+    assert lattice.leads == tuple([0, *range(2, n)])
+    assert 0 < len(calls) <= 2 * n
 
 
 # [DERIVED] extension examples: (Z², ω=1) is the integer Heisenberg,
