@@ -18,14 +18,13 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple, Union
 
-from . import catalog
 from .algebra import NilAlgebra
 from .errors import SchemaError
-from .tower import (BundleTower, CentralCocycle, NilLattice, TowerStep,
-                    extend_by_cocycle)
+from .tower import BundleTower, CentralCocycle, NilLattice, _tower_from_cocycles
 
 if TYPE_CHECKING:
     import numpy as np  # imported by the metric readers and writers only
@@ -48,9 +47,86 @@ PathLike = Union[str, Path]
 # canonical serialization
 # ---------------------------------------------------------------------------
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+# scalars of exactly these types, written as `json` writes them
+_SCALAR_TEXT: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__}
+
+
 def canonical_json(obj: Any) -> str:
-    """The one true formatting: sorted keys, 2-space indent, final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The one true formatting: sorted keys, 2-space indent, final newline.
+
+    The bytes are those of `json.dumps(obj, indent=2, sort_keys=True)` plus
+    a newline, written here directly: `json` uses its C encoder only without
+    an indent. Accepted are dicts with str keys, lists, tuples, str, int,
+    float (NaN and ±inf as `json` writes them), bool and None, and their
+    subclasses; a key that is not a str, or any other type, raises
+    TypeError.
+    """
+    out: List[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj: Any, newline: str, out: List[str]) -> None:
+    """Append the canonical text of obj; `newline` is "\\n" plus its indent."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        out.append(text(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            value = obj[key]
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            text = _SCALAR_TEXT.get(type(value))
+            if text is None:
+                _write(value, inner, out)
+            else:
+                out.append(text(value))
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in obj:
+            out.append(sep)
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                _write(item, inner, out)
+            else:
+                out.append(text(item))
+            sep = comma
+        out.append(newline + "]")
+    # subclasses of the scalar types (bool has none)
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def read_json(path: PathLike) -> Any:
@@ -63,19 +139,32 @@ def read_json(path: PathLike) -> Any:
     the problem is.
     """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            return json.loads(f.read())
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def write_text(path: PathLike, text: str) -> None:
     """Write text bytes exactly as given (UTF-8, no newline translation)."""
-    Path(path).write_text(text, encoding="utf-8", newline="")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(text)
 
 
 # ---------------------------------------------------------------------------
 # schema helpers
 # ---------------------------------------------------------------------------
+
+# A field is tested once, in place. Its JSON-path location is spelled out
+# only to raise: `where` names the document and `at` the steps below it, a
+# str a key suffix (".entries") and an int an array index.
+_Steps = Tuple[Union[str, int], ...]
+_MISSING = object()
+
+
+def _at(where: str, at: _Steps) -> str:
+    return where + "".join(f"[{step}]" if type(step) is int else step for step in at)
+
 
 def _expect_dict(obj: Any, where: str) -> Dict[str, Any]:
     if not isinstance(obj, dict):
@@ -102,21 +191,47 @@ def _expect_int(obj: Any, where: str) -> int:
     return obj
 
 
-def _expect_number(obj: Any, where: str) -> float:
+def _number_at(obj: Any, where: str, at: _Steps) -> float:
+    """obj, a number at `where` + `at`, as a float."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise SchemaError(f"{where}: expected a number, got {obj!r}")
+        raise SchemaError(f"{_at(where, at)}: expected a number, got {obj!r}")
     try:
         return float(obj)
     except OverflowError:  # an integer past float64 overflows as 1e400 does
         return math.inf if obj > 0 else -math.inf
 
 
-def _fraction_from(obj: Dict[str, Any], where: str) -> Fraction:
-    num = _expect_int(_get(obj, "num", where), f"{where}.num")
-    den = _expect_int(_get(obj, "den", where), f"{where}.den")
+def _dict_at(obj: Any, where: str, at: _Steps = ()) -> Dict[str, Any]:
+    return obj if isinstance(obj, dict) else _expect_dict(obj, _at(where, at))
+
+
+def _list_at(obj: Dict[str, Any], key: str, where: str, at: _Steps = ()) -> List[Any]:
+    """obj[key], an array; obj, a dict, is at `where` + `at`."""
+    value = obj.get(key, _MISSING)
+    if isinstance(value, list):
+        return value
+    loc = _at(where, at)
+    return _expect_list(_get(obj, key, loc), f"{loc}.{key}")
+
+
+def _int_at(obj: Dict[str, Any], key: str, where: str, at: _Steps = ()) -> int:
+    """obj[key], an exact integer; obj, a dict, is at `where` + `at`."""
+    value = obj.get(key, _MISSING)
+    if type(value) is int or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    loc = _at(where, at)
+    return _expect_int(_get(obj, key, loc), f"{loc}.{key}")
+
+
+def _fraction_at(obj: Dict[str, Any], where: str, at: _Steps) -> Fraction:
+    """The value num/den of obj, a dict at `where` + `at`."""
+    num = _int_at(obj, "num", where, at)
+    den = _int_at(obj, "den", where, at)
+    if den == 1:
+        return Fraction(num)  # an integer needs no gcd
     if den == 0:
-        raise SchemaError(f"{where}.den: denominator must be nonzero")
-    return Fraction(num) if den == 1 else Fraction(num, den)  # an integer needs no gcd
+        raise SchemaError(f"{_at(where, at)}.den: denominator must be nonzero")
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -135,32 +250,31 @@ def algebra_to_obj(algebra: NilAlgebra) -> Dict[str, Any]:
 
 def algebra_from_obj(obj: Any, where: str = "algebra") -> NilAlgebra:
     """Parse the algebra format; ranges and types checked, math deferred."""
-    top = _expect_dict(obj, where)
-    dim = _expect_int(_get(top, "dim", where), f"{where}.dim")
+    top = _dict_at(obj, where)
+    dim = _int_at(top, "dim", where)
     if dim < 0:
         raise SchemaError(f"{where}.dim: must be nonnegative, got {dim}")
-    declared = _expect_int(_get(top, "class", where), f"{where}.class")
+    declared = _int_at(top, "class", where)
     # 0-based table, each coefficient one Fraction (a repeated k adds up)
     brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for pos, item in enumerate(_expect_list(_get(top, "brackets", where),
-                                            f"{where}.brackets")):
-        loc = f"{where}.brackets[{pos}]"
-        entry = _expect_dict(item, loc)
-        i = _expect_int(_get(entry, "i", loc), f"{loc}.i")
-        j = _expect_int(_get(entry, "j", loc), f"{loc}.j")
+    for pos, item in enumerate(_list_at(top, "brackets", where)):
+        at = (".brackets", pos)
+        entry = _dict_at(item, where, at)
+        i = _int_at(entry, "i", where, at)
+        j = _int_at(entry, "j", where, at)
         if not (1 <= i < j <= dim):
             raise SchemaError(
-                f"{loc}: bracket pair ({i},{j}) out of range; need 1 <= i < j <= {dim}")
+                f"{_at(where, at)}: bracket pair ({i},{j}) out of range; "
+                f"need 1 <= i < j <= {dim}")
         target = brackets.setdefault((i - 1, j - 1), {})
-        for tpos, term in enumerate(_expect_list(_get(entry, "terms", loc),
-                                                 f"{loc}.terms")):
-            tloc = f"{loc}.terms[{tpos}]"
-            tdict = _expect_dict(term, tloc)
-            k = _expect_int(_get(tdict, "k", tloc), f"{tloc}.k")
+        for tpos, term in enumerate(_list_at(entry, "terms", where, at)):
+            tat = at + (".terms", tpos)
+            tdict = _dict_at(term, where, tat)
+            k = _int_at(tdict, "k", where, tat)
             if not (1 <= k <= dim):
                 raise SchemaError(
-                    f"{tloc}.k: component {k} out of range for dim {dim}")
-            value = _fraction_from(tdict, tloc)
+                    f"{_at(where, tat)}.k: component {k} out of range for dim {dim}")
+            value = _fraction_at(tdict, where, tat)
             target[k - 1] = target[k - 1] + value if k - 1 in target else value
     return NilAlgebra(dim=dim, declared_class=declared, brackets=brackets)
 
@@ -193,24 +307,33 @@ def cocycle_to_obj(cocycle: CentralCocycle) -> Dict[str, Any]:
 
 
 def cocycle_from_obj(obj: Any, where: str = "cocycle") -> CentralCocycle:
-    top = _expect_dict(obj, where)
-    dim = _expect_int(_get(top, "dim", where), f"{where}.dim")
+    top = _dict_at(obj, where)
+    dim = _int_at(top, "dim", where)
     if dim < 0:
         raise SchemaError(f"{where}.dim: must be nonnegative, got {dim}")
+    return CentralCocycle(
+        dim=dim, entries=_cocycle_entries(_list_at(top, "entries", where), dim,
+                                          where, (".entries",)))
+
+
+def _cocycle_entries(items: List[Any], dim: int, where: str, at: _Steps,
+                     ) -> Dict[Tuple[int, int], Fraction]:
+    """The 0-based table of the entry list at `where` + `at` (a repeated
+    pair adds up)."""
     entries: Dict[Tuple[int, int], Fraction] = {}
-    for pos, item in enumerate(_expect_list(_get(top, "entries", where),
-                                            f"{where}.entries")):
-        loc = f"{where}.entries[{pos}]"
-        entry = _expect_dict(item, loc)
-        i = _expect_int(_get(entry, "i", loc), f"{loc}.i")
-        j = _expect_int(_get(entry, "j", loc), f"{loc}.j")
+    for pos, item in enumerate(items):
+        iat = at + (pos,)
+        entry = _dict_at(item, where, iat)
+        i = _int_at(entry, "i", where, iat)
+        j = _int_at(entry, "j", where, iat)
         if not (1 <= i < j <= dim):
             raise SchemaError(
-                f"{loc}: entry pair ({i},{j}) out of range; need 1 <= i < j <= {dim}")
-        value = _fraction_from(entry, loc)
+                f"{_at(where, iat)}: entry pair ({i},{j}) out of range; "
+                f"need 1 <= i < j <= {dim}")
+        value = _fraction_at(entry, where, iat)
         pair = (i - 1, j - 1)
         entries[pair] = entries[pair] + value if pair in entries else value
-    return CentralCocycle(dim=dim, entries=entries)
+    return entries
 
 
 def load_cocycle(path: PathLike) -> CentralCocycle:
@@ -236,33 +359,26 @@ def tower_from_obj(obj: Any, where: str = "tower") -> BundleTower:
     """Rebuild a tower bottom-up from the point via central extensions.
 
     The file stores only (base_dim, cocycle) per step; totals and bases are
-    reconstructed by extending, so every loaded tower is re-validated
-    (closed/integral; skew by construction) step by step.
+    reconstructed by extending (`tower._tower_from_cocycles`), so every
+    loaded tower is re-validated (closed/integral; skew by construction)
+    step by step.
     """
-    top = _expect_dict(obj, where)
-    raw_steps = _expect_list(_get(top, "steps", where), f"{where}.steps")
+    top = _dict_at(obj, where)
+    raw_steps = _list_at(top, "steps", where)
     parsed: List[CentralCocycle] = []
     for pos, item in enumerate(raw_steps):
-        loc = f"{where}.steps[{pos}]"
-        entry = _expect_dict(item, loc)
-        base_dim = _expect_int(_get(entry, "base_dim", loc), f"{loc}.base_dim")
+        at = (".steps", pos)
+        entry = _dict_at(item, where, at)
+        base_dim = _int_at(entry, "base_dim", where, at)
         expected = len(raw_steps) - 1 - pos
         if base_dim != expected:
             raise SchemaError(
-                f"{loc}.base_dim: expected {expected} for a top-down tower of "
-                f"{len(raw_steps)} steps, got {base_dim}")
-        cocycle = cocycle_from_obj(
-            {"dim": base_dim, "entries": _get(entry, "cocycle", loc)},
-            where=f"{loc}.cocycle")
-        parsed.append(cocycle)
-
-    current = NilLattice(algebra=catalog.point())
-    built: List[TowerStep] = []
-    for cocycle in reversed(parsed):
-        total = extend_by_cocycle(current, cocycle)
-        built.append(TowerStep(total=total, base=current, cocycle=cocycle))
-        current = total
-    return BundleTower(steps=tuple(reversed(built)))
+                f"{_at(where, at)}.base_dim: expected {expected} for a top-down "
+                f"tower of {len(raw_steps)} steps, got {base_dim}")
+        entries = _cocycle_entries(_list_at(entry, "cocycle", where, at), base_dim,
+                                   where, at + (".cocycle",))
+        parsed.append(CentralCocycle(dim=base_dim, entries=entries))
+    return _tower_from_cocycles(parsed)
 
 
 def load_tower(path: PathLike) -> BundleTower:
@@ -289,17 +405,16 @@ def metric_to_obj(matrix: np.ndarray) -> Dict[str, Any]:
 
 def metric_from_obj(obj: Any, where: str = "metric") -> np.ndarray:
     import numpy as np
-    top = _expect_dict(obj, where)
-    dim = _expect_int(_get(top, "dim", where), f"{where}.dim")
+    top = _dict_at(obj, where)
+    dim = _int_at(top, "dim", where)
     if dim < 1:
         raise SchemaError(f"{where}.dim: must be positive, got {dim}")
-    entries = _expect_list(_get(top, "entries", where), f"{where}.entries")
+    entries = _list_at(top, "entries", where)
     if len(entries) != dim * dim:
         raise SchemaError(
             f"{where}.entries: expected {dim * dim} row-major entries for "
             f"dim {dim}, got {len(entries)}")
-    values = [_expect_number(x, f"{where}.entries[{pos}]")
-              for pos, x in enumerate(entries)]
+    values = [_number_at(x, where, (".entries", pos)) for pos, x in enumerate(entries)]
     return np.array(values, dtype=float).reshape(dim, dim)
 
 

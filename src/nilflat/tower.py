@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     NilAlgebra,
@@ -47,13 +47,13 @@ class NilLattice:
     n4 it holds exp(½e4)). The tower here is that of the integer structure
     constants; no operation multiplies group words.
 
-    The bases of `peel_step` and the totals of `extend_by_cocycle` skip this
-    validation (`_derived_lattice`): they are valid by construction. A
-    quotient of a valid adapted algebra by its central e_n is the sub-table
-    on e_1..e_{n-1}, again Jacobi, nilpotent, adapted and integral; an
-    extension of a valid base by a closed, integral cocycle is the same
-    (skewness holds by construction), and `extend_by_cocycle` checks
-    exactly those two properties.
+    The bases of `peel_step`, the totals of `extend_by_cocycle` and the
+    levels of a loaded tower skip this validation (`_derived_lattice`): they
+    are valid by construction. A quotient of a valid adapted algebra by its
+    central e_n is the sub-table on e_1..e_{n-1}, again Jacobi, nilpotent,
+    adapted and integral; an extension of a valid base by a closed,
+    integral cocycle is the same (skewness holds by construction), and
+    `extend_by_cocycle` checks exactly those two properties.
 
     `leads` holds the least pivot (0-based) of each nonzero term γ_k of the
     lower central series, as `validate_algebra` returns them (read off
@@ -138,8 +138,9 @@ def check_closed(algebra: NilAlgebra, cocycle: CentralCocycle) -> ValidationRepo
     Only the nonzero terms are visited: each stored bracket [e_p,e_q]
     (p < q), each of its components e_k and each form entry ω(e_k,e_r)
     add to S on the sorted triple {p,q,r}, with the sign of the
-    permutation that sorts (p,q,r). The first violating triple is the least
-    sorted triple whose sum is nonzero.
+    permutation that sorts (p,q,r); form entries on no such e_k are never
+    read. The first violating triple is the least sorted triple whose sum
+    is nonzero.
     """
     n = algebra.dim
     if cocycle.dim != n:
@@ -156,10 +157,14 @@ def check_closed(algebra: NilAlgebra, cocycle: CentralCocycle) -> ValidationRepo
     def cyc(a: int, b: int, c: int) -> Fraction:
         return leading(a, b, c) + leading(b, c, a) + leading(c, a, b)
 
-    row: Dict[int, List[Tuple[int, Fraction]]] = {}  # k -> [(r, ω(e_k, e_r))]
+    # k -> [(r, ω(e_k, e_r))], only for the components e_k of some bracket
+    hit = {k for entry in table.values() for k in entry}
+    row: Dict[int, List[Tuple[int, Fraction]]] = {}
     for (i, j), value in form.items():
-        row.setdefault(i, []).append((j, value))
-        row.setdefault(j, []).append((i, -value))
+        if i in hit:
+            row.setdefault(i, []).append((j, value))
+        if j in hit:
+            row.setdefault(j, []).append((i, -value))
     sums: Dict[Tuple[int, int, int], Fraction] = {}
     for (p, q), entry in table.items():
         for k, coeff in entry.items():
@@ -211,9 +216,10 @@ class BundleTower:
 
 
 def _derived_lattice(dim: int, brackets: Mapping, leads: Tuple[int, ...]) -> NilLattice:
-    """Lattice on a table that `peel_step` or `extend_by_cocycle` derived.
+    """Lattice on a table that `peel_step`, `extend_by_cocycle` or
+    `_tower_from_cocycles` derived.
 
-    Only those two may call it, and only on a table valid by construction
+    Only those may call it, and only on a table valid by construction
     (see `NilLattice`) with the leads of its lower central series already in
     hand; the class is len(leads), and neither `validate_algebra` nor the
     canonical sort of `NilAlgebra` runs again.
@@ -262,6 +268,24 @@ def peel_tower(lattice: NilLattice) -> BundleTower:
     return BundleTower(steps=tuple(steps))
 
 
+def _extended_algebra(base: NilAlgebra, cocycle: CentralCocycle) -> NilAlgebra:
+    """The table of the central extension of `base` by `cocycle`: a new
+    central e_{n+1}, and the brackets gain ω(e_i,e_j)·e_{n+1}.
+
+    Validates the cocycle (closed, integral; skew by construction) first.
+    The class is not known yet and is declared 1.
+    """
+    n = base.dim
+    if cocycle.dim != n:
+        raise DimensionMismatch(
+            f"cocycle dim {cocycle.dim} does not match base dim {n}")
+    _require_valid_cocycle(base, cocycle)
+    brackets = {pair: dict(entry) for pair, entry in base.brackets.items()}
+    for pair, value in cocycle.entries.items():
+        brackets.setdefault(pair, {})[n] = value
+    return NilAlgebra(dim=n + 1, declared_class=1, brackets=brackets)
+
+
 def extend_by_cocycle(base: NilLattice, cocycle: CentralCocycle) -> NilLattice:
     """Central extension: new central e_{n+1}, brackets gain ω(e_i,e_j)·e_{n+1}.
 
@@ -269,16 +293,29 @@ def extend_by_cocycle(base: NilLattice, cocycle: CentralCocycle) -> NilLattice:
     building; the result peels back to (base, cocycle) on the nose. The
     total's leads are read off generators (`algebra._generator_leads`).
     """
-    n = base.dim
-    if cocycle.dim != n:
-        raise DimensionMismatch(
-            f"cocycle dim {cocycle.dim} does not match base dim {n}")
-    _require_valid_cocycle(base, cocycle)
-    brackets = {pair: dict(entry) for pair, entry in base.algebra.brackets.items()}
-    for pair, value in cocycle.entries.items():
-        brackets.setdefault(pair, {})[n] = value
-    probe = NilAlgebra(dim=n + 1, declared_class=1, brackets=brackets)
-    return _derived_lattice(n + 1, probe.brackets, _generator_leads(probe))
+    probe = _extended_algebra(base.algebra, cocycle)
+    return _derived_lattice(probe.dim, probe.brackets, _generator_leads(probe))
+
+
+def _tower_from_cocycles(cocycles: Sequence[CentralCocycle]) -> BundleTower:
+    """The tower whose steps, top-down, have these cocycles: rebuilt
+    bottom-up from the point by central extensions.
+
+    Each cocycle is checked on its base, bottom-up, as `extend_by_cocycle`
+    checks it. The leads are read off generators once, on the top algebra;
+    the level of dimension m is the quotient of the top by
+    span(e_{m+1}, ..., e_n), so it keeps the prefix of leads below m, as a
+    peel base does (see `NilLattice`).
+    """
+    algebras = [NilAlgebra(dim=0, declared_class=0, brackets={})]
+    for cocycle in reversed(cocycles):
+        algebras.append(_extended_algebra(algebras[-1], cocycle))
+    leads = _generator_leads(algebras[-1])
+    levels = [_derived_lattice(a.dim, a.brackets, tuple(lead for lead in leads if lead < a.dim))
+              for a in algebras]
+    return BundleTower(steps=tuple(
+        TowerStep(total=levels[c.dim + 1], base=levels[c.dim], cocycle=c)
+        for c in cocycles))
 
 
 @dataclass(frozen=True)
@@ -299,11 +336,12 @@ class CohomologyVerdict:
     obstruction: Optional[str] = None
 
 
-def _coboundary_system(base: NilLattice) -> Tuple[List[List[int]], List[Tuple[int, int]]]:
-    """Generators δ(e_k*) of the coboundary lattice, plus the 0-based pairs.
+def _coboundary_system(base: NilLattice) -> Tuple[List[List[int]], Dict[Tuple[int, int], int]]:
+    """Generators δ(e_k*) of the coboundary lattice, plus the position of
+    each 0-based pair (i, j), i < j, in sorted order.
 
     One generator per basis 1-cochain e_k*, with entry −c_ij^k at the pair
-    (i, j), i < j, read straight off the sparse table.
+    (i, j), read straight off the sparse table.
     """
     n = base.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -312,33 +350,46 @@ def _coboundary_system(base: NilLattice) -> Tuple[List[List[int]], List[Tuple[in
     for pair, entry in base.algebra.brackets.items():
         for k, c in entry.items():
             generators[k][index[pair]] = -int(c)
-    return generators, pairs
+    return generators, index
 
 
-def _require_valid_cocycle(base: NilLattice, w: CentralCocycle) -> None:
-    check_closed(base.algebra, w).require()
+def _require_valid_cocycle(base: NilAlgebra, w: CentralCocycle) -> None:
+    check_closed(base, w).require()
     check_integral(w).require()
 
 
 def cocycles_cohomologous(base: NilLattice, w1: CentralCocycle, w2: CentralCocycle,
                           up_to_sign: bool = False) -> CohomologyVerdict:
-    """Decide δλ = w1 − w2 over the integers (optionally also w1 + w2)."""
+    """Decide δλ = w1 − w2 over the integers (optionally also w1 + w2).
+
+    Once both cocycles pass `check_integral`, the targets and the witness
+    check are integer arithmetic; the check sums δλ over the stored
+    brackets alone, as δλ is zero on every other pair.
+    """
     n = base.dim
     if w1.dim != n or w2.dim != n:
         raise DimensionMismatch("cocycle dims do not match the base")
-    _require_valid_cocycle(base, w1)
-    _require_valid_cocycle(base, w2)
-    generators, pairs = _coboundary_system(base)
+    _require_valid_cocycle(base.algebra, w1)
+    _require_valid_cocycle(base.algebra, w2)
+    generators, index = _coboundary_system(base)
     # sign +1 solves δλ = w1 − w2; sign −1 solves δλ = w1 + w2
     signs = (1, -1) if up_to_sign else (1,)
-    targets = [[int(w1.entries.get(pair, 0) - sign * w2.entries.get(pair, 0))
-                for pair in pairs] for sign in signs]
+    targets = []
+    for sign in signs:
+        b = [0] * len(index)
+        for pair, value in w1.entries.items():
+            b[index[pair]] = value.numerator
+        for pair, value in w2.entries.items():
+            b[index[pair]] -= sign * value.numerator
+        targets.append(b)
     solutions, kernel = lattice_coordinates(generators, targets)
     for sign, b, (x, _) in zip(signs, targets, solutions):
         if x is not None:
             x = reduce_mod_lattice(x, kernel)
-            assert [sum(v * g[p] for v, g in zip(x, generators))
-                    for p in range(len(pairs))] == b
+            check = [0] * len(index)
+            for pair, entry in base.algebra.brackets.items():
+                check[index[pair]] = -sum(x[k] * c.numerator for k, c in entry.items())
+            assert check == b
             return CohomologyVerdict(cohomologous=True, sign=sign, witness=tuple(x))
     plus, *minus = (obstruction for _, obstruction in solutions)
     return CohomologyVerdict(cohomologous=False,
