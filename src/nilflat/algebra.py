@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple, Union
 
 from .errors import DimensionMismatch, NotNilpotent, ValidationReport
 from .intlinalg import SparseRow, rational_row_basis
@@ -223,6 +223,20 @@ def check_integer_constants(algebra: NilAlgebra) -> ValidationReport:
     return ValidationReport(ok=True, check="integer_constants")
 
 
+def _bracket_span(algebra: NilAlgebra, partners: List[List[int]], among: Set[int],
+                  rows: List[SparseRow]) -> List[SparseRow]:
+    """Reduced echelon basis of span{[e_i, v] : i in `among`, v in rows};
+    [e_i, v] is built only for the i that bracket with v's support, in any
+    order (the reduced basis is canonical)."""
+    products = []
+    for row in rows:
+        for i in among & set().union(*(partners[m] for m in row)):
+            w: SparseRow = {}
+            _add_ad(w, algebra, i, row)
+            products.append(w)
+    return rational_row_basis(products, algebra.dim)
+
+
 def lower_central_series(algebra: NilAlgebra) -> Tuple[List[List[SparseRow]], int]:
     """Chain g = g_1 ⊇ [g, g_1] ⊇ [g, g_2] ⊇ ... ⊇ 0 and the nilpotency class.
 
@@ -239,14 +253,7 @@ def lower_central_series(algebra: NilAlgebra) -> Tuple[List[List[SparseRow]], in
         current = chain[-1]
         if not current:
             break
-        # [e_i, v] is built only for the i that bracket with v's support
-        products = []
-        for terms in current:
-            for i in sorted(set().union(*(partners[m] for m in terms))):
-                w: SparseRow = {}
-                _add_ad(w, algebra, i, terms)
-                products.append(w)
-        nxt = rational_row_basis(products, n)
+        nxt = _bracket_span(algebra, partners, set(range(n)), current)
         if len(nxt) >= len(current):
             raise NotNilpotent(
                 f"lower central series stabilizes at dimension {len(current)}")
@@ -282,14 +289,7 @@ def _generator_leads(algebra: NilAlgebra) -> Tuple[int, ...]:
                                if i in generators and j in generators], n)
     while term and len(terms) < n:
         terms.append(term)
-        # [e_i, v] is built only for the generators that bracket with v's support
-        products = []
-        for row in term:
-            for i in generators & set().union(*(partners[m] for m in row)):
-                w: SparseRow = {}
-                _add_ad(w, algebra, i, row)
-                products.append(w)
-        term = rational_row_basis(products, n)
+        term = _bracket_span(algebra, partners, generators, term)
     # rows with distinct pivots are independent: reduce only if too few
     higher = [row for t in terms[1:] for row in t]
     if term or (len({min(row) for row in higher}) < len(derived)

@@ -114,8 +114,7 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
             fiber_lengths=(), sup_abs_K=0.0, sup_abs_K_bound=0.0,
             level_bounds=(), diam_bound=0.0, metric_matrix=empty)
 
-    curved_dims = [step.total.algebra.dim for step in steps
-                   if step.cocycle.upper_entries()]
+    curved_dims = [step.total.algebra.dim for step in steps if step.cocycle.entries]
     budget = eps / len(curved_dims) if curved_dims else None
 
     frame, frame_inv = seed_metric._frame
@@ -134,7 +133,7 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
     try:
         for k in range(p + 1, n + 1):
             # a zero cocycle is a metric product factor: one pass, t = 1
-            curved = bool(steps[n - k].cocycle.upper_entries())
+            curved = k in curved_dims
             t, used = 1.0, 0
             for round_index in range(_MAX_ROUNDS if curved else 1):
                 w[k - 1] = math.sqrt(t)

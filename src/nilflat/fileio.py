@@ -83,50 +83,39 @@ def _write(obj: Any, newline: str, out: List[str]) -> None:
     text = _SCALAR_TEXT.get(type(obj))
     if text is not None:
         out.append(text(obj))
-    elif isinstance(obj, dict):
+    elif isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
         if not obj:
-            out.append("{}")
+            out.append("{}" if is_dict else "[]")
             return
+        items = obj
+        if is_dict:
+            try:
+                items = sorted(obj)
+            except TypeError:  # mixed key types: the loop names the first not str
+                items = [key for key in obj if not isinstance(key, str)] or sorted(obj)
         inner = newline + "  "
-        sep, comma = "{" + inner, "," + inner
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            value = obj[key]
+        sep, comma = ("{" if is_dict else "[") + inner, "," + inner
+        for item in items:
             out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
-            text = _SCALAR_TEXT.get(type(value))
-            if text is None:
-                _write(value, inner, out)
-            else:
-                out.append(text(value))
-            sep = comma
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep, comma = "[" + inner, "," + inner
-        for item in obj:
-            out.append(sep)
+            if is_dict:  # the item is a key: write it, then go on with its value
+                if not isinstance(item, str):
+                    raise TypeError(f"keys must be str, not {type(item).__name__}")
+                out.append(encode_basestring_ascii(item))
+                out.append(": ")
+                item = obj[item]
             text = _SCALAR_TEXT.get(type(item))
             if text is None:
                 _write(item, inner, out)
             else:
                 out.append(text(item))
             sep = comma
-        out.append(newline + "]")
-    # subclasses of the scalar types (bool has none)
-    elif isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        out.append(newline + ("}" if is_dict else "]"))
+    else:  # a subclass of a scalar type (bool has none) is written as its base
+        base = next((t for t in (str, int, float) if isinstance(obj, t)), None)
+        if base is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        out.append(_SCALAR_TEXT[base](obj))
 
 
 def read_json(path: PathLike) -> Any:
@@ -166,29 +155,13 @@ def _at(where: str, at: _Steps) -> str:
     return where + "".join(f"[{step}]" if type(step) is int else step for step in at)
 
 
-def _expect_dict(obj: Any, where: str) -> Dict[str, Any]:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
-    return obj
-
-
-def _expect_list(obj: Any, where: str) -> List[Any]:
-    if not isinstance(obj, list):
-        raise SchemaError(f"{where}: expected an array, got {type(obj).__name__}")
-    return obj
-
-
-def _get(obj: Dict[str, Any], key: str, where: str) -> Any:
-    if key not in obj:
-        raise SchemaError(f"{where}: missing required key \"{key}\"")
-    return obj[key]
-
-
-def _expect_int(obj: Any, where: str) -> int:
-    # bool is a subclass of int but `true` is never a valid index/coefficient
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise SchemaError(f"{where}: expected an exact integer, got {obj!r}")
-    return obj
+def _field_error(value: Any, key: str, where: str, at: _Steps, expected: str,
+                 ) -> SchemaError:
+    """The error for obj[key], `value` (_MISSING if absent), that is not
+    `expected`; obj, a dict, is at `where` + `at`."""
+    if value is _MISSING:
+        return SchemaError(f"{_at(where, at)}: missing required key \"{key}\"")
+    return SchemaError(f"{_at(where, at)}.{key}: expected {expected}")
 
 
 def _number_at(obj: Any, where: str, at: _Steps) -> float:
@@ -202,7 +175,9 @@ def _number_at(obj: Any, where: str, at: _Steps) -> float:
 
 
 def _dict_at(obj: Any, where: str, at: _Steps = ()) -> Dict[str, Any]:
-    return obj if isinstance(obj, dict) else _expect_dict(obj, _at(where, at))
+    if isinstance(obj, dict):
+        return obj
+    raise SchemaError(f"{_at(where, at)}: expected an object, got {type(obj).__name__}")
 
 
 def _list_at(obj: Dict[str, Any], key: str, where: str, at: _Steps = ()) -> List[Any]:
@@ -210,17 +185,16 @@ def _list_at(obj: Dict[str, Any], key: str, where: str, at: _Steps = ()) -> List
     value = obj.get(key, _MISSING)
     if isinstance(value, list):
         return value
-    loc = _at(where, at)
-    return _expect_list(_get(obj, key, loc), f"{loc}.{key}")
+    raise _field_error(value, key, where, at, f"an array, got {type(value).__name__}")
 
 
 def _int_at(obj: Dict[str, Any], key: str, where: str, at: _Steps = ()) -> int:
     """obj[key], an exact integer; obj, a dict, is at `where` + `at`."""
     value = obj.get(key, _MISSING)
+    # bool is a subclass of int but `true` is never a valid index/coefficient
     if type(value) is int or (isinstance(value, int) and not isinstance(value, bool)):
         return value
-    loc = _at(where, at)
-    return _expect_int(_get(obj, key, loc), f"{loc}.{key}")
+    raise _field_error(value, key, where, at, f"an exact integer, got {value!r}")
 
 
 def _fraction_at(obj: Dict[str, Any], where: str, at: _Steps) -> Fraction:
@@ -232,6 +206,18 @@ def _fraction_at(obj: Dict[str, Any], where: str, at: _Steps) -> Fraction:
     if den == 0:
         raise SchemaError(f"{_at(where, at)}.den: denominator must be nonzero")
     return Fraction(num, den)
+
+
+def _pair_at(obj: Dict[str, Any], dim: int, what: str, where: str, at: _Steps,
+             ) -> Tuple[int, int]:
+    """The 0-based pair of obj's 1-based "i" < "j" <= dim, a `what` pair;
+    obj, a dict, is at `where` + `at`."""
+    i = _int_at(obj, "i", where, at)
+    j = _int_at(obj, "j", where, at)
+    if not (1 <= i < j <= dim):
+        raise SchemaError(f"{_at(where, at)}: {what} pair ({i},{j}) out of range; "
+                          f"need 1 <= i < j <= {dim}")
+    return i - 1, j - 1
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +246,7 @@ def algebra_from_obj(obj: Any, where: str = "algebra") -> NilAlgebra:
     for pos, item in enumerate(_list_at(top, "brackets", where)):
         at = (".brackets", pos)
         entry = _dict_at(item, where, at)
-        i = _int_at(entry, "i", where, at)
-        j = _int_at(entry, "j", where, at)
-        if not (1 <= i < j <= dim):
-            raise SchemaError(
-                f"{_at(where, at)}: bracket pair ({i},{j}) out of range; "
-                f"need 1 <= i < j <= {dim}")
-        target = brackets.setdefault((i - 1, j - 1), {})
+        target = brackets.setdefault(_pair_at(entry, dim, "bracket", where, at), {})
         for tpos, term in enumerate(_list_at(entry, "terms", where, at)):
             tat = at + (".terms", tpos)
             tdict = _dict_at(term, where, tat)
@@ -324,14 +304,8 @@ def _cocycle_entries(items: List[Any], dim: int, where: str, at: _Steps,
     for pos, item in enumerate(items):
         iat = at + (pos,)
         entry = _dict_at(item, where, iat)
-        i = _int_at(entry, "i", where, iat)
-        j = _int_at(entry, "j", where, iat)
-        if not (1 <= i < j <= dim):
-            raise SchemaError(
-                f"{_at(where, iat)}: entry pair ({i},{j}) out of range; "
-                f"need 1 <= i < j <= {dim}")
+        pair = _pair_at(entry, dim, "entry", where, iat)
         value = _fraction_at(entry, where, iat)
-        pair = (i - 1, j - 1)
         entries[pair] = entries[pair] + value if pair in entries else value
     return entries
 

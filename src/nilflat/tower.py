@@ -219,13 +219,14 @@ def _derived_lattice(dim: int, brackets: Mapping, leads: Tuple[int, ...]) -> Nil
     """Lattice on a table that `peel_step`, `extend_by_cocycle` or
     `_tower_from_cocycles` derived.
 
-    Only those may call it, and only on a table valid by construction
-    (see `NilLattice`) with the leads of its lower central series already in
-    hand; the class is len(leads), and neither `validate_algebra` nor the
-    canonical sort of `NilAlgebra` runs again.
+    Only those may call it, and only on a table valid by construction (see
+    `NilLattice`), the quotient by span(e_{dim+1}, ...) of one whose `leads`
+    are in hand: its class is the number of leads below `dim`, and neither
+    `validate_algebra` nor the canonical sort of `NilAlgebra` runs again.
     """
     algebra = object.__new__(NilAlgebra)
     object.__setattr__(algebra, "dim", dim)
+    leads = tuple(lead for lead in leads if lead < dim)
     object.__setattr__(algebra, "declared_class", len(leads))
     object.__setattr__(algebra, "brackets", brackets)
     lattice = object.__new__(NilLattice)
@@ -253,8 +254,8 @@ def peel_step(lattice: NilLattice) -> TowerStep:
         if m in entry:
             entries[(i, j)] = entry[m]
     cocycle = CentralCocycle(dim=m, entries=entries)
-    leads = tuple(lead for lead in lattice.leads if lead < m)
-    return TowerStep(total=lattice, base=_derived_lattice(m, base, leads), cocycle=cocycle)
+    return TowerStep(total=lattice, base=_derived_lattice(m, base, lattice.leads),
+                     cocycle=cocycle)
 
 
 def peel_tower(lattice: NilLattice) -> BundleTower:
@@ -311,8 +312,7 @@ def _tower_from_cocycles(cocycles: Sequence[CentralCocycle]) -> BundleTower:
     for cocycle in reversed(cocycles):
         algebras.append(_extended_algebra(algebras[-1], cocycle))
     leads = _generator_leads(algebras[-1])
-    levels = [_derived_lattice(a.dim, a.brackets, tuple(lead for lead in leads if lead < a.dim))
-              for a in algebras]
+    levels = [_derived_lattice(a.dim, a.brackets, leads) for a in algebras]
     return BundleTower(steps=tuple(
         TowerStep(total=levels[c.dim + 1], base=levels[c.dim], cocycle=c)
         for c in cocycles))

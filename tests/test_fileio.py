@@ -298,14 +298,18 @@ def test_canonical_json_matches_json_on_subclasses(obj):
 
 # [TRIVIAL] the narrowed contract: `json.dumps` turns int, float, bool and
 # None keys into strings; canonical_json refuses them with TypeError, at any
-# depth. Types `json` cannot write are refused with TypeError too.
+# depth, and names the key's type, also beside str keys that it cannot be
+# sorted with. Types `json` cannot write are refused with TypeError too.
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(key=st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
        value=_SCALARS)
 def test_canonical_json_refuses_non_str_keys(key, value):
     _json_dumps({key: value})  # json accepts it
-    for obj in ({key: value}, [1, {key: value}], {"outer": {key: value}}):
-        with pytest.raises(TypeError):
+    message = f"keys must be str, not {type(key).__name__}"
+    for obj in ({key: value}, [1, {key: value}], {"outer": {key: value}},
+                {key: value, "b": 2}, {"b": 2, key: value},
+                {"x": {"y": 2, key: value}}):
+        with pytest.raises(TypeError, match=f"^{message}$"):
             fileio.canonical_json(obj)
 
 

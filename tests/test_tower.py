@@ -178,16 +178,20 @@ SERIES_CASES = ([("point", catalog.point()), ("z3", catalog.abelian(3)),
 # validation computed, and every peel base keeps the leads of its total below
 # its dimension: both equal the leads recomputed from the table's own
 # series, and the base's declared class is their number, the recomputed
-# class.
+# class. The same holds on every level of the tower loaded back from its
+# file, whose levels keep the leads read once off the top algebra.
 @pytest.mark.parametrize("algebra", [case for _, case in SERIES_CASES],
                          ids=[name for name, _ in SERIES_CASES])
 def test_peel_bases_inherit_series(algebra):
     lattice = lat(algebra)
     assert lattice.leads == series_leads(algebra)[0]
-    for step in peel_tower(lattice).steps:
-        leads, cls = series_leads(step.base.algebra)
-        assert step.base.leads == leads
-        assert step.base.algebra.declared_class == cls == len(leads)
+    tower = peel_tower(lattice)
+    loaded = fileio.tower_from_obj(fileio.tower_to_obj(tower))
+    for step in tower.steps + loaded.steps:
+        for level in (step.total, step.base):
+            leads, cls = series_leads(level.algebra)
+            assert level.leads == leads
+            assert level.algebra.declared_class == cls == len(leads)
 
 
 # [DERIVED] peeling an already-built lattice runs no elimination: with the
