@@ -21,7 +21,9 @@ of the top lattice, p = n on an abelian tower), are quotients by a space
 that holds [g, g], hence abelian; since F⁻¹ is lower-triangular,
 c_F[:k, :k, :k] is exactly 0 there, so R̂ = 0 and ρ = δ = 0.0, bit for bit.
 They are recorded at t = 1, rounds 0 and bound 0.0 without a measurement,
-and the level loop starts at k = p + 1 with ρ of the level below 0.0.
+and the level loop starts at k = p + 1 with ρ of the level below 0.0.  An
+abelian tower, the point (n = 0) included, has no level above p = n: no level
+is measured and the structure constants are never transformed into F.
 Levels whose extension cocycle vanishes keep t = 1, as metric products.
 That holds only where the seed does not couple e_k to [g, g], that is, where
 c_F[a, b, k] = 0 for all a, b < k: where it does, the brackets of the frame
@@ -42,19 +44,20 @@ reported beside the bound; on an abelian tower it is 0.0.
 If a loop cannot meet its budget within _MAX_ROUNDS rounds, the final bound
 exceeds eps, or the curvature of a level or of the final metric cannot be
 measured in float64, the certification fails with BudgetNotMet.
+`certificate_summary` is every report field but metric_matrix, as JSON.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import BudgetNotMet, DimensionMismatch
 from .metric import (LeftInvariantMetric, _structure_in_frame,
                      rescaled_curvature, structure_array)
-from .scan import curvature_bound, diameter_bound, polished_sups
+from .scan import _check_echoed, curvature_bound, diameter_bound, polished_sups
 from .tower import BundleTower
 
 _REFINE_MARGIN = 0.95
@@ -96,36 +99,26 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
     and echoed but change no value."""
     if not (0.0 < eps < math.inf):
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_echoed(n_samples, seed)
     steps = tower.steps
     n = len(steps)  # each step peels one circle, down to the point
     if seed_metric.dim != n:
         raise DimensionMismatch(
             f"seed metric dim {seed_metric.dim} does not match tower dim {n}")
-    if not steps:  # the point: nothing to collapse
-        empty = np.zeros((0, 0))
-        empty.flags.writeable = False
-        return CertificateReport(
-            eps=float(eps), seed=int(seed), sample_count=int(n_samples),
-            ts=(), level_dims=(), curved_levels=(), rounds=(),
-            fiber_lengths=(), sup_abs_K=0.0, sup_abs_K_bound=0.0,
-            level_bounds=(), diam_bound=0.0, metric_matrix=empty)
-
     curved_dims = [step.total.algebra.dim for step in steps if step.cocycle.entries]
     budget = eps / len(curved_dims) if curved_dims else None
 
     frame, frame_inv = seed_metric._frame
-    c_frame = _structure_in_frame(structure_array(steps[0].total.algebra),
-                                  frame, frame_inv)
     fibers_bottom_up = [math.sqrt(g) for g in np.diag(seed_metric.matrix).tolist()]
     w = np.ones(n)  # w_k = √t_k; t_k = 1 until accepted
     # the abelian bottom: [g, g] starts at e_{p+1}, so the levels k ≤ p are
-    # flat, R̂ = 0 and ρ = δ = 0.0 there, and none is measured
-    leads = steps[0].total.leads
+    # flat, R̂ = 0 and ρ = δ = 0.0 there, and none is measured (the point is
+    # the abelian tower with p = n = 0)
+    leads = steps[0].total.leads if steps else ()
     p = leads[1] if len(leads) > 1 else n
+    if p < n:
+        c_frame = _structure_in_frame(structure_array(steps[0].total.algebra),
+                                      frame, frame_inv)
     rho_prev = 0.0
     ts_bottom_up = [1.0] * p
     rounds_bottom_up = [0] * p
@@ -161,11 +154,12 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
             rounds_bottom_up.append(used)
             bounds_bottom_up.append(rho + delta)
 
-        bound = bounds_bottom_up[-1]
+        bound = bounds_bottom_up[-1] if n else 0.0
         if not (bound <= eps):
             raise BudgetNotMet(
                 f"final bound ρ + δ = {bound!r} on sup|K| exceeds eps = {eps!r}")
-        where = f"final metric of dim {n} (smallest t: {min(ts_bottom_up)!r})"
+        where = (f"final metric of dim {n} "
+                 f"(smallest t: {min(ts_bottom_up, default=1.0)!r})")
         sup_final = polished_sups(r_hat[None])[0] if p < n else 0.0
     except np.linalg.LinAlgError as exc:
         raise BudgetNotMet(
@@ -191,18 +185,9 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
 
 
 def certificate_summary(report: CertificateReport) -> dict:
-    """JSON-ready certification summary (per-level lists are top-down)."""
-    return {
-        "eps": report.eps,
-        "seed": report.seed,
-        "sample_count": report.sample_count,
-        "ts": list(report.ts),
-        "level_dims": list(report.level_dims),
-        "curved_levels": list(report.curved_levels),
-        "rounds": list(report.rounds),
-        "fiber_lengths": list(report.fiber_lengths),
-        "sup_abs_K": report.sup_abs_K,
-        "sup_abs_K_bound": report.sup_abs_K_bound,
-        "level_bounds": list(report.level_bounds),
-        "diam_bound": report.diam_bound,
-    }
+    """JSON-ready certification summary: every report field but
+    metric_matrix, tuples as lists (per-level lists are top-down)."""
+    values = ((field.name, getattr(report, field.name)) for field in fields(report)
+              if field.name != "metric_matrix")
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in values}

@@ -11,7 +11,7 @@ Exit codes are a stable contract:
 
 Data files written by `peel` and `extend` are pure canonical JSON so they
 round-trip byte-for-byte; `curvature` and `certify` reports embed the tool
-version and the full run configuration.
+version and the full run configuration: every flag the command parsed.
 """
 
 from __future__ import annotations
@@ -139,10 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _envelope(command: str, config: Dict[str, Any],
-              report: Dict[str, Any]) -> Dict[str, Any]:
-    """Reproducibility wrapper: every JSON report carries version + config."""
-    return {"tool": "nilflat", "version": __version__, "command": command,
+def _envelope(args: argparse.Namespace, report: Dict[str, Any]) -> Dict[str, Any]:
+    """Reproducibility wrapper: every JSON report carries the version and, as
+    its config, every flag the command parsed (`path` echoed as `input`)."""
+    config = {("input" if key == "path" else key): value
+              for key, value in vars(args).items() if key not in ("command", "func")}
+    return {"tool": "nilflat", "version": __version__, "command": args.command,
             "config": config, "report": report}
 
 
@@ -278,12 +280,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     report = lemma_scan(algebra, metric, split, t_grid,
                         n_samples=args.samples, seed=args.seed)
 
-    config = {"input": args.path, "metric": args.metric,
-              "t_max": args.t_max, "t_min": args.t_min,
-              "t_points": args.t_points, "samples": args.samples,
-              "seed": args.seed, "format": args.format, "out": args.out}
-    summary = fileio.canonical_json(
-        _envelope("curvature", config, report_summary(report)))
+    summary = fileio.canonical_json(_envelope(args, report_summary(report)))
     csv_text = report_csv(report)
 
     exponent = report.exponent_fit
@@ -316,10 +313,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     report = certify_almost_flat(tower, metric, args.eps,
                                  seed=args.seed, n_samples=args.samples)
 
-    config = {"input": args.path, "metric": args.metric, "eps": args.eps,
-              "samples": args.samples, "seed": args.seed, "out": args.out}
-    text = fileio.canonical_json(
-        _envelope("certify", config, certificate_summary(report)))
+    text = fileio.canonical_json(_envelope(args, certificate_summary(report)))
     _emit(text, args.out,
           f"certified {args.path}: sup|K| = {report.sup_abs_K:.6g}, bound "
           f"{report.sup_abs_K_bound:.6g} <= {args.eps:g}, "

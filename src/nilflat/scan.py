@@ -429,6 +429,15 @@ def _lemma_constant(c_hat: np.ndarray) -> float:
     return 4.0 * a2 + 2.0 * da_norm
 
 
+def _check_echoed(n_samples: int, seed: int) -> None:
+    """The sampler arguments that `lemma_scan` and `certify_almost_flat`
+    echo: they change no value, but must be valid to be echoed."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
                split: SubmersionSplit, t_grid: Sequence[float], n_samples: int,
                seed: int) -> DecayReport:
@@ -474,10 +483,7 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
                          "underflows float64")
     if any(b > a for a, b in zip(ts, ts[1:])):
         raise ValueError("t grid must be descending")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_echoed(n_samples, seed)
 
     c = _central_structure(algebra, metric, split)
     c_hat = _structure_in_frame(c, *metric._frame)

@@ -129,17 +129,37 @@ def test_certify_sup_equals_scan_sup(algebra):
     assert report.sup_abs_K == scan.sup_abs_K[0]
 
 
-# [TRIVIAL] abelian towers: no curved level, everything stays at t = 1.
-def test_certify_z3():
+# [TRIVIAL] abelian towers: no curved level, everything stays at t = 1; no
+# level is measured, and on z3 and on the point alike the structure constants
+# are never read, transformed, curved, bounded or polished.
+def test_certify_z3(monkeypatch):
+    calls = []
+    for name in ("structure_array", "_structure_in_frame", "rescaled_curvature",
+                 "curvature_bound", "polished_sups"):
+        real = getattr(certify_module, name)
+        monkeypatch.setattr(certify_module, name,
+                            lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
     report = certify_almost_flat(tower_of(catalog.abelian(3)),
                                  identity_seed(3), 1e-6)
     assert report.ts == (1.0, 1.0, 1.0)
     assert report.rounds == (0, 0, 0)
+    assert report.level_bounds == (0.0, 0.0, 0.0)
     assert report.curved_levels == ()
-    assert report.sup_abs_K == 0.0
+    assert report.sup_abs_K == 0.0 and report.sup_abs_K_bound == 0.0
     assert report.diam_bound == pytest.approx(1.5, abs=1e-12)
     assert report.level_dims == (3, 2, 1)
     assert np.array_equal(report.metric_matrix, np.eye(3))
+    point = certify_almost_flat(peel_tower(NilLattice(catalog.point())),
+                                LeftInvariantMetric.identity(0), 1e-6,
+                                seed=7, n_samples=3)
+    assert (point.ts, point.rounds, point.level_bounds, point.level_dims,
+            point.curved_levels, point.fiber_lengths) == ((),) * 6
+    assert (point.eps, point.seed, point.sample_count) == (1e-6, 7, 3)
+    assert (point.sup_abs_K, point.sup_abs_K_bound, point.diam_bound) == (0.0,) * 3
+    assert point.metric_matrix.shape == (0, 0)
+    assert not point.metric_matrix.flags.writeable
+    assert calls == []
 
 
 # [TRIVIAL] abelian tower with a non-identity seed metric stays flat.

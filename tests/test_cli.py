@@ -604,6 +604,10 @@ def test_certify_z3(tmp_path, capsys):
     assert code == 0 and err == "" and "certified" in stdout
     envelope = json.loads(out.read_text(encoding="utf-8"))
     assert envelope["command"] == "certify"
+    # the config echoes exactly the flags certify parses
+    assert envelope["config"] == {"input": str(DATA / "z3.json"), "metric": None,
+                                  "eps": 1e-6, "samples": 4096, "seed": 0,
+                                  "out": str(out)}
     report = envelope["report"]
     assert report["ts"] == [1.0, 1.0, 1.0]
     assert report["sup_abs_K"] == 0.0
@@ -860,9 +864,10 @@ def test_child_env_imports_session_package(tmp_path, child_env):
 
 
 # [TRIVIAL] the exact-layer commands start without numpy: `import nilflat`
-# and `validate`, `peel`, `extend` and `--version` leave it unloaded, and a
-# numerical name loads its module on first access. The child prints what it
-# saw after each step.
+# and `validate`, `peel`, `extend`, `--version` and the `--help` of the
+# parser and of the numerical commands leave it unloaded, and a numerical name
+# loads its module on first access. The child prints what it saw after each
+# step.
 EXACT_CHILD = """
 import json, sys
 import nilflat
@@ -873,7 +878,8 @@ for argv in (["validate", f"{data}/n4.json"],
              ["peel", f"{data}/n4.json", "--out", f"{out}/n4_tower.json"],
              ["extend", f"{data}/z2.json", f"{data}/euler_one_z2.json",
               "--out", f"{out}/h3.json"],
-             ["--version"]):
+             ["--version"], ["--help"], ["curvature", "--help"],
+             ["certify", "--help"]):
     try:
         code = nilflat.cli.main(argv)
     except SystemExit as exc:
@@ -897,7 +903,9 @@ def test_exact_commands_start_without_numpy(tmp_path, child_env):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen == {"import": False, "validate": [0, False], "peel": [0, False],
-                    "extend": [0, False], "--version": [0, False], "lazy": True,
+                    "extend": [0, False], "--version": [0, False],
+                    "--help": [0, False], "curvature": [0, False],
+                    "certify": [0, False], "lazy": True,
                     "numpy_after_lazy": True, "all_in_dir": True,
                     "unknown": "AttributeError"}
     assert (tmp_path / "h3.json").read_bytes() == (DATA / "h3.json").read_bytes()
