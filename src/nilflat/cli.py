@@ -265,9 +265,7 @@ def cmd_curvature(args: argparse.Namespace) -> int:
         raise DimensionMismatch(
             "curvature scan needs dim >= 2 (one horizontal direction)")
     metric = _load_metric_arg(args.metric, n)
-    z = np.zeros(n)
-    z[n - 1] = 1.0
-    split = build_split(metric, z)
+    split = build_split(metric, np.eye(n)[n - 1])
     try:  # numpy refuses a size past its limits before allocating
         grid = np.geomspace(args.t_max, args.t_min, args.t_points)
     except (ValueError, IndexError, MemoryError) as exc:  # IndexError: int64 wrap

@@ -74,10 +74,10 @@ def _hermite_reduce(m: IntMatrix, n_cols: int) -> int:
     Euclidean row operations act on whole rows, so columns from n_cols on
     (an appended identity, say) record the unimodular transform. Afterwards
     rows :rank hold the Hermite rows and the columns :n_cols of the rest are
-    zero.
+    zero. A column that is zero in every row stays zero, so it is skipped.
     """
     r = 0
-    for c in range(n_cols):
+    for c in [c for c, column in enumerate(zip(*m)) if c < n_cols and any(column)]:
         while True:  # Euclid on column c below row r: least entry to row r
             nonzero = [i for i in range(r, len(m)) if m[i][c]]
             if not nonzero:

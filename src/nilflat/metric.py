@@ -42,12 +42,6 @@ from .errors import DimensionMismatch, NotPositiveDefinite
 TOL_IDENTITY = 1e-12   # relative: metric symmetry
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out.flags.writeable = False
-    return out
-
-
 def _reversed_cholesky(g: np.ndarray) -> np.ndarray:
     """Lower-triangular R with P·G·P = R·Rᵀ, P the reversal of the basis
     order: the metric's one positive-definiteness gate and the factor of its
@@ -99,9 +93,9 @@ class LeftInvariantMetric:
             raise NotPositiveDefinite("metric matrix is not symmetric")
         sym = 0.5 * (m + m.T)
         factor = _reversed_cholesky(sym) if m.size else np.zeros((0, 0))
-        factor.flags.writeable = False
+        factor.flags.writeable = sym.flags.writeable = False
         object.__setattr__(self, "_factor", factor)
-        object.__setattr__(self, "matrix", _as_readonly(sym))
+        object.__setattr__(self, "matrix", sym)
 
     @functools.cached_property
     def _frame(self) -> tuple:

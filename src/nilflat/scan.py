@@ -3,7 +3,7 @@
 The scan rescales the top fiber e_n of an adapted basis by t (it must be
 central: no bracket [e_i, e_n] is stored), measures the sup of |sectional
 curvature| over all tangent 2-planes, and checks it against the explicit
-bound.  The sup search reads only the curvature tensor, not the split.
+bound.  The sup search reads only R̂; a split holds only its metric.
 
 Frame convention: a split frame has the vertical direction last, and g^t is
 diag(1, …, 1, t) there; curvature tensors are R̂ in the orthonormal frame of
@@ -24,11 +24,13 @@ rounding allowance δ (derived in `lemma_scan`), the bound ρ + δ that
 `certify` gates on.
 
 Sup search (`polished_sups` on a stack of tensors, one deterministic pass;
-`polished_sup` on one tensor, with its certificate): one stacked eigh of
-the ℛ (read off each tensor by one take through a flat index cached per n)
-gives each ρ and two extreme eigenvectors; each,
-read as a skew n×n matrix B, gives both legs of its best rank-2 plane (the
-top 2-eigenspace of BᵀB).  The four legs per tensor are *polished* once
+`polished_sup` on one tensor, with its certificate; both via `_search`,
+which alone decides which members it solves): a tensor below dimension 2
+or with no nonzero entry has sup 0.0, a non-finite one its non-finite
+max|R̂|, without a solve.  For the others, one stacked eigh of the ℛ (read
+off each tensor by one take through a flat index cached per n) gives each
+ρ and two extreme eigenvectors; each, read as a skew n×n matrix B, gives
+both legs of its best rank-2 plane (the top 2-eigenspace of BᵀB).  The four legs per tensor are *polished* once
 over all planes: alternate exact maximization over each leg of the plane,
 each step the top eigenvector of the fixed leg v's quadratic form
 R̂(·, v, ·, v) compressed by the rank-one projector onto v's
@@ -283,8 +285,7 @@ def _polish(r4s: np.ndarray, group: np.ndarray, c: np.ndarray,
     n = r4s.shape[-1]
     best = np.zeros(c.shape[0])
     best_x, best_c = np.zeros((2, best.shape[0], n))
-    stopped = np.zeros(ceilings.shape[0], dtype=bool)
-    stopped[group[~(best < ceilings[group])]] = True
+    stopped = ~(0.0 < ceilings)
     active = np.flatnonzero(~stopped[group])
     c = c[active]
     r4 = _row_tensors(r4s, group[active])
@@ -309,25 +310,29 @@ def _polish(r4s: np.ndarray, group: np.ndarray, c: np.ndarray,
 
 
 def _search(r4s: np.ndarray) -> tuple:
-    """The polished sups of the stack r4s of n-dim tensors, n ≥ 2, one float
-    per member, and what `polished_sup` certifies with, per finite member
-    (their indices `finite`): the symmetrized ℛ, its extreme eigenvalues,
-    the ceiling ρ − δ and the legs (x, c) of the best plane."""
+    """(sups, r_max, certificate) of the stack r4s of n-dim tensors: each
+    member's polished sup (unsearched members as the module says) and
+    max|R̂|, and what `polished_sup` certifies with, per searched member
+    (None if there is none): the symmetrized ℛ, its extreme eigenvalues, the
+    ceiling ρ − δ and the legs (x, c) of the best plane."""
     n = r4s.shape[-1]
-    r_max = np.max(np.abs(r4s), axis=(1, 2, 3, 4))
-    sups = r_max.tolist()
-    finite = np.flatnonzero(np.isfinite(r_max))
-    r4s = r4s[finite]
+    r_max = np.max(np.abs(r4s), axis=(1, 2, 3, 4), initial=0.0)
+    finite = np.isfinite(r_max)
+    sups = np.where(finite | (n < 2), 0.0, r_max).tolist()
+    searched = np.flatnonzero(finite & (0.0 < r_max) & (n >= 2))
+    if not searched.size:
+        return sups, r_max, None
+    r4s = r4s[searched]
     op = _curvature_operator(r4s)
     sym = 0.5 * (op + np.swapaxes(op, 1, 2))
     (low, high), legs = _eigenplane_seeds(sym, n)
-    ceilings = np.maximum(-low, high) - _rounding_allowance(n, r_max[finite])
-    group = np.repeat(np.arange(finite.size), 4)
+    ceilings = np.maximum(-low, high) - _rounding_allowance(n, r_max[searched])
+    group = np.repeat(np.arange(searched.size), 4)
     best, best_x, best_c = _polish(r4s, group, legs, ceilings)
-    lead = 4 * np.arange(finite.size) + np.argmax(best.reshape(-1, 4), axis=1)
-    for member, sup in zip(finite.tolist(), best[lead].tolist()):
+    lead = 4 * np.arange(searched.size) + np.argmax(best.reshape(-1, 4), axis=1)
+    for member, sup in zip(searched.tolist(), best[lead].tolist()):
         sups[member] = sup
-    return sups, finite, sym, (low, high), ceilings, best_x[lead], best_c[lead]
+    return sups, r_max, (sym, (low, high), ceilings, best_x[lead], best_c[lead])
 
 
 def polished_sups(r4s: np.ndarray) -> list:
@@ -339,8 +344,6 @@ def polished_sups(r4s: np.ndarray) -> list:
     returned.  No certificate is solved (`polished_sup` has one).  A
     non-finite entry gives its member a non-finite sup and no other member a
     change."""
-    if r4s.shape[-1] < 2:
-        return [0.0] * r4s.shape[0]
     return _search(r4s)[0]
 
 
@@ -349,16 +352,13 @@ def polished_sup(r4: np.ndarray) -> tuple:
     `polished_sups`, certified as the sup (to 2δ) where it reaches the
     ceiling ρ − δ or Thorpe's trick closes at its plane
     (`_thorpe_certifies`); else it is the lower end of the bracket
-    [sup, ρ + δ]."""
-    n = r4.shape[-1]
-    if n < 2:
-        return 0.0, True
-    [sup], finite, sym, (low, high), ceilings, x, c = _search(r4[None])
-    if not finite.size:
-        return sup, False
+    [sup, ρ + δ].  An unsearched sup is certified where it is 0.0."""
+    [sup], [r_max], certificate = _search(r4[None])
+    if certificate is None:
+        return sup, sup == 0.0
+    sym, (low, high), ceilings, x, c = certificate
     return sup, sup >= float(ceilings[0]) or _thorpe_certifies(
-        sym[0], (float(low[0]), float(high[0])), x[0], c[0], sup,
-        float(np.max(np.abs(r4))))
+        sym[0], (float(low[0]), float(high[0])), x[0], c[0], sup, float(r_max))
 
 
 def _central_structure(algebra: NilAlgebra, metric: LeftInvariantMetric,
@@ -443,7 +443,7 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
                seed: int) -> DecayReport:
     """Scan sup|K^t| over a descending t grid, collapsing e_n in the metric's
     one frame (`split` must be its algebra's, from `metric`, with e_n
-    central; its `frame` is not read), and assert it stays below
+    central), and assert it stays below
     sup|Ǩ| + C√t + δ_t, where the lemma's constant 3‖A‖² + 2‖DA‖ + ‖A‖²
     (operator norms over unit arguments; valid for t ≤ 1) is bounded by
 
@@ -453,7 +453,7 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     By Cauchy–Schwarz |A(x, e)| ≤ ‖A‖_F for unit x, e (and likewise for DA),
     so C is a true upper bound; it is computed, not sampled.  The grid runs in
     stacks of `_T_CHUNK` points (stacked `rescaled_curvature` and
-    `polished_sups`, a stop per t), so memory does not grow with its length,
+    `_search`, a stop per t), so memory does not grow with its length,
     and no value depends on the stacking.  The scan draws no plane:
     `n_samples` and `seed` are validated and echoed in the report but change
     no value.  The base sup alone is certified (`polished_sup`); where it
@@ -503,10 +503,10 @@ def lemma_scan(algebra: NilAlgebra, metric: LeftInvariantMetric,
     weights[:, n - 1] = np.sqrt(ts)
     sups, roundings, bounds, diams = [], [], [], []
     for start in range(0, len(ts), _T_CHUNK):
-        r_ts = rescaled_curvature(c_hat, weights[start:start + _T_CHUNK])
-        for t, r_t, sup_t in zip(ts[start:start + _T_CHUNK], r_ts,
-                                 polished_sups(r_ts)):
-            r_max = float(np.max(np.abs(r_t)))
+        sups_t, r_maxes = _search(rescaled_curvature(
+            c_hat, weights[start:start + _T_CHUNK]))[:2]
+        for t, sup_t, r_max in zip(ts[start:start + _T_CHUNK], sups_t,
+                                   r_maxes.tolist()):
             rounding = _rounding_allowance(n, r_max + base_max)
             bound = base_bound + c_const * math.sqrt(t) + rounding
             if not (math.isfinite(sup_t) and sup_t <= bound):

@@ -1,15 +1,15 @@
 """The split of a metric along e_n, the top circle of an adapted basis.
 
 Collapsing the central direction e_n defines a Riemannian submersion onto
-the quotient algebra.  `build_split` makes a `SubmersionSplit`, the
-metric's one orthonormal frame (`LeftInvariantMetric._frame`): horizontal
-vectors (the G-orthogonal complement of e_n) first and e_n normalized last.
-It has no tolerance or failure of its own.  To collapse another central
-direction, permute the basis of the input so that it comes last.
+the quotient algebra.  `build_split` makes a `SubmersionSplit`, which holds
+only its metric: the split frame is the metric's one orthonormal frame
+(`LeftInvariantMetric._frame`), horizontal vectors (the G-orthogonal
+complement of e_n) first and e_n normalized last.  It has no tolerance or
+failure of its own.  To collapse another central direction, permute the
+basis of the input so that it comes last.
 
 `scan.lemma_scan` checks that a split belongs to its metric and reads the
-same frame off the metric itself, where G^t is diag(1, …, 1, t); `frame`
-is kept for callers.
+frame off the metric itself, where G^t is diag(1, …, 1, t).
 """
 
 from __future__ import annotations
@@ -25,25 +25,21 @@ from .metric import LeftInvariantMetric
 
 @dataclass(frozen=True, eq=False)
 class SubmersionSplit:
-    """G-orthonormal frame of `metric` adapted to the top direction e_n.
+    """The split of `metric` along the top direction e_n.  Its frame is
+    ``metric._frame[0]``: lower-triangular, the first n − 1 columns span the
+    horizontal distribution (the G-orthogonal complement of e_n) and the
+    last is e_n/√G_nn."""
 
-    ``frame`` has the frame vectors as columns and is lower-triangular: the
-    first n − 1 columns span the horizontal distribution (the G-orthogonal
-    complement of e_n) and the last is e_n/√G_nn.  frameᵀ G frame = I to
-    rounding.
-    """
-
-    frame: np.ndarray
     metric: LeftInvariantMetric
 
     @property
     def dim(self) -> int:
-        return self.frame.shape[0]
+        return self.metric.dim
 
 
 def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSplit:
-    """The split frame along z, which must be e_n: the metric's one frame
-    P·R⁻ᵀ·P (`LeftInvariantMetric._frame`, derived once per metric),
+    """The split along z, which must be e_n; its frame is the metric's one
+    frame P·R⁻ᵀ·P (`LeftInvariantMetric._frame`, derived once per metric),
     lower-triangular and G-orthonormal, so its last column is e_n/√G_nn.
     At G = I it is the identity."""
     n = metric.dim
@@ -53,4 +49,4 @@ def build_split(metric: LeftInvariantMetric, z: Sequence[float]) -> SubmersionSp
     if not np.array_equal(z, np.eye(n)[n - 1]):
         raise ValueError(f"a split is along e{n} only, got z = {z.tolist()}; "
                          "put a central direction last by permuting the basis")
-    return SubmersionSplit(frame=metric._frame[0], metric=metric)
+    return SubmersionSplit(metric)

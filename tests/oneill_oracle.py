@@ -56,23 +56,23 @@ def canonical_variation(metric, z, t):
 
 def frame_structure(algebra, split):
     """Structure constants of the bracket in split-frame coordinates."""
-    f = split.frame
+    f = split.metric._frame[0]
     return _structure_in_frame(structure_array(algebra), f, np.linalg.inv(f))
 
 
 def to_frame(split, v):
     """Coordinates of an ambient vector in the split frame."""
-    return np.linalg.solve(split.frame, np.asarray(v, dtype=np.float64))
+    return np.linalg.solve(split.metric._frame[0], np.asarray(v, dtype=np.float64))
 
 
 def from_frame(split, v):
     """The ambient vector of split-frame coordinates v."""
-    return split.frame @ np.asarray(v, dtype=np.float64)
+    return split.metric._frame[0] @ np.asarray(v, dtype=np.float64)
 
 
 def frame_metric(matrix, split):
     """Gram matrix of an ambient metric in split-frame coordinates."""
-    f = split.frame
+    f = split.metric._frame[0]
     return f.T @ matrix @ f
 
 

@@ -96,6 +96,8 @@ def _combine(coefficients, generators, n_cols):
 
 # [DERIVED] integer solve: round-trip of the coordinates, divisibility
 # obstruction on 2x = 1, inconsistency on 0 = 1, kernel spans the relations.
+# All-zero generators and generators with zero columns give fixed outputs:
+# a zero column takes no pivot and every relation stays in the kernel.
 def test_solve_integer_roundtrip():
     generators = [[2, 0], [1, 3], [0, 1]]
     [(x, obstruction)], kernel = lattice_coordinates(generators, [[5, 7]])
@@ -103,6 +105,21 @@ def test_solve_integer_roundtrip():
     assert _combine(x, generators, 2) == [5, 7]
     assert len(kernel) == 1
     assert _combine(kernel[0], generators, 2) == [0, 0]
+
+    zero = [[0, 0, 0], [0, 0, 0]]
+    assert hermite_normal_form(zero) == []
+    assert lattice_coordinates(zero, [[0, 0, 0], [0, 1, 0]]) == (
+        [([0, 0], None), (None, "equation 2 is inconsistent: 0 = 1")],
+        [[1, 0], [0, 1]])
+    sparse = [[0, 2, 0, 4], [0, 3, 0, 1], [0, 0, 0, 6]]
+    assert hermite_normal_form(sparse) == [[0, 1, 0, 1], [0, 0, 0, 2]]
+    assert lattice_coordinates(sparse, [[0, 5, 0, 5], [0, 1, 0, 0],
+                                        [1, 0, 0, 0], [0, 0, 0, 1]]) == (
+        [([-35, 25, 20], None),
+         (None, "equation 4: pivot 2 does not divide -1"),
+         (None, "equation 1 is inconsistent: 0 = 1"),
+         (None, "equation 4: pivot 2 does not divide 1")],
+        [[9, -6, -5]])
 
 
 def test_solve_integer_divisibility_obstruction():

@@ -289,7 +289,7 @@ def test_degenerate_plane_scale_invariant():
 def split_variation_bytes(metric, z, t):
     """G^t from the unit vertical of the split frame, G + (t−1)(Gu)(Gu)ᵀ,
     as bytes: `canonical_variation` must give exactly these."""
-    gu = metric.matrix @ build_split(metric, z).frame[:, -1]
+    gu = metric.matrix @ build_split(metric, z).metric._frame[0][:, -1]
     return (metric.matrix + (t - 1.0) * np.outer(gu, gu)).tobytes()
 
 

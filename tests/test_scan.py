@@ -29,7 +29,7 @@ from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
                             structure_array)
 from nilflat.scan import (T_MIN, DecayReport, curvature_bound, diameter_bound,
                           lemma_scan, polished_sup, report_csv, report_summary)
-from nilflat.submersion import SubmersionSplit, build_split
+from nilflat.submersion import build_split
 from nilflat.tower import NilLattice, peel_tower
 from conftest import free_two_step
 from oneill_oracle import (SubmersionContext, decomposition_check,
@@ -131,17 +131,6 @@ def test_context_rejects_foreign_split():
     same = LeftInvariantMetric(matrix=np.eye(3))  # an equal matrix is the same metric
     assert lemma_scan(H3, same, build_split(metric, [0.0, 0.0, 1.0]),
                       [1.0], 10, 0).sup_abs_K == (0.75,)
-
-
-# [DERIVED] the scan reads its frame off the metric, not off `split.frame`:
-# a hand-built split of n4 with G = I whose frame 2·I is not orthonormal
-# gives the bytes of the built split's report.
-def test_lemma_scan_reads_frame_from_metric():
-    metric, split = geometry(N4)
-    foreign = SubmersionSplit(frame=2.0 * np.eye(4), metric=metric)
-    grid = np.geomspace(1.0, 1e-3, 4)
-    assert (report_csv(lemma_scan(N4, metric, foreign, grid, 16, 0))
-            == report_csv(lemma_scan(N4, metric, split, grid, 16, 0)))
 
 
 # [DERIVED] the collapsed direction e_n must be central: with [e1, e3] = e2
@@ -346,11 +335,13 @@ def test_bound_short_by_more_than_rounding_raises(monkeypatch):
 
 
 # [DERIVED] a NaN measurement violates the bound instead of passing it: with
-# every polished sup of the t grid NaN the comparison with the bound is false.
+# every polished sup NaN (the base's too) the comparison with the bound is
+# false.
 def test_nan_measurement_violates_bound(monkeypatch):
     metric, split = geometry(H3)
-    monkeypatch.setattr(scan, "polished_sups",
-                        lambda r4s: [float("nan")] * len(r4s))
+    search = scan._search
+    monkeypatch.setattr(scan, "_search", lambda r4s: (
+        [float("nan")] * len(r4s),) + search(r4s)[1:])
     with pytest.raises(BoundViolated) as info:
         lemma_scan(H3, metric, split, [1e-3], n_samples=200, seed=0)
     assert math.isnan(info.value.value)
@@ -738,7 +729,10 @@ def padded_identity_tensor(algebra, n=6):
 # does not close (free 2-step(3) at G = I), and one with a NaN entry, whose
 # sup is non-finite and changes no other member's bits.  The certified flags
 # come from `polished_sup`.  Stacked weights give the per-row tensors of
-# `rescaled_curvature` bit for bit.
+# `rescaled_curvature` bit for bit.  The one rule of the search: a tensor
+# below dimension 2 or with no nonzero entry has sup 0.0, certified, and one
+# with a NaN or inf entry keeps it as its sup, uncertified; h5's 7 grid
+# tensors with a zero and a NaN tensor among them keep their bits.
 def test_stack_matches_one_tensor_at_a_time():
     kinds = [catalog.abelian(3), N4, catalog.heisenberg5(), FREE3, N4]
     stack = np.stack([padded_identity_tensor(algebra) for algebra in kinds])
@@ -764,6 +758,45 @@ def test_stack_matches_one_tensor_at_a_time():
     stacked = rescaled_curvature(c_hat, weights)
     for row, w in zip(stacked, weights):
         assert np.array_equal(row, rescaled_curvature(c_hat, w))
+
+    for n in (0, 1):
+        assert polished_sup(np.ones((n,) * 4)) == (0.0, True)
+    assert polished_sup(np.zeros((4,) * 4)) == (0.0, True)
+    for value in (math.nan, math.inf):
+        r4 = padded_identity_tensor(N4, 4)
+        r4[0, 1, 0, 1] = value
+        with np.errstate(invalid="ignore", over="ignore"):
+            sup, certified = polished_sup(r4)
+        assert repr(sup) == repr(value) and certified is False
+    h5 = catalog.heisenberg5()
+    grid = rescaled_curvature(structure_array(h5), np.sqrt(np.stack(
+        [split_diagonal(5, t) for t in np.geomspace(1.0, 1e-6, 7)])))
+    poisoned = grid[0].copy()
+    poisoned[0, 1, 0, 1] = math.nan
+    mixed = np.concatenate([grid[:3], np.zeros((1,) + grid.shape[1:]),
+                            grid[3:5], poisoned[None], grid[5:]])
+    with np.errstate(invalid="ignore"):
+        together = scan.polished_sups(mixed)
+        alone = [polished_sup(r4)[0] for r4 in mixed]
+    assert np.array(together).tobytes() == np.array(alone).tobytes()
+    assert together[3] == 0.0 and math.isnan(together[6])
+
+
+# [DERIVED] a flat tensor reaches no eigensolve: at G = I on the default
+# 7-point grid, h5 seeds one stacked search (its base R⁴ is flat), z3 none,
+# and n4 two (the base h3, then the grid).
+@pytest.mark.parametrize("algebra,calls", [
+    (catalog.heisenberg5(), 1), (catalog.abelian(3), 0), (N4, 2)],
+    ids=["h5", "z3", "n4"])
+def test_flat_tensors_reach_no_eigensolve(algebra, calls, monkeypatch):
+    real = scan._eigenplane_seeds
+    seeded = []
+    monkeypatch.setattr(scan, "_eigenplane_seeds",
+                        lambda *args: seeded.append(args) or real(*args))
+    metric, split = geometry(algebra)
+    lemma_scan(algebra, metric, split, np.geomspace(1.0, 1e-6, 7),
+               n_samples=1, seed=0)
+    assert len(seeded) == calls
 
 
 # [DERIVED] a long grid is measured in stacks of at most 16 t values, so

@@ -63,11 +63,11 @@ GEOMETRY_IDS = [g[0] for g in GEOMETRIES]
 def test_split_frame_orthonormal(name, algebra, matrix):
     metric, split = split_for(algebra, matrix)
     n = algebra.dim
-    gram = split.frame.T @ metric.matrix @ split.frame
+    gram = split.metric._frame[0].T @ metric.matrix @ split.metric._frame[0]
     assert np.max(np.abs(gram - np.eye(n))) <= TOL
     # last column is e_n up to positive scale
     z = last_basis(n)
-    u = split.frame[:, n - 1]
+    u = split.metric._frame[0][:, n - 1]
     assert np.max(np.abs(u * np.sqrt(z @ metric.matrix @ z) - z)) <= TOL
     # to_frame/from_frame invert each other
     v = np.arange(1.0, n + 1.0)
@@ -110,7 +110,7 @@ SHIPPED_METRICS = sorted(DATA.glob("metric*_*.json"))
 ], ids=[path.stem for path in SHIPPED_METRICS] + ["dense6", "dense8", "dense10"])
 def test_split_frame_lower_triangular(matrix):
     metric = LeftInvariantMetric(matrix=matrix)
-    frame = build_split(metric, last_basis(metric.dim)).frame
+    frame = build_split(metric, last_basis(metric.dim)).metric._frame[0]
     assert np.array_equal(frame, np.tril(frame))
     defect = frame.T @ metric.matrix @ frame - np.eye(metric.dim)
     assert np.max(np.abs(defect)) <= 1e-15
@@ -119,7 +119,7 @@ def test_split_frame_lower_triangular(matrix):
 # [TRIVIAL] at G = I the split frame is the identity, bit for bit.
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_split_frame_identity(n):
-    frame = build_split(LeftInvariantMetric.identity(n), last_basis(n)).frame
+    frame = build_split(LeftInvariantMetric.identity(n), last_basis(n)).metric._frame[0]
     assert frame.tobytes() == np.eye(n).tobytes()
 
 
@@ -130,7 +130,7 @@ def test_frame_structure_consistency():
     metric, split = split_for(H3, TILTED3)
     c = structure_array(H3)
     c_hat = frame_structure(H3, split)
-    f = split.frame
+    f = split.metric._frame[0]
     for a in range(3):
         for b in range(3):
             ambient = np.einsum("ijk,i,j->k", c, f[:, a], f[:, b],
@@ -188,7 +188,7 @@ def test_variation_relations(name, algebra, matrix, t):
     n = algebra.dim
     m = n - 1
     g_t = canonical_variation(metric, last_basis(n), t)
-    gu = metric.matrix @ split.frame[:, -1]
+    gu = metric.matrix @ split.metric._frame[0][:, -1]
     assert g_t.matrix.tobytes() == (metric.matrix
                                     + (t - 1.0) * np.outer(gu, gu)).tobytes()
     base = oneill_tensors(algebra, metric, split)
