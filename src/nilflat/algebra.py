@@ -26,6 +26,7 @@ from .intlinalg import SparseRow, rational_row_basis
 
 VecQ = Tuple[Fraction, ...]
 RationalLike = Union[int, Fraction, str]
+_ZERO = Fraction(0)
 
 
 def vec(values: Iterable[RationalLike]) -> VecQ:
@@ -50,8 +51,12 @@ def basis_vec(n: int, k: int) -> VecQ:
     return tuple(Fraction(1) if i == k else Fraction(0) for i in range(n))
 
 
-def is_zero(x: VecQ) -> bool:
-    return all(v == 0 for v in x)
+def _sparse(x: VecQ) -> SparseRow:
+    return {k: a for k, a in enumerate(x) if a}
+
+
+def _dense(u: SparseRow, n: int) -> VecQ:
+    return tuple(u.get(k, _ZERO) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -109,12 +114,8 @@ class NilAlgebra:
         return NilAlgebra(dim=dim, declared_class=declared_class, brackets=table)
 
     def basis_bracket(self, i: int, j: int) -> VecQ:
-        """[e_{i+1}, e_{j+1}] for 0-based i, j, via stored data and antisymmetry."""
-        out = [Fraction(0)] * self.dim
-        sign = 1 if i < j else -1
-        for k, coeff in self.brackets.get((min(i, j), max(i, j)), {}).items():
-            out[k] = sign * coeff
-        return tuple(out)
+        """[e_{i+1}, e_{j+1}] for 0-based i, j."""
+        return self.bracket(basis_vec(self.dim, i), basis_vec(self.dim, j))
 
     def bracket(self, x: VecQ, y: VecQ) -> VecQ:
         """Bilinear extension [x, y]."""
@@ -122,16 +123,7 @@ class NilAlgebra:
         if len(x) != n or len(y) != n:
             raise DimensionMismatch(
                 f"bracket arguments must have length {n}, got {len(x)} and {len(y)}")
-        out = [Fraction(0)] * n
-        for (i, j), entry in self.brackets.items():
-            # skip before any Fraction arithmetic: most pairs miss the support
-            if not ((x[i] and y[j]) or (x[j] and y[i])):
-                continue
-            c = x[i] * y[j] - x[j] * y[i]
-            if c:
-                for k, coeff in entry.items():
-                    out[k] += c * coeff
-        return tuple(out)
+        return _dense(_bracket(self, _sparse(x), _sparse(y)), n)
 
 
 def _add_ad(out: Dict[int, Fraction], algebra: NilAlgebra, i: int,
@@ -150,6 +142,14 @@ def _add_ad(out: Dict[int, Fraction], algebra: NilAlgebra, i: int,
             for k, coeff in entry.items():
                 t = c if coeff == 1 else c * coeff
                 out[k] = out[k] + t if k in out else t
+
+
+def _bracket(algebra: NilAlgebra, u: SparseRow, v: SparseRow) -> SparseRow:
+    """[u, v] = Σ_i u_i·ad_{e_{i+1}} v on sparse rows, zeros dropped."""
+    out: SparseRow = {}
+    for i, a in u.items():
+        _add_ad(out, algebra, i, v, scale=a)
+    return {k: a for k, a in out.items() if a}
 
 
 def _partners(algebra: NilAlgebra) -> List[List[int]]:
@@ -172,7 +172,6 @@ def check_jacobi(algebra: NilAlgebra) -> ValidationReport:
     brackets with its support. The first violation is the least sorted
     triple whose sum is nonzero.
     """
-    n = algebra.dim
     partners = _partners(algebra)
     sums: Dict[Tuple[int, int, int], Dict[int, Fraction]] = {}
     for (p, q), entry in algebra.brackets.items():
@@ -188,7 +187,7 @@ def check_jacobi(algebra: NilAlgebra) -> ValidationReport:
             ok=False, check="jacobi",
             message=(f"Jacobi fails on (e{i + 1},e{j + 1},e{k + 1})"),
             witness=(i + 1, j + 1, k + 1),
-            defect=tuple(Fraction(out.get(m, 0)) for m in range(n)))
+            defect=_dense(out, algebra.dim))
     return ValidationReport(ok=True, check="jacobi")
 
 
@@ -231,9 +230,7 @@ def _bracket_span(algebra: NilAlgebra, partners: List[List[int]], among: Set[int
     products = []
     for row in rows:
         for i in among & set().union(*(partners[m] for m in row)):
-            w: SparseRow = {}
-            _add_ad(w, algebra, i, row)
-            products.append(w)
+            products.append(_bracket(algebra, {i: 1}, row))
     return rational_row_basis(products, algebra.dim)
 
 

@@ -20,6 +20,9 @@ product is exact at any class and costs O(c³) brackets.
 The recursion starts from Z_2 = ½[x, y]. Every term of degree >= 2 is an
 iterated bracket with [x, y] innermost, so when x and y commute the product
 is x + y exactly, in any Lie algebra, and costs that one bracket.
+
+The recursion runs on sparse rows {k: c}, zeros dropped (`_product`, which
+`coords` calls); only `bch_product` builds dense n-tuples, at entry and exit.
 """
 
 from __future__ import annotations
@@ -29,11 +32,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterable, Tuple
 
-from .algebra import NilAlgebra, VecQ, _add_ad
+from .algebra import NilAlgebra, SparseRow, VecQ, _bracket, _dense, _sparse
 from .errors import DimensionMismatch
-
-Sparse = Dict[int, Fraction]  # {k: c} for Σ c·e_{k+1}, zeros dropped
-_ZERO = Fraction(0)
 
 
 @lru_cache(maxsize=None)
@@ -41,13 +41,12 @@ def _bernoulli_weight(m: int) -> Fraction:
     """B_m/m!, the coefficient of t^m in t/(e^t − 1)."""
     if m == 0:
         return Fraction(1)
-    return -sum((_bernoulli_weight(k) / factorial(m - k + 1) for k in range(m)),
-                _ZERO)
+    return -sum(_bernoulli_weight(k) / factorial(m - k + 1) for k in range(m))
 
 
-def _combine(terms: Iterable[Tuple[Fraction, Sparse]]) -> Sparse:
+def _combine(terms: Iterable[Tuple[Fraction, SparseRow]]) -> SparseRow:
     """Σ c·v over the (c, v) pairs."""
-    out: Sparse = {}
+    out: SparseRow = {}
     for c, v in terms:
         for k, a in v.items():
             if c != 1:
@@ -56,31 +55,21 @@ def _combine(terms: Iterable[Tuple[Fraction, Sparse]]) -> Sparse:
     return {k: a for k, a in out.items() if a}
 
 
-def _bracket(algebra: NilAlgebra, u: Sparse, v: Sparse) -> Sparse:
-    """[u, v] = Σ_i u_i·ad_{e_{i+1}} v."""
-    out: Sparse = {}
-    for i, a in u.items():
-        _add_ad(out, algebra, i, v, scale=a)
-    return {k: a for k, a in out.items() if a}
-
-
-def bch_product(algebra: NilAlgebra, x: VecQ, y: VecQ) -> VecQ:
-    """z with exp(z) = exp(x) exp(y), exact at the algebra's declared class."""
-    n = algebra.dim
-    if len(x) != n or len(y) != n:
-        raise DimensionMismatch(
-            f"bch arguments must have length {n}, got {len(x)} and {len(y)}")
+def _product(algebra: NilAlgebra, xs: SparseRow, ys: SparseRow) -> SparseRow:
+    """z with exp(z) = exp(x) exp(y), on sparse rows with no zero entries,
+    exact at the algebra's declared class."""
     top = algebra.declared_class
-    xs = {k: a for k, a in enumerate(x) if a}
-    ys = {k: a for k, a in enumerate(y) if a}
     xy = _bracket(algebra, xs, ys)
-    if not xy:  # x + y, adding only where both coordinates are nonzero
-        return tuple(a + b if a and b else a or b for a, b in zip(x, y))
+    z1 = dict(xs)  # x + y, adding only where both coordinates are nonzero
+    for k, b in ys.items():
+        z1[k] = z1[k] + b if k in z1 else b
+    z = [{k: a for k, a in z1.items() if a}]  # z[d - 1] = Z_d
+    if not xy:
+        return z[0]
     half_diff = _combine(((Fraction(1, 2), xs), (Fraction(-1, 2), ys)))
-    z = [_combine(((1, xs), (1, ys)))]  # z[d - 1] = Z_d
     if top > 1:
         z.append(_combine([(Fraction(1, 2), xy)]))
-    s: Dict[Tuple[int, int], Sparse] = {(0, 0): z[0]}  # S(q, m); absent = 0
+    s: Dict[Tuple[int, int], SparseRow] = {(0, 0): z[0]}  # S(q, m); absent = 0
     for d in range(2, top):
         # S(q, d) for q <= d; Z_top needs only the even q.
         for q in range(1, d + 1):
@@ -95,5 +84,13 @@ def bch_product(algebra: NilAlgebra, x: VecQ, y: VecQ) -> VecQ:
             [(weight, _bracket(algebra, half_diff, z[d - 1]))]
             + [(weight * _bernoulli_weight(p), s[p, d])
                for p in range(2, d + 1, 2) if (p, d) in s]))
-    total = _combine((1, zd) for zd in z)
-    return tuple(total.get(k, _ZERO) for k in range(n))
+    return _combine((1, zd) for zd in z)
+
+
+def bch_product(algebra: NilAlgebra, x: VecQ, y: VecQ) -> VecQ:
+    """z with exp(z) = exp(x) exp(y), exact at the algebra's declared class."""
+    n = algebra.dim
+    if len(x) != n or len(y) != n:
+        raise DimensionMismatch(
+            f"bch arguments must have length {n}, got {len(x)} and {len(y)}")
+    return _dense(_product(algebra, _sparse(x), _sparse(y)), n)

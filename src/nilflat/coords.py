@@ -4,8 +4,10 @@ First-kind coordinates write an element of N = exp(n) as exp(v); second-kind
 as the product exp(a_1 e_1) ··· exp(a_n e_n). On an adapted basis the
 conversion is a triangular peel: a_1 is read off directly and the factor
 exp(-a_1 e_1) is multiplied away, leaving an element of the subgroup
-exp(span(e_2, ..., e_n)), and so on. Every product is an exact
-`bch.bch_product`, so the conversions work at any nilpotency class.
+exp(span(e_2, ..., e_n)), and so on. Every product is an exact BCH
+product on sparse rows (`bch._product`), so the conversions work at any
+nilpotency class. Dense n-tuples are built only for the public arguments,
+results and `MalcevWord` exponents.
 
 `lattice_closed` forms no product for a pair of non-commuting generators
 g_i = exp(e_i), j < i: it collects g_i·g_j = g_j·exp(e^{−ad e_j} e_i)
@@ -19,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
 
-from .algebra import (NilAlgebra, VecQ, _add_ad, check_adapted, is_zero,
-                      vec_zero)
-from .bch import bch_product
+from .algebra import (NilAlgebra, SparseRow, VecQ, _bracket, _dense, _sparse,
+                      check_adapted)
+from .bch import _combine, _product, bch_product
 from .errors import DimensionMismatch, ValidationReport
 
 
@@ -38,35 +39,26 @@ class MalcevWord:
         return all(a.denominator == 1 for a in self.exponents)
 
 
-def _axis(n: int, k: int, c: Fraction | int) -> VecQ:
-    """c·e_{k+1} in dimension n."""
-    v = list(vec_zero(n))
-    v[k] = Fraction(c)
-    return tuple(v)
-
-
 def first_to_second(algebra: NilAlgebra, v: VecQ) -> MalcevWord:
     """exp(v) = exp(a_1 e_1) ··· exp(a_n e_n); returns the a_i."""
     n = algebra.dim
     if len(v) != n:
         raise DimensionMismatch(f"expected length {n}, got {len(v)}")
     check_adapted(algebra).require()
-    return _peel(algebra, v)
+    return MalcevWord(exponents=_dense(_peel(algebra, _sparse(v)), n))
 
 
-def _peel(algebra: NilAlgebra, v: VecQ) -> MalcevWord:
-    """`first_to_second` on a basis already known to be adapted, with v of
-    the algebra's length."""
-    n = algebra.dim
-    exponents = []
-    w = v
-    for k in range(n):
-        a_k = w[k]
-        exponents.append(a_k)
+def _peel(algebra: NilAlgebra, w: SparseRow) -> SparseRow:
+    """The nonzero second-kind exponents {k: a_k} of exp(w), for w a sparse
+    row with no zero entries, on a basis already known to be adapted."""
+    exponents: SparseRow = {}
+    for k in range(algebra.dim):
+        a_k = w.get(k)
         if a_k:  # exp(0·e_k) is the identity
-            w = bch_product(algebra, _axis(n, k, -a_k), w)
-    assert is_zero(w), "triangular peel left a nonzero remainder"
-    return MalcevWord(exponents=tuple(exponents))
+            exponents[k] = a_k
+            w = _product(algebra, {k: -a_k}, w)
+    assert not w, "triangular peel left a nonzero remainder"
+    return exponents
 
 
 def second_to_first(algebra: NilAlgebra, word: MalcevWord) -> VecQ:
@@ -75,10 +67,10 @@ def second_to_first(algebra: NilAlgebra, word: MalcevWord) -> VecQ:
     if len(word.exponents) != n:
         raise DimensionMismatch(f"expected length {n}, got {len(word.exponents)}")
     check_adapted(algebra).require()
-    v = vec_zero(n)
-    for k in range(n - 1, -1, -1):
-        v = bch_product(algebra, _axis(n, k, word.exponents[k]), v)
-    return v
+    v: SparseRow = {}
+    for k, a in reversed(_sparse(word.exponents).items()):
+        v = _product(algebra, {k: a}, v)
+    return _dense(v, n)
 
 
 def _conjugated_word(algebra: NilAlgebra, i: int, j: int) -> MalcevWord:
@@ -93,20 +85,14 @@ def _conjugated_word(algebra: NilAlgebra, i: int, j: int) -> MalcevWord:
     positions <= j, so the word is u's with exponent 1 at position j.
     """
     one = Fraction(1)
-    term: Dict[int, Fraction] = {i: one}
-    u = dict(term)
+    terms = [{i: one}]
     for m in range(1, algebra.declared_class):
-        nxt: Dict[int, Fraction] = {}
-        _add_ad(nxt, algebra, j, term, scale=Fraction(-1, m))
-        term = {k: a for k, a in nxt.items() if a}
+        term = _bracket(algebra, {j: Fraction(-1, m)}, terms[-1])
         if not term:
             break
-        for k, a in term.items():
-            u[k] = u[k] + a if k in u else a
-    exponents = list(_peel(
-        algebra, tuple(u.get(k, Fraction(0)) for k in range(algebra.dim))).exponents)
-    exponents[j] = one
-    return MalcevWord(exponents=tuple(exponents))
+        terms.append(term)
+    u = _combine((1, term) for term in terms)
+    return MalcevWord(exponents=_dense({j: one, **_peel(algebra, u)}, algebra.dim))
 
 
 def lattice_closed(algebra: NilAlgebra) -> ValidationReport:

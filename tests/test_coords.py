@@ -316,14 +316,14 @@ def test_conjugated_word_matches_product():
 def test_lattice_closed_series_capped(monkeypatch):
     algebra = NilAlgebra.from_brackets(2, 1, {(1, 2): {2: 1}})
     calls = []
-    real_add_ad = coords._add_ad
+    real_bracket = coords._bracket
 
     def counted(*args, **kwargs):
         calls.append(1)
         assert len(calls) <= 10, "series of e^{-ad e_j} e_i does not stop"
-        return real_add_ad(*args, **kwargs)
+        return real_bracket(*args, **kwargs)
 
-    monkeypatch.setattr(coords, "_add_ad", counted)
+    monkeypatch.setattr(coords, "_bracket", counted)
     report = lattice_closed(algebra)
     assert report == lattice_closed_by_products(algebra)
     assert report.ok
@@ -331,6 +331,24 @@ def test_lattice_closed_series_capped(monkeypatch):
     # declared class 3: three terms, two applications of ad_{e1}
     lattice_closed(NilAlgebra.from_brackets(2, 3, {(1, 2): {2: 1}}))
     assert len(calls) == 2
+
+
+# [DERIVED] the peel multiplies once per nonzero exponent: `lattice_closed`
+# makes 3 sparse products on n4, 4 on h5 and 7 on filiform(8), the figures
+# README states. n4 and filiform(8) stop at their first pair, e2·e1, whose
+# word after g_1 has 3 and 7 nonzero exponents; h5 passes, with 2 on each
+# of its 2 pairs.
+def test_lattice_closed_product_count(monkeypatch):
+    calls = []
+    real_product = coords._product
+    monkeypatch.setattr(coords, "_product",
+                        lambda *args: calls.append(1) or real_product(*args))
+    counts = []
+    for algebra in (N4, catalog.heisenberg5(), catalog.filiform(8)):
+        calls.clear()
+        lattice_closed(algebra)
+        counts.append(len(calls))
+    assert counts == [3, 4, 7]
 
 
 def first_to_second_unskipped(algebra, v):
