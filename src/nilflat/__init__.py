@@ -22,6 +22,8 @@ access to one of its names, so the exact layer and the `validate`, `peel`
 and `extend` commands run without importing numpy.
 
 `fileio` defines the JSON formats and `cli` the command-line front end.
+`catalog`, the named examples, loads on first access too: no command uses
+it.
 """
 
 import importlib
@@ -40,13 +42,14 @@ from .tower import (BundleTower, CentralCocycle, CohomologyVerdict,
                     NilLattice, TowerStep, check_closed, check_integral,
                     cocycles_cohomologous, extend_by_cocycle, peel_step,
                     peel_tower)
-from . import catalog, fileio
+from . import fileio
 
 __version__ = "0.1.0"
 
-# The numerical layer: each name, submodules included, maps to the module
-# that defines it and is imported by `__getattr__` on first access.
-_NUMERICAL = {
+# The numerical layer and `catalog`: each name, submodules included, maps to
+# the module that defines it and is imported by `__getattr__` on first access.
+_LAZY = {
+    "catalog": "catalog",
     "metric": "metric", "LeftInvariantMetric": "metric",
     "structure_array": "metric", "submersion": "submersion",
     "SubmersionSplit": "submersion", "build_split": "submersion",
@@ -74,7 +77,7 @@ __all__ = [
     "peel_step", "peel_tower", "extend_by_cocycle", "CohomologyVerdict",
     "cocycles_cohomologous",
     # numerical layer
-    *(name for name, module in _NUMERICAL.items() if name != module),
+    *(name for name, module in _LAZY.items() if name != module),
     # submodules
     "catalog", "fileio",
 ]
@@ -82,7 +85,7 @@ __all__ = [
 
 def __getattr__(name):
     try:
-        module = _NUMERICAL[name]
+        module = _LAZY[name]
     except KeyError:
         raise AttributeError(
             f"module {__name__!r} has no attribute {name!r}") from None
@@ -94,4 +97,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(globals().keys() | _NUMERICAL.keys())
+    return sorted(globals().keys() | _LAZY.keys())

@@ -17,11 +17,10 @@ negative controls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Set, Tuple, Union
 
-from .errors import DimensionMismatch, NotNilpotent, ValidationReport
+from .errors import DimensionMismatch, NotNilpotent, ValidationReport, _Record
 from .intlinalg import SparseRow, rational_row_basis
 
 VecQ = Tuple[Fraction, ...]
@@ -59,8 +58,7 @@ def _dense(u: SparseRow, n: int) -> VecQ:
     return tuple(u.get(k, _ZERO) for k in range(n))
 
 
-@dataclass(frozen=True)
-class NilAlgebra:
+class NilAlgebra(_Record):
     """Nilpotent Lie algebra over Q with a distinguished (ordered) basis.
 
     `brackets` is the sparse table {(i, j): {k: c}} of 0-based indices with
@@ -71,14 +69,13 @@ class NilAlgebra:
     (0 only for dim 0).
     """
 
-    dim: int
-    declared_class: int
-    brackets: Mapping[Tuple[int, int], Mapping[int, Fraction]]
+    _fields = ("dim", "declared_class", "brackets")
 
-    def __post_init__(self):
-        n = self.dim
+    def __init__(self, dim: int, declared_class: int,
+                 brackets: Mapping[Tuple[int, int], Mapping[int, RationalLike]]):
+        n = dim
         table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-        for (i, j), terms in sorted(self.brackets.items()):
+        for (i, j), terms in sorted(brackets.items()):
             if not (0 <= i < j < n):
                 raise DimensionMismatch(
                     f"bracket index ({i + 1},{j + 1}) out of range for dim {n}; "
@@ -93,15 +90,16 @@ class NilAlgebra:
                     entry[k] = coeff
             if entry:
                 table[(i, j)] = entry
-        object.__setattr__(self, "brackets", table)
         if n < 0:
             raise DimensionMismatch(f"dim must be nonnegative, got {n}")
         if n == 0:
-            if self.declared_class != 0:
+            if declared_class != 0:
                 raise DimensionMismatch("the point algebra has class 0")
-        elif self.declared_class < 1:
+        elif declared_class < 1:
             raise DimensionMismatch(
                 f"declared_class must be positive for dim {n}")
+        self.__dict__.update(dim=dim, declared_class=declared_class,
+                             brackets=table)
 
     @staticmethod
     def from_brackets(dim: int,

@@ -50,11 +50,10 @@ measured in float64, the certification fails with BudgetNotMet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BudgetNotMet, DimensionMismatch
+from .errors import BudgetNotMet, DimensionMismatch, _Frozen
 from .metric import (LeftInvariantMetric, _structure_in_frame,
                      rescaled_curvature, structure_array)
 from .scan import _check_echoed, curvature_bound, diameter_bound, polished_sups
@@ -64,8 +63,7 @@ _REFINE_MARGIN = 0.95
 _MAX_ROUNDS = 20
 
 
-@dataclass(frozen=True, eq=False)
-class CertificateReport:
+class CertificateReport(_Frozen):
     """Schedule and measurements; per-level tuples are top-down (tower order).
 
     level_bounds[i] is ρ + δ of level i at its accepted t (see
@@ -75,19 +73,21 @@ class CertificateReport:
     bounds on the level fibers √D_k, and diam_bound is Σ ½·√G_kk·√t_k.
     """
 
-    eps: float
-    seed: int
-    sample_count: int
-    ts: tuple
-    level_dims: tuple
-    curved_levels: tuple
-    rounds: tuple
-    fiber_lengths: tuple
-    sup_abs_K: float
-    sup_abs_K_bound: float
-    level_bounds: tuple
-    diam_bound: float
-    metric_matrix: np.ndarray
+    _fields = ("eps", "seed", "sample_count", "ts", "level_dims",
+               "curved_levels", "rounds", "fiber_lengths", "sup_abs_K",
+               "sup_abs_K_bound", "level_bounds", "diam_bound", "metric_matrix")
+
+    def __init__(self, eps: float, seed: int, sample_count: int, ts: tuple,
+                 level_dims: tuple, curved_levels: tuple, rounds: tuple,
+                 fiber_lengths: tuple, sup_abs_K: float, sup_abs_K_bound: float,
+                 level_bounds: tuple, diam_bound: float,
+                 metric_matrix: np.ndarray):
+        self.__dict__.update(
+            eps=eps, seed=seed, sample_count=sample_count, ts=ts,
+            level_dims=level_dims, curved_levels=curved_levels, rounds=rounds,
+            fiber_lengths=fiber_lengths, sup_abs_K=sup_abs_K,
+            sup_abs_K_bound=sup_abs_K_bound, level_bounds=level_bounds,
+            diam_bound=diam_bound, metric_matrix=metric_matrix)
 
 
 def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
@@ -187,7 +187,7 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
 def certificate_summary(report: CertificateReport) -> dict:
     """JSON-ready certification summary: every report field but
     metric_matrix, tuples as lists (per-level lists are top-down)."""
-    values = ((field.name, getattr(report, field.name)) for field in fields(report)
-              if field.name != "metric_matrix")
+    values = ((name, getattr(report, name)) for name in report._fields
+              if name != "metric_matrix")
     return {name: list(value) if isinstance(value, tuple) else value
             for name, value in values}

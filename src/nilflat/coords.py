@@ -19,20 +19,21 @@ set of elements with integer second-kind coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (NilAlgebra, SparseRow, VecQ, _bracket, _dense, _sparse,
                       check_adapted)
 from .bch import _combine, _product, bch_product
-from .errors import DimensionMismatch, ValidationReport
+from .errors import DimensionMismatch, ValidationReport, _Record
 
 
-@dataclass(frozen=True)
-class MalcevWord:
+class MalcevWord(_Record):
     """Second-kind coordinates: exponents (a_1, ..., a_n)."""
 
-    exponents: VecQ
+    _fields = ("exponents",)
+
+    def __init__(self, exponents: VecQ):
+        self.__dict__.update(exponents=exponents)
 
     @property
     def is_lattice(self) -> bool:

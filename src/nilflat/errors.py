@@ -1,15 +1,24 @@
-"""Exception hierarchy, the report type of the validation checks, and the one
-table from a failed check to its error: `ValidationReport.require` raises
-JacobiViolated for `jacobi`, NotNilpotent for `class`, BasisNotAdapted for
-`adapted`, NotIntegral for `integer_constants` and `integral`, and NotClosed
-for `closed`, with the report's message, witness and defect.
-`lattice_closed`, which never gates, has no entry.
+"""Exception hierarchy, the report type of the validation checks, the one
+table from a failed check to its error, and the base classes of the
+package's records.
+
+`ValidationReport.require` raises JacobiViolated for `jacobi`, NotNilpotent
+for `class`, BasisNotAdapted for `adapted`, NotIntegral for
+`integer_constants` and `integral`, and NotClosed for `closed`, with the
+report's message, witness and defect. `lattice_closed`, which never gates,
+has no entry.
+
+A record is a plain class whose `__init__` sets its fields once, through
+`self.__dict__`. `_Frozen` refuses every later assignment or deletion with
+AttributeError and shows the fields named in `_fields` as
+``Name(field=value, ...)``; a `_Frozen` record equals only itself.
+`_Record` adds `==` and hash over the same fields, for two records of one
+class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 
 class NilflatError(Exception):
@@ -84,8 +93,40 @@ class BudgetNotMet(NilflatError):
     """Certification refinement loop failed to bring curvature under budget."""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class _Frozen:
+    """Base of the records that compare by identity (see the module
+    docstring)."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Record(_Frozen):
+    """Base of the records that compare by their `_fields`; hashing one
+    hashes the tuple of its fields, so it fails where a field is a dict."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+
+class ValidationReport(_Record):
     """Outcome of a report-valued check.
 
     ``witness`` uses 1-based basis indices (e_1, ..., e_n) so it can be shown
@@ -94,11 +135,12 @@ class ValidationReport:
     failures).
     """
 
-    ok: bool
-    check: str
-    message: str = ""
-    witness: Optional[tuple] = None
-    defect: Any = None
+    _fields = ("ok", "check", "message", "witness", "defect")
+
+    def __init__(self, ok: bool, check: str, message: str = "",
+                 witness: Optional[tuple] = None, defect: Any = None):
+        self.__dict__.update(ok=ok, check=check, message=message,
+                             witness=witness, defect=defect)
 
     def __bool__(self) -> bool:
         return self.ok

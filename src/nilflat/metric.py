@@ -32,12 +32,11 @@ BLAS threading.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import NilAlgebra
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch, NilflatError, NotPositiveDefinite, _Frozen
 
 TOL_IDENTITY = 1e-12   # relative: metric symmetry
 
@@ -71,18 +70,17 @@ def _orthonormal_frame(r: np.ndarray) -> tuple:
     return frame, frame_inv
 
 
-@dataclass(frozen=True, eq=False)
-class LeftInvariantMetric:
+class LeftInvariantMetric(_Frozen):
     """Symmetric positive-definite Gram matrix on the algebra basis: finite,
     symmetric to TOL_IDENTITY relative to its largest entry, and passed by
     the one positive-definiteness gate, `_reversed_cholesky`, whose factor
     is kept: the metric's frame `_frame` is derived from it, once, so each
     metric is factored once."""
 
-    matrix: np.ndarray
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+    def __init__(self, matrix: np.ndarray):
+        m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"metric must be square, got shape {m.shape}")
         bad = np.argwhere(~np.isfinite(m))
@@ -94,8 +92,7 @@ class LeftInvariantMetric:
         sym = 0.5 * (m + m.T)
         factor = _reversed_cholesky(sym) if m.size else np.zeros((0, 0))
         factor.flags.writeable = sym.flags.writeable = False
-        object.__setattr__(self, "_factor", factor)
-        object.__setattr__(self, "matrix", sym)
+        self.__dict__.update(matrix=sym, _factor=factor)
 
     @functools.cached_property
     def _frame(self) -> tuple:
@@ -113,13 +110,20 @@ class LeftInvariantMetric:
 
 
 def structure_array(algebra: NilAlgebra) -> np.ndarray:
-    """Full antisymmetric structure tensor C[i,j,k] as float64."""
+    """Full antisymmetric structure tensor C[i,j,k] as float64; a constant
+    past float64 raises NilflatError, naming its bracket."""
     n = algebra.dim
     c = np.zeros((n, n, n))
     for (i, j), entry in algebra.brackets.items():
         for k, coeff in entry.items():
-            c[i, j, k] = float(coeff)
-            c[j, i, k] = -float(coeff)
+            try:
+                value = float(coeff)
+            except OverflowError:
+                raise NilflatError(
+                    f"structure constant of e{k + 1} in [e{i + 1}, e{j + 1}] "
+                    "is too large for float64") from None
+            c[i, j, k] = value
+            c[j, i, k] = -value
     return c
 
 

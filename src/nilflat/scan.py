@@ -71,13 +71,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebra import NilAlgebra
-from .errors import BoundViolated, DimensionMismatch
+from .errors import BoundViolated, DimensionMismatch, _Record
 from .metric import (
     LeftInvariantMetric,
     _orthonormal_connection,
@@ -380,20 +379,21 @@ def _central_structure(algebra: NilAlgebra, metric: LeftInvariantMetric,
     return structure_array(algebra)
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(_Record):
     """Scan result: polished sup|K^t| per t against the explicit bound.
-    sample_count and seed echo the arguments, which change no value."""
+    sample_count and seed echo the arguments, which change no value; bounds
+    holds sup|Ǩ| (or its ρ + δ) + C√t + δ_t per t (see lemma_scan)."""
 
-    t_grid: tuple
-    sup_abs_K: tuple
-    base_sup_K: float
-    C: float
-    exponent_fit: Optional[float]
-    diam_bound: tuple
-    sample_count: int
-    seed: int
-    bounds: tuple  # sup|Ǩ| (or its ρ + δ) + C√t + δ_t per t (see lemma_scan)
+    _fields = ("t_grid", "sup_abs_K", "base_sup_K", "C", "exponent_fit",
+               "diam_bound", "sample_count", "seed", "bounds")
+
+    def __init__(self, t_grid: tuple, sup_abs_K: tuple, base_sup_K: float,
+                 C: float, exponent_fit: Optional[float], diam_bound: tuple,
+                 sample_count: int, seed: int, bounds: tuple):
+        self.__dict__.update(
+            t_grid=t_grid, sup_abs_K=sup_abs_K, base_sup_K=base_sup_K, C=C,
+            exponent_fit=exponent_fit, diam_bound=diam_bound,
+            sample_count=sample_count, seed=seed, bounds=bounds)
 
 
 def _lemma_constant(c_hat: np.ndarray) -> float:

@@ -14,23 +14,24 @@ frame off the metric itself, where G^t is diag(1, …, 1, t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, _Frozen
 from .metric import LeftInvariantMetric
 
 
-@dataclass(frozen=True, eq=False)
-class SubmersionSplit:
+class SubmersionSplit(_Frozen):
     """The split of `metric` along the top direction e_n.  Its frame is
     ``metric._frame[0]``: lower-triangular, the first n − 1 columns span the
     horizontal distribution (the G-orthogonal complement of e_n) and the
     last is e_n/√G_nn."""
 
-    metric: LeftInvariantMetric
+    _fields = ("metric",)
+
+    def __init__(self, metric: LeftInvariantMetric):
+        self.__dict__.update(metric=metric)
 
     @property
     def dim(self) -> int:

@@ -18,7 +18,6 @@ membership, with an explicit λ witness or an obstruction certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -29,12 +28,11 @@ from .algebra import (
     check_integer_constants,
     validate_algebra,
 )
-from .errors import DimensionMismatch, NotIntegral, ValidationReport
+from .errors import DimensionMismatch, NotIntegral, ValidationReport, _Record
 from .intlinalg import lattice_coordinates, reduce_mod_lattice
 
 
-@dataclass(frozen=True)
-class NilLattice:
+class NilLattice(_Record):
     """A nilmanifold N/Γ: validated algebra + the integer-point lattice model.
 
     Validation at construction: `validate_algebra` (Jacobi, nilpotency class,
@@ -64,25 +62,23 @@ class NilLattice:
     elimination.
     """
 
-    algebra: NilAlgebra
-    leads: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("algebra",)  # `leads` is derived: not compared, not shown
 
-    def __post_init__(self):
-        leads = validate_algebra(self.algebra)
-        report = check_integer_constants(self.algebra)
+    def __init__(self, algebra: NilAlgebra):
+        leads = validate_algebra(algebra)
+        report = check_integer_constants(algebra)
         if not report:
             raise NotIntegral(
                 f"{report.message}; the basis Z-span is not a lattice model",
                 witness=report.witness, defect=report.defect)
-        object.__setattr__(self, "leads", leads)
+        self.__dict__.update(algebra=algebra, leads=leads)
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
 
 
-@dataclass(frozen=True)
-class CentralCocycle:
+class CentralCocycle(_Record):
     """2-form over the base basis; the extension/Euler class of a step.
 
     `entries` is the sparse table {(i, j): ω(e_{i+1}, e_{j+1})} of 0-based
@@ -91,20 +87,19 @@ class CentralCocycle:
     values are `Fraction`s, zeros are dropped and pairs are sorted.
     """
 
-    dim: int
-    entries: Mapping[Tuple[int, int], Fraction]
+    _fields = ("dim", "entries")
 
-    def __post_init__(self):
-        n = self.dim
+    def __init__(self, dim: int, entries: Mapping[Tuple[int, int], object]):
+        n = dim
         table: Dict[Tuple[int, int], Fraction] = {}
-        for (i, j), value in sorted(self.entries.items()):
+        for (i, j), value in sorted(entries.items()):
             if not (0 <= i < j < n):
                 raise DimensionMismatch(
                     f"cocycle index ({i + 1},{j + 1}) out of range for dim {n}")
             value = value if type(value) is Fraction else Fraction(value)
             if value:
                 table[(i, j)] = value
-        object.__setattr__(self, "entries", table)
+        self.__dict__.update(dim=dim, entries=table)
 
     @staticmethod
     def from_entries(dim: int,
@@ -199,20 +194,23 @@ def check_integral(cocycle: CentralCocycle) -> ValidationReport:
     return ValidationReport(ok=True, check="integral")
 
 
-@dataclass(frozen=True)
-class TowerStep:
+class TowerStep(_Record):
     """One circle-bundle step: total space, base and class; the fiber is e_n."""
 
-    total: NilLattice
-    base: NilLattice
-    cocycle: CentralCocycle
+    _fields = ("total", "base", "cocycle")
+
+    def __init__(self, total: NilLattice, base: NilLattice,
+                 cocycle: CentralCocycle):
+        self.__dict__.update(total=total, base=base, cocycle=cocycle)
 
 
-@dataclass(frozen=True)
-class BundleTower:
+class BundleTower(_Record):
     """Peeling of a lattice down to the point, top-down (largest first)."""
 
-    steps: Tuple[TowerStep, ...]
+    _fields = ("steps",)
+
+    def __init__(self, steps: Tuple[TowerStep, ...]):
+        self.__dict__.update(steps=steps)
 
 
 def _derived_lattice(dim: int, brackets: Mapping, leads: Tuple[int, ...]) -> NilLattice:
@@ -224,14 +222,11 @@ def _derived_lattice(dim: int, brackets: Mapping, leads: Tuple[int, ...]) -> Nil
     are in hand: its class is the number of leads below `dim`, and neither
     `validate_algebra` nor the canonical sort of `NilAlgebra` runs again.
     """
-    algebra = object.__new__(NilAlgebra)
-    object.__setattr__(algebra, "dim", dim)
     leads = tuple(lead for lead in leads if lead < dim)
-    object.__setattr__(algebra, "declared_class", len(leads))
-    object.__setattr__(algebra, "brackets", brackets)
+    algebra = object.__new__(NilAlgebra)
+    algebra.__dict__.update(dim=dim, declared_class=len(leads), brackets=brackets)
     lattice = object.__new__(NilLattice)
-    object.__setattr__(lattice, "algebra", algebra)
-    object.__setattr__(lattice, "leads", leads)
+    lattice.__dict__.update(algebra=algebra, leads=leads)
     return lattice
 
 
@@ -318,8 +313,7 @@ def _tower_from_cocycles(cocycles: Sequence[CentralCocycle]) -> BundleTower:
         for c in cocycles))
 
 
-@dataclass(frozen=True)
-class CohomologyVerdict:
+class CohomologyVerdict(_Record):
     """Outcome of the Euler-class comparison.
 
     On success `sign` records which branch solved: +1 for δλ = ω1 − ω2,
@@ -330,10 +324,13 @@ class CohomologyVerdict:
     lattice.
     """
 
-    cohomologous: bool
-    sign: Optional[int] = None
-    witness: Optional[Tuple[int, ...]] = None
-    obstruction: Optional[str] = None
+    _fields = ("cohomologous", "sign", "witness", "obstruction")
+
+    def __init__(self, cohomologous: bool, sign: Optional[int] = None,
+                 witness: Optional[Tuple[int, ...]] = None,
+                 obstruction: Optional[str] = None):
+        self.__dict__.update(cohomologous=cohomologous, sign=sign,
+                             witness=witness, obstruction=obstruction)
 
 
 def _coboundary_system(base: NilLattice) -> Tuple[List[List[int]], Dict[Tuple[int, int], int]]:

@@ -268,6 +268,25 @@ def test_huge_integer_metric_exit_two(command, tmp_path, capsys):
     assert "metric matrix has non-finite entries: G[1,1] = inf" in err
 
 
+# [TRIVIAL] regression: a lattice that `validate` accepts but whose structure
+# constant [e1, e2] = 10^400·e3 is past float64 is invalid mathematics for
+# the numerical commands: one error line naming the bracket and exit code 2,
+# not an OverflowError traceback.
+@pytest.mark.parametrize("command", [["curvature", "--samples", "16", "--t-points", "1"],
+                                     ["certify", "--eps", "0.01"]],
+                         ids=["curvature", "certify"])
+def test_huge_structure_constant_exit_two(command, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"brackets": [{"i": 1, "j": 2, "terms": [{"den": 1, "k": 3, '
+                    '"num": 1%s}]}], "class": 2, "dim": 3}' % ("0" * 400),
+                    encoding="utf-8")
+    assert run_cli(["validate", str(path)], capsys)[0] == 0
+    code, _, err = run_cli([command[0], str(path)] + command[1:], capsys)
+    assert code == 2
+    assert err == ("nilflat: error: structure constant of e3 in [e1, e2] "
+                   "is too large for float64\n")
+
+
 # [TRIVIAL] regression: an SPD metric with λ_min ≈ 1e-12 is valid (its
 # reversed Cholesky pivots are 1, 1 and 2e-12): `curvature` exits 0, as
 # `certify` does, where it used to refuse the metric with exit 2.
@@ -910,6 +929,43 @@ def test_exact_commands_start_without_numpy(tmp_path, child_env):
                     "unknown": "AttributeError"}
     assert (tmp_path / "h3.json").read_bytes() == (DATA / "h3.json").read_bytes()
     assert (tmp_path / "n4_tower.json").is_file()
+
+
+# [TRIVIAL] import hygiene: `import nilflat, nilflat.cli` and in-process
+# `validate`, `peel` and `extend` load none of `dataclasses`, `inspect`,
+# numpy and `nilflat.catalog`; `curvature` and `certify` load numpy but
+# still neither `dataclasses` nor `nilflat.catalog`.  The child prints the
+# watched modules it sees after each step.
+HYGIENE_CHILD = """
+import json, sys
+import nilflat, nilflat.cli
+data, out = sys.argv[1], sys.argv[2]
+watched = ("dataclasses", "inspect", "numpy", "nilflat.catalog")
+seen = {"import": [m for m in watched if m in sys.modules]}
+for argv in (["validate", f"{data}/n4.json"],
+             ["peel", f"{data}/n4.json", "--out", f"{out}/n4_tower.json"],
+             ["extend", f"{data}/z2.json", f"{data}/euler_one_z2.json",
+              "--out", f"{out}/h3.json"],
+             ["curvature", f"{data}/h3.json", "--samples", "16", "--t-points", "2",
+              "--out", f"{out}/h3_scan.json"],
+             ["certify", f"{data}/h3.json", "--eps", "0.01",
+              "--out", f"{out}/h3_cert.json"]):
+    seen[argv[0]] = [nilflat.cli.main(argv), [m for m in watched if m in sys.modules]]
+print(json.dumps(seen))
+"""
+
+
+def test_commands_import_no_dataclasses(tmp_path, child_env):
+    proc = subprocess.run([sys.executable, "-c", HYGIENE_CHILD, str(DATA), str(tmp_path)],
+                          cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    for step in ("import", "validate", "peel", "extend"):
+        assert seen[step] == ([] if step == "import" else [0, []]), step
+    for step in ("curvature", "certify"):
+        code, loaded = seen[step]
+        assert code == 0 and "numpy" in loaded, step
+        assert "dataclasses" not in loaded and "nilflat.catalog" not in loaded, step
 
 
 # [DERIVED] the shipped-artifact dump on two inputs: every command leaves
