@@ -158,7 +158,12 @@ def rescaled_curvature(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     """R̂ in the orthonormal frame whose vector a is frame vector a divided by
     w_a, from the frame's structure constants c and its vector lengths w; a
     stack of lengths (T, n) gives T tensors, each with its own call's bits.
-    Koszul at g = I: Γ = `_orthonormal_connection` of ĉ."""
-    c_hat = (c * w[..., None, None, :] / w[..., :, None, None]
-             / w[..., None, :, None])
-    return _curvature_from_connection(c_hat, _orthonormal_connection(c_hat))
+    Koszul at g = I on ĉ; a non-finite R̂ raises NilflatError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_hat = c * w[..., None, None, :] / w[..., :, None, None] / w[..., None, :, None]
+        r_hat = _curvature_from_connection(c_hat, _orthonormal_connection(c_hat))
+    bad = np.argwhere(~np.isfinite(r_hat))
+    if bad.size:
+        raise NilflatError(f"curvature at frame weights {w[tuple(bad[0, :-4])].tolist()}"
+                           f" is not finite in float64 (max |ĉ| = {np.max(np.abs(c_hat)):.3g})")
+    return r_hat

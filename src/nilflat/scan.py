@@ -30,18 +30,15 @@ or with no nonzero entry has sup 0.0, a non-finite one its non-finite
 max|R̂|, without a solve.  For the others, one stacked eigh of the ℛ (read
 off each tensor by one take through a flat index cached per n) gives each
 ρ and two extreme eigenvectors; each, read as a skew n×n matrix B, gives
-both legs of its best rank-2 plane (the top 2-eigenspace of BᵀB).  The four legs per tensor are *polished* once
-over all planes: alternate exact maximization over each leg of the plane,
-each step the top eigenvector of the fixed leg v's quadratic form
-R̂(·, v, ·, v) compressed by the rank-one projector onto v's
-orthocomplement, so |K| never decreases.  All legs are one batch: each
-half-sweep is one stacked contraction (each leg with its own tensor) and
-one stacked eigh over all n coordinates, a leg leaves when its own sweep
-moves its |K| by no more than rounding, and a tensor's legs stop once one
-reaches its ρ − δ, so each tensor gets the bits of its own call.  The legs'
-tensors are gathered once and again only when legs leave.  No plane
-exceeds ρ + δ, so where ρ is attained the polished sup is within 2δ of the
-true sup — the decay-exponent fit needs that, since the excess
+both legs of its best rank-2 plane (the top 2-eigenspace of BᵀB).  The four
+legs per tensor are *polished*: alternate exact maximization over each leg,
+each step the top eigenvector of the fixed leg v's form R̂(·, v, ·, v)
+compressed onto v's orthocomplement, so |K| never decreases.  Each
+half-sweep is one contraction of the live tensors over their legs and one
+stacked eigh; a leg stops when its sweep moves |K| by no more than
+rounding, a tensor once a leg reaches its ρ − δ, so each gets the bits of its
+call.  No plane exceeds ρ + δ, so where ρ is attained the sup is within 2δ of
+the true sup — the decay-exponent fit needs that, since the excess
 sup|K^t| − sup|Ǩ| can sit many orders of magnitude below sup|Ǩ|.
 
 Thorpe certificate (`polished_sup` only, its one caller; `polished_sups`
@@ -125,9 +122,11 @@ def _curvature_operator(r4: np.ndarray) -> np.ndarray:
 
 
 def _top_eigenpairs(q: np.ndarray, v: np.ndarray) -> tuple:
-    """Per row a, the eigenpair of largest |eigenvalue| of the symmetric form
-    q[a] compressed by the projector I − v[a] v[a]ᵀ onto the orthocomplement
-    of the unit vector v[a]."""
+    """Per leading index, the eigenpair of largest |eigenvalue| of the
+    symmetric form q (..., n, n) compressed by the projector I − v vᵀ onto
+    the orthocomplement of the unit vector v (..., n)."""
+    shape = v.shape
+    q, v = q.reshape((-1,) + q.shape[-2:]), v.reshape(-1, shape[-1])
     q = 0.5 * (q + np.swapaxes(q, 1, 2))
     qv = np.einsum("aij,aj->ai", q, v, optimize=False)
     vqv = np.einsum("ai,ai->a", v, qv, optimize=False)
@@ -136,7 +135,7 @@ def _top_eigenpairs(q: np.ndarray, v: np.ndarray) -> tuple:
     vals, vecs = np.linalg.eigh(q)
     rows = np.arange(q.shape[0])
     top = np.argmax(np.abs(vals), axis=1)
-    return np.abs(vals[rows, top]), vecs[rows, :, top]
+    return np.abs(vals[rows, top]).reshape(shape[:-1]), vecs[rows, :, top].reshape(shape)
 
 
 def _rounding_allowance(n: int, r_max: float) -> float:
@@ -158,7 +157,7 @@ def curvature_bound(r_hat: np.ndarray) -> tuple:
 
 def _eigenplane_seeds(sym: np.ndarray, n: int) -> tuple:
     """((λ_min, λ_max), legs) of a stack of T symmetric operators sym on Λ²:
-    the extreme eigenvalues of each, and 4T unit rows, four per member: both
+    the extreme eigenvalues of each, and its four unit legs (T, 4, n): both
     legs of the best rank-2 plane of each extreme eigenvector.  An
     eigenvector read as the skew n×n matrix B has as its best plane the top
     2-eigenspace of BᵀB, B's own plane when B is decomposable; else its two
@@ -170,7 +169,7 @@ def _eigenplane_seeds(sym: np.ndarray, n: int) -> tuple:
     b[:, :, i, j] = ends
     b[:, :, j, i] = -ends
     btb = np.einsum("taki,takj->taij", b, b, optimize=False)
-    legs = np.swapaxes(np.linalg.eigh(btb)[1][..., -2:], -1, -2).reshape(-1, n)
+    legs = np.swapaxes(np.linalg.eigh(btb)[1][..., -2:], -1, -2).reshape(-1, 4, n)
     return (vals[:, 0], vals[:, -1]), legs
 
 
@@ -260,52 +259,49 @@ def _thorpe_certifies(sym: np.ndarray, extremes: tuple, x: np.ndarray,
     return value >= top - _rounding_allowance(n, r_max + omega_max)
 
 
-def _row_tensors(r4s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """r4s[rows]: a view where the stack holds one tensor, else a gather."""
-    if r4s.shape[0] == 1:
-        return np.broadcast_to(r4s[0], (rows.size,) + r4s.shape[1:])
-    return r4s[rows]
+def _polish(r4s: np.ndarray, legs: np.ndarray, ceilings: np.ndarray) -> tuple:
+    """Alternating exact maximization of |K(span(x, c))| under each tensor
+    r4s[t] from each of its unit legs c = legs[t, a] (T, L, n) at once, in
+    orthonormal coordinates.  Returns (best, x, c): the max found per leg
+    (T, L) and the plane that reached it (T, L, n; zero where none is > 0).
 
-
-def _polish(r4s: np.ndarray, group: np.ndarray, c: np.ndarray,
-            ceilings: np.ndarray) -> tuple:
-    """Alternating exact maximization of |K(span(x_a, c_a))| under the tensor
-    r4s[group[a]] for every row a at once, in orthonormal coordinates; starts
-    from the unit legs c_a.  Returns (best, x, c): the max found per row and
-    the legs of the polished plane that reached it (0 and zero rows where no
-    sweep found a positive |K|).
-
-    A row leaves the batch once a sweep moves its |K| by no more than
-    rounding (either way: at the maximum, recomputed values scatter by a few
-    ulp), or after _POLISH_MAX_ITER sweeps.  Group g stops once one of its
-    rows reaches ceilings[g] (checked before the first sweep and after
-    every sweep).  The rows' tensors are gathered once, and again only
-    when rows leave."""
-    n = r4s.shape[-1]
-    best = np.zeros(c.shape[0])
-    best_x, best_c = np.zeros((2, best.shape[0], n))
-    stopped = ~(0.0 < ceilings)
-    active = np.flatnonzero(~stopped[group])
-    c = c[active]
-    r4 = _row_tensors(r4s, group[active])
-    for _ in range(_POLISH_MAX_ITER):
-        if not active.size:
+    A leg stops once a sweep moves its |K| by no more than rounding (either
+    way: at the maximum, values scatter by a few ulp) or after
+    _POLISH_MAX_ITER sweeps; tensor t once a leg reaches ceilings[t] (checked
+    before the first sweep and after each) or no leg moves.  A stopped leg is
+    swept with its tensor, unrecorded; live tensors are gathered only when one
+    stops."""
+    out = np.zeros(legs.shape[:2]), np.zeros(legs.shape), np.zeros(legs.shape)
+    live = np.flatnonzero(0.0 < ceilings)
+    r4, c, ceiling = r4s, legs, ceilings[:, None]
+    best, best_x, best_c = out
+    if live.size < len(r4s):
+        r4, c, ceiling = r4s[live], legs[live], ceiling[live]
+        best, best_x, best_c = (part[live] for part in out)
+    moving = np.ones(best.shape, dtype=bool)
+    for sweep in range(1, _POLISH_MAX_ITER + 1):
+        if not live.size:
             break
-        qc = np.einsum("aijkl,aj,al->aik", r4, c, c, optimize=False)
-        x = _top_eigenpairs(qc, c)[1]
-        qx = np.einsum("aijkl,ai,ak->ajl", r4, x, x, optimize=False)
-        val, c = _top_eigenpairs(qx, x)
-        done = np.abs(val - best[active]) <= 1e-14 * np.maximum(1.0, np.abs(val))
-        raised = val > best[active]
-        best_x[active[raised]], best_c[active[raised]] = x[raised], c[raised]
-        best[active] = np.maximum(best[active], val)
-        groups = group[active]
-        stopped[groups[~(best[active] < ceilings[groups])]] = True
-        keep = ~(done | stopped[groups])
-        if not keep.all():
-            active, c = active[keep], c[keep]
-            r4 = _row_tensors(r4s, group[active])
-    return best, best_x, best_c
+        x = _top_eigenpairs(np.einsum("tijkl,taj,tal->taik", r4, c, c,
+                                      optimize=False), c)[1]
+        val, c = _top_eigenpairs(np.einsum("tijkl,tai,tak->tajl", r4, x, x,
+                                           optimize=False), x)
+        done = np.abs(val - best) <= 1e-14 * np.maximum(1.0, np.abs(val))
+        raised = (moving & (val > best))[..., None]
+        np.copyto(best_x, x, where=raised)
+        np.copyto(best_c, c, where=raised)
+        np.maximum(best, val, out=best, where=moving)
+        moving &= ~done
+        keep = (moving.any(axis=1) & ~(~(best < ceiling)).any(axis=1)
+                & (sweep < _POLISH_MAX_ITER))
+        if keep.all():
+            continue
+        for part, state in zip(out, (best, best_x, best_c)):
+            part[live] = state
+        live, c, ceiling, best, best_x, best_c, moving = (
+            state[keep] for state in (live, c, ceiling, best, best_x, best_c, moving))
+        r4 = r4s[live]
+    return out
 
 
 def _search(r4s: np.ndarray) -> tuple:
@@ -326,9 +322,8 @@ def _search(r4s: np.ndarray) -> tuple:
     sym = 0.5 * (op + np.swapaxes(op, 1, 2))
     (low, high), legs = _eigenplane_seeds(sym, n)
     ceilings = np.maximum(-low, high) - _rounding_allowance(n, r_max[searched])
-    group = np.repeat(np.arange(searched.size), 4)
-    best, best_x, best_c = _polish(r4s, group, legs, ceilings)
-    lead = 4 * np.arange(searched.size) + np.argmax(best.reshape(-1, 4), axis=1)
+    best, best_x, best_c = _polish(r4s, legs, ceilings)
+    lead = np.arange(searched.size), np.argmax(best, axis=1)
     for member, sup in zip(searched.tolist(), best[lead].tolist()):
         sups[member] = sup
     return sups, r_max, (sym, (low, high), ceilings, best_x[lead], best_c[lead])
@@ -338,11 +333,9 @@ def polished_sups(r4s: np.ndarray) -> list:
     """The polished sup |K| over all 2-planes of each member of the stack r4s
     of orthonormal tensors, with the bits of its one-tensor call.
 
-    Per member, the four eigenplane legs of ℛ are polished once, up to their
-    per-row stop or the member's ceiling ρ − δ, and the best value is
-    returned.  No certificate is solved (`polished_sup` has one).  A
-    non-finite entry gives its member a non-finite sup and no other member a
-    change."""
+    The best of the member's four polished eigenplane legs; no certificate
+    is solved.  A non-finite entry gives its member a non-finite sup and no
+    other member a change."""
     return _search(r4s)[0]
 
 
@@ -413,11 +406,12 @@ def _lemma_constant(c_hat: np.ndarray) -> float:
     a[:m, :m, m] = gamma[:m, :m, m]
     a[:m, m, :m] = gamma[:m, m, :m]
     # da[e, x, y, :] = (D_E A)_X Y = ∇_E (A_X Y) − A_{∇_E X} Y − A_X (∇_E Y)
-    da = (np.einsum("xym,epm->exyp", a, gamma, optimize=False)
-          - np.einsum("exm,myp->exyp", gamma, a, optimize=False)
-          - np.einsum("eym,xmp->exyp", gamma, a, optimize=False))
-    a2 = float(np.einsum("fep,fep->", a, a, optimize=False))
-    da_norm = math.sqrt(float(np.einsum("efhp,efhp->", da, da, optimize=False)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        da = (np.einsum("xym,epm->exyp", a, gamma, optimize=False)
+              - np.einsum("exm,myp->exyp", gamma, a, optimize=False)
+              - np.einsum("eym,xmp->exyp", gamma, a, optimize=False))
+        a2 = float(np.einsum("fep,fep->", a, a, optimize=False))
+        da_norm = math.sqrt(float(np.einsum("efhp,efhp->", da, da, optimize=False)))
     if math.isinf(da_norm):
         # ΣDA² can overflow where ‖DA‖_F does not; only then is DA rescaled
         # by max|DA|, so every finite sum keeps its bits

@@ -999,3 +999,23 @@ def test_shipped_artifacts_dump(tmp_path):
     config = json.loads((tmp_path / "h3" / "certify.json").read_text())["config"]
     assert (config["input"], config["out"]) == ("data/h3.json", "h3/certify.json")
     assert (tmp_path / "h3" / "curvature.summary.json").is_file()
+
+
+# [DERIVED] curvature that float64 cannot represent is refused by its one
+# constructor: h3 with [e1, e2] = 10^200·e3 (the shipped `h3_huge.json`) and
+# h5 at the subnormal metric 5e-309·I (`metric5_subnormal.json`) exit 2 with
+# one error line that names the frame weights, and no RuntimeWarning, under
+# `curvature` and `certify` alike.
+@pytest.mark.parametrize("argv", [
+    ["curvature", "h3_huge.json", "--samples", "16", "--t-points", "1"],
+    ["certify", "h3_huge.json", "--eps", "0.01"],
+    ["certify", "h5.json", "--eps", "0.01", "--metric", "metric5_subnormal.json"],
+    ["curvature", "h5.json", "--metric", "metric5_subnormal.json"],
+], ids=["curvature-huge", "certify-huge", "certify-subnormal", "curvature-subnormal"])
+def test_unrepresentable_curvature_exits_2(argv, capsys, recwarn):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("nilflat: error: curvature at frame weights")
+    assert "is not finite in float64" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -19,12 +19,12 @@ import pytest
 from nilflat.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-VALID = ["h3", "h3_times_z", "h5", "n4", "z2", "z3"]
+VALID = ["h3", "h3_huge", "h3_times_z", "h5", "n4", "z2", "z3"]
 INVALID = ["h3_scaled", "jacobi_bad", "so3"]
 
 
 # class of the base of each valid data file (its input with e_n peeled off)
-BASE_CLASS = {"h3": 1, "h3_times_z": 2, "h5": 1, "n4": 2, "z2": 1, "z3": 1}
+BASE_CLASS = {"h3": 1, "h3_huge": 1, "h3_times_z": 2, "h5": 1, "n4": 2, "z2": 1, "z3": 1}
 
 
 def canonical(obj):

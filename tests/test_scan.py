@@ -528,9 +528,9 @@ def reference_rho_and_delta(r4):
 
 # [DERIVED] the batched polish gives each plane the value of the single-pair
 # alternation over all planes, to 1e-12 relative: a coordinate leg c = e_n,
-# planes that converge at different sweeps, all rows on one tensor (a
-# broadcast view) or each row on its own copy in a stack; the plane it
-# returns for a row with positive |K| has that value.
+# planes that converge at different sweeps, all twelve legs on one tensor
+# (1, 12, n) or one leg on each of twelve copies (12, 1, n); the plane it
+# returns for a leg with positive |K| has that value.
 @pytest.mark.parametrize("algebra", [N4, catalog.filiform(5), catalog.heisenberg5()],
                          ids=["n4", "filiform5", "heisenberg5"])
 @pytest.mark.parametrize("t", [1.0, 1e-3])
@@ -545,10 +545,11 @@ def test_batched_polish_matches_single_pair(algebra, t, stacked):
                                    for ca in c))
     rows = len(c)
     if stacked:
-        r4s, group = np.stack([r_hat] * rows), np.arange(rows)
+        r4s, legs = np.stack([r_hat] * rows), c[:, None]
     else:
-        r4s, group = r_hat[None], np.zeros(rows, dtype=np.intp)
-    got, got_x, got_c = scan._polish(r4s, group, c, np.full(len(r4s), math.inf))
+        r4s, legs = r_hat[None], c[None]
+    got, got_x, got_c = (part.reshape((rows,) + part.shape[2:]) for part in
+                         scan._polish(r4s, legs, np.full(len(r4s), math.inf)))
     assert len(set(sweeps)) > 1
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
     for a in np.flatnonzero(got > 0.0):  # the returned plane attains the max
