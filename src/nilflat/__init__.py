@@ -4,7 +4,10 @@ The exact layer (`algebra`, `bch`, `coords`, `tower`) models nilpotent
 lattices over the rationals: validated structure constants, truncated
 Baker–Campbell–Hausdorff products, Mal'cev coordinates, peeling a lattice
 into a tower of central circle extensions, and deciding when two extension
-cocycles give the same bundle.
+cocycles give the same bundle. Jacobi and the cocycle condition (the
+Jacobi sums of the central extension on its new e_{n+1}) share one sparse
+loop, `algebra._triple_sums`. The Mal'cev layer (`bch`, `coords`) loads on
+first access to one of its names: of the commands, only `validate` uses it.
 
 The numerical layer (`metric`, `submersion`, `scan`, `certify`) puts
 left-invariant metrics on the same data: curvature in an orthonormal frame
@@ -35,9 +38,6 @@ from .errors import (BasisNotAdapted, BoundViolated, BudgetNotMet,
 from .algebra import (NilAlgebra, basis_vec, check_adapted, check_class,
                       check_integer_constants, check_jacobi,
                       lower_central_series, validate_algebra, vec)
-from .bch import bch_product
-from .coords import (MalcevWord, first_to_second, lattice_closed,
-                     second_to_first, word_multiply)
 from .tower import (BundleTower, CentralCocycle, CohomologyVerdict,
                     NilLattice, TowerStep, check_closed, check_integral,
                     cocycles_cohomologous, extend_by_cocycle, peel_step,
@@ -46,9 +46,14 @@ from . import fileio
 
 __version__ = "0.1.0"
 
-# The numerical layer and `catalog`: each name, submodules included, maps to
-# the module that defines it and is imported by `__getattr__` on first access.
+# The Mal'cev layer, the numerical layer and `catalog`: each name, submodules
+# included, maps to the module that defines it and is imported by
+# `__getattr__` on first access.
 _LAZY = {
+    "bch": "bch", "bch_product": "bch",
+    "coords": "coords", "MalcevWord": "coords", "first_to_second": "coords",
+    "lattice_closed": "coords", "second_to_first": "coords",
+    "word_multiply": "coords",
     "catalog": "catalog",
     "metric": "metric", "LeftInvariantMetric": "metric",
     "structure_array": "metric", "submersion": "submersion",
@@ -70,13 +75,11 @@ __all__ = [
     # exact layer
     "NilAlgebra", "vec", "basis_vec", "check_jacobi", "check_adapted",
     "check_class", "check_integer_constants", "lower_central_series",
-    "validate_algebra", "bch_product",
-    "MalcevWord", "first_to_second", "second_to_first", "word_multiply",
-    "lattice_closed", "NilLattice", "CentralCocycle", "TowerStep",
+    "validate_algebra", "NilLattice", "CentralCocycle", "TowerStep",
     "BundleTower", "check_closed", "check_integral",
     "peel_step", "peel_tower", "extend_by_cocycle", "CohomologyVerdict",
     "cocycles_cohomologous",
-    # numerical layer
+    # Mal'cev and numerical layers
     *(name for name, module in _LAZY.items() if name != module),
     # submodules
     "catalog", "fileio",

@@ -25,6 +25,7 @@ from .intlinalg import SparseRow, rational_row_basis
 
 VecQ = Tuple[Fraction, ...]
 RationalLike = Union[int, Fraction, str]
+Table = Mapping[Tuple[int, int], Mapping[int, Fraction]]
 _ZERO = Fraction(0)
 
 
@@ -124,14 +125,15 @@ class NilAlgebra(_Record):
         return _dense(_bracket(self, _sparse(x), _sparse(y)), n)
 
 
-def _add_ad(out: Dict[int, Fraction], algebra: NilAlgebra, i: int,
+def _add_ad(out: Dict[int, Fraction], table: Table, i: int,
             terms: Mapping[int, Fraction], scale: Fraction | int = 1) -> None:
-    """out += scale·[e_{i+1}, Σ_m terms[m]·e_{m+1}], read off the table.
+    """out += scale·[e_{i+1}, Σ_m terms[m]·e_{m+1}], read off the bracket
+    table {(i, j): {k: c}}.
 
     Products by 1 are skipped: most scales and structure constants are 1.
     """
     for m, c in terms.items():
-        entry = algebra.brackets.get((i, m) if i < m else (m, i))
+        entry = table.get((i, m) if i < m else (m, i))
         if entry:
             if scale != 1:
                 c = scale * c
@@ -146,46 +148,60 @@ def _bracket(algebra: NilAlgebra, u: SparseRow, v: SparseRow) -> SparseRow:
     """[u, v] = Σ_i u_i·ad_{e_{i+1}} v on sparse rows, zeros dropped."""
     out: SparseRow = {}
     for i, a in u.items():
-        _add_ad(out, algebra, i, v, scale=a)
+        _add_ad(out, algebra.brackets, i, v, scale=a)
     return {k: a for k, a in out.items() if a}
 
 
-def _partners(algebra: NilAlgebra) -> List[List[int]]:
-    """partners[m]: the indices i with a nonzero [e_{i+1}, e_{m+1}]."""
-    partners: List[List[int]] = [[] for _ in range(algebra.dim)]
-    for i, j in algebra.brackets:
+def _partners(table: Table, n: int) -> List[List[int]]:
+    """partners[m]: the indices i < n with a stored [e_{i+1}, e_{m+1}]."""
+    partners: List[List[int]] = [[] for _ in range(n)]
+    for i, j in table:
         partners[i].append(j)
         partners[j].append(i)
     return partners
 
 
+def _triple_sums(table: Table, inner: Table, n: int,
+                 ) -> Dict[Tuple[int, int, int], SparseRow]:
+    """J(e_a,e_b,e_c) = [e_a,[e_b,e_c]] + [e_b,[e_c,e_a]] + [e_c,[e_a,e_b]] on
+    sorted triples a < b < c < n, each [e_b,e_c] read off `table` and each
+    ad_{e_a} of it off `inner`; an absent triple sums to zero.
+
+    Only the nonzero terms are visited: each stored bracket [e_p,e_q]
+    (p < q) of `table` adds ad_{e_r}[e_p,e_q] (read off `inner`) to the sum
+    on the sorted triple {p,q,r}, with the sign of the permutation that
+    sorts (p,q,r), for each r that `inner` brackets with its support.
+    With `inner` = `table` these are the Jacobi sums; with `inner` holding
+    ω(e_i,e_j)·e_{n+1} alone, the e_{n+1} parts of those of the central
+    extension by ω: −ω([x,y],z) − ω([y,z],x) − ω([z,x],y).
+    """
+    partners = _partners(inner, n)
+    sums: Dict[Tuple[int, int, int], SparseRow] = {}
+    for (p, q), entry in table.items():
+        for r in {r for m in entry for r in partners[m]}:
+            if r != p and r != q:
+                out = sums.setdefault(tuple(sorted((p, q, r))), {})
+                _add_ad(out, inner, r, entry, scale=-1 if p < r < q else 1)
+    return sums
+
+
 def check_jacobi(algebra: NilAlgebra) -> ValidationReport:
     """Jacobi identity on all basis triples; first violation reported.
 
-    Convention: J(x,y,z) = [x,[y,z]] + [y,[z,x]] + [z,[x,y]].
-
-    Only the nonzero terms are visited: each stored bracket [e_p,e_q]
-    (p < q) adds ad_{e_r}[e_p,e_q] to J on the sorted triple {p,q,r}, with
-    the sign of the permutation that sorts (p,q,r), for each r that
-    brackets with its support. The first violation is the least sorted
-    triple whose sum is nonzero.
+    Convention: J(x,y,z) = [x,[y,z]] + [y,[z,x]] + [z,[x,y]]. The sums come
+    from `_triple_sums`; the first violation is the least sorted triple
+    whose sum is nonzero.
     """
-    partners = _partners(algebra)
-    sums: Dict[Tuple[int, int, int], Dict[int, Fraction]] = {}
-    for (p, q), entry in algebra.brackets.items():
-        for r in set().union(*(partners[m] for m in entry)):
-            if r != p and r != q:
-                out = sums.setdefault(tuple(sorted((p, q, r))), {})
-                _add_ad(out, algebra, r, entry, scale=-1 if p < r < q else 1)
+    table = algebra.brackets
+    sums = _triple_sums(table, table, algebra.dim)
     failing = [key for key, out in sums.items() if any(out.values())]
     if failing:
         i, j, k = min(failing)
-        out = sums[i, j, k]
         return ValidationReport(
             ok=False, check="jacobi",
             message=(f"Jacobi fails on (e{i + 1},e{j + 1},e{k + 1})"),
             witness=(i + 1, j + 1, k + 1),
-            defect=_dense(out, algebra.dim))
+            defect=_dense(sums[i, j, k], algebra.dim))
     return ValidationReport(ok=True, check="jacobi")
 
 
@@ -241,7 +257,7 @@ def lower_central_series(algebra: NilAlgebra) -> Tuple[List[List[SparseRow]], in
     at a nonzero subspace.
     """
     n = algebra.dim
-    partners = _partners(algebra)
+    partners = _partners(algebra.brackets, n)
     one = Fraction(1)
     chain: List[List[SparseRow]] = [[{i: one} for i in range(n)]]
     while True:
@@ -274,7 +290,7 @@ def _generator_leads(algebra: NilAlgebra) -> Tuple[int, ...]:
     checks Jacobi first, and `check_class` reads the series itself.
     """
     n = algebra.dim
-    partners = _partners(algebra)
+    partners = _partners(algebra.brackets, n)
     derived = rational_row_basis(list(algebra.brackets.values()), n)
     generators = set(range(n)).difference(min(row) for row in derived)
     one = Fraction(1)

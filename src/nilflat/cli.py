@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 from . import __version__, fileio
 from .algebra import (NilAlgebra, _class_check, _generator_leads,
                       check_adapted, check_integer_constants, check_jacobi)
-from .coords import lattice_closed
 from .errors import (BoundViolated, BudgetNotMet, DimensionMismatch,
                      NilflatError, SchemaError, ValidationReport)
 from .tower import extend_by_cocycle, peel_tower
@@ -36,7 +35,8 @@ if TYPE_CHECKING:
 
 # The numerical layer (numpy, `metric`, `submersion`, `scan`, `certify`) is
 # imported inside the commands that use it, so `validate`, `peel`, `extend`
-# and `--help` start without numpy.
+# and `--help` start without numpy; the Mal'cev layer (`bch`, `coords`)
+# likewise loads only in `validate`.
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -193,6 +193,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # Reported at every class, never gating: whether the integer second-kind
     # points form a group (coords.lattice_closed). A failure, possible from
     # class 3 on, means the exp(e_i) generate more (in n4, exp(1/2 e4)).
+    from .coords import lattice_closed
     closed = lattice_closed(algebra)
     if closed:
         print("lattice_closed: ok")

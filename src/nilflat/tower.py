@@ -25,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .algebra import (
     NilAlgebra,
     _generator_leads,
+    _triple_sums,
     check_integer_constants,
     validate_algebra,
 )
@@ -123,19 +124,16 @@ class CentralCocycle(_Record):
 def check_closed(algebra: NilAlgebra, cocycle: CentralCocycle) -> ValidationReport:
     """Chevalley–Eilenberg cocycle condition on all basis triples.
 
-    The cyclic sum S(x,y,z) = ω([x,y],z) + ω([y,z],x) + ω([z,x],y) is
-    alternating, so a violating triple is found as an unordered set; the
-    reported orientation is the lexicographically first permutation whose
-    leading term ω([x,y],z) is nonzero, which pins the defect on a single
-    visible structure constant. Each term ω([e_a,e_b],e_c) is
-    Σ_k [e_a,e_b]_k·ω(e_k,e_c), read off the two tables.
-
-    Only the nonzero terms are visited: each stored bracket [e_p,e_q]
-    (p < q), each of its components e_k and each form entry ω(e_k,e_r)
-    add to S on the sorted triple {p,q,r}, with the sign of the
-    permutation that sorts (p,q,r); form entries on no such e_k are never
-    read. The first violating triple is the least sorted triple whose sum
-    is nonzero.
+    The cyclic sum S(x,y,z) = ω([x,y],z) + ω([y,z],x) + ω([z,x],y) is minus
+    the e_{n+1} part of the Jacobi sum J(x,y,z) of the central extension by
+    ω, so it is read off `algebra._triple_sums` with the extension's new
+    brackets ω(e_i,e_j)·e_{n+1} as the outer table: only the nonzero terms
+    are visited, and the base's own Jacobi sums are not recomputed. S is
+    alternating, so a violating triple is found as an unordered set, the
+    least sorted one; the reported orientation is the lexicographically
+    first permutation whose leading term ω([x,y],z) is nonzero, which pins
+    the defect on a single visible structure constant. Each term
+    ω([e_a,e_b],e_c) is Σ_k [e_a,e_b]_k·ω(e_k,e_c), read off the two tables.
     """
     n = algebra.dim
     if cocycle.dim != n:
@@ -152,35 +150,16 @@ def check_closed(algebra: NilAlgebra, cocycle: CentralCocycle) -> ValidationRepo
     def cyc(a: int, b: int, c: int) -> Fraction:
         return leading(a, b, c) + leading(b, c, a) + leading(c, a, b)
 
-    # k -> [(r, ω(e_k, e_r))], only for the components e_k of some bracket
-    hit = {k for entry in table.values() for k in entry}
-    row: Dict[int, List[Tuple[int, Fraction]]] = {}
-    for (i, j), value in form.items():
-        if i in hit:
-            row.setdefault(i, []).append((j, value))
-        if j in hit:
-            row.setdefault(j, []).append((i, -value))
-    sums: Dict[Tuple[int, int, int], Fraction] = {}
-    for (p, q), entry in table.items():
-        for k, coeff in entry.items():
-            for r, value in row.get(k, ()):
-                if r != p and r != q:
-                    key = tuple(sorted((p, q, r)))
-                    term = -coeff * value if p < r < q else coeff * value
-                    sums[key] = sums.get(key, 0) + term
-    failing = [key for key, value in sums.items() if value]
-    if failing:
-        a, b, c = min(failing)
-        for p in permutations((a, b, c)):
-            if leading(*p) != 0:
-                return ValidationReport(
-                    ok=False, check="closed",
-                    message=("cocycle condition fails on "
-                             f"(e{p[0] + 1},e{p[1] + 1},e{p[2] + 1})"),
-                    witness=(p[0] + 1, p[1] + 1, p[2] + 1),
-                    defect=cyc(*p))
-        # unreachable: a nonzero alternating sum has a nonzero term
-    return ValidationReport(ok=True, check="closed")
+    sums = _triple_sums(table, {pair: {n: value} for pair, value in form.items()}, n)
+    failing = [key for key, out in sums.items() if out[n]]
+    if not failing:
+        return ValidationReport(ok=True, check="closed")
+    # a nonzero alternating sum has a nonzero term
+    p = next(p for p in permutations(min(failing)) if leading(*p))
+    return ValidationReport(
+        ok=False, check="closed",
+        message=f"cocycle condition fails on (e{p[0] + 1},e{p[1] + 1},e{p[2] + 1})",
+        witness=(p[0] + 1, p[1] + 1, p[2] + 1), defect=cyc(*p))
 
 
 def check_integral(cocycle: CentralCocycle) -> ValidationReport:

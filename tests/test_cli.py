@@ -934,38 +934,51 @@ def test_exact_commands_start_without_numpy(tmp_path, child_env):
 # [TRIVIAL] import hygiene: `import nilflat, nilflat.cli` and in-process
 # `validate`, `peel` and `extend` load none of `dataclasses`, `inspect`,
 # numpy and `nilflat.catalog`; `curvature` and `certify` load numpy but
-# still neither `dataclasses` nor `nilflat.catalog`.  The child prints the
-# watched modules it sees after each step.
+# still neither `dataclasses` nor `nilflat.catalog`; only `validate` loads
+# the Mal'cev layer `nilflat.bch` and `nilflat.coords`. The child runs the
+# commands in the order given and prints the watched modules it sees after
+# each step; it runs twice, `validate` first (so nothing numerical is loaded
+# yet) and `validate` last (so no other command may have loaded `coords`).
 HYGIENE_CHILD = """
 import json, sys
 import nilflat, nilflat.cli
 data, out = sys.argv[1], sys.argv[2]
-watched = ("dataclasses", "inspect", "numpy", "nilflat.catalog")
-seen = {"import": [m for m in watched if m in sys.modules]}
-for argv in (["validate", f"{data}/n4.json"],
-             ["peel", f"{data}/n4.json", "--out", f"{out}/n4_tower.json"],
-             ["extend", f"{data}/z2.json", f"{data}/euler_one_z2.json",
-              "--out", f"{out}/h3.json"],
-             ["curvature", f"{data}/h3.json", "--samples", "16", "--t-points", "2",
-              "--out", f"{out}/h3_scan.json"],
-             ["certify", f"{data}/h3.json", "--eps", "0.01",
-              "--out", f"{out}/h3_cert.json"]):
-    seen[argv[0]] = [nilflat.cli.main(argv), [m for m in watched if m in sys.modules]]
+commands = {"validate": ["validate", f"{data}/n4.json"],
+            "peel": ["peel", f"{data}/n4.json", "--out", f"{out}/n4_tower.json"],
+            "extend": ["extend", f"{data}/z2.json", f"{data}/euler_one_z2.json",
+                       "--out", f"{out}/h3.json"],
+            "curvature": ["curvature", f"{data}/h3.json", "--samples", "16",
+                          "--t-points", "2", "--out", f"{out}/h3_scan.json"],
+            "certify": ["certify", f"{data}/h3.json", "--eps", "0.01",
+                        "--out", f"{out}/h3_cert.json"]}
+watched = ("dataclasses", "inspect", "numpy", "nilflat.catalog",
+           "nilflat.bch", "nilflat.coords")
+seen = {"import": [0, [m for m in watched if m in sys.modules]]}
+for name in sys.argv[3:]:
+    seen[name] = [nilflat.cli.main(commands[name]), [m for m in watched if m in sys.modules]]
 print(json.dumps(seen))
 """
 
 
 def test_commands_import_no_dataclasses(tmp_path, child_env):
-    proc = subprocess.run([sys.executable, "-c", HYGIENE_CHILD, str(DATA), str(tmp_path)],
-                          cwd=tmp_path, env=child_env(), capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    for step in ("import", "validate", "peel", "extend"):
-        assert seen[step] == ([] if step == "import" else [0, []]), step
-    for step in ("curvature", "certify"):
-        code, loaded = seen[step]
-        assert code == 0 and "numpy" in loaded, step
-        assert "dataclasses" not in loaded and "nilflat.catalog" not in loaded, step
+    for order in (["validate", "peel", "extend", "curvature", "certify"],
+                  ["peel", "extend", "curvature", "certify", "validate"]):
+        proc = subprocess.run([sys.executable, "-c", HYGIENE_CHILD, str(DATA), str(tmp_path),
+                               *order], cwd=tmp_path, env=child_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert list(seen) == ["import", *order]
+        done = set()
+        for step, (code, loaded) in seen.items():
+            done.add(step)
+            numerical = bool(done & {"curvature", "certify"})
+            assert code == 0, (order, step)
+            assert "dataclasses" not in loaded, (order, step)
+            assert ("numpy" in loaded) == numerical, (order, step)
+            assert "inspect" not in loaded or numerical, (order, step)
+            malcev = ["nilflat.bch", "nilflat.coords"] if "validate" in done else []
+            assert [m for m in loaded if m.startswith("nilflat.")] == malcev, (order, step)
 
 
 # [DERIVED] the shipped-artifact dump on two inputs: every command leaves

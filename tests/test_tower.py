@@ -5,7 +5,9 @@ systems; [TRIVIAL] abelian/identity cases. Round-trips are exact equalities
 of structure constants.
 """
 
+import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from nilflat import algebra as algebra_module
 from nilflat import catalog, fileio
 from nilflat import intlinalg as intlinalg_module
 from nilflat import tower as tower_module
-from nilflat.algebra import NilAlgebra
+from nilflat.algebra import NilAlgebra, check_jacobi
 from nilflat.errors import (
     DimensionMismatch,
     JacobiViolated,
@@ -25,6 +27,7 @@ from nilflat.errors import (
 from nilflat.tower import (
     CentralCocycle,
     NilLattice,
+    check_closed,
     cocycles_cohomologous,
     extend_by_cocycle,
     peel_step,
@@ -234,6 +237,55 @@ def test_lattice_build_brackets_linearly(n, monkeypatch):
     lattice = lat(catalog.filiform(n))
     assert lattice.leads == tuple([0, *range(2, n)])
     assert 0 < len(calls) <= 2 * n
+
+
+def extension_table(base, form):
+    """The central extension of `base` by `form`, built here, unchecked:
+    e_{n+1} is new and [e_i, e_j] gains ω(e_i, e_j)·e_{n+1}."""
+    brackets = {pair: dict(entry) for pair, entry in base.brackets.items()}
+    for pair, value in form.entries.items():
+        brackets.setdefault(pair, {})[base.dim] = value
+    return NilAlgebra(dim=base.dim + 1, declared_class=1, brackets=brackets)
+
+
+# every catalog algebra of dim <= 8 that satisfies Jacobi
+JACOBI_CATALOG = {name: a for name, a in {
+    **{f"abelian{n}": catalog.abelian(n) for n in range(9)},
+    **{f"filiform{n}": catalog.filiform(n) for n in range(3, 9)},
+    "h3": catalog.heisenberg3(), "h5": catalog.heisenberg5(), "n4": catalog.n4(),
+    "h3xZ": catalog.h3_times_z(), "so3": catalog.so3_like(),
+    "h3_scaled": catalog.heisenberg3_scaled(), "violator": catalog.jacobi_violator(),
+}.items() if check_jacobi(a).ok}
+
+
+# [DERIVED] the identity the one triple-sum loop rests on: ω is closed on a
+# Jacobi base exactly when the extension by ω satisfies Jacobi, since
+# S(x,y,z) = ω([x,y],z) + ω([y,z],x) + ω([z,x],y) is minus the e_{n+1} part
+# of J(x,y,z) on the extension. On 20 seeded integral 2-forms per algebra,
+# with entries in [−2, 2] on supports of random size, the two checks agree,
+# the failing triples are the same set, and the extension's Jacobi defect is
+# −S on the sorted triple.
+@pytest.mark.parametrize("name", sorted(JACOBI_CATALOG))
+def test_closed_is_jacobi_of_extension(name):
+    base = JACOBI_CATALOG[name]
+    n = base.dim
+    rng = random.Random(name)
+    verdicts = set()
+    pairs = list(combinations(range(n), 2))
+    for k in range(20):
+        # sparse supports (at most 3 pairs) alternate with ones of any size
+        support = rng.sample(pairs, rng.randint(0, len(pairs) if k % 2 else min(3, len(pairs))))
+        form = CentralCocycle(dim=n, entries={pair: rng.randint(-2, 2) for pair in support})
+        closed = check_closed(base, form)
+        jacobi = check_jacobi(extension_table(base, form))
+        assert closed.ok == jacobi.ok
+        verdicts.add(closed.ok)
+        if not closed.ok:
+            assert tuple(sorted(closed.witness)) == jacobi.witness
+            sign = (-1) ** sum(a > b for a, b in combinations(closed.witness, 2))
+            assert jacobi.defect == (0,) * n + (-sign * closed.defect,)
+    # dim <= 3 and abelian bases close every form
+    assert verdicts == ({True} if n <= 3 or not base.brackets else {True, False})
 
 
 # [DERIVED] extension examples: (Z², ω=1) is the integer Heisenberg,
