@@ -123,6 +123,7 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
     ts_bottom_up = [1.0] * p
     rounds_bottom_up = [0] * p
     bounds_bottom_up = [0.0] * p
+    k = None  # the level being measured, None at the final metric
     try:
         for k in range(p + 1, n + 1):
             # a zero cocycle is a metric product factor: one pass, t = 1
@@ -130,9 +131,6 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
             t, used = 1.0, 0
             for round_index in range(_MAX_ROUNDS if curved else 1):
                 w[k - 1] = math.sqrt(t)
-                where = (f"level dim {k} at t = {t!r} (smallest t below: "
-                         f"{min(ts_bottom_up, default=t)!r})" if curved
-                         else f"flat level dim {k}")
                 r_hat = rescaled_curvature(c_frame[:k, :k, :k], w[:k])
                 rho, delta = curvature_bound(r_hat)
                 if not curved:
@@ -153,15 +151,22 @@ def certify_almost_flat(tower: BundleTower, seed_metric: LeftInvariantMetric,
             ts_bottom_up.append(t)
             rounds_bottom_up.append(used)
             bounds_bottom_up.append(rho + delta)
+        k = None
 
         bound = bounds_bottom_up[-1] if n else 0.0
         if not (bound <= eps):
             raise BudgetNotMet(
                 f"final bound ρ + δ = {bound!r} on sup|K| exceeds eps = {eps!r}")
-        where = (f"final metric of dim {n} "
-                 f"(smallest t: {min(ts_bottom_up, default=1.0)!r})")
         sup_final = polished_sups(r_hat[None])[0] if p < n else 0.0
     except np.linalg.LinAlgError as exc:
+        if k is None:
+            where = (f"final metric of dim {n} "
+                     f"(smallest t: {min(ts_bottom_up, default=1.0)!r})")
+        elif curved:
+            where = (f"level dim {k} at t = {t!r} (smallest t below: "
+                     f"{min(ts_bottom_up, default=t)!r})")
+        else:
+            where = f"flat level dim {k}"
         raise BudgetNotMet(
             f"{where}: curvature could not be measured in float64 ({exc})") from exc
 

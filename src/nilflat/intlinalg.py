@@ -124,13 +124,19 @@ def lattice_coordinates(generators: Sequence[Sequence[int]], targets: Sequence[S
     equation (a column): one where a pivot does not divide the remainder,
     or one without a pivot where a remainder is left. The rows U[rank:] map
     to zero and span every relation; the kernel is their Hermite form.
+    Where every generator is zero (rank 0), nothing is reduced: the kernel
+    is the identity, and a target is zero or inconsistent at its first
+    nonzero entry.
     """
     k = len(generators)
     n_cols = len(targets[0])
-    m = [list(map(int, g)) + [int(i == j) for j in range(k)]
-         for i, g in enumerate(generators)]
-    rank = _hermite_reduce(m, n_cols)
-    kernel = hermite_normal_form([row[n_cols:] for row in m[rank:]])
+    identity = [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
+    if any(map(any, generators)):
+        m = [list(map(int, g)) + row for g, row in zip(generators, identity)]
+        rank = _hermite_reduce(m, n_cols)
+        kernel = hermite_normal_form([row[n_cols:] for row in m[rank:]])
+    else:
+        m, rank, kernel = [], 0, identity
     pivots = [next(c for c, v in enumerate(row) if v) for row in m[:rank]]
 
     def solve(target: Sequence[int]) -> Solution:

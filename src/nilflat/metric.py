@@ -53,7 +53,7 @@ def _reversed_cholesky(g: np.ndarray) -> np.ndarray:
         r = np.linalg.cholesky(reversed_g)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("metric matrix is not positive definite")
-    if np.any(np.diag(r) ** 2 <= len(g) * np.finfo(float).eps * np.diag(reversed_g)):
+    if (r.diagonal() ** 2 <= len(g) * np.finfo(float).eps * reversed_g.diagonal()).any():
         raise NotPositiveDefinite("metric matrix is singular to working precision")
     return r
 
@@ -83,11 +83,11 @@ class LeftInvariantMetric(_Frozen):
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"metric must be square, got shape {m.shape}")
-        bad = np.argwhere(~np.isfinite(m))
-        if bad.size:
-            entries = ", ".join(f"G[{i + 1},{j + 1}] = {m[i, j]}" for i, j in bad)
+        if not np.isfinite(m).all():
+            entries = ", ".join(f"G[{i + 1},{j + 1}] = {m[i, j]}"
+                                for i, j in np.argwhere(~np.isfinite(m)))
             raise NotPositiveDefinite(f"metric matrix has non-finite entries: {entries}")
-        if m.size and np.max(np.abs(m - m.T)) > TOL_IDENTITY * np.max(np.abs(m)):
+        if m.size and np.abs(m - m.T).max() > TOL_IDENTITY * np.abs(m).max():
             raise NotPositiveDefinite("metric matrix is not symmetric")
         sym = 0.5 * (m + m.T)
         factor = _reversed_cholesky(sym) if m.size else np.zeros((0, 0))
@@ -151,7 +151,7 @@ def _curvature_from_connection(c: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     constants c and the connection Γ (or from each pair in a stack)."""
     second = np.einsum("...jkp,...ipm->...ijkm", gamma, gamma, optimize=False)
     return (np.einsum("...ijp,...pkm->...ijkm", c, gamma, optimize=False)
-            - second + np.swapaxes(second, -4, -3))
+            - second + second.swapaxes(-4, -3))
 
 
 def rescaled_curvature(c: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -162,8 +162,8 @@ def rescaled_curvature(c: np.ndarray, w: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         c_hat = c * w[..., None, None, :] / w[..., :, None, None] / w[..., None, :, None]
         r_hat = _curvature_from_connection(c_hat, _orthonormal_connection(c_hat))
-    bad = np.argwhere(~np.isfinite(r_hat))
-    if bad.size:
-        raise NilflatError(f"curvature at frame weights {w[tuple(bad[0, :-4])].tolist()}"
+    if not np.isfinite(r_hat).all():
+        bad = np.argwhere(~np.isfinite(r_hat))[0, :-4]
+        raise NilflatError(f"curvature at frame weights {w[tuple(bad)].tolist()}"
                            f" is not finite in float64 (max |ĉ| = {np.max(np.abs(c_hat)):.3g})")
     return r_hat

@@ -127,15 +127,22 @@ def _top_eigenpairs(q: np.ndarray, v: np.ndarray) -> tuple:
     the orthocomplement of the unit vector v (..., n)."""
     shape = v.shape
     q, v = q.reshape((-1,) + q.shape[-2:]), v.reshape(-1, shape[-1])
-    q = 0.5 * (q + np.swapaxes(q, 1, 2))
+    q = q + q.swapaxes(1, 2)
+    q *= 0.5
     qv = np.einsum("aij,aj->ai", q, v, optimize=False)
     vqv = np.einsum("ai,ai->a", v, qv, optimize=False)
-    q = (q - v[:, :, None] * qv[:, None, :] - qv[:, :, None] * v[:, None, :]
-         + vqv[:, None, None] * (v[:, :, None] * v[:, None, :]))
+    # q − v·qvᵀ − qv·vᵀ + vqv·(v·vᵀ), in place: the transposed view of v·qvᵀ
+    # holds the products qv_i·v_j
+    outer = v[:, :, None] * qv[:, None, :]
+    q -= outer
+    q -= outer.swapaxes(1, 2)
+    outer = v[:, :, None] * v[:, None, :]
+    outer *= vqv[:, None, None]
+    q += outer
     vals, vecs = np.linalg.eigh(q)
     rows = np.arange(q.shape[0])
-    top = np.argmax(np.abs(vals), axis=1)
-    return np.abs(vals[rows, top]).reshape(shape[:-1]), vecs[rows, :, top].reshape(shape)
+    top = np.abs(vals, out=vals).argmax(axis=1)
+    return vals[rows, top].reshape(shape[:-1]), vecs[rows, :, top].reshape(shape)
 
 
 def _rounding_allowance(n: int, r_max: float) -> float:
@@ -149,10 +156,15 @@ def curvature_bound(r_hat: np.ndarray) -> tuple:
     orthonormal tensor r_hat and its rounding allowance δ, so that ρ + δ
     bounds |K| of every plane."""
     op = _curvature_operator(r_hat)
-    eigenvalues = np.linalg.eigvalsh(0.5 * (op + op.T))
-    rho = float(np.max(np.abs(eigenvalues), initial=0.0))
-    return rho, _rounding_allowance(r_hat.shape[0],
-                                    float(np.max(np.abs(r_hat), initial=0.0)))
+    spectrum = np.linalg.eigvalsh(0.5 * (op + op.T))
+    r_max = float(np.abs(r_hat).max(initial=0.0))
+    if spectrum.size and math.isfinite(r_max + r_max):
+        # ℛ + ℛᵀ is finite, so ρ is at an end of the sorted spectrum (and
+        # +0.0 on a zero spectrum)
+        rho = max(0.0, -float(spectrum[0]), float(spectrum[-1]))
+    else:  # empty, or past float64, where a NaN can sit anywhere in it
+        rho = float(np.max(np.abs(spectrum), initial=0.0))
+    return rho, _rounding_allowance(r_hat.shape[0], r_max)
 
 
 def _eigenplane_seeds(sym: np.ndarray, n: int) -> tuple:
@@ -165,11 +177,11 @@ def _eigenplane_seeds(sym: np.ndarray, n: int) -> tuple:
     vals, vecs = np.linalg.eigh(sym)
     i, j = _pairs(n)
     b = np.zeros((sym.shape[0], 2, n, n))
-    ends = np.swapaxes(vecs[:, :, [0, -1]], 1, 2)
+    ends = vecs[:, :, [0, -1]].swapaxes(1, 2)
     b[:, :, i, j] = ends
     b[:, :, j, i] = -ends
     btb = np.einsum("taki,takj->taij", b, b, optimize=False)
-    legs = np.swapaxes(np.linalg.eigh(btb)[1][..., -2:], -1, -2).reshape(-1, 4, n)
+    legs = np.linalg.eigh(btb)[1][..., -2:].swapaxes(-1, -2).reshape(-1, 4, n)
     return (vals[:, 0], vals[:, -1]), legs
 
 
@@ -270,9 +282,11 @@ def _polish(r4s: np.ndarray, legs: np.ndarray, ceilings: np.ndarray) -> tuple:
     _POLISH_MAX_ITER sweeps; tensor t once a leg reaches ceilings[t] (checked
     before the first sweep and after each) or no leg moves.  A stopped leg is
     swept with its tensor, unrecorded; live tensors are gathered only when one
-    stops."""
+    stops, and the polish ends as soon as none is live."""
     out = np.zeros(legs.shape[:2]), np.zeros(legs.shape), np.zeros(legs.shape)
-    live = np.flatnonzero(0.0 < ceilings)
+    live = (0.0 < ceilings).nonzero()[0]
+    if not live.size:
+        return out
     r4, c, ceiling = r4s, legs, ceilings[:, None]
     best, best_x, best_c = out
     if live.size < len(r4s):
@@ -280,8 +294,6 @@ def _polish(r4s: np.ndarray, legs: np.ndarray, ceilings: np.ndarray) -> tuple:
         best, best_x, best_c = (part[live] for part in out)
     moving = np.ones(best.shape, dtype=bool)
     for sweep in range(1, _POLISH_MAX_ITER + 1):
-        if not live.size:
-            break
         x = _top_eigenpairs(np.einsum("tijkl,taj,tal->taik", r4, c, c,
                                       optimize=False), c)[1]
         val, c = _top_eigenpairs(np.einsum("tijkl,tai,tak->tajl", r4, x, x,
@@ -292,12 +304,15 @@ def _polish(r4s: np.ndarray, legs: np.ndarray, ceilings: np.ndarray) -> tuple:
         np.copyto(best_c, c, where=raised)
         np.maximum(best, val, out=best, where=moving)
         moving &= ~done
-        keep = (moving.any(axis=1) & ~(~(best < ceiling)).any(axis=1)
+        keep = (moving.any(axis=1) & (best < ceiling).all(axis=1)
                 & (sweep < _POLISH_MAX_ITER))
         if keep.all():
             continue
-        for part, state in zip(out, (best, best_x, best_c)):
-            part[live] = state
+        if best is not out[0]:  # the states are gathered copies
+            for part, state in zip(out, (best, best_x, best_c)):
+                part[live] = state
+        if not keep.any():
+            break
         live, c, ceiling, best, best_x, best_c, moving = (
             state[keep] for state in (live, c, ceiling, best, best_x, best_c, moving))
         r4 = r4s[live]
@@ -311,19 +326,21 @@ def _search(r4s: np.ndarray) -> tuple:
     (None if there is none): the symmetrized ℛ, its extreme eigenvalues, the
     ceiling ρ − δ and the legs (x, c) of the best plane."""
     n = r4s.shape[-1]
-    r_max = np.max(np.abs(r4s), axis=(1, 2, 3, 4), initial=0.0)
+    r_max = np.abs(r4s).max(axis=(1, 2, 3, 4), initial=0.0)
     finite = np.isfinite(r_max)
     sups = np.where(finite | (n < 2), 0.0, r_max).tolist()
-    searched = np.flatnonzero(finite & (0.0 < r_max) & (n >= 2))
+    searched = (finite & (0.0 < r_max) & (n >= 2)).nonzero()[0]
     if not searched.size:
         return sups, r_max, None
-    r4s = r4s[searched]
+    if searched.size < len(r4s) or not r4s.flags.c_contiguous:
+        r4s = r4s[searched]
     op = _curvature_operator(r4s)
-    sym = 0.5 * (op + np.swapaxes(op, 1, 2))
+    sym = op + op.swapaxes(1, 2)
+    sym *= 0.5
     (low, high), legs = _eigenplane_seeds(sym, n)
     ceilings = np.maximum(-low, high) - _rounding_allowance(n, r_max[searched])
     best, best_x, best_c = _polish(r4s, legs, ceilings)
-    lead = np.arange(searched.size), np.argmax(best, axis=1)
+    lead = np.arange(searched.size), best.argmax(axis=1)
     for member, sup in zip(searched.tolist(), best[lead].tolist()):
         sups[member] = sup
     return sups, r_max, (sym, (low, high), ceilings, best_x[lead], best_c[lead])

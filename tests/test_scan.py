@@ -25,8 +25,8 @@ from nilflat import catalog, scan
 from nilflat.algebra import NilAlgebra
 from nilflat.certify import certify_almost_flat
 from nilflat.errors import BoundViolated, DimensionMismatch
-from nilflat.metric import (LeftInvariantMetric, rescaled_curvature,
-                            structure_array)
+from nilflat.metric import (LeftInvariantMetric, _structure_in_frame,
+                            rescaled_curvature, structure_array)
 from nilflat.scan import (T_MIN, DecayReport, curvature_bound, diameter_bound,
                           lemma_scan, polished_sup, report_csv, report_summary)
 from nilflat.submersion import build_split
@@ -36,6 +36,7 @@ from oneill_oracle import (SubmersionContext, decomposition_check,
                            frame_structure, oneill_constant,
                            oneill_from_frame, split_diagonal)
 import oneill_oracle
+import search_oracle
 
 H3 = catalog.heisenberg3()
 N4 = catalog.n4()
@@ -863,3 +864,128 @@ def test_uncertified_base_bounds_from_rho():
                         n_samples=1, seed=0)
     assert report.base_sup_K == base_sup
     assert min(report.bounds) == report.bounds[-1] >= rho
+
+
+def assert_search_matches_oracle(r4s):
+    """`_search` on the stack r4s gives the oracle's sups (by float repr),
+    max|R̂| and certificate, every array to the bit, and `polished_sups` the
+    same sups; a one-tensor stack also gives `polished_sup` its sup."""
+    got, want = scan._search(r4s), search_oracle._search(r4s)
+    assert [repr(s) for s in got[0]] == [repr(s) for s in want[0]]
+    assert [repr(s) for s in scan.polished_sups(r4s)] == [repr(s) for s in want[0]]
+    if len(r4s) == 1:
+        assert repr(polished_sup(r4s[0])[0]) == repr(want[0][0])
+    arrays = [(got[1], want[1])]
+    assert (got[2] is None) == (want[2] is None)
+    if got[2] is not None:
+        (sym, (low, high), ceilings, x, c), (w_sym, (w_low, w_high), w_ceilings,
+                                             w_x, w_c) = got[2], want[2]
+        arrays += [(sym, w_sym), (low, w_low), (high, w_high),
+                   (ceilings, w_ceilings), (x, w_x), (c, w_c)]
+    for a, b in arrays:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+SEARCH_ORACLE_CASES = ([("z2", catalog.abelian(2)), ("h3", H3), ("n4", N4),
+                        ("h3xZ", catalog.h3_times_z()), ("h5", catalog.heisenberg5())]
+                       + [(f"filiform{n}", catalog.filiform(n)) for n in range(5, 11)]
+                       + [("free3", FREE3), ("free4", free_two_step(4))])
+
+
+# [ORACLE] the sup search against the copy of its earlier form in
+# `search_oracle`: catalog algebras of dimension 2–10, at G = I and at two
+# dense seeds, give the bits of the oracle on the split frame's base tensor
+# and on its first and last grid tensor alone, and on the stacks of a
+# 7-point and of a 16-point t grid.
+@pytest.mark.parametrize("algebra", [case for _, case in SEARCH_ORACLE_CASES],
+                         ids=[name for name, _ in SEARCH_ORACLE_CASES])
+def test_search_matches_oracle(algebra):
+    n = algebra.dim
+    for seed in (None, 1, 3):
+        metric = (LeftInvariantMetric.identity(n) if seed is None
+                  else LeftInvariantMetric(dense_seed(n, seed)))
+        c_hat = _structure_in_frame(structure_array(algebra), *metric._frame)
+        assert_search_matches_oracle(
+            rescaled_curvature(c_hat[:n - 1, :n - 1, :n - 1], np.ones(n - 1))[None])
+        for points in (7, 16):
+            weights = np.ones((points, n))
+            weights[:, n - 1] = np.sqrt(np.geomspace(1.0, 1e-6, points))
+            stack = rescaled_curvature(c_hat, weights)
+            assert_search_matches_oracle(stack)
+            if points == 7:
+                assert_search_matches_oracle(stack[:1])
+                assert_search_matches_oracle(stack[-1:])
+
+
+# [ORACLE] the search's edge members against the oracle: a stack of 6-dim
+# tensors with a zero, a NaN and an inf member among searched ones, and as
+# transposed copies, which are not C-contiguous and are searched as
+# gathered copies with the bits of the contiguous stacks, both that stack
+# and one whose every member is searched: each polish sees its tensors in
+# the oracle's memory layout.
+def test_search_matches_oracle_on_edge_stacks(monkeypatch):
+    layouts = {}
+    for module in (scan, search_oracle):
+        real = module._polish
+        seen = layouts[module] = []
+        monkeypatch.setattr(module, "_polish", lambda r4s, *args, real=real, seen=seen:
+                            seen.append(r4s.strides) or real(r4s, *args))
+    kinds = [N4, catalog.abelian(3), N4, catalog.heisenberg5(), FREE3, N4]
+    stack = np.stack([padded_identity_tensor(algebra) for algebra in kinds])
+    stack[1] = 0.0
+    stack[2, 0, 1, 0, 1] = math.nan
+    stack[5, 1, 2, 1, 2] = math.inf
+    with np.errstate(invalid="ignore"):
+        for r4s in (stack, stack[[0, 3, 4]]):
+            transposed = r4s.T.copy().T
+            assert not transposed.flags.c_contiguous
+            for tensors in (r4s, transposed):
+                assert_search_matches_oracle(tensors)
+                for seen in layouts.values():
+                    seen.clear()
+                scan._search(tensors)
+                search_oracle._search(tensors)
+                assert layouts[scan] == layouts[search_oracle] != []
+            assert ([repr(s) for s in scan.polished_sups(transposed)]
+                    == [repr(s) for s in scan.polished_sups(r4s)])
+        for member in stack:
+            assert_search_matches_oracle(member[None])
+
+
+# [ORACLE] stacks that sweep many times, where legs stop before their tensor
+# and tensors before the stack: free 2-step(4) at the dense seed 3 polishes
+# its 7-point grid stack in 10 sweeps, with tensors leaving at sweeps 8, 9
+# and 10, and its t = 1 tensor alone at seed 1 in 8 sweeps, with legs
+# stopping at sweeps 5 and 7.  A sweep is two `_top_eigenpairs` calls.
+@pytest.mark.parametrize("seed,points,sweeps", [(3, 7, 10), (1, 1, 8)])
+def test_search_matches_oracle_over_many_sweeps(seed, points, sweeps, monkeypatch):
+    algebra = free_two_step(4)
+    n = algebra.dim
+    metric = LeftInvariantMetric(dense_seed(n, seed))
+    c_hat = _structure_in_frame(structure_array(algebra), *metric._frame)
+    weights = np.ones((points, n))
+    weights[:, n - 1] = np.sqrt(np.geomspace(1.0, 1e-6, 7)[:points])
+    stack = rescaled_curvature(c_hat, weights)
+    assert_search_matches_oracle(stack)
+    real = scan._top_eigenpairs
+    calls = []
+    monkeypatch.setattr(scan, "_top_eigenpairs",
+                        lambda q, v: calls.append(len(v)) or real(q, v))
+    scan._search(stack)
+    assert len(calls) == 2 * sweeps
+
+
+# [DERIVED] ρ + δ stays a bound at the ends of float64: ρ is +0.0 on a flat
+# tensor, and where ℛ + ℛᵀ overflows (h3 with [e1, e2] = 12·10¹⁵³·e3 at
+# G = I, max|R̂| = 1.08e308) its spectrum is NaN and so is ρ, not a number
+# read off a finite end of it.
+def test_curvature_bound_at_float64_ends():
+    rho, delta = curvature_bound(np.zeros((3, 3, 3, 3)))
+    assert (math.copysign(1.0, rho), rho, delta) == (1.0, 0.0, 0.0)
+    huge = NilAlgebra(dim=3, declared_class=2, brackets={(0, 1): {2: 12 * 10 ** 153}})
+    r_hat = rescaled_curvature(structure_array(huge), np.ones(3))
+    assert np.isfinite(r_hat).all() and np.abs(r_hat).max() == 1.08e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho, delta = curvature_bound(r_hat)
+    assert math.isnan(rho) and math.isfinite(delta)

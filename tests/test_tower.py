@@ -26,6 +26,7 @@ from nilflat.errors import (
 )
 from nilflat.tower import (
     CentralCocycle,
+    CohomologyVerdict,
     NilLattice,
     check_closed,
     cocycles_cohomologous,
@@ -407,3 +408,28 @@ def test_up_to_sign_reduces_once(monkeypatch):
     assert verdict.obstruction == ("+: equation 14 is inconsistent: 0 = 1; "
                                    "-: equation 14 is inconsistent: 0 = 1")
     assert reductions == [15 * 14 // 2]
+
+
+# [DERIVED] over an abelian base every coboundary generator is zero, so the
+# system has rank 0 and nothing is Hermite-reduced, not even the identity
+# kernel; on abelian(12) the verdicts, witnesses and obstructions are those
+# of the full reduction (the 12×66 zero system against the 12×12 identity).
+def test_abelian_base_reduces_nothing(monkeypatch):
+    calls = []
+    reduce = intlinalg_module._hermite_reduce
+    monkeypatch.setattr(intlinalg_module, "_hermite_reduce",
+                        lambda m, n_cols: calls.append(n_cols) or reduce(m, n_cols))
+    base = lat(catalog.abelian(12))
+    w = CentralCocycle.from_entries(12, {(1, 2): 1, (3, 7): -2, (11, 12): 5})
+    neg = CentralCocycle.from_entries(12, {(1, 2): -1, (3, 7): 2, (11, 12): -5})
+    zero = CentralCocycle(12, {})
+    assert cocycles_cohomologous(base, w, w) == CohomologyVerdict(
+        cohomologous=True, sign=1, witness=(0,) * 12)
+    assert cocycles_cohomologous(base, w, neg, up_to_sign=True) == CohomologyVerdict(
+        cohomologous=True, sign=-1, witness=(0,) * 12)
+    assert cocycles_cohomologous(base, zero, w) == CohomologyVerdict(
+        cohomologous=False, obstruction="equation 1 is inconsistent: 0 = -1")
+    assert cocycles_cohomologous(base, w, zero, up_to_sign=True) == CohomologyVerdict(
+        cohomologous=False, obstruction="+: equation 1 is inconsistent: 0 = 1; "
+                                        "-: equation 1 is inconsistent: 0 = 1")
+    assert calls == []
