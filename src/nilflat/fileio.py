@@ -24,8 +24,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple, Union
 
 from .algebra import NilAlgebra
 from .errors import SchemaError
-from .tower import (BundleTower, CentralCocycle, NilLattice, _canonical_cocycle,
-                    _tower_from_cocycles)
+from .tower import BundleTower, CentralCocycle, NilLattice, _tower_from_cocycles
 
 if TYPE_CHECKING:
     import numpy as np  # imported by the metric readers and writers only
@@ -198,17 +197,12 @@ def _int_at(obj: Dict[str, Any], key: str, where: str, at: _Steps = ()) -> int:
     raise _field_error(value, key, where, at, f"an exact integer, got {value!r}")
 
 
-def _fraction_at(obj: Dict[str, Any], where: str, at: _Steps,
-                 integers: Dict[int, Fraction]) -> Fraction:
-    """The value num/den of obj, a dict at `where` + `at`; an integer value
-    is taken from `integers`, the ones its load has built, or added there."""
+def _fraction_at(obj: Dict[str, Any], where: str, at: _Steps) -> Fraction:
+    """The value num/den of obj, a dict at `where` + `at`."""
     num = _int_at(obj, "num", where, at)
     den = _int_at(obj, "den", where, at)
-    if den == 1:  # an integer needs no gcd, and one load builds it once
-        value = integers.get(num)
-        if value is None:
-            value = integers[num] = Fraction(num)
-        return value
+    if den == 1:
+        return Fraction(num)  # an integer needs no gcd
     if den == 0:
         raise SchemaError(f"{_at(where, at)}.den: denominator must be nonzero")
     return Fraction(num, den)
@@ -249,7 +243,6 @@ def algebra_from_obj(obj: Any, where: str = "algebra") -> NilAlgebra:
     declared = _int_at(top, "class", where)
     # 0-based table, each coefficient one Fraction (a repeated k adds up)
     brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    integers: Dict[int, Fraction] = {}
     for pos, item in enumerate(_list_at(top, "brackets", where)):
         at = (".brackets", pos)
         entry = _dict_at(item, where, at)
@@ -261,7 +254,7 @@ def algebra_from_obj(obj: Any, where: str = "algebra") -> NilAlgebra:
             if not (1 <= k <= dim):
                 raise SchemaError(
                     f"{_at(where, tat)}.k: component {k} out of range for dim {dim}")
-            value = _fraction_at(tdict, where, tat, integers)
+            value = _fraction_at(tdict, where, tat)
             target[k - 1] = target[k - 1] + value if k - 1 in target else value
     return NilAlgebra(dim=dim, declared_class=declared, brackets=brackets)
 
@@ -298,23 +291,23 @@ def cocycle_from_obj(obj: Any, where: str = "cocycle") -> CentralCocycle:
     dim = _int_at(top, "dim", where)
     if dim < 0:
         raise SchemaError(f"{where}.dim: must be nonnegative, got {dim}")
-    return _canonical_cocycle(dim, _cocycle_entries(
-        _list_at(top, "entries", where), dim, where, (".entries",), {}))
+    return CentralCocycle(
+        dim=dim, entries=_cocycle_entries(_list_at(top, "entries", where), dim,
+                                          where, (".entries",)))
 
 
 def _cocycle_entries(items: List[Any], dim: int, where: str, at: _Steps,
-                     integers: Dict[int, Fraction]) -> Dict[Tuple[int, int], Fraction]:
-    """The canonical 0-based table of the entry list at `where` + `at` (a
-    repeated pair adds up): sorted by pair, with no zero, as
-    `_canonical_cocycle` takes it; integer values come from `integers`."""
+                     ) -> Dict[Tuple[int, int], Fraction]:
+    """The 0-based table of the entry list at `where` + `at` (a repeated
+    pair adds up)."""
     entries: Dict[Tuple[int, int], Fraction] = {}
     for pos, item in enumerate(items):
         iat = at + (pos,)
         entry = _dict_at(item, where, iat)
         pair = _pair_at(entry, dim, "entry", where, iat)
-        value = _fraction_at(entry, where, iat, integers)
+        value = _fraction_at(entry, where, iat)
         entries[pair] = entries[pair] + value if pair in entries else value
-    return {pair: value for pair, value in sorted(entries.items()) if value}
+    return entries
 
 
 def load_cocycle(path: PathLike) -> CentralCocycle:
@@ -347,7 +340,6 @@ def tower_from_obj(obj: Any, where: str = "tower") -> BundleTower:
     top = _dict_at(obj, where)
     raw_steps = _list_at(top, "steps", where)
     parsed: List[CentralCocycle] = []
-    integers: Dict[int, Fraction] = {}
     for pos, item in enumerate(raw_steps):
         at = (".steps", pos)
         entry = _dict_at(item, where, at)
@@ -358,8 +350,8 @@ def tower_from_obj(obj: Any, where: str = "tower") -> BundleTower:
                 f"{_at(where, at)}.base_dim: expected {expected} for a top-down "
                 f"tower of {len(raw_steps)} steps, got {base_dim}")
         entries = _cocycle_entries(_list_at(entry, "cocycle", where, at), base_dim,
-                                   where, at + (".cocycle",), integers)
-        parsed.append(_canonical_cocycle(base_dim, entries))
+                                   where, at + (".cocycle",))
+        parsed.append(CentralCocycle(dim=base_dim, entries=entries))
     return _tower_from_cocycles(parsed)
 
 

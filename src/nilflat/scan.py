@@ -156,15 +156,10 @@ def curvature_bound(r_hat: np.ndarray) -> tuple:
     orthonormal tensor r_hat and its rounding allowance δ, so that ρ + δ
     bounds |K| of every plane."""
     op = _curvature_operator(r_hat)
-    spectrum = np.linalg.eigvalsh(0.5 * (op + op.T))
-    r_max = float(np.abs(r_hat).max(initial=0.0))
-    if spectrum.size and math.isfinite(r_max + r_max):
-        # ℛ + ℛᵀ is finite, so ρ is at an end of the sorted spectrum (and
-        # +0.0 on a zero spectrum)
-        rho = max(0.0, -float(spectrum[0]), float(spectrum[-1]))
-    else:  # empty, or past float64, where a NaN can sit anywhere in it
-        rho = float(np.max(np.abs(spectrum), initial=0.0))
-    return rho, _rounding_allowance(r_hat.shape[0], r_max)
+    eigenvalues = np.linalg.eigvalsh(0.5 * (op + op.T))
+    rho = float(np.abs(eigenvalues).max(initial=0.0))
+    return rho, _rounding_allowance(r_hat.shape[0],
+                                    float(np.abs(r_hat).max(initial=0.0)))
 
 
 def _eigenplane_seeds(sym: np.ndarray, n: int) -> tuple:

@@ -121,19 +121,6 @@ class CentralCocycle(_Record):
         return [(i + 1, j + 1, v) for (i, j), v in self.entries.items()]
 
 
-def _canonical_cocycle(dim: int, entries: Dict[Tuple[int, int], Fraction]) -> CentralCocycle:
-    """Cocycle on a table that is canonical already: 0-based pairs
-    0 <= i < j < dim in sorted order, each a nonzero `Fraction`.
-
-    Only the readers of `fileio` call it, on a table they built so; the
-    record is the one `CentralCocycle(dim, entries)` builds, without a
-    second sort.
-    """
-    cocycle = object.__new__(CentralCocycle)
-    cocycle.__dict__.update(dim=dim, entries=entries)
-    return cocycle
-
-
 def check_closed(algebra: NilAlgebra, cocycle: CentralCocycle) -> ValidationReport:
     """Chevalley–Eilenberg cocycle condition on all basis triples.
 
